@@ -842,14 +842,14 @@ fn e20_sizes(quick: bool) -> E20Sizes {
     }
 }
 
-/// `(label, clients, batch)` at a fixed four-worker pool. Each client
-/// issues the same number of simulate *items*; the batch size only changes
-/// how many ride one round trip, so `c1-b4` vs `c1-b1` isolates the win
-/// from batched dispatch at equal workers and equal offered load.
+/// `(label, clients, batch)` at a fixed four permits. Each client issues
+/// the same number of simulate *items*; the batch size only changes how
+/// many ride one round trip, so `c1-b4` vs `c1-b1` isolates the win from
+/// batched execution at equal workers and equal offered load.
 const E20_CONFIGS: [(&str, u64, u64); 4] =
     [("c1-b1", 1, 1), ("c1-b4", 1, 4), ("c4-b1", 4, 1), ("c4-b4", 4, 4)];
 
-/// Worker-pool size shared by every E20 row.
+/// Simulation permits shared by every E20 row.
 const E20_WORKERS: usize = 4;
 
 fn e20() -> Experiment {
@@ -857,7 +857,8 @@ fn e20() -> Experiment {
         id: "E20",
         title: "Serving layer: batched execution across offered load x batch size",
         claim: "Engineering claim on unet-serve/3: grouping simulate items into batch \
-                requests lets the worker pool execute them concurrently, so at equal \
+                requests lets the server run them concurrently under its simulation \
+                permits, so at equal \
                 workers and equal offered load, batch >= 4 beats batch = 1 on wall time \
                 per item; cold batches coalesce their route-plan build through the \
                 single-flight cache (batchmates counted as followers), p99 round-trip \
@@ -945,7 +946,7 @@ fn e20() -> Experiment {
         shapes: || {
             vec![
                 // The tentpole claim: at equal workers and equal offered
-                // load, batched dispatch beats one-at-a-time round trips
+                // load, batched execution beats one-at-a-time round trips
                 // (loose factor, skipped below the timing-noise floor).
                 Shape::SpeedupOrdering {
                     key: "config",
@@ -1185,10 +1186,10 @@ fn e22() -> Experiment {
         id: "E22",
         title: "Request tracing: stage spans account for end-to-end latency",
         claim: "Engineering claim on unet-serve/3 tracing: the per-request stage spans \
-                the server returns (accept, queue_wait, batch_linger, singleflight_wait, \
-                plan_build, simulate) account for at least 95% of the client-measured \
+                the server returns (accept, queue_wait, singleflight_wait, plan_build, \
+                simulate) account for at least 95% of the client-measured \
                 end-to-end latency on every offered-load point, queue_wait becomes the \
-                dominant stage once the closed-loop load crosses the one-worker \
+                dominant stage once the closed-loop load crosses the one-permit \
                 capacity, and the tail sampler keeps at least one request record \
                 through the drain at the default head-sampling rate",
         grid_keys: &["config"],
@@ -1225,17 +1226,13 @@ fn e22() -> Experiment {
         },
         run: |p| {
             let clients = p.u64("clients") as usize;
-            // One executor, but a connection worker per client: every
-            // connection is served concurrently, so the client count alone
-            // decides whether the row sits below or beyond capacity and
-            // the excess shows up as job-queue wait, not connection wait.
-            let server = Server::start(ServeConfig {
-                workers: 1,
-                conn_workers: Some(8),
-                queue_cap: 64,
-                ..ServeConfig::default()
-            })
-            .expect("bind 127.0.0.1:0");
+            // One simulation permit, one thread per client connection:
+            // every connection is served concurrently, so the client count
+            // alone decides whether the row sits below or beyond capacity
+            // and the excess shows up as permit wait (`queue_wait`).
+            let server =
+                Server::start(ServeConfig { workers: 1, queue_cap: 64, ..ServeConfig::default() })
+                    .expect("bind 127.0.0.1:0");
             let report = loadgen::run(&LoadgenConfig {
                 addr: server.addr().to_string(),
                 clients,

@@ -147,10 +147,10 @@ pub struct SampleRecord {
 /// One named stage of a traced request, with its measured duration.
 ///
 /// Stage names are the serving tier's fixed vocabulary — backend-side
-/// `accept`, `queue_wait`, `batch_linger`, `singleflight_wait`,
-/// `plan_build`, `simulate`, `serialize` and router-side `forward`,
-/// `retry`, `failover` — but readers treat them as opaque strings so the
-/// vocabulary can grow without another schema bump.
+/// `accept`, `queue_wait`, `singleflight_wait`, `plan_build`, `simulate`,
+/// `serialize` and router-side `forward`, `retry`, `failover` — but
+/// readers treat them as opaque strings so the vocabulary can grow without
+/// another schema bump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageSpan {
     /// Stage name (e.g. `"queue_wait"`).

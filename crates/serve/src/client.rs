@@ -107,11 +107,10 @@ pub struct SimulateResult {
     /// Server-side wall time in milliseconds.
     pub wall_ms: f64,
     /// The trace id this request ran under (client-assigned, echoed by
-    /// `/3` servers in the payload).
+    /// the server in the payload).
     pub trace_id: Option<String>,
     /// Server-reported stage breakdown (`queue_wait`, `simulate`, …) in
-    /// milliseconds, in the server's span order. Empty from pre-`/3`
-    /// servers.
+    /// milliseconds, in the server's span order.
     pub stages: Vec<(String, f64)>,
     /// Client-measured end-to-end latency of the round trip that carried
     /// this result, in milliseconds (the whole batch's round trip for a
@@ -325,7 +324,7 @@ impl Client {
     /// [`trace_id`](SimulateResult::trace_id) and client-measured
     /// [`e2e_ms`](SimulateResult::e2e_ms) are always populated; the
     /// server-side [`stages`](SimulateResult::stages) breakdown rides the
-    /// `/3` payload.
+    /// payload.
     pub fn simulate(&mut self, spec: &SimulateReq) -> Result<SimulateResult, ClientError> {
         let trace_id = gen_trace_id();
         let started = std::time::Instant::now();

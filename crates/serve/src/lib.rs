@@ -7,22 +7,23 @@
 //! metric aggregates) alive across requests:
 //!
 //! * [`protocol`] — the versioned newline-delimited JSON wire format
-//!   (`unet-serve/3`, with `/2` and `/1` compatibility readers):
+//!   (`unet-serve/3`):
 //!   `simulate` / `batch` / `analyze` / `metrics` requests, `result` /
 //!   `error` / `overloaded` responses, and a per-request `trace` context
 //!   that threads one `trace_id` from client through router to backend;
-//! * [`queue`] — the bounded admission queue; a full queue produces a
-//!   typed `overloaded` rejection with a `retry_after_ms` hint, never
-//!   unbounded buffering;
-//! * [`server`] — acceptor + connection workers + batching executors.
-//!   Admitted requests are grouped by
-//!   [`workload_fingerprint`](unet_core::workload_fingerprint) into
-//!   micro-batches; a cold fingerprint builds its route plan exactly once
-//!   (single-flight, on the shared
-//!   [`SharedPlanCache`](unet_core::SharedPlanCache)) while batchmates and
-//!   racing misses reuse it; per-request deadlines ride the engine's
-//!   phase-boundary cancellation; every request records stage spans
-//!   (`accept` → `queue_wait` → … → `serialize`) into a tail-sampled
+//! * [`queue`] — the shard router's bounded admission queue; a full queue
+//!   produces a typed `overloaded` rejection with a `retry_after_ms` hint,
+//!   never unbounded buffering;
+//! * [`server`] — an acceptor and one thread per admitted connection
+//!   (at most `queue_cap` open, beyond that `overloaded`); each simulation
+//!   runs on its connection's thread under one of `workers` permits. A
+//!   batch's items are grouped by
+//!   [`workload_fingerprint`](unet_core::workload_fingerprint); a cold
+//!   fingerprint builds its route plan exactly once (single-flight, on the
+//!   shared [`SharedPlanCache`](unet_core::SharedPlanCache)) while
+//!   batchmates and racing misses reuse it; per-request deadlines ride the
+//!   engine's phase-boundary cancellation; every request records stage
+//!   spans (`accept` → `queue_wait` → … → `serialize`) into a tail-sampled
 //!   trace that [`Server::drain`] flushes alongside the metrics;
 //! * [`loadgen`] — a deterministic closed-loop load generator for capacity
 //!   experiments (E19/E20) and CI smoke tests;
@@ -67,7 +68,7 @@ pub mod signal;
 
 pub use client::{Client, ClientError, ServerError, SimulateResult};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
-pub use protocol::{ProtoVersion, Request, Response, PROTOCOL, PROTOCOL_V1, PROTOCOL_V2};
+pub use protocol::{Request, Response, PROTOCOL};
 pub use ring::Ring;
 pub use router::{Router, RouterDrainReport, RouterStats, ShardConfig};
 pub use server::{DrainReport, ServeConfig, Server, ServerStats};

@@ -1,5 +1,4 @@
-//! The `unet-serve/3` wire protocol (with `unet-serve/2` and
-//! `unet-serve/1` compatibility readers).
+//! The `unet-serve/3` wire protocol.
 //!
 //! Newline-delimited JSON over TCP, one request and one response per line,
 //! versioned by a mandatory `proto` field. Four request kinds:
@@ -25,66 +24,28 @@
 //! * `error` — carries a machine-readable `code` (`bad-request`,
 //!   `bad-spec`, `bad-trace`, `deadline-exceeded`, `sim-error`,
 //!   `verify-failed`, `unsupported-protocol`) and a human `message`;
-//! * `overloaded` — the admission queue was full; the server rejected the
-//!   connection *before* queueing it (explicit backpressure, never
-//!   unbounded buffering). Carries the configured `queue_cap` and a
+//! * `overloaded` — admission was refused (every connection slot of a
+//!   server, or the router's admission queue, was taken); the connection
+//!   is rejected *before* any request is read (explicit backpressure,
+//!   never unbounded buffering). Carries the configured `queue_cap` and a
 //!   `retry_after_ms` hint derived from queue depth and drain rate.
 //!
-//! ## Version negotiation
+//! ## Versioning
 //!
-//! The server reads `unet-serve/1`, `/2`, and `/3` requests and stamps
-//! each response with the version the request spoke, so a `/1` client
-//! keeps seeing well-formed `/1` lines. The `batch` kind is `/2`+. `/3`
-//! adds the **trace context**: an optional `"trace":{"id":"<16 hex>"}`
-//! object on any request, carrying the distributed trace id assigned at
-//! first ingress (client, router, or server — whoever sees the request
-//! first calls [`gen_trace_id`]). Because `/1` and `/2` used the `trace`
-//! key for the analyze payload, `/3` renames that payload to
-//! `trace_lines`; the reader still accepts an *array* under `trace` from
-//! older clients (the context is always an object, so the two never
-//! collide). Unknown versions get a typed `unsupported-protocol` error,
-//! not a hangup. The one asymmetry: `overloaded` is emitted before the
-//! request line is read, so it is always stamped with the server-native
-//! version — clients of every version parse it (the fields are
-//! identical).
+//! Every line carries `"proto":"unet-serve/3"`. Any other version gets a
+//! typed `unsupported-protocol` error naming the one this server speaks,
+//! never a hangup. A request may carry a **trace context**, an optional
+//! `"trace":{"id":"<16 hex>"}` object holding the distributed trace id
+//! assigned at first ingress (client, router, or server — whoever sees the
+//! request first calls [`gen_trace_id`]).
 //!
 //! Graph specifications are the same `family:params` strings the CLI takes
 //! everywhere else ([`unet_core::spec::parse_graph`]).
 
 use unet_obs::json::Value;
 
-/// The server-native protocol version every request and response carries.
+/// The protocol version every request and response carries.
 pub const PROTOCOL: &str = "unet-serve/3";
-
-/// The `/2` protocol version, still accepted by the compatibility reader
-/// and echoed back to `/2` clients.
-pub const PROTOCOL_V2: &str = "unet-serve/2";
-
-/// The original protocol version, still accepted by the compatibility
-/// reader and echoed back to `/1` clients.
-pub const PROTOCOL_V1: &str = "unet-serve/1";
-
-/// A protocol version spoken by a request (and echoed by its responses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoVersion {
-    /// `unet-serve/1` — no `batch` kind, no `retry_after_ms`.
-    V1,
-    /// `unet-serve/2` — adds `batch` and `retry_after_ms`.
-    V2,
-    /// `unet-serve/3` — adds the `trace` context and per-stage timings.
-    V3,
-}
-
-impl ProtoVersion {
-    /// The wire string for this version.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProtoVersion::V1 => PROTOCOL_V1,
-            ProtoVersion::V2 => PROTOCOL_V2,
-            ProtoVersion::V3 => PROTOCOL,
-        }
-    }
-}
 
 /// Mint a fresh 16-hex-digit trace id: a process-global counter FNV-mixed
 /// with the wall clock, so ids are unique within a process and almost
@@ -119,6 +80,16 @@ pub enum ParseError {
     /// The line was malformed (bad JSON, missing fields, unknown kind).
     /// Becomes a `bad-request` error response.
     Malformed(String),
+}
+
+impl ParseError {
+    /// The error-response `code` this failure is answered with.
+    pub fn code(&self) -> &'static str {
+        match self {
+            ParseError::UnsupportedProto(_) => "unsupported-protocol",
+            ParseError::Malformed(_) => "bad-request",
+        }
+    }
 }
 
 impl std::fmt::Display for ParseError {
@@ -165,7 +136,7 @@ pub struct BatchReq {
 pub enum Request {
     /// Run and certify one simulation.
     Simulate(SimulateReq),
-    /// Run many simulations under one deadline (`/2` only).
+    /// Run many simulations under one deadline.
     Batch(BatchReq),
     /// Aggregate trace lines with the streaming analyzer.
     Analyze {
@@ -222,36 +193,29 @@ fn parse_simulate_fields(v: &Value, id: Option<u64>) -> Result<SimulateReq, Stri
     })
 }
 
-/// Parse one request line, returning the protocol version it spoke (so
-/// the response can be stamped to match) and the trace context's id when
-/// the client sent one. [`ParseError::UnsupportedProto`] deserves a typed
+/// Parse one request line, returning the trace context's id when the
+/// client sent one. [`ParseError::UnsupportedProto`] deserves a typed
 /// `unsupported-protocol` response, never a hangup.
-pub fn parse_request(line: &str) -> Result<(ProtoVersion, Option<String>, Request), ParseError> {
+pub fn parse_request(line: &str) -> Result<(Option<String>, Request), ParseError> {
     let v = unet_obs::json::parse(line).map_err(ParseError::Malformed)?;
-    let ver = match v.get("proto").and_then(Value::as_str) {
-        Some(PROTOCOL) => ProtoVersion::V3,
-        Some(PROTOCOL_V2) => ProtoVersion::V2,
-        Some(PROTOCOL_V1) => ProtoVersion::V1,
+    match v.get("proto").and_then(Value::as_str) {
+        Some(PROTOCOL) => {}
         Some(other) => {
             return Err(ParseError::UnsupportedProto(format!(
-                "unsupported protocol {other:?} (this server speaks {PROTOCOL:?}, \
-                 {PROTOCOL_V2:?}, and {PROTOCOL_V1:?})"
+                "unsupported protocol {other:?} (this server speaks {PROTOCOL:?})"
             )))
         }
         None => {
             return Err(ParseError::Malformed(format!("missing `proto` field (want {PROTOCOL:?})")))
         }
-    };
-    // The trace context is always an object; /1 and /2 analyze requests
-    // put their JSONL payload under the same key as an *array*, which
-    // `Value::get` on a non-object simply misses.
+    }
     let trace_id = match v.get("trace") {
-        Some(t) if t.as_arr().is_none() => {
+        Some(t) => {
             Some(t.get("id").and_then(Value::as_str).map(str::to_string).ok_or_else(|| {
                 ParseError::Malformed("`trace` context needs a string `id` field".into())
             })?)
         }
-        _ => None,
+        None => None,
     };
     let id = v.get("id").and_then(Value::as_u64);
     let req = match v.get("kind").and_then(Value::as_str) {
@@ -259,11 +223,6 @@ pub fn parse_request(line: &str) -> Result<(ProtoVersion, Option<String>, Reques
             Request::Simulate(parse_simulate_fields(&v, id).map_err(ParseError::Malformed)?)
         }
         Some("batch") => {
-            if ver == ProtoVersion::V1 {
-                return Err(ParseError::Malformed(format!(
-                    "the `batch` kind needs {PROTOCOL_V2:?} or newer (got {PROTOCOL_V1:?})"
-                )));
-            }
             let arr = v
                 .get("items")
                 .and_then(Value::as_arr)
@@ -285,17 +244,9 @@ pub fn parse_request(line: &str) -> Result<(ProtoVersion, Option<String>, Reques
             })
         }
         Some("analyze") => {
-            let arr = v
-                .get("trace_lines")
-                .and_then(Value::as_arr)
-                .or_else(|| v.get("trace").and_then(Value::as_arr))
-                .ok_or_else(|| {
-                    ParseError::Malformed(
-                        "analyze needs a `trace_lines` array of JSONL lines \
-                         (`trace` in /1 and /2)"
-                            .into(),
-                    )
-                })?;
+            let arr = v.get("trace_lines").and_then(Value::as_arr).ok_or_else(|| {
+                ParseError::Malformed("analyze needs a `trace_lines` array of JSONL lines".into())
+            })?;
             let trace = arr
                 .iter()
                 .map(|l| {
@@ -314,12 +265,12 @@ pub fn parse_request(line: &str) -> Result<(ProtoVersion, Option<String>, Reques
         }
         None => return Err(ParseError::Malformed("missing `kind` field".into())),
     };
-    Ok((ver, trace_id, req))
+    Ok((trace_id, req))
 }
 
-fn envelope(ver: ProtoVersion, kind: &str, id: Option<u64>) -> Vec<(String, Value)> {
+fn envelope(kind: &str, id: Option<u64>) -> Vec<(String, Value)> {
     let mut fields = vec![
-        ("proto".to_string(), Value::Str(ver.as_str().to_string())),
+        ("proto".to_string(), Value::Str(PROTOCOL.to_string())),
         ("kind".to_string(), Value::Str(kind.to_string())),
     ];
     if let Some(id) = id {
@@ -329,23 +280,17 @@ fn envelope(ver: ProtoVersion, kind: &str, id: Option<u64>) -> Vec<(String, Valu
 }
 
 /// Build a `result` response line for request kind `req` with the given
-/// payload fields, stamped with the version the request spoke.
-pub fn result_line(
-    ver: ProtoVersion,
-    req: &str,
-    id: Option<u64>,
-    payload: Vec<(String, Value)>,
-) -> String {
-    let mut fields = envelope(ver, "result", id);
+/// payload fields.
+pub fn result_line(req: &str, id: Option<u64>, payload: Vec<(String, Value)>) -> String {
+    let mut fields = envelope("result", id);
     fields.push(("req".to_string(), Value::Str(req.to_string())));
     fields.extend(payload);
     Value::Obj(fields).to_json()
 }
 
-/// Build an `error` response line with a machine-readable `code`, stamped
-/// with the version the request spoke.
-pub fn error_line(ver: ProtoVersion, code: &str, message: &str, id: Option<u64>) -> String {
-    let mut fields = envelope(ver, "error", id);
+/// Build an `error` response line with a machine-readable `code`.
+pub fn error_line(code: &str, message: &str, id: Option<u64>) -> String {
+    let mut fields = envelope("error", id);
     fields.push(("code".to_string(), Value::Str(code.to_string())));
     fields.push(("message".to_string(), Value::Str(message.to_string())));
     Value::Obj(fields).to_json()
@@ -368,12 +313,10 @@ pub fn batch_item_value(outcome: Result<Vec<(String, Value)>, (String, String)>)
     }
 }
 
-/// Build the typed backpressure rejection the acceptor sends when the
-/// admission queue is full. Emitted before the request line is read, so it
-/// is stamped with the server-native version; the fields parse identically
-/// under every protocol version.
+/// Build the typed backpressure rejection the acceptor sends when every
+/// connection slot is taken (emitted before any request line is read).
 pub fn overloaded_line(queue_cap: usize, retry_after_ms: u64) -> String {
-    let mut fields = envelope(ProtoVersion::V3, "overloaded", None);
+    let mut fields = envelope("overloaded", None);
     fields.push(("queue_cap".to_string(), Value::UInt(queue_cap as u64)));
     fields.push(("retry_after_ms".to_string(), Value::UInt(retry_after_ms)));
     Value::Obj(fields).to_json()
@@ -474,28 +417,21 @@ pub enum Response {
         /// Echoed correlation id.
         id: Option<u64>,
     },
-    /// The admission queue was full; the request was never queued.
+    /// Admission was refused; the request was never read.
     Overloaded {
-        /// The server's configured queue bound.
+        /// The server's configured admission bound.
         queue_cap: u64,
         /// Suggested wait before retrying, derived from queue depth and
-        /// drain rate (absent in `/1` responses).
+        /// drain rate.
         retry_after_ms: Option<u64>,
     },
 }
 
-/// Parse one response line. Accepts responses of every protocol version
-/// (a retrying client may see a server-native `/3` `overloaded` even when
-/// it spoke `/1` or `/2`).
+/// Parse one response line.
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let v = unet_obs::json::parse(line)?;
-    match v.get("proto").and_then(Value::as_str) {
-        Some(PROTOCOL) | Some(PROTOCOL_V2) | Some(PROTOCOL_V1) => {}
-        _ => {
-            return Err(format!(
-                "response is not {PROTOCOL:?}, {PROTOCOL_V2:?}, or {PROTOCOL_V1:?}: {line}"
-            ))
-        }
+    if v.get("proto").and_then(Value::as_str) != Some(PROTOCOL) {
+        return Err(format!("response is not {PROTOCOL:?}: {line}"));
     }
     match v.get("kind").and_then(Value::as_str) {
         Some("result") => Ok(Response::Result(v)),
@@ -527,15 +463,12 @@ mod tests {
             id: Some(41),
         };
         let line = simulate_request_line(&req, None);
-        assert_eq!(
-            parse_request(&line).unwrap(),
-            (ProtoVersion::V3, None, Request::Simulate(req.clone()))
-        );
+        assert_eq!(parse_request(&line).unwrap(), (None, Request::Simulate(req.clone())));
         // With a trace context the id comes back alongside the request.
         let traced = simulate_request_line(&req, Some("00000000c0ffee42"));
         assert_eq!(
             parse_request(&traced).unwrap(),
-            (ProtoVersion::V3, Some("00000000c0ffee42".into()), Request::Simulate(req))
+            (Some("00000000c0ffee42".into()), Request::Simulate(req))
         );
     }
 
@@ -571,7 +504,7 @@ mod tests {
         };
         let line = batch_request_line(&[good.clone(), good.clone()], Some(5000), Some(9), None);
         match parse_request(&line).unwrap() {
-            (ProtoVersion::V3, None, Request::Batch(b)) => {
+            (None, Request::Batch(b)) => {
                 assert_eq!(b.items, vec![Ok(good.clone()), Ok(good)]);
                 assert_eq!(b.deadline_ms, Some(5000));
                 assert_eq!(b.id, Some(9));
@@ -585,7 +518,7 @@ mod tests {
              {{\"guest\":\"ring:8\",\"host\":\"torus:2x2\"}}]}}"
         );
         match parse_request(&mixed).unwrap() {
-            (_, _, Request::Batch(b)) => {
+            (_, Request::Batch(b)) => {
                 assert!(b.items[0].is_ok());
                 assert!(b.items[1].as_ref().unwrap_err().contains("steps"));
             }
@@ -595,13 +528,14 @@ mod tests {
 
     #[test]
     fn batch_needs_v2_and_items() {
-        let v1 = format!(
-            "{{\"proto\":{PROTOCOL_V1:?},\"kind\":\"batch\",\"items\":[\
-             {{\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":2}}]}}"
-        );
-        match parse_request(&v1) {
-            Err(ParseError::Malformed(m)) => assert!(m.contains("batch")),
-            other => panic!("expected malformed, got {other:?}"),
+        // `/1` never had `batch`, and `/1` itself is no longer spoken.
+        let v1 = "{\"proto\":\"unet-serve/1\",\"kind\":\"batch\",\"items\":[\
+                  {\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":2}]}";
+        match parse_request(v1) {
+            Err(e @ ParseError::UnsupportedProto(_)) => {
+                assert_eq!(e.code(), "unsupported-protocol")
+            }
+            other => panic!("expected unsupported protocol, got {other:?}"),
         }
         let empty = format!("{{\"proto\":{PROTOCOL:?},\"kind\":\"batch\",\"items\":[]}}");
         assert!(matches!(parse_request(&empty), Err(ParseError::Malformed(_))));
@@ -611,62 +545,9 @@ mod tests {
     fn analyze_and_metrics_round_trip() {
         let trace = vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
         let line = analyze_request_line(&trace, Some(9), None);
-        assert_eq!(
-            parse_request(&line).unwrap(),
-            (ProtoVersion::V3, None, Request::Analyze { trace, id: Some(9) })
-        );
+        assert_eq!(parse_request(&line).unwrap(), (None, Request::Analyze { trace, id: Some(9) }));
         let line = metrics_request_line(None, None);
-        assert_eq!(
-            parse_request(&line).unwrap(),
-            (ProtoVersion::V3, None, Request::Metrics { id: None })
-        );
-    }
-
-    #[test]
-    fn v2_requests_still_parse_and_echo_v2() {
-        // Golden /2 lines, written out verbatim: the compatibility reader
-        // must keep accepting yesterday's wire format byte-for-byte.
-        let sim = "{\"proto\":\"unet-serve/2\",\"kind\":\"simulate\",\"guest\":\"ring:8\",\
-                   \"host\":\"torus:2x2\",\"steps\":2,\"seed\":3,\"id\":11}";
-        match parse_request(sim).unwrap() {
-            (ProtoVersion::V2, None, Request::Simulate(r)) => {
-                assert_eq!(r.guest, "ring:8");
-                assert_eq!(r.id, Some(11));
-            }
-            other => panic!("expected /2 simulate, got {other:?}"),
-        }
-        // /2 analyze still carries its JSONL payload under `trace` (an
-        // array — never mistaken for the /3 trace context object).
-        let ana = "{\"proto\":\"unet-serve/2\",\"kind\":\"analyze\",\
-                   \"trace\":[\"{\\\"a\\\":1}\"],\"id\":5}";
-        match parse_request(ana).unwrap() {
-            (ProtoVersion::V2, None, Request::Analyze { trace, id }) => {
-                assert_eq!(trace, vec!["{\"a\":1}".to_string()]);
-                assert_eq!(id, Some(5));
-            }
-            other => panic!("expected /2 analyze, got {other:?}"),
-        }
-        let batch = "{\"proto\":\"unet-serve/2\",\"kind\":\"batch\",\"items\":[\
-                     {\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":2}]}";
-        assert!(matches!(
-            parse_request(batch).unwrap(),
-            (ProtoVersion::V2, None, Request::Batch(_))
-        ));
-        let resp = result_line(ProtoVersion::V2, "metrics", Some(5), vec![]);
-        assert!(resp.contains(PROTOCOL_V2));
-        assert!(parse_response(&resp).is_ok());
-    }
-
-    #[test]
-    fn v1_requests_still_parse_and_echo_v1() {
-        let line = format!("{{\"proto\":{PROTOCOL_V1:?},\"kind\":\"metrics\",\"id\":4}}");
-        assert_eq!(
-            parse_request(&line).unwrap(),
-            (ProtoVersion::V1, None, Request::Metrics { id: Some(4) })
-        );
-        let resp = result_line(ProtoVersion::V1, "metrics", Some(4), vec![]);
-        assert!(resp.contains(PROTOCOL_V1));
-        assert!(parse_response(&resp).is_ok());
+        assert_eq!(parse_request(&line).unwrap(), (None, Request::Metrics { id: None }));
     }
 
     #[test]
@@ -674,9 +555,13 @@ mod tests {
         assert!(
             matches!(parse_request("{}"), Err(ParseError::Malformed(m)) if m.contains("proto"))
         );
-        match parse_request("{\"proto\":\"unet-serve/0\",\"kind\":\"metrics\"}") {
-            Err(ParseError::UnsupportedProto(m)) => assert!(m.contains("unsupported protocol")),
-            other => panic!("expected UnsupportedProto, got {other:?}"),
+        for old in ["unet-serve/0", "unet-serve/1", "unet-serve/2"] {
+            match parse_request(&format!("{{\"proto\":{old:?},\"kind\":\"metrics\"}}")) {
+                Err(ParseError::UnsupportedProto(m)) => {
+                    assert!(m.contains(old) && m.contains(PROTOCOL), "{m}")
+                }
+                other => panic!("expected UnsupportedProto, got {other:?}"),
+            }
         }
         let nokind = format!("{{\"proto\":{PROTOCOL:?}}}");
         assert!(
@@ -696,12 +581,7 @@ mod tests {
 
     #[test]
     fn response_lines_classify() {
-        let ok = result_line(
-            ProtoVersion::V2,
-            "simulate",
-            Some(3),
-            vec![("slowdown".into(), Value::Float(4.5))],
-        );
+        let ok = result_line("simulate", Some(3), vec![("slowdown".into(), Value::Float(4.5))]);
         match parse_response(&ok).unwrap() {
             Response::Result(v) => {
                 assert_eq!(v.get("req").and_then(Value::as_str), Some("simulate"));
@@ -710,7 +590,7 @@ mod tests {
             }
             other => panic!("expected result, got {other:?}"),
         }
-        let err = error_line(ProtoVersion::V2, "bad-spec", "unknown graph family \"blah\"", None);
+        let err = error_line("bad-spec", "unknown graph family \"blah\"", None);
         match parse_response(&err).unwrap() {
             Response::Error { code, message, id } => {
                 assert_eq!(code, "bad-spec");

@@ -5,8 +5,8 @@
 //! use as their [`SharedPlanCache`](unet_core::SharedPlanCache) key, then
 //! asks the ring which shard owns that fingerprint. Affinity is the whole
 //! point: a fingerprint always lands on the same shard, so the shard's plan
-//! cache sees every repeat and the single-flight coalescing the batching
-//! executors do keeps working after scale-out.
+//! cache sees every repeat and the server's single-flight coalescing keeps
+//! working after scale-out.
 //!
 //! The ring is the classic virtual-node construction: each shard owns
 //! [`VNODES`] points on a `u64` circle (FNV-1a of `(shard, replica)`), a

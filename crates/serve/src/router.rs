@@ -80,7 +80,7 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,13 +88,12 @@ use crate::client::Client;
 use crate::protocol::{
     analyze_request_line, batch_item_value, batch_request_line, error_line, gen_trace_id,
     metrics_request_line, overloaded_line, parse_request, parse_response, result_line,
-    simulate_request_line, ProtoVersion, Request, Response, SimulateReq,
+    simulate_request_line, Request, Response, SimulateReq,
 };
 use crate::queue::BoundedQueue;
 use crate::ring::Ring;
-use crate::server::{read_line_patient, retry_after_hint, LineRead, IDLE_POLL};
+use crate::server::{parse_spec, read_line_patient, retry_after_hint, LineRead, IDLE_POLL};
 use unet_core::routers::Router as _;
-use unet_core::spec::parse_graph;
 use unet_core::{workload_fingerprint, Embedding};
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
@@ -118,16 +117,6 @@ pub struct ShardConfig {
     /// Backend shard addresses, in ring order. Position in this vector is
     /// the shard's identity (the `shard` metrics label and ring index).
     pub backends: Vec<String>,
-    /// Concurrent connections the router opens per backend (default 1).
-    /// A forward beyond this bound waits for a slot instead of dialing:
-    /// a backend `unet serve` dedicates one connection worker to each
-    /// accepted connection for its lifetime, so dialing more connections
-    /// than the backend has workers would park requests on sockets no
-    /// worker will ever read — a deadlock, not a slowdown. Raise this to
-    /// the backend's `--workers` for per-shard connection concurrency;
-    /// `batch` requests already exploit backend executor parallelism
-    /// over a single connection.
-    pub backend_conns: usize,
     /// How often the prober issues `metrics` probes (default 100 ms).
     pub probe_interval_ms: u64,
     /// Consecutive failures (probes or forwards) before a backend is
@@ -150,7 +139,6 @@ impl Default for ShardConfig {
             workers: default_threads(),
             queue_cap: 64,
             backends: Vec::new(),
-            backend_conns: 1,
             probe_interval_ms: 100,
             eject_after: 3,
             max_backoff_ms: 5_000,
@@ -210,24 +198,13 @@ struct Backoff {
     until: Instant,
 }
 
-/// Connection slots of one backend. `idle + in_use` never exceeds the
-/// configured `backend_conns`, so the router can never open more
-/// connections than the backend has workers to read them (see
-/// [`ShardConfig::backend_conns`]).
-struct ConnPool {
-    /// Open connections checked in between forwards.
-    idle: Vec<Client>,
-    /// Slots currently carrying a forward (connection held or dialing).
-    in_use: usize,
-}
-
-/// One backend shard: its address, its bounded connection-slot pool, and
-/// its health state.
+/// One backend shard: its address, its idle connections, and its health
+/// state.
 struct Backend {
     addr: String,
-    conns: Mutex<ConnPool>,
-    /// Signaled whenever a slot is released.
-    slot_freed: Condvar,
+    /// Open connections checked in between forwards. Reusing them keeps
+    /// the backend's accept poll off every forward.
+    idle: Mutex<Vec<Client>>,
     healthy: AtomicBool,
     consecutive_failures: AtomicU32,
     backoff: Mutex<Backoff>,
@@ -241,7 +218,6 @@ struct RouterShared {
     shutdown: AtomicBool,
     depth_seq: AtomicU64,
     workers: usize,
-    conn_limit: usize,
     eject_after: u32,
     max_backoff: Duration,
     /// Tail-sampled per-request stage records, drained into the trace.
@@ -281,8 +257,7 @@ impl Router {
             .iter()
             .map(|addr| Backend {
                 addr: addr.clone(),
-                conns: Mutex::new(ConnPool { idle: Vec::new(), in_use: 0 }),
-                slot_freed: Condvar::new(),
+                idle: Mutex::new(Vec::new()),
                 healthy: AtomicBool::new(true),
                 consecutive_failures: AtomicU32::new(0),
                 backoff: Mutex::new(Backoff { exp: 0, until: now }),
@@ -296,7 +271,6 @@ impl Router {
             shutdown: AtomicBool::new(false),
             depth_seq: AtomicU64::new(0),
             workers,
-            conn_limit: cfg.backend_conns.max(1),
             eject_after: cfg.eject_after.max(1),
             max_backoff: Duration::from_millis(cfg.max_backoff_ms.max(1)),
             sampler: Mutex::new(TailSampler::new(cfg.head_sample_permille)),
@@ -552,20 +526,21 @@ fn serve_router_connection(shared: &RouterShared, stream: TcpStream) {
 /// The [`SharedPlanCache`](unet_core::SharedPlanCache) key this spec's
 /// simulation will use, derived without running anything — the identical
 /// `(guest, host, embedding, router, seed)` fingerprint the server's
-/// `build_job` computes, so the front-end router and the backend batching
-/// executors agree on workload identity byte for byte.
+/// `build_job` computes, so the front-end router and the backends agree on
+/// workload identity byte for byte.
 pub fn simulate_fingerprint(req: &SimulateReq) -> Result<u64, String> {
-    let guest = parse_graph(&req.guest).map_err(|e| format!("guest: {e}"))?;
-    let host = parse_graph(&req.host).map_err(|e| format!("host: {e}"))?;
+    let guest = parse_spec(&req.guest).map_err(|e| format!("guest: {e}"))?;
+    let host = parse_spec(&req.host).map_err(|e| format!("host: {e}"))?;
     let embedding = Embedding::block(guest.n(), host.n());
     let router = unet_core::routers::presets::bfs();
     Ok(workload_fingerprint(&guest, &host, &embedding, router.name(), req.seed))
 }
 
 /// The home shard of a spec under `ring`, with unfingerprintable specs
-/// (unknown graph family, zero nodes, …) pinned deterministically to the
-/// ring's shard for key 0 — any backend will answer them with the same
-/// typed `bad-spec` error, so placement only needs to be stable.
+/// (unknown graph family, zero nodes, a failed generator precondition, …)
+/// pinned deterministically to the ring's shard for key 0 — any backend
+/// will answer them with the same typed `bad-spec` error, so placement
+/// only needs to be stable.
 fn shard_of_spec(ring: &Ring, req: &SimulateReq) -> usize {
     match simulate_fingerprint(req) {
         Ok(fp) => ring.shard_of(fp),
@@ -582,48 +557,23 @@ enum ForwardOutcome {
     Overloaded(String),
 }
 
-/// One round trip to backend `i`: acquire a connection slot (reusing an
-/// idle connection, dialing if under [`ShardConfig::backend_conns`], or
-/// waiting for a release), forward the line, and classify. An `overloaded`
-/// answer closes the backend side, so the connection is dropped rather
-/// than checked back in; a transport error likewise burns the connection.
+/// One round trip to backend `i` on an idle connection (dialing when none
+/// is idle): forward the line and classify. An `overloaded` answer closes
+/// the backend side and a transport error burns the connection, so only
+/// a connection that answered is checked back in.
 fn try_forward(shared: &RouterShared, i: usize, line: &str) -> Result<ForwardOutcome, ()> {
     let backend = &shared.backends[i];
-    let reused = {
-        let mut pool = backend.conns.lock().expect("pool poisoned");
-        loop {
-            if let Some(c) = pool.idle.pop() {
-                pool.in_use += 1;
-                break Some(c);
-            }
-            if pool.in_use < shared.conn_limit {
-                pool.in_use += 1;
-                break None;
-            }
-            // Every slot is mid-forward; its holder always releases (the
-            // backend answers, rejects, or the transport errors out).
-            pool = backend.slot_freed.wait(pool).expect("pool poisoned");
-        }
+    let idle = backend.idle.lock().expect("pool poisoned").pop();
+    let mut client = match idle {
+        Some(client) => client,
+        None => Client::connect(&backend.addr).map_err(|_| ())?,
     };
-    let outcome = match reused.map_or_else(|| Client::connect(&backend.addr).ok(), Some) {
-        None => Err(()),
-        Some(mut client) => match client.request_raw(line) {
-            Ok(resp) if matches!(parse_response(&resp), Ok(Response::Overloaded { .. })) => {
-                Ok((ForwardOutcome::Overloaded(resp), None))
-            }
-            Ok(resp) => Ok((ForwardOutcome::Response(resp), Some(client))),
-            Err(_) => Err(()),
-        },
-    };
-    let mut pool = backend.conns.lock().expect("pool poisoned");
-    pool.in_use -= 1;
-    let outcome = outcome.map(|(outcome, keep)| {
-        pool.idle.extend(keep);
-        outcome
-    });
-    drop(pool);
-    backend.slot_freed.notify_one();
-    outcome
+    let resp = client.request_raw(line).map_err(|_| ())?;
+    if matches!(parse_response(&resp), Ok(Response::Overloaded { .. })) {
+        return Ok(ForwardOutcome::Overloaded(resp));
+    }
+    backend.idle.lock().expect("pool poisoned").push(client);
+    Ok(ForwardOutcome::Response(resp))
 }
 
 /// Note a failed probe or forward; ejects the backend after
@@ -641,7 +591,7 @@ fn record_failure(shared: &RouterShared, i: usize) {
         backoff.exp = backoff.exp.saturating_add(1);
         drop(backoff);
         // A dead backend's pooled connections are dead too.
-        backend.conns.lock().expect("pool poisoned").idle.clear();
+        backend.idle.lock().expect("pool poisoned").clear();
         let mut rec = shared.recorder.lock().expect("recorder poisoned");
         rec.counter("shard.backends.ejected", 1);
     }
@@ -672,7 +622,6 @@ fn forward_with_failover(
     shared: &RouterShared,
     fingerprint: Option<u64>,
     line: &str,
-    ver: ProtoVersion,
     id: Option<u64>,
     spans: &mut Vec<(&'static str, f64)>,
 ) -> String {
@@ -753,7 +702,7 @@ fn forward_with_failover(
         // so the client's `retry_after_ms` loop takes over.
         return resp;
     }
-    error_line(ver, "unavailable", "no backend shard answered (all ejected or unreachable)", id)
+    error_line("unavailable", "no backend shard answered (all ejected or unreachable)", id)
 }
 
 /// What [`route_request`] learned about one request, for the connection
@@ -765,68 +714,37 @@ struct RouteInfo {
     stages: Vec<(&'static str, f64)>,
 }
 
-/// Dispatch one client line. Requests the router does not add value to
-/// (`analyze`, malformed lines, unsupported protocol versions) are
-/// forwarded verbatim so the backend produces the exact response a
-/// single-server deployment would.
-///
-/// Trace ingress: a `/3` request that arrives without a trace context is
-/// re-lined with a router-assigned `trace_id` so the backend records its
-/// stage spans under the same id the router samples. `/1` and `/2` lines
-/// are forwarded byte-for-byte (adding a `trace` field would break the
-/// version echo), so the backend assigns its own id for those.
+/// Dispatch one client line. `simulate` and `analyze` are forwarded
+/// under the request's trace id (the client's, else one minted here), so
+/// the backend records its stage spans under the id the router samples.
+/// A line that does not parse gets the same typed error a single server
+/// would answer, without a forward.
 fn route_request(shared: &RouterShared, line: &str) -> (String, RouteInfo) {
     let parse_started = Instant::now();
     let parsed = parse_request(line);
     let accept_ms = parse_started.elapsed().as_secs_f64() * 1e3;
     let mut stages = vec![("accept", accept_ms)];
     let (response, trace_id, kind) = match parsed {
-        Ok((ver, wire_trace, req)) => {
-            let trace_id = wire_trace.clone().unwrap_or_else(gen_trace_id);
-            let inject = ver == ProtoVersion::V3 && wire_trace.is_none();
+        Ok((wire_trace, req)) => {
+            let trace_id = wire_trace.unwrap_or_else(gen_trace_id);
             let (response, kind) = match req {
-                Request::Metrics { id } => (handle_metrics(shared, ver, id), "metrics"),
+                Request::Metrics { id } => (handle_metrics(shared, id), "metrics"),
                 Request::Batch(batch) => {
-                    (handle_batch(shared, ver, batch, &trace_id, &mut stages), "batch")
+                    (handle_batch(shared, batch, &trace_id, &mut stages), "batch")
                 }
                 Request::Simulate(req) => {
-                    let fp = simulate_fingerprint(&req).ok();
-                    let fwd = if inject {
-                        simulate_request_line(&req, Some(&trace_id))
-                    } else {
-                        line.to_string()
-                    };
-                    (
-                        forward_with_failover(
-                            shared,
-                            fp.or(Some(0)),
-                            &fwd,
-                            ver,
-                            req.id,
-                            &mut stages,
-                        ),
-                        "simulate",
-                    )
+                    let fp = simulate_fingerprint(&req).unwrap_or(0);
+                    let fwd = simulate_request_line(&req, Some(&trace_id));
+                    (forward_with_failover(shared, Some(fp), &fwd, req.id, &mut stages), "simulate")
                 }
                 Request::Analyze { trace, id } => {
-                    let fwd = if inject {
-                        analyze_request_line(&trace, id, Some(&trace_id))
-                    } else {
-                        line.to_string()
-                    };
-                    (forward_with_failover(shared, None, &fwd, ver, id, &mut stages), "analyze")
+                    let fwd = analyze_request_line(&trace, id, Some(&trace_id));
+                    (forward_with_failover(shared, None, &fwd, id, &mut stages), "analyze")
                 }
             };
             (response, trace_id, kind)
         }
-        // The backends speak the identical protocol module: forwarding a
-        // bad line returns the same typed `bad-request` /
-        // `unsupported-protocol` error a single server would emit.
-        Err(_) => {
-            let response =
-                forward_with_failover(shared, None, line, ProtoVersion::V3, None, &mut stages);
-            (response, gen_trace_id(), "unparsed")
-        }
+        Err(e) => (error_line(e.code(), &e.to_string(), None), gen_trace_id(), "unparsed"),
     };
     let ok = matches!(parse_response(&response), Ok(Response::Result(_)));
     (response, RouteInfo { trace_id, kind, ok, stages })
@@ -839,7 +757,6 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, RouteInfo) {
 /// across sub-batches — the critical path, not the sum.
 fn handle_batch(
     shared: &RouterShared,
-    ver: ProtoVersion,
     batch: crate::protocol::BatchReq,
     trace_id: &str,
     stages: &mut Vec<(&'static str, f64)>,
@@ -873,16 +790,9 @@ fn handle_batch(
                     // Sub-batches always carry the router's trace_id so
                     // every backend's spans merge under one waterfall.
                     let sub_line = batch_request_line(&specs, deadline_ms, None, Some(trace_id));
-                    let fp = simulate_fingerprint(&specs[0]).ok().or(Some(0));
+                    let fp = simulate_fingerprint(&specs[0]).unwrap_or(0);
                     let mut spans = Vec::new();
-                    let resp = forward_with_failover(
-                        shared,
-                        fp,
-                        &sub_line,
-                        ProtoVersion::V3,
-                        None,
-                        &mut spans,
-                    );
+                    let resp = forward_with_failover(shared, Some(fp), &sub_line, None, &mut spans);
                     (idxs, resp, spans)
                 })
             })
@@ -930,13 +840,13 @@ fn handle_batch(
             })
         })
         .collect();
-    result_line(ver, "batch", batch.id, vec![("items".to_string(), Value::Arr(items))])
+    result_line("batch", batch.id, vec![("items".to_string(), Value::Arr(items))])
 }
 
 /// Serve `metrics` by fanning out to every healthy backend and merging
 /// the expositions under a `shard` label; the router's own registry rides
 /// along as `shard="router"`.
-fn handle_metrics(shared: &RouterShared, ver: ProtoVersion, id: Option<u64>) -> String {
+fn handle_metrics(shared: &RouterShared, id: Option<u64>) -> String {
     let mut sections: Vec<(String, String)> = Vec::new();
     let probe = metrics_request_line(None, None);
     for (i, backend) in shared.backends.iter().enumerate() {
@@ -957,7 +867,6 @@ fn handle_metrics(shared: &RouterShared, ver: ProtoVersion, id: Option<u64>) -> 
     };
     sections.push(("router".to_string(), own));
     result_line(
-        ver,
         "metrics",
         id,
         vec![("exposition".to_string(), Value::Str(merge_expositions(&sections)))],

@@ -3,62 +3,58 @@
 //! Architecture, front to back:
 //!
 //! * **Acceptor thread** — polls a non-blocking [`TcpListener`]. Every
-//!   accepted connection goes through [`BoundedQueue::try_push`]; a full
-//!   queue turns into an immediate typed `overloaded` response carrying a
-//!   `retry_after_ms` hint (explicit backpressure — the server never
-//!   buffers unboundedly). Queue depth at each admission flows through the
-//!   same [`Recorder::sample`] hook the routing loop uses for congestion
-//!   series.
-//! * **Connection workers** — `workers` plain threads popping connections
-//!   and reading requests line-by-line. Simulation work is never run on a
-//!   connection worker: each `simulate` (and each member of a `batch`)
-//!   becomes a `Job` on the central job queue, and the connection worker
-//!   blocks on the job's result slot.
-//! * **Batching executors** — `workers` threads popping the job queue.
-//!   A claim takes the head job **plus every queued job with the same
-//!   [`workload_fingerprint`]** (up to `max_batch`, waiting up to
-//!   `linger_ms` for stragglers) in one atomic sweep. If the fingerprint
-//!   is cold, the claim leader runs first — building and publishing the
-//!   route plan exactly once — and the `g − 1` batchmates it spared are
-//!   counted as single-flight followers before fanning out across idle
-//!   executors with the plan already warm. Independent misses that race a
-//!   leader block on the [`SharedPlanCache`] build slot instead of
-//!   recomputing, so a plan is built once per fingerprint no matter how
-//!   requests arrive. Batch sizes land in the `serve.batch.size` log₂
-//!   histogram.
-//! * **Deadlines** — each job runs under a [`CancelToken::with_deadline`];
-//!   the engine checks it at phase boundaries (and while waiting on a
-//!   build slot), and the executor maps [`SimError::Cancelled`] to a
-//!   `deadline-exceeded` error.
-//! * **Graceful drain** — [`Server::drain`] stops the acceptor, lets the
-//!   connection queue empty, answers every request already in flight
-//!   (workers close idle connections via a short read timeout once
-//!   shutdown is flagged), then closes the job queue and joins the
-//!   executors last, so no blocked result slot is ever abandoned. No
-//!   admitted request is dropped.
+//!   accepted connection must take one of `queue_cap` connection slots; with
+//!   none free it gets an immediate typed `overloaded` response carrying a
+//!   `retry_after_ms` hint (explicit backpressure — the server never holds
+//!   more open connections than that). The open-connection count at each
+//!   admission flows through the same [`Recorder::sample`] hook the routing
+//!   loop uses for congestion series.
+//! * **One thread per connection** — each admitted connection gets its own
+//!   thread, which reads request lines, runs their simulations on scoped
+//!   threads of its own, and writes the answers. A simulation first takes
+//!   one of `workers` permits (the wait is the `queue_wait` span), so
+//!   `workers` bounds the engine work in flight however many connections
+//!   are open. Slots and permits are RAII guards: a thread that dies still
+//!   gives them back.
+//! * **Batches** — a `batch` runs its items side by side on scoped threads
+//!   of its own connection, each item under its own permit. Items are
+//!   grouped by [`workload_fingerprint`]; on a cold fingerprint the
+//!   group's first item runs alone, building and publishing the route plan
+//!   exactly once, and its `g − 1` batchmates are counted as single-flight
+//!   followers before they run with the plan warm. Cold requests racing on
+//!   different connections block on the [`SharedPlanCache`] build lease
+//!   instead of recomputing. Group sizes land in the `serve.batch.size`
+//!   log₂ histogram.
+//! * **Deadlines** — each simulation runs under a
+//!   [`CancelToken::with_deadline`]; the engine checks it at phase
+//!   boundaries (and while waiting on a build lease), and
+//!   [`SimError::Cancelled`] becomes a `deadline-exceeded` error.
+//! * **Graceful drain** — [`Server::drain`] stops the acceptor, answers
+//!   every request already in flight (connection threads close idle
+//!   connections via a short read timeout once shutdown is flagged), and
+//!   returns once every connection slot is back. No admitted request is
+//!   dropped.
 //! * **Request tracing** — every request gets a trace id at first ingress
-//!   (propagated from a `/3` client's trace context, else minted here) and
-//!   a stage-span breakdown: `accept` (parse), `queue_wait`,
-//!   `batch_linger`, `singleflight_wait`, `plan_build`, `simulate`,
-//!   `serialize`. `/3` responses carry `trace_id` and `stages` inline; a
-//!   [`TailSampler`] keeps every errored request, a deterministic head
-//!   sample, and the slowest tail as `request` records in the drain trace,
-//!   and the slowest request's trace id rides the latency histogram's
-//!   `max` gauge as an exemplar.
+//!   (propagated from the client's trace context, else minted here) and a
+//!   stage-span breakdown: `accept` (parse and admission), `queue_wait`,
+//!   `singleflight_wait`, `plan_build`, `simulate`, `serialize`. Responses
+//!   carry `trace_id` and `stages` inline; a [`TailSampler`] keeps every
+//!   errored request, a deterministic head sample, and the slowest tail as
+//!   `request` records in the drain trace, and the slowest request's trace
+//!   id rides the latency histogram's `max` gauge as an exemplar.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
     batch_item_value, error_line, gen_trace_id, overloaded_line, parse_request, result_line,
-    BatchReq, ParseError, ProtoVersion, Request, SimulateReq,
+    BatchReq, Request, SimulateReq,
 };
-use crate::queue::BoundedQueue;
 use unet_core::cancel::CancelToken;
 use unet_core::routers::Router as _;
 use unet_core::spec::parse_graph;
@@ -70,7 +66,7 @@ use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
 use unet_obs::trace::{export_full, RequestRecord, RunMeta, SampleReason, StageSpan};
 use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler, TraceAnalyzer};
-use unet_topology::par::default_threads;
+use unet_topology::par::{default_threads, par_map};
 use unet_topology::Graph;
 
 /// Server configuration (all fields have serviceable defaults).
@@ -78,30 +74,18 @@ use unet_topology::Graph;
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (the default).
     pub addr: String,
-    /// Threads in each pool: batching executors, and (unless
-    /// [`conn_workers`](ServeConfig::conn_workers) overrides it)
-    /// connection workers too (default: [`default_threads`]).
+    /// Simulation permits: how many simulations run at once across all
+    /// connections (default: [`default_threads`]).
     pub workers: usize,
-    /// Admission queue bound; 0 rejects every connection (default 64).
+    /// Open-connection bound; 0 rejects every connection (default 64).
     pub queue_cap: usize,
     /// Deadline applied to `simulate` requests that do not carry their own
     /// `deadline_ms` (default 10 000 ms).
     pub default_deadline_ms: u64,
-    /// Largest same-fingerprint group one executor claims at once
-    /// (default 32; 1 disables grouping).
-    pub max_batch: usize,
-    /// How long a claim lingers for same-fingerprint stragglers before
-    /// running with what it has (default 0 — today's latency profile).
-    pub linger_ms: u64,
     /// Head-sampling rate for per-request stage records, in permille
     /// (default [`DEFAULT_HEAD_PERMILLE`]). Errors and the slowest tail
     /// are always kept regardless.
     pub head_sample_permille: u32,
-    /// Connection-worker pool size override; `None` (the default) sizes
-    /// the pool to `workers`. Capacity experiments set this above
-    /// `workers` so every client connection is served concurrently while
-    /// the executor pool stays the bottleneck.
-    pub conn_workers: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -111,10 +95,7 @@ impl Default for ServeConfig {
             workers: default_threads(),
             queue_cap: 64,
             default_deadline_ms: 10_000,
-            max_batch: 32,
-            linger_ms: 0,
             head_sample_permille: DEFAULT_HEAD_PERMILLE,
-            conn_workers: None,
         }
     }
 }
@@ -122,7 +103,7 @@ impl Default for ServeConfig {
 /// Counter snapshot of a running (or drained) server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections admitted to the queue.
+    /// Connections admitted (given a connection slot).
     pub admitted: u64,
     /// Connections rejected with `overloaded`.
     pub rejected: u64,
@@ -133,7 +114,7 @@ pub struct ServerStats {
     /// Shared route-plan cache misses.
     pub shared_misses: u64,
     /// Plan builds spared by single-flight coalescing (batchmates that
-    /// reused a claim leader's plan plus build-slot waiters).
+    /// reused their group leader's plan plus build-lease waiters).
     pub singleflight_followers: u64,
 }
 
@@ -161,8 +142,7 @@ pub struct DrainReport {
     pub trace: String,
 }
 
-/// A simulate unit of work: parsed inputs, grouping fingerprint, and the
-/// slot its connection worker is blocked on.
+/// A simulate unit of work: parsed inputs and the grouping fingerprint.
 struct Job {
     comp: GuestComputation,
     host: Graph,
@@ -173,172 +153,111 @@ struct Job {
     fingerprint: u64,
     deadline_ms: u64,
     token: CancelToken,
-    slot: Arc<ResultSlot>,
-    /// Already claimed into a group and fanned out — never re-grouped.
-    grouped: bool,
-    /// When the job entered the queue — the start of its `queue_wait` span.
-    enqueued_at: Instant,
+    /// When the job was admitted — the start of its `queue_wait` span.
+    admitted_at: Instant,
 }
 
 /// A job's outcome: result payload fields, or a typed `(code, message)`.
-type SlotOutcome = Result<Vec<(String, Value)>, (String, String)>;
+type Payload = Result<Vec<(String, Value)>, (String, String)>;
 
-/// What an executor hands back through the slot: the wire payload outcome
-/// plus the job's measured stage spans (`queue_wait`, `batch_linger`,
+/// A job's wire payload plus its measured stage spans (`queue_wait`,
 /// `singleflight_wait`, `plan_build`, `simulate`) in milliseconds.
 struct JobOutcome {
-    payload: SlotOutcome,
+    payload: Payload,
     stages: Vec<(&'static str, f64)>,
 }
 
-/// One-shot rendezvous between a connection worker and an executor.
-struct ResultSlot {
-    state: Mutex<Option<JobOutcome>>,
-    ready: Condvar,
+/// A counting semaphore whose permits are RAII guards: dropping a
+/// [`Permit`] — also while a panic unwinds — gives it back. A returned
+/// permit passes straight to the longest-blocked acquirer, so requests
+/// are served in arrival order and a release wakes exactly one thread.
+struct Permits {
+    state: Mutex<PermitState>,
+    cap: usize,
+    /// Signaled whenever the held count drops (what a drain waits for).
+    returned: Condvar,
 }
 
-impl ResultSlot {
-    fn new() -> Arc<ResultSlot> {
-        Arc::new(ResultSlot { state: Mutex::new(None), ready: Condvar::new() })
+struct PermitState {
+    held: usize,
+    /// Blocked acquirers, oldest first, each with its hand-off flag.
+    queue: VecDeque<(Thread, Arc<AtomicBool>)>,
+}
+
+/// One permit of a [`Permits`] pool, returned on drop.
+struct Permit(Arc<Permits>);
+
+impl Permits {
+    fn new(cap: usize) -> Arc<Permits> {
+        let state = PermitState { held: 0, queue: VecDeque::new() };
+        Arc::new(Permits { state: Mutex::new(state), cap, returned: Condvar::new() })
     }
 
-    fn put(&self, out: JobOutcome) {
-        let mut state = self.state.lock().expect("slot poisoned");
-        *state = Some(out);
-        self.ready.notify_all();
+    /// A permit and the count now held, or `None` when all `cap` are out.
+    fn try_acquire(self: &Arc<Self>) -> Option<(Permit, usize)> {
+        let mut st = self.state.lock().expect("permits poisoned");
+        if st.held >= self.cap {
+            return None;
+        }
+        st.held += 1;
+        Some((Permit(Arc::clone(self)), st.held))
     }
 
-    fn wait(&self) -> JobOutcome {
-        let mut state = self.state.lock().expect("slot poisoned");
-        loop {
-            if let Some(out) = state.take() {
-                return out;
-            }
-            state = self.ready.wait(state).expect("slot poisoned");
+    /// Take a free permit, or queue for one and block until handed one.
+    fn acquire(self: &Arc<Self>) -> Permit {
+        let mut st = self.state.lock().expect("permits poisoned");
+        if st.held < self.cap && st.queue.is_empty() {
+            st.held += 1;
+            return Permit(Arc::clone(self));
+        }
+        let granted = Arc::new(AtomicBool::new(false));
+        st.queue.push_back((std::thread::current(), Arc::clone(&granted)));
+        drop(st);
+        while !granted.load(Ordering::Acquire) {
+            std::thread::park();
+        }
+        Permit(Arc::clone(self))
+    }
+
+    /// Block until every permit is back.
+    fn wait_all_returned(&self) {
+        let mut st = self.state.lock().expect("permits poisoned");
+        while st.held > 0 {
+            st = self.returned.wait(st).expect("permits poisoned");
         }
     }
 }
 
-struct JobQueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-/// The central job queue. Grouping is atomic: [`pop_group`] removes the
-/// head and every queued same-fingerprint job under one lock, so a batch
-/// pushed with [`push_all`] can never be half-claimed by a racing
-/// executor.
-///
-/// [`pop_group`]: JobQueue::pop_group
-/// [`push_all`]: JobQueue::push_all
-struct JobQueue {
-    state: Mutex<JobQueueState>,
-    ready: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> JobQueue {
-        JobQueue {
-            state: Mutex::new(JobQueueState { jobs: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueue a set of jobs in one critical section (a whole batch lands
-    /// before any executor can observe part of it).
-    fn push_all(&self, jobs: Vec<Job>) {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        state.jobs.extend(jobs);
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Requeue fan-out members at the front so idle executors pick them up
-    /// before unrelated work.
-    fn push_front_all(&self, jobs: Vec<Job>) {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        for job in jobs.into_iter().rev() {
-            state.jobs.push_front(job);
-        }
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Pop the head job plus every queued ungrouped job with the same
-    /// fingerprint, up to `max_batch`. Blocks while empty; `None` once
-    /// closed and empty. A `grouped` head is returned alone — it is a
-    /// fan-out member already accounted to its claim.
-    fn pop_group(&self, max_batch: usize) -> Option<Vec<Job>> {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        loop {
-            if let Some(head) = state.jobs.pop_front() {
-                if head.grouped {
-                    return Some(vec![head]);
-                }
-                let mut group = vec![head];
-                let fp = group[0].fingerprint;
-                let mut rest = VecDeque::with_capacity(state.jobs.len());
-                while let Some(job) = state.jobs.pop_front() {
-                    if group.len() < max_batch.max(1) && !job.grouped && job.fingerprint == fp {
-                        group.push(job);
-                    } else {
-                        rest.push_back(job);
-                    }
-                }
-                state.jobs = rest;
-                return Some(group);
+impl Drop for Permit {
+    fn drop(&mut self) {
+        // Every update under this lock is a single step, so a poisoned
+        // state is still consistent — and a drop must not panic.
+        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        match st.queue.pop_front() {
+            Some((thread, granted)) => {
+                // Pairs with the `Acquire` load in `acquire`: the permit
+                // changes hands without `held` moving.
+                granted.store(true, Ordering::Release);
+                thread.unpark();
             }
-            if state.closed {
-                return None;
+            None => {
+                st.held -= 1;
+                self.0.returned.notify_all();
             }
-            state = self.ready.wait(state).expect("job queue poisoned");
         }
-    }
-
-    /// Claim up to `want` more same-fingerprint jobs, waiting at most
-    /// `linger` for stragglers (best-effort: whatever arrived by then).
-    fn claim_lingering(&self, fp: u64, want: usize, linger: Duration) -> Vec<Job> {
-        let deadline = Instant::now() + linger;
-        let mut claimed = Vec::new();
-        let mut state = self.state.lock().expect("job queue poisoned");
-        loop {
-            let mut rest = VecDeque::with_capacity(state.jobs.len());
-            while let Some(job) = state.jobs.pop_front() {
-                if claimed.len() < want && !job.grouped && job.fingerprint == fp {
-                    claimed.push(job);
-                } else {
-                    rest.push_back(job);
-                }
-            }
-            state.jobs = rest;
-            let now = Instant::now();
-            if claimed.len() >= want || state.closed || now >= deadline {
-                return claimed;
-            }
-            let (next, _) =
-                self.ready.wait_timeout(state, deadline - now).expect("job queue poisoned");
-            state = next;
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        state.closed = true;
-        drop(state);
-        self.ready.notify_all();
     }
 }
 
 struct Shared {
     cache: SharedPlanCache,
     recorder: Mutex<InMemoryRecorder>,
-    queue: BoundedQueue<TcpStream>,
-    jobs: JobQueue,
+    /// One slot per open connection (`queue_cap` of them).
+    conns: Arc<Permits>,
+    /// One permit per running simulation (`workers` of them).
+    sims: Arc<Permits>,
     shutdown: AtomicBool,
     depth_seq: AtomicU64,
     default_deadline_ms: u64,
-    max_batch: usize,
-    linger_ms: u64,
     workers: usize,
     /// Tail-sampled per-request stage records, drained into the trace.
     sampler: Mutex<TailSampler>,
@@ -353,13 +272,10 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the acceptor, connection workers, and batching
-    /// executors, and return immediately.
+    /// Bind, spawn the acceptor, and return immediately.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -368,13 +284,11 @@ impl Server {
         let shared = Arc::new(Shared {
             cache: SharedPlanCache::new(),
             recorder: Mutex::new(InMemoryRecorder::new()),
-            queue: BoundedQueue::new(cfg.queue_cap),
-            jobs: JobQueue::new(),
+            conns: Permits::new(cfg.queue_cap),
+            sims: Permits::new(workers),
             shutdown: AtomicBool::new(false),
             depth_seq: AtomicU64::new(0),
             default_deadline_ms: cfg.default_deadline_ms,
-            max_batch: cfg.max_batch.max(1),
-            linger_ms: cfg.linger_ms,
             workers,
             sampler: Mutex::new(TailSampler::new(cfg.head_sample_permille)),
             latency_exemplar: Mutex::new(None),
@@ -383,36 +297,12 @@ impl Server {
             let mut rec = shared.recorder.lock().expect("recorder poisoned");
             rec.gauge("serve.workers", workers as f64);
             rec.gauge("serve.queue.cap", cfg.queue_cap as f64);
-            rec.gauge("serve.max_batch", shared.max_batch as f64);
         }
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
         };
-        let conn_workers = cfg.conn_workers.unwrap_or(workers).max(1);
-        let worker_handles = (0..conn_workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(stream) = shared.queue.pop() {
-                        serve_connection(&shared, stream);
-                    }
-                })
-            })
-            .collect();
-        let executor_handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || executor_loop(&shared))
-            })
-            .collect();
-        Ok(Server {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-            executors: executor_handles,
-        })
+        Ok(Server { addr, shared, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolve port 0 through this).
@@ -427,7 +317,8 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting, answer everything admitted or in
-    /// flight, join all threads, and return the final metrics.
+    /// flight, wait for every connection to close, and return the final
+    /// metrics.
     pub fn drain(mut self) -> DrainReport {
         self.stop_threads();
         let (requests, dropped) = {
@@ -455,20 +346,15 @@ impl Server {
         }
     }
 
-    /// Join order matters: connection workers first (they feed jobs and
-    /// block on slots), executors last (they fill the slots).
+    /// Stop the acceptor, then wait until every connection thread has
+    /// answered its in-flight request and closed (each returns its slot
+    /// last).
     fn stop_threads(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.shared.jobs.close();
-        for h in self.executors.drain(..) {
-            let _ = h.join();
-        }
+        self.shared.conns.wait_all_returned();
     }
 }
 
@@ -476,7 +362,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         // Not drained: still stop the threads so tests that merely start a
         // server cannot leak a spinning acceptor.
-        self.shared.queue.close();
         self.stop_threads();
     }
 }
@@ -513,7 +398,7 @@ fn exposition_of(
     reg.expose()
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -530,16 +415,15 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             Err(_) => break,
         }
     }
-    shared.queue.close();
 }
 
 /// The `retry_after_ms` fallback before any request latency is measured.
 pub(crate) const RETRY_AFTER_FLOOR_MS: u64 = 100;
 
-/// Hint for a rejected client: the full queue must drain through `workers`
-/// parallel servers, each request costing about the measured mean latency.
-/// Shared with the shard router, which applies the same backpressure shape
-/// at its own admission queue.
+/// Hint for a rejected client: a request from each of `depth` open
+/// connections must drain through `workers` parallel permits, each costing
+/// about the measured mean latency. Shared with the shard router, which
+/// applies the same backpressure shape at its own admission queue.
 ///
 /// Before the first request latency lands (the zero-sample startup
 /// window), the hint is the bare floor — multiplying the floor by the
@@ -556,29 +440,41 @@ pub(crate) fn retry_after_hint(rec: &InMemoryRecorder, depth: usize, workers: us
     }
 }
 
-fn admit(shared: &Shared, stream: TcpStream) {
-    match shared.queue.try_push(stream) {
-        Ok(depth) => {
+/// Give the connection a slot and its own thread, or answer `overloaded`.
+fn admit(shared: &Arc<Shared>, mut stream: TcpStream) {
+    match shared.conns.try_acquire() {
+        Some((slot, open)) => {
             let seq = shared.depth_seq.fetch_add(1, Ordering::Relaxed);
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.counter("serve.conns.admitted", 1);
-            rec.sample("serve.queue.depth", seq, 0, depth as u64);
+            {
+                let mut rec = shared.recorder.lock().expect("recorder poisoned");
+                rec.counter("serve.conns.admitted", 1);
+                rec.sample("serve.queue.depth", seq, 0, open as u64);
+            }
+            let shared = Arc::clone(shared);
+            // A failed spawn drops the closure, closing the stream and
+            // returning the slot.
+            let _ = std::thread::Builder::new().name("unet-conn".into()).spawn(move || {
+                serve_connection(&shared, stream);
+                drop(slot);
+            });
         }
-        Err(mut stream) => {
+        None => {
+            let cap = shared.conns.cap;
             let retry_after = {
                 let mut rec = shared.recorder.lock().expect("recorder poisoned");
                 rec.counter("serve.conns.rejected", 1);
-                retry_after_hint(&rec, shared.queue.cap(), shared.workers)
+                retry_after_hint(&rec, cap, shared.workers)
             };
-            let _ = writeln!(stream, "{}", overloaded_line(shared.queue.cap(), retry_after));
+            let _ = writeln!(stream, "{}", overloaded_line(cap, retry_after));
             let _ = stream.flush();
         }
     }
 }
 
-/// How long a worker waits on an idle connection before re-checking the
-/// shutdown flag. Bounds drain latency for open-but-quiet clients. The
-/// shard router's connection workers poll on the same cadence.
+/// How long a connection thread waits on an idle connection before
+/// re-checking the shutdown flag. Bounds drain latency for open-but-quiet
+/// clients. The shard router's connection workers poll on the same
+/// cadence.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
 
 fn serve_connection(shared: &Shared, stream: TcpStream) {
@@ -677,7 +573,7 @@ pub(crate) fn read_line_patient<R: Read>(
 }
 
 /// What one handled request looked like, for the request-span record its
-/// connection worker offers to the tail sampler.
+/// connection thread offers to the tail sampler.
 struct ReqInfo {
     trace_id: String,
     kind: &'static str,
@@ -694,7 +590,7 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
     let parse_started = Instant::now();
     let parsed = parse_request(line);
     let accept_ms = parse_started.elapsed().as_secs_f64() * 1e3;
-    let (ver, wire_trace, req) = match parsed {
+    let (wire_trace, req) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
             let info = ReqInfo {
@@ -703,69 +599,41 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
                 ok: false,
                 stages: vec![("accept", accept_ms)],
             };
-            let line = match e {
-                ParseError::UnsupportedProto(msg) => {
-                    error_line(ProtoVersion::V3, "unsupported-protocol", &msg, None)
-                }
-                ParseError::Malformed(msg) => {
-                    error_line(ProtoVersion::V3, "bad-request", &msg, None)
-                }
-            };
-            return (line, info);
+            return (error_line(e.code(), &e.to_string(), None), info);
         }
     };
-    // First ingress: a /3 client (or the shard router) propagates its
-    // trace context; older clients get a server-assigned trace id.
+    // First ingress: a client (or the shard router) propagates its trace
+    // context; requests without one get a server-assigned trace id.
     let trace_id = wire_trace.unwrap_or_else(gen_trace_id);
     let kind = req.kind();
     let mut stages = vec![("accept", accept_ms)];
     let (response, ok) = match req {
         Request::Simulate(req) => {
             // `accept` covers admission too: spec parsing, topology and
-            // computation construction, and fingerprinting all happen on
-            // the connection thread before the job reaches the queue.
+            // computation construction, and fingerprinting.
             let admit_started = Instant::now();
             let built = build_job(shared, &req, req.deadline_ms);
-            // Close the span before the job becomes visible to workers, so
-            // `accept` never overlaps the worker-side spans.
             stages[0].1 += admit_started.elapsed().as_secs_f64() * 1e3;
             let outcome = match built {
-                Ok((job, slot)) => {
-                    shared.jobs.push_all(vec![job]);
-                    let wait_started = Instant::now();
-                    let mut out = slot.wait();
-                    let wait_ms = wait_started.elapsed().as_secs_f64() * 1e3;
-                    // What the blocking wait cost beyond the worker's own
-                    // spans: the scheduler handoff into the worker and the
-                    // result handoff back. Without this span, condvar
-                    // wakeup latency is unaccounted end-to-end time.
-                    let worker_ms: f64 = out.stages.iter().map(|(_, ms)| ms).sum();
-                    let dispatch_ms = wait_ms - worker_ms;
-                    if dispatch_ms > 0.0 {
-                        out.stages.push(("dispatch", dispatch_ms));
-                    }
-                    out
-                }
+                Ok(job) => execute_job(shared, &job),
                 Err(e) => JobOutcome { payload: Err(e), stages: Vec::new() },
             };
             stages.extend(outcome.stages);
             match outcome.payload {
                 Ok(mut payload) => {
-                    if ver == ProtoVersion::V3 {
-                        payload.push(("trace_id".to_string(), Value::Str(trace_id.clone())));
-                        payload.push(("stages".to_string(), stages_value(&stages)));
-                    }
-                    (result_line(ver, "simulate", req.id, payload), true)
+                    payload.push(("trace_id".to_string(), Value::Str(trace_id.clone())));
+                    payload.push(("stages".to_string(), stages_value(&stages)));
+                    (result_line("simulate", req.id, payload), true)
                 }
-                Err((code, message)) => (error_line(ver, &code, &message, req.id), false),
+                Err((code, message)) => (error_line(&code, &message, req.id), false),
             }
         }
         Request::Batch(batch) => {
-            let (line, ok, batch_stages) = handle_batch(shared, ver, batch, &trace_id);
+            let (line, ok, batch_stages) = handle_batch(shared, batch, &trace_id);
             stages.extend(batch_stages);
             (line, ok)
         }
-        Request::Analyze { trace, id } => handle_analyze(ver, &trace, id),
+        Request::Analyze { trace, id } => handle_analyze(&trace, id),
         Request::Metrics { id } => {
             let exemplar = shared.latency_exemplar.lock().expect("exemplar poisoned").clone();
             let rec = shared.recorder.lock().expect("recorder poisoned");
@@ -773,7 +641,6 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
             drop(rec);
             (
                 result_line(
-                    ver,
                     "metrics",
                     id,
                     vec![("exposition".to_string(), Value::Str(exposition))],
@@ -785,24 +652,38 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
     (response, ReqInfo { trace_id, kind, ok, stages })
 }
 
+/// [`parse_graph`] with generator panics turned into errors. Some
+/// generators `assert!` their preconditions (`random:5x3` trips "n·d must
+/// be even"); a spec off the wire must get a typed `bad-spec` carrying
+/// that message, not kill the thread serving it. Shared with the shard
+/// router's fingerprinting.
+pub(crate) fn parse_spec(spec: &str) -> Result<Graph, String> {
+    std::panic::catch_unwind(|| parse_graph(spec)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "generator panicked".to_string());
+        Err(format!("{spec:?} rejected by its generator: {msg}"))
+    })
+}
+
 /// Parse one spec into a runnable [`Job`]. Parse failures surface as the
 /// item's own typed error, never touching its batchmates.
 fn build_job(
     shared: &Shared,
     req: &SimulateReq,
     deadline_override: Option<u64>,
-) -> Result<(Job, Arc<ResultSlot>), (String, String)> {
+) -> Result<Job, (String, String)> {
     let guest =
-        parse_graph(&req.guest).map_err(|e| ("bad-spec".to_string(), format!("guest: {e}")))?;
-    let host =
-        parse_graph(&req.host).map_err(|e| ("bad-spec".to_string(), format!("host: {e}")))?;
+        parse_spec(&req.guest).map_err(|e| ("bad-spec".to_string(), format!("guest: {e}")))?;
+    let host = parse_spec(&req.host).map_err(|e| ("bad-spec".to_string(), format!("host: {e}")))?;
     let comp = GuestComputation::random(guest, req.seed);
     let embedding = Embedding::block(comp.n(), host.n());
     let router = unet_core::routers::presets::bfs();
     let fingerprint = workload_fingerprint(&comp.graph, &host, &embedding, router.name(), req.seed);
     let deadline_ms = deadline_override.unwrap_or(shared.default_deadline_ms);
-    let slot = ResultSlot::new();
-    let job = Job {
+    Ok(Job {
         comp,
         host,
         guest_spec: req.guest.clone(),
@@ -812,151 +693,141 @@ fn build_job(
         fingerprint,
         deadline_ms,
         token: CancelToken::with_deadline(Duration::from_millis(deadline_ms)),
-        slot: Arc::clone(&slot),
-        grouped: false,
-        enqueued_at: Instant::now(),
-    };
-    Ok((job, slot))
+        admitted_at: Instant::now(),
+    })
 }
 
-/// Serve one `batch` request: enqueue every parseable item in one atomic
-/// push (so an executor claims them as a group), then collect the
-/// positionally-aligned outcomes. Returns the response line, whether every
-/// item succeeded, and the batch's stage spans (per-stage *maximum* across
-/// members — the members run in parallel, so the max approximates the
-/// critical path without over-counting the request's wall clock).
+/// Serve one `batch` request: run every parseable item through
+/// [`run_jobs`], then answer with the positionally-aligned outcomes.
+/// Returns the response line, whether every item succeeded, and the
+/// batch's stage spans (per-stage *maximum* across members — the members
+/// run in parallel, so the max approximates the critical path without
+/// over-counting the request's wall clock).
 fn handle_batch(
     shared: &Shared,
-    ver: ProtoVersion,
     batch: BatchReq,
     trace_id: &str,
 ) -> (String, bool, Vec<(&'static str, f64)>) {
-    enum Pending {
-        Slot(Arc<ResultSlot>),
-        Failed(String, String),
-    }
-    let mut pending = Vec::with_capacity(batch.items.len());
     let mut jobs = Vec::new();
+    // Per item: `Ok` ran as the next job, `Err` is the item's own error.
+    let mut slots = Vec::with_capacity(batch.items.len());
     for item in &batch.items {
-        match item {
-            Err(msg) => pending.push(Pending::Failed("bad-request".to_string(), msg.clone())),
-            Ok(spec) => {
-                let deadline = spec.deadline_ms.or(batch.deadline_ms);
-                match build_job(shared, spec, deadline) {
-                    Ok((job, slot)) => {
-                        jobs.push(job);
-                        pending.push(Pending::Slot(slot));
-                    }
-                    Err((code, msg)) => pending.push(Pending::Failed(code, msg)),
-                }
-            }
-        }
+        slots.push(match item {
+            Err(msg) => Err(("bad-request".to_string(), msg.clone())),
+            Ok(spec) => build_job(shared, spec, spec.deadline_ms.or(batch.deadline_ms))
+                .map(|job| jobs.push(job)),
+        });
     }
-    shared.jobs.push_all(jobs);
+    let mut outcomes = run_jobs(shared, &jobs).into_iter();
     let mut all_ok = true;
     let mut stage_max: Vec<(&'static str, f64)> = Vec::new();
-    let items: Vec<Value> = pending
+    let items: Vec<Value> = slots
         .into_iter()
-        .map(|p| {
-            let outcome = match p {
-                Pending::Slot(slot) => {
-                    let out = slot.wait();
-                    for (stage, ms) in out.stages {
-                        match stage_max.iter_mut().find(|(s, _)| *s == stage) {
-                            Some((_, acc)) => *acc = acc.max(ms),
-                            None => stage_max.push((stage, ms)),
-                        }
-                    }
-                    match out.payload {
-                        Ok(mut payload) => {
-                            if ver == ProtoVersion::V3 {
-                                payload.push((
-                                    "trace_id".to_string(),
-                                    Value::Str(trace_id.to_string()),
-                                ));
-                            }
-                            Ok(payload)
-                        }
-                        Err(e) => Err(e),
+        .map(|slot| {
+            let payload = slot.and_then(|()| {
+                let out = outcomes.next().expect("one outcome per job");
+                for (stage, ms) in out.stages {
+                    match stage_max.iter_mut().find(|(s, _)| *s == stage) {
+                        Some((_, acc)) => *acc = acc.max(ms),
+                        None => stage_max.push((stage, ms)),
                     }
                 }
-                Pending::Failed(code, msg) => Err((code, msg)),
-            };
-            all_ok &= outcome.is_ok();
-            batch_item_value(outcome)
+                out.payload.map(|mut payload| {
+                    payload.push(("trace_id".to_string(), Value::Str(trace_id.to_string())));
+                    payload
+                })
+            });
+            all_ok &= payload.is_ok();
+            batch_item_value(payload)
         })
         .collect();
-    let line = result_line(ver, "batch", batch.id, vec![("items".to_string(), Value::Arr(items))]);
+    let line = result_line("batch", batch.id, vec![("items".to_string(), Value::Arr(items))]);
     (line, all_ok, stage_max)
 }
 
-/// The batching executor: claim a same-fingerprint group, run its leader
-/// first on a cold fingerprint (single plan build, followers spared), and
-/// fan the rest out across the pool with the plan warm.
-fn executor_loop(shared: &Shared) {
-    while let Some(mut group) = shared.jobs.pop_group(shared.max_batch) {
-        if group[0].grouped {
-            // A fan-out member: its claim already ran the leader and
-            // recorded the batch, so just execute.
-            let job = group.pop().expect("grouped claim is a singleton");
-            execute_job(shared, job, 0.0);
-            continue;
-        }
-        let mut linger_ms = 0.0;
-        if shared.linger_ms > 0 && group.len() < shared.max_batch {
-            let fp = group[0].fingerprint;
-            let linger_started = Instant::now();
-            group.extend(shared.jobs.claim_lingering(
-                fp,
-                shared.max_batch - group.len(),
-                Duration::from_millis(shared.linger_ms),
-            ));
-            linger_ms = linger_started.elapsed().as_secs_f64() * 1e3;
-        }
-        let g = group.len();
-        {
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.histogram("serve.batch.size", g as u64);
-        }
-        let cold = !shared.cache.contains(group[0].fingerprint);
-        let mut rest: Vec<Job> = group.split_off(1);
-        for job in &mut rest {
-            job.grouped = true;
-        }
-        let leader = group.pop().expect("claims are non-empty");
-        if cold {
-            // Every batchmate was spared a redundant plan build by
-            // coalescing on the leader's single flight.
-            shared.cache.note_singleflight_followers((g - 1) as u64);
-            // Leader first: publish the plan, then fan out warm.
-            execute_job(shared, leader, linger_ms);
-            shared.jobs.push_front_all(rest);
-        } else {
-            // Plan already cached: fan out immediately, run the leader here.
-            shared.jobs.push_front_all(rest);
-            execute_job(shared, leader, linger_ms);
+/// Run a batch's jobs on the calling connection and return their outcomes
+/// in input order. Same-fingerprint jobs form one group; groups run side
+/// by side on scoped threads (inline when there is just one).
+fn run_jobs(shared: &Shared, jobs: &[Job]) -> Vec<JobOutcome> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        match groups.iter_mut().find(|g| jobs[g[0]].fingerprint == job.fingerprint) {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
         }
     }
+    let mut outcomes: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
+    let ran = par_map(&groups, shared.workers, |group| run_group(shared, jobs, group));
+    for (group, outs) in groups.iter().zip(ran) {
+        for (&i, out) in group.iter().zip(outs) {
+            outcomes[i] = Some(out);
+        }
+    }
+    outcomes.into_iter().map(|o| o.expect("every job ran")).collect()
 }
 
-/// Run one job and fill its slot, assembling the job-side stage spans:
-/// `queue_wait` (enqueue to execution), `batch_linger` (the claim leader's
-/// straggler wait, when any), then the engine-side spans measured by
-/// [`simulate_outcome`].
-fn execute_job(shared: &Shared, job: Job, linger_ms: f64) {
-    let queue_wait_ms = job.enqueued_at.elapsed().as_secs_f64() * 1e3;
-    let (payload, engine_stages) = simulate_outcome(shared, &job);
+/// Run one same-fingerprint group, outcomes in group order. On a cold
+/// fingerprint the first job runs alone — building and publishing the
+/// plan exactly once — and its batchmates, spared that build, are counted
+/// as single-flight followers before they run with the plan warm.
+fn run_group(shared: &Shared, jobs: &[Job], group: &[usize]) -> Vec<JobOutcome> {
+    let size = group.len() as u64;
+    shared.recorder.lock().expect("recorder poisoned").histogram("serve.batch.size", size);
+    let run = |&i: &usize| execute_job(shared, &jobs[i]);
+    let (leader, rest) = group.split_first().expect("groups are non-empty");
+    if shared.cache.contains(jobs[*leader].fingerprint) {
+        return par_map(group, shared.workers, run);
+    }
+    shared.cache.note_singleflight_followers(rest.len() as u64);
+    let mut outs = vec![run(leader)];
+    outs.extend(par_map(rest, shared.workers, run));
+    outs
+}
+
+/// Run one job under a simulation permit: `queue_wait` (admission to
+/// permit), then the engine-side spans measured by [`simulate_outcome`].
+fn execute_job(shared: &Shared, job: &Job) -> JobOutcome {
+    let _permit = shared.sims.acquire();
+    let queue_wait_ms = job.admitted_at.elapsed().as_secs_f64() * 1e3;
+    let (payload, engine_stages) = simulate_outcome(shared, job);
     let mut stages = vec![("queue_wait", queue_wait_ms)];
-    if linger_ms > 0.0 {
-        stages.push(("batch_linger", linger_ms));
-    }
     stages.extend(engine_stages);
-    job.slot.put(JobOutcome { payload, stages });
+    JobOutcome { payload, stages }
 }
 
-fn simulate_outcome(shared: &Shared, job: &Job) -> (SlotOutcome, Vec<(&'static str, f64)>) {
-    let router = unet_core::routers::presets::bfs();
+/// Run and verify one job, returning its payload and engine-side spans.
+/// Disjoint spans: the plan acquire (single-flight wait) and the plan
+/// build are carved out of the wall clock so a stage sum never
+/// double-counts, and `simulate` is the rest — closed once the result is
+/// back on the calling thread, with the run's protocol and recorder freed.
+///
+/// The engine runs on a scoped thread of its own, so the connection
+/// thread only parses and does I/O. A thread that just ran a simulation is
+/// last in line for a busy core: had the connection thread run it, its
+/// next request would sit unread until a core freed up (about 3 ms median
+/// in E22 on two cores, outside every span).
+fn simulate_outcome(shared: &Shared, job: &Job) -> (Payload, Vec<(&'static str, f64)>) {
     let started = Instant::now();
+    let (payload, acquire_ms, build_ms) =
+        std::thread::scope(|s| s.spawn(|| run_verified(shared, job, started)).join())
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    let total_ms = started.elapsed().as_secs_f64() * 1e3;
+    let mut stages: Vec<(&'static str, f64)> = Vec::new();
+    if acquire_ms > 0.0 {
+        stages.push(("singleflight_wait", acquire_ms));
+    }
+    if build_ms > 0.0 {
+        stages.push(("plan_build", build_ms));
+    }
+    stages.push(("simulate", (total_ms - acquire_ms - build_ms).max(0.0)));
+    (payload, stages)
+}
+
+/// The engine work of [`simulate_outcome`]: the payload plus the plan
+/// acquire and build times in milliseconds. The payload's `wall_ms` is
+/// run plus verify, measured from `started`.
+fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, f64) {
+    let router = unet_core::routers::presets::bfs();
     let mut local = InMemoryRecorder::new();
     let run = Simulation::builder()
         .guest(&job.comp)
@@ -978,20 +849,9 @@ fn simulate_outcome(shared: &Shared, job: &Job) -> (SlotOutcome, Vec<(&'static s
         run.as_ref().ok().and_then(|r| r.verify(&job.comp, &job.host, job.steps).err());
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let shared_hit = local.counter_value("sim.cache.shared.hits") > 0;
-    // Disjoint engine spans: the plan acquire (single-flight wait) and the
-    // plan build are carved out of the run's wall clock so a stage sum
-    // never double-counts.
     let acquire_ms =
         local.histogram_data("sim.plan.acquire_us").map_or(0.0, |h| h.sum as f64 / 1e3);
     let build_ms = local.histogram_data("sim.plan.build_us").map_or(0.0, |h| h.sum as f64 / 1e3);
-    let mut stages: Vec<(&'static str, f64)> = Vec::new();
-    if acquire_ms > 0.0 {
-        stages.push(("singleflight_wait", acquire_ms));
-    }
-    if build_ms > 0.0 {
-        stages.push(("plan_build", build_ms));
-    }
-    stages.push(("simulate", (wall_ms - acquire_ms - build_ms).max(0.0)));
     // Fold the request's engine counters into the server-level registry
     // (recorder counters accumulate, so sim.* become process totals).
     {
@@ -1000,52 +860,43 @@ fn simulate_outcome(shared: &Shared, job: &Job) -> (SlotOutcome, Vec<(&'static s
             rec.counter(name, v);
         }
     }
-    let run = match run {
-        Ok(run) => run,
-        Err(SimError::Cancelled) => {
-            return (
-                Err((
-                    "deadline-exceeded".to_string(),
-                    format!("deadline of {} ms passed at a phase boundary", job.deadline_ms),
-                )),
-                stages,
-            )
-        }
-        Err(e) => return (Err(("sim-error".to_string(), e.to_string())), stages),
+    let payload = match (run, verify_err) {
+        (Err(SimError::Cancelled), _) => Err((
+            "deadline-exceeded".to_string(),
+            format!("deadline of {} ms passed at a phase boundary", job.deadline_ms),
+        )),
+        (Err(e), _) => Err(("sim-error".to_string(), e.to_string())),
+        (Ok(_), Some(e)) => Err(("verify-failed".to_string(), e.to_string())),
+        (Ok(run), None) => Ok(vec![
+            ("guest".to_string(), Value::Str(job.guest_spec.clone())),
+            ("host".to_string(), Value::Str(job.host_spec.clone())),
+            ("steps".to_string(), Value::UInt(job.steps as u64)),
+            ("host_steps".to_string(), Value::UInt(run.protocol.host_steps() as u64)),
+            ("comm_steps".to_string(), Value::UInt(run.comm_steps as u64)),
+            ("compute_steps".to_string(), Value::UInt(run.compute_steps as u64)),
+            ("slowdown".to_string(), Value::Float(run.slowdown())),
+            ("inefficiency".to_string(), Value::Float(run.inefficiency())),
+            ("shared_cache_hit".to_string(), Value::Bool(shared_hit)),
+            ("verified".to_string(), Value::Bool(true)),
+            ("wall_ms".to_string(), Value::Float(wall_ms)),
+        ]),
     };
-    if let Some(e) = verify_err {
-        return (Err(("verify-failed".to_string(), e.to_string())), stages);
-    }
-    let payload = vec![
-        ("guest".to_string(), Value::Str(job.guest_spec.clone())),
-        ("host".to_string(), Value::Str(job.host_spec.clone())),
-        ("steps".to_string(), Value::UInt(job.steps as u64)),
-        ("host_steps".to_string(), Value::UInt(run.protocol.host_steps() as u64)),
-        ("comm_steps".to_string(), Value::UInt(run.comm_steps as u64)),
-        ("compute_steps".to_string(), Value::UInt(run.compute_steps as u64)),
-        ("slowdown".to_string(), Value::Float(run.slowdown())),
-        ("inefficiency".to_string(), Value::Float(run.inefficiency())),
-        ("shared_cache_hit".to_string(), Value::Bool(shared_hit)),
-        ("verified".to_string(), Value::Bool(true)),
-        ("wall_ms".to_string(), Value::Float(wall_ms)),
-    ];
-    (Ok(payload), stages)
+    (payload, acquire_ms, build_ms)
 }
 
-fn handle_analyze(ver: ProtoVersion, trace: &[String], id: Option<u64>) -> (String, bool) {
+fn handle_analyze(trace: &[String], id: Option<u64>) -> (String, bool) {
     let mut analyzer = TraceAnalyzer::new();
     for (i, line) in trace.iter().enumerate() {
         if let Err(e) = analyzer.feed_line(line, i + 1) {
-            return (error_line(ver, "bad-trace", &e, id), false);
+            return (error_line("bad-trace", &e, id), false);
         }
     }
     let analysis = match analyzer.finish() {
         Ok(a) => a,
-        Err(e) => return (error_line(ver, "bad-trace", &e, id), false),
+        Err(e) => return (error_line("bad-trace", &e, id), false),
     };
     let exposition = MetricsRegistry::from_analysis(&analysis).expose();
     let line = result_line(
-        ver,
         "analyze",
         id,
         vec![
@@ -1071,6 +922,39 @@ mod tests {
         assert_eq!(retry_after_hint(&rec, 64, 2), RETRY_AFTER_FLOOR_MS);
         assert_eq!(retry_after_hint(&rec, 1024, 1), RETRY_AFTER_FLOOR_MS);
         assert_eq!(retry_after_hint(&rec, 0, 4), RETRY_AFTER_FLOOR_MS);
+    }
+
+    #[test]
+    fn permits_pass_on_in_arrival_order_and_survive_a_panicking_holder() {
+        let permits = Permits::new(1);
+        let first = permits.acquire();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let waiters: Vec<_> = (0..3)
+            .map(|i| {
+                let (p, o) = (Arc::clone(&permits), Arc::clone(&order));
+                let waiter = std::thread::spawn(move || {
+                    let _permit = p.acquire();
+                    o.lock().unwrap().push(i);
+                });
+                // Queue each waiter before the next one starts.
+                while permits.state.lock().unwrap().queue.len() <= i {
+                    std::thread::yield_now();
+                }
+                waiter
+            })
+            .collect();
+        drop(first);
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2]);
+        let p = Arc::clone(&permits);
+        let holder = std::thread::spawn(move || {
+            let _permit = p.acquire();
+            panic!("the holder dies");
+        });
+        assert!(holder.join().is_err());
+        assert_eq!(permits.try_acquire().map(|(_, held)| held), Some(1), "permit came back");
     }
 
     #[test]

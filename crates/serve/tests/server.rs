@@ -2,15 +2,18 @@
 //! graceful drain, shared-cache behaviour, batching, and the metrics
 //! round trip.
 
+use std::time::Duration;
+
 use unet_obs::json::Value;
 use unet_obs::{MetricsRegistry, TraceAnalyzer};
 use unet_serve::client::Client;
 use unet_serve::loadgen::{self, LoadgenConfig};
 use unet_serve::protocol::{
     analyze_request_line, batch_request_line, metrics_request_line, parse_response,
-    simulate_request_line, Response, SimulateReq, PROTOCOL_V1, PROTOCOL_V2,
+    simulate_request_line, Response, SimulateReq,
 };
-use unet_serve::{ServeConfig, Server};
+use unet_serve::router::{simulate_fingerprint, Router, ShardConfig};
+use unet_serve::{ClientError, ServeConfig, Server};
 
 fn sim_req(seed: u64) -> SimulateReq {
     SimulateReq {
@@ -227,38 +230,6 @@ fn mixed_fingerprint_batch_isolates_errors_per_item() {
 }
 
 #[test]
-fn v1_client_gets_well_formed_v1_responses() {
-    let server = start(1, 8);
-    let addr = server.addr().to_string();
-    // Golden /1 request lines, byte-for-byte what a PR-6 client sends.
-    let golden_sim = format!(
-        "{{\"proto\":{PROTOCOL_V1:?},\"kind\":\"simulate\",\"guest\":\"ring:24\",\
-         \"host\":\"torus:3x3\",\"steps\":3,\"seed\":7,\"id\":41}}"
-    );
-    let resp = raw(&addr, &golden_sim);
-    let v = unet_obs::json::parse(&resp).expect("valid json");
-    assert_eq!(v.get("proto").and_then(Value::as_str), Some(PROTOCOL_V1), "stamped /1");
-    assert_eq!(v.get("kind").and_then(Value::as_str), Some("result"));
-    assert_eq!(v.get("id").and_then(Value::as_u64), Some(41));
-    assert_eq!(v.get("verified"), Some(&Value::Bool(true)));
-    let golden_metrics = format!("{{\"proto\":{PROTOCOL_V1:?},\"kind\":\"metrics\",\"id\":9}}");
-    let resp = raw(&addr, &golden_metrics);
-    let v = unet_obs::json::parse(&resp).expect("valid json");
-    assert_eq!(v.get("proto").and_then(Value::as_str), Some(PROTOCOL_V1));
-    assert_eq!(v.get("kind").and_then(Value::as_str), Some("result"));
-    // A /1 error is stamped /1 too.
-    let golden_bad = format!(
-        "{{\"proto\":{PROTOCOL_V1:?},\"kind\":\"simulate\",\"guest\":\"blah:3\",\
-         \"host\":\"torus:3x3\",\"steps\":3}}"
-    );
-    let resp = raw(&addr, &golden_bad);
-    let v = unet_obs::json::parse(&resp).expect("valid json");
-    assert_eq!(v.get("proto").and_then(Value::as_str), Some(PROTOCOL_V1));
-    assert_eq!(v.get("code").and_then(Value::as_str), Some("bad-spec"));
-    server.drain();
-}
-
-#[test]
 fn unknown_protocol_version_gets_typed_error_not_hangup() {
     let server = start(1, 8);
     let addr = server.addr().to_string();
@@ -271,9 +242,8 @@ fn unknown_protocol_version_gets_typed_error_not_hangup() {
         other => panic!("expected typed error, got {other:?}"),
     }
     // A future client (trace context and all) against this server: still a
-    // typed error naming the versions we do speak, and the connection
-    // stays open for a corrected request — never a hangup. This is
-    // exactly what a /3 client sees against a /2-era backend.
+    // typed error naming the version we do speak, and the connection
+    // stays open for a corrected request — never a hangup.
     {
         use std::io::{BufRead, BufReader, Write};
         let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
@@ -296,17 +266,75 @@ fn unknown_protocol_version_gets_typed_error_not_hangup() {
         reader.read_line(&mut resp).expect("connection survived the version error");
         assert!(matches!(parse_response(resp.trim()), Ok(Response::Result(_))));
     }
-    // Batch under /1 is also a typed error.
-    let v1_batch = format!(
-        "{{\"proto\":{PROTOCOL_V1:?},\"kind\":\"batch\",\"items\":[\
-         {{\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":1}}]}}"
-    );
-    let resp = raw(&addr, &v1_batch);
-    match parse_response(&resp).expect("typed") {
-        Response::Error { code, .. } => assert_eq!(code, "bad-request"),
-        other => panic!("expected error, got {other:?}"),
+    // The retired /1 and /2 versions are unknown versions too: a typed
+    // error naming the one version spoken, batch or not.
+    for old in [
+        "{\"proto\":\"unet-serve/1\",\"kind\":\"simulate\",\"guest\":\"ring:24\",\
+         \"host\":\"torus:3x3\",\"steps\":3,\"seed\":7,\"id\":41}",
+        "{\"proto\":\"unet-serve/1\",\"kind\":\"batch\",\"items\":[\
+         {\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":1}]}",
+        "{\"proto\":\"unet-serve/2\",\"kind\":\"metrics\",\"id\":9}",
+    ] {
+        match parse_response(&raw(&addr, old)).expect("typed") {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, "unsupported-protocol", "{old}");
+                assert!(message.contains("unet-serve/3"), "names the spoken version: {message}");
+            }
+            other => panic!("expected typed error for {old}, got {other:?}"),
+        }
     }
     server.drain();
+}
+
+/// Regression: `random:5x3` trips a generator `assert!` (`n·d` must be
+/// even). It used to kill the thread serving the request, so neither that
+/// request nor the next valid one on a `workers: 1` server was answered.
+/// Now it is a typed `bad-spec` carrying the assertion message — directly
+/// and through a router, which places the unfingerprintable spec on key 0.
+#[test]
+fn generator_panic_is_a_typed_bad_spec_and_the_next_request_answers() {
+    let mut bad = sim_req(1);
+    bad.guest = "random:5x3".into();
+    assert!(simulate_fingerprint(&bad).unwrap_err().contains("n·d must be even"));
+    let server = start(1, 8);
+    let addr = server.addr().to_string();
+    let router =
+        Router::start(ShardConfig { backends: vec![addr.clone()], ..ShardConfig::default() })
+            .expect("bind router");
+    for target in [addr, router.addr().to_string()] {
+        let mut client =
+            Client::connect(&target).expect("connect").timeout(Duration::from_secs(10));
+        match client.simulate(&bad) {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, "bad-spec", "via {target}");
+                assert!(e.message.contains("n·d must be even"), "via {target}: {}", e.message);
+            }
+            other => panic!("expected a typed bad-spec via {target}, got {other:?}"),
+        }
+        let next = client.simulate(&sim_req(7)).expect("the next valid request is answered");
+        assert!(next.verified);
+    }
+    router.drain();
+    server.drain();
+}
+
+/// One simulation permit does not pin the server to one connection: two
+/// clients on persistent connections take turns and both are answered
+/// while both connections stay open.
+#[test]
+fn one_permit_serves_two_persistent_connections_in_turn() {
+    let server = start(1, 8);
+    let addr = server.addr().to_string();
+    let connect = || Client::connect(&addr).expect("connect").timeout(Duration::from_secs(10));
+    let (mut a, mut b) = (connect(), connect());
+    for seed in 0..3 {
+        assert!(a.simulate(&sim_req(seed)).expect("first client answered").verified);
+        assert!(b.simulate(&sim_req(seed)).expect("second client answered").verified);
+    }
+    drop((a, b));
+    let report = server.drain();
+    assert_eq!(report.stats.admitted, 2, "no reconnects: both connections stayed open");
+    assert_eq!(report.stats.completed, 6);
 }
 
 #[test]
@@ -414,7 +442,7 @@ fn metrics_and_analyze_requests_expose_prometheus_text() {
 fn trace_context_threads_through_payload_drain_trace_and_exemplar() {
     let server = start(2, 8);
     let addr = server.addr().to_string();
-    // An explicit client-assigned trace id is echoed in the /3 payload
+    // An explicit client-assigned trace id is echoed in the payload
     // together with the server's stage breakdown.
     let line = simulate_request_line(&sim_req(7), Some("00c0ffee00c0ffee"));
     let resp = raw(&addr, &line);
@@ -423,7 +451,7 @@ fn trace_context_threads_through_payload_drain_trace_and_exemplar() {
         other => panic!("expected result, got {other:?}"),
     };
     assert_eq!(v.get("trace_id").and_then(Value::as_str), Some("00c0ffee00c0ffee"));
-    let stages = v.get("stages").expect("stage breakdown in the /3 payload");
+    let stages = v.get("stages").expect("stage breakdown in the payload");
     assert!(stages.get("simulate").and_then(Value::as_f64).is_some(), "{}", v.to_json());
     assert!(stages.get("queue_wait").and_then(Value::as_f64).is_some(), "{}", v.to_json());
 
@@ -497,28 +525,6 @@ fn zero_head_rate_still_keeps_the_slow_tail() {
         "every keep is a tail keep: {:?}",
         doc.requests.iter().map(|r| r.sampled).collect::<Vec<_>>()
     );
-}
-
-#[test]
-fn v2_golden_client_is_stamped_v2_and_sees_no_v3_fields() {
-    let server = start(1, 8);
-    let addr = server.addr().to_string();
-    // Byte-for-byte what a PR-7-era /2 client sends.
-    let golden = format!(
-        "{{\"proto\":{PROTOCOL_V2:?},\"kind\":\"simulate\",\"guest\":\"ring:24\",\
-         \"host\":\"torus:3x3\",\"steps\":3,\"seed\":7,\"id\":13}}"
-    );
-    let resp = raw(&addr, &golden);
-    let v = unet_obs::json::parse(&resp).expect("valid json");
-    assert_eq!(v.get("proto").and_then(Value::as_str), Some(PROTOCOL_V2), "stamped /2");
-    assert_eq!(v.get("kind").and_then(Value::as_str), Some("result"));
-    assert_eq!(v.get("id").and_then(Value::as_u64), Some(13));
-    assert_eq!(v.get("verified"), Some(&Value::Bool(true)));
-    // The trace additions are /3-only payload fields: an unupgraded
-    // strict reader never sees keys it does not know.
-    assert!(v.get("trace_id").is_none(), "no /3 fields in a /2 response: {}", v.to_json());
-    assert!(v.get("stages").is_none(), "no /3 fields in a /2 response: {}", v.to_json());
-    server.drain();
 }
 
 #[test]

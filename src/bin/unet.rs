@@ -70,11 +70,10 @@ const USAGE: &str = "usage:
   unet bench    diff <baseline-BENCH.json> [--full] [--filter IDS] [--threads N]
   unet bench    list
   unet serve    [--addr A] [--workers N] [--queue N] [--deadline-ms MS]
-                [--max-batch N] [--linger-ms MS] [--sample-permille P]
-                [--trace-out FILE]
+                [--sample-permille P] [--trace-out FILE]
   unet shard    (--shards N | --backend ADDR ...) [--addr A] [--workers N]
-                [--queue N] [--backend-workers N] [--backend-conns N]
-                [--probe-ms MS] [--eject-after N] [--sample-permille P]
+                [--queue N] [--backend-workers N] [--probe-ms MS]
+                [--eject-after N] [--sample-permille P]
                 [--trace-out FILE] [--backend-trace-dir DIR]
   unet request  <addr> simulate <guest-spec> <host-spec> <steps>
                 [--seed S] [--deadline-ms MS] [--retries N] [--raw]
@@ -618,15 +617,10 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             .map_or(Ok(defaults.default_deadline_ms), |s| {
                 s.parse().map_err(|_| "bad --deadline-ms")
             })?,
-        max_batch: flag(args, "--max-batch")
-            .map_or(Ok(defaults.max_batch), |s| s.parse().map_err(|_| "bad --max-batch"))?,
-        linger_ms: flag(args, "--linger-ms")
-            .map_or(Ok(defaults.linger_ms), |s| s.parse().map_err(|_| "bad --linger-ms"))?,
         head_sample_permille: flag(args, "--sample-permille")
             .map_or(Ok(defaults.head_sample_permille), |s| {
                 s.parse().map_err(|_| "bad --sample-permille")
             })?,
-        conn_workers: defaults.conn_workers,
     };
     let server = Server::start(cfg).map_err(|e| format!("bind: {e}"))?;
     println!("unet-serve/3 listening on {}", server.addr());
@@ -760,13 +754,6 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         queue_cap: flag(args, "--queue")
             .map_or(Ok(defaults.queue_cap), |s| s.parse().map_err(|_| "bad --queue"))?,
         backends,
-        // Spawned backends have a known worker count, so match the
-        // connection bound to it; attached backends default to the safe
-        // single connection unless the operator says otherwise.
-        backend_conns: flag(args, "--backend-conns").map_or(
-            Ok(if spawn_n > 0 { backend_workers } else { defaults.backend_conns }),
-            |s| s.parse().map_err(|_| "bad --backend-conns"),
-        )?,
         probe_interval_ms: flag(args, "--probe-ms")
             .map_or(Ok(defaults.probe_interval_ms), |s| s.parse().map_err(|_| "bad --probe-ms"))?,
         eject_after: flag(args, "--eject-after")

@@ -28,7 +28,7 @@
 //!   parameter grids, sharded sweeps into versioned `BENCH.json`
 //!   artifacts, and the shape-predicate regression gate (`unet bench
 //!   diff`);
-//! * [`serve`] — simulation-as-a-service: the `unet-serve/1` TCP server
+//! * [`serve`] — simulation-as-a-service: the `unet-serve/3` TCP server
 //!   behind `unet serve` (admission control, shared route-plan cache,
 //!   request deadlines, graceful drain) plus its wire protocol, one-shot
 //!   client, and deterministic closed-loop load generator.
