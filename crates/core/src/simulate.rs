@@ -543,6 +543,6 @@ mod tests {
         // Close both protocols identically and compare the emitted steps.
         b1.end_step();
         b2.end_step();
-        assert_eq!(b1.finish().steps, b2.finish().steps);
+        assert_eq!(b1.finish(), b2.finish());
     }
 }

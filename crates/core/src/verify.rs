@@ -156,7 +156,15 @@ mod tests {
         let comp = GuestComputation::random(guest, 1);
         let mut run = run_ring8(&comp, &host);
         // Drop the last host step (removes final generations).
-        run.protocol.steps.pop();
+        let p = &run.protocol;
+        let mut b = unet_pebble::ProtocolBuilder::new(p.guest_n, p.guest_t, p.host_m);
+        for tau in 0..p.host_steps() - 1 {
+            for &(q, op) in p.step(tau) {
+                b.set_op(q, op);
+            }
+            b.end_step();
+        }
+        run.protocol = b.finish();
         assert!(matches!(verify_run(&comp, &host, &run, 2), Err(VerifyError::Protocol(_))));
     }
 }

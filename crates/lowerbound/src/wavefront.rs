@@ -23,18 +23,8 @@ pub fn existence_times(trace: &Trace) -> Vec<Vec<u32>> {
             (0..n as Node)
                 .map(|i| {
                     // A pebble cannot be received before being generated, so
-                    // the earliest acquisition across holders is the first
-                    // generation step.
-                    match trace.representatives(i, t) {
-                        unet_pebble::check::RepresentativeSet::Listed(hs) => hs
-                            .iter()
-                            .filter_map(|&q| {
-                                trace.acquisition_step(q, unet_pebble::protocol::Pebble::new(i, t))
-                            })
-                            .min()
-                            .unwrap_or(u32::MAX),
-                        unet_pebble::check::RepresentativeSet::All(_) => 0,
-                    }
+                    // the first acquisition is the first generation step.
+                    trace.acquisitions(i, t).next().map_or(u32::MAX, |(_, step)| step)
                 })
                 .collect()
         })

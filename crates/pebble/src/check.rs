@@ -14,13 +14,6 @@ use unet_topology::{Graph, Node};
 /// Why a protocol is invalid, with enough context to pinpoint the violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckError {
-    /// A step row does not have exactly `m` entries.
-    BadRowLength {
-        /// Host step index.
-        step: usize,
-        /// Observed row length.
-        got: usize,
-    },
     /// `Send` targets a processor that is not a host neighbour.
     SendToNonNeighbor {
         /// Host step index.
@@ -120,16 +113,19 @@ pub struct Trace {
     pub host_m: usize,
     /// Host steps `T'`.
     pub host_steps: usize,
-    /// `holders[idx(i, t)]` for `t ≥ 1`: hosts holding `(P_i, t)` at the end,
+    /// Custody in CSR form: the holders of pebble `idx(i, t)`, `t ≥ 1`,
+    /// are `holder_hosts[holder_offsets[idx]..holder_offsets[idx + 1]]`,
     /// in order of first acquisition.
-    holders: Vec<Vec<Node>>,
-    /// `generated_by[idx(i, t)]` for `t ≥ 1`: hosts that executed
-    /// `Generate((P_i, t))`, in execution order.
-    generated_by: Vec<Vec<Node>>,
-    /// Per-host: pebble key → host step of *first* acquisition (1-based:
-    /// a pebble acquired in step τ is usable from step τ+1; initial pebbles
-    /// are step 0).
-    acquired: Vec<FxHashMap<u64, u32>>,
+    holder_offsets: Vec<usize>,
+    holder_hosts: Vec<Node>,
+    /// Host step of each holder's *first* acquisition, parallel to
+    /// `holder_hosts` (1-based: a pebble acquired in step τ is usable from
+    /// step τ+1; initial pebbles are step 0).
+    holder_steps: Vec<u32>,
+    /// Hosts that executed `Generate((P_i, t))`, in execution order, laid
+    /// out like the holders.
+    generator_offsets: Vec<usize>,
+    generator_hosts: Vec<Node>,
 }
 
 impl Trace {
@@ -139,13 +135,19 @@ impl Trace {
         (i as usize) * self.guest_t as usize + (t as usize - 1)
     }
 
+    #[inline]
+    fn holder_range(&self, i: Node, t: u32) -> std::ops::Range<usize> {
+        let idx = self.idx(i, t);
+        self.holder_offsets[idx]..self.holder_offsets[idx + 1]
+    }
+
     /// The representatives `Q_S(i, t)`: hosts holding `(P_i, t)` at the end
     /// of the simulation. For `t = 0` every host qualifies (initial pebbles).
     pub fn representatives(&self, i: Node, t: u32) -> RepresentativeSet<'_> {
         if t == 0 {
             RepresentativeSet::All(self.host_m)
         } else {
-            RepresentativeSet::Listed(&self.holders[self.idx(i, t)])
+            RepresentativeSet::Listed(&self.holder_hosts[self.holder_range(i, t)])
         }
     }
 
@@ -162,12 +164,32 @@ impl Trace {
     /// generated; requires `t < T`.
     pub fn generators(&self, i: Node, t: u32) -> &[Node] {
         assert!(t < self.guest_t, "Q'_S(i, t) is defined for t < T");
-        &self.generated_by[self.idx(i, t + 1)]
+        self.generated_by(i, t + 1)
     }
 
     /// Hosts that executed `Generate((P_i, t))`, `t ≥ 1`.
     pub fn generated_by(&self, i: Node, t: u32) -> &[Node] {
-        &self.generated_by[self.idx(i, t)]
+        let idx = self.idx(i, t);
+        &self.generator_hosts[self.generator_offsets[idx]..self.generator_offsets[idx + 1]]
+    }
+
+    /// The holders of `(P_i, t)`, `t ≥ 1`, as `(host, step)` pairs in order
+    /// of first acquisition; `step` is the 1-based host step of the
+    /// acquisition (see [`Trace::acquisition_step`]). The first pair is the
+    /// pebble's first generation.
+    pub fn acquisitions(&self, i: Node, t: u32) -> impl ExactSizeIterator<Item = (Node, u32)> + '_ {
+        assert!(t >= 1, "initial pebbles are held by every host from step 0");
+        assert!(
+            t <= self.guest_t && (i as usize) < self.guest_n,
+            "pebble ({i}, {t}) lies outside the guest's n = {} nodes and T = {} steps",
+            self.guest_n,
+            self.guest_t
+        );
+        let range = self.holder_range(i, t);
+        self.holder_hosts[range.clone()]
+            .iter()
+            .copied()
+            .zip(self.holder_steps[range].iter().copied())
     }
 
     /// Host step (1-based) at which host `q` first acquired `(P_i, t)`;
@@ -176,7 +198,10 @@ impl Trace {
         if p.t == 0 {
             return Some(0);
         }
-        self.acquired[q as usize].get(&p.key()).copied()
+        if p.t > self.guest_t || p.node as usize >= self.guest_n {
+            return None;
+        }
+        self.acquisitions(p.node, p.t).find(|&(h, _)| h == q).map(|(_, step)| step)
     }
 
     /// Earliest host step after which a *generating* pebble of type
@@ -194,7 +219,7 @@ impl Trace {
     /// Total pebble-copy count `Σ_{i,t≥1} q_{i,t}` — the quantity the paper
     /// bounds by `m·T' = n·k·T` in Lemma 3.12.
     pub fn total_weight(&self) -> usize {
-        self.holders.iter().map(|h| h.len()).sum()
+        self.holder_hosts.len()
     }
 
     /// Sum of weights at a fixed guest time `t` (the `Σ_i q_{i,t}` that
@@ -260,11 +285,15 @@ impl RepresentativeSet<'_> {
 /// Section 3.1 pebble game, and return the custody [`Trace`].
 ///
 /// Rules enforced:
-/// 1. every step assigns exactly one op to each of the `m` processors;
+/// 1. each of the `m` processors does at most one op per step (idle when
+///    none is stored);
 /// 2. sends go to host neighbours, carry a held pebble, and pair with a
 ///    matching receive (one receive per processor per step);
 /// 3. generations have all predecessor pebbles present *before* the step;
 /// 4. every final pebble `(P_i, T)` is generated by the end.
+///
+/// Violations are reported in protocol order: the first offending op by
+/// step, then by ascending host.
 pub fn check(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, CheckError> {
     check_recorded(guest, host, proto, &mut NoopRecorder)
 }
@@ -272,8 +301,8 @@ pub fn check(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Che
 /// [`check`] with instrumentation. Emits, under the `pebble.check` span:
 ///
 /// * counters `pebble.ops.idle` / `.generate` / `.send` / `.recv` — the
-///   protocol's op mix (counted from the rows, so they are exact even when
-///   the replay rejects);
+///   protocol's op mix (counted from the protocol, so they are exact even
+///   when the replay rejects);
 /// * counter `pebble.acquisitions` — distinct (host, pebble) custody
 ///   records created (`Σ q_{i,t}`, the quantity of Lemma 3.12);
 /// * histogram `pebble.level_weight` — `Σ_i q_{i,t}` per guest level
@@ -292,31 +321,86 @@ pub fn check_recorded<REC: Recorder + ?Sized>(
     rec.span_start("pebble.check");
     let result = check_impl(guest, host, proto);
     rec.span_end("pebble.check");
-    let (mut idle, mut generate, mut send, mut recv) = (0u64, 0u64, 0u64, 0u64);
-    for row in &proto.steps {
-        for op in row {
-            match op {
-                Op::Idle => idle += 1,
-                Op::Generate(_) => generate += 1,
-                Op::Send { .. } => send += 1,
-                Op::Recv { .. } => recv += 1,
-            }
-        }
-    }
-    rec.counter("pebble.ops.idle", idle);
-    rec.counter("pebble.ops.generate", generate);
-    rec.counter("pebble.ops.send", send);
-    rec.counter("pebble.ops.recv", recv);
+    let (generate, send, recv, idle) = proto.op_histogram();
+    rec.counter("pebble.ops.idle", idle as u64);
+    rec.counter("pebble.ops.generate", generate as u64);
+    rec.counter("pebble.ops.send", send as u64);
+    rec.counter("pebble.ops.recv", recv as u64);
     if let Ok(trace) = &result {
         rec.counter("pebble.acquisitions", trace.total_weight() as u64);
         for t in 1..=trace.guest_t {
             rec.histogram("pebble.level_weight", trace.level_weight(t) as u64);
         }
-        for holders in &trace.holders {
-            rec.histogram("pebble.holders_per_pebble", holders.len() as u64);
+        for w in trace.holder_offsets.windows(2) {
+            rec.histogram("pebble.holders_per_pebble", (w[1] - w[0]) as u64);
         }
     }
     result
+}
+
+/// Custody during the replay: which `(host, pebble)` pairs with `t ≥ 1`
+/// have been acquired so far. One `u64` level mask per host, guest node and
+/// block of 64 guest levels, so the map holds at most one entry per
+/// acquisition and usually far fewer.
+struct Custody {
+    masks: FxHashMap<u64, u64>,
+    n: u64,
+    words: u64,
+}
+
+impl Custody {
+    fn new(n: usize, t_max: u32, m: usize) -> Self {
+        let words = u64::from(t_max / 64 + 1);
+        assert!(
+            (m as u64).checked_mul(n as u64).and_then(|x| x.checked_mul(words)).is_some(),
+            "custody keys of an {m}-host, {n}-guest, T = {t_max} protocol overflow u64"
+        );
+        Custody { masks: FxHashMap::default(), n: n as u64, words }
+    }
+
+    /// Map key and bit of a pebble already known to be in range.
+    #[inline]
+    fn slot(&self, q: Node, p: Pebble) -> (u64, u64) {
+        let key = (u64::from(q) * self.n + u64::from(p.node)) * self.words + u64::from(p.t / 64);
+        (key, 1 << (p.t % 64))
+    }
+
+    /// Whether `q` holds the in-range pebble `p` with `p.t ≥ 1`.
+    #[inline]
+    fn holds(&self, q: Node, p: Pebble) -> bool {
+        let (key, bit) = self.slot(q, p);
+        self.masks.get(&key).is_some_and(|&mask| mask & bit != 0)
+    }
+
+    /// Record that `q` holds `p`; `true` on the first acquisition.
+    #[inline]
+    fn acquire(&mut self, q: Node, p: Pebble) -> bool {
+        let (key, bit) = self.slot(q, p);
+        let mask = self.masks.entry(key).or_insert(0);
+        let fresh = *mask & bit == 0;
+        *mask |= bit;
+        fresh
+    }
+}
+
+/// Group `(pebble index, payload)` records by pebble with a stable
+/// counting sort: `emit(slot, payload)` places each payload so that every
+/// pebble's payloads are contiguous and in log order. Returns the
+/// per-pebble offsets into the slots (length `pebbles + 1`).
+fn csr<P: Copy>(pebbles: usize, log: &[(usize, P)], mut emit: impl FnMut(usize, P)) -> Vec<usize> {
+    let mut offsets = vec![0usize; pebbles + 1];
+    for &(idx, _) in log {
+        offsets[idx + 1] += 1;
+    }
+    for i in 0..pebbles {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets[..pebbles].to_vec();
+    for &(idx, payload) in log {
+        emit(cursor[idx], payload);
+        cursor[idx] += 1;
+    }
+    offsets
 }
 
 fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, CheckError> {
@@ -326,35 +410,32 @@ fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Ch
     assert_eq!(guest.n(), n, "guest graph size mismatch");
     assert_eq!(host.n(), m, "host graph size mismatch");
 
-    let mut trace = Trace {
-        guest_n: n,
-        guest_t: t_max,
-        host_m: m,
-        host_steps: proto.steps.len(),
-        holders: vec![Vec::new(); n * t_max as usize],
-        generated_by: vec![Vec::new(); n * t_max as usize],
-        acquired: vec![FxHashMap::default(); m],
+    let pebbles = n * t_max as usize;
+    let idx = |p: Pebble| (p.node as usize) * t_max as usize + (p.t as usize - 1);
+    let mut custody = Custody::new(n, t_max, m);
+    // Holding test with "strictly before this step" semantics: effects are
+    // applied only after every op of the step has been validated.
+    let held_before = |custody: &Custody, q: Node, p: Pebble| -> bool {
+        if p.node as usize >= n || p.t > t_max {
+            return false;
+        }
+        p.t == 0 || custody.holds(q, p)
     };
+    // (pebble index, (host, step)) per first acquisition, and
+    // (pebble index, host) per generation, in replay order.
+    let mut acquired: Vec<(usize, (Node, u32))> = Vec::new();
+    let mut generated: Vec<(usize, Node)> = Vec::new();
+    // The current step's ops by host, to pair sends with receives.
+    let mut row = vec![Op::Idle; m];
 
-    // Holding test: t = 0 pebbles are universal; otherwise look up the
-    // acquisition map with "strictly before this step" semantics.
-    let held_before =
-        |acquired: &Vec<FxHashMap<u64, u32>>, q: Node, p: Pebble, step: u32| -> bool {
-            if p.t == 0 {
-                return (p.node as usize) < n;
-            }
-            acquired[q as usize].get(&p.key()).is_some_and(|&s| s < step)
-        };
-
-    for (step0, row) in proto.steps.iter().enumerate() {
+    for (step0, ops) in proto.steps().enumerate() {
         let step = step0 as u32 + 1; // 1-based host time
-        if row.len() != m {
-            return Err(CheckError::BadRowLength { step: step0, got: row.len() });
+        for &(q, op) in ops {
+            row[q as usize] = op;
         }
         // Phase 1: validate every op against the *pre-step* state.
-        for (qi, op) in row.iter().enumerate() {
-            let q = qi as Node;
-            match *op {
+        for &(q, op) in ops {
+            match op {
                 Op::Idle => {}
                 Op::Generate(p) => {
                     if p.t == 0 || p.t > t_max || p.node as usize >= n {
@@ -365,7 +446,7 @@ fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Ch
                         });
                     }
                     let own = Pebble::new(p.node, p.t - 1);
-                    if !held_before(&trace.acquired, q, own, step) {
+                    if !held_before(&custody, q, own) {
                         return Err(CheckError::GenerateMissingPredecessor {
                             step: step0,
                             host: q,
@@ -375,7 +456,7 @@ fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Ch
                     }
                     for &nb in guest.neighbors(p.node) {
                         let pred = Pebble::new(nb, p.t - 1);
-                        if !held_before(&trace.acquired, q, pred, step) {
+                        if !held_before(&custody, q, pred) {
                             return Err(CheckError::GenerateMissingPredecessor {
                                 step: step0,
                                 host: q,
@@ -389,7 +470,7 @@ fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Ch
                     if !host.has_edge(q, to) {
                         return Err(CheckError::SendToNonNeighbor { step: step0, host: q, to });
                     }
-                    if !held_before(&trace.acquired, q, pebble, step) {
+                    if !held_before(&custody, q, pebble) {
                         return Err(CheckError::SendWithoutHolding {
                             step: step0,
                             host: q,
@@ -411,42 +492,52 @@ fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Ch
             }
         }
         // Phase 2: apply effects (pebbles become available *after* the step).
-        for (qi, op) in row.iter().enumerate() {
-            let q = qi as Node;
-            match *op {
+        for &(q, op) in ops {
+            let got = match op {
                 Op::Generate(p) => {
-                    record_acquisition(&mut trace, q, p, step);
-                    let idx = trace.idx(p.node, p.t);
-                    trace.generated_by[idx].push(q);
+                    generated.push((idx(p), q));
+                    p
                 }
-                Op::Recv { from } => {
-                    if let Op::Send { pebble, .. } = row[from as usize] {
-                        if pebble.t > 0 {
-                            record_acquisition(&mut trace, q, pebble, step);
-                        }
-                    }
-                }
-                _ => {}
+                Op::Recv { from } => match row[from as usize] {
+                    Op::Send { pebble, .. } if pebble.t > 0 => pebble,
+                    _ => continue,
+                },
+                _ => continue,
+            };
+            if custody.acquire(q, got) {
+                acquired.push((idx(got), (q, step)));
             }
+        }
+        for &(q, _) in ops {
+            row[q as usize] = Op::Idle;
         }
     }
 
-    // Final-pebble condition.
-    for i in 0..n as Node {
-        if trace.generated_by[trace.idx(i, t_max)].is_empty() {
+    let mut generator_hosts = vec![0; generated.len()];
+    let generator_offsets = csr(pebbles, &generated, |at, q| generator_hosts[at] = q);
+    // Final-pebble condition (vacuous for T = 0: the finals are initial).
+    for i in (0..n as Node).filter(|_| t_max > 0) {
+        let last = idx(Pebble::new(i, t_max));
+        if generator_offsets[last] == generator_offsets[last + 1] {
             return Err(CheckError::MissingFinalPebble { node: i });
         }
     }
-    Ok(trace)
-}
-
-fn record_acquisition(trace: &mut Trace, q: Node, p: Pebble, step: u32) {
-    let map = &mut trace.acquired[q as usize];
-    if let std::collections::hash_map::Entry::Vacant(e) = map.entry(p.key()) {
-        e.insert(step);
-        let idx = trace.idx(p.node, p.t);
-        trace.holders[idx].push(q);
-    }
+    let (mut holder_hosts, mut holder_steps) = (vec![0; acquired.len()], vec![0; acquired.len()]);
+    let holder_offsets = csr(pebbles, &acquired, |at, (q, step)| {
+        holder_hosts[at] = q;
+        holder_steps[at] = step;
+    });
+    Ok(Trace {
+        guest_n: n,
+        guest_t: t_max,
+        host_m: m,
+        host_steps: proto.host_steps(),
+        holder_offsets,
+        holder_hosts,
+        holder_steps,
+        generator_offsets,
+        generator_hosts,
+    })
 }
 
 #[cfg(test)]
@@ -623,8 +714,39 @@ mod tests {
         assert_eq!(trace.acquisition_step(0, Pebble::new(0, 1)), Some(1));
         assert_eq!(trace.acquisition_step(0, Pebble::new(0, 0)), Some(0));
         assert_eq!(trace.acquisition_step(0, Pebble::new(0, 2)), None);
+        // Holders in first-acquisition order, with their steps.
+        assert_eq!(trace.acquisitions(0, 1).collect::<Vec<_>>(), vec![(0, 1), (1, 4)]);
+        assert_eq!(trace.acquisitions(0, 2).collect::<Vec<_>>(), vec![(1, 7)]);
         // Earliest generating hold of (0,1): host 1 at step 4.
         assert_eq!(trace.earliest_generating_hold(0, 1), Some(4));
+    }
+
+    /// A checked two-step run on `ring(3) → complete(2)`: host 0 generates
+    /// every pebble of both levels.
+    fn two_level_trace() -> Trace {
+        let mut b = ProtocolBuilder::new(3, 2, 2);
+        for t in 1..=2u32 {
+            for i in 0..3u32 {
+                b.set_op(0, Op::Generate(Pebble::new(i, t)));
+                b.end_step();
+            }
+        }
+        check(&ring(3), &complete(2), &b.finish()).expect("valid")
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside")]
+    fn acquisitions_reject_steps_past_t() {
+        // (0, 3) would index into (1, 1)'s holders.
+        two_level_trace().acquisitions(0, 3).for_each(drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside")]
+    fn acquisitions_reject_nodes_past_n() {
+        let trace = two_level_trace();
+        assert_eq!(trace.acquisition_step(0, Pebble::new(3, 1)), None);
+        trace.acquisitions(3, 1).for_each(drop);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! Idle processors are simply omitted from their step. No external
 //! dependencies; round-trips exactly.
 
-use crate::protocol::{Op, Pebble, Protocol};
+use crate::protocol::{Op, Pebble, Protocol, ProtocolBuilder};
 use std::fmt::Write as _;
 
 /// Serialize to the text format.
@@ -27,10 +27,10 @@ pub fn to_text(proto: &Protocol) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "unetproto 1");
     let _ = writeln!(out, "n {} t {} m {}", proto.guest_n, proto.guest_t, proto.host_m);
-    for row in &proto.steps {
+    for row in proto.steps() {
         let _ = writeln!(out, "step");
-        for (q, op) in row.iter().enumerate() {
-            match *op {
+        for &(q, op) in row {
+            match op {
                 Op::Idle => {}
                 Op::Generate(p) => {
                     let _ = writeln!(out, "g {q} {} {}", p.node, p.t);
@@ -68,6 +68,18 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError { line, message: message.into() }
 }
 
+fn set_op(builder: &mut ProtocolBuilder, q: usize, op: Op, ln: usize) -> Result<(), ParseError> {
+    let m = builder.host_m();
+    if q >= m {
+        return Err(err(ln, format!("host {q} out of range (m = {m})")));
+    }
+    if !builder.is_free(q as u32) {
+        return Err(err(ln, format!("host {q} already has an op this step")));
+    }
+    builder.set_op(q as u32, op);
+    Ok(())
+}
+
 /// Parse the text format back into a [`Protocol`].
 pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
@@ -86,18 +98,8 @@ pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
     let n = parse_num(parts[1], ln)?;
     let t = parse_num(parts[3], ln)? as u32;
     let m = parse_num(parts[5], ln)?;
-    let mut proto = Protocol::new(n, t, m);
-    let mut current: Option<Vec<Op>> = None;
-    let set_op = |row: &mut Vec<Op>, q: usize, op: Op, ln: usize| -> Result<(), ParseError> {
-        if q >= m {
-            return Err(err(ln, format!("host {q} out of range (m = {m})")));
-        }
-        if !matches!(row[q], Op::Idle) {
-            return Err(err(ln, format!("host {q} already has an op this step")));
-        }
-        row[q] = op;
-        Ok(())
-    };
+    let mut builder = ProtocolBuilder::new(n, t, m);
+    let mut in_step = false;
     for (ln, line) in lines {
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -105,13 +107,15 @@ pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
         let mut it = line.split_whitespace();
         let tag = it.next().unwrap();
         if tag == "step" {
-            if let Some(row) = current.take() {
-                proto.push_step(row);
+            if in_step {
+                builder.end_step();
             }
-            current = Some(vec![Op::Idle; m]);
+            in_step = true;
             continue;
         }
-        let row = current.as_mut().ok_or_else(|| err(ln, "operation before first `step`"))?;
+        if !in_step {
+            return Err(err(ln, "operation before first `step`"));
+        }
         let mut next_num = |what: &str| -> Result<usize, ParseError> {
             it.next()
                 .ok_or_else(|| err(ln, format!("missing {what}")))
@@ -122,27 +126,27 @@ pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
                 let q = next_num("host")?;
                 let node = next_num("node")? as u32;
                 let pt = next_num("t")? as u32;
-                set_op(row, q, Op::Generate(Pebble::new(node, pt)), ln)?;
+                set_op(&mut builder, q, Op::Generate(Pebble::new(node, pt)), ln)?;
             }
             "s" => {
                 let q = next_num("host")?;
                 let to = next_num("to")? as u32;
                 let node = next_num("node")? as u32;
                 let pt = next_num("t")? as u32;
-                set_op(row, q, Op::Send { pebble: Pebble::new(node, pt), to }, ln)?;
+                set_op(&mut builder, q, Op::Send { pebble: Pebble::new(node, pt), to }, ln)?;
             }
             "r" => {
                 let q = next_num("host")?;
                 let from = next_num("from")? as u32;
-                set_op(row, q, Op::Recv { from }, ln)?;
+                set_op(&mut builder, q, Op::Recv { from }, ln)?;
             }
             other => return Err(err(ln, format!("unknown tag {other:?}"))),
         }
     }
-    if let Some(row) = current.take() {
-        proto.push_step(row);
+    if in_step {
+        builder.end_step();
     }
-    Ok(proto)
+    Ok(builder.finish())
 }
 
 #[cfg(test)]
@@ -182,7 +186,7 @@ mod tests {
         let text = "unetproto 1\nn 1 t 1 m 1\n\n# hi\nstep\ng 0 0 1\n";
         let p = from_text(text).unwrap();
         assert_eq!(p.host_steps(), 1);
-        assert_eq!(p.steps[0][0], Op::Generate(Pebble::new(0, 1)));
+        assert_eq!(p.op(0, 0), Op::Generate(Pebble::new(0, 1)));
     }
 
     #[test]

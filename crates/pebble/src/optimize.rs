@@ -13,7 +13,7 @@
 //! weight profile `q_{i,t}` is the "essential redundancy" of a simulation —
 //! the quantity the lower-bound's counting actually bites on.
 
-use crate::protocol::{Op, Pebble, Protocol};
+use crate::protocol::{Op, Pebble, Protocol, ProtocolBuilder};
 use unet_topology::util::{FxHashMap, FxHashSet};
 use unet_topology::{Graph, Node};
 
@@ -37,18 +37,17 @@ pub struct PruneStats {
 /// protocols is unspecified but memory-safe).
 pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
     let t_final = proto.guest_t;
-    let steps = &proto.steps;
     let busy_before = proto.busy_ops();
 
     // Designate the earliest generator of each final pebble.
     let mut designated: FxHashSet<(usize, Node)> = FxHashSet::default(); // (step, host)
     {
         let mut have: FxHashSet<Node> = FxHashSet::default();
-        for (si, row) in steps.iter().enumerate() {
-            for (q, op) in row.iter().enumerate() {
+        for (si, row) in proto.steps().enumerate() {
+            for &(q, op) in row {
                 if let Op::Generate(p) = op {
                     if p.t == t_final && have.insert(p.node) {
-                        designated.insert((si, q as Node));
+                        designated.insert((si, q));
                     }
                 }
             }
@@ -56,29 +55,32 @@ pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
     }
 
     // Backward demand analysis. demand[q] = pebbles that must be present at
-    // q strictly before the step currently being processed.
+    // q strictly before the step currently being processed. useful[e] marks
+    // the e-th stored op, counting over all steps in order.
     let mut demand: Vec<FxHashSet<u64>> = vec![FxHashSet::default(); proto.host_m];
-    let mut useful = vec![false; steps.len() * proto.host_m];
-    let idx = |si: usize, q: usize| si * proto.host_m + q;
+    let mut useful = vec![false; busy_before];
+    let mut end = busy_before;
 
-    for si in (0..steps.len()).rev() {
-        let row = &steps[si];
+    for si in (0..proto.host_steps()).rev() {
+        let row = proto.step(si);
+        let base = end - row.len();
+        end = base;
         // Phase 1: decide usefulness against demand-from-later, collecting
         // the new demands to apply afterwards (same-step effects must not
         // satisfy same-step requirements).
         let mut new_demands: Vec<(usize, u64)> = Vec::new();
-        for (q, op) in row.iter().enumerate() {
-            match *op {
+        for (k, &(q, op)) in row.iter().enumerate() {
+            match op {
                 Op::Generate(p) => {
                     let wanted =
-                        demand[q].remove(&p.key()) || designated.contains(&(si, q as Node));
+                        demand[q as usize].remove(&p.key()) || designated.contains(&(si, q));
                     if wanted {
-                        useful[idx(si, q)] = true;
+                        useful[base + k] = true;
                         // Preconditions: closed neighbourhood at t−1.
                         if p.t >= 2 {
-                            new_demands.push((q, Pebble::new(p.node, p.t - 1).key()));
+                            new_demands.push((q as usize, Pebble::new(p.node, p.t - 1).key()));
                             for &nb in guest.neighbors(p.node) {
-                                new_demands.push((q, Pebble::new(nb, p.t - 1).key()));
+                                new_demands.push((q as usize, Pebble::new(nb, p.t - 1).key()));
                             }
                         }
                     }
@@ -86,9 +88,12 @@ pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
                 Op::Send { pebble, to } => {
                     let wanted = pebble.t >= 1 && demand[to as usize].remove(&pebble.key());
                     if wanted {
-                        useful[idx(si, q)] = true;
-                        useful[idx(si, to as usize)] = true; // paired recv
-                        new_demands.push((q, pebble.key()));
+                        useful[base + k] = true;
+                        // The paired recv.
+                        if let Ok(r) = row.binary_search_by_key(&to, |&(h, _)| h) {
+                            useful[base + r] = true;
+                        }
+                        new_demands.push((q as usize, pebble.key()));
                     }
                 }
                 // Recv usefulness is set by its paired send.
@@ -108,21 +113,23 @@ pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
     );
 
     // Rebuild: strip useless ops, drop all-idle steps.
-    let mut out = Protocol::new(proto.guest_n, t_final, proto.host_m);
-    for (si, row) in steps.iter().enumerate() {
-        let new_row: Vec<Op> = row
-            .iter()
-            .enumerate()
-            .map(|(q, op)| if useful[idx(si, q)] { *op } else { Op::Idle })
-            .collect();
-        if new_row.iter().any(|op| !matches!(op, Op::Idle)) {
-            out.push_step(new_row);
+    let mut out = ProtocolBuilder::new(proto.guest_n, t_final, proto.host_m);
+    let mut base = 0;
+    for row in proto.steps() {
+        let keep = &useful[base..base + row.len()];
+        base += row.len();
+        for (&(q, op), _) in row.iter().zip(keep).filter(|(_, &k)| k) {
+            out.set_op(q, op);
+        }
+        if keep.contains(&true) {
+            out.end_step();
         }
     }
+    let out = out.finish();
     let stats = PruneStats {
         busy_before,
         busy_after: out.busy_ops(),
-        steps_before: steps.len(),
+        steps_before: proto.host_steps(),
         steps_after: out.host_steps(),
     };
     (out, stats)
@@ -175,8 +182,8 @@ mod tests {
         assert_eq!(stats.busy_before, 12);
         assert_eq!(stats.busy_after, 6);
         assert_eq!(stats.steps_after, 6);
-        for row in &pruned.steps {
-            assert!(matches!(row[1], Op::Idle));
+        for tau in 0..pruned.host_steps() {
+            assert_eq!(pruned.op(tau, 1), Op::Idle);
         }
     }
 

@@ -66,8 +66,13 @@ pub enum Op {
     },
 }
 
-/// A complete simulation protocol: `steps[τ][q]` is the operation of host
-/// processor `q` at host time `τ`. All rows have length `m` (host size).
+/// A complete simulation protocol: for every host step `τ < T'` and every
+/// host processor `q < m`, the operation [`Protocol::op`]`(τ, q)`.
+///
+/// Only non-idle operations are stored: one flat list of `(host, op)`
+/// entries ordered by step, then by ascending host, plus the end offset of
+/// each step. A host with no entry in a step is idle. The layout is
+/// canonical, so equal protocols compare `==` however they were built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Protocol {
     /// Number of guest processors `n`.
@@ -76,29 +81,61 @@ pub struct Protocol {
     pub guest_t: u32,
     /// Number of host processors `m`.
     pub host_m: usize,
-    /// `steps[τ][q]`: op of host `q` at host step `τ`; `steps.len() = T'`.
-    pub steps: Vec<Vec<Op>>,
+    /// Non-idle ops, grouped by step, ascending host within a step.
+    ops: Vec<(Node, Op)>,
+    /// `ends[τ]`: end offset of step `τ` in `ops`; `ends.len() = T'`.
+    ends: Vec<usize>,
 }
 
 impl Protocol {
     /// Empty protocol skeleton.
     pub fn new(guest_n: usize, guest_t: u32, host_m: usize) -> Self {
-        Protocol { guest_n, guest_t, host_m, steps: Vec::new() }
+        Protocol { guest_n, guest_t, host_m, ops: Vec::new(), ends: Vec::new() }
     }
 
     /// Host time `T'`.
     #[inline]
     pub fn host_steps(&self) -> usize {
-        self.steps.len()
+        self.ends.len()
     }
 
-    /// Append one host step of `m` operations.
+    /// The non-idle ops of host step `τ`, in ascending host order.
+    ///
+    /// # Panics
+    /// Panics if `τ ≥ T'`.
+    #[inline]
+    pub fn step(&self, tau: usize) -> &[(Node, Op)] {
+        let start = if tau == 0 { 0 } else { self.ends[tau - 1] };
+        &self.ops[start..self.ends[tau]]
+    }
+
+    /// The non-idle ops of every host step, in step order.
+    pub fn steps(&self) -> impl ExactSizeIterator<Item = &[(Node, Op)]> + '_ {
+        (0..self.host_steps()).map(|tau| self.step(tau))
+    }
+
+    /// Op of host `q` at host step `τ` (`Idle` when none is stored).
+    ///
+    /// # Panics
+    /// Panics if `τ ≥ T'`.
+    pub fn op(&self, tau: usize, q: Node) -> Op {
+        let row = self.step(tau);
+        row.binary_search_by_key(&q, |&(h, _)| h).map_or(Op::Idle, |at| row[at].1)
+    }
+
+    /// Append one host step given densely: `ops[q]` is host `q`'s op.
     ///
     /// # Panics
     /// Panics if `ops.len() != m`.
-    pub fn push_step(&mut self, ops: Vec<Op>) {
+    pub fn push_step(&mut self, ops: &[Op]) {
         assert_eq!(ops.len(), self.host_m, "step must cover every host processor");
-        self.steps.push(ops);
+        self.ops.extend(
+            ops.iter()
+                .enumerate()
+                .filter(|(_, op)| !matches!(op, Op::Idle))
+                .map(|(q, &op)| (q as Node, op)),
+        );
+        self.ends.push(self.ops.len());
     }
 
     /// Slowdown `s = T' / T` as a rational (numerator, denominator) and as
@@ -116,32 +153,37 @@ impl Protocol {
     /// Total number of host operations that are not `Idle` — an upper bound
     /// on the number of pebbles handled, used by Lemma 3.12's averaging
     /// (`Σ q_{i,t} ≤ m·T'`).
+    #[inline]
     pub fn busy_ops(&self) -> usize {
-        self.steps.iter().flat_map(|row| row.iter()).filter(|op| !matches!(op, Op::Idle)).count()
+        self.ops.len()
     }
 
-    /// Count of operations by kind `(generate, send, recv, idle)`.
+    /// Count of operations by kind `(generate, send, recv, idle)`; idle is
+    /// `m·T' − busy_ops()`.
     pub fn op_histogram(&self) -> (usize, usize, usize, usize) {
-        let mut h = (0, 0, 0, 0);
-        for op in self.steps.iter().flat_map(|r| r.iter()) {
+        let mut h = (0, 0, 0, self.host_m * self.host_steps() - self.busy_ops());
+        for (_, op) in &self.ops {
             match op {
                 Op::Generate(_) => h.0 += 1,
                 Op::Send { .. } => h.1 += 1,
                 Op::Recv { .. } => h.2 += 1,
-                Op::Idle => h.3 += 1,
+                Op::Idle => unreachable!("idle ops are never stored"),
             }
         }
         h
     }
 }
 
-/// Mutable builder used by the simulators: collects per-host op queues and
-/// flushes them into aligned [`Protocol`] rows.
+/// Mutable builder used by the simulators: collects the current step's ops
+/// in one `m`-slot scratch row and appends the touched hosts, in ascending
+/// order, to the [`Protocol`] at every [`ProtocolBuilder::end_step`].
 #[derive(Debug)]
 pub struct ProtocolBuilder {
     proto: Protocol,
     /// Ops queued for the *current* host step, one slot per host.
     current: Vec<Op>,
+    /// Hosts given a non-idle op in the current step.
+    touched: Vec<Node>,
     dirty: bool,
 }
 
@@ -151,6 +193,7 @@ impl ProtocolBuilder {
         ProtocolBuilder {
             proto: Protocol::new(guest_n, guest_t, host_m),
             current: vec![Op::Idle; host_m],
+            touched: Vec::new(),
             dirty: false,
         }
     }
@@ -169,6 +212,9 @@ impl ProtocolBuilder {
         let slot = &mut self.current[q as usize];
         assert!(matches!(slot, Op::Idle), "host {q} already has an op this step: {slot:?}");
         *slot = op;
+        if !matches!(op, Op::Idle) {
+            self.touched.push(q);
+        }
         self.dirty = true;
     }
 
@@ -179,11 +225,15 @@ impl ProtocolBuilder {
 
     /// Close the current host step (even if fully idle) and start a new one.
     pub fn end_step(&mut self) {
-        let row = std::mem::replace(&mut self.current, vec![Op::Idle; self.proto.host_m]);
-        self.proto.push_step(row);
+        self.touched.sort_unstable();
+        for &q in &self.touched {
+            let op = std::mem::replace(&mut self.current[q as usize], Op::Idle);
+            self.proto.ops.push((q, op));
+        }
+        self.touched.clear();
+        self.proto.ends.push(self.proto.ops.len());
         self.dirty = false;
     }
-
     /// Convenience: schedule a paired send/recv in the current step.
     ///
     /// # Panics
@@ -205,6 +255,8 @@ impl ProtocolBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::{from_text, to_text};
+    use proptest::prelude::*;
 
     #[test]
     fn pebble_key_roundtrip() {
@@ -215,8 +267,8 @@ mod tests {
     #[test]
     fn protocol_metrics() {
         let mut p = Protocol::new(4, 2, 2);
-        p.push_step(vec![Op::Generate(Pebble::new(0, 1)), Op::Idle]);
-        p.push_step(vec![Op::Send { pebble: Pebble::new(0, 1), to: 1 }, Op::Recv { from: 0 }]);
+        p.push_step(&[Op::Generate(Pebble::new(0, 1)), Op::Idle]);
+        p.push_step(&[Op::Send { pebble: Pebble::new(0, 1), to: 1 }, Op::Recv { from: 0 }]);
         assert_eq!(p.host_steps(), 2);
         assert_eq!(p.slowdown(), 1.0);
         assert_eq!(p.inefficiency(), 0.5);
@@ -228,7 +280,7 @@ mod tests {
     #[should_panic(expected = "must cover every host")]
     fn wrong_row_length_rejected() {
         let mut p = Protocol::new(4, 2, 3);
-        p.push_step(vec![Op::Idle]);
+        p.push_step(&[Op::Idle]);
     }
 
     #[test]
@@ -239,9 +291,10 @@ mod tests {
         b.transfer(0, 1, Pebble::new(0, 1));
         let proto = b.finish();
         assert_eq!(proto.host_steps(), 2);
-        assert_eq!(proto.steps[1][0], Op::Send { pebble: Pebble::new(0, 1), to: 1 });
-        assert_eq!(proto.steps[1][1], Op::Recv { from: 0 });
-        assert_eq!(proto.steps[1][2], Op::Idle);
+        assert_eq!(proto.op(1, 0), Op::Send { pebble: Pebble::new(0, 1), to: 1 });
+        assert_eq!(proto.op(1, 1), Op::Recv { from: 0 });
+        assert_eq!(proto.op(1, 2), Op::Idle);
+        assert_eq!(proto.step(1).len(), 2);
     }
 
     #[test]
@@ -264,5 +317,63 @@ mod tests {
     fn builder_empty_protocol() {
         let proto = ProtocolBuilder::new(2, 1, 1).finish();
         assert_eq!(proto.host_steps(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The same ops give `==` protocols and byte-identical text whether
+        /// they come from dense rows, from the builder (hosts set in
+        /// descending order, idle hosts set explicitly) or from the text
+        /// format; idles are never stored.
+        #[test]
+        fn one_canonical_form(
+            rows in prop::collection::vec(prop::collection::vec((0u8..4, 0u32..6, 0u32..5), 5), 0..8),
+        ) {
+            let m = 5;
+            let dense: Vec<Vec<Op>> = rows
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|&(kind, a, b)| match kind {
+                            0 => Op::Idle,
+                            1 => Op::Generate(Pebble::new(a, b)),
+                            2 => Op::Send { pebble: Pebble::new(a, b), to: b % m as Node },
+                            _ => Op::Recv { from: a % m as Node },
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut from_rows = Protocol::new(6, 4, m);
+            let mut b = ProtocolBuilder::new(6, 4, m);
+            for row in &dense {
+                from_rows.push_step(row);
+                for q in (0..m).rev() {
+                    b.set_op(q as Node, row[q]);
+                }
+                b.end_step();
+            }
+            let built = b.finish();
+            let text = to_text(&from_rows);
+            let parsed = from_text(&text).expect("own text parses");
+            prop_assert_eq!(&built, &from_rows);
+            prop_assert_eq!(&parsed, &from_rows);
+            prop_assert_eq!(to_text(&built), text.clone());
+            prop_assert_eq!(to_text(&parsed), text);
+
+            prop_assert_eq!(from_rows.host_steps(), dense.len());
+            let mut busy = 0;
+            for (tau, row) in dense.iter().enumerate() {
+                prop_assert!(from_rows.step(tau).iter().all(|(_, op)| !matches!(op, Op::Idle)));
+                for (q, &op) in row.iter().enumerate() {
+                    prop_assert_eq!(from_rows.op(tau, q as Node), op);
+                    busy += usize::from(!matches!(op, Op::Idle));
+                }
+            }
+            prop_assert_eq!(from_rows.busy_ops(), busy);
+            let (generate, send, recv, idle) = from_rows.op_histogram();
+            prop_assert_eq!(generate + send + recv, busy);
+            prop_assert_eq!(idle, m * from_rows.host_steps() - from_rows.busy_ops());
+        }
     }
 }

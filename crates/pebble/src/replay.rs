@@ -74,16 +74,17 @@ impl Iterator for Replay<'_> {
     type Item = StepSummary;
 
     fn next(&mut self) -> Option<StepSummary> {
-        let row = self.proto.steps.get(self.step)?;
+        if self.step >= self.proto.host_steps() {
+            return None;
+        }
+        let row = self.proto.step(self.step);
         let mut generated = Vec::new();
         let mut transferred = Vec::new();
-        let mut idle = 0usize;
-        for (q, op) in row.iter().enumerate() {
-            match *op {
-                Op::Idle => idle += 1,
-                Op::Generate(p) => generated.push((q as Node, p)),
-                Op::Send { pebble, to } => transferred.push((q as Node, to, pebble)),
-                Op::Recv { .. } => {}
+        for &(q, op) in row {
+            match op {
+                Op::Idle | Op::Recv { .. } => {}
+                Op::Generate(p) => generated.push((q, p)),
+                Op::Send { pebble, to } => transferred.push((q, to, pebble)),
             }
         }
         // Apply effects.
@@ -102,7 +103,7 @@ impl Iterator for Replay<'_> {
             step: self.step,
             generated,
             transferred,
-            idle,
+            idle: self.proto.host_m - row.len(),
             custody: self.custody,
             frontier_level: self.frontier,
         };

@@ -49,9 +49,14 @@ impl Hasher for FxHasher {
     fn write_usize(&mut self, i: usize) {
         self.add_to_hash(i as u64);
     }
+    /// The multiply mixes a key bit only into the bits above it, while
+    /// `HashMap` picks buckets from the low bits and tags from the top 7:
+    /// fold the high half into the low half, so keys differing only above
+    /// bit 32 — a `node << 32 | t` pebble key — still spread over buckets,
+    /// and the top bits stay as mixed as the product's.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ (self.hash >> 32)
     }
 }
 
@@ -146,6 +151,14 @@ mod tests {
         let h1 = bh.hash_one(1u64);
         let h2 = bh.hash_one(2u64);
         assert_ne!(h1, h2);
+    }
+
+    #[test]
+    fn fx_hash_low_bits_see_high_key_bits() {
+        let bh: BuildHasherDefault<FxHasher> = Default::default();
+        let low: std::collections::HashSet<u64> =
+            (0..4096u64).map(|i| bh.hash_one((i << 32) | 1) & 0xfff).collect();
+        assert!(low.len() >= 4000, "only {} distinct low-12-bit hashes", low.len());
     }
 
     #[test]

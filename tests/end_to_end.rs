@@ -212,7 +212,7 @@ fn exotic_hosts_also_work() {
 fn protocol_mutations_are_caught() {
     // Failure injection: take a valid protocol and corrupt it in every
     // structural way; the checker must reject each mutation.
-    use universal_networks::pebble::{Op, Pebble};
+    use universal_networks::pebble::{Op, Pebble, Protocol, ProtocolBuilder};
     let guest = ring(16);
     let host = torus(2, 2);
     let comp = GuestComputation::random(guest.clone(), 10);
@@ -228,52 +228,56 @@ fn protocol_mutations_are_caught() {
         .expect("configuration is valid");
     assert!(check(&guest, &host, &run.protocol).is_ok());
 
-    // 1. Drop a receive (orphans its paired send).
-    let mut p1 = run.protocol.clone();
-    'outer: for row in p1.steps.iter_mut() {
-        for op in row.iter_mut() {
-            if matches!(op, Op::Recv { .. }) {
-                *op = Op::Idle;
-                break 'outer;
-            }
+    // Each forgery re-emits the valid protocol through the builder, passing
+    // every stored op through an edit (`Op::Idle` drops it).
+    fn forge(p: &Protocol, first: Option<Op>, mut edit: impl FnMut(Op) -> Op) -> Protocol {
+        let mut b = ProtocolBuilder::new(p.guest_n, p.guest_t, p.host_m);
+        if let Some(op) = first {
+            b.set_op(0, op);
+            b.end_step();
         }
+        for row in p.steps() {
+            for &(q, op) in row {
+                b.set_op(q, edit(op));
+            }
+            b.end_step();
+        }
+        b.finish()
     }
+
+    // 1. Drop a receive (orphans its paired send).
+    let mut dropped = false;
+    let p1 = forge(&run.protocol, None, |op| match op {
+        Op::Recv { .. } if !dropped => {
+            dropped = true;
+            Op::Idle
+        }
+        op => op,
+    });
     assert!(check(&guest, &host, &p1).is_err(), "dropped recv must fail");
 
     // 2. Forge a generate with missing predecessors: prepend a step that
     //    generates (P0, 2) before any level-1 pebble exists.
-    let mut p2 = run.protocol.clone();
-    let mut forged = vec![Op::Idle; 4];
-    forged[0] = Op::Generate(Pebble::new(0, 2));
-    p2.steps.insert(0, forged);
+    let p2 = forge(&run.protocol, Some(Op::Generate(Pebble::new(0, 2))), |op| op);
     assert!(check(&guest, &host, &p2).is_err(), "forged generate must fail");
 
     // 3. Remove a final generation entirely.
-    let mut p3 = run.protocol.clone();
-    for row in p3.steps.iter_mut() {
-        for op in row.iter_mut() {
-            if matches!(op, Op::Generate(p) if p.t == 2 && p.node == 5) {
-                *op = Op::Idle;
-            }
-        }
-    }
+    let p3 = forge(&run.protocol, None, |op| match op {
+        Op::Generate(p) if p.t == 2 && p.node == 5 => Op::Idle,
+        op => op,
+    });
     assert!(check(&guest, &host, &p3).is_err(), "missing final must fail");
 
-    // 4. Redirect a send to a non-neighbour.
-    let mut p4 = run.protocol.clone();
-    'outer2: for row in p4.steps.iter_mut() {
-        for op in row.iter_mut() {
-            if let Op::Send { to, .. } = op {
-                // Torus(2,2) is complete-ish (K4 minus nothing? 2×2 torus is
-                // 2-regular: 0-1, 0-2 edges; 0-3 is NOT an edge).
-                *to = 3;
-                if let Op::Send { pebble, .. } = *op {
-                    let _ = pebble;
-                }
-                break 'outer2;
-            }
+    // 4. Redirect a send to a non-neighbour. Torus(2,2) is 2-regular with
+    //    edges 0-1 and 0-2; 0-3 is NOT an edge.
+    let mut redirected = false;
+    let p4 = forge(&run.protocol, None, |op| match op {
+        Op::Send { pebble, .. } if !redirected => {
+            redirected = true;
+            Op::Send { pebble, to: 3 }
         }
-    }
+        op => op,
+    });
     // Either unmatched or non-neighbour — both are rejections.
     assert!(check(&guest, &host, &p4).is_err(), "redirected send must fail");
 }

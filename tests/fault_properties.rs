@@ -130,7 +130,7 @@ proptest! {
         };
         let a = sim.simulate(&comp, &host, steps, &mut seeded_rng(seed)).unwrap();
         let b = sim.simulate(&comp, &host, steps, &mut seeded_rng(seed)).unwrap();
-        prop_assert_eq!(&a.run.protocol.steps, &b.run.protocol.steps);
+        prop_assert_eq!(&a.run.protocol, &b.run.protocol);
         prop_assert_eq!(&a.fault_log, &b.fault_log);
         prop_assert_eq!(&a.run.final_states, &b.run.final_states);
         prop_assert_eq!(a.replayed, b.replayed);

@@ -50,10 +50,11 @@ fn ten_percent_crashes_on_butterfly_certify_and_reproduce() {
 
     // Crash-stop means *stop*: from its death step on, a dead host only
     // ever holds Idle ops.
+    let proto = &run.run.protocol;
     for &(q, step) in &run.dead_at {
-        for (i, row) in run.run.protocol.steps.iter().enumerate().skip(step as usize) {
+        for i in step as usize..proto.host_steps() {
             assert_eq!(
-                row[q as usize],
+                proto.op(i, q),
                 Op::Idle,
                 "dead host {q} acted at protocol step {i} (died at {step})"
             );

@@ -244,7 +244,7 @@ proptest! {
         seed in 0u64..500,
         mutations in prop::collection::vec((0usize..10_000, 0u8..4, 0u32..64, 0u32..8), 1..6),
     ) {
-        use universal_networks::pebble::{Op, Pebble};
+        use universal_networks::pebble::{Op, Pebble, Protocol};
         let n = 16;
         let guest = ring(n);
         let host = torus(2, 2);
@@ -259,17 +259,24 @@ proptest! {
             .seed(seed)
             .run()
             .expect("configuration is valid");
-        let mut proto = run.protocol;
+        // Mutate dense rows, then rebuild the protocol from them.
+        let valid = run.protocol;
+        let steps = valid.host_steps();
+        let mut rows: Vec<Vec<Op>> =
+            (0..steps).map(|s| (0..4).map(|q| valid.op(s, q)).collect()).collect();
         for &(pos, kind, a, b) in &mutations {
-            let steps = proto.steps.len();
             let row = pos % steps;
             let q = (pos / steps) % 4;
-            proto.steps[row][q] = match kind {
+            rows[row][q] = match kind {
                 0 => Op::Idle,
                 1 => Op::Generate(Pebble::new(a % 20, b % 4)), // may be out of range
                 2 => Op::Send { pebble: Pebble::new(a % 20, b % 4), to: (a % 5) % 4 },
                 _ => Op::Recv { from: (b % 4) },
             };
+        }
+        let mut proto = Protocol::new(valid.guest_n, valid.guest_t, valid.host_m);
+        for row in &rows {
+            proto.push_step(row);
         }
         let v1 = check(&guest, &host, &proto).is_ok();
         let v2 = check(&guest, &host, &proto).is_ok();
