@@ -158,7 +158,7 @@ pub struct PathSegment {
 /// The finished product of a streaming pass over one trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
-    /// Schema the trace declared (current or legacy).
+    /// Schema the trace declared (always the current [`SCHEMA`]).
     pub schema: String,
     /// The trace's `meta` record.
     pub meta: RunMeta,
@@ -170,14 +170,15 @@ pub struct Analysis {
     pub gauges: BTreeMap<String, f64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Sample series aggregates by name (empty for `/1`//`2` traces).
+    /// Sample series aggregates by name (empty when the trace has no
+    /// `sample` records).
     pub series: BTreeMap<String, SeriesSummary>,
     /// `(total ns, completions)` per span name.
     pub span_totals: BTreeMap<String, (u64, u64)>,
     /// Fault events per op name (`inject` / `repair` / `remap`).
     pub fault_counts: BTreeMap<&'static str, u64>,
-    /// Per-stage aggregate over sampled request records (empty for
-    /// pre-`/4` traces).
+    /// Per-stage aggregate over sampled request records (empty when the
+    /// trace has none).
     pub requests: RequestAgg,
     /// Critical path: the longest top-level span and, at every level, its
     /// longest direct child. Empty when the trace has no spans.
@@ -194,8 +195,7 @@ impl Analysis {
         Some((h.percentile(0.5)?, h.percentile(0.9)?, h.percentile(0.99)?))
     }
 
-    /// Aggregate counters — the invariant checked by the schema-migration
-    /// test: a `/2` trace and its `/3` re-export must agree on these.
+    /// A counter total by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
     }
@@ -593,7 +593,7 @@ pub fn render(a: &Analysis, top_k: usize, markdown: bool) -> String {
 mod tests {
     use super::*;
     use crate::recorder::{edge_key, InMemoryRecorder, Recorder};
-    use crate::trace::{export, RunMeta, LEGACY_SCHEMAS};
+    use crate::trace::{export, RunMeta};
 
     fn meta_line() -> String {
         format!(
@@ -706,13 +706,11 @@ mod tests {
         let bad = meta_line().replace(SCHEMA, "unet-trace/99");
         assert!(a.feed_line(&bad, 1).unwrap_err().contains("unsupported schema"));
 
-        // Legacy schemas are accepted.
-        for legacy in LEGACY_SCHEMAS {
+        // So are the retired ones.
+        for retired in ["unet-trace/1", "unet-trace/2", "unet-trace/3"] {
             let mut a = TraceAnalyzer::new();
-            a.feed_line(&meta_line().replace(SCHEMA, legacy), 1).unwrap();
-            let out = a.finish().unwrap();
-            assert_eq!(out.schema, legacy);
-            assert!(out.series.is_empty());
+            let old = meta_line().replace(SCHEMA, retired);
+            assert!(a.feed_line(&old, 1).unwrap_err().contains("unsupported schema"));
         }
     }
 
@@ -805,7 +803,8 @@ mod tests {
 
     #[test]
     fn render_reports_empty_congestion_for_legacy_traces() {
-        let a = analyze_str(&meta_line().replace(SCHEMA, "unet-trace/1")).unwrap();
+        // A current-schema trace with no sample records.
+        let a = analyze_str(&meta_line()).unwrap();
         let text = render(&a, 5, false);
         assert!(text.contains("no sample series"), "{text}");
         let md = render(&a, 5, true);

@@ -26,22 +26,16 @@
 //! `fault` records, `/3` added per-step `sample` records (edge
 //! utilization and queue depth, keyed by [`crate::recorder::edge_key`] or
 //! node id), and `/4` adds per-request `request` records (one traced
-//! request's stage spans through the serving tier). All four are accepted
-//! by [`parse_trace`]; writers always emit the current [`SCHEMA`]. An
-//! older trace simply has no `sample` / `request` lines — readers see
-//! empty congestion series and an empty request table.
+//! request's stage spans through the serving tier). [`parse_trace`] reads
+//! only the current [`SCHEMA`], which writers always emit; a document
+//! declaring any other schema, the older three included, gets a typed
+//! `unsupported schema` error.
 
 use crate::json::{parse, Value};
 use crate::recorder::{Histogram, InMemoryRecorder, SpanEvent};
 
 /// Trace schema identifier written into `meta` lines.
 pub const SCHEMA: &str = "unet-trace/4";
-
-/// Older schema versions [`parse_trace`] still reads. `/1` is the original
-/// record set; `/2` added `fault` records and `/3` added `sample` records
-/// without changing any existing record shape. None carries `request`
-/// records.
-pub const LEGACY_SCHEMAS: [&str; 3] = ["unet-trace/1", "unet-trace/2", "unet-trace/3"];
 
 /// Identity of a traced run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -506,12 +500,10 @@ pub(crate) fn field_str(v: &Value, key: &str, line: usize) -> Result<String, Str
         .ok_or_else(|| format!("line {line}: missing/invalid string field {key:?}"))
 }
 
-/// Reject schemas that are neither current nor legacy.
+/// Reject every schema but the current one.
 pub(crate) fn check_schema(schema: &str) -> Result<(), String> {
-    if schema != SCHEMA && !LEGACY_SCHEMAS.contains(&schema) {
-        return Err(format!(
-            "unsupported schema {schema:?} (expected {SCHEMA:?} or a legacy version {LEGACY_SCHEMAS:?})"
-        ));
+    if schema != SCHEMA {
+        return Err(format!("unsupported schema {schema:?} (expected {SCHEMA:?})"));
     }
     Ok(())
 }
@@ -848,20 +840,6 @@ mod tests {
         assert_eq!((util[0].step, util[0].key, util[0].value), (0, edge_key(3, 5), 2));
         let depth: Vec<_> = doc.samples_named("route.queue_depth").collect();
         assert_eq!((depth[0].step, depth[0].key, depth[0].value), (1, 5, 4));
-
-        // A /1 or /2 meta parses through the same reader, with no samples.
-        for legacy in LEGACY_SCHEMAS {
-            let legacy_text = text
-                .replace(SCHEMA, legacy)
-                .lines()
-                .filter(|l| !l.contains("\"sample\""))
-                .collect::<Vec<_>>()
-                .join("\n");
-            let legacy_doc = parse_trace(&legacy_text)
-                .unwrap_or_else(|e| panic!("legacy {legacy} must parse: {e}"));
-            assert!(legacy_doc.samples.is_empty());
-            assert_eq!(legacy_doc.counter("route.transfers"), doc.counter("route.transfers"));
-        }
     }
 
     fn sample_requests() -> Vec<RequestRecord> {
@@ -920,26 +898,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_migration_fixture_parses_with_identical_aggregates() {
-        // The PR 5 pattern: a trace written by the previous schema version
-        // (samples, no request records) must parse through the current
-        // reader with identical aggregates.
-        use crate::recorder::edge_key;
-        let mut rec = sample_recorder();
-        rec.sample("route.edge_util", 0, edge_key(3, 5), 2);
-        let current = export(&rec, &sample_meta(), None);
-        let v3_fixture = current.replace(SCHEMA, "unet-trace/3");
-        let doc = parse_trace(&v3_fixture).expect("v3 fixture parses");
-        let now = parse_trace(&current).expect("current parses");
-        assert!(doc.requests.is_empty(), "a /3 trace has no request records");
-        assert_eq!(doc.counters, now.counters);
-        assert_eq!(doc.samples, now.samples);
-        assert_eq!(doc.span_totals(), now.span_totals());
-    }
-
-    #[test]
     fn unbalanced_traces_rejected() {
-        let meta = "{\"type\":\"meta\",\"schema\":\"unet-trace/1\",\"command\":\"c\",\"guest\":\"g\",\"host\":\"h\",\"n\":1,\"m\":1,\"guest_steps\":1}";
+        let meta = format!(
+            "{{\"type\":\"meta\",\"schema\":\"{SCHEMA}\",\"command\":\"c\",\"guest\":\"g\",\"host\":\"h\",\"n\":1,\"m\":1,\"guest_steps\":1}}"
+        );
         let start = "{\"type\":\"span\",\"op\":\"start\",\"name\":\"a\",\"ns\":1}";
         let end_b = "{\"type\":\"span\",\"op\":\"end\",\"name\":\"b\",\"ns\":2}";
         let end_a = "{\"type\":\"span\",\"op\":\"end\",\"name\":\"a\",\"ns\":2}";
@@ -961,7 +923,9 @@ mod tests {
 
     #[test]
     fn malformed_lines_rejected() {
-        let meta = "{\"type\":\"meta\",\"schema\":\"unet-trace/1\",\"command\":\"c\",\"guest\":\"g\",\"host\":\"h\",\"n\":1,\"m\":1,\"guest_steps\":1}";
+        let meta = format!(
+            "{{\"type\":\"meta\",\"schema\":\"{SCHEMA}\",\"command\":\"c\",\"guest\":\"g\",\"host\":\"h\",\"n\":1,\"m\":1,\"guest_steps\":1}}"
+        );
         assert!(parse_trace("").is_err());
         assert!(parse_trace("not json\n").is_err());
         assert!(parse_trace(&format!("{meta}\n{{\"type\":\"mystery\"}}\n")).is_err());
@@ -971,8 +935,12 @@ mod tests {
         assert!(parse_trace(&format!("{meta}\n{bad_hist}\n"))
             .unwrap_err()
             .contains("bucket total"));
-        // Wrong schema.
-        let bad_meta = meta.replace("unet-trace/1", "unet-trace/9");
-        assert!(parse_trace(&format!("{bad_meta}\n")).unwrap_err().contains("unsupported schema"));
+        // Wrong schema: an unknown one, and a retired one.
+        for schema in ["unet-trace/9", "unet-trace/3"] {
+            let bad_meta = meta.replace(SCHEMA, schema);
+            assert!(parse_trace(&format!("{bad_meta}\n"))
+                .unwrap_err()
+                .contains("unsupported schema"));
+        }
     }
 }

@@ -1,0 +1,512 @@
+//! The connection front both serving tiers share: `unet serve` and the
+//! `unet shard` router differ only in how they answer a request line.
+//!
+//! * **Acceptor** — polls a non-blocking [`TcpListener`] every 5 ms.
+//!   Every accepted connection must take one of `queue_cap` connection
+//!   slots; with none free it gets an immediate typed `overloaded` answer
+//!   carrying a `retry_after_ms` hint (explicit backpressure — a tier
+//!   never holds more open connections than that). The open-connection
+//!   count at each admission flows through the same [`Recorder::sample`]
+//!   hook the routing loop uses for congestion series.
+//! * **One thread per connection** — reads request lines, hands each to
+//!   the tier's [`Tier::handle`], writes the answer, and records it: the
+//!   completed counter, `serve.request.latency_ms`, the slowest request as
+//!   the latency exemplar, and a stage record offered to the tail sampler.
+//! * **Drain** — [`Front::stop`] flags shutdown, joins the acceptor and
+//!   waits for every slot to come back. Connection threads close idle
+//!   connections via a short read timeout once shutdown is flagged and
+//!   answer whatever is mid-flight, so no admitted request is dropped.
+//!
+//! Slots are [`Permits`]: RAII guards handed to waiters in arrival order,
+//! so a thread that dies still gives its slot back.
+
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
+
+use crate::protocol::overloaded_line;
+use unet_obs::trace::{export_full, RequestRecord, RunMeta, SampleReason, StageSpan};
+use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler};
+
+/// A counting semaphore whose permits are RAII guards: dropping a
+/// [`Permit`] — also while a panic unwinds — gives it back. A returned
+/// permit passes straight to the longest-blocked acquirer, so requests
+/// are served in arrival order and a release wakes exactly one thread.
+pub(crate) struct Permits {
+    state: Mutex<PermitState>,
+    pub(crate) cap: usize,
+    /// Signaled whenever the held count drops (what a drain waits for).
+    returned: Condvar,
+}
+
+struct PermitState {
+    held: usize,
+    /// Blocked acquirers, oldest first, each with its hand-off flag.
+    queue: VecDeque<(Thread, Arc<AtomicBool>)>,
+}
+
+/// One permit of a [`Permits`] pool, returned on drop.
+pub(crate) struct Permit(Arc<Permits>);
+
+impl Permits {
+    pub(crate) fn new(cap: usize) -> Arc<Permits> {
+        let state = PermitState { held: 0, queue: VecDeque::new() };
+        Arc::new(Permits { state: Mutex::new(state), cap, returned: Condvar::new() })
+    }
+
+    /// A permit and the count now held, or `None` when all `cap` are out.
+    fn try_acquire(self: &Arc<Self>) -> Option<(Permit, usize)> {
+        let mut st = self.state.lock().expect("permits poisoned");
+        if st.held >= self.cap {
+            return None;
+        }
+        st.held += 1;
+        Some((Permit(Arc::clone(self)), st.held))
+    }
+
+    /// Take a free permit, or queue for one and block until handed one.
+    pub(crate) fn acquire(self: &Arc<Self>) -> Permit {
+        let mut st = self.state.lock().expect("permits poisoned");
+        if st.held < self.cap && st.queue.is_empty() {
+            st.held += 1;
+            return Permit(Arc::clone(self));
+        }
+        let granted = Arc::new(AtomicBool::new(false));
+        st.queue.push_back((std::thread::current(), Arc::clone(&granted)));
+        drop(st);
+        while !granted.load(Ordering::Acquire) {
+            std::thread::park();
+        }
+        Permit(Arc::clone(self))
+    }
+
+    /// Block until every permit is back.
+    fn wait_all_returned(&self) {
+        let mut st = self.state.lock().expect("permits poisoned");
+        while st.held > 0 {
+            st = self.returned.wait(st).expect("permits poisoned");
+        }
+    }
+}
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        // Every update under this lock is a single step, so a poisoned
+        // state is still consistent — and a drop must not panic.
+        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        match st.queue.pop_front() {
+            Some((thread, granted)) => {
+                // Pairs with the `Acquire` load in `acquire`: the permit
+                // changes hands without `held` moving.
+                granted.store(true, Ordering::Release);
+                thread.unpark();
+            }
+            None => {
+                st.held -= 1;
+                self.0.returned.notify_all();
+            }
+        }
+    }
+}
+
+/// The recorder names one tier's front writes (recorder names must be
+/// `'static`, so each tier has a fixed set).
+pub(crate) struct FrontNames {
+    /// `command` of the drain trace's `meta` line.
+    command: &'static str,
+    workers: &'static str,
+    queue_cap: &'static str,
+    admitted: &'static str,
+    rejected: &'static str,
+    depth: &'static str,
+    completed: &'static str,
+    sampled: &'static str,
+    dropped: &'static str,
+    /// The histogram each stage span lands in, for tiers that keep
+    /// per-stage histograms.
+    stage: Option<fn(&'static str) -> &'static str>,
+}
+
+/// The names `unet serve` records under.
+pub(crate) const SERVE_NAMES: FrontNames = FrontNames {
+    command: "serve",
+    workers: "serve.workers",
+    queue_cap: "serve.queue.cap",
+    admitted: "serve.conns.admitted",
+    rejected: "serve.conns.rejected",
+    depth: "serve.queue.depth",
+    completed: "serve.requests.completed",
+    sampled: "serve.trace.requests_sampled",
+    dropped: "serve.trace.requests_dropped",
+    stage: None,
+};
+
+/// The names the `unet shard` router records under; every stage span
+/// also lands in a `shard.stage.*_us` histogram.
+pub(crate) const SHARD_NAMES: FrontNames = FrontNames {
+    command: "shard",
+    workers: "shard.workers",
+    queue_cap: "shard.queue.cap",
+    admitted: "shard.conns.admitted",
+    rejected: "shard.conns.rejected",
+    depth: "shard.queue.depth",
+    completed: "shard.requests.completed",
+    sampled: "shard.trace.requests_sampled",
+    dropped: "shard.trace.requests_dropped",
+    stage: Some(shard_stage_metric),
+};
+
+fn shard_stage_metric(stage: &'static str) -> &'static str {
+    match stage {
+        "accept" => "shard.stage.accept_us",
+        "queue_wait" => "shard.stage.queue_wait_us",
+        "forward" => "shard.stage.forward_us",
+        "retry" => "shard.stage.retry_us",
+        "failover" => "shard.stage.failover_us",
+        "serialize" => "shard.stage.serialize_us",
+        _ => "shard.stage.other_us",
+    }
+}
+
+/// What one handled request looked like, for the stage record its
+/// connection thread offers to the tail sampler.
+pub(crate) struct ReqInfo {
+    pub(crate) trace_id: String,
+    pub(crate) kind: &'static str,
+    pub(crate) ok: bool,
+    pub(crate) stages: Vec<(&'static str, f64)>,
+}
+
+/// One serving tier behind the shared front.
+pub(crate) trait Tier: Send + Sync + 'static {
+    /// The tier's front state.
+    fn front(&self) -> &Front;
+    /// Answer one non-empty request line; the front writes the answer
+    /// (its `serialize` span) and records it.
+    fn handle(&self, line: &str) -> (String, ReqInfo);
+}
+
+/// The front's state: metrics, sampling, connection slots, and the
+/// shutdown flag.
+pub(crate) struct Front {
+    pub(crate) recorder: Mutex<InMemoryRecorder>,
+    pub(crate) shutdown: AtomicBool,
+    /// One slot per open connection (`queue_cap` of them).
+    conns: Arc<Permits>,
+    /// Requests the tier runs at once, the divisor of the retry hint.
+    workers: usize,
+    names: &'static FrontNames,
+    depth_seq: AtomicU64,
+    /// Tail-sampled per-request stage records, drained into the trace.
+    sampler: Mutex<TailSampler>,
+    /// The slowest request seen so far: its trace id rides the latency
+    /// histogram's `max` gauge as an exemplar in the exposition.
+    latency_exemplar: Mutex<Option<(String, f64)>>,
+}
+
+impl Front {
+    pub(crate) fn new(
+        names: &'static FrontNames,
+        queue_cap: usize,
+        workers: usize,
+        head_sample_permille: u32,
+    ) -> Front {
+        let mut rec = InMemoryRecorder::new();
+        rec.gauge(names.workers, workers as f64);
+        rec.gauge(names.queue_cap, queue_cap as f64);
+        Front {
+            recorder: Mutex::new(rec),
+            shutdown: AtomicBool::new(false),
+            conns: Permits::new(queue_cap),
+            workers,
+            names,
+            depth_seq: AtomicU64::new(0),
+            sampler: Mutex::new(TailSampler::new(head_sample_permille)),
+            latency_exemplar: Mutex::new(None),
+        }
+    }
+
+    /// The tier's registry: its recorder plus the latency exemplar.
+    pub(crate) fn registry(&self, rec: &InMemoryRecorder) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::from_recorder(rec);
+        let exemplar = self.latency_exemplar.lock().expect("exemplar poisoned").clone();
+        if let Some((trace_id, ms)) = exemplar {
+            // The slowest request explains the histogram's max.
+            reg.set_exemplar("serve.request.latency_ms.max", &trace_id, ms);
+        }
+        reg
+    }
+
+    /// Stop accepting, then wait until every connection thread has
+    /// answered its in-flight request and closed (each returns its slot
+    /// last).
+    pub(crate) fn stop(&self, acceptor: &mut Option<JoinHandle<()>>) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(h) = acceptor.take() {
+            let _ = h.join();
+        }
+        self.conns.wait_all_returned();
+    }
+
+    /// Drain the tail sampler into the final JSONL trace, counting what
+    /// was kept and dropped. Returns the recorder, still locked, for the
+    /// tier's final counters and exposition.
+    pub(crate) fn drain_trace(&self) -> (MutexGuard<'_, InMemoryRecorder>, String) {
+        let (requests, dropped) = {
+            let mut sampler = self.sampler.lock().expect("sampler poisoned");
+            let dropped = sampler.dropped();
+            (sampler.drain(), dropped)
+        };
+        let mut rec = self.recorder.lock().expect("recorder poisoned");
+        rec.counter(self.names.sampled, requests.len() as u64);
+        rec.counter(self.names.dropped, dropped);
+        let meta = RunMeta {
+            command: self.names.command.to_string(),
+            guest: "-".to_string(),
+            host: "-".to_string(),
+            n: 0,
+            m: 0,
+            guest_steps: 0,
+        };
+        let trace = export_full(&rec, &meta, &[], &requests, None);
+        (rec, trace)
+    }
+
+    /// Record one answered request: counters, latency, exemplar, and the
+    /// stage record offered to the tail sampler.
+    fn record(&self, info: ReqInfo, e2e_ms: f64) {
+        {
+            let mut rec = self.recorder.lock().expect("recorder poisoned");
+            rec.counter(self.names.completed, 1);
+            // One latency histogram name on both tiers, so the retry
+            // hint has the same shape everywhere.
+            rec.histogram("serve.request.latency_ms", e2e_ms as u64);
+            if let Some(metric) = self.names.stage {
+                for &(stage, ms) in &info.stages {
+                    rec.histogram(metric(stage), (ms * 1e3) as u64);
+                }
+            }
+        }
+        {
+            let mut ex = self.latency_exemplar.lock().expect("exemplar poisoned");
+            if ex.as_ref().is_none_or(|(_, ms)| e2e_ms >= *ms) {
+                *ex = Some((info.trace_id.clone(), e2e_ms));
+            }
+        }
+        let record = RequestRecord {
+            trace_id: info.trace_id,
+            kind: info.kind.to_string(),
+            ok: info.ok,
+            e2e_ms,
+            sampled: SampleReason::Head,
+            stages: info
+                .stages
+                .into_iter()
+                .map(|(stage, ms)| StageSpan { stage: stage.to_string(), ms })
+                .collect(),
+        };
+        self.sampler.lock().expect("sampler poisoned").offer(record);
+    }
+}
+
+/// Serve `tier` on `listener` from a new acceptor thread.
+pub(crate) fn start_acceptor<T: Tier>(
+    listener: TcpListener,
+    tier: &Arc<T>,
+) -> std::io::Result<JoinHandle<()>> {
+    listener.set_nonblocking(true)?;
+    let tier = Arc::clone(tier);
+    Ok(std::thread::spawn(move || accept_loop(&listener, &tier)))
+}
+
+fn accept_loop<T: Tier>(listener: &TcpListener, tier: &Arc<T>) {
+    while !tier.front().shutdown.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let _ = stream.set_nonblocking(false);
+                // The protocol is a ping-pong of small lines; without
+                // nodelay, Nagle + delayed ACK stall every request after
+                // the first on a persistent connection by tens of ms.
+                let _ = stream.set_nodelay(true);
+                admit(tier, stream);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(_) => break,
+        }
+    }
+}
+
+/// The `retry_after_ms` fallback before any request latency is measured.
+pub(crate) const RETRY_AFTER_FLOOR_MS: u64 = 100;
+
+/// Hint for a rejected client: a request from each of `depth` open
+/// connections must drain through `workers` parallel permits, each costing
+/// about the measured mean latency.
+///
+/// Before the first request latency lands (the zero-sample startup
+/// window), the hint is the bare floor — multiplying the floor by the
+/// drain rounds would tell the very first rejected clients to back off
+/// for seconds based on no evidence at all. A non-finite mean (possible
+/// only if the histogram is ever fed garbage) takes the same path.
+pub(crate) fn retry_after_hint(rec: &InMemoryRecorder, depth: usize, workers: usize) -> u64 {
+    match rec.histogram_data("serve.request.latency_ms").and_then(|h| h.mean()) {
+        Some(mean) if mean.is_finite() => {
+            let rounds = depth.div_ceil(workers.max(1)).max(1);
+            ((mean * rounds as f64).ceil() as u64).max(1)
+        }
+        _ => RETRY_AFTER_FLOOR_MS,
+    }
+}
+
+/// Give the connection a slot and its own thread, or answer `overloaded`.
+fn admit<T: Tier>(tier: &Arc<T>, mut stream: TcpStream) {
+    let front = tier.front();
+    match front.conns.try_acquire() {
+        Some((slot, open)) => {
+            let seq = front.depth_seq.fetch_add(1, Ordering::Relaxed);
+            {
+                let mut rec = front.recorder.lock().expect("recorder poisoned");
+                rec.counter(front.names.admitted, 1);
+                rec.sample(front.names.depth, seq, 0, open as u64);
+            }
+            let tier = Arc::clone(tier);
+            // A failed spawn drops the closure, closing the stream and
+            // returning the slot.
+            let _ = std::thread::Builder::new().name("unet-conn".into()).spawn(move || {
+                serve_connection(&*tier, stream);
+                drop(slot);
+            });
+        }
+        None => {
+            let cap = front.conns.cap;
+            let retry_after = {
+                let mut rec = front.recorder.lock().expect("recorder poisoned");
+                rec.counter(front.names.rejected, 1);
+                retry_after_hint(&rec, cap, front.workers)
+            };
+            let _ = writeln!(stream, "{}", overloaded_line(cap, retry_after));
+            let _ = stream.flush();
+        }
+    }
+}
+
+/// How long a connection thread waits on an idle connection before
+/// re-checking the shutdown flag. Bounds drain latency for open-but-quiet
+/// clients.
+pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
+
+fn serve_connection(tier: &impl Tier, stream: TcpStream) {
+    let front = tier.front();
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    let mut writer = match stream.try_clone() {
+        Ok(w) => w,
+        Err(_) => return,
+    };
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        match read_line_patient(&mut reader, &mut line, &front.shutdown) {
+            LineRead::Line => {
+                let trimmed = line.trim();
+                if !trimmed.is_empty() {
+                    let started = Instant::now();
+                    let (response, mut info) = tier.handle(trimmed);
+                    let write_started = Instant::now();
+                    let write_ok =
+                        writeln!(writer, "{response}").and_then(|_| writer.flush()).is_ok();
+                    info.stages.push(("serialize", write_started.elapsed().as_secs_f64() * 1e3));
+                    let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
+                    front.record(info, e2e_ms);
+                    if !write_ok {
+                        return;
+                    }
+                }
+                line.clear();
+            }
+            LineRead::Closed => return,
+        }
+    }
+}
+
+enum LineRead {
+    Line,
+    Closed,
+}
+
+/// Read one line, treating read timeouts as "check shutdown, keep waiting".
+/// A timeout mid-line keeps the partial data in `buf`, so slow writers are
+/// never corrupted; an EOF (or a drain while idle) closes the connection.
+fn read_line_patient<R: Read>(
+    reader: &mut BufReader<R>,
+    buf: &mut String,
+    shutdown: &AtomicBool,
+) -> LineRead {
+    loop {
+        match reader.read_line(buf) {
+            Ok(0) => return LineRead::Closed,
+            Ok(_) => {
+                if buf.ends_with('\n') {
+                    return LineRead::Line;
+                }
+                // EOF after a partial line: serve it, next read sees EOF.
+                return if buf.is_empty() { LineRead::Closed } else { LineRead::Line };
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
+                    // Idle connection during drain: close it. A partial
+                    // line means a request is mid-send; keep waiting so
+                    // drain never drops an in-flight request.
+                    return LineRead::Closed;
+                }
+            }
+            Err(_) => return LineRead::Closed,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn permits_pass_on_in_arrival_order_and_survive_a_panicking_holder() {
+        let permits = Permits::new(1);
+        let first = permits.acquire();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let waiters: Vec<_> = (0..3)
+            .map(|i| {
+                let (p, o) = (Arc::clone(&permits), Arc::clone(&order));
+                let waiter = std::thread::spawn(move || {
+                    let _permit = p.acquire();
+                    o.lock().unwrap().push(i);
+                });
+                // Queue each waiter before the next one starts.
+                while permits.state.lock().unwrap().queue.len() <= i {
+                    std::thread::yield_now();
+                }
+                waiter
+            })
+            .collect();
+        drop(first);
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2]);
+        let p = Arc::clone(&permits);
+        let holder = std::thread::spawn(move || {
+            let _permit = p.acquire();
+            panic!("the holder dies");
+        });
+        assert!(holder.join().is_err());
+        assert_eq!(permits.try_acquire().map(|(_, held)| held), Some(1), "permit came back");
+    }
+}

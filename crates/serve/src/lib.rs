@@ -11,13 +11,13 @@
 //!   `simulate` / `batch` / `analyze` / `metrics` requests, `result` /
 //!   `error` / `overloaded` responses, and a per-request `trace` context
 //!   that threads one `trace_id` from client through router to backend;
-//! * [`queue`] — the shard router's bounded admission queue; a full queue
-//!   produces a typed `overloaded` rejection with a `retry_after_ms` hint,
-//!   never unbounded buffering;
-//! * [`server`] — an acceptor and one thread per admitted connection
-//!   (at most `queue_cap` open, beyond that `overloaded`); each simulation
-//!   runs on its connection's thread under one of `workers` permits. A
-//!   batch's items are grouped by
+//! * `conn` — the connection front both tiers share: the polling
+//!   acceptor, `queue_cap` connection slots (beyond them a typed
+//!   `overloaded` rejection with a `retry_after_ms` hint, never unbounded
+//!   buffering), one thread per connection, and the graceful drain;
+//! * [`server`] — the simulation handler behind that front; each
+//!   simulation runs on its connection's thread under one of `workers`
+//!   permits. A batch's items are grouped by
 //!   [`workload_fingerprint`](unet_core::workload_fingerprint); a cold
 //!   fingerprint builds its route plan exactly once (single-flight, on the
 //!   shared [`SharedPlanCache`](unet_core::SharedPlanCache)) while
@@ -29,10 +29,10 @@
 //!   experiments (E19/E20) and CI smoke tests;
 //! * [`client`] — the typed [`Client`] behind
 //!   `unet request`;
-//! * [`ring`] — the consistent-hash ring that maps workload fingerprints
-//!   to shards (and gives the failover order when one dies);
+//! * [`ring`] — the consistent-hash ring that maps request keys to
+//!   shards (and gives the failover order when one dies);
 //! * [`router`] — the sharding front-end behind `unet shard`:
-//!   fingerprint-affine forwarding to N backend servers, per-backend
+//!   spec-affine forwarding to N backend servers, per-backend
 //!   health with ejection and backoff reinstatement, batch
 //!   split/re-merge, and `shard`-labelled aggregated metrics;
 //! * [`signal`] — SIGTERM/SIGINT-to-flag plumbing for graceful drain.
@@ -58,9 +58,9 @@
 #![deny(missing_docs)]
 
 pub mod client;
+mod conn;
 pub mod loadgen;
 pub mod protocol;
-pub mod queue;
 pub mod ring;
 pub mod router;
 pub mod server;

@@ -17,7 +17,7 @@
 //!
 //! When driving a `unet shard` router, set [`LoadgenConfig::shards`] to
 //! the ring size: the generator derives one seed per shard — the smallest
-//! seeds at or above `seed` whose workload fingerprints home to each shard
+//! seeds at or above `seed` whose spec keys home to each shard
 //! on the same [`Ring`] the router uses — and spreads
 //! clients round-robin across those seeds. Offered load is then *exactly*
 //! balanced per shard (no stochastic consistent-hash skew), each shard's
@@ -31,7 +31,7 @@ use std::time::Instant;
 use crate::client::{Client, ClientError};
 use crate::protocol::{parse_response, simulate_request_line, Response, SimulateReq};
 use crate::ring::Ring;
-use crate::router::simulate_fingerprint;
+use crate::router::spec_key;
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ pub struct LoadgenConfig {
     pub warmup: bool,
     /// Ring size of the `unet shard` router being driven (1 = a plain
     /// server). Values above 1 switch the generator to one
-    /// fingerprint-searched seed per shard with clients spread
+    /// key-searched seed per shard with clients spread
     /// round-robin, so per-shard offered load is exactly balanced.
     pub shards: usize,
 }
@@ -255,12 +255,10 @@ fn spec_for_seed(cfg: &LoadgenConfig, seed: u64) -> SimulateReq {
 }
 
 /// One seed per shard, indexed by home shard: the smallest seeds at or
-/// above `cfg.seed` whose workload fingerprints land on each shard of
+/// above `cfg.seed` whose spec keys land on each shard of
 /// `Ring::new(shards)`. Deterministic (pure search, no clock or RNG), so
 /// repeated runs offer the identical per-shard workload. Expected search
-/// length is `N·H_N` seeds for `N` shards — a handful. Falls back to
-/// `cfg.seed` everywhere if the spec cannot be fingerprinted (the run
-/// will produce typed errors regardless of placement).
+/// length is `N·H_N` seeds for `N` shards — a handful.
 fn seeds_for_shards(cfg: &LoadgenConfig, shards: usize) -> Vec<u64> {
     if shards <= 1 {
         return vec![cfg.seed];
@@ -270,18 +268,13 @@ fn seeds_for_shards(cfg: &LoadgenConfig, shards: usize) -> Vec<u64> {
     let mut found = 0usize;
     for delta in 0..100_000u64 {
         let seed = cfg.seed.wrapping_add(delta);
-        match simulate_fingerprint(&spec_for_seed(cfg, seed)) {
-            Ok(fp) => {
-                let shard = ring.shard_of(fp);
-                if seeds[shard].is_none() {
-                    seeds[shard] = Some(seed);
-                    found += 1;
-                    if found == shards {
-                        break;
-                    }
-                }
+        let shard = ring.shard_of(spec_key(&spec_for_seed(cfg, seed)));
+        if seeds[shard].is_none() {
+            seeds[shard] = Some(seed);
+            found += 1;
+            if found == shards {
+                break;
             }
-            Err(_) => break,
         }
     }
     seeds.into_iter().map(|s| s.unwrap_or(cfg.seed)).collect()
@@ -409,8 +402,8 @@ mod tests {
         assert_eq!(seeds.len(), 4);
         let ring = Ring::new(4);
         for (shard, &seed) in seeds.iter().enumerate() {
-            let fp = simulate_fingerprint(&spec_for_seed(&cfg, seed)).expect("fingerprintable");
-            assert_eq!(ring.shard_of(fp), shard, "seed {seed} homes to its shard");
+            let key = spec_key(&spec_for_seed(&cfg, seed));
+            assert_eq!(ring.shard_of(key), shard, "seed {seed} homes to its shard");
         }
         let mut distinct = seeds.clone();
         distinct.sort_unstable();

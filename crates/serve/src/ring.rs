@@ -1,12 +1,11 @@
-//! Consistent-hash ring for fingerprint-affine shard routing.
+//! Consistent-hash ring for spec-affine shard routing.
 //!
-//! The router keys every simulate request by the same
-//! [`workload_fingerprint`](unet_core::workload_fingerprint) the backends
-//! use as their [`SharedPlanCache`](unet_core::SharedPlanCache) key, then
-//! asks the ring which shard owns that fingerprint. Affinity is the whole
-//! point: a fingerprint always lands on the same shard, so the shard's plan
-//! cache sees every repeat and the server's single-flight coalescing keeps
-//! working after scale-out.
+//! The router keys every simulate request by a hash of its spec text
+//! ([`simulate_fingerprint`](crate::router::simulate_fingerprint)), then
+//! asks the ring which shard owns that key. Affinity is the whole point: a
+//! spec always lands on the same shard, so the shard's plan cache sees
+//! every repeat and the server's single-flight coalescing keeps working
+//! after scale-out.
 //!
 //! The ring is the classic virtual-node construction: each shard owns
 //! [`VNODES`] points on a `u64` circle (FNV-1a of `(shard, replica)`), a
@@ -22,17 +21,20 @@
 /// `LoadgenConfig::shards`).
 pub const VNODES: usize = 64;
 
-/// FNV-1a over the bytes of `(shard, replica)` — the ring-point hash.
-fn point_hash(shard: usize, replica: usize) -> u64 {
+/// 64-bit FNV-1a over the concatenation of `parts`.
+pub(crate) fn fnv1a(parts: &[&[u8]]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [shard as u64, replica as u64] {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
+    for byte in parts.iter().flat_map(|part| part.iter()) {
+        h ^= *byte as u64;
+        h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// The ring-point hash: FNV-1a over the bytes of `(shard, replica)`.
+fn point_hash(shard: usize, replica: usize) -> u64 {
+    fnv1a(&[&(shard as u64).to_le_bytes(), &(replica as u64).to_le_bytes()])
 }
 
 /// A consistent-hash ring over `shards` numbered `0..n`.

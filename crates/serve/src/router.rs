@@ -1,4 +1,4 @@
-//! The sharding front-end behind `unet shard`: fingerprint-affine routing
+//! The sharding front-end behind `unet shard`: spec-affine routing
 //! across a pool of backend `unet serve` shards.
 //!
 //! The paper routes arbitrary guest workloads onto a fixed host with
@@ -6,24 +6,29 @@
 //! arbitrary request streams across a fixed pool of backend processes with
 //! bounded tail latency. The design constraints, front to back:
 //!
-//! * **Fingerprint affinity** — every `simulate` request (and every member
-//!   of a `batch`) is keyed by the same
-//!   [`workload_fingerprint`] the backends
-//!   use as their [`SharedPlanCache`](unet_core::SharedPlanCache) key, and
-//!   the [`Ring`] consistent-hashes it to a home shard. Repeats of a
-//!   workload always land on the shard that already compiled its route
-//!   plan, so cache hit ratios and single-flight coalescing survive the
-//!   scale-out unchanged.
-//! * **Batch splitting** — a `batch` request is split by fingerprint into
-//!   one sub-batch per home shard, the sub-batches are forwarded
-//!   concurrently, and the positionally aligned results are re-merged into
-//!   one response in the original item order.
+//! * **Spec affinity** — every `simulate` request (and every member of a
+//!   `batch`) is keyed by [`simulate_fingerprint`], a hash of its guest
+//!   spec, host spec and seed as written, and the [`Ring`]
+//!   consistent-hashes that key to a home shard. Repeats of a workload
+//!   always land on the shard that already compiled its route plan, so
+//!   cache hit ratios and single-flight coalescing survive the scale-out
+//!   unchanged. The router parses no spec and runs no generator; a bad
+//!   spec gets its typed `bad-spec` from the backend it lands on.
+//! * **Batch splitting** — a `batch` request is split into one sub-batch
+//!   per home shard, the sub-batches are forwarded concurrently, and the
+//!   positionally aligned results are re-merged into one response in the
+//!   original item order.
 //! * **Health and failover** — a prober thread issues periodic `metrics`
 //!   probes; [`ShardConfig::eject_after`] consecutive failures eject a
 //!   backend, and ejected backends are re-probed under exponential backoff
 //!   until they answer again. A request whose backend dies mid-flight (or
 //!   answers `overloaded`) retries on the next shard in ring order, so a
 //!   dead shard's keys spill onto its ring successor and nowhere else.
+//! * **Connection front** — the acceptor, `queue_cap` connection slots,
+//!   one thread per connection and the drain are the ones `unet serve`
+//!   uses. A parsed request then takes one of `workers` forward permits
+//!   (the wait is its `queue_wait` span), so an idle persistent connection
+//!   holds nothing but its slot.
 //! * **Aggregated metrics** — a `metrics` request fans out to every healthy
 //!   backend and merges the expositions under a `shard` label (the
 //!   router's own counters appear as `shard="router"`).
@@ -77,28 +82,23 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
+use crate::conn::{start_acceptor, Front, Permits, ReqInfo, Tier, IDLE_POLL, SHARD_NAMES};
 use crate::protocol::{
     analyze_request_line, batch_item_value, batch_request_line, error_line, gen_trace_id,
-    metrics_request_line, overloaded_line, parse_request, parse_response, result_line,
-    simulate_request_line, Request, Response, SimulateReq,
+    metrics_request_line, parse_request, parse_response, result_line, simulate_request_line,
+    Request, Response, SimulateReq,
 };
-use crate::queue::BoundedQueue;
-use crate::ring::Ring;
-use crate::server::{parse_spec, read_line_patient, retry_after_hint, LineRead, IDLE_POLL};
-use unet_core::routers::Router as _;
-use unet_core::{workload_fingerprint, Embedding};
+use crate::ring::{fnv1a, Ring};
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
-use unet_obs::trace::{export_full, RequestRecord, RunMeta, SampleReason, StageSpan};
-use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler};
+use unet_obs::{InMemoryRecorder, Recorder};
 use unet_topology::par::default_threads;
 
 /// Router configuration (all fields except `backends` have serviceable
@@ -107,12 +107,10 @@ use unet_topology::par::default_threads;
 pub struct ShardConfig {
     /// Bind address of the router; port 0 picks a free port (the default).
     pub addr: String,
-    /// Connection workers. Each worker carries one client request at a
-    /// time end-to-end (including the forwarded round trip), so this
-    /// bounds the router's concurrency — size it at or above the expected
-    /// number of concurrent closed-loop clients.
+    /// Forward permits: how many client requests are forwarded at once
+    /// across all connections (default: [`default_threads`]).
     pub workers: usize,
-    /// Admission queue bound; 0 rejects every connection (default 64).
+    /// Open-connection bound; 0 rejects every connection (default 64).
     pub queue_cap: usize,
     /// Backend shard addresses, in ring order. Position in this vector is
     /// the shard's identity (the `shard` metrics label and ring index).
@@ -211,20 +209,23 @@ struct Backend {
 }
 
 struct RouterShared {
+    front: Front,
     backends: Vec<Backend>,
     ring: Ring,
-    recorder: Mutex<InMemoryRecorder>,
-    queue: BoundedQueue<TcpStream>,
-    shutdown: AtomicBool,
-    depth_seq: AtomicU64,
-    workers: usize,
+    /// One permit per client request being forwarded (`workers` of them).
+    forwards: Arc<Permits>,
     eject_after: u32,
     max_backoff: Duration,
-    /// Tail-sampled per-request stage records, drained into the trace.
-    sampler: Mutex<TailSampler>,
-    /// Slowest request so far; its trace id rides the latency histogram's
-    /// `max` gauge as an exemplar.
-    latency_exemplar: Mutex<Option<(String, f64)>>,
+}
+
+impl Tier for RouterShared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn handle(&self, line: &str) -> (String, ReqInfo) {
+        route_request(self, line)
+    }
 }
 
 /// A running shard router; construct with [`Router::start`], stop with
@@ -233,13 +234,12 @@ pub struct Router {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
 }
 
 impl Router {
-    /// Bind, spawn the acceptor, connection workers, and health prober,
-    /// and return immediately. Fails if `cfg.backends` is empty.
+    /// Bind, spawn the acceptor and the health prober, and return
+    /// immediately. Fails if `cfg.backends` is empty.
     pub fn start(cfg: ShardConfig) -> std::io::Result<Router> {
         if cfg.backends.is_empty() {
             return Err(std::io::Error::new(
@@ -249,7 +249,6 @@ impl Router {
         }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = cfg.workers.max(1);
         let now = Instant::now();
         let backends: Vec<Backend> = cfg
@@ -264,50 +263,24 @@ impl Router {
             })
             .collect();
         let shared = Arc::new(RouterShared {
+            front: Front::new(&SHARD_NAMES, cfg.queue_cap, workers, cfg.head_sample_permille),
             ring: Ring::new(backends.len()),
             backends,
-            recorder: Mutex::new(InMemoryRecorder::new()),
-            queue: BoundedQueue::new(cfg.queue_cap),
-            shutdown: AtomicBool::new(false),
-            depth_seq: AtomicU64::new(0),
-            workers,
+            forwards: Permits::new(workers),
             eject_after: cfg.eject_after.max(1),
             max_backoff: Duration::from_millis(cfg.max_backoff_ms.max(1)),
-            sampler: Mutex::new(TailSampler::new(cfg.head_sample_permille)),
-            latency_exemplar: Mutex::new(None),
         });
         {
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.gauge("shard.workers", workers as f64);
-            rec.gauge("shard.queue.cap", cfg.queue_cap as f64);
+            let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
             rec.gauge("shard.backends", shared.backends.len() as f64);
         }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let worker_handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(stream) = shared.queue.pop() {
-                        serve_router_connection(&shared, stream);
-                    }
-                })
-            })
-            .collect();
+        let acceptor = start_acceptor(listener, &shared)?;
         let prober = {
             let shared = Arc::clone(&shared);
             let interval = Duration::from_millis(cfg.probe_interval_ms.max(1));
             std::thread::spawn(move || probe_loop(&shared, interval))
         };
-        Ok(Router {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-            prober: Some(prober),
-        })
+        Ok(Router { addr, shared, acceptor: Some(acceptor), prober: Some(prober) })
     }
 
     /// The bound address (resolve port 0 through this).
@@ -317,7 +290,7 @@ impl Router {
 
     /// Live counter snapshot.
     pub fn stats(&self) -> RouterStats {
-        let rec = self.shared.recorder.lock().expect("recorder poisoned");
+        let rec = self.shared.front.recorder.lock().expect("recorder poisoned");
         router_stats_of(&rec, &self.shared)
     }
 
@@ -327,22 +300,7 @@ impl Router {
     /// (the `unet shard` CLI drains the shards it spawned itself).
     pub fn drain(mut self) -> RouterDrainReport {
         self.stop_threads();
-        let (requests, dropped) = {
-            let mut sampler = self.shared.sampler.lock().expect("sampler poisoned");
-            let dropped = sampler.dropped();
-            (sampler.drain(), dropped)
-        };
-        let mut rec = self.shared.recorder.lock().expect("recorder poisoned");
-        rec.counter("shard.trace.requests_sampled", requests.len() as u64);
-        rec.counter("shard.trace.requests_dropped", dropped);
-        let meta = RunMeta {
-            command: "shard".to_string(),
-            guest: "-".to_string(),
-            host: "-".to_string(),
-            n: 0,
-            m: 0,
-            guest_steps: 0,
-        };
+        let (rec, trace) = self.shared.front.drain_trace();
         RouterDrainReport {
             stats: router_stats_of(&rec, &self.shared),
             // Labeled `shard="router"` like the live aggregation, so drain
@@ -352,20 +310,14 @@ impl Router {
                 "router".to_string(),
                 router_exposition_of(&rec, &self.shared),
             )]),
-            trace: export_full(&rec, &meta, &[], &requests, None),
+            trace,
         }
     }
 
-    /// Join order matters: acceptor first (it feeds the queue), workers
-    /// next (they answer in-flight requests), prober last.
+    /// The connection front first (it answers in-flight requests), the
+    /// prober last.
     fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.shared.front.stop(&mut self.acceptor);
         if let Some(h) = self.prober.take() {
             let _ = h.join();
         }
@@ -376,7 +328,6 @@ impl Drop for Router {
     fn drop(&mut self) {
         // Not drained: still stop the threads so tests that merely start a
         // router cannot leak a spinning acceptor or prober.
-        self.shared.queue.close();
         self.stop_threads();
     }
 }
@@ -399,153 +350,28 @@ fn router_stats_of(rec: &InMemoryRecorder, shared: &RouterShared) -> RouterStats
 /// The per-stage `shard.stage.*_us` histograms recorded by every handled
 /// request surface here as the router's stage breakdown.
 fn router_exposition_of(rec: &InMemoryRecorder, shared: &RouterShared) -> String {
-    let mut reg = MetricsRegistry::from_recorder(rec);
+    let mut reg = shared.front.registry(rec);
     reg.set_gauge(
         "shard.backends.healthy",
         shared.backends.iter().filter(|b| b.healthy.load(Ordering::SeqCst)).count() as f64,
     );
-    let exemplar = shared.latency_exemplar.lock().expect("exemplar poisoned").clone();
-    if let Some((trace_id, ms)) = exemplar {
-        reg.set_exemplar("serve.request.latency_ms.max", &trace_id, ms);
-    }
     reg.expose()
 }
 
-/// The recorder histogram a stage span lands in (recorder names must be
-/// `'static`, so the fixed stage set maps to a fixed metric set).
-fn stage_metric(stage: &'static str) -> &'static str {
-    match stage {
-        "accept" => "shard.stage.accept_us",
-        "forward" => "shard.stage.forward_us",
-        "retry" => "shard.stage.retry_us",
-        "failover" => "shard.stage.failover_us",
-        "serialize" => "shard.stage.serialize_us",
-        _ => "shard.stage.other_us",
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &RouterShared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                // Same small-line ping-pong as the backend server: Nagle
-                // plus delayed ACK would stall every follow-up request.
-                let _ = stream.set_nodelay(true);
-                admit(shared, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    shared.queue.close();
-}
-
-fn admit(shared: &RouterShared, stream: TcpStream) {
-    match shared.queue.try_push(stream) {
-        Ok(depth) => {
-            let seq = shared.depth_seq.fetch_add(1, Ordering::Relaxed);
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.counter("shard.conns.admitted", 1);
-            rec.sample("shard.queue.depth", seq, 0, depth as u64);
-        }
-        Err(mut stream) => {
-            let retry_after = {
-                let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                rec.counter("shard.conns.rejected", 1);
-                retry_after_hint(&rec, shared.queue.cap(), shared.workers)
-            };
-            let _ = writeln!(stream, "{}", overloaded_line(shared.queue.cap(), retry_after));
-            let _ = stream.flush();
-        }
-    }
-}
-
-fn serve_router_connection(shared: &RouterShared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match read_line_patient(&mut reader, &mut line, &shared.shutdown) {
-            LineRead::Line => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let started = Instant::now();
-                    let (response, mut info) = route_request(shared, trimmed);
-                    let write_started = Instant::now();
-                    let write_ok =
-                        writeln!(writer, "{response}").and_then(|_| writer.flush()).is_ok();
-                    info.stages.push(("serialize", write_started.elapsed().as_secs_f64() * 1e3));
-                    let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
-                    {
-                        let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                        rec.counter("shard.requests.completed", 1);
-                        // Same histogram name as the server so the shared
-                        // `retry_after_hint` shape applies at the router too.
-                        rec.histogram("serve.request.latency_ms", e2e_ms as u64);
-                        for &(stage, ms) in &info.stages {
-                            rec.histogram(stage_metric(stage), (ms * 1e3) as u64);
-                        }
-                    }
-                    {
-                        let mut ex = shared.latency_exemplar.lock().expect("exemplar poisoned");
-                        if ex.as_ref().is_none_or(|(_, ms)| e2e_ms >= *ms) {
-                            *ex = Some((info.trace_id.clone(), e2e_ms));
-                        }
-                    }
-                    let record = RequestRecord {
-                        trace_id: info.trace_id,
-                        kind: info.kind.to_string(),
-                        ok: info.ok,
-                        e2e_ms,
-                        sampled: SampleReason::Head,
-                        stages: info
-                            .stages
-                            .into_iter()
-                            .map(|(stage, ms)| StageSpan { stage: stage.to_string(), ms })
-                            .collect(),
-                    };
-                    shared.sampler.lock().expect("sampler poisoned").offer(record);
-                    if !write_ok {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            LineRead::Closed => return,
-        }
-    }
-}
-
-/// The [`SharedPlanCache`](unet_core::SharedPlanCache) key this spec's
-/// simulation will use, derived without running anything — the identical
-/// `(guest, host, embedding, router, seed)` fingerprint the server's
-/// `build_job` computes, so the front-end router and the backends agree on
-/// workload identity byte for byte.
+/// The ring key of a spec: FNV-1a over its seed, guest spec and host spec
+/// as written. Placing a request parses nothing and runs no generator, so
+/// it never returns `Err`. Two spellings of one graph (`random:16x4` and
+/// `random:16x4:0`) may land on different shards, and each then builds
+/// that plan once.
 pub fn simulate_fingerprint(req: &SimulateReq) -> Result<u64, String> {
-    let guest = parse_spec(&req.guest).map_err(|e| format!("guest: {e}"))?;
-    let host = parse_spec(&req.host).map_err(|e| format!("host: {e}"))?;
-    let embedding = Embedding::block(guest.n(), host.n());
-    let router = unet_core::routers::presets::bfs();
-    Ok(workload_fingerprint(&guest, &host, &embedding, router.name(), req.seed))
+    Ok(spec_key(req))
 }
 
-/// The home shard of a spec under `ring`, with unfingerprintable specs
-/// (unknown graph family, zero nodes, a failed generator precondition, …)
-/// pinned deterministically to the ring's shard for key 0 — any backend
-/// will answer them with the same typed `bad-spec` error, so placement
-/// only needs to be stable.
-fn shard_of_spec(ring: &Ring, req: &SimulateReq) -> usize {
-    match simulate_fingerprint(req) {
-        Ok(fp) => ring.shard_of(fp),
-        Err(_) => ring.shard_of(0),
-    }
+pub(crate) fn spec_key(req: &SimulateReq) -> u64 {
+    // The seed goes first: FNV-1a only spreads a byte into the high bits
+    // (which pick the ring point) through the multiplications after it.
+    // 0xff never occurs in UTF-8, so it separates the fields unambiguously.
+    fnv1a(&[&req.seed.to_le_bytes(), req.guest.as_bytes(), &[0xff], req.host.as_bytes()])
 }
 
 /// Outcome of one forward attempt to one backend.
@@ -592,7 +418,7 @@ fn record_failure(shared: &RouterShared, i: usize) {
         drop(backoff);
         // A dead backend's pooled connections are dead too.
         backend.idle.lock().expect("pool poisoned").clear();
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+        let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
         rec.counter("shard.backends.ejected", 1);
     }
 }
@@ -605,12 +431,12 @@ fn record_success(shared: &RouterShared, i: usize) {
     backend.consecutive_failures.store(0, Ordering::SeqCst);
     if !backend.healthy.swap(true, Ordering::SeqCst) {
         backend.backoff.lock().expect("backoff poisoned").exp = 0;
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+        let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
         rec.counter("shard.backends.reinstated", 1);
     }
 }
 
-/// Forward `line` along the failover order of `fingerprint` (ring
+/// Forward `line` along the failover order of `key` (ring
 /// successor order; plain index order for unkeyed requests), skipping
 /// ejected backends on the first pass and trying them anyway if nothing
 /// healthy remains. Bounded: every backend is attempted at most once.
@@ -620,17 +446,17 @@ fn record_success(shared: &RouterShared, i: usize) {
 /// shed the request (overload) and `failover` when it was unreachable.
 fn forward_with_failover(
     shared: &RouterShared,
-    fingerprint: Option<u64>,
+    key: Option<u64>,
     line: &str,
     id: Option<u64>,
     spans: &mut Vec<(&'static str, f64)>,
 ) -> String {
-    let order = match fingerprint {
-        Some(fp) => shared.ring.successors(fp),
+    let order = match key {
+        Some(key) => shared.ring.successors(key),
         None => (0..shared.backends.len()).collect(),
     };
     {
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+        let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
         rec.counter("shard.requests.forwarded", 1);
     }
     let mut last_overloaded: Option<String> = None;
@@ -662,7 +488,7 @@ fn forward_with_failover(
                 Ok(ForwardOutcome::Response(resp)) => {
                     record_success(shared, i);
                     if attempts > 1 {
-                        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+                        let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
                         rec.counter("shard.failovers", 1);
                         if last_overloaded.is_some() {
                             rec.counter("shard.overloads.absorbed", 1);
@@ -705,21 +531,13 @@ fn forward_with_failover(
     error_line("unavailable", "no backend shard answered (all ejected or unreachable)", id)
 }
 
-/// What [`route_request`] learned about one request, for the connection
-/// loop's trace record and stage histograms.
-struct RouteInfo {
-    trace_id: String,
-    kind: &'static str,
-    ok: bool,
-    stages: Vec<(&'static str, f64)>,
-}
-
-/// Dispatch one client line. `simulate` and `analyze` are forwarded
+/// Dispatch one client line. A parsed request first takes a forward
+/// permit (its `queue_wait` span). `simulate` and `analyze` are forwarded
 /// under the request's trace id (the client's, else one minted here), so
 /// the backend records its stage spans under the id the router samples.
 /// A line that does not parse gets the same typed error a single server
 /// would answer, without a forward.
-fn route_request(shared: &RouterShared, line: &str) -> (String, RouteInfo) {
+fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
     let parse_started = Instant::now();
     let parsed = parse_request(line);
     let accept_ms = parse_started.elapsed().as_secs_f64() * 1e3;
@@ -727,15 +545,18 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, RouteInfo) {
     let (response, trace_id, kind) = match parsed {
         Ok((wire_trace, req)) => {
             let trace_id = wire_trace.unwrap_or_else(gen_trace_id);
+            let wait_started = Instant::now();
+            let _permit = shared.forwards.acquire();
+            stages.push(("queue_wait", wait_started.elapsed().as_secs_f64() * 1e3));
             let (response, kind) = match req {
                 Request::Metrics { id } => (handle_metrics(shared, id), "metrics"),
                 Request::Batch(batch) => {
                     (handle_batch(shared, batch, &trace_id, &mut stages), "batch")
                 }
                 Request::Simulate(req) => {
-                    let fp = simulate_fingerprint(&req).unwrap_or(0);
                     let fwd = simulate_request_line(&req, Some(&trace_id));
-                    (forward_with_failover(shared, Some(fp), &fwd, req.id, &mut stages), "simulate")
+                    let key = Some(spec_key(&req));
+                    (forward_with_failover(shared, key, &fwd, req.id, &mut stages), "simulate")
                 }
                 Request::Analyze { trace, id } => {
                     let fwd = analyze_request_line(&trace, id, Some(&trace_id));
@@ -747,7 +568,7 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, RouteInfo) {
         Err(e) => (error_line(e.code(), &e.to_string(), None), gen_trace_id(), "unparsed"),
     };
     let ok = matches!(parse_response(&response), Ok(Response::Result(_)));
-    (response, RouteInfo { trace_id, kind, ok, stages })
+    (response, ReqInfo { trace_id, kind, ok, stages })
 }
 
 /// Serve one `batch` by splitting it into per-home-shard sub-batches,
@@ -772,7 +593,7 @@ fn handle_batch(
                 slots[idx] = Some(batch_item_value(Err(("bad-request".to_string(), msg.clone()))));
             }
             Ok(spec) => {
-                let shard = shard_of_spec(&shared.ring, spec);
+                let shard = shared.ring.shard_of(spec_key(spec));
                 let entry = groups.entry(shard).or_default();
                 entry.0.push(idx);
                 entry.1.push(spec.clone());
@@ -790,9 +611,9 @@ fn handle_batch(
                     // Sub-batches always carry the router's trace_id so
                     // every backend's spans merge under one waterfall.
                     let sub_line = batch_request_line(&specs, deadline_ms, None, Some(trace_id));
-                    let fp = simulate_fingerprint(&specs[0]).unwrap_or(0);
+                    let key = Some(spec_key(&specs[0]));
                     let mut spans = Vec::new();
-                    let resp = forward_with_failover(shared, Some(fp), &sub_line, None, &mut spans);
+                    let resp = forward_with_failover(shared, key, &sub_line, None, &mut spans);
                     (idxs, resp, spans)
                 })
             })
@@ -862,7 +683,7 @@ fn handle_metrics(shared: &RouterShared, id: Option<u64>) -> String {
         }
     }
     let own = {
-        let rec = shared.recorder.lock().expect("recorder poisoned");
+        let rec = shared.front.recorder.lock().expect("recorder poisoned");
         router_exposition_of(&rec, shared)
     };
     sections.push(("router".to_string(), own));
@@ -941,15 +762,15 @@ pub fn merge_expositions(sections: &[(String, String)]) -> String {
 /// honest, and ejected backends are re-probed once their backoff expires.
 fn probe_loop(shared: &RouterShared, interval: Duration) {
     let probe = metrics_request_line(None, None);
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.front.shutdown.load(Ordering::SeqCst) {
         // Sleep in short slices so drain is never blocked on a probe gap.
         let mut slept = Duration::ZERO;
-        while slept < interval && !shared.shutdown.load(Ordering::SeqCst) {
+        while slept < interval && !shared.front.shutdown.load(Ordering::SeqCst) {
             let slice = IDLE_POLL.min(interval - slept);
             std::thread::sleep(slice);
             slept += slice;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.shutdown.load(Ordering::SeqCst) {
             return;
         }
         for (i, backend) in shared.backends.iter().enumerate() {
@@ -1021,13 +842,16 @@ mod tests {
             deadline_ms: None,
             id: None,
         };
-        assert_eq!(simulate_fingerprint(&spec(7)), simulate_fingerprint(&spec(7)));
-        assert_ne!(
-            simulate_fingerprint(&spec(7)).unwrap(),
-            simulate_fingerprint(&spec(8)).unwrap()
-        );
-        let mut bad = spec(7);
-        bad.guest = "blah:9".into();
-        assert!(simulate_fingerprint(&bad).is_err());
+        let key = |req: &SimulateReq| simulate_fingerprint(req).expect("every spec has a key");
+        assert_eq!(key(&spec(7)), key(&spec(7)));
+        // Guest, host and seed each change the key; a spec no generator
+        // accepts still gets one (its backend answers `bad-spec`).
+        let mut guest = spec(7);
+        guest.guest = "blah:9".into();
+        let mut host = spec(7);
+        host.host = "torus:3x3".into();
+        for other in [guest, host, spec(8)] {
+            assert_ne!(key(&spec(7)), key(&other), "{other:?}");
+        }
     }
 }

@@ -2,20 +2,13 @@
 //!
 //! Architecture, front to back:
 //!
-//! * **Acceptor thread** — polls a non-blocking [`TcpListener`]. Every
-//!   accepted connection must take one of `queue_cap` connection slots; with
-//!   none free it gets an immediate typed `overloaded` response carrying a
-//!   `retry_after_ms` hint (explicit backpressure — the server never holds
-//!   more open connections than that). The open-connection count at each
-//!   admission flows through the same [`Recorder::sample`] hook the routing
-//!   loop uses for congestion series.
-//! * **One thread per connection** — each admitted connection gets its own
-//!   thread, which reads request lines, runs their simulations on scoped
-//!   threads of its own, and writes the answers. A simulation first takes
-//!   one of `workers` permits (the wait is the `queue_wait` span), so
-//!   `workers` bounds the engine work in flight however many connections
-//!   are open. Slots and permits are RAII guards: a thread that dies still
-//!   gives them back.
+//! * **Connection front** — the acceptor, connection slots (`queue_cap`
+//!   open connections; beyond that a typed `overloaded`), one thread per
+//!   connection and the drain live in the crate's `conn` module, shared
+//!   with the shard router; this module supplies the request handler. A
+//!   simulation runs on its connection's thread after taking one of
+//!   `workers` permits (the wait is the `queue_wait` span), so `workers`
+//!   bounds the engine work in flight however many connections are open.
 //! * **Batches** — a `batch` runs its items side by side on scoped threads
 //!   of its own connection, each item under its own permit. Items are
 //!   grouped by [`workload_fingerprint`]; on a cold fingerprint the
@@ -30,30 +23,27 @@
 //!   boundaries (and while waiting on a build lease), and
 //!   [`SimError::Cancelled`] becomes a `deadline-exceeded` error.
 //! * **Graceful drain** — [`Server::drain`] stops the acceptor, answers
-//!   every request already in flight (connection threads close idle
-//!   connections via a short read timeout once shutdown is flagged), and
-//!   returns once every connection slot is back. No admitted request is
-//!   dropped.
+//!   every request already in flight, and returns once every connection
+//!   has closed. No admitted request is dropped.
 //! * **Request tracing** — every request gets a trace id at first ingress
 //!   (propagated from the client's trace context, else minted here) and a
 //!   stage-span breakdown: `accept` (parse and admission), `queue_wait`,
 //!   `singleflight_wait`, `plan_build`, `simulate`, `serialize`. Responses
-//!   carry `trace_id` and `stages` inline; a [`TailSampler`] keeps every
-//!   errored request, a deterministic head sample, and the slowest tail as
-//!   `request` records in the drain trace, and the slowest request's trace
-//!   id rides the latency histogram's `max` gauge as an exemplar.
+//!   carry `trace_id` and `stages` inline; a
+//!   [`TailSampler`](unet_obs::TailSampler) keeps every errored request, a
+//!   deterministic head sample, and the slowest tail as `request` records
+//!   in the drain trace, and the slowest request's trace id rides the
+//!   latency histogram's `max` gauge as an exemplar.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::{JoinHandle, Thread};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::conn::{start_acceptor, Front, Permits, ReqInfo, Tier, SERVE_NAMES};
 use crate::protocol::{
-    batch_item_value, error_line, gen_trace_id, overloaded_line, parse_request, result_line,
-    BatchReq, Request, SimulateReq,
+    batch_item_value, error_line, gen_trace_id, parse_request, result_line, BatchReq, Request,
+    SimulateReq,
 };
 use unet_core::cancel::CancelToken;
 use unet_core::routers::Router as _;
@@ -64,8 +54,7 @@ use unet_core::{
 };
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
-use unet_obs::trace::{export_full, RequestRecord, RunMeta, SampleReason, StageSpan};
-use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler, TraceAnalyzer};
+use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TraceAnalyzer};
 use unet_topology::par::{default_threads, par_map};
 use unet_topology::Graph;
 
@@ -167,103 +156,22 @@ struct JobOutcome {
     stages: Vec<(&'static str, f64)>,
 }
 
-/// A counting semaphore whose permits are RAII guards: dropping a
-/// [`Permit`] — also while a panic unwinds — gives it back. A returned
-/// permit passes straight to the longest-blocked acquirer, so requests
-/// are served in arrival order and a release wakes exactly one thread.
-struct Permits {
-    state: Mutex<PermitState>,
-    cap: usize,
-    /// Signaled whenever the held count drops (what a drain waits for).
-    returned: Condvar,
-}
-
-struct PermitState {
-    held: usize,
-    /// Blocked acquirers, oldest first, each with its hand-off flag.
-    queue: VecDeque<(Thread, Arc<AtomicBool>)>,
-}
-
-/// One permit of a [`Permits`] pool, returned on drop.
-struct Permit(Arc<Permits>);
-
-impl Permits {
-    fn new(cap: usize) -> Arc<Permits> {
-        let state = PermitState { held: 0, queue: VecDeque::new() };
-        Arc::new(Permits { state: Mutex::new(state), cap, returned: Condvar::new() })
-    }
-
-    /// A permit and the count now held, or `None` when all `cap` are out.
-    fn try_acquire(self: &Arc<Self>) -> Option<(Permit, usize)> {
-        let mut st = self.state.lock().expect("permits poisoned");
-        if st.held >= self.cap {
-            return None;
-        }
-        st.held += 1;
-        Some((Permit(Arc::clone(self)), st.held))
-    }
-
-    /// Take a free permit, or queue for one and block until handed one.
-    fn acquire(self: &Arc<Self>) -> Permit {
-        let mut st = self.state.lock().expect("permits poisoned");
-        if st.held < self.cap && st.queue.is_empty() {
-            st.held += 1;
-            return Permit(Arc::clone(self));
-        }
-        let granted = Arc::new(AtomicBool::new(false));
-        st.queue.push_back((std::thread::current(), Arc::clone(&granted)));
-        drop(st);
-        while !granted.load(Ordering::Acquire) {
-            std::thread::park();
-        }
-        Permit(Arc::clone(self))
-    }
-
-    /// Block until every permit is back.
-    fn wait_all_returned(&self) {
-        let mut st = self.state.lock().expect("permits poisoned");
-        while st.held > 0 {
-            st = self.returned.wait(st).expect("permits poisoned");
-        }
-    }
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        // Every update under this lock is a single step, so a poisoned
-        // state is still consistent — and a drop must not panic.
-        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match st.queue.pop_front() {
-            Some((thread, granted)) => {
-                // Pairs with the `Acquire` load in `acquire`: the permit
-                // changes hands without `held` moving.
-                granted.store(true, Ordering::Release);
-                thread.unpark();
-            }
-            None => {
-                st.held -= 1;
-                self.0.returned.notify_all();
-            }
-        }
-    }
-}
-
 struct Shared {
+    front: Front,
     cache: SharedPlanCache,
-    recorder: Mutex<InMemoryRecorder>,
-    /// One slot per open connection (`queue_cap` of them).
-    conns: Arc<Permits>,
     /// One permit per running simulation (`workers` of them).
     sims: Arc<Permits>,
-    shutdown: AtomicBool,
-    depth_seq: AtomicU64,
     default_deadline_ms: u64,
-    workers: usize,
-    /// Tail-sampled per-request stage records, drained into the trace.
-    sampler: Mutex<TailSampler>,
-    /// The slowest request seen so far: its trace id rides the latency
-    /// histogram's `max` gauge as an exemplar in the exposition.
-    latency_exemplar: Mutex<Option<(String, f64)>>,
+}
+
+impl Tier for Shared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn handle(&self, line: &str) -> (String, ReqInfo) {
+        handle_request(self, line)
+    }
 }
 
 /// A running server; construct with [`Server::start`], stop with
@@ -279,29 +187,14 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
+            front: Front::new(&SERVE_NAMES, cfg.queue_cap, workers, cfg.head_sample_permille),
             cache: SharedPlanCache::new(),
-            recorder: Mutex::new(InMemoryRecorder::new()),
-            conns: Permits::new(cfg.queue_cap),
             sims: Permits::new(workers),
-            shutdown: AtomicBool::new(false),
-            depth_seq: AtomicU64::new(0),
             default_deadline_ms: cfg.default_deadline_ms,
-            workers,
-            sampler: Mutex::new(TailSampler::new(cfg.head_sample_permille)),
-            latency_exemplar: Mutex::new(None),
         });
-        {
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.gauge("serve.workers", workers as f64);
-            rec.gauge("serve.queue.cap", cfg.queue_cap as f64);
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
+        let acceptor = start_acceptor(listener, &shared)?;
         Ok(Server { addr, shared, acceptor: Some(acceptor) })
     }
 
@@ -312,7 +205,7 @@ impl Server {
 
     /// Live counter snapshot.
     pub fn stats(&self) -> ServerStats {
-        let rec = self.shared.recorder.lock().expect("recorder poisoned");
+        let rec = self.shared.front.recorder.lock().expect("recorder poisoned");
         stats_of(&rec, &self.shared.cache)
     }
 
@@ -320,41 +213,13 @@ impl Server {
     /// flight, wait for every connection to close, and return the final
     /// metrics.
     pub fn drain(mut self) -> DrainReport {
-        self.stop_threads();
-        let (requests, dropped) = {
-            let mut sampler = self.shared.sampler.lock().expect("sampler poisoned");
-            let dropped = sampler.dropped();
-            (sampler.drain(), dropped)
-        };
-        let exemplar = self.shared.latency_exemplar.lock().expect("exemplar poisoned").clone();
-        let mut rec = self.shared.recorder.lock().expect("recorder poisoned");
-        rec.counter("serve.trace.requests_sampled", requests.len() as u64);
-        rec.counter("serve.trace.requests_dropped", dropped);
-        let stats = stats_of(&rec, &self.shared.cache);
-        let meta = RunMeta {
-            command: "serve".to_string(),
-            guest: "-".to_string(),
-            host: "-".to_string(),
-            n: 0,
-            m: 0,
-            guest_steps: 0,
-        };
+        self.shared.front.stop(&mut self.acceptor);
+        let (rec, trace) = self.shared.front.drain_trace();
         DrainReport {
-            stats,
-            exposition: exposition_of(&rec, &self.shared.cache, exemplar.as_ref()),
-            trace: export_full(&rec, &meta, &[], &requests, None),
+            stats: stats_of(&rec, &self.shared.cache),
+            exposition: exposition_of(&self.shared, &rec),
+            trace,
         }
-    }
-
-    /// Stop the acceptor, then wait until every connection thread has
-    /// answered its in-flight request and closed (each returns its slot
-    /// last).
-    fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        self.shared.conns.wait_all_returned();
     }
 }
 
@@ -362,7 +227,7 @@ impl Drop for Server {
     fn drop(&mut self) {
         // Not drained: still stop the threads so tests that merely start a
         // server cannot leak a spinning acceptor.
-        self.stop_threads();
+        self.shared.front.stop(&mut self.acceptor);
     }
 }
 
@@ -377,12 +242,9 @@ fn stats_of(rec: &InMemoryRecorder, cache: &SharedPlanCache) -> ServerStats {
     }
 }
 
-fn exposition_of(
-    rec: &InMemoryRecorder,
-    cache: &SharedPlanCache,
-    exemplar: Option<&(String, f64)>,
-) -> String {
-    let mut reg = MetricsRegistry::from_recorder(rec);
+fn exposition_of(shared: &Shared, rec: &InMemoryRecorder) -> String {
+    let cache = &shared.cache;
+    let mut reg = shared.front.registry(rec);
     // The cache atomics are authoritative process totals (per-request
     // recorder merges could lag mid-flight).
     reg.set_counter("serve.cache.shared.hits", cache.hits());
@@ -391,194 +253,7 @@ fn exposition_of(
     if let Some(ratio) = cache.hit_ratio() {
         reg.set_gauge("serve.cache.hit_ratio", ratio);
     }
-    if let Some((trace_id, ms)) = exemplar {
-        // The slowest request explains the histogram's max.
-        reg.set_exemplar("serve.request.latency_ms.max", trace_id, *ms);
-    }
     reg.expose()
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                // The protocol is a ping-pong of small lines; without
-                // nodelay, Nagle + delayed ACK stall every request after
-                // the first on a persistent connection by tens of ms.
-                let _ = stream.set_nodelay(true);
-                admit(shared, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// The `retry_after_ms` fallback before any request latency is measured.
-pub(crate) const RETRY_AFTER_FLOOR_MS: u64 = 100;
-
-/// Hint for a rejected client: a request from each of `depth` open
-/// connections must drain through `workers` parallel permits, each costing
-/// about the measured mean latency. Shared with the shard router, which
-/// applies the same backpressure shape at its own admission queue.
-///
-/// Before the first request latency lands (the zero-sample startup
-/// window), the hint is the bare floor — multiplying the floor by the
-/// drain rounds would tell the very first rejected clients to back off
-/// for seconds based on no evidence at all. A non-finite mean (possible
-/// only if the histogram is ever fed garbage) takes the same path.
-pub(crate) fn retry_after_hint(rec: &InMemoryRecorder, depth: usize, workers: usize) -> u64 {
-    match rec.histogram_data("serve.request.latency_ms").and_then(|h| h.mean()) {
-        Some(mean) if mean.is_finite() => {
-            let rounds = depth.div_ceil(workers.max(1)).max(1);
-            ((mean * rounds as f64).ceil() as u64).max(1)
-        }
-        _ => RETRY_AFTER_FLOOR_MS,
-    }
-}
-
-/// Give the connection a slot and its own thread, or answer `overloaded`.
-fn admit(shared: &Arc<Shared>, mut stream: TcpStream) {
-    match shared.conns.try_acquire() {
-        Some((slot, open)) => {
-            let seq = shared.depth_seq.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                rec.counter("serve.conns.admitted", 1);
-                rec.sample("serve.queue.depth", seq, 0, open as u64);
-            }
-            let shared = Arc::clone(shared);
-            // A failed spawn drops the closure, closing the stream and
-            // returning the slot.
-            let _ = std::thread::Builder::new().name("unet-conn".into()).spawn(move || {
-                serve_connection(&shared, stream);
-                drop(slot);
-            });
-        }
-        None => {
-            let cap = shared.conns.cap;
-            let retry_after = {
-                let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                rec.counter("serve.conns.rejected", 1);
-                retry_after_hint(&rec, cap, shared.workers)
-            };
-            let _ = writeln!(stream, "{}", overloaded_line(cap, retry_after));
-            let _ = stream.flush();
-        }
-    }
-}
-
-/// How long a connection thread waits on an idle connection before
-/// re-checking the shutdown flag. Bounds drain latency for open-but-quiet
-/// clients. The shard router's connection workers poll on the same
-/// cadence.
-pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
-
-fn serve_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match read_line_patient(&mut reader, &mut line, &shared.shutdown) {
-            LineRead::Line => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let started = Instant::now();
-                    let (response, mut info) = handle_request(shared, trimmed);
-                    let write_started = Instant::now();
-                    let write_ok =
-                        writeln!(writer, "{response}").and_then(|_| writer.flush()).is_ok();
-                    info.stages.push(("serialize", write_started.elapsed().as_secs_f64() * 1e3));
-                    let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
-                    {
-                        let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                        rec.counter("serve.requests.completed", 1);
-                        rec.histogram("serve.request.latency_ms", e2e_ms as u64);
-                    }
-                    {
-                        let mut ex = shared.latency_exemplar.lock().expect("exemplar poisoned");
-                        if ex.as_ref().is_none_or(|(_, ms)| e2e_ms >= *ms) {
-                            *ex = Some((info.trace_id.clone(), e2e_ms));
-                        }
-                    }
-                    let record = RequestRecord {
-                        trace_id: info.trace_id,
-                        kind: info.kind.to_string(),
-                        ok: info.ok,
-                        e2e_ms,
-                        sampled: SampleReason::Head,
-                        stages: info
-                            .stages
-                            .into_iter()
-                            .map(|(stage, ms)| StageSpan { stage: stage.to_string(), ms })
-                            .collect(),
-                    };
-                    shared.sampler.lock().expect("sampler poisoned").offer(record);
-                    if !write_ok {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            LineRead::Closed => return,
-        }
-    }
-}
-
-pub(crate) enum LineRead {
-    Line,
-    Closed,
-}
-
-/// Read one line, treating read timeouts as "check shutdown, keep waiting".
-/// A timeout mid-line keeps the partial data in `buf`, so slow writers are
-/// never corrupted; an EOF (or a drain while idle) closes the connection.
-/// Shared with the shard router's connection workers.
-pub(crate) fn read_line_patient<R: Read>(
-    reader: &mut BufReader<R>,
-    buf: &mut String,
-    shutdown: &AtomicBool,
-) -> LineRead {
-    loop {
-        match reader.read_line(buf) {
-            Ok(0) => return LineRead::Closed,
-            Ok(_) => {
-                if buf.ends_with('\n') {
-                    return LineRead::Line;
-                }
-                // EOF after a partial line: serve it, next read sees EOF.
-                return if buf.is_empty() { LineRead::Closed } else { LineRead::Line };
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
-                    // Idle connection during drain: close it. A partial
-                    // line means a request is mid-send; keep waiting so
-                    // drain never drops an in-flight request.
-                    return LineRead::Closed;
-                }
-            }
-            Err(_) => return LineRead::Closed,
-        }
-    }
-}
-
-/// What one handled request looked like, for the request-span record its
-/// connection thread offers to the tail sampler.
-struct ReqInfo {
-    trace_id: String,
-    kind: &'static str,
-    ok: bool,
-    stages: Vec<(&'static str, f64)>,
 }
 
 /// The wire form of a stage-span list: `{"queue_wait":1.5,...}`.
@@ -635,9 +310,8 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
         }
         Request::Analyze { trace, id } => handle_analyze(&trace, id),
         Request::Metrics { id } => {
-            let exemplar = shared.latency_exemplar.lock().expect("exemplar poisoned").clone();
-            let rec = shared.recorder.lock().expect("recorder poisoned");
-            let exposition = exposition_of(&rec, &shared.cache, exemplar.as_ref());
+            let rec = shared.front.recorder.lock().expect("recorder poisoned");
+            let exposition = exposition_of(shared, &rec);
             drop(rec);
             (
                 result_line(
@@ -655,9 +329,8 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
 /// [`parse_graph`] with generator panics turned into errors. Some
 /// generators `assert!` their preconditions (`random:5x3` trips "n·d must
 /// be even"); a spec off the wire must get a typed `bad-spec` carrying
-/// that message, not kill the thread serving it. Shared with the shard
-/// router's fingerprinting.
-pub(crate) fn parse_spec(spec: &str) -> Result<Graph, String> {
+/// that message, not kill the thread serving it.
+fn parse_spec(spec: &str) -> Result<Graph, String> {
     std::panic::catch_unwind(|| parse_graph(spec)).unwrap_or_else(|panic| {
         let msg = panic
             .downcast_ref::<&str>()
@@ -757,7 +430,7 @@ fn run_jobs(shared: &Shared, jobs: &[Job]) -> Vec<JobOutcome> {
         }
     }
     let mut outcomes: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
-    let ran = par_map(&groups, shared.workers, |group| run_group(shared, jobs, group));
+    let ran = par_map(&groups, shared.sims.cap, |group| run_group(shared, jobs, group));
     for (group, outs) in groups.iter().zip(ran) {
         for (&i, out) in group.iter().zip(outs) {
             outcomes[i] = Some(out);
@@ -772,15 +445,15 @@ fn run_jobs(shared: &Shared, jobs: &[Job]) -> Vec<JobOutcome> {
 /// as single-flight followers before they run with the plan warm.
 fn run_group(shared: &Shared, jobs: &[Job], group: &[usize]) -> Vec<JobOutcome> {
     let size = group.len() as u64;
-    shared.recorder.lock().expect("recorder poisoned").histogram("serve.batch.size", size);
+    shared.front.recorder.lock().expect("recorder poisoned").histogram("serve.batch.size", size);
     let run = |&i: &usize| execute_job(shared, &jobs[i]);
     let (leader, rest) = group.split_first().expect("groups are non-empty");
     if shared.cache.contains(jobs[*leader].fingerprint) {
-        return par_map(group, shared.workers, run);
+        return par_map(group, shared.sims.cap, run);
     }
     shared.cache.note_singleflight_followers(rest.len() as u64);
     let mut outs = vec![run(leader)];
-    outs.extend(par_map(rest, shared.workers, run));
+    outs.extend(par_map(rest, shared.sims.cap, run));
     outs
 }
 
@@ -855,7 +528,7 @@ fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, 
     // Fold the request's engine counters into the server-level registry
     // (recorder counters accumulate, so sim.* become process totals).
     {
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+        let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
         for (name, v) in local.counters() {
             rec.counter(name, v);
         }
@@ -909,7 +582,8 @@ fn handle_analyze(trace: &[String], id: Option<u64>) -> (String, bool) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::conn::{retry_after_hint, RETRY_AFTER_FLOOR_MS};
+    use unet_obs::{InMemoryRecorder, Recorder};
 
     /// Regression: before any request latency lands, the hint used to be
     /// the 100 ms floor *multiplied by the drain rounds* — the very first
@@ -922,39 +596,6 @@ mod tests {
         assert_eq!(retry_after_hint(&rec, 64, 2), RETRY_AFTER_FLOOR_MS);
         assert_eq!(retry_after_hint(&rec, 1024, 1), RETRY_AFTER_FLOOR_MS);
         assert_eq!(retry_after_hint(&rec, 0, 4), RETRY_AFTER_FLOOR_MS);
-    }
-
-    #[test]
-    fn permits_pass_on_in_arrival_order_and_survive_a_panicking_holder() {
-        let permits = Permits::new(1);
-        let first = permits.acquire();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let waiters: Vec<_> = (0..3)
-            .map(|i| {
-                let (p, o) = (Arc::clone(&permits), Arc::clone(&order));
-                let waiter = std::thread::spawn(move || {
-                    let _permit = p.acquire();
-                    o.lock().unwrap().push(i);
-                });
-                // Queue each waiter before the next one starts.
-                while permits.state.lock().unwrap().queue.len() <= i {
-                    std::thread::yield_now();
-                }
-                waiter
-            })
-            .collect();
-        drop(first);
-        for waiter in waiters {
-            waiter.join().unwrap();
-        }
-        assert_eq!(*order.lock().unwrap(), [0, 1, 2]);
-        let p = Arc::clone(&permits);
-        let holder = std::thread::spawn(move || {
-            let _permit = p.acquire();
-            panic!("the holder dies");
-        });
-        assert!(holder.join().is_err());
-        assert_eq!(permits.try_acquire().map(|(_, held)| held), Some(1), "permit came back");
     }
 
     #[test]

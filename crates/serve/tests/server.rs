@@ -12,7 +12,7 @@ use unet_serve::protocol::{
     analyze_request_line, batch_request_line, metrics_request_line, parse_response,
     simulate_request_line, Response, SimulateReq,
 };
-use unet_serve::router::{simulate_fingerprint, Router, ShardConfig};
+use unet_serve::router::{Router, ShardConfig};
 use unet_serve::{ClientError, ServeConfig, Server};
 
 fn sim_req(seed: u64) -> SimulateReq {
@@ -106,18 +106,35 @@ fn bad_specs_and_bad_requests_get_typed_errors() {
     server.drain();
 }
 
+/// A zero connection bound answers every connection with the typed
+/// `overloaded` and its retry hint, at a server and at a router.
 #[test]
 fn zero_queue_cap_rejects_with_typed_overloaded() {
     let server = start(1, 0);
-    let addr = server.addr().to_string();
-    let resp = raw(&addr, &metrics_request_line(None, None));
-    match parse_response(&resp).expect("valid") {
-        Response::Overloaded { queue_cap: 0, retry_after_ms: Some(hint) } => assert!(hint >= 1),
-        other => panic!("expected overloaded with retry hint, got {other:?}"),
+    let backend = start(1, 8);
+    let router = Router::start(ShardConfig {
+        queue_cap: 0,
+        backends: vec![backend.addr().to_string()],
+        ..ShardConfig::default()
+    })
+    .expect("bind router");
+    for addr in [server.addr().to_string(), router.addr().to_string()] {
+        match parse_response(&raw(&addr, &metrics_request_line(None, None))).expect("valid") {
+            Response::Overloaded { queue_cap: 0, retry_after_ms: Some(hint) } => assert!(hint >= 1),
+            other => panic!("expected overloaded with retry hint via {addr}, got {other:?}"),
+        }
     }
     let report = server.drain();
     assert_eq!(report.stats.rejected, 1);
     assert_eq!(report.stats.admitted, 0);
+    let routed = router.drain();
+    assert_eq!(routed.stats.completed, 0);
+    assert!(
+        routed.exposition.contains("unet_shard_conns_rejected{shard=\"router\"} 1"),
+        "{}",
+        routed.exposition
+    );
+    backend.drain();
 }
 
 #[test]
@@ -290,12 +307,11 @@ fn unknown_protocol_version_gets_typed_error_not_hangup() {
 /// even). It used to kill the thread serving the request, so neither that
 /// request nor the next valid one on a `workers: 1` server was answered.
 /// Now it is a typed `bad-spec` carrying the assertion message — directly
-/// and through a router, which places the unfingerprintable spec on key 0.
+/// and through a router, which forwards the spec unparsed.
 #[test]
 fn generator_panic_is_a_typed_bad_spec_and_the_next_request_answers() {
     let mut bad = sim_req(1);
     bad.guest = "random:5x3".into();
-    assert!(simulate_fingerprint(&bad).unwrap_err().contains("n·d must be even"));
     let server = start(1, 8);
     let addr = server.addr().to_string();
     let router =
@@ -318,23 +334,42 @@ fn generator_panic_is_a_typed_bad_spec_and_the_next_request_answers() {
     server.drain();
 }
 
-/// One simulation permit does not pin the server to one connection: two
-/// clients on persistent connections take turns and both are answered
-/// while both connections stay open.
+/// One permit does not pin a tier to one connection: two clients on
+/// persistent connections take turns and both are answered while both
+/// connections stay open — at a server with one simulation permit, and
+/// through a router with one forward permit.
 #[test]
 fn one_permit_serves_two_persistent_connections_in_turn() {
+    let take_turns = |addr: &str| {
+        let connect = || Client::connect(addr).expect("connect").timeout(Duration::from_secs(10));
+        let (mut a, mut b) = (connect(), connect());
+        for seed in 0..3 {
+            assert!(a.simulate(&sim_req(seed)).expect("first client answered").verified);
+            assert!(b.simulate(&sim_req(seed)).expect("second client answered").verified);
+        }
+    };
     let server = start(1, 8);
-    let addr = server.addr().to_string();
-    let connect = || Client::connect(&addr).expect("connect").timeout(Duration::from_secs(10));
-    let (mut a, mut b) = (connect(), connect());
-    for seed in 0..3 {
-        assert!(a.simulate(&sim_req(seed)).expect("first client answered").verified);
-        assert!(b.simulate(&sim_req(seed)).expect("second client answered").verified);
-    }
-    drop((a, b));
+    take_turns(&server.addr().to_string());
     let report = server.drain();
     assert_eq!(report.stats.admitted, 2, "no reconnects: both connections stayed open");
     assert_eq!(report.stats.completed, 6);
+
+    let backend = start(1, 8);
+    let router = Router::start(ShardConfig {
+        workers: 1,
+        backends: vec![backend.addr().to_string()],
+        ..ShardConfig::default()
+    })
+    .expect("bind router");
+    take_turns(&router.addr().to_string());
+    let routed = router.drain();
+    assert_eq!(routed.stats.completed, 6);
+    assert!(
+        routed.exposition.contains("unet_shard_conns_admitted{shard=\"router\"} 2"),
+        "no reconnects through the router:\n{}",
+        routed.exposition
+    );
+    backend.drain();
 }
 
 #[test]

@@ -663,7 +663,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `unet shard` — the fingerprint-affine front-end router. `--shards N`
+/// `unet shard` — the spec-affine front-end router. `--shards N`
 /// spawns and supervises N backend `unet serve` child processes on
 /// ephemeral ports (their graceful drain rides the child-stdin pipe);
 /// `--backend ADDR` (repeatable) attaches externally managed ones. Prints

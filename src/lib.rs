@@ -33,7 +33,7 @@
 //!   request deadlines, graceful drain) plus its wire protocol, one-shot
 //!   client, and deterministic closed-loop load generator.
 //!
-//! See `examples/quickstart.rs` for a three-minute tour.
+//! README.md's quickstart is a three-minute tour; it runs as a doctest.
 
 pub use unet_core::spec;
 

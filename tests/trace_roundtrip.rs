@@ -1,11 +1,8 @@
 //! Cross-crate observability: record a full simulation + certification run
 //! into an `InMemoryRecorder`, export it as a JSONL trace, parse it back,
-//! and check that every recorded signal survives the round trip — and that
-//! a legacy `unet-trace/2` trace still reads identically through the
-//! `unet-trace/4` reader and the streaming analyzer.
+//! and check that every recorded signal survives the round trip.
 
 use universal_networks::core::prelude::*;
-use universal_networks::obs::analysis::analyze_str;
 use universal_networks::obs::trace::{export, parse_trace, RunMeta, RunSummary};
 use universal_networks::obs::InMemoryRecorder;
 use universal_networks::pebble::check_recorded;
@@ -94,68 +91,4 @@ fn recorded_run_round_trips_through_jsonl() {
     let (check_ns, check_count) = find("pebble.check").expect("pebble.check span");
     assert_eq!(check_count, 1);
     assert!(check_ns > 0);
-}
-
-#[test]
-fn legacy_v2_trace_reads_identically_through_the_v4_reader() {
-    // Record a real run and export it as the current unet-trace/4 schema.
-    let guest = ring(12);
-    let host = torus(2, 2);
-    let steps = 3u32;
-    let comp = GuestComputation::random(guest.clone(), 0xCAFE);
-    let router = presets::bfs();
-    let mut rec = InMemoryRecorder::new();
-    let run = Simulation::builder()
-        .guest(&comp)
-        .host(&host)
-        .embedding(Embedding::block(guest.n(), host.n()))
-        .router(&router)
-        .steps(steps)
-        .seed(2)
-        .recorder(&mut rec)
-        .run()
-        .expect("configuration is valid");
-    check_recorded(&guest, &host, &run.protocol, &mut rec).expect("run certifies");
-    let meta = RunMeta {
-        command: "test".into(),
-        guest: "ring:12".into(),
-        host: "torus:2x2".into(),
-        n: guest.n() as u64,
-        m: host.n() as u64,
-        guest_steps: steps as u64,
-    };
-    let v3 = export(&rec, &meta, None);
-    assert!(v3.contains("unet-trace/4"));
-
-    // Rewrite it as the trace a /2 writer would have produced: the /2
-    // schema tag, and no per-step sample records (introduced in /3; the
-    // /4 request records only come from the serving tier, so a recorder
-    // export carries none either way).
-    let v2: String = v3
-        .lines()
-        .filter(|l| !l.contains("\"type\":\"sample\""))
-        .map(|l| l.replace("\"schema\":\"unet-trace/4\"", "\"schema\":\"unet-trace/2\"") + "\n")
-        .collect();
-    assert!(v2.contains("unet-trace/2"));
-
-    // The /4 reader accepts the legacy document…
-    let doc2 = parse_trace(&v2).expect("legacy /2 trace parses");
-    let doc3 = parse_trace(&v3).expect("current /4 trace parses");
-    assert_eq!(doc2.counters, doc3.counters);
-    assert!(doc2.samples.is_empty(), "/2 traces carry no samples");
-    assert!(!doc3.samples.is_empty(), "/4 traces carry telemetry");
-
-    // …and the streaming analyzer aggregates both to the same counters,
-    // histograms, and span totals — only the sample series differ.
-    let a2 = analyze_str(&v2).expect("analyzer reads /2");
-    let a3 = analyze_str(&v3).expect("analyzer reads /4");
-    assert_eq!(a2.schema, "unet-trace/2");
-    assert_eq!(a3.schema, "unet-trace/4");
-    assert_eq!(a2.counters, a3.counters);
-    assert_eq!(a2.gauges, a3.gauges);
-    assert_eq!(a2.histograms, a3.histograms);
-    assert_eq!(a2.span_totals, a3.span_totals);
-    assert_eq!(a2.critical_path, a3.critical_path);
-    assert!(a2.series.is_empty());
-    assert!(!a3.series.is_empty());
 }
