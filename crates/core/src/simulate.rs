@@ -18,6 +18,10 @@
 //!   problem is identical at every guest step `gt > 1`, so the pair set and
 //!   the router's matching decomposition ([`unet_routing::plan::RoutePlan`])
 //!   are computed once and replayed with fresh pebble payloads each step.
+//!   From `gt = 3` on, a cached step's host steps are the previous step's
+//!   with every pebble one level later, so they are emitted as a bulk copy
+//!   ([`ProtocolBuilder::repeat_later`]); the uncached path replays the
+//!   plan every step and is the reference the copies must equal.
 //! * **Parallel phases** — pair extraction shards by guest range and the
 //!   host-side state computation shards by node range, both on
 //!   [`unet_topology::par`] with order-preserving merges.
@@ -226,7 +230,15 @@ pub(crate) fn run_engine<REC: Recorder>(
     // telemetry reflects actual edge traffic, not just route() calls.
     let mut comm_round = 0u64;
 
+    // Host steps where the previous guest step's block and its computation
+    // phase began. The cached path emits each block from gt = 3 on as a
+    // copy of the previous one with every pebble one level later: the plan
+    // and the embedding are the same, only the payload level moves.
+    let mut prev = (0usize, 0usize);
+
     for gt in 1..=steps {
+        let start = comm_steps + compute_steps;
+        let mut copied = false;
         // Cooperative cancellation is checked at phase boundaries only:
         // phases are the engine's units of progress, and a branch inside
         // the routing/compute loops would tax uncancellable runs too.
@@ -243,15 +255,24 @@ pub(crate) fn run_engine<REC: Recorder>(
             if hit {
                 let c = cache.peek().expect("hit implies entry");
                 rec.histogram("sim.routing_problem_size", c.pair_count as u64);
-                let payloads: Vec<Pebble> =
-                    c.guests.iter().map(|&u| Pebble::new(u, gt - 1)).collect();
                 for round in &c.plan.rounds {
                     for &(from, to, _) in round {
                         rec.sample("sim.edge_util", comm_round, edge_key(from, to), 1);
                     }
                     comm_round += 1;
                 }
-                comm_steps += replay_plan(&mut builder, &c.plan, &payloads);
+                if gt > 2 {
+                    if gt == 3 {
+                        builder.reserve_copies(prev.0..start, (steps - 2) as usize);
+                    }
+                    builder.repeat_later(prev.0..prev.1);
+                    comm_steps += prev.1 - prev.0;
+                    copied = true;
+                } else {
+                    let payloads: Vec<Pebble> =
+                        c.guests.iter().map(|&u| Pebble::new(u, gt - 1)).collect();
+                    comm_steps += replay_plan(&mut builder, &c.plan, &payloads);
+                }
             } else {
                 let build_started = std::time::Instant::now();
                 let (pairs, guests) = induced_pairs(comp, f, cfg.threads);
@@ -301,14 +322,20 @@ pub(crate) fn run_engine<REC: Recorder>(
         }
         // ---- Computation phase ---------------------------------------
         rec.span_start("sim.compute");
-        for round in 0..load {
-            for (q, guests) in guests_by_host.iter().enumerate() {
-                if let Some(&v) = guests.get(round) {
-                    builder.set_op(q as Node, Op::Generate(Pebble::new(v, gt)));
+        let compute_start = comm_steps + compute_steps;
+        if copied {
+            builder.repeat_later(prev.1..start);
+            compute_steps += start - prev.1;
+        } else {
+            for round in 0..load {
+                for (q, guests) in guests_by_host.iter().enumerate() {
+                    if let Some(&v) = guests.get(round) {
+                        builder.set_op(q as Node, Op::Generate(Pebble::new(v, gt)));
+                    }
                 }
+                builder.end_step();
+                compute_steps += 1;
             }
-            builder.end_step();
-            compute_steps += 1;
         }
         // ---- Host-side state computation -----------------------------
         // (data availability is certified separately by the pebble
@@ -316,6 +343,7 @@ pub(crate) fn run_engine<REC: Recorder>(
         // is equivalent to computing from the delivered copies)
         prev_states = advance_states(comp, &prev_states, cfg.threads);
         rec.span_end("sim.compute");
+        prev = (start, compute_start);
     }
     rec.counter("sim.guest_steps", steps as u64);
     rec.counter("sim.comm_steps", comm_steps as u64);
@@ -509,6 +537,68 @@ mod tests {
         // Per-run cache: gt=2 compiles, gt=3 replays.
         assert_eq!(rec.counter_value("sim.cache.hits"), 1);
         assert_eq!(rec.counter_value("sim.cache.misses"), 1);
+    }
+
+    /// From gt = 3 the cached path copies the previous block a level
+    /// later. Cached, uncached and shared-cache-hit runs must give `==`
+    /// protocols and the same engine records, and the checker must take
+    /// the copied blocks by its shift scan.
+    #[test]
+    fn copied_blocks_equal_replayed_blocks() {
+        use crate::cache::SharedPlanCache;
+        use crate::sim::CachePolicy;
+        use unet_obs::InMemoryRecorder;
+        let guest = random_regular(32, 4, &mut seeded_rng(11));
+        let host = torus(2, 3);
+        let comp = GuestComputation::random(guest.clone(), 4);
+        let router = presets::bfs();
+        for steps in 4..=8 {
+            let shared = SharedPlanCache::new();
+            let run = |policy: CachePolicy, shared: Option<&SharedPlanCache>| {
+                let mut rec = InMemoryRecorder::new();
+                let mut b = Simulation::builder()
+                    .guest(&comp)
+                    .host(&host)
+                    .embedding(Embedding::block(32, 6))
+                    .router(&router)
+                    .steps(steps)
+                    .seed(9)
+                    .cache_policy(policy);
+                if let Some(shared) = shared {
+                    b = b.shared_cache(shared);
+                }
+                let run = b.recorder(&mut rec).run().expect("valid configuration");
+                (run, rec)
+            };
+            let (uncached, base) = run(CachePolicy::Disabled, None);
+            let (cached, rec) = run(CachePolicy::Enabled, None);
+            run(CachePolicy::Enabled, Some(&shared));
+            let (warm, warm_rec) = run(CachePolicy::Enabled, Some(&shared));
+            assert_eq!(warm_rec.counter_value("sim.cache.shared.hits"), 1, "T = {steps}");
+            assert_eq!(cached.protocol, uncached.protocol, "T = {steps}");
+            assert_eq!(warm.protocol, uncached.protocol, "T = {steps}");
+            assert_eq!(cached.final_states, uncached.final_states);
+            for r in [&rec, &warm_rec] {
+                assert!(r.open_spans().is_empty());
+                for name in ["sim.comm_steps", "sim.compute_steps"] {
+                    assert_eq!(r.counter_value(name), base.counter_value(name), "{name}");
+                }
+                let size = "sim.routing_problem_size";
+                assert_eq!(r.histogram_data(size), base.histogram_data(size));
+                assert_eq!(r.sample_data("sim.edge_util"), base.sample_data("sim.edge_util"));
+                let phases = |r: &InMemoryRecorder| {
+                    r.span_totals()
+                        .filter(|&(n, ..)| n == "sim.comm" || n == "sim.compute")
+                        .map(|(n, _, count)| (n, count))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(phases(r), phases(&base));
+            }
+            let mut check_rec = InMemoryRecorder::new();
+            unet_pebble::check_recorded(&guest, &host, &cached.protocol, &mut check_rec)
+                .expect("protocol must verify");
+            assert!(check_rec.counter_value("pebble.check.shifted_steps") > 0, "T = {steps}");
+        }
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! `random:64x4:7` (n × degree × seed). [`parse_graph`] covers every
 //! generator family in the workspace.
 
+use std::cell::Cell;
+use std::panic::{catch_unwind, UnwindSafe};
+use std::sync::Once;
 use unet_topology::generators as gen;
 use unet_topology::util::seeded_rng;
 use unet_topology::Graph;
@@ -26,7 +29,47 @@ use unet_topology::Graph;
 /// | `random:NxD` or `random:NxD:SEED` | random `D`-regular |
 /// | `expander:N` or `expander:N:SEED` | random 4-regular expander |
 /// | `margulis:S` | Margulis-style expander on `S×S` |
+///
+/// Some generators `assert!` their preconditions (`random:5x3` trips "n·d
+/// must be even"). Such a spec is an `Err` carrying the assertion message,
+/// never a panic: a spec off the wire or the command line must not kill
+/// the thread that parses it, nor print a panic report.
 pub fn parse_graph(spec: &str) -> Result<Graph, String> {
+    quietly(|| build_graph(spec))
+        .unwrap_or_else(|msg| Err(format!("{spec:?} rejected by its generator: {msg}")))
+}
+
+thread_local! {
+    /// Whether this thread is inside [`quietly`].
+    static QUIET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f`, turning a panic into `Err(message)`. The panic hook stays
+/// silent for panics inside `f` and passes every other panic, on any
+/// thread, to the hook that was installed before.
+fn quietly<T>(f: impl FnOnce() -> T + UnwindSafe) -> Result<T, String> {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+    let outer = QUIET.with(|q| q.replace(true));
+    let out = catch_unwind(f);
+    QUIET.with(|q| q.set(outer));
+    out.map_err(|panic| {
+        panic
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "generator panicked".to_string())
+    })
+}
+
+fn build_graph(spec: &str) -> Result<Graph, String> {
     let (family, rest) = spec
         .split_once(':')
         .ok_or_else(|| format!("spec {spec:?} must look like family:params"))?;
@@ -151,5 +194,14 @@ mod tests {
         assert!(parse_graph("ring").unwrap_err().contains("family:params"));
         assert!(parse_graph("torus:4").unwrap_err().contains("two parameters"));
         assert!(parse_graph("ring:x").unwrap_err().contains("bad number"));
+    }
+
+    #[test]
+    fn generator_asserts_are_errors() {
+        let err = parse_graph("random:5x3").unwrap_err();
+        assert!(err.contains("rejected by its generator"), "{err}");
+        assert!(err.contains("n·d must be even"), "{err}");
+        // The guard leaves the thread able to parse again.
+        assert_eq!(parse_graph("ring:4").map(|g| g.n()), Ok(4));
     }
 }

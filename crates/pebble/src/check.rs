@@ -103,7 +103,7 @@ impl std::error::Error for CheckError {}
 /// * [`Trace::generators`]`(i, t)` = `Q'_S(i, t)`
 ///   (hosts in `Q_S(i,t)` that generate `(P_i, t+1)`),
 /// * [`Trace::weight`]`(i, t)` = `q_{i,t} = |Q_S(i, t)|` (Definition 3.11).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Guest size `n`.
     pub guest_n: usize,
@@ -294,6 +294,13 @@ impl RepresentativeSet<'_> {
 ///
 /// Violations are reported in protocol order: the first offending op by
 /// step, then by ascending host.
+///
+/// A protocol that repeats one plan period level after level, as the
+/// Theorem 2.1 engine emits it, is decided by replaying its first three
+/// guest-step blocks and scanning the rest for exact level-shifted copies
+/// (see `periodic_form` in the source for the conditions and the argument).
+/// Verdict and trace are the full replay's; any other protocol is replayed
+/// in full.
 pub fn check(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, CheckError> {
     check_recorded(guest, host, proto, &mut NoopRecorder)
 }
@@ -308,7 +315,10 @@ pub fn check(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Che
 /// * histogram `pebble.level_weight` — `Σ_i q_{i,t}` per guest level
 ///   `t ≥ 1`: how fragmented each level's pebble copies are across hosts
 ///   (Lemma 3.13(2) bounds this by `384·n·k`);
-/// * histogram `pebble.holders_per_pebble` — `q_{i,t}` per pebble type.
+/// * histogram `pebble.holders_per_pebble` — `q_{i,t}` per pebble type;
+/// * counter `pebble.check.shifted_steps` — host steps accepted by the
+///   shift scan of a periodic protocol instead of replayed, 0 when the
+///   whole protocol was replayed.
 ///
 /// The span is closed on rejection too, so a trace containing a failed
 /// check still balances.
@@ -319,8 +329,13 @@ pub fn check_recorded<REC: Recorder + ?Sized>(
     rec: &mut REC,
 ) -> Result<Trace, CheckError> {
     rec.span_start("pebble.check");
-    let result = check_impl(guest, host, proto);
+    let form = periodic_form(proto);
+    let result = replay(guest, host, proto, form);
     rec.span_end("pebble.check");
+    rec.counter(
+        "pebble.check.shifted_steps",
+        form.map_or(0, |f| f.shifted_steps(proto.guest_t)) as u64,
+    );
     let (generate, send, recv, idle) = proto.op_histogram();
     rec.counter("pebble.ops.idle", idle as u64);
     rec.counter("pebble.ops.generate", generate as u64);
@@ -403,7 +418,69 @@ fn csr<P: Copy>(pebbles: usize, log: &[(usize, P)], mut emit: impl FnMut(usize, 
     offsets
 }
 
-fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, CheckError> {
+/// Where a protocol repeats itself (see [`periodic_form`]): block `B1`
+/// is host steps `0..b1`, and blocks `B2..BT` follow, `period` steps each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Period {
+    b1: usize,
+    period: usize,
+}
+
+/// The protocol's periodic form, if it has one. With `T ≥ 4`:
+///
+/// * (a) `B1` is the leading run of steps whose ops are all
+///   `Generate((·, 1))`;
+/// * (b) the remaining `T' − |B1|` steps split into `T − 1` blocks
+///   `B2..BT` of equal length `P ≥ 1`;
+/// * (c) in `B2` every `Send` carries a level-1 pebble and every
+///   `Generate` makes a level-2 pebble;
+/// * (d) from step `|B1| + P` on, every step equals the step `P` earlier
+///   with each pebble one level later ([`Op::later`]).
+///
+/// Then only `B_j`'s generations and `B_{j+1}`'s receipts acquire level-`j`
+/// pebbles, and every rule in `B_k` reads only level-`(k−1)` custody and
+/// the step's own pairing and host adjacency. So for `k ≥ 4`, `B_k`'s
+/// verdict and custody records are `B_{k−1}`'s shifted by one level and
+/// `P` steps, and replaying `B1·B2·B3` decides the whole protocol.
+fn periodic_form(proto: &Protocol) -> Option<Period> {
+    let t = proto.guest_t as usize;
+    if t < 4 {
+        return None;
+    }
+    let b1 = proto
+        .steps()
+        .take_while(|ops| ops.iter().all(|(_, op)| matches!(op, Op::Generate(p) if p.t == 1)))
+        .count();
+    let rest = proto.host_steps() - b1;
+    let period = rest / (t - 1);
+    if period == 0 || !rest.is_multiple_of(t - 1) {
+        return None;
+    }
+    let b2_ok = (b1..b1 + period).flat_map(|s| proto.step(s)).all(|(_, op)| match op {
+        Op::Generate(p) => p.t == 2,
+        Op::Send { pebble, .. } => pebble.t == 1,
+        _ => true,
+    });
+    (b2_ok && proto.repeats_later(b1 + period, period)).then_some(Period { b1, period })
+}
+
+impl Period {
+    /// Host steps accepted by the shift scan instead of replayed:
+    /// `B4..BT`.
+    fn shifted_steps(self, guest_t: u32) -> usize {
+        (guest_t as usize - 3) * self.period
+    }
+}
+
+/// Replay `proto` under every rule, except that with a [`Period`] only
+/// `B1·B2·B3` are replayed and `B4..BT`'s custody records are `B3`'s,
+/// shifted (see [`periodic_form`] for why that is exact).
+fn replay(
+    guest: &Graph,
+    host: &Graph,
+    proto: &Protocol,
+    form: Option<Period>,
+) -> Result<Trace, CheckError> {
     let n = proto.guest_n;
     let t_max = proto.guest_t;
     let m = proto.host_m;
@@ -427,9 +504,17 @@ fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Ch
     let mut generated: Vec<(usize, Node)> = Vec::new();
     // The current step's ops by host, to pair sends with receives.
     let mut row = vec![Op::Idle; m];
+    // With a period: the first step of B3, the steps replayed, and where
+    // B3's records start in the two logs.
+    let b3 = form.map(|f| f.b1 + f.period);
+    let replayed = form.map_or(proto.host_steps(), |f| f.b1 + 2 * f.period);
+    let mut b3_logs = (0, 0);
 
-    for (step0, ops) in proto.steps().enumerate() {
+    for (step0, ops) in proto.steps().take(replayed).enumerate() {
         let step = step0 as u32 + 1; // 1-based host time
+        if Some(step0) == b3 {
+            b3_logs = (acquired.len(), generated.len());
+        }
         for &(q, op) in ops {
             row[q as usize] = op;
         }
@@ -510,6 +595,29 @@ fn check_impl(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Ch
         }
         for &(q, _) in ops {
             row[q as usize] = Op::Idle;
+        }
+    }
+
+    // B4..BT: B3's records, block j after B3 shifted by j levels (pebble
+    // index + j) and j·P steps, appended in block order as a replay would.
+    if let Some(f) = form {
+        let blocks = t_max as usize - 3;
+        let (acq, gen) = (acquired.len() - b3_logs.0, generated.len() - b3_logs.1);
+        acquired.reserve(blocks * acq);
+        generated.reserve(blocks * gen);
+        for j in 1..=blocks {
+            let steps = (j * f.period) as u32;
+            acquired.extend_from_within(b3_logs.0..b3_logs.0 + acq);
+            let at = acquired.len() - acq;
+            for (idx, (_, step)) in &mut acquired[at..] {
+                *idx += j;
+                *step += steps;
+            }
+            generated.extend_from_within(b3_logs.1..b3_logs.1 + gen);
+            let at = generated.len() - gen;
+            for (idx, _) in &mut generated[at..] {
+                *idx += j;
+            }
         }
     }
 
@@ -797,6 +905,156 @@ mod tests {
         // No custody stats for a rejected protocol (absent counters read 0).
         assert_eq!(rec.counter_value("pebble.acquisitions"), 0);
         assert!(rec.histogram_data("pebble.level_weight").is_none());
+    }
+
+    /// The checker's verdict, the full replay's, and the host steps the
+    /// checker accepted by the shift scan.
+    fn verdicts(
+        guest: &Graph,
+        host: &Graph,
+        proto: &Protocol,
+    ) -> (Result<Trace, CheckError>, Result<Trace, CheckError>, u64) {
+        use unet_obs::InMemoryRecorder;
+        let mut rec = InMemoryRecorder::new();
+        let got = check_recorded(guest, host, proto, &mut rec);
+        (got, replay(guest, host, proto, None), rec.counter_value("pebble.check.shifted_steps"))
+    }
+
+    fn protocol(n: usize, t: u32, m: usize, rows: &[Vec<Op>]) -> Protocol {
+        let mut proto = Protocol::new(n, t, m);
+        for row in rows {
+            proto.push_step(row);
+        }
+        proto
+    }
+
+    /// A periodic protocol of `ring(3)` on `complete(2)`: host 0 owns
+    /// guests 0 and 1, host 1 owns guest 2. `B1` generates level 1 in two
+    /// steps; every later block is three transfers of the previous level,
+    /// then two generate steps (period 5).
+    fn triangle(t_max: u32) -> Vec<Vec<Op>> {
+        let (gen, idle) = (|i, t| Op::Generate(Pebble::new(i, t)), Op::Idle);
+        let send = |i, t, to| Op::Send { pebble: Pebble::new(i, t), to };
+        let mut rows = vec![vec![gen(0, 1), gen(2, 1)], vec![gen(1, 1), idle]];
+        for t in 2..=t_max {
+            rows.push(vec![send(0, t - 1, 1), Op::Recv { from: 0 }]);
+            rows.push(vec![send(1, t - 1, 1), Op::Recv { from: 0 }]);
+            rows.push(vec![Op::Recv { from: 1 }, send(2, t - 1, 0)]);
+            rows.push(vec![gen(0, t), gen(2, t)]);
+            rows.push(vec![gen(1, t), idle]);
+        }
+        rows
+    }
+
+    #[test]
+    fn periodic_protocol_replays_three_blocks() {
+        let proto = protocol(3, 6, 2, &triangle(6));
+        let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
+        assert_eq!(periodic_form(&proto), Some(Period { b1: 2, period: 5 }));
+        assert_eq!(shifted, 3 * 5, "B4..B6 accepted by the scan");
+        let trace = got.expect("valid");
+        assert_eq!(Ok(trace.clone()), full);
+        // Host 1 received (1, 5) in B6's second step: 1-based step 2 + 4·5 + 2.
+        assert_eq!(trace.acquisition_step(1, Pebble::new(1, 5)), Some(24));
+        assert_eq!(trace.generated_by(2, 6), &[1]);
+    }
+
+    #[test]
+    fn short_runs_replay_in_full() {
+        for t in 1..=3 {
+            let proto = protocol(3, t, 2, &triangle(t));
+            let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
+            assert!(got.is_ok(), "T = {t}");
+            assert_eq!((got, shifted), (full, 0), "T = {t}");
+        }
+    }
+
+    #[test]
+    fn ragged_tail_replays_in_full() {
+        // One step more than four whole periods: a redundant but valid
+        // regeneration of (0, 5) by host 0.
+        let mut rows = triangle(5);
+        rows.push(vec![Op::Generate(Pebble::new(0, 5)), Op::Idle]);
+        let proto = protocol(3, 5, 2, &rows);
+        let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
+        assert_eq!(got.as_ref().map(|t| t.generated_by(0, 5).len()), Ok(2));
+        assert_eq!((got, shifted), (full, 0));
+        // One step short: the last block loses (1, 5).
+        rows.truncate(rows.len() - 2);
+        let proto = protocol(3, 5, 2, &rows);
+        let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
+        assert_eq!(got, Err(CheckError::MissingFinalPebble { node: 1 }));
+        assert_eq!((got, shifted), (full, 0));
+    }
+
+    /// A protocol of one isolated guest node on `complete(2)`: `B1`
+    /// generates (0, 1); block `t ≥ 2` is `extra(t)`, a transfer of
+    /// (0, t − 1), and the generation of (0, t). Every block is the
+    /// previous one a level later.
+    fn lone(t_max: u32, extra: impl Fn(u32) -> Vec<Op>) -> Protocol {
+        let mut rows = vec![vec![Op::Generate(Pebble::new(0, 1)), Op::Idle]];
+        for t in 2..=t_max {
+            rows.push(extra(t));
+            rows.push(vec![
+                Op::Send { pebble: Pebble::new(0, t - 1), to: 1 },
+                Op::Recv { from: 0 },
+            ]);
+            rows.push(vec![Op::Generate(Pebble::new(0, t)), Op::Idle]);
+        }
+        protocol(1, t_max, 2, &rows)
+    }
+
+    #[test]
+    fn level_shifted_b2_replays_in_full() {
+        let lonely = complete(1);
+        // B2 sends the initial pebble (0, 0): valid, and each later block
+        // sends one level up, but B2's receipt acquires nothing.
+        let send_back =
+            |t: u32| vec![Op::Recv { from: 1 }, Op::Send { pebble: Pebble::new(0, t - 2), to: 0 }];
+        let proto = lone(6, send_back);
+        assert!(proto.repeats_later(1 + 3, 3));
+        let (got, full, shifted) = verdicts(&lonely, &complete(2), &proto);
+        assert!(got.is_ok());
+        assert_eq!((got, shifted), (full, 0));
+        // B2 generates level 3 in its first step, from (0, 2)... which is
+        // missing there; B6's copy would also generate (0, 7) > T.
+        let ahead = |t: u32| vec![Op::Generate(Pebble::new(0, t + 1)), Op::Idle];
+        let proto = lone(6, ahead);
+        let (got, full, shifted) = verdicts(&lonely, &complete(2), &proto);
+        assert!(matches!(got, Err(CheckError::GenerateMissingPredecessor { step: 1, .. })));
+        assert_eq!((got, shifted), (full, 0));
+        // The same in the last step of each block, where (0, t) is held:
+        // only B6's (0, 7) is out of range.
+        let mut rows = vec![vec![Op::Generate(Pebble::new(0, 1)), Op::Idle]];
+        for t in 2..=6 {
+            rows.push(vec![
+                Op::Send { pebble: Pebble::new(0, t - 1), to: 1 },
+                Op::Recv { from: 0 },
+            ]);
+            rows.push(vec![Op::Generate(Pebble::new(0, t)), Op::Idle]);
+            rows.push(vec![Op::Generate(Pebble::new(0, t + 1)), Op::Idle]);
+        }
+        let proto = protocol(1, 6, 2, &rows);
+        let (got, full, shifted) = verdicts(&lonely, &complete(2), &proto);
+        let last = rows.len() - 1;
+        assert_eq!(
+            got,
+            Err(CheckError::GenerateOutOfRange { step: last, host: 0, pebble: Pebble::new(0, 7) })
+        );
+        assert_eq!((got, shifted), (full, 0));
+    }
+
+    #[test]
+    fn varied_late_block_replays_in_full() {
+        // Host 1 regenerates (2, 6) in B6's last step, where it was idle:
+        // valid, and no longer a copy of B5.
+        let mut rows = triangle(6);
+        let last = rows.len() - 1;
+        rows[last][1] = Op::Generate(Pebble::new(2, 6));
+        let proto = protocol(3, 6, 2, &rows);
+        let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
+        assert_eq!(got.as_ref().map(|t| t.generated_by(2, 6).to_vec()), Ok(vec![1, 1]));
+        assert_eq!((got, shifted), (full, 0));
     }
 
     #[test]

@@ -66,6 +66,21 @@ pub enum Op {
     },
 }
 
+impl Op {
+    /// The same op one guest level later: the pebble it generates or sends,
+    /// `(P_i, t)`, becomes `(P_i, t + 1)`; hosts and guest nodes stay.
+    #[inline]
+    pub(crate) fn later(self) -> Op {
+        match self {
+            Op::Generate(p) => Op::Generate(Pebble::new(p.node, p.t + 1)),
+            Op::Send { pebble, to } => {
+                Op::Send { pebble: Pebble::new(pebble.node, pebble.t + 1), to }
+            }
+            other => other,
+        }
+    }
+}
+
 /// A complete simulation protocol: for every host step `τ < T'` and every
 /// host processor `q < m`, the operation [`Protocol::op`]`(τ, q)`.
 ///
@@ -99,14 +114,42 @@ impl Protocol {
         self.ends.len()
     }
 
+    /// Offset in the op list where host step `τ ≤ T'` starts.
+    #[inline]
+    fn start(&self, tau: usize) -> usize {
+        if tau == 0 {
+            0
+        } else {
+            self.ends[tau - 1]
+        }
+    }
+
     /// The non-idle ops of host step `τ`, in ascending host order.
     ///
     /// # Panics
     /// Panics if `τ ≥ T'`.
     #[inline]
     pub fn step(&self, tau: usize) -> &[(Node, Op)] {
-        let start = if tau == 0 { 0 } else { self.ends[tau - 1] };
-        &self.ops[start..self.ends[tau]]
+        &self.ops[self.start(tau)..self.ends[tau]]
+    }
+
+    /// Whether every step from `from` on equals the step `period` earlier
+    /// with each op [`Op::later`]: the same hosts, op kinds, partners and
+    /// guest nodes, every pebble one level later.
+    ///
+    /// # Panics
+    /// Panics if `period == 0` or `from < period`.
+    pub(crate) fn repeats_later(&self, from: usize, period: usize) -> bool {
+        assert!(period > 0 && from >= period, "a period needs one earlier copy");
+        // Ops per period. Equal step lengths are equivalent to every
+        // window of `period` steps holding exactly this many ops, which
+        // also makes the flat op offset between a step and its copy `per`.
+        let per = self.start(from) - self.start(from - period);
+        (from..self.host_steps()).all(|s| self.ends[s] - self.ends[s - period] == per)
+            && self.ops[self.start(from)..]
+                .iter()
+                .zip(&self.ops[self.start(from) - per..])
+                .all(|(&(q, op), &(q0, op0))| q == q0 && op == op0.later())
     }
 
     /// The non-idle ops of every host step, in step order.
@@ -234,6 +277,37 @@ impl ProtocolBuilder {
         self.proto.ends.push(self.proto.ops.len());
         self.dirty = false;
     }
+
+    /// Append copies of the closed steps `steps`, the same hosts, op kinds
+    /// and partners, with every pebble generated or sent one level later.
+    ///
+    /// # Panics
+    /// Panics if the current step holds ops or `steps` reaches past the
+    /// last closed step.
+    pub fn repeat_later(&mut self, steps: std::ops::Range<usize>) {
+        assert!(!self.dirty, "close the current step before copying steps");
+        let p = &mut self.proto;
+        let (from, to) = (p.start(steps.start), p.start(steps.end));
+        let shift = p.ops.len() - from;
+        p.ops.extend_from_within(from..to);
+        for (_, op) in &mut p.ops[from + shift..] {
+            *op = op.later();
+        }
+        let copied = p.ends.len();
+        p.ends.extend_from_within(steps);
+        for end in &mut p.ends[copied..] {
+            *end += shift;
+        }
+    }
+
+    /// Reserve room for `copies` more copies of the closed steps `steps`
+    /// (see [`ProtocolBuilder::repeat_later`]).
+    pub fn reserve_copies(&mut self, steps: std::ops::Range<usize>, copies: usize) {
+        let p = &mut self.proto;
+        p.ops.reserve(copies * (p.start(steps.end) - p.start(steps.start)));
+        p.ends.reserve(copies * steps.len());
+    }
+
     /// Convenience: schedule a paired send/recv in the current step.
     ///
     /// # Panics

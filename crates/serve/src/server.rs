@@ -326,21 +326,6 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
     (response, ReqInfo { trace_id, kind, ok, stages })
 }
 
-/// [`parse_graph`] with generator panics turned into errors. Some
-/// generators `assert!` their preconditions (`random:5x3` trips "n·d must
-/// be even"); a spec off the wire must get a typed `bad-spec` carrying
-/// that message, not kill the thread serving it.
-fn parse_spec(spec: &str) -> Result<Graph, String> {
-    std::panic::catch_unwind(|| parse_graph(spec)).unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|m| m.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "generator panicked".to_string());
-        Err(format!("{spec:?} rejected by its generator: {msg}"))
-    })
-}
-
 /// Parse one spec into a runnable [`Job`]. Parse failures surface as the
 /// item's own typed error, never touching its batchmates.
 fn build_job(
@@ -349,8 +334,9 @@ fn build_job(
     deadline_override: Option<u64>,
 ) -> Result<Job, (String, String)> {
     let guest =
-        parse_spec(&req.guest).map_err(|e| ("bad-spec".to_string(), format!("guest: {e}")))?;
-    let host = parse_spec(&req.host).map_err(|e| ("bad-spec".to_string(), format!("host: {e}")))?;
+        parse_graph(&req.guest).map_err(|e| ("bad-spec".to_string(), format!("guest: {e}")))?;
+    let host =
+        parse_graph(&req.host).map_err(|e| ("bad-spec".to_string(), format!("host: {e}")))?;
     let comp = GuestComputation::random(guest, req.seed);
     let embedding = Embedding::block(comp.n(), host.n());
     let router = unet_core::routers::presets::bfs();

@@ -2,12 +2,14 @@
 //! per-host hash-map replay of the Section 3.1 rules. On engine-built
 //! protocols, unmutated or with one op replaced, both must return the same
 //! verdict: the same `CheckError` (variant and fields), or on acceptance
-//! the same custody record for every pebble.
+//! the same custody record for every pebble. The second property puts the
+//! replaced op in the guest-step blocks the checker's shift scan covers.
 
 use proptest::prelude::*;
 use universal_networks::core::prelude::*;
+use universal_networks::obs::InMemoryRecorder;
 use universal_networks::pebble::check::RepresentativeSet;
-use universal_networks::pebble::{check, CheckError, Op, Pebble, Protocol, Trace};
+use universal_networks::pebble::{check, check_recorded, CheckError, Op, Pebble, Protocol, Trace};
 use universal_networks::topology::generators::*;
 use universal_networks::topology::util::{seeded_rng, FxHashMap};
 use universal_networks::topology::{Graph, Node};
@@ -226,6 +228,95 @@ proptest! {
         }
 
         match (check(&guest, &host, &proto), reference_check(&guest, &host, &proto)) {
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (Ok(trace), Ok(want)) => {
+                if let Err(diff) = same_custody(&trace, &want, &proto) {
+                    return Err(TestCaseError::fail(diff));
+                }
+            }
+            (got, want) => {
+                return Err(TestCaseError::fail(format!(
+                    "verdicts differ: checker {:?}, reference {:?}",
+                    got.err(),
+                    want.err()
+                )));
+            }
+        }
+    }
+}
+
+/// `valid` with host `q`'s op at step `row` replaced.
+fn with_op(valid: &Protocol, row: usize, q: Node, op: Op) -> Protocol {
+    let mut proto = Protocol::new(valid.guest_n, valid.guest_t, valid.host_m);
+    for s in 0..valid.host_steps() {
+        let mut dense: Vec<Op> = (0..valid.host_m as Node).map(|h| valid.op(s, h)).collect();
+        if s == row {
+            dense[q as usize] = op;
+        }
+        proto.push_step(&dense);
+    }
+    proto
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Engine-built protocols with T ∈ 4..=8, unmutated or with one op
+    /// replaced in guest-step block 4 or later (block 1 is the first
+    /// computation phase, every later block one communication and one
+    /// computation phase). The checker's `Result` equals the reference's;
+    /// an unmutated protocol is decided partly by the shift scan.
+    #[test]
+    fn late_block_mutations_match_reference(
+        seed in 0u64..1000,
+        guest_scale in 2usize..4,   // n = 16·scale
+        host_side in 2usize..4,     // m = side²
+        steps in 4u32..=8,
+        mutation in (0usize..10_000, 0u8..5, 0u32..80, 0u32..12),
+    ) {
+        let n = 16 * guest_scale;
+        let mut rng = seeded_rng(seed);
+        let guest = random_regular(n, 4, &mut rng);
+        let host = torus(host_side, host_side);
+        let m = host.n();
+        let comp = GuestComputation::random(guest.clone(), seed ^ 0x55);
+        let router = presets::bfs();
+        let run = Simulation::builder()
+            .guest(&comp)
+            .host(&host)
+            .embedding(Embedding::block(n, m))
+            .router(&router)
+            .steps(steps)
+            .run_with_rng(&mut rng)
+            .expect("configuration is valid");
+
+        let valid = run.protocol;
+        let b1 = run.compute_steps / steps as usize;
+        let period = (valid.host_steps() - b1) / (steps as usize - 1);
+        let late = b1 + 2 * period;
+        let (pos, kind, a, b) = mutation;
+        let row = late + pos % (valid.host_steps() - late);
+        let q = ((pos / valid.host_steps()) % m) as Node;
+        let pebble = Pebble::new(a % (n as u32 + 4), b % (steps + 2));
+        let replacement = match kind {
+            0 => Op::Idle,
+            1 => Op::Generate(pebble),
+            2 => Op::Send { pebble, to: a % (m as u32 + 1) },
+            3 => Op::Recv { from: b % (m as u32 + 1) },
+            _ => valid.op(row, q),
+        };
+        let proto = with_op(&valid, row, q, replacement);
+
+        let mut rec = InMemoryRecorder::new();
+        let got = check_recorded(&guest, &host, &proto, &mut rec);
+        if kind == 4 {
+            prop_assert!(got.is_ok());
+            prop_assert_eq!(
+                rec.counter_value("pebble.check.shifted_steps"),
+                (steps as u64 - 3) * period as u64
+            );
+        }
+        match (got, reference_check(&guest, &host, &proto)) {
             (Err(got), Err(want)) => prop_assert_eq!(got, want),
             (Ok(trace), Ok(want)) => {
                 if let Err(diff) = same_custody(&trace, &want, &proto) {

@@ -41,6 +41,20 @@ fn simulate_save_check_roundtrip() {
 }
 
 #[test]
+fn bad_spec_is_an_error_not_a_panic() {
+    // `random:5x3` trips a generator assert (n·d must be even).
+    let out = Command::new(env!("CARGO_BIN_EXE_unet"))
+        .args(["simulate", "random:5x3", "torus:2x2", "2"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("rejected by its generator"), "{stderr}");
+    assert!(stderr.contains("n·d must be even"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn simulate_threads_and_no_cache_flags() {
     let (ok, stdout, stderr) =
         unet(&["sim", "ring:32", "torus:2x2", "3", "--threads", "2", "--no-cache"]);
