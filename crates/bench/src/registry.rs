@@ -1253,7 +1253,11 @@ fn e22() -> Experiment {
             // The drained trace is the tail sampler's verdict: at the
             // default head rate with slow-tail keeps, a loaded row must
             // flush at least one request record.
-            let sampled = unet_obs::trace::parse_trace(&drained.trace)
+            let mut trace = Vec::new();
+            drained.trace.write_to(&mut trace).expect("writing to a Vec");
+            let sampled = std::str::from_utf8(&trace)
+                .map_err(|e| e.to_string())
+                .and_then(unet_obs::trace::parse_trace)
                 .map(|doc| doc.requests.len() as u64)
                 .unwrap_or(0);
             obj(vec![

@@ -331,10 +331,9 @@ pub fn export_with_faults(
 }
 
 /// [`export_with_faults`] plus the sampled per-request stage records,
-/// emitted after the fault timeline and before the summary. The serving
-/// tier's drain path uses this; an empty `requests` slice keeps the output
-/// byte-identical to the plain exports (the `/4` schema addition is
-/// strictly backwards-compatible).
+/// emitted after the fault timeline and before the summary. An empty
+/// `requests` slice keeps the output byte-identical to the plain exports
+/// (the `/4` schema addition is strictly backwards-compatible).
 pub fn export_full(
     rec: &InMemoryRecorder,
     meta: &RunMeta,
@@ -342,79 +341,92 @@ pub fn export_full(
     requests: &[RequestRecord],
     summary: Option<&RunSummary>,
 ) -> String {
+    let mut out = Vec::new();
+    write_full(&mut out, rec, meta, faults, requests, summary).expect("writing to a Vec");
+    String::from_utf8(out).expect("JSON text is UTF-8")
+}
+
+/// [`export_full`] streamed to `out` one line at a time, with the request
+/// records taken from any iterator (the serving tier's drain path renders
+/// its compact tail-sampled records this way, one at a time). Returns the
+/// number of lines written.
+pub fn write_full<W, I>(
+    out: &mut W,
+    rec: &InMemoryRecorder,
+    meta: &RunMeta,
+    faults: &[FaultRecord],
+    requests: I,
+    summary: Option<&RunSummary>,
+) -> std::io::Result<u64>
+where
+    W: std::io::Write + ?Sized,
+    I: IntoIterator,
+    I::Item: std::borrow::Borrow<RequestRecord>,
+{
+    use std::borrow::Borrow;
     debug_assert!(rec.open_spans().is_empty(), "exporting with open spans: {:?}", rec.open_spans());
-    let mut out = String::new();
-    out.push_str(&meta_value(meta).to_json());
-    out.push('\n');
+    let mut lines = 0u64;
+    let mut line = |v: Value| {
+        lines += 1;
+        writeln!(out, "{}", v.to_json())
+    };
+    line(meta_value(meta))?;
     for ev in rec.events() {
         let (op, name, ns) = match *ev {
             SpanEvent::Start { name, ns } => ("start", name, ns),
             SpanEvent::End { name, ns } => ("end", name, ns),
         };
-        let line = Value::Obj(vec![
+        line(Value::Obj(vec![
             ("type".into(), Value::Str("span".into())),
             ("op".into(), Value::Str(op.into())),
             ("name".into(), Value::Str(name.into())),
             ("ns".into(), Value::UInt(ns)),
-        ]);
-        out.push_str(&line.to_json());
-        out.push('\n');
+        ]))?;
     }
     for (name, v) in rec.counters() {
-        let line = Value::Obj(vec![
+        line(Value::Obj(vec![
             ("type".into(), Value::Str("counter".into())),
             ("name".into(), Value::Str(name.into())),
             ("value".into(), Value::UInt(v)),
-        ]);
-        out.push_str(&line.to_json());
-        out.push('\n');
+        ]))?;
     }
     for (name, v) in rec.gauges() {
-        let line = Value::Obj(vec![
+        line(Value::Obj(vec![
             ("type".into(), Value::Str("gauge".into())),
             ("name".into(), Value::Str(name.into())),
             ("value".into(), Value::Float(v)),
-        ]);
-        out.push_str(&line.to_json());
-        out.push('\n');
+        ]))?;
     }
     for (name, h) in rec.histograms() {
-        out.push_str(&hist_value(name, h).to_json());
-        out.push('\n');
+        line(hist_value(name, h))?;
     }
     for (name, series) in rec.samples() {
         for (&(step, key), &value) in series {
-            let line = Value::Obj(vec![
+            line(Value::Obj(vec![
                 ("type".into(), Value::Str("sample".into())),
                 ("name".into(), Value::Str(name.into())),
                 ("step".into(), Value::UInt(step)),
                 ("key".into(), Value::UInt(key)),
                 ("value".into(), Value::UInt(value)),
-            ]);
-            out.push_str(&line.to_json());
-            out.push('\n');
+            ]))?;
         }
     }
     for f in faults {
-        let line = Value::Obj(vec![
+        line(Value::Obj(vec![
             ("type".into(), Value::Str("fault".into())),
             ("op".into(), Value::Str(f.op.as_str().into())),
             ("at".into(), Value::UInt(f.at)),
             ("kind".into(), Value::Str(f.kind.clone())),
             ("subject".into(), Value::Str(f.subject.clone())),
-        ]);
-        out.push_str(&line.to_json());
-        out.push('\n');
+        ]))?;
     }
     for r in requests {
-        out.push_str(&request_value(r).to_json());
-        out.push('\n');
+        line(request_value(r.borrow()))?;
     }
     if let Some(s) = summary {
-        out.push_str(&summary_value(s).to_json());
-        out.push('\n');
+        line(summary_value(s))?;
     }
-    out
+    Ok(lines)
 }
 
 fn meta_value(meta: &RunMeta) -> Value {

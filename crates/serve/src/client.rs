@@ -23,7 +23,7 @@
 //! server.drain();
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -273,8 +273,20 @@ impl Client {
         self.ensure_conn()?;
         let result = (|| {
             let (stream, reader) = self.conn.as_mut().expect("ensured above");
-            writeln!(stream, "{line}")?;
-            stream.flush()?;
+            let written = writeln!(stream, "{line}").and_then(|()| stream.flush());
+            // A tier with no free connection slot answers `overloaded`
+            // before reading the request, then closes; the request can
+            // then hit a reset connection whose answer is still readable.
+            if let Err(e) = written {
+                if !matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset) {
+                    return Err(e);
+                }
+                let mut response = String::new();
+                return match reader.read_line(&mut response) {
+                    Ok(_) if response.ends_with('\n') => Ok(response.trim_end().to_string()),
+                    _ => Err(e),
+                };
+            }
             let mut response = String::new();
             let n = reader.read_line(&mut response)?;
             if n == 0 {

@@ -1,35 +1,46 @@
 //! The connection front both serving tiers share: `unet serve` and the
 //! `unet shard` router differ only in how they answer a request line.
 //!
-//! * **Acceptor** — polls a non-blocking [`TcpListener`] every 5 ms.
+//! * **Acceptor** — blocks in [`TcpListener::accept`]; nothing polls.
 //!   Every accepted connection must take one of `queue_cap` connection
 //!   slots; with none free it gets an immediate typed `overloaded` answer
 //!   carrying a `retry_after_ms` hint (explicit backpressure — a tier
 //!   never holds more open connections than that). The open-connection
-//!   count at each admission flows through the same [`Recorder::sample`]
-//!   hook the routing loop uses for congestion series.
+//!   count at each admission lands in a bounded log₂ histogram. An accept
+//!   error never ends the loop: a signal or a client that gave up while
+//!   queued is retried at once, and anything else (in practice a resource
+//!   limit such as `EMFILE`) is counted and waited out.
 //! * **One thread per connection** — reads request lines, hands each to
 //!   the tier's [`Tier::handle`], writes the answer, and records it: the
 //!   completed counter, `serve.request.latency_ms`, the slowest request as
 //!   the latency exemplar, and a stage record offered to the tail sampler.
-//! * **Drain** — [`Front::stop`] flags shutdown, joins the acceptor and
-//!   waits for every slot to come back. Connection threads close idle
-//!   connections via a short read timeout once shutdown is flagged and
-//!   answer whatever is mid-flight, so no admitted request is dropped.
+//! * **Drain** — [`Front::stop`] flags shutdown, then wakes the blocked
+//!   acceptor by dialing its own address; the acceptor re-checks the flag
+//!   after every accept and drops that connection unanswered. The stop
+//!   joins the acceptor and waits for every slot to come back. Connection
+//!   threads close idle connections via a short read timeout once
+//!   shutdown is flagged and answer whatever is mid-flight, so no
+//!   admitted request is dropped.
+//! * **Request trace** — the tail sampler keeps compact fixed-size
+//!   records; [`Front::drain_trace`] hands them over as a
+//!   [`RequestTrace`], which renders `unet-trace/4` lines only when a
+//!   caller streams it somewhere.
 //!
 //! Slots are [`Permits`]: RAII guards handed to waiters in arrival order,
 //! so a thread that dies still gives its slot back.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::protocol::overloaded_line;
-use unet_obs::trace::{export_full, RequestRecord, RunMeta, SampleReason, StageSpan};
+use unet_obs::tailsample::Offer;
+use unet_obs::trace::{write_full, RunMeta};
 use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler};
 
 /// A counting semaphore whose permits are RAII guards: dropping a
@@ -123,6 +134,7 @@ pub(crate) struct FrontNames {
     admitted: &'static str,
     rejected: &'static str,
     depth: &'static str,
+    accept_errors: &'static str,
     completed: &'static str,
     sampled: &'static str,
     dropped: &'static str,
@@ -139,6 +151,7 @@ pub(crate) const SERVE_NAMES: FrontNames = FrontNames {
     admitted: "serve.conns.admitted",
     rejected: "serve.conns.rejected",
     depth: "serve.queue.depth",
+    accept_errors: "serve.accept.errors",
     completed: "serve.requests.completed",
     sampled: "serve.trace.requests_sampled",
     dropped: "serve.trace.requests_dropped",
@@ -154,6 +167,7 @@ pub(crate) const SHARD_NAMES: FrontNames = FrontNames {
     admitted: "shard.conns.admitted",
     rejected: "shard.conns.rejected",
     depth: "shard.queue.depth",
+    accept_errors: "shard.accept.errors",
     completed: "shard.requests.completed",
     sampled: "shard.trace.requests_sampled",
     dropped: "shard.trace.requests_dropped",
@@ -175,7 +189,7 @@ fn shard_stage_metric(stage: &'static str) -> &'static str {
 /// What one handled request looked like, for the stage record its
 /// connection thread offers to the tail sampler.
 pub(crate) struct ReqInfo {
-    pub(crate) trace_id: String,
+    pub(crate) trace_id: u64,
     pub(crate) kind: &'static str,
     pub(crate) ok: bool,
     pub(crate) stages: Vec<(&'static str, f64)>,
@@ -200,12 +214,11 @@ pub(crate) struct Front {
     /// Requests the tier runs at once, the divisor of the retry hint.
     workers: usize,
     names: &'static FrontNames,
-    depth_seq: AtomicU64,
     /// Tail-sampled per-request stage records, drained into the trace.
     sampler: Mutex<TailSampler>,
     /// The slowest request seen so far: its trace id rides the latency
     /// histogram's `max` gauge as an exemplar in the exposition.
-    latency_exemplar: Mutex<Option<(String, f64)>>,
+    latency_exemplar: Mutex<Option<(u64, f64)>>,
 }
 
 impl Front {
@@ -224,7 +237,6 @@ impl Front {
             conns: Permits::new(queue_cap),
             workers,
             names,
-            depth_seq: AtomicU64::new(0),
             sampler: Mutex::new(TailSampler::new(head_sample_permille)),
             latency_exemplar: Mutex::new(None),
         }
@@ -233,10 +245,10 @@ impl Front {
     /// The tier's registry: its recorder plus the latency exemplar.
     pub(crate) fn registry(&self, rec: &InMemoryRecorder) -> MetricsRegistry {
         let mut reg = MetricsRegistry::from_recorder(rec);
-        let exemplar = self.latency_exemplar.lock().expect("exemplar poisoned").clone();
+        let exemplar = *self.latency_exemplar.lock().expect("exemplar poisoned");
         if let Some((trace_id, ms)) = exemplar {
             // The slowest request explains the histogram's max.
-            reg.set_exemplar("serve.request.latency_ms.max", &trace_id, ms);
+            reg.set_exemplar("serve.request.latency_ms.max", &format!("{trace_id:016x}"), ms);
         }
         reg
     }
@@ -244,36 +256,39 @@ impl Front {
     /// Stop accepting, then wait until every connection thread has
     /// answered its in-flight request and closed (each returns its slot
     /// last).
-    pub(crate) fn stop(&self, acceptor: &mut Option<JoinHandle<()>>) {
+    pub(crate) fn stop(&self, acceptor: &mut Option<Acceptor>) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = acceptor.take() {
-            let _ = h.join();
+        if let Some(acceptor) = acceptor.take() {
+            // The acceptor is blocked in `accept`: a dial wakes it to see
+            // the flag. A dial can fail (a full backlog, no descriptors
+            // left), so dial again until the loop has returned.
+            loop {
+                drop(TcpStream::connect_timeout(&acceptor.wake, WAKE_WAIT));
+                match acceptor.done.recv_timeout(WAKE_WAIT) {
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    _ => break,
+                }
+            }
+            let _ = acceptor.thread.join();
         }
         self.conns.wait_all_returned();
     }
 
-    /// Drain the tail sampler into the final JSONL trace, counting what
-    /// was kept and dropped. Returns the recorder, still locked, for the
-    /// tier's final counters and exposition.
-    pub(crate) fn drain_trace(&self) -> (MutexGuard<'_, InMemoryRecorder>, String) {
-        let (requests, dropped) = {
-            let mut sampler = self.sampler.lock().expect("sampler poisoned");
-            let dropped = sampler.dropped();
-            (sampler.drain(), dropped)
-        };
+    /// Count what the tail sampler kept and dropped, let `report` read the
+    /// final recorder, then hand the recorder and the sampler over as the
+    /// tier's [`RequestTrace`]. Call once, after [`Front::stop`].
+    pub(crate) fn drain_trace<R>(
+        &self,
+        report: impl FnOnce(&InMemoryRecorder) -> R,
+    ) -> (R, RequestTrace) {
+        let sampler = std::mem::take(&mut *self.sampler.lock().expect("sampler poisoned"));
         let mut rec = self.recorder.lock().expect("recorder poisoned");
-        rec.counter(self.names.sampled, requests.len() as u64);
-        rec.counter(self.names.dropped, dropped);
-        let meta = RunMeta {
-            command: self.names.command.to_string(),
-            guest: "-".to_string(),
-            host: "-".to_string(),
-            n: 0,
-            m: 0,
-            guest_steps: 0,
-        };
-        let trace = export_full(&rec, &meta, &[], &requests, None);
-        (rec, trace)
+        rec.counter(self.names.sampled, sampler.retained() as u64);
+        rec.counter(self.names.dropped, sampler.dropped());
+        let out = report(&rec);
+        let trace =
+            RequestTrace { command: self.names.command, rec: std::mem::take(&mut *rec), sampler };
+        (out, trace)
     }
 
     /// Record one answered request: counters, latency, exemplar, and the
@@ -293,53 +308,119 @@ impl Front {
         }
         {
             let mut ex = self.latency_exemplar.lock().expect("exemplar poisoned");
-            if ex.as_ref().is_none_or(|(_, ms)| e2e_ms >= *ms) {
-                *ex = Some((info.trace_id.clone(), e2e_ms));
+            if ex.is_none_or(|(_, ms)| e2e_ms >= ms) {
+                *ex = Some((info.trace_id, e2e_ms));
             }
         }
-        let record = RequestRecord {
+        self.sampler.lock().expect("sampler poisoned").offer(Offer {
             trace_id: info.trace_id,
-            kind: info.kind.to_string(),
+            kind: info.kind,
             ok: info.ok,
             e2e_ms,
-            sampled: SampleReason::Head,
-            stages: info
-                .stages
-                .into_iter()
-                .map(|(stage, ms)| StageSpan { stage: stage.to_string(), ms })
-                .collect(),
-        };
-        self.sampler.lock().expect("sampler poisoned").offer(record);
+            stages: &info.stages,
+        });
     }
+}
+
+/// A drained tier's request trace: the final counters, gauges and
+/// histograms plus the tail-sampled request records, kept compact until
+/// [`RequestTrace::write_to`] renders them.
+#[derive(Debug, Clone)]
+pub struct RequestTrace {
+    command: &'static str,
+    rec: InMemoryRecorder,
+    sampler: TailSampler,
+}
+
+impl RequestTrace {
+    /// Stream the trace to `out` as `unet-trace/4` JSONL (the `unet trace`
+    /// format: `unet trace-requests` and the streaming analyzer read it),
+    /// one record at a time. Returns the number of lines written.
+    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<u64> {
+        let meta = RunMeta {
+            command: self.command.to_string(),
+            guest: "-".to_string(),
+            host: "-".to_string(),
+            n: 0,
+            m: 0,
+            guest_steps: 0,
+        };
+        write_full(out, &self.rec, &meta, &[], self.sampler.records(), None)
+    }
+}
+
+/// How long a drain waits on each wake dial, and then for the acceptor.
+const WAKE_WAIT: Duration = Duration::from_millis(50);
+
+/// The pause after an accept error that is not retried at once.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+
+/// A running acceptor thread and how to wake it.
+pub(crate) struct Acceptor {
+    thread: JoinHandle<()>,
+    /// The bound address, with an unspecified IP mapped to the loopback
+    /// address of the same family.
+    wake: SocketAddr,
+    /// Disconnected once the accept loop has returned.
+    done: Receiver<()>,
 }
 
 /// Serve `tier` on `listener` from a new acceptor thread.
 pub(crate) fn start_acceptor<T: Tier>(
     listener: TcpListener,
     tier: &Arc<T>,
-) -> std::io::Result<JoinHandle<()>> {
-    listener.set_nonblocking(true)?;
+) -> std::io::Result<Acceptor> {
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let (done_tx, done) = mpsc::channel::<()>();
     let tier = Arc::clone(tier);
-    Ok(std::thread::spawn(move || accept_loop(&listener, &tier)))
+    let thread = std::thread::spawn(move || {
+        accept_loop(&listener, &tier);
+        drop(done_tx);
+    });
+    Ok(Acceptor { thread, wake, done })
 }
 
 fn accept_loop<T: Tier>(listener: &TcpListener, tier: &Arc<T>) {
-    while !tier.front().shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    let front = tier.front();
+    loop {
+        let accepted = listener.accept();
+        if front.shutdown.load(Ordering::SeqCst) {
+            // The drain's wake dial (or a client that raced it): dropped
+            // unanswered.
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 // The protocol is a ping-pong of small lines; without
                 // nodelay, Nagle + delayed ACK stall every request after
                 // the first on a persistent connection by tens of ms.
                 let _ = stream.set_nodelay(true);
                 admit(tier, stream);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+            Err(e) if retry_accept_at_once(&e) => {}
+            Err(_) => {
+                front
+                    .recorder
+                    .lock()
+                    .expect("recorder poisoned")
+                    .counter(front.names.accept_errors, 1);
+                std::thread::sleep(ACCEPT_ERROR_PAUSE);
             }
-            Err(_) => break,
         }
     }
+}
+
+/// Accept errors retried at once: a signal, or a client that hung up
+/// while queued. Any other error — in practice a resource limit (`EMFILE`,
+/// `ENFILE`, `ENOBUFS`, `ENOMEM`) — is counted and paused on instead.
+fn retry_accept_at_once(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted)
 }
 
 /// The `retry_after_ms` fallback before any request latency is measured.
@@ -369,11 +450,10 @@ fn admit<T: Tier>(tier: &Arc<T>, mut stream: TcpStream) {
     let front = tier.front();
     match front.conns.try_acquire() {
         Some((slot, open)) => {
-            let seq = front.depth_seq.fetch_add(1, Ordering::Relaxed);
             {
                 let mut rec = front.recorder.lock().expect("recorder poisoned");
                 rec.counter(front.names.admitted, 1);
-                rec.sample(front.names.depth, seq, 0, open as u64);
+                rec.histogram(front.names.depth, open as u64);
             }
             let tier = Arc::clone(tier);
             // A failed spawn drops the closure, closing the stream and
@@ -457,10 +537,7 @@ fn read_line_patient<R: Read>(
                 // EOF after a partial line: serve it, next read sees EOF.
                 return if buf.is_empty() { LineRead::Closed } else { LineRead::Line };
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
                     // Idle connection during drain: close it. A partial
                     // line means a request is mid-send; keep waiting so
@@ -508,5 +585,24 @@ mod tests {
         });
         assert!(holder.join().is_err());
         assert_eq!(permits.try_acquire().map(|(_, held)| held), Some(1), "permit came back");
+    }
+
+    #[test]
+    fn accept_errors_retry_at_once_only_for_signals_and_aborted_clients() {
+        use std::io::Error;
+        assert!(retry_accept_at_once(&Error::from(ErrorKind::Interrupted)));
+        assert!(retry_accept_at_once(&Error::from(ErrorKind::ConnectionAborted)));
+        assert!(!retry_accept_at_once(&Error::from(ErrorKind::OutOfMemory)));
+        assert!(!retry_accept_at_once(&Error::from(ErrorKind::PermissionDenied)));
+        #[cfg(target_os = "linux")]
+        {
+            // EINTR and ECONNABORTED as `accept(2)` reports them.
+            assert!(retry_accept_at_once(&Error::from_raw_os_error(4)));
+            assert!(retry_accept_at_once(&Error::from_raw_os_error(103)));
+            // EMFILE, ENFILE, ENOBUFS, ENOMEM: counted and waited out.
+            for errno in [24, 23, 105, 12] {
+                assert!(!retry_accept_at_once(&Error::from_raw_os_error(errno)), "errno {errno}");
+            }
+        }
     }
 }

@@ -11,8 +11,8 @@
 //!   `simulate` / `batch` / `analyze` / `metrics` requests, `result` /
 //!   `error` / `overloaded` responses, and a per-request `trace` context
 //!   that threads one `trace_id` from client through router to backend;
-//! * `conn` — the connection front both tiers share: the polling
-//!   acceptor, `queue_cap` connection slots (beyond them a typed
+//! * `conn` — the connection front both tiers share: the blocking
+//!   acceptor (the drain wakes it), `queue_cap` connection slots (beyond them a typed
 //!   `overloaded` rejection with a `retry_after_ms` hint, never unbounded
 //!   buffering), one thread per connection, and the graceful drain;
 //! * [`server`] — the simulation handler behind that front; each
@@ -24,7 +24,8 @@
 //!   batchmates and racing misses reuse it; per-request deadlines ride the
 //!   engine's phase-boundary cancellation; every request records stage
 //!   spans (`accept` → `queue_wait` → … → `serialize`) into a tail-sampled
-//!   trace that [`Server::drain`] flushes alongside the metrics;
+//!   trace that [`Server::drain`] hands back alongside the metrics, as a
+//!   [`RequestTrace`] rendered only on request;
 //! * [`loadgen`] — a deterministic closed-loop load generator for capacity
 //!   experiments (E19/E20) and CI smoke tests;
 //! * [`client`] — the typed [`Client`] behind
@@ -71,4 +72,4 @@ pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{Request, Response, PROTOCOL};
 pub use ring::Ring;
 pub use router::{Router, RouterDrainReport, RouterStats, ShardConfig};
-pub use server::{DrainReport, ServeConfig, Server, ServerStats};
+pub use server::{DrainReport, RequestTrace, ServeConfig, Server, ServerStats};

@@ -47,10 +47,10 @@ use unet_obs::json::Value;
 /// The protocol version every request and response carries.
 pub const PROTOCOL: &str = "unet-serve/3";
 
-/// Mint a fresh 16-hex-digit trace id: a process-global counter FNV-mixed
-/// with the wall clock, so ids are unique within a process and almost
-/// surely unique across the tier without any coordination.
-pub fn gen_trace_id() -> String {
+/// Mint a fresh trace id: a process-global counter FNV-mixed with the
+/// wall clock, so ids are unique within a process and almost surely
+/// unique across the tier without any coordination.
+pub fn mint_trace_id() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -63,7 +63,20 @@ pub fn gen_trace_id() -> String {
         h ^= byte as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    format!("{h:016x}")
+    h
+}
+
+/// A fresh trace id ([`mint_trace_id`]) in its wire form: 16 lowercase
+/// hex digits.
+pub fn gen_trace_id() -> String {
+    format!("{:016x}", mint_trace_id())
+}
+
+/// The value a trace id spells, or `None` unless it has the one form
+/// [`gen_trace_id`] mints: exactly 16 lowercase hex digits.
+pub fn parse_trace_id(id: &str) -> Option<u64> {
+    let hex = id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    hex.then(|| u64::from_str_radix(id, 16).ok()).flatten()
 }
 
 /// The wire form of the trace context: `"trace":{"id":"<trace_id>"}`.
@@ -194,9 +207,10 @@ fn parse_simulate_fields(v: &Value, id: Option<u64>) -> Result<SimulateReq, Stri
 }
 
 /// Parse one request line, returning the trace context's id when the
-/// client sent one. [`ParseError::UnsupportedProto`] deserves a typed
+/// client sent one (its wire form is checked by [`parse_trace_id`]).
+/// [`ParseError::UnsupportedProto`] deserves a typed
 /// `unsupported-protocol` response, never a hangup.
-pub fn parse_request(line: &str) -> Result<(Option<String>, Request), ParseError> {
+pub fn parse_request(line: &str) -> Result<(Option<u64>, Request), ParseError> {
     let v = unet_obs::json::parse(line).map_err(ParseError::Malformed)?;
     match v.get("proto").and_then(Value::as_str) {
         Some(PROTOCOL) => {}
@@ -211,8 +225,13 @@ pub fn parse_request(line: &str) -> Result<(Option<String>, Request), ParseError
     }
     let trace_id = match v.get("trace") {
         Some(t) => {
-            Some(t.get("id").and_then(Value::as_str).map(str::to_string).ok_or_else(|| {
+            let id = t.get("id").and_then(Value::as_str).ok_or_else(|| {
                 ParseError::Malformed("`trace` context needs a string `id` field".into())
+            })?;
+            // The tail sampler and the latency exemplar keep ids, so only
+            // the fixed-size form gets that far.
+            Some(parse_trace_id(id).ok_or_else(|| {
+                ParseError::Malformed("`trace.id` must be exactly 16 lowercase hex digits".into())
             })?)
         }
         None => None,
@@ -468,7 +487,7 @@ mod tests {
         let traced = simulate_request_line(&req, Some("00000000c0ffee42"));
         assert_eq!(
             parse_request(&traced).unwrap(),
-            (Some("00000000c0ffee42".into()), Request::Simulate(req))
+            (Some(0x0000_0000_c0ff_ee42), Request::Simulate(req))
         );
     }
 
@@ -480,6 +499,25 @@ mod tests {
         for t in [&a, &b] {
             assert_eq!(t.len(), 16, "trace id {t:?} is not 16 chars");
             assert!(t.chars().all(|c| c.is_ascii_hexdigit()));
+            assert_eq!(parse_trace_id(t).map(|v| format!("{v:016x}")).as_deref(), Some(t.as_str()));
+        }
+    }
+
+    #[test]
+    fn trace_ids_outside_the_minted_form_are_malformed() {
+        assert_eq!(parse_trace_id("00c0ffee00c0ffee"), Some(0x00c0_ffee_00c0_ffee));
+        let long = "a".repeat(1 << 20);
+        for bad in
+            ["", "ABCDEF0123456789", "abcdef012345678", "abcdef01234567890", "+bcdef0123456789"]
+                .into_iter()
+                .chain([long.as_str()])
+        {
+            assert_eq!(parse_trace_id(bad), None, "{bad:.20}");
+            let line = metrics_request_line(None, Some(bad));
+            assert!(
+                matches!(parse_request(&line), Err(ParseError::Malformed(m)) if m.contains("trace.id")),
+                "{bad:.20}"
+            );
         }
     }
 

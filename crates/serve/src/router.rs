@@ -89,11 +89,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
-use crate::conn::{start_acceptor, Front, Permits, ReqInfo, Tier, IDLE_POLL, SHARD_NAMES};
+use crate::conn::{
+    start_acceptor, Acceptor, Front, Permits, ReqInfo, RequestTrace, Tier, IDLE_POLL, SHARD_NAMES,
+};
 use crate::protocol::{
-    analyze_request_line, batch_item_value, batch_request_line, error_line, gen_trace_id,
-    metrics_request_line, parse_request, parse_response, result_line, simulate_request_line,
-    Request, Response, SimulateReq,
+    analyze_request_line, batch_item_value, batch_request_line, error_line, metrics_request_line,
+    mint_trace_id, parse_request, parse_response, result_line, simulate_request_line, Request,
+    Response, SimulateReq,
 };
 use crate::ring::{fnv1a, Ring};
 use unet_obs::json::Value;
@@ -178,11 +180,12 @@ pub struct RouterDrainReport {
     /// registries are live-aggregated by the `metrics` request kind, not
     /// replayed here).
     pub exposition: String,
-    /// JSONL trace of the router recorder, including the tail-sampled
-    /// per-request stage records (`forward`, `retry`, `failover`, …) —
-    /// merge it with backend drain traces in `unet trace-requests` to see
-    /// one trace id's full waterfall across the tier.
-    pub trace: String,
+    /// The router's request trace, including the tail-sampled per-request
+    /// stage records (`forward`, `retry`, `failover`, …), rendered by
+    /// [`RequestTrace::write_to`] — merge it with backend drain traces in
+    /// `unet trace-requests` to see one trace id's full waterfall across
+    /// the tier.
+    pub trace: RequestTrace,
 }
 
 /// Reinstatement backoff starts here and doubles per failed re-probe.
@@ -200,8 +203,8 @@ struct Backoff {
 /// state.
 struct Backend {
     addr: String,
-    /// Open connections checked in between forwards. Reusing them keeps
-    /// the backend's accept poll off every forward.
+    /// Open connections checked in between forwards. Reusing them spares
+    /// every forward a connect and a backend connection thread.
     idle: Mutex<Vec<Client>>,
     healthy: AtomicBool,
     consecutive_failures: AtomicU32,
@@ -233,7 +236,7 @@ impl Tier for RouterShared {
 pub struct Router {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Option<Acceptor>,
     prober: Option<JoinHandle<()>>,
 }
 
@@ -300,18 +303,17 @@ impl Router {
     /// (the `unet shard` CLI drains the shards it spawned itself).
     pub fn drain(mut self) -> RouterDrainReport {
         self.stop_threads();
-        let (rec, trace) = self.shared.front.drain_trace();
-        RouterDrainReport {
-            stats: router_stats_of(&rec, &self.shared),
-            // Labeled `shard="router"` like the live aggregation, so drain
-            // output concatenates cleanly with backend expositions in one
-            // scrape namespace.
-            exposition: merge_expositions(&[(
-                "router".to_string(),
-                router_exposition_of(&rec, &self.shared),
-            )]),
-            trace,
-        }
+        let shared = &self.shared;
+        let ((stats, exposition), trace) = shared.front.drain_trace(|rec| {
+            (
+                router_stats_of(rec, shared),
+                // Labeled `shard="router"` like the live aggregation, so
+                // drain output concatenates cleanly with backend
+                // expositions in one scrape namespace.
+                merge_expositions(&[("router".to_string(), router_exposition_of(rec, shared))]),
+            )
+        });
+        RouterDrainReport { stats, exposition, trace }
     }
 
     /// The connection front first (it answers in-flight requests), the
@@ -544,28 +546,29 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
     let mut stages = vec![("accept", accept_ms)];
     let (response, trace_id, kind) = match parsed {
         Ok((wire_trace, req)) => {
-            let trace_id = wire_trace.unwrap_or_else(gen_trace_id);
+            let trace_id = wire_trace.unwrap_or_else(mint_trace_id);
+            let trace_hex = format!("{trace_id:016x}");
             let wait_started = Instant::now();
             let _permit = shared.forwards.acquire();
             stages.push(("queue_wait", wait_started.elapsed().as_secs_f64() * 1e3));
             let (response, kind) = match req {
                 Request::Metrics { id } => (handle_metrics(shared, id), "metrics"),
                 Request::Batch(batch) => {
-                    (handle_batch(shared, batch, &trace_id, &mut stages), "batch")
+                    (handle_batch(shared, batch, &trace_hex, &mut stages), "batch")
                 }
                 Request::Simulate(req) => {
-                    let fwd = simulate_request_line(&req, Some(&trace_id));
+                    let fwd = simulate_request_line(&req, Some(&trace_hex));
                     let key = Some(spec_key(&req));
                     (forward_with_failover(shared, key, &fwd, req.id, &mut stages), "simulate")
                 }
                 Request::Analyze { trace, id } => {
-                    let fwd = analyze_request_line(&trace, id, Some(&trace_id));
+                    let fwd = analyze_request_line(&trace, id, Some(&trace_hex));
                     (forward_with_failover(shared, None, &fwd, id, &mut stages), "analyze")
                 }
             };
             (response, trace_id, kind)
         }
-        Err(e) => (error_line(e.code(), &e.to_string(), None), gen_trace_id(), "unparsed"),
+        Err(e) => (error_line(e.code(), &e.to_string(), None), mint_trace_id(), "unparsed"),
     };
     let ok = matches!(parse_response(&response), Ok(Response::Result(_)));
     (response, ReqInfo { trace_id, kind, ok, stages })

@@ -37,12 +37,12 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::conn::{start_acceptor, Front, Permits, ReqInfo, Tier, SERVE_NAMES};
+pub use crate::conn::RequestTrace;
+use crate::conn::{start_acceptor, Acceptor, Front, Permits, ReqInfo, Tier, SERVE_NAMES};
 use crate::protocol::{
-    batch_item_value, error_line, gen_trace_id, parse_request, result_line, BatchReq, Request,
+    batch_item_value, error_line, mint_trace_id, parse_request, result_line, BatchReq, Request,
     SimulateReq,
 };
 use unet_core::cancel::CancelToken;
@@ -126,9 +126,10 @@ pub struct DrainReport {
     pub stats: ServerStats,
     /// Final Prometheus text exposition of the server registry.
     pub exposition: String,
-    /// JSONL trace of the server recorder (the `unet trace` format — feeds
-    /// the streaming analyzer).
-    pub trace: String,
+    /// The server's request trace: final aggregates plus the tail-sampled
+    /// request records, rendered as `unet trace` JSONL (which feeds the
+    /// streaming analyzer) by [`RequestTrace::write_to`].
+    pub trace: RequestTrace,
 }
 
 /// A simulate unit of work: parsed inputs and the grouping fingerprint.
@@ -179,7 +180,7 @@ impl Tier for Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Option<Acceptor>,
 }
 
 impl Server {
@@ -214,12 +215,11 @@ impl Server {
     /// metrics.
     pub fn drain(mut self) -> DrainReport {
         self.shared.front.stop(&mut self.acceptor);
-        let (rec, trace) = self.shared.front.drain_trace();
-        DrainReport {
-            stats: stats_of(&rec, &self.shared.cache),
-            exposition: exposition_of(&self.shared, &rec),
-            trace,
-        }
+        let shared = &self.shared;
+        let ((stats, exposition), trace) = shared
+            .front
+            .drain_trace(|rec| (stats_of(rec, &shared.cache), exposition_of(shared, rec)));
+        DrainReport { stats, exposition, trace }
     }
 }
 
@@ -269,7 +269,7 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
         Ok(parsed) => parsed,
         Err(e) => {
             let info = ReqInfo {
-                trace_id: gen_trace_id(),
+                trace_id: mint_trace_id(),
                 kind: "unparsed",
                 ok: false,
                 stages: vec![("accept", accept_ms)],
@@ -279,7 +279,8 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
     };
     // First ingress: a client (or the shard router) propagates its trace
     // context; requests without one get a server-assigned trace id.
-    let trace_id = wire_trace.unwrap_or_else(gen_trace_id);
+    let trace_id = wire_trace.unwrap_or_else(mint_trace_id);
+    let trace_hex = format!("{trace_id:016x}");
     let kind = req.kind();
     let mut stages = vec![("accept", accept_ms)];
     let (response, ok) = match req {
@@ -296,7 +297,7 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
             stages.extend(outcome.stages);
             match outcome.payload {
                 Ok(mut payload) => {
-                    payload.push(("trace_id".to_string(), Value::Str(trace_id.clone())));
+                    payload.push(("trace_id".to_string(), Value::Str(trace_hex)));
                     payload.push(("stages".to_string(), stages_value(&stages)));
                     (result_line("simulate", req.id, payload), true)
                 }
@@ -304,7 +305,7 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
             }
         }
         Request::Batch(batch) => {
-            let (line, ok, batch_stages) = handle_batch(shared, batch, &trace_id);
+            let (line, ok, batch_stages) = handle_batch(shared, batch, &trace_hex);
             stages.extend(batch_stages);
             (line, ok)
         }

@@ -2,7 +2,9 @@
 //! graceful drain, shared-cache behaviour, batching, and the metrics
 //! round trip.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use unet_obs::json::Value;
 use unet_obs::{MetricsRegistry, TraceAnalyzer};
@@ -13,7 +15,7 @@ use unet_serve::protocol::{
     simulate_request_line, Response, SimulateReq,
 };
 use unet_serve::router::{Router, ShardConfig};
-use unet_serve::{ClientError, ServeConfig, Server};
+use unet_serve::{ClientError, RequestTrace, ServeConfig, Server};
 
 fn sim_req(seed: u64) -> SimulateReq {
     SimulateReq {
@@ -29,6 +31,13 @@ fn sim_req(seed: u64) -> SimulateReq {
 fn start(workers: usize, queue_cap: usize) -> Server {
     Server::start(ServeConfig { workers, queue_cap, ..ServeConfig::default() })
         .expect("bind on 127.0.0.1:0")
+}
+
+/// A drained request trace rendered to text.
+fn rendered(trace: &RequestTrace) -> String {
+    let mut out = Vec::new();
+    trace.write_to(&mut out).expect("writing to a Vec");
+    String::from_utf8(out).expect("UTF-8 JSONL")
 }
 
 /// One raw round trip on a fresh connection.
@@ -102,6 +111,26 @@ fn bad_specs_and_bad_requests_get_typed_errors() {
     match parse_response(&resp).expect("valid") {
         Response::Error { code, .. } => assert_eq!(code, "bad-request"),
         other => panic!("expected error, got {other:?}"),
+    }
+    server.drain();
+}
+
+/// A shed connection is answered and closed before its request is read,
+/// so a request written late meets a reset connection. The client still
+/// reads the typed answer instead of failing with a broken pipe.
+#[test]
+fn a_request_written_after_the_shed_answer_still_reads_overloaded() {
+    let server = start(1, 0);
+    // Whether the reset lands between the request's two writes is a
+    // race, so run the scenario enough times to hit it.
+    for _ in 0..50 {
+        let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+        std::thread::sleep(Duration::from_millis(5));
+        let resp = client.request_raw(&metrics_request_line(None, None)).expect("a typed answer");
+        assert!(
+            matches!(parse_response(&resp), Ok(Response::Overloaded { queue_cap: 0, .. })),
+            "{resp}"
+        );
     }
     server.drain();
 }
@@ -492,7 +521,7 @@ fn trace_context_threads_through_payload_drain_trace_and_exemplar() {
 
     let report = server.drain();
     // The drain trace carries the request record under the same id...
-    let doc = unet_obs::trace::parse_trace(&report.trace).expect("valid drain trace");
+    let doc = unet_obs::trace::parse_trace(&rendered(&report.trace)).expect("valid drain trace");
     let rec = doc
         .requests_for("00c0ffee00c0ffee")
         .next()
@@ -553,7 +582,7 @@ fn zero_head_rate_still_keeps_the_slow_tail() {
         raw(&addr, &simulate_request_line(&sim_req(seed), None));
     }
     let report = server.drain();
-    let doc = unet_obs::trace::parse_trace(&report.trace).expect("valid drain trace");
+    let doc = unet_obs::trace::parse_trace(&rendered(&report.trace)).expect("valid drain trace");
     assert!(!doc.requests.is_empty(), "slow tail kept despite 0-permille head rate");
     assert!(
         doc.requests.iter().all(|r| r.sampled == unet_obs::trace::SampleReason::Slow),
@@ -576,7 +605,7 @@ fn drained_exposition_parses_back_through_the_streaming_analyzer() {
     assert_eq!(report.stats.completed, 3);
 
     let mut analyzer = TraceAnalyzer::new();
-    for (i, line) in report.trace.lines().enumerate() {
+    for (i, line) in rendered(&report.trace).lines().enumerate() {
         analyzer.feed_line(line, i + 1).expect("drain trace is valid JSONL");
     }
     let analysis = analyzer.finish().expect("complete trace");
@@ -590,4 +619,145 @@ fn drained_exposition_parses_back_through_the_streaming_analyzer() {
     assert!(expo.contains("unet_serve_requests_completed 3"));
     assert!(report.exposition.contains("unet_serve_requests_completed 3"));
     assert!(report.exposition.contains("unet_serve_cache_hit_ratio"));
+}
+
+/// Every accepted connection used to wait up to 5 ms for a polling
+/// acceptor, so 200 one-shot round trips took at least about a second.
+/// The acceptor now blocks in `accept`.
+#[test]
+fn one_shot_round_trips_do_not_wait_for_an_accept_poll() {
+    let server = start(1, 8);
+    let addr = server.addr().to_string();
+    let line = simulate_request_line(&sim_req(7), None);
+    raw(&addr, &line); // builds the route plan; the rest hit the cache
+    let started = Instant::now();
+    for _ in 0..200 {
+        assert!(matches!(parse_response(&raw(&addr, &line)), Ok(Response::Result(_))));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "200 one-shot round trips took {elapsed:?}");
+    server.drain();
+}
+
+/// Run `drain` on its own thread and fail unless it returns within 2 s.
+fn drains_within_two_seconds<R: Send + 'static>(
+    what: &str,
+    drain: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(drain());
+    });
+    rx.recv_timeout(Duration::from_secs(2))
+        .unwrap_or_else(|_| panic!("{what} did not drain within 2 s"))
+}
+
+/// A tier bound to the unspecified address wakes its acceptor through
+/// loopback, and an idle client connection does not hold the drain up.
+#[test]
+fn tiers_bound_to_the_unspecified_address_drain_with_an_idle_client_open() {
+    let any = |cfg_addr: SocketAddr| SocketAddr::from(([127, 0, 0, 1], cfg_addr.port()));
+    let server = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 1,
+        queue_cap: 8,
+        ..ServeConfig::default()
+    })
+    .expect("bind 0.0.0.0:0");
+    let backend = any(server.addr()).to_string();
+    let router = Router::start(ShardConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 1,
+        backends: vec![backend.clone()],
+        ..ShardConfig::default()
+    })
+    .expect("bind 0.0.0.0:0");
+    let front = any(router.addr()).to_string();
+    let mut client = Client::connect(&front).expect("connect through loopback");
+    assert!(client.simulate(&sim_req(3)).expect("routed").verified);
+    let _idle_router_client = TcpStream::connect(&front).expect("idle connection");
+    let _idle_server_client = TcpStream::connect(&backend).expect("idle connection");
+    let report = drains_within_two_seconds("the router", move || router.drain());
+    assert_eq!(report.stats.completed, 1);
+    let report = drains_within_two_seconds("the server", move || server.drain());
+    assert_eq!(report.stats.completed, 1);
+    drop(client);
+}
+
+/// The open-connection depth is a bounded histogram: one count per
+/// admission, and no per-admission sample series in the drain trace.
+#[test]
+fn admission_depth_is_a_histogram_not_a_sample_series() {
+    let server = start(1, 8);
+    let addr = server.addr().to_string();
+    let line = metrics_request_line(None, None);
+    for _ in 0..2000 {
+        raw(&addr, &line);
+    }
+    let report = server.drain();
+    let text = rendered(&report.trace);
+    let doc = unet_obs::trace::parse_trace(&text).expect("valid drain trace");
+    assert_eq!(doc.samples_named("serve.queue.depth").count(), 0);
+    assert!(!text.contains("\"type\":\"sample\""), "no sample lines at all");
+    let depth = doc.histogram("serve.queue.depth").expect("a depth histogram");
+    assert_eq!(depth.count, 2000);
+    assert!(text
+        .lines()
+        .any(|l| l.contains("\"type\":\"hist\"") && l.contains("serve.queue.depth")));
+}
+
+/// Send `lines` on one connection, half-close it, and read every answer
+/// until the far side closes.
+fn answers(addr: &str, lines: &[String]) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    for line in lines {
+        writeln!(stream, "{line}").expect("send");
+    }
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    reader.lines().map(|l| l.expect("read an answer")).collect()
+}
+
+/// A trace id is kept by the sampler and the latency exemplar, so only
+/// the minted form (16 lowercase hex digits) is accepted: a 1 MB id, an
+/// upper-case one and an empty one each get exactly one `bad-request`,
+/// and a valid request on the same connection is still answered — by a
+/// server and by a router over it.
+#[test]
+fn trace_ids_outside_the_minted_form_get_one_typed_error_each() {
+    let server = start(1, 8);
+    let router = Router::start(ShardConfig {
+        workers: 1,
+        backends: vec![server.addr().to_string()],
+        ..ShardConfig::default()
+    })
+    .expect("bind");
+    let huge = "a".repeat(1 << 20);
+    let mut lines: Vec<String> = [huge.as_str(), "ABCDEF0123456789", ""]
+        .into_iter()
+        .map(|id| simulate_request_line(&sim_req(5), Some(id)))
+        .collect();
+    lines.push(simulate_request_line(&sim_req(5), Some("00c0ffee00c0ffee")));
+    for addr in [server.addr().to_string(), router.addr().to_string()] {
+        let got = answers(&addr, &lines);
+        assert_eq!(got.len(), 4, "one answer per line from {addr}");
+        for bad in &got[..3] {
+            match parse_response(bad).expect("typed") {
+                Response::Error { code, message, .. } => {
+                    assert_eq!(code, "bad-request");
+                    assert!(message.contains("trace.id"), "{message}");
+                }
+                other => panic!("expected bad-request, got {other:?}"),
+            }
+        }
+        match parse_response(&got[3]).expect("typed") {
+            Response::Result(v) => {
+                assert_eq!(v.get("trace_id").and_then(Value::as_str), Some("00c0ffee00c0ffee"));
+            }
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+    router.drain();
+    server.drain();
 }

@@ -599,8 +599,8 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
 /// triggers a graceful drain — stop accepting, answer everything in
 /// flight, then print the final Prometheus exposition on stdout and a
 /// one-line stats summary on stderr. `--trace-out FILE` additionally
-/// writes the tail-sampled per-request trace (`unet trace-requests`
-/// reads it back).
+/// streams the tail-sampled per-request trace to FILE (`unet
+/// trace-requests` reads it back).
 fn serve_cmd(args: &[String]) -> Result<(), String> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -656,10 +656,23 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         report.stats.hit_ratio().map_or_else(|| "-".into(), |r| format!("{r:.3}")),
     );
     if let Some(path) = flag(args, "--trace-out") {
-        std::fs::write(&path, &report.trace).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("request trace written to {path} ({} lines)", report.trace.lines().count());
+        write_request_trace(&path, &report.trace)?;
     }
     print!("{}", report.exposition);
+    Ok(())
+}
+
+/// Stream a drained tier's request trace to `path`, one line at a time.
+fn write_request_trace(
+    path: &str,
+    trace: &universal_networks::serve::RequestTrace,
+) -> Result<(), String> {
+    use std::io::Write;
+    let err = |e: std::io::Error| format!("writing {path}: {e}");
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path).map_err(err)?);
+    let lines = trace.write_to(&mut out).map_err(err)?;
+    out.flush().map_err(err)?;
+    eprintln!("request trace written to {path} ({lines} lines)");
     Ok(())
 }
 
@@ -812,8 +825,7 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(path) = flag(args, "--trace-out") {
-        std::fs::write(&path, &report.trace).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("request trace written to {path} ({} lines)", report.trace.lines().count());
+        write_request_trace(&path, &report.trace)?;
     }
     print!("{}", report.exposition);
     Ok(())
