@@ -1,44 +1,39 @@
-//! Benchmark harness for the paper reproduction: shared fixtures, the
+//! The experiment harness for the paper reproduction: shared fixtures, the
 //! declarative experiment registry, and the shape-regression gate.
 //!
 //! The crate has two layers:
 //!
-//! * **Fixtures** (this module): seeded guests, butterfly runs, and the
-//!   lower-bound trace shared by the criterion benches (`benches/e*.rs`),
-//!   which print the human-readable tables.
+//! * **Fixtures** (this module): seeded guests and the certified
+//!   lower-bound trace the registry runners share.
 //! * **The registry** ([`registry`]): one declarative [`registry::Experiment`]
-//!   per machine-checked experiment (E1, E2, E16, E17, E18), swept in parallel
-//!   shards ([`sweep`]), serialized to the versioned `BENCH.json` artifact
-//!   ([`schema`]), rendered to markdown ([`report_md`]), and regression-gated
-//!   by expected-shape predicates ([`shape`], [`diff`]) — `k` affine in
-//!   `log m` (Thm 2.1), every point above the `Ω(log m)` floor (Thm 3.1),
+//!   per experiment, E1–E22 — the paper's theorems and lower-bound chain
+//!   (E1–E15, the E3–E15 tables in [`paper`]) and the engineering claims on
+//!   the engine and the serving tier (E16–E22) — swept in parallel shards
+//!   ([`sweep`]), serialized to the versioned `BENCH.json` artifact
+//!   ([`schema`]), rendered to markdown ([`report_md`]), and
+//!   regression-gated by expected-shape predicates ([`shape`], [`diff`]) —
+//!   `k` affine in `log m` (Thm 2.1), every point above the `Ω(log m)`
+//!   floor (Thm 3.1), dependency trees within `48a²` (Lemma 3.10),
 //!   bit-for-bit engine determinism — rather than absolute timings.
 //!
-//! Everything here drives the [`Simulation`] builder engine with explicit
-//! seeds, so rows are reproducible and parallel-shard-safe.
+//! Everything here drives the engines with explicit seeds, so rows are
+//! reproducible and parallel-shard-safe.
 
 #![deny(missing_docs)]
 
-use rand::rngs::StdRng;
 use unet_core::prelude::*;
-use unet_core::routers::SelectorRouter;
 use unet_pebble::check::Trace;
-use unet_routing::butterfly::ValiantButterfly;
-use unet_topology::generators::{butterfly, random_regular, random_supergraph, torus};
+use unet_topology::generators::{random_regular, random_supergraph, torus};
 use unet_topology::util::seeded_rng;
 use unet_topology::Graph;
 
 pub mod diff;
+pub mod paper;
 pub mod registry;
 pub mod report_md;
 pub mod schema;
 pub mod shape;
 pub mod sweep;
-
-/// Standard RNG for all benches (reproducible tables).
-pub fn rng() -> StdRng {
-    seeded_rng(0x5EED)
-}
 
 /// A random 4-regular guest of size `n` with its computation.
 pub fn standard_guest(n: usize, seed: u64) -> (Graph, GuestComputation) {
@@ -48,78 +43,8 @@ pub fn standard_guest(n: usize, seed: u64) -> (Graph, GuestComputation) {
     (g, c)
 }
 
-/// Simulate guest on a butterfly of dimension `dim` with Valiant routing
-/// (the Theorem 2.1 host family); returns the measured slowdown.
-pub fn butterfly_slowdown(
-    guest: &Graph,
-    comp: &GuestComputation,
-    dim: usize,
-    steps: u32,
-    seed: u64,
-) -> f64 {
-    butterfly_metrics(guest, comp, dim, steps, seed).slowdown
-}
-
-/// Like [`butterfly_slowdown`], but returns the full certified metrics
-/// (host steps, slowdown, inefficiency, sizes) — the raw material of the
-/// registry's E1 rows.
-pub fn butterfly_metrics(
-    guest: &Graph,
-    comp: &GuestComputation,
-    dim: usize,
-    steps: u32,
-    seed: u64,
-) -> unet_pebble::analysis::SimulationMetrics {
-    let host = butterfly(dim);
-    let router: SelectorRouter<ValiantButterfly> = presets::butterfly_valiant(dim);
-    let run = Simulation::builder()
-        .guest(comp)
-        .host(&host)
-        .embedding(Embedding::block(guest.n(), host.n()))
-        .router(&router)
-        .steps(steps)
-        .seed(seed)
-        .run()
-        .expect("butterfly configuration is valid");
-    let v = verify_run(comp, &host, &run, steps).expect("certifies");
-    v.metrics
-}
-
-/// One engine run for the E17 thread/cache sweep: the E1 butterfly
-/// configuration driven through the [`Simulation`] builder with explicit
-/// thread and cache settings. Returns the certified run together with the
-/// route-plan cache hit/miss counters it reported.
-pub fn butterfly_engine_run(
-    guest: &Graph,
-    comp: &GuestComputation,
-    dim: usize,
-    steps: u32,
-    seed: u64,
-    threads: usize,
-    cache: bool,
-) -> (SimulationRun, u64, u64) {
-    let host = butterfly(dim);
-    let router: SelectorRouter<ValiantButterfly> = presets::butterfly_valiant(dim);
-    let mut rec = unet_obs::InMemoryRecorder::new();
-    let run = Simulation::builder()
-        .guest(comp)
-        .host(&host)
-        .embedding(Embedding::block(guest.n(), host.n()))
-        .router(&router)
-        .steps(steps)
-        .seed(seed)
-        .threads(threads)
-        .cache_policy(if cache { CachePolicy::Enabled } else { CachePolicy::Disabled })
-        .recorder(&mut rec)
-        .run()
-        .expect("builder run succeeds on the E1 configuration");
-    let hits = rec.counter_value("sim.cache.hits");
-    let misses = rec.counter_value("sim.cache.misses");
-    (run, hits, misses)
-}
-
 /// A verified trace of a `U[G₀]` guest on a torus host — the shared input
-/// for the lower-bound analysis benches (E4, E5, E7).
+/// for the lower-bound analysis rows (E4, E7).
 pub struct LowerBoundFixture {
     /// The fixed subgraph.
     pub g0: unet_lowerbound::G0,
@@ -132,7 +57,7 @@ pub struct LowerBoundFixture {
 }
 
 /// Build the standard lower-bound fixture: `n = 144`, `m = 16`, `T = 8`.
-/// The analyses downstream (E4 averaging, E5 wavefront, E7 counting) are
+/// The analyses downstream (E4 averaging, E7 counting) are
 /// properties of *any* certified trace (Thm 3.1 holds per protocol), so
 /// the fixture just needs one — produced by the builder engine with the
 /// fixture's own rng threaded through for the route seed.
@@ -164,32 +89,5 @@ mod tests {
         let f = lowerbound_fixture();
         assert_eq!(f.trace.guest_n, 144);
         assert_eq!(f.trace.host_m, 16);
-    }
-
-    #[test]
-    fn engine_run_sweep_rows_agree() {
-        let (g, c) = standard_guest(96, 1);
-        let (base, h0, m0) = butterfly_engine_run(&g, &c, 2, 3, 0x17, 1, false);
-        let (tuned, h1, m1) = butterfly_engine_run(&g, &c, 2, 3, 0x17, 4, true);
-        assert_eq!(base.protocol, tuned.protocol);
-        assert_eq!(base.final_states, tuned.final_states);
-        assert_eq!((h0, m0), (0, 0));
-        assert!(h1 >= 1 && m1 == 1, "hits {h1}, misses {m1}");
-    }
-
-    #[test]
-    fn butterfly_slowdown_sane() {
-        let (g, c) = standard_guest(128, 1);
-        let s = butterfly_slowdown(&g, &c, 3, 2, 0x5EED);
-        assert!(s >= 4.0);
-    }
-
-    #[test]
-    fn butterfly_metrics_is_seed_deterministic() {
-        let (g, c) = standard_guest(96, 2);
-        let a = butterfly_metrics(&g, &c, 2, 2, 7);
-        let b = butterfly_metrics(&g, &c, 2, 2, 7);
-        assert_eq!(a.host_steps, b.host_steps);
-        assert_eq!(a.slowdown, b.slowdown);
     }
 }

@@ -4,11 +4,11 @@
 //! the paper claim it instantiates, its parameter grid (full and `--quick`
 //! variants), a pure runner mapping one grid point to one measured row,
 //! and the expected-shape predicates ([`crate::shape`]) the rows must
-//! satisfy. The descriptors replace the copy-pasted artifact code that
-//! used to live in `bench-json` and the `benches/e*_*.rs` tables: the
-//! sweep runner ([`crate::sweep`]), the regression gate
-//! ([`crate::diff`]), and the markdown report ([`crate::report_md`]) all
-//! consume the same registry.
+//! satisfy. This module holds E1, E2 and the engine and serving
+//! experiments E16–E22; the E3–E15 tables live in [`crate::paper`]. The
+//! sweep runner ([`crate::sweep`]), the regression gate ([`crate::diff`]),
+//! and the markdown report ([`crate::report_md`]) all consume the same
+//! registry.
 //!
 //! Runners are **pure functions of their grid point**: every parameter —
 //! sizes, step counts, seeds — is in the [`GridPoint`], so points can run
@@ -22,10 +22,10 @@ use unet_core::prelude::{bounds, presets, Embedding, Simulation};
 use unet_core::routers::SelectorRouter;
 use unet_core::verify::verify_run;
 use unet_core::CachePolicy;
-use unet_faults::{DegradedSimulator, FaultPlan};
+use unet_faults::{DegradedSimulator, DegradedTuning, FaultPlan};
 use unet_lowerbound::tradeoff_table;
 use unet_obs::json::Value;
-use unet_obs::InMemoryRecorder;
+use unet_obs::{InMemoryRecorder, NoopRecorder};
 use unet_routing::butterfly::{GreedyButterfly, ValiantButterfly};
 use unet_routing::greedy::DimensionOrder;
 use unet_routing::PathSelector;
@@ -111,7 +111,8 @@ pub struct Experiment {
     pub grid_keys: &'static [&'static str],
     /// Experiment-level constants for the artifact header.
     pub meta: fn(quick: bool) -> Vec<(String, Value)>,
-    /// The parameter grid (full or `--quick` CI-smoke sizes).
+    /// The parameter grid (full or `--quick` CI-smoke sizes; the small
+    /// E3–E15 tables ignore the flag).
     pub grid: fn(quick: bool) -> Vec<GridPoint>,
     /// Run one grid point → one measured row (pure; parallel-safe).
     pub run: fn(&GridPoint) -> Value,
@@ -121,7 +122,10 @@ pub struct Experiment {
 
 /// The full registry, in canonical order.
 pub fn registry() -> Vec<Experiment> {
-    vec![e1(), e2(), e16(), e17(), e18(), e19(), e20(), e21(), e22()]
+    let mut all = vec![e1(), e2()];
+    all.extend(crate::paper::experiments());
+    all.extend([e16(), e17(), e18(), e19(), e20(), e21(), e22()]);
+    all
 }
 
 /// The registry's base seed, recorded in the artifact header; every row
@@ -129,7 +133,7 @@ pub fn registry() -> Vec<Experiment> {
 /// shards are order-independent.
 pub const BASE_SEED: u64 = 0x5EED;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
+pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
@@ -343,8 +347,9 @@ fn e16_run_on<S: PathSelector>(
         selector: Some(selector),
     };
     let wall_start = Instant::now();
+    let tuning = DegradedTuning { threads: 1, cache: true }; // the sweep shards across rows
     let run = sim
-        .simulate(&comp, host, steps, &mut seeded_rng(0xE16))
+        .simulate_tuned(&comp, host, steps, &tuning, &mut seeded_rng(0xE16), &mut NoopRecorder)
         .expect("faults leave survivors at these rates");
     unet_pebble::check(&guest, host, &run.run.protocol).expect("degraded protocol certifies");
     assert_eq!(run.run.final_states, comp.run_final(steps), "bit-for-bit");
@@ -1298,12 +1303,54 @@ fn e22() -> Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep, SweepOptions};
+
+    fn find(id: &str) -> Experiment {
+        registry().into_iter().find(|e| e.id == id).expect("registered")
+    }
+
+    /// Run an experiment's quick grid and check the registry contract:
+    /// every row embeds its grid point's key, and the rows satisfy the
+    /// experiment's own shape predicates.
+    fn quick_rows(id: &str) -> Vec<Value> {
+        let exp = find(id);
+        let grid = (exp.grid)(true);
+        let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
+        for (p, row) in grid.iter().zip(&rows) {
+            assert_eq!(
+                row_key(row, exp.grid_keys).as_deref(),
+                Some(p.key(exp.grid_keys).as_str()),
+                "{id}: row does not embed its grid point"
+            );
+        }
+        for shape in (exp.shapes)() {
+            shape.check(&rows).unwrap_or_else(|v| panic!("{id}: {v}"));
+        }
+        rows
+    }
+
+    fn col<'a>(row: &'a Value, name: &str) -> &'a Value {
+        row.get(name).unwrap_or_else(|| panic!("row lacks {name}: {}", row.to_json()))
+    }
+
+    fn config_row<'a>(rows: &'a [Value], config: &str) -> &'a Value {
+        rows.iter()
+            .find(|r| r.get("config").and_then(Value::as_str) == Some(config))
+            .unwrap_or_else(|| panic!("{config} row"))
+    }
 
     #[test]
     fn registry_is_canonical() {
         let reg = registry();
         let ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
-        assert_eq!(ids, ["E1", "E2", "E16", "E17", "E18", "E19", "E20", "E21", "E22"]);
+        assert_eq!(
+            ids,
+            [
+                "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12a", "E12b",
+                "E12c", "E12d", "E12e", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20",
+                "E21", "E22"
+            ]
+        );
         for exp in &reg {
             assert!(!(exp.shapes)().is_empty(), "{} has no shape predicates", exp.id);
             for quick in [true, false] {
@@ -1319,166 +1366,121 @@ mod tests {
     }
 
     #[test]
-    fn rows_embed_their_grid_keys_and_pass_their_shapes() {
-        // Run the two cheapest grids end to end (E2 quick is numeric-only,
-        // E16 quick exercises the degraded engine) and check the contract:
-        // every row projects onto its grid point's key, and the rows
-        // satisfy the experiment's own shape predicates.
-        for exp in registry() {
-            if exp.id != "E2" && exp.id != "E16" {
-                continue;
+    fn artifacts_round_trip_with_required_fields() {
+        // E1 exercises the builder engine; E2 the trade-off table.
+        let opts = SweepOptions {
+            quick: true,
+            filter: Some(SweepOptions::parse_filter("e1,e2")),
+            threads: 2,
+        };
+        let doc = crate::schema::BenchDoc::parse(&run_sweep(&opts).to_json()).expect("parses");
+        for exp in &doc.experiments {
+            assert!(!exp.rows.is_empty());
+            for row in &exp.rows {
+                assert!(col(row, "host_m").as_u64().is_some());
+                assert!(col(row, "guest_n").as_u64().is_some());
             }
-            let grid = (exp.grid)(true);
-            let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
-            for (p, row) in grid.iter().zip(&rows) {
-                assert_eq!(
-                    row_key(row, exp.grid_keys).as_deref(),
-                    Some(p.key(exp.grid_keys).as_str()),
-                    "{}: row does not embed its grid point",
-                    exp.id
-                );
-            }
-            for shape in (exp.shapes)() {
-                shape.check(&rows).unwrap_or_else(|v| panic!("{}: {v}", exp.id));
+            assert!(exp.wall_ms_total >= 0.0);
+        }
+        // E1 rows carry measured slowdown + wall time (the regression signal).
+        for row in &doc.experiment("E1").expect("E1 present").rows {
+            assert!(col(row, "slowdown").as_f64().unwrap() >= 1.0);
+            assert!(col(row, "inefficiency").as_f64().unwrap() > 0.0);
+            assert!(col(row, "makespan").as_u64().unwrap() > 0);
+            assert!(col(row, "wall_ms").as_f64().unwrap() >= 0.0);
+        }
+        quick_rows("E2");
+    }
+
+    #[test]
+    fn e16_rows_respect_the_surviving_size_bound() {
+        // The shapes check k >= k_bound; the fault story is checked here.
+        let rows = quick_rows("E16");
+        assert_eq!(rows.len(), 4, "2 rates x 2 hosts in quick mode");
+        let mut faulted = 0;
+        for row in &rows {
+            let m = col(row, "host_m").as_u64().unwrap();
+            let m_surv = col(row, "m_surviving").as_u64().unwrap();
+            assert!(m_surv > 0);
+            let rate = col(row, "fault_rate").as_f64().unwrap();
+            if rate > 0.0 {
+                faulted += 1;
+                assert!(m_surv < m, "crashes at rate {rate} must kill someone");
+            } else {
+                assert_eq!(m_surv, m);
+                assert_eq!(col(row, "dropped").as_u64(), Some(0));
             }
         }
+        assert_eq!(faulted, 2);
     }
 
     #[test]
     fn e17_rows_agree_bit_for_bit() {
-        let exp = e17();
-        let grid = (exp.grid)(true);
-        let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
-        for shape in (exp.shapes)() {
-            shape.check(&rows).unwrap_or_else(|v| panic!("E17: {v}"));
-        }
-        let h0 = rows[0].get("protocol_hash").and_then(Value::as_u64).unwrap();
-        assert!(rows.iter().all(|r| r.get("protocol_hash").and_then(Value::as_u64) == Some(h0)));
+        // ConstantColumn shapes pin the hashes; at least one cached row
+        // must exist for them to mean anything.
+        let rows = quick_rows("E17");
+        assert!(rows.iter().any(|r| col(r, "cache") == &Value::Bool(true)));
     }
 
     #[test]
     fn e18_congestion_stays_inside_the_envelope() {
-        let exp = e18();
-        let grid = (exp.grid)(true);
-        let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
-        for (p, row) in grid.iter().zip(&rows) {
-            assert_eq!(
-                row_key(row, exp.grid_keys).as_deref(),
-                Some(p.key(exp.grid_keys).as_str()),
-                "E18: row does not embed its grid point"
-            );
-            let util = row.get("max_edge_util").and_then(Value::as_f64).unwrap();
+        for row in quick_rows("E18") {
+            let util = col(&row, "max_edge_util").as_f64().unwrap();
             assert!(util > 0.0, "telemetry must see at least one transfer: {}", row.to_json());
-        }
-        for shape in (exp.shapes)() {
-            shape.check(&rows).unwrap_or_else(|v| panic!("E18: {v}"));
         }
     }
 
     #[test]
-    fn e19_rows_embed_keys_and_saturate_the_shared_cache() {
-        let exp = e19();
-        let grid = (exp.grid)(true);
-        let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
-        for (p, row) in grid.iter().zip(&rows) {
-            assert_eq!(
-                row_key(row, exp.grid_keys).as_deref(),
-                Some(p.key(exp.grid_keys).as_str()),
-                "E19: row does not embed its grid point"
-            );
-            let ratio = row.get("hit_ratio").and_then(Value::as_f64).unwrap();
+    fn e19_rows_saturate_the_shared_cache() {
+        for row in quick_rows("E19") {
+            let ratio = col(&row, "hit_ratio").as_f64().unwrap();
             assert!(ratio > 0.9, "repeated workload must hit: {}", row.to_json());
-        }
-        for shape in (exp.shapes)() {
-            shape.check(&rows).unwrap_or_else(|v| panic!("E19: {v}"));
         }
     }
 
     #[test]
     fn e20_batches_coalesce_and_lose_no_item() {
-        let exp = e20();
-        let grid = (exp.grid)(true);
-        let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
-        for (p, row) in grid.iter().zip(&rows) {
-            assert_eq!(
-                row_key(row, exp.grid_keys).as_deref(),
-                Some(p.key(exp.grid_keys).as_str()),
-                "E20: row does not embed its grid point"
-            );
-        }
         // The wall-time ordering shape may be skipped under the noise
         // floor, but the follower and completeness claims are exact.
-        for shape in (exp.shapes)() {
-            shape.check(&rows).unwrap_or_else(|v| panic!("E20: {v}"));
-        }
-        let b4 = rows
-            .iter()
-            .find(|r| r.get("config").and_then(Value::as_str) == Some("c1-b4"))
-            .expect("c1-b4 row");
-        assert!(
-            b4.get("singleflight_followers").and_then(Value::as_u64).unwrap() >= 3,
-            "a cold batch of 4 must ride one plan build: {}",
-            b4.to_json()
-        );
+        let rows = quick_rows("E20");
+        let b4 = config_row(&rows, "c1-b4");
+        let followers = col(b4, "singleflight_followers").as_u64().unwrap();
+        assert!(followers >= 3, "a cold batch of 4 must ride one plan build: {}", b4.to_json());
     }
 
     #[test]
     fn e21_shards_stay_balanced_warm_and_lossless() {
-        let exp = e21();
-        let grid = (exp.grid)(true);
-        let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
-        for (p, row) in grid.iter().zip(&rows) {
-            assert_eq!(
-                row_key(row, exp.grid_keys).as_deref(),
-                Some(p.key(exp.grid_keys).as_str()),
-                "E21: row does not embed its grid point"
-            );
-        }
         // The throughput-scaling shape may disarm on a small machine, but
         // balance, hit ratio, failover and completeness gates are exact.
-        for shape in (exp.shapes)() {
-            shape.check(&rows).unwrap_or_else(|v| panic!("E21: {v}"));
-        }
-        let s4 = rows
-            .iter()
-            .find(|r| r.get("config").and_then(Value::as_str) == Some("s4"))
-            .expect("s4 row");
-        assert_eq!(
-            s4.get("failovers").and_then(Value::as_u64),
-            Some(0),
-            "healthy shards never fail over: {}",
-            s4.to_json()
-        );
+        let rows = quick_rows("E21");
+        let s4 = config_row(&rows, "s4");
+        assert_eq!(col(s4, "failovers").as_u64(), Some(0), "healthy shards never fail over");
         // Affinity held: exactly one cold compile per shard, so the global
         // ratio equals the single-shard ideal for the same workload set.
-        let ratio = s4.get("hit_ratio").and_then(Value::as_f64).unwrap();
-        let floor = s4.get("hit_ratio_floor").and_then(Value::as_f64).unwrap();
+        let ratio = col(s4, "hit_ratio").as_f64().unwrap();
+        let floor = col(s4, "hit_ratio_floor").as_f64().unwrap();
         assert!(ratio >= floor, "sharded hit ratio {ratio} under floor {floor}");
     }
 
     #[test]
     fn e22_spans_account_for_latency_and_queueing_dominates_past_the_knee() {
-        let exp = e22();
-        let grid = (exp.grid)(true);
-        let rows: Vec<Value> = grid.iter().map(|p| (exp.run)(p)).collect();
-        for (p, row) in grid.iter().zip(&rows) {
-            assert_eq!(
-                row_key(row, exp.grid_keys).as_deref(),
-                Some(p.key(exp.grid_keys).as_str()),
-                "E22: row does not embed its grid point"
-            );
-        }
         // Coverage, queue dominance, sampling, and completeness gates are
         // all machine-independent ratios or exact counts — none disarm.
-        for shape in (exp.shapes)() {
-            shape.check(&rows).unwrap_or_else(|v| panic!("E22: {v}"));
-        }
-        let c4 = rows
-            .iter()
-            .find(|r| r.get("config").and_then(Value::as_str) == Some("c4"))
-            .expect("c4 row");
-        let queue = c4.get("queue_share").and_then(Value::as_f64).unwrap();
+        let rows = quick_rows("E22");
+        let c4 = config_row(&rows, "c4");
+        let queue = col(c4, "queue_share").as_f64().unwrap();
         assert!(queue >= 0.5, "past the knee the queue is the request's life: {}", c4.to_json());
+    }
+
+    #[test]
+    fn paper_tables_hold_their_claims() {
+        // E3–E14 are deterministic and cheap; E15 is a timing gate, which
+        // an unoptimized test build cannot speak for.
+        for exp in crate::paper::experiments() {
+            if exp.id != "E15" {
+                quick_rows(exp.id);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The versioned `BENCH.json` artifact (schema `unet-bench/2`).
 //!
 //! Schema v1 was four ad-hoc `BENCH_E*.json` files, one unversioned object
-//! per experiment, written by copy-pasted code in `bench-json`. Schema v2
+//! per experiment, written by copy-pasted per-experiment code. Schema v2
 //! is one document holding every experiment the registry ran, stamped with
 //! the schema id, the git revision, and the registry's base seed, so a
 //! committed `BENCH.json` is a *baseline*: `unet bench diff` can parse it

@@ -90,7 +90,9 @@ pub enum Shape {
     /// (`seq-cached` beats `seq-uncached`), deliberately loose: `factor`
     /// allows for machine noise, and the check is skipped entirely when
     /// the slow row's wall time is under `min_wall_ms` (micro-timings are
-    /// pure noise, e.g. on the `--quick` grid).
+    /// pure noise, e.g. on the `--quick` grid). The compared column need
+    /// not be a time: E8, E12 and E14 order deterministic slowdowns,
+    /// packet counts and work shares with `min_wall_ms = 0`.
     SpeedupOrdering {
         /// Column identifying configurations (e.g. `config`).
         key: &'static str,
@@ -181,8 +183,8 @@ impl Shape {
             Shape::FloorLog { x, y, alpha } => format!("{y} >= {alpha}*log2({x})"),
             Shape::ConstantColumn { col } => format!("{col} constant across rows"),
             Shape::MonotoneInLog { x, y } => format!("{y} non-decreasing in {x}"),
-            Shape::SpeedupOrdering { fast, slow, factor, .. } => {
-                format!("wall({fast}) <= {factor}*wall({slow})")
+            Shape::SpeedupOrdering { fast, slow, wall, factor, .. } => {
+                format!("{wall}({fast}) <= {factor}*{wall}({slow})")
             }
             Shape::ThroughputScaling { fast, slow, factor, .. } => {
                 format!("throughput({fast}) >= {factor}*throughput({slow}) when cores allow")
@@ -292,7 +294,7 @@ impl Shape {
                 }
                 if fw > factor * sw {
                     return fail(format!(
-                        "{fast} took {fw:.1} ms vs {slow} {sw:.1} ms — speedup ordering lost"
+                        "{wall} of {fast} = {fw:.2} vs {slow} {sw:.2} — ordering lost"
                     ));
                 }
                 Ok(())

@@ -16,8 +16,9 @@
 //! every experiment completes — so an interrupted sweep loses at most one
 //! experiment's worth of work.
 
-use crate::registry::{registry, row_key, Experiment, BASE_SEED};
+use crate::registry::{registry, row_key, Experiment, GridPoint, BASE_SEED};
 use crate::schema::{git_rev, BenchDoc, ExperimentResult, SCHEMA};
+use std::time::Instant;
 use unet_obs::json::Value;
 use unet_topology::par::{default_threads, par_map};
 
@@ -75,7 +76,7 @@ pub fn run_experiment(
         .filter(|p| !have.iter().any(|(k, _)| *k == p.key(exp.grid_keys)))
         .cloned()
         .collect();
-    let fresh = par_map(&todo, threads, |p| (exp.run)(p));
+    let fresh = par_map(&todo, threads, |p| timed_run(exp, p));
     let mut fresh_iter = fresh.into_iter();
     let rows: Vec<Value> = grid
         .iter()
@@ -96,6 +97,19 @@ pub fn run_experiment(
         rows,
         wall_ms_total,
     }
+}
+
+/// Run one grid point, adding a `wall_ms` column when the runner does not
+/// time itself (the E3–E15 tables are timed as whole rows).
+fn timed_run(exp: &Experiment, p: &GridPoint) -> Value {
+    let start = Instant::now();
+    let mut row = (exp.run)(p);
+    if let Value::Obj(fields) = &mut row {
+        if !fields.iter().any(|(k, _)| k == "wall_ms") {
+            fields.push(("wall_ms".into(), Value::Float(start.elapsed().as_secs_f64() * 1e3)));
+        }
+    }
+    row
 }
 
 fn assemble(opts: &SweepOptions, experiments: Vec<ExperimentResult>) -> BenchDoc {

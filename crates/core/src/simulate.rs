@@ -40,7 +40,6 @@ use crate::guest::{transition, GuestComputation};
 use crate::routers::Router;
 use unet_obs::{edge_key, Recorder};
 use unet_pebble::protocol::{Op, Pebble, Protocol, ProtocolBuilder};
-use unet_routing::packet::Transfer;
 use unet_routing::plan::{extract_plan, PlanCache, RoutePlan};
 use unet_routing::problem::RoutingProblem;
 use unet_topology::par::par_chunks;
@@ -374,40 +373,13 @@ pub fn replay_plan(builder: &mut ProtocolBuilder, plan: &RoutePlan, payloads: &[
     plan.rounds.len()
 }
 
-/// Convert an engine transfer schedule into pebble send/receive steps.
-///
-/// The engine's port model allows a node to send *and* receive in the same
-/// synchronous step; the pebble game allows only one operation per processor
-/// per step. Each engine step's transfers form a multigraph of maximum
-/// degree 2 (≤ 1 out, ≤ 1 in per node), so a greedy matching decomposition
-/// needs at most 3 pebble steps per engine step (Vizing/Shannon bound for
-/// Δ = 2). Self-transfers (lazy path segments) are dropped — custody already
-/// covers them.
-///
-/// Since the route-plan cache landed this is literally
-/// [`unet_routing::plan::extract_plan`] followed by [`replay_plan`]; the
-/// decomposition is unchanged, so output is byte-identical to the historical
-/// inline loop.
-///
-/// Returns the number of pebble steps emitted.
-///
-/// Public so that degraded-mode simulators (`unet-faults`) can reuse the
-/// exact decomposition when converting fault-aware routing runs into
-/// certified pebble steps.
-pub fn emit_transfers(
-    builder: &mut ProtocolBuilder,
-    transfers: &[Transfer],
-    payloads: &[Pebble],
-) -> usize {
-    replay_plan(builder, &extract_plan(transfers), payloads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routers::presets;
     use crate::sim::Simulation;
     use unet_pebble::check;
+    use unet_routing::packet::Transfer;
     use unet_topology::generators::{mesh, random_regular, ring, torus};
     use unet_topology::util::seeded_rng;
 
@@ -613,9 +585,9 @@ mod tests {
     }
 
     #[test]
-    fn emit_transfers_equals_extract_then_replay() {
-        // The refactor contract: the one-shot path and the extracted-plan
-        // path must build identical protocol segments.
+    fn replay_plan_emits_one_pebble_step_per_round() {
+        // Node 1 receives and sends in engine step 0, which therefore needs
+        // two pebble steps; the lazy 2 -> 2 segment in step 1 adds none.
         let transfers = vec![
             Transfer { step: 0, from: 0, to: 1, packet_id: 0 },
             Transfer { step: 0, from: 1, to: 2, packet_id: 1 },
@@ -623,16 +595,11 @@ mod tests {
             Transfer { step: 1, from: 2, to: 3, packet_id: 1 },
         ];
         let payloads = vec![Pebble::new(4, 1), Pebble::new(5, 1)];
-        let mut b1 = ProtocolBuilder::new(8, 1, 4);
-        let s1 = emit_transfers(&mut b1, &transfers, &payloads);
         let plan = extract_plan(&transfers);
-        let mut b2 = ProtocolBuilder::new(8, 1, 4);
-        let s2 = replay_plan(&mut b2, &plan, &payloads);
-        assert_eq!(s1, s2);
-        assert_eq!(s1, plan.pebble_steps());
-        // Close both protocols identically and compare the emitted steps.
-        b1.end_step();
-        b2.end_step();
-        assert_eq!(b1.finish(), b2.finish());
+        let mut builder = ProtocolBuilder::new(8, 1, 4);
+        let emitted = replay_plan(&mut builder, &plan, &payloads);
+        assert_eq!(emitted, plan.pebble_steps());
+        assert_eq!(emitted, 3);
+        assert_eq!(builder.finish().host_steps(), emitted);
     }
 }

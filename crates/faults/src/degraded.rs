@@ -33,7 +33,7 @@ use unet_core::embedding::Embedding;
 use unet_core::guest::GuestComputation;
 use unet_core::simulate::{advance_states, replay_plan, SimulationRun};
 use unet_obs::trace::{FaultOp, FaultRecord};
-use unet_obs::{NoopRecorder, Recorder};
+use unet_obs::Recorder;
 use unet_pebble::protocol::{Op, Pebble, ProtocolBuilder};
 use unet_routing::packet::{Discipline, PathSelector, ShortestPath};
 use unet_routing::plan::{extract_plan, PlanCache, RoutePlan};
@@ -118,21 +118,6 @@ impl Default for DegradedTuning {
     }
 }
 
-/// How the fault-aware router gets its randomness (mirrors the core
-/// engine's modes: `Threaded` reproduces the legacy byte stream; `PerPhase`
-/// makes schedules step-invariant so the cache is pure memoization).
-enum DegradedRouteRng {
-    Threaded,
-    PerPhase(u64),
-}
-
-/// Per-run execution mode (legacy vs tuned), internal.
-struct DegradedMode {
-    threads: usize,
-    cache: bool,
-    route_rng: DegradedRouteRng,
-}
-
 /// One cached communication phase: the pair set it is valid for, the
 /// replayable rounds (over routed-packet indices), and the bookkeeping the
 /// routing pass would have produced.
@@ -161,50 +146,23 @@ pub struct DegradedSimulator<S: PathSelector = ShortestPath> {
 }
 
 impl<S: PathSelector> DegradedSimulator<S> {
-    /// Simulate `steps` guest steps of `comp` on `host` under the plan.
+    /// Simulate `steps` guest steps of `comp` on `host` under the plan,
+    /// with route-plan caching (invalidated on every [`FaultyView`] epoch
+    /// change, so fresh faults always reroute) and a parallel
+    /// state-computation phase.
     ///
-    /// # Panics
-    /// Panics if sizes disagree or the plan targets elements outside `host`.
-    pub fn simulate<R: Rng>(
-        &self,
-        comp: &GuestComputation,
-        host: &Graph,
-        steps: u32,
-        rng: &mut R,
-    ) -> Result<DegradedRun, DegradedError> {
-        self.simulate_recorded(comp, host, steps, rng, &mut NoopRecorder)
-    }
-
-    /// [`DegradedSimulator::simulate`] with instrumentation: the healthy
-    /// engine's `sim.comm` / `sim.compute` spans and `sim.*` counters, plus
-    /// the `faults.route.*` counters from fault-aware routing and
-    /// `faults.replayed` / `faults.remapped` totals.
-    ///
-    /// Runs the legacy execution mode — sequential, uncached, router RNG
-    /// threaded through every phase — byte-identical to the historical
-    /// engine. Use [`DegradedSimulator::simulate_tuned`] for the cached /
-    /// parallel engine.
-    pub fn simulate_recorded<R: Rng, REC: Recorder>(
-        &self,
-        comp: &GuestComputation,
-        host: &Graph,
-        steps: u32,
-        rng: &mut R,
-        rec: &mut REC,
-    ) -> Result<DegradedRun, DegradedError> {
-        let mode = DegradedMode { threads: 1, cache: false, route_rng: DegradedRouteRng::Threaded };
-        self.run_degraded(comp, host, steps, &mode, rng, rec)
-    }
-
-    /// Degraded simulation with the tuned execution engine: route-plan
-    /// caching (invalidated on every [`FaultyView`] epoch change, so fresh
-    /// faults always reroute) and a parallel state-computation phase.
+    /// Records the healthy engine's `sim.comm` / `sim.compute` spans and
+    /// `sim.*` counters, plus the `faults.route.*` counters from
+    /// fault-aware routing and `faults.replayed` / `faults.remapped`
+    /// totals.
     ///
     /// Output is **bit-for-bit identical** across all tunings for a given
     /// seed: like `Simulation::builder()`, this draws one route seed from
     /// `rng` up front and reseeds the router each phase, so cached and
-    /// uncached runs see the same schedules. (It therefore does *not*
-    /// reproduce `simulate`'s byte stream for randomized selectors.)
+    /// uncached runs see the same schedules.
+    ///
+    /// # Panics
+    /// Panics if sizes disagree or the plan targets elements outside `host`.
     pub fn simulate_tuned<R: Rng, REC: Recorder>(
         &self,
         comp: &GuestComputation,
@@ -215,23 +173,7 @@ impl<S: PathSelector> DegradedSimulator<S> {
         rec: &mut REC,
     ) -> Result<DegradedRun, DegradedError> {
         let route_seed: u64 = rng.gen();
-        let mode = DegradedMode {
-            threads: tuning.threads.max(1),
-            cache: tuning.cache,
-            route_rng: DegradedRouteRng::PerPhase(route_seed),
-        };
-        self.run_degraded(comp, host, steps, &mode, rng, rec)
-    }
-
-    fn run_degraded<R: Rng, REC: Recorder>(
-        &self,
-        comp: &GuestComputation,
-        host: &Graph,
-        steps: u32,
-        mode: &DegradedMode,
-        rng: &mut R,
-        rec: &mut REC,
-    ) -> Result<DegradedRun, DegradedError> {
+        let threads = tuning.threads.max(1);
         let n = comp.n();
         let m = host.n();
         assert_eq!(self.embedding.n(), n, "embedding covers every guest");
@@ -311,7 +253,7 @@ impl<S: PathSelector> DegradedSimulator<S> {
                     // custody drifts as pebbles ship, so the epoch alone is
                     // not sufficient in degraded mode.
                     let epoch = view.epoch();
-                    let hit = mode.cache && cache.lookup(epoch, |c| c.pairs == pairs).is_some();
+                    let hit = tuning.cache && cache.lookup(epoch, |c| c.pairs == pairs).is_some();
                     if hit {
                         let c = cache.peek().expect("hit implies entry");
                         st.delivered += c.delivered;
@@ -331,24 +273,14 @@ impl<S: PathSelector> DegradedSimulator<S> {
                             replay.push((pairs[i].1, payloads[i]));
                         }
                     } else {
-                        let fo = match mode.route_rng {
-                            DegradedRouteRng::Threaded => route_faulty_recorded(
-                                &view,
-                                &pairs,
-                                self.selector.as_ref(),
-                                Discipline::FarthestFirst,
-                                rng,
-                                &mut *rec,
-                            ),
-                            DegradedRouteRng::PerPhase(seed) => route_faulty_recorded(
-                                &view,
-                                &pairs,
-                                self.selector.as_ref(),
-                                Discipline::FarthestFirst,
-                                &mut seeded_rng(seed),
-                                &mut *rec,
-                            ),
-                        };
+                        let fo = route_faulty_recorded(
+                            &view,
+                            &pairs,
+                            self.selector.as_ref(),
+                            Discipline::FarthestFirst,
+                            &mut seeded_rng(route_seed),
+                            &mut *rec,
+                        );
                         st.delivered += fo.delivered;
                         st.retried += fo.retried;
                         let mut plan = RoutePlan::default();
@@ -377,7 +309,7 @@ impl<S: PathSelector> DegradedSimulator<S> {
                             st.dropped += 1;
                             replay.push((pairs[i].1, payloads[i]));
                         }
-                        if mode.cache {
+                        if tuning.cache {
                             cache.store(
                                 epoch,
                                 CachedDegradedComm {
@@ -419,7 +351,7 @@ impl<S: PathSelector> DegradedSimulator<S> {
                 st.total_steps += 1;
             }
             // ---- Host-side state computation -----------------------------
-            prev_states = advance_states(comp, &prev_states, mode.threads);
+            prev_states = advance_states(comp, &prev_states, threads);
             rec.span_end("sim.compute");
         }
 
@@ -428,7 +360,7 @@ impl<S: PathSelector> DegradedSimulator<S> {
         rec.counter("sim.compute_steps", st.compute_steps as u64);
         rec.counter("sim.cache.hits", cache.hits());
         rec.counter("sim.cache.misses", cache.misses());
-        rec.gauge("sim.par.threads", mode.threads as f64);
+        rec.gauge("sim.par.threads", threads as f64);
         rec.counter("faults.remapped", st.remapped);
         rec.counter("faults.replayed", st.replayed);
 
@@ -585,6 +517,7 @@ fn ensure_pebble(
 mod tests {
     use super::*;
     use crate::plan::{FaultEvent, FaultKind};
+    use unet_obs::NoopRecorder;
     use unet_pebble::check;
     use unet_topology::generators::{random_regular, ring, torus};
     use unet_topology::util::seeded_rng;
@@ -593,13 +526,25 @@ mod tests {
         DegradedSimulator { embedding: Embedding::block(n, m), plan, selector: Some(ShortestPath) }
     }
 
+    /// One run with the default tuning and no recorder.
+    fn run(
+        sim: &DegradedSimulator,
+        comp: &GuestComputation,
+        host: &Graph,
+        steps: u32,
+        seed: u64,
+    ) -> Result<DegradedRun, DegradedError> {
+        let tuning = DegradedTuning::default();
+        sim.simulate_tuned(comp, host, steps, &tuning, &mut seeded_rng(seed), &mut NoopRecorder)
+    }
+
     #[test]
     fn healthy_plan_matches_healthy_invariants() {
         let guest = ring(12);
         let comp = GuestComputation::random(guest.clone(), 99);
         let host = torus(2, 2);
         let sim = bfs_sim(12, 4, FaultPlan::none());
-        let run = sim.simulate(&comp, &host, 3, &mut seeded_rng(1)).unwrap();
+        let run = run(&sim, &comp, &host, 3, 1).unwrap();
         check(&guest, &host, &run.run.protocol).expect("certifies");
         assert_eq!(run.run.final_states, comp.run_final(3));
         assert_eq!(run.m_surviving, 4);
@@ -619,7 +564,7 @@ mod tests {
             FaultEvent { at: 3, kind: FaultKind::NodeCrash { node: 0 } },
         ]);
         let sim = bfs_sim(24, 9, plan);
-        let run = sim.simulate(&comp, &host, 4, &mut seeded_rng(2)).unwrap();
+        let run = run(&sim, &comp, &host, 4, 2).unwrap();
         check(&guest, &host, &run.run.protocol).expect("degraded protocol certifies");
         assert_eq!(run.run.final_states, comp.run_final(4));
         assert_eq!(run.m_surviving, 7);
@@ -641,7 +586,7 @@ mod tests {
         let plan = FaultPlan::link_cuts(&host, 0.2, 2, 11)
             .merge(FaultPlan::link_flaps(&host, 0.1, 1, 2, 12));
         let sim = bfs_sim(16, 9, plan);
-        let run = sim.simulate(&comp, &host, 4, &mut seeded_rng(3)).unwrap();
+        let run = run(&sim, &comp, &host, 4, 3).unwrap();
         check(&guest, &host, &run.run.protocol).expect("certifies");
         assert_eq!(run.run.final_states, comp.run_final(4));
         assert_eq!(run.m_surviving, 9, "link faults kill no nodes");
@@ -656,7 +601,7 @@ mod tests {
         let host = torus(4, 4);
         let plan = FaultPlan::correlated_crashes(&host, 1, 2, 21);
         let sim = bfs_sim(32, 16, plan);
-        let run = sim.simulate(&comp, &host, 3, &mut seeded_rng(4)).unwrap();
+        let run = run(&sim, &comp, &host, 3, 4).unwrap();
         check(&guest, &host, &run.run.protocol).expect("certifies");
         assert_eq!(run.run.final_states, comp.run_final(3));
         assert_eq!(run.m_surviving, 11);
@@ -670,7 +615,7 @@ mod tests {
         let host = torus(2, 2);
         let plan = FaultPlan::crashes(&host, 1.0, 2, 0);
         let sim = bfs_sim(4, 4, plan);
-        let err = sim.simulate(&comp, &host, 3, &mut seeded_rng(5)).unwrap_err();
+        let err = run(&sim, &comp, &host, 3, 5).unwrap_err();
         assert_eq!(err, DegradedError::AllHostsDead { at: 2 });
         assert!(err.to_string().contains("all hosts dead"));
     }
@@ -747,8 +692,8 @@ mod tests {
         let host = torus(3, 3);
         let plan = FaultPlan::crashes(&host, 0.25, 2, 17);
         let sim = bfs_sim(24, 9, plan);
-        let a = sim.simulate(&comp, &host, 3, &mut seeded_rng(6)).unwrap();
-        let b = sim.simulate(&comp, &host, 3, &mut seeded_rng(6)).unwrap();
+        let a = run(&sim, &comp, &host, 3, 6).unwrap();
+        let b = run(&sim, &comp, &host, 3, 6).unwrap();
         assert_eq!(a.run.protocol, b.run.protocol);
         assert_eq!(a.fault_log, b.fault_log);
         assert_eq!(a.run.final_states, b.run.final_states);

@@ -79,8 +79,8 @@ where
 /// Resolution order:
 /// 1. `UNET_THREADS` environment variable, if set to a positive integer —
 ///    the explicit override for machines where the default cap is wrong
-///    (honoured by the `unet` CLI and `bench-json` alike, so one variable
-///    controls every sweep).
+///    (honoured by every `unet` command, `unet bench` sweeps included, so
+///    one variable controls every sweep).
 /// 2. Otherwise the available parallelism, capped at 8. The cap exists
 ///    because the experiment sweeps are memory-bandwidth-bound: each worker
 ///    streams whole CSR graphs and routing queues, so beyond ~8 workers the

@@ -340,7 +340,7 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
 /// Run a degraded simulation under seeded crash-stop faults, certify it,
 /// verify bit-for-bit reproduction, and print (or trace) the fault story.
 fn faults_cmd(args: &[String]) -> Result<(), String> {
-    use universal_networks::faults::{DegradedSimulator, FaultPlan};
+    use universal_networks::faults::{DegradedSimulator, DegradedTuning, FaultPlan};
     use universal_networks::obs::trace::{export_with_faults, RunMeta, RunSummary};
     use universal_networks::obs::InMemoryRecorder;
     use universal_networks::routing::ShortestPath;
@@ -364,7 +364,7 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
     let mut rec = InMemoryRecorder::new();
     let wall_start = std::time::Instant::now();
     let run = sim
-        .simulate_recorded(&comp, &host, steps, &mut rng, &mut rec)
+        .simulate_tuned(&comp, &host, steps, &DegradedTuning::default(), &mut rng, &mut rec)
         .map_err(|e| e.to_string())?;
     pebble::check(&guest, &host, &run.run.protocol)
         .map_err(|e| format!("degraded protocol failed to verify: {e}"))?;

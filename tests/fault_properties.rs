@@ -4,7 +4,10 @@
 
 use proptest::prelude::*;
 use universal_networks::core::prelude::*;
-use universal_networks::faults::{route_faulty, DegradedSimulator, FaultPlan, FaultyView};
+use universal_networks::faults::{
+    route_faulty, DegradedSimulator, DegradedTuning, FaultPlan, FaultyView,
+};
+use universal_networks::obs::NoopRecorder;
 use universal_networks::pebble::check;
 use universal_networks::routing::ShortestPath;
 use universal_networks::topology::generators::{random_regular, torus};
@@ -128,8 +131,12 @@ proptest! {
             plan: FaultPlan::crashes(&host, 0.2, 2, seed ^ 0xD),
             selector: Some(ShortestPath),
         };
-        let a = sim.simulate(&comp, &host, steps, &mut seeded_rng(seed)).unwrap();
-        let b = sim.simulate(&comp, &host, steps, &mut seeded_rng(seed)).unwrap();
+        let tuning = DegradedTuning::default();
+        let mut run = || {
+            sim.simulate_tuned(&comp, &host, steps, &tuning, &mut seeded_rng(seed), &mut NoopRecorder)
+                .unwrap()
+        };
+        let (a, b) = (run(), run());
         prop_assert_eq!(&a.run.protocol, &b.run.protocol);
         prop_assert_eq!(&a.fault_log, &b.fault_log);
         prop_assert_eq!(&a.run.final_states, &b.run.final_states);

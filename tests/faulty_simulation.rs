@@ -6,7 +6,8 @@
 //! return a typed error instead of panicking.
 
 use universal_networks::core::prelude::*;
-use universal_networks::faults::{DegradedSimulator, FaultPlan};
+use universal_networks::faults::{DegradedSimulator, DegradedTuning, FaultPlan};
+use universal_networks::obs::NoopRecorder;
 use universal_networks::pebble::{check, Op};
 use universal_networks::routing::packet::{route_simple, RouteError};
 use universal_networks::routing::ShortestPath;
@@ -30,8 +31,9 @@ fn ten_percent_crashes_on_butterfly_certify_and_reproduce() {
         plan,
         selector: Some(ShortestPath),
     };
+    let tuning = DegradedTuning::default();
     let run = sim
-        .simulate(&comp, &host, steps, &mut seeded_rng(0xF4))
+        .simulate_tuned(&comp, &host, steps, &tuning, &mut seeded_rng(0xF4), &mut NoopRecorder)
         .expect("survivors remain at 10% faults");
 
     // The degraded protocol is an ordinary pebble protocol over the full
@@ -73,7 +75,16 @@ fn degraded_run_slowdown_stays_above_surviving_size_bound() {
         plan: FaultPlan::crashes(&host, 0.2, 2, 3),
         selector: Some(ShortestPath),
     };
-    let run = sim.simulate(&comp, &host, 3, &mut seeded_rng(4)).expect("survivors remain");
+    let run = sim
+        .simulate_tuned(
+            &comp,
+            &host,
+            3,
+            &DegradedTuning::default(),
+            &mut seeded_rng(4),
+            &mut NoopRecorder,
+        )
+        .expect("survivors remain");
     check(&guest, &host, &run.run.protocol).expect("certifies");
     // Theorem 3.1 on the surviving machine: k' = s·m'/n ≥ Ω(log m').
     let bound = bounds::lower_bound_inefficiency(run.m_surviving, 1.0);
