@@ -1262,8 +1262,8 @@ fn e22() -> Experiment {
             drained.trace.write_to(&mut trace).expect("writing to a Vec");
             let sampled = std::str::from_utf8(&trace)
                 .map_err(|e| e.to_string())
-                .and_then(unet_obs::trace::parse_trace)
-                .map(|doc| doc.requests.len() as u64)
+                .and_then(unet_obs::analysis::analyze_str)
+                .map(|a| a.requests.count)
                 .unwrap_or(0);
             obj(vec![
                 ("config", Value::Str(p.str("config").into())),

@@ -1,15 +1,18 @@
-//! Bounded-memory streaming analysis of JSONL traces — the engine behind
-//! `unet analyze`.
+//! The one reader of JSONL traces: bounded-memory streaming analysis,
+//! the engine behind `unet report` / `unet analyze`, `unet metrics FILE`,
+//! `unet trace-requests` and the server's `analyze` request.
 //!
 //! [`TraceAnalyzer`] consumes a trace one line at a time ([`TraceAnalyzer::feed_line`])
 //! and keeps only aggregates, never the event stream itself: memory is
-//! `O(distinct steps + distinct keys + span nesting depth)`, independent
-//! of the number of lines fed. That is what lets `unet analyze` stream a
-//! multi-million-event trace from disk without materializing it (the
-//! property is pinned down by the `million_line_trace_streams_bounded`
-//! test below).
+//! `O(distinct steps + distinct keys + span nesting depth + fault events)`,
+//! independent of the number of span, sample and request lines fed. Each
+//! `request` record is aggregated and handed back to the caller, not kept:
+//! a caller that wants the records (`unet trace-requests`) holds them
+//! itself. That is what lets `unet report` stream a multi-million-event
+//! trace from disk without materializing it (the property is pinned down
+//! by the `million_line_trace_streams_bounded` test below).
 //!
-//! The products, collected in [`Analysis`]:
+//! The products, collected in [`Analysis`] and printed by [`render`]:
 //!
 //! * **Congestion time series** — per sample series (`route.edge_util`,
 //!   `route.queue_depth`, `sim.edge_util`) and per step: max cell value,
@@ -24,16 +27,22 @@
 //!   nested spans (longest child at every level) under the longest
 //!   top-level span, i.e. which phase and which route legs bound the
 //!   makespan.
+//! * **Phase totals, request stages and the fault timeline**, next to the
+//!   counters, gauges and histograms as recorded.
 //!
 //! Malformed input is a hard error with a line number — the analyzer
 //! never skips lines silently, per the CLI contract that `unet analyze`
-//! exits nonzero on truncated traces.
+//! and `unet report` exit nonzero on truncated traces.
 
 use std::collections::BTreeMap;
 
 use crate::json::{parse, Value};
 use crate::recorder::{unpack_edge_key, Histogram};
-use crate::trace::{self, FaultOp, RequestRecord, RunMeta, RunSummary, SampleRecord, SCHEMA};
+use crate::report::{hist_chart, hist_line};
+use crate::trace::{
+    FaultOp, FaultRecord, RequestRecord, RunMeta, RunSummary, SampleReason, SampleRecord,
+    StageSpan, SCHEMA,
+};
 
 /// Per-step aggregate of one sample series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,8 +184,8 @@ pub struct Analysis {
     pub series: BTreeMap<String, SeriesSummary>,
     /// `(total ns, completions)` per span name.
     pub span_totals: BTreeMap<String, (u64, u64)>,
-    /// Fault events per op name (`inject` / `repair` / `remap`).
-    pub fault_counts: BTreeMap<&'static str, u64>,
+    /// Fault events, in file order.
+    pub faults: Vec<FaultRecord>,
     /// Per-stage aggregate over sampled request records (empty when the
     /// trace has none).
     pub requests: RequestAgg,
@@ -198,6 +207,15 @@ impl Analysis {
     /// A counter total by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
+    }
+
+    /// Fault events per op name (`inject` / `repair` / `remap`).
+    pub fn fault_counts(&self) -> BTreeMap<&'static str, u64> {
+        let mut counts = BTreeMap::new();
+        for f in &self.faults {
+            *counts.entry(f.op.as_str()).or_insert(0) += 1;
+        }
+        counts
     }
 }
 
@@ -223,7 +241,7 @@ pub struct TraceAnalyzer {
     histograms: BTreeMap<String, Histogram>,
     series: BTreeMap<String, SeriesSummary>,
     span_totals: BTreeMap<String, (u64, u64)>,
-    fault_counts: BTreeMap<&'static str, u64>,
+    faults: Vec<FaultRecord>,
     requests: RequestAgg,
     stack: Vec<Frame>,
     last_ns: u64,
@@ -241,10 +259,11 @@ impl TraceAnalyzer {
 
     /// Consume one trace line. `lno` is the 1-based line number used in
     /// error messages. Blank lines are ignored; anything else that fails
-    /// to parse or validate is a hard error.
-    pub fn feed_line(&mut self, line: &str, lno: usize) -> Result<(), String> {
+    /// to parse or validate is a hard error. A `request` line's parsed
+    /// record is handed back (after it is aggregated), never kept.
+    pub fn feed_line(&mut self, line: &str, lno: usize) -> Result<Option<RequestRecord>, String> {
         if line.trim().is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         self.lines += 1;
         let v = parse(line).map_err(|e| format!("line {lno}: {e}"))?;
@@ -253,66 +272,78 @@ impl TraceAnalyzer {
             if ty != Some("meta") {
                 return Err(format!("line {lno}: first line must be the meta record"));
             }
-            let (schema, meta) = trace::parse_meta(&v, lno)?;
+            let schema = field_str(&v, "schema", lno)?;
+            if schema != SCHEMA {
+                return Err(format!("unsupported schema {schema:?} (expected {SCHEMA:?})"));
+            }
             self.schema = Some(schema);
-            self.meta = Some(meta);
-            return Ok(());
+            self.meta = Some(RunMeta {
+                command: field_str(&v, "command", lno)?,
+                guest: field_str(&v, "guest", lno)?,
+                host: field_str(&v, "host", lno)?,
+                n: field_u64(&v, "n", lno)?,
+                m: field_u64(&v, "m", lno)?,
+                guest_steps: field_u64(&v, "guest_steps", lno)?,
+            });
+            return Ok(None);
         }
         match ty {
-            Some("meta") => Err(format!("line {lno}: duplicate meta record")),
-            Some("span") => self.feed_span(&v, lno),
+            Some("meta") => return Err(format!("line {lno}: duplicate meta record")),
+            Some("span") => self.feed_span(&v, lno)?,
             Some("counter") => {
-                let name = trace::field_str(&v, "name", lno)?;
-                let val = trace::field_u64(&v, "value", lno)?;
-                *self.counters.entry(name).or_insert(0) += val;
-                Ok(())
+                let name = field_str(&v, "name", lno)?;
+                *self.counters.entry(name).or_insert(0) += field_u64(&v, "value", lno)?;
             }
             Some("gauge") => {
-                let name = trace::field_str(&v, "name", lno)?;
-                let val = trace::field_f64(&v, "value", lno)?;
-                self.gauges.insert(name, val);
-                Ok(())
+                self.gauges.insert(field_str(&v, "name", lno)?, field_f64(&v, "value", lno)?);
             }
             Some("hist") => {
-                let (name, h) = trace::parse_hist(&v, lno)?;
+                let (name, h) = parse_hist(&v, lno)?;
                 self.histograms.entry(name).or_default().merge(&h);
-                Ok(())
             }
             Some("sample") => {
-                let s = trace::parse_sample(&v, lno)?;
+                let s = SampleRecord {
+                    name: field_str(&v, "name", lno)?,
+                    step: field_u64(&v, "step", lno)?,
+                    key: field_u64(&v, "key", lno)?,
+                    value: field_u64(&v, "value", lno)?,
+                };
                 self.series.entry(s.name.clone()).or_default().add(&s);
-                Ok(())
             }
             Some("fault") => {
-                let op_name = trace::field_str(&v, "op", lno)?;
+                let op_name = field_str(&v, "op", lno)?;
                 let op = FaultOp::parse(&op_name)
                     .ok_or_else(|| format!("line {lno}: bad fault op {op_name:?}"))?;
-                *self.fault_counts.entry(op.as_str()).or_insert(0) += 1;
-                Ok(())
+                self.faults.push(FaultRecord {
+                    at: field_u64(&v, "at", lno)?,
+                    op,
+                    kind: field_str(&v, "kind", lno)?,
+                    subject: field_str(&v, "subject", lno)?,
+                });
             }
             Some("request") => {
-                let r = trace::parse_request(&v, lno)?;
+                let r = parse_request(&v, lno)?;
                 self.requests.add(&r);
-                Ok(())
+                return Ok(Some(r));
             }
             Some("summary") => {
                 self.summary = Some(RunSummary {
-                    host_steps: trace::field_u64(&v, "host_steps", lno)?,
-                    comm_steps: trace::field_u64(&v, "comm_steps", lno)?,
-                    compute_steps: trace::field_u64(&v, "compute_steps", lno)?,
-                    slowdown: trace::field_f64(&v, "slowdown", lno)?,
-                    inefficiency: trace::field_f64(&v, "inefficiency", lno)?,
-                    wall_ms: trace::field_f64(&v, "wall_ms", lno)?,
+                    host_steps: field_u64(&v, "host_steps", lno)?,
+                    comm_steps: field_u64(&v, "comm_steps", lno)?,
+                    compute_steps: field_u64(&v, "compute_steps", lno)?,
+                    slowdown: field_f64(&v, "slowdown", lno)?,
+                    inefficiency: field_f64(&v, "inefficiency", lno)?,
+                    wall_ms: field_f64(&v, "wall_ms", lno)?,
                 });
-                Ok(())
             }
-            other => Err(format!("line {lno}: unknown record type {other:?}")),
+            other => return Err(format!("line {lno}: unknown record type {other:?}")),
         }
+        Ok(None)
     }
 
     fn feed_span(&mut self, v: &Value, lno: usize) -> Result<(), String> {
-        let name = trace::field_str(v, "name", lno)?;
-        let ns = trace::field_u64(v, "ns", lno)?;
+        let name = field_str(v, "name", lno)?;
+        let ns = field_u64(v, "ns", lno)?;
         if ns < self.last_ns {
             return Err(format!("line {lno}: span time goes backwards ({ns} < {})", self.last_ns));
         }
@@ -390,7 +421,7 @@ impl TraceAnalyzer {
             histograms: self.histograms,
             series: self.series,
             span_totals: self.span_totals,
-            fault_counts: self.fault_counts,
+            faults: self.faults,
             requests: self.requests,
             critical_path,
             lines: self.lines,
@@ -399,10 +430,11 @@ impl TraceAnalyzer {
 
     /// Current number of retained aggregate entries — the analyzer's
     /// memory footprint in cells. Used by the bounded-memory test; a
-    /// streaming pass over `L` lines must keep this `O(steps + keys)`,
-    /// never `O(L)`.
+    /// streaming pass over `L` lines must keep this
+    /// `O(steps + keys + fault events)`, never `O(L)`.
     pub fn retained_cells(&self) -> usize {
         self.counters.len()
+            + self.faults.len()
             + self.gauges.len()
             + self.histograms.len()
             + self.span_totals.len()
@@ -413,14 +445,109 @@ impl TraceAnalyzer {
     }
 }
 
-/// Run the analyzer over a full in-memory trace (tests and `unet report`;
-/// the CLI streams from disk instead).
+/// Run the analyzer over a full in-memory trace, dropping its request
+/// records (tests and E22; the CLI streams from disk instead).
 pub fn analyze_str(text: &str) -> Result<Analysis, String> {
     let mut a = TraceAnalyzer::new();
     for (i, line) in text.lines().enumerate() {
         a.feed_line(line, i + 1)?;
     }
     a.finish()
+}
+
+fn field_u64(v: &Value, key: &str, line: usize) -> Result<u64, String> {
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("line {line}: missing/invalid u64 field {key:?}"))
+}
+
+fn field_f64(v: &Value, key: &str, line: usize) -> Result<f64, String> {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("line {line}: missing/invalid number field {key:?}"))
+}
+
+fn field_str(v: &Value, key: &str, line: usize) -> Result<String, String> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("line {line}: missing/invalid string field {key:?}"))
+}
+
+/// Parse a `hist` record into `(name, Histogram)`, validating bucket
+/// totals against the count.
+fn parse_hist(v: &Value, lno: usize) -> Result<(String, Histogram), String> {
+    let name = field_str(v, "name", lno)?;
+    let mut h = Histogram {
+        count: field_u64(v, "count", lno)?,
+        sum: field_u64(v, "sum", lno)? as u128,
+        min: field_u64(v, "min", lno)?,
+        max: field_u64(v, "max", lno)?,
+        buckets: [0; 65],
+    };
+    if h.count == 0 {
+        h.min = u64::MAX;
+    }
+    let buckets = v
+        .get("buckets")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("line {lno}: missing buckets array"))?;
+    let mut total = 0u64;
+    for b in buckets {
+        let pair = b
+            .as_arr()
+            .filter(|p| p.len() == 2)
+            .ok_or_else(|| format!("line {lno}: bucket entries must be [index, count] pairs"))?;
+        let idx = pair[0]
+            .as_u64()
+            .filter(|&i| i < 65)
+            .ok_or_else(|| format!("line {lno}: bucket index out of range"))?;
+        let c = pair[1].as_u64().ok_or_else(|| format!("line {lno}: bad bucket count"))?;
+        h.buckets[idx as usize] = c;
+        total += c;
+    }
+    if total != h.count {
+        return Err(format!(
+            "line {lno}: histogram {name:?} bucket total {total} != count {}",
+            h.count
+        ));
+    }
+    Ok((name, h))
+}
+
+/// Parse a `request` record, validating the sample reason and the
+/// `[stage, ms]` pair structure.
+fn parse_request(v: &Value, lno: usize) -> Result<RequestRecord, String> {
+    let reason_name = field_str(v, "sampled", lno)?;
+    let sampled = SampleReason::parse(&reason_name)
+        .ok_or_else(|| format!("line {lno}: bad sample reason {reason_name:?}"))?;
+    let ok = v
+        .get("ok")
+        .and_then(Value::as_bool)
+        .ok_or_else(|| format!("line {lno}: missing/invalid bool field \"ok\""))?;
+    let stage_arr = v
+        .get("stages")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("line {lno}: missing stages array"))?;
+    let mut stages = Vec::with_capacity(stage_arr.len());
+    for s in stage_arr {
+        let pair = s
+            .as_arr()
+            .filter(|p| p.len() == 2)
+            .ok_or_else(|| format!("line {lno}: stage entries must be [name, ms] pairs"))?;
+        let stage =
+            pair[0].as_str().ok_or_else(|| format!("line {lno}: bad stage name"))?.to_string();
+        let ms = pair[1].as_f64().ok_or_else(|| format!("line {lno}: bad stage duration"))?;
+        stages.push(StageSpan { stage, ms });
+    }
+    Ok(RequestRecord {
+        trace_id: field_str(v, "trace_id", lno)?,
+        kind: field_str(v, "kind", lno)?,
+        ok,
+        e2e_ms: field_f64(v, "e2e_ms", lno)?,
+        sampled,
+        stages,
+    })
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -447,8 +574,9 @@ fn fmt_key(series: &str, key: u64) -> String {
 }
 
 /// Render an [`Analysis`] for humans (`markdown = false`) or as a
-/// GitHub-flavored markdown report (`markdown = true`). `top_k` bounds
-/// the hot-key tables. Output is deterministic for a fixed trace.
+/// GitHub-flavored markdown report (`markdown = true`): the output of
+/// `unet report` and `unet analyze`. `top_k` bounds the hot-key tables.
+/// Output is deterministic for a fixed trace.
 pub fn render(a: &Analysis, top_k: usize, markdown: bool) -> String {
     let mut out = String::new();
     let h = |out: &mut String, text: &str| {
@@ -458,74 +586,41 @@ pub fn render(a: &Analysis, top_k: usize, markdown: bool) -> String {
             out.push_str(&format!("\n=== {text} ===\n"));
         }
     };
+    let m = &a.meta;
     if markdown {
         out.push_str(&format!(
             "# Trace analysis: {} on {}\n\nschema `{}` · command `{}` · n={} m={} T={} · {} lines\n",
-            a.meta.guest, a.meta.host, a.schema, a.meta.command, a.meta.n, a.meta.m,
-            a.meta.guest_steps, a.lines
+            m.guest, m.host, a.schema, m.command, m.n, m.m, m.guest_steps, a.lines
         ));
     } else {
         out.push_str(&format!(
             "trace analysis: {} on {}  (schema {}, command {}, n={} m={} T={}, {} lines)\n",
-            a.meta.guest,
-            a.meta.host,
-            a.schema,
-            a.meta.command,
-            a.meta.n,
-            a.meta.m,
-            a.meta.guest_steps,
-            a.lines
+            m.guest, m.host, a.schema, m.command, m.n, m.m, m.guest_steps, a.lines
         ));
     }
     if let Some(s) = &a.summary {
         h(&mut out, "Summary");
         out.push_str(&format!(
-            "host_steps {} (comm {} + compute {})   slowdown {:.3}   inefficiency {:.3}\n",
-            s.host_steps, s.comm_steps, s.compute_steps, s.slowdown, s.inefficiency
+            "host_steps {} (comm {} + compute {})   slowdown {:.3}   inefficiency {:.3}   wall {:.3}ms\n",
+            s.host_steps, s.comm_steps, s.compute_steps, s.slowdown, s.inefficiency, s.wall_ms
         ));
     }
 
-    h(&mut out, "Congestion");
-    if a.series.is_empty() {
-        out.push_str("no sample series in this trace (pre-/3 schema or no routing phases)\n");
-    }
-    for (name, s) in &a.series {
-        out.push_str(&format!(
-            "{name}: {} keys over {} steps, peak cell {} at step {} ({})\n",
-            s.keys.len(),
-            s.steps.len(),
-            s.max_cell,
-            s.max_cell_at.0,
-            fmt_key(name, s.max_cell_at.1),
-        ));
+    if !a.span_totals.is_empty() {
+        h(&mut out, "Phases");
+        // Nested spans double-count, so shares are of the largest total.
+        let scale = a.span_totals.values().map(|&(ns, _)| ns).max().unwrap_or(1).max(1) as f64;
         if markdown {
-            out.push_str("\n| rank | key | total | peak/step |\n|---:|---|---:|---:|\n");
-            for (i, (key, agg)) in s.top_keys(top_k).into_iter().enumerate() {
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} |\n",
-                    i + 1,
-                    fmt_key(name, key),
-                    agg.total,
-                    agg.peak
-                ));
-            }
-        } else {
-            for (i, (key, agg)) in s.top_keys(top_k).into_iter().enumerate() {
-                out.push_str(&format!(
-                    "  top{:<2} {:<16} total {:<8} peak/step {}\n",
-                    i + 1,
-                    fmt_key(name, key),
-                    agg.total,
-                    agg.peak
-                ));
+            out.push_str("| phase | total | spans | share |\n|---|---:|---:|---:|\n");
+        }
+        for (name, &(ns, n)) in &a.span_totals {
+            let pct = ns as f64 * 100.0 / scale;
+            if markdown {
+                out.push_str(&format!("| {name} | {} | {n} | {pct:.1}% |\n", fmt_ns(ns)));
+            } else {
+                out.push_str(&format!("  {name:<28} {:>10}  ×{n:<6} {pct:>5.1}%\n", fmt_ns(ns)));
             }
         }
-    }
-    if let Some((p50, p90, p99)) = a.queue_percentiles() {
-        h(&mut out, "Queue depth");
-        out.push_str(&format!(
-            "p50 ≤ {p50}   p90 ≤ {p90}   p99 ≤ {p99}   (reconstructed from log2 buckets)\n"
-        ));
     }
 
     if !a.critical_path.is_empty() {
@@ -543,6 +638,38 @@ pub fn render(a: &Analysis, top_k: usize, markdown: bool) -> String {
         }
     }
 
+    h(&mut out, "Congestion");
+    if a.series.is_empty() {
+        out.push_str("no sample series in this trace (no routing phases)\n");
+    }
+    for (name, s) in &a.series {
+        out.push_str(&format!(
+            "{name}: {} keys over {} steps, peak cell {} at step {} ({})\n",
+            s.keys.len(),
+            s.steps.len(),
+            s.max_cell,
+            s.max_cell_at.0,
+            fmt_key(name, s.max_cell_at.1),
+        ));
+        if markdown {
+            out.push_str("\n| rank | key | total | peak/step |\n|---:|---|---:|---:|\n");
+        }
+        for (i, (key, agg)) in s.top_keys(top_k).into_iter().enumerate() {
+            let (rank, key, total, peak) = (i + 1, fmt_key(name, key), agg.total, agg.peak);
+            out.push_str(&if markdown {
+                format!("| {rank} | {key} | {total} | {peak} |\n")
+            } else {
+                format!("  top{rank:<2} {key:<16} total {total:<8} peak/step {peak}\n")
+            });
+        }
+    }
+    if let Some((p50, p90, p99)) = a.queue_percentiles() {
+        h(&mut out, "Queue depth");
+        out.push_str(&format!(
+            "p50 ≤ {p50}   p90 ≤ {p90}   p99 ≤ {p99}   (reconstructed from log2 buckets)\n"
+        ));
+    }
+
     if a.requests.count > 0 {
         h(&mut out, "Request stages");
         let r = &a.requests;
@@ -556,35 +683,65 @@ pub fn render(a: &Analysis, top_k: usize, markdown: bool) -> String {
         out.push_str(&format!("kept by: {}\n", reasons.join(" ")));
         if markdown {
             out.push_str("\n| stage | total ms | spans | ms/request |\n|---|---:|---:|---:|\n");
-            for (stage, ms, n) in r.stages_ranked() {
-                out.push_str(&format!(
-                    "| {stage} | {ms:.2} | {n} | {:.3} |\n",
-                    ms / r.count as f64
-                ));
-            }
-        } else {
-            for (stage, ms, n) in r.stages_ranked() {
-                out.push_str(&format!(
-                    "  {:<18} total {:>10.2}ms   spans {:<6} {:>8.3}ms/req\n",
-                    stage,
-                    ms,
-                    n,
-                    ms / r.count as f64
-                ));
-            }
+        }
+        for (stage, ms, n) in r.stages_ranked() {
+            let per = ms / r.count as f64;
+            out.push_str(&if markdown {
+                format!("| {stage} | {ms:.2} | {n} | {per:.3} |\n")
+            } else {
+                format!("  {stage:<18} total {ms:>10.2}ms   spans {n:<6} {per:>8.3}ms/req\n")
+            });
         }
     }
 
-    if !a.fault_counts.is_empty() {
-        h(&mut out, "Faults");
-        for (op, n) in &a.fault_counts {
-            out.push_str(&format!("{op}: {n}\n"));
+    if !a.faults.is_empty() {
+        h(&mut out, "Fault timeline");
+        let counts: Vec<String> =
+            a.fault_counts().iter().map(|(op, n)| format!("{op} {n}")).collect();
+        out.push_str(&format!("{} events: {}\n", a.faults.len(), counts.join(", ")));
+        if markdown {
+            out.push_str("\n| t | op | kind | subject |\n|---:|---|---|---|\n");
+        }
+        let mut ordered: Vec<&FaultRecord> = a.faults.iter().collect();
+        ordered.sort_by_key(|f| f.at);
+        for f in ordered {
+            let (at, op, kind, subject) = (f.at, f.op.as_str(), &f.kind, &f.subject);
+            out.push_str(&if markdown {
+                format!("| {at} | {op} | {kind} | {subject} |\n")
+            } else {
+                format!("  t={at:<6} {op:<7} {kind:<6} {subject}\n")
+            });
         }
     }
 
-    h(&mut out, "Counters");
-    for (name, v) in &a.counters {
-        out.push_str(&format!("{name} = {v}\n"));
+    if !a.counters.is_empty() {
+        h(&mut out, "Counters");
+        for (name, v) in &a.counters {
+            out.push_str(&format!("{name} = {v}\n"));
+        }
+    }
+    if !a.gauges.is_empty() {
+        h(&mut out, "Gauges");
+        for (name, v) in &a.gauges {
+            out.push_str(&format!("{name} = {v}\n"));
+        }
+    }
+    if !a.histograms.is_empty() {
+        h(&mut out, "Histograms");
+        if markdown {
+            out.push_str("```text\n");
+        }
+        for (name, hist) in &a.histograms {
+            out.push_str(&hist_line(name, hist));
+            out.push('\n');
+            for line in hist_chart(hist) {
+                out.push_str(&line);
+                out.push('\n');
+            }
+        }
+        if markdown {
+            out.push_str("```\n");
+        }
     }
     out
 }
@@ -602,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn analyzer_matches_parse_trace_on_an_exported_run() {
+    fn analyzer_aggregates_an_exported_run() {
         let mut rec = InMemoryRecorder::new();
         rec.span_start("sim.step");
         rec.span_start("sim.comm");
@@ -711,6 +868,57 @@ mod tests {
             let mut a = TraceAnalyzer::new();
             let old = meta_line().replace(SCHEMA, retired);
             assert!(a.feed_line(&old, 1).unwrap_err().contains("unsupported schema"));
+        }
+
+        // Whole documents, each failing with its own message; a bad line
+        // after the meta is named by its line number.
+        assert!(analyze_str("").unwrap_err().contains("empty trace"));
+        assert!(analyze_str("not json\n").unwrap_err().starts_with("line 1:"));
+        let start_a = r#"{"type":"span","op":"start","name":"a","ns":1}"#;
+        let cases: [(&[&str], &str); 10] = [
+            (&[r#"{"type":"mystery"}"#], "unknown record type"),
+            (&[&meta_line()], "duplicate meta"),
+            (
+                &[
+                    r#"{"type":"hist","name":"h","count":5,"sum":5,"min":1,"max":1,"buckets":[[1,2]]}"#,
+                ],
+                "bucket total",
+            ),
+            (
+                &[r#"{"type":"fault","op":"explode","at":1,"kind":"crash","subject":"node:1"}"#],
+                "bad fault op",
+            ),
+            (
+                &[
+                    r#"{"type":"request","trace_id":"ab","kind":"simulate","ok":true,"e2e_ms":1.0,"sampled":"vibes","stages":[]}"#,
+                ],
+                "bad sample reason",
+            ),
+            (
+                &[
+                    r#"{"type":"request","trace_id":"ab","kind":"simulate","ok":true,"e2e_ms":1.0,"sampled":"head","stages":[["queue_wait"]]}"#,
+                ],
+                "[name, ms] pairs",
+            ),
+            (&[start_a, r#"{"type":"span","op":"end","name":"b","ns":2}"#], "does not close"),
+            (&[r#"{"type":"span","op":"end","name":"a","ns":2}"#], "no open span"),
+            (
+                &[
+                    r#"{"type":"span","op":"start","name":"a","ns":9}"#,
+                    r#"{"type":"span","op":"end","name":"a","ns":3}"#,
+                ],
+                "backwards",
+            ),
+            (&[start_a], "still open"),
+        ];
+        for (body, want) in cases {
+            let text = format!("{}\n{}\n", meta_line(), body.join("\n"));
+            let err = analyze_str(&text).unwrap_err();
+            assert!(err.contains(want), "want {want:?}, got {err}");
+            if want != "still open" {
+                let lno = body.len() + 1;
+                assert!(err.starts_with(&format!("line {lno}:")), "{err}");
+            }
         }
     }
 

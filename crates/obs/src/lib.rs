@@ -11,12 +11,15 @@
 //!   monomorphize to nothing, so uninstrumented callers pay nothing;
 //! * [`InMemoryRecorder`] — aggregates counters/gauges, log-bucketed
 //!   [`Histogram`]s, and a chronological span-event stream;
-//! * [`trace`] — JSONL export/import of a recorded run
-//!   (`unet trace` writes it, `unet report` reads it);
-//! * [`report`] — human-readable summaries of a trace;
-//! * [`analysis`] — bounded-memory streaming congestion analysis over
-//!   JSONL traces (`unet analyze`): congestion time series, top-k hot
-//!   edges/nodes, queue-depth percentiles, critical-path extraction;
+//! * [`trace`] — the JSONL trace records and their writer (`unet trace`
+//!   writes a recorded run);
+//! * [`analysis`] — the one trace reader: bounded-memory streaming
+//!   analysis and the trace report (`unet report` / `unet analyze`):
+//!   phase totals, congestion time series, top-k hot edges/nodes,
+//!   queue-depth percentiles, critical path, request stages, fault
+//!   timeline;
+//! * [`report`] — histogram charts for that report, and the per-request
+//!   waterfalls of `unet trace-requests`;
 //! * [`metrics`] — the [`metrics::MetricsRegistry`]: one place for every
 //!   counter/gauge/phase-timing a run produced, with Prometheus-style
 //!   text exposition (`unet metrics`) and per-series exemplar trace ids;

@@ -1,22 +1,12 @@
-//! Human-readable summaries of a parsed [`TraceDoc`] — the output of
-//! `unet report`.
+//! Text blocks of the trace report that stand on their own: a
+//! histogram's summary line and log₂ bar chart (printed by
+//! [`crate::analysis::render`], the one trace report), and the
+//! per-request waterfalls of `unet trace-requests`.
 
 use crate::recorder::Histogram;
-use crate::trace::TraceDoc;
+use crate::trace::RequestRecord;
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn hist_line(name: &str, h: &Histogram) -> String {
+pub(crate) fn hist_line(name: &str, h: &Histogram) -> String {
     if h.count == 0 {
         return format!("  {name:<28} (empty)");
     }
@@ -30,7 +20,7 @@ fn hist_line(name: &str, h: &Histogram) -> String {
 }
 
 /// ASCII bar chart of a histogram's occupied log₂ buckets.
-fn hist_chart(h: &Histogram) -> Vec<String> {
+pub(crate) fn hist_chart(h: &Histogram) -> Vec<String> {
     const WIDTH: usize = 32;
     let peak = h.buckets.iter().copied().max().unwrap_or(0);
     if peak == 0 {
@@ -57,189 +47,35 @@ fn hist_chart(h: &Histogram) -> Vec<String> {
         .collect()
 }
 
-/// Render the full report for a trace.
-pub fn render(doc: &TraceDoc) -> String {
-    let mut out = String::new();
-    let m = &doc.meta;
-    out.push_str(&format!(
-        "trace: {} — guest {} (n={}) on host {} (m={}), {} guest steps\n",
-        m.command, m.guest, m.n, m.host, m.m, m.guest_steps
-    ));
-
-    if let Some(s) = &doc.summary {
-        out.push_str("\nsummary\n");
-        out.push_str(&format!(
-            "  host steps T'={} (comm {}, compute {})\n",
-            s.host_steps, s.comm_steps, s.compute_steps
-        ));
-        out.push_str(&format!("  slowdown      s = T'/T   = {:.3}\n", s.slowdown));
-        out.push_str(&format!("  inefficiency  k = s·m/n  = {:.3}\n", s.inefficiency));
-        out.push_str(&format!("  wall time     {:.3} ms\n", s.wall_ms));
-    }
-
-    let totals = doc.span_totals();
-    if !totals.is_empty() {
-        let grand: u64 = {
-            // Only top-level time is additive; nested spans double-count.
-            // For the share column use the largest total as the scale.
-            totals.iter().map(|&(_, ns, _)| ns).max().unwrap_or(1).max(1)
-        };
-        out.push_str("\nphases (wall clock)\n");
-        for (name, ns, count) in &totals {
-            out.push_str(&format!(
-                "  {name:<28} {:>10}  ×{count:<6} {:>5.1}%\n",
-                fmt_ns(*ns),
-                *ns as f64 * 100.0 / grand as f64
-            ));
-        }
-    }
-
-    if !doc.faults.is_empty() {
-        out.push_str("\nfault timeline\n");
-        let mut ordered: Vec<_> = doc.faults.iter().collect();
-        ordered.sort_by_key(|f| f.at);
-        for f in ordered {
-            out.push_str(&format!(
-                "  t={:<6} {:<7} {:<6} {}\n",
-                f.at,
-                f.op.as_str(),
-                f.kind,
-                f.subject
-            ));
-        }
-    }
-
-    if !doc.samples.is_empty() {
-        out.push_str("\ncongestion\n");
-        // Group by series name preserving file order, summarizing totals
-        // and the hottest (step, key) cell per series.
-        let mut names: Vec<&str> = Vec::new();
-        for s in &doc.samples {
-            if !names.contains(&s.name.as_str()) {
-                names.push(&s.name);
-            }
-        }
-        for name in names {
-            let mut total = 0u64;
-            let mut cells = 0u64;
-            let mut peak: Option<&crate::trace::SampleRecord> = None;
-            let mut last_step = 0u64;
-            for s in doc.samples_named(name) {
-                total += s.value;
-                cells += 1;
-                last_step = last_step.max(s.step);
-                if peak.is_none_or(|p| s.value > p.value) {
-                    peak = Some(s);
-                }
-            }
-            let peak = peak.expect("series has at least one sample");
-            let key = if name.ends_with("edge_util") {
-                let (from, to) = crate::recorder::unpack_edge_key(peak.key);
-                format!("edge {from}->{to}")
-            } else {
-                format!("node {}", peak.key)
-            };
-            out.push_str(&format!(
-                "  {name:<28} total {total:<8} cells {cells:<8} peak {} at step {} ({key}) over {} steps\n",
-                peak.value,
-                peak.step,
-                last_step + 1
-            ));
-        }
-    }
-
-    if !doc.requests.is_empty() {
-        out.push_str("\nrequest stages\n");
-        // Bounded aggregate over the sampled request records: total time
-        // per stage, scaled against summed end-to-end time.
-        let mut stages: Vec<(String, f64, u64)> = Vec::new();
-        let mut e2e_total = 0.0;
-        let mut errors = 0u64;
-        for r in &doc.requests {
-            e2e_total += r.e2e_ms;
-            errors += u64::from(!r.ok);
-            for s in &r.stages {
-                match stages.iter_mut().find(|(k, ..)| *k == s.stage) {
-                    Some(t) => {
-                        t.1 += s.ms;
-                        t.2 += 1;
-                    }
-                    None => stages.push((s.stage.clone(), s.ms, 1)),
-                }
-            }
-        }
-        stages.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        out.push_str(&format!(
-            "  {} sampled requests, {} errors, e2e total {:.2} ms\n",
-            doc.requests.len(),
-            errors,
-            e2e_total
-        ));
-        for (stage, ms, n) in stages {
-            out.push_str(&format!(
-                "  {stage:<28} {ms:>10.2} ms  ×{n:<6} {:>5.1}% of e2e\n",
-                ms * 100.0 / e2e_total.max(f64::MIN_POSITIVE)
-            ));
-        }
-    }
-
-    if !doc.counters.is_empty() {
-        out.push_str("\ncounters\n");
-        for (name, v) in &doc.counters {
-            out.push_str(&format!("  {name:<28} {v}\n"));
-        }
-    }
-
-    if !doc.gauges.is_empty() {
-        out.push_str("\ngauges\n");
-        for (name, v) in &doc.gauges {
-            out.push_str(&format!("  {name:<28} {v}\n"));
-        }
-    }
-
-    if !doc.histograms.is_empty() {
-        out.push_str("\nhistograms\n");
-        for (name, h) in &doc.histograms {
-            out.push_str(&hist_line(name, h));
-            out.push('\n');
-            for line in hist_chart(h) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
 /// Render per-request waterfalls for the sampled request records of one or
 /// more traces, merged by `trace_id` — the body of `unet trace-requests`.
 ///
-/// `sources` pairs a label (usually the trace file path) with its parsed
-/// doc; a request that crossed several tiers (router + backend) shows one
-/// block per tier under a single `trace` heading, in source order.
+/// `sources` holds one `(label, tier, records)` triple per trace file: a
+/// label (usually the path), the recording tier's `meta.command`, and the
+/// `request` records [`crate::analysis::TraceAnalyzer::feed_line`] handed
+/// back, in file order. A request that crossed several tiers (router +
+/// backend) shows one block per tier under a single `trace` heading, in
+/// source order.
 /// `only` restricts output to the named trace ids (empty = all, ordered
 /// by the slowest tier's `e2e_ms`, descending). `markdown` switches from
 /// the scaled ASCII bars to GFM tables.
 pub fn render_waterfalls(
-    sources: &[(String, TraceDoc)],
+    sources: &[(String, String, Vec<RequestRecord>)],
     only: &[String],
     markdown: bool,
 ) -> String {
-    use crate::trace::RequestRecord;
     // (tier command, source label, record) — one row per tier a request crossed.
     type TierRow<'a> = (&'a str, &'a str, &'a RequestRecord);
     // trace_id -> tier rows, merged across files.
     let mut groups: Vec<(&str, Vec<TierRow>)> = Vec::new();
-    for (label, doc) in sources {
-        for r in &doc.requests {
+    for (label, tier, records) in sources {
+        for r in records {
             if !only.is_empty() && !only.contains(&r.trace_id) {
                 continue;
             }
             match groups.iter_mut().find(|(id, _)| *id == r.trace_id) {
-                Some((_, rows)) => rows.push((&doc.meta.command, label, r)),
-                None => groups.push((&r.trace_id, vec![(&doc.meta.command, label, r)])),
+                Some((_, rows)) => rows.push((tier, label, r)),
+                None => groups.push((&r.trace_id, vec![(tier, label, r)])),
             }
         }
     }
@@ -303,11 +139,35 @@ pub fn render_waterfalls(
 
 #[cfg(test)]
 mod tests {
+    //! The trace report as `unet report` prints it — [`render`] over the one
+    //! reader — and the stand-alone blocks of this module.
     use super::*;
+    use crate::analysis::{analyze_str, render, Analysis, TraceAnalyzer};
     use crate::recorder::{InMemoryRecorder, Recorder};
-    use crate::trace::{export, parse_trace, RunMeta, RunSummary};
+    use crate::trace::{
+        export, write_full, FaultOp, FaultRecord, RunMeta, RunSummary, SampleReason, StageSpan,
+    };
 
-    fn sample_doc() -> TraceDoc {
+    fn meta(command: &str) -> RunMeta {
+        RunMeta {
+            command: command.into(),
+            guest: "ring:8".into(),
+            host: "mesh:4".into(),
+            n: 8,
+            m: 4,
+            guest_steps: 2,
+        }
+    }
+
+    /// A recorder-free trace carrying only fault and request records.
+    fn records_trace(command: &str, faults: &[FaultRecord], requests: &[RequestRecord]) -> String {
+        let mut out = Vec::new();
+        let rec = InMemoryRecorder::new();
+        write_full(&mut out, &rec, &meta(command), faults, requests, None).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    fn sample_analysis() -> Analysis {
         let mut rec = InMemoryRecorder::new();
         rec.span_start("sim.comm");
         rec.counter("route.transfers", 42);
@@ -316,14 +176,6 @@ mod tests {
         rec.histogram("route.hops", 5);
         rec.gauge("sim.load", 2.5);
         rec.span_end("sim.comm");
-        let meta = RunMeta {
-            command: "simulate".into(),
-            guest: "ring:8".into(),
-            host: "mesh:4".into(),
-            n: 8,
-            m: 4,
-            guest_steps: 2,
-        };
         let summary = RunSummary {
             host_steps: 20,
             comm_steps: 14,
@@ -332,20 +184,26 @@ mod tests {
             inefficiency: 5.0,
             wall_ms: 0.5,
         };
-        parse_trace(&export(&rec, &meta, Some(&summary))).unwrap()
+        analyze_str(&export(&rec, &meta("simulate"), Some(&summary))).unwrap()
     }
 
     #[test]
     fn render_mentions_headline_metrics() {
-        let text = render(&sample_doc());
+        let text = render(&sample_analysis(), 5, false);
         assert!(text.contains("slowdown"));
         assert!(text.contains("inefficiency"));
         assert!(text.contains("10.000"));
         assert!(text.contains("5.000"));
+        assert!(text.contains("wall 0.500ms"), "{text}");
         assert!(text.contains("route.transfers"));
         assert!(text.contains("sim.comm"));
         assert!(text.contains("route.hops"));
         assert!(text.contains("sim.load"));
+        for section in ["=== Phases ===", "=== Gauges ===", "=== Histograms ==="] {
+            assert!(text.contains(section), "missing {section}:\n{text}");
+        }
+        // The histogram's bar chart follows its summary line.
+        assert!(text.contains("4..7 | "), "{text}");
     }
 
     #[test]
@@ -355,37 +213,18 @@ mod tests {
         rec.sample("route.edge_util", 0, edge_key(1, 2), 1);
         rec.sample("route.edge_util", 3, edge_key(4, 5), 7);
         rec.sample("route.queue_depth", 1, 9, 2);
-        let meta = RunMeta {
-            command: "trace".into(),
-            guest: "ring:8".into(),
-            host: "mesh:4".into(),
-            n: 8,
-            m: 4,
-            guest_steps: 2,
-        };
-        let doc = parse_trace(&export(&rec, &meta, None)).unwrap();
-        let text = render(&doc);
-        assert!(text.contains("congestion"), "{text}");
+        let a = analyze_str(&export(&rec, &meta("trace"), None)).unwrap();
+        let text = render(&a, 5, false);
+        assert!(text.contains("Congestion"), "{text}");
         assert!(text.contains("route.edge_util"), "{text}");
-        assert!(text.contains("peak 7 at step 3 (edge 4->5)"), "{text}");
+        assert!(text.contains("peak cell 7 at step 3 (edge 4->5)"), "{text}");
         assert!(text.contains("node 9"), "{text}");
-        // A sample-free doc has no congestion section.
-        assert!(!render(&sample_doc()).contains("congestion"));
+        // A sample-free trace says so instead of listing series.
+        assert!(render(&sample_analysis(), 5, false).contains("no sample series"));
     }
 
     #[test]
     fn fault_timeline_rendered_in_time_order() {
-        use crate::trace::{export_with_faults, FaultOp, FaultRecord};
-        let mut rec = InMemoryRecorder::new();
-        rec.counter("faults.dropped", 1);
-        let meta = RunMeta {
-            command: "faults".into(),
-            guest: "ring:8".into(),
-            host: "butterfly:3".into(),
-            n: 8,
-            m: 32,
-            guest_steps: 2,
-        };
         let faults = vec![
             FaultRecord {
                 at: 3,
@@ -400,28 +239,21 @@ mod tests {
                 subject: "node:7".into(),
             },
         ];
-        let doc = parse_trace(&export_with_faults(&rec, &meta, &faults, None)).unwrap();
-        let text = render(&doc);
-        assert!(text.contains("fault timeline"));
-        let inject = text.find("inject").unwrap();
-        let repair = text.find("repair").unwrap();
-        assert!(inject < repair, "timeline must be sorted by time");
-        assert!(text.contains("node:7"));
-        assert!(text.contains("link:1-2"));
+        let a = analyze_str(&records_trace("faults", &faults, &[])).unwrap();
+        for md in [false, true] {
+            let text = render(&a, 5, md);
+            assert!(text.contains("Fault timeline"), "{text}");
+            assert!(text.contains("2 events: inject 1, repair 1"), "{text}");
+            let inject = text.find("node:7").unwrap();
+            let repair = text.find("link:1-2").unwrap();
+            assert!(inject < repair, "timeline must be sorted by time:\n{text}");
+        }
+        // A fault-free trace has no timeline.
+        assert!(!render(&sample_analysis(), 5, false).contains("Fault timeline"));
     }
 
     #[test]
     fn request_stage_section_rendered_from_request_records() {
-        use crate::trace::{export_full, RequestRecord, SampleReason, StageSpan};
-        let rec = InMemoryRecorder::new();
-        let meta = RunMeta {
-            command: "serve".into(),
-            guest: "-".into(),
-            host: "-".into(),
-            n: 0,
-            m: 0,
-            guest_steps: 0,
-        };
         let requests = vec![RequestRecord {
             trace_id: "00000000000000aa".into(),
             kind: "simulate".into(),
@@ -433,28 +265,18 @@ mod tests {
                 StageSpan { stage: "simulate".into(), ms: 7.5 },
             ],
         }];
-        let doc = parse_trace(&export_full(&rec, &meta, &[], &requests, None)).unwrap();
-        let text = render(&doc);
-        assert!(text.contains("request stages"), "{text}");
-        assert!(text.contains("1 sampled requests, 0 errors"), "{text}");
+        let a = analyze_str(&records_trace("serve", &[], &requests)).unwrap();
+        let text = render(&a, 5, false);
+        assert!(text.contains("Request stages"), "{text}");
+        assert!(text.contains("1 sampled requests (0 errors)"), "{text}");
         // Ranked by total time: simulate before queue_wait.
-        assert!(text.find("simulate ").unwrap() < text.find("queue_wait").unwrap(), "{text}");
-        // Request-free docs have no section.
-        assert!(!render(&sample_doc()).contains("request stages"));
+        assert!(text.find("  simulate ").unwrap() < text.find("  queue_wait").unwrap(), "{text}");
+        // Request-free traces have no section.
+        assert!(!render(&sample_analysis(), 5, false).contains("Request stages"));
     }
 
     #[test]
     fn waterfalls_merge_tiers_by_trace_id_across_files() {
-        use crate::trace::{export_full, RequestRecord, SampleReason, StageSpan};
-        let rec = InMemoryRecorder::new();
-        let meta = |command: &str| RunMeta {
-            command: command.into(),
-            guest: "-".into(),
-            host: "-".into(),
-            n: 0,
-            m: 0,
-            guest_steps: 0,
-        };
         let record = |trace_id: &str, ok: bool, e2e_ms: f64, stage: &str, ms: f64| RequestRecord {
             trace_id: trace_id.into(),
             kind: "simulate".into(),
@@ -463,27 +285,27 @@ mod tests {
             sampled: if ok { SampleReason::Head } else { SampleReason::Error },
             stages: vec![StageSpan { stage: stage.into(), ms }],
         };
-        let router = parse_trace(&export_full(
-            &rec,
-            &meta("shard"),
-            &[],
-            &[record("00000000000000aa", true, 12.0, "forward", 11.5)],
-            None,
-        ))
-        .unwrap();
-        let backend = parse_trace(&export_full(
-            &rec,
-            &meta("serve"),
+        // Each file read back the way `unet trace-requests` reads it.
+        let source = |label: &str, text: String| {
+            let mut analyzer = TraceAnalyzer::new();
+            let mut records = Vec::new();
+            for (i, line) in text.lines().enumerate() {
+                records.extend(analyzer.feed_line(line, i + 1).unwrap());
+            }
+            let tier = analyzer.finish().unwrap().meta.command;
+            (label.to_string(), tier, records)
+        };
+        let router =
+            records_trace("shard", &[], &[record("00000000000000aa", true, 12.0, "forward", 11.5)]);
+        let backend = records_trace(
+            "serve",
             &[],
             &[
                 record("00000000000000aa", true, 11.0, "simulate", 10.0),
                 record("00000000000000bb", false, 40.0, "queue_wait", 39.0),
             ],
-            None,
-        ))
-        .unwrap();
-        let sources =
-            vec![("router.jsonl".to_string(), router), ("backend.jsonl".to_string(), backend)];
+        );
+        let sources = vec![source("router.jsonl", router), source("backend.jsonl", backend)];
         let text = render_waterfalls(&sources, &[], false);
         // Both tiers appear under one heading for the shared id.
         let heading = text.find("trace 00000000000000aa").expect("merged trace heading");

@@ -74,7 +74,7 @@ pub fn gen_trace_id() -> String {
 
 /// The value a trace id spells, or `None` unless it has the one form
 /// [`gen_trace_id`] mints: exactly 16 lowercase hex digits.
-pub fn parse_trace_id(id: &str) -> Option<u64> {
+pub fn decode_trace_id(id: &str) -> Option<u64> {
     let hex = id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
     hex.then(|| u64::from_str_radix(id, 16).ok()).flatten()
 }
@@ -207,7 +207,7 @@ fn parse_simulate_fields(v: &Value, id: Option<u64>) -> Result<SimulateReq, Stri
 }
 
 /// Parse one request line, returning the trace context's id when the
-/// client sent one (its wire form is checked by [`parse_trace_id`]).
+/// client sent one (its wire form is checked by [`decode_trace_id`]).
 /// [`ParseError::UnsupportedProto`] deserves a typed
 /// `unsupported-protocol` response, never a hangup.
 pub fn parse_request(line: &str) -> Result<(Option<u64>, Request), ParseError> {
@@ -230,7 +230,7 @@ pub fn parse_request(line: &str) -> Result<(Option<u64>, Request), ParseError> {
             })?;
             // The tail sampler and the latency exemplar keep ids, so only
             // the fixed-size form gets that far.
-            Some(parse_trace_id(id).ok_or_else(|| {
+            Some(decode_trace_id(id).ok_or_else(|| {
                 ParseError::Malformed("`trace.id` must be exactly 16 lowercase hex digits".into())
             })?)
         }
@@ -499,20 +499,23 @@ mod tests {
         for t in [&a, &b] {
             assert_eq!(t.len(), 16, "trace id {t:?} is not 16 chars");
             assert!(t.chars().all(|c| c.is_ascii_hexdigit()));
-            assert_eq!(parse_trace_id(t).map(|v| format!("{v:016x}")).as_deref(), Some(t.as_str()));
+            assert_eq!(
+                decode_trace_id(t).map(|v| format!("{v:016x}")).as_deref(),
+                Some(t.as_str())
+            );
         }
     }
 
     #[test]
     fn trace_ids_outside_the_minted_form_are_malformed() {
-        assert_eq!(parse_trace_id("00c0ffee00c0ffee"), Some(0x00c0_ffee_00c0_ffee));
+        assert_eq!(decode_trace_id("00c0ffee00c0ffee"), Some(0x00c0_ffee_00c0_ffee));
         let long = "a".repeat(1 << 20);
         for bad in
             ["", "ABCDEF0123456789", "abcdef012345678", "abcdef01234567890", "+bcdef0123456789"]
                 .into_iter()
                 .chain([long.as_str()])
         {
-            assert_eq!(parse_trace_id(bad), None, "{bad:.20}");
+            assert_eq!(decode_trace_id(bad), None, "{bad:.20}");
             let line = metrics_request_line(None, Some(bad));
             assert!(
                 matches!(parse_request(&line), Err(ParseError::Malformed(m)) if m.contains("trace.id")),

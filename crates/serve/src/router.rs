@@ -122,9 +122,6 @@ pub struct ShardConfig {
     /// Consecutive failures (probes or forwards) before a backend is
     /// ejected from rotation (default 3).
     pub eject_after: u32,
-    /// Cap on the exponential reinstatement backoff (default 5 000 ms;
-    /// the backoff starts at 100 ms and doubles per failed re-probe).
-    pub max_backoff_ms: u64,
     /// Head-sampling rate for the router's per-request stage records, in
     /// permille (default [`DEFAULT_HEAD_PERMILLE`]). The same trace id
     /// hashes to the same coin on router and backends, so a head-sampled
@@ -141,7 +138,6 @@ impl Default for ShardConfig {
             backends: Vec::new(),
             probe_interval_ms: 100,
             eject_after: 3,
-            max_backoff_ms: 5_000,
             head_sample_permille: DEFAULT_HEAD_PERMILLE,
         }
     }
@@ -188,8 +184,10 @@ pub struct RouterDrainReport {
     pub trace: RequestTrace,
 }
 
-/// Reinstatement backoff starts here and doubles per failed re-probe.
+/// Reinstatement backoff starts here and doubles per failed re-probe...
 const BACKOFF_BASE: Duration = Duration::from_millis(100);
+/// ...up to this cap.
+const MAX_BACKOFF: Duration = Duration::from_millis(5_000);
 
 /// Reinstatement backoff state of one ejected backend.
 struct Backoff {
@@ -197,6 +195,19 @@ struct Backoff {
     exp: u32,
     /// Earliest instant the prober may re-probe.
     until: Instant,
+}
+
+impl Backoff {
+    /// Hold re-probes off for the next doubling step (capped at
+    /// [`MAX_BACKOFF`]), then advance the step.
+    fn arm(&mut self) {
+        let wait = BACKOFF_BASE
+            .checked_mul(1u32 << self.exp.min(16))
+            .unwrap_or(MAX_BACKOFF)
+            .min(MAX_BACKOFF);
+        self.until = Instant::now() + wait;
+        self.exp = self.exp.saturating_add(1);
+    }
 }
 
 /// One backend shard: its address, its idle connections, and its health
@@ -218,7 +229,6 @@ struct RouterShared {
     /// One permit per client request being forwarded (`workers` of them).
     forwards: Arc<Permits>,
     eject_after: u32,
-    max_backoff: Duration,
 }
 
 impl Tier for RouterShared {
@@ -271,7 +281,6 @@ impl Router {
             backends,
             forwards: Permits::new(workers),
             eject_after: cfg.eject_after.max(1),
-            max_backoff: Duration::from_millis(cfg.max_backoff_ms.max(1)),
         });
         {
             let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
@@ -410,14 +419,7 @@ fn record_failure(shared: &RouterShared, i: usize) {
     let backend = &shared.backends[i];
     let failures = backend.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
     if failures >= shared.eject_after && backend.healthy.swap(false, Ordering::SeqCst) {
-        let mut backoff = backend.backoff.lock().expect("backoff poisoned");
-        let wait = BACKOFF_BASE
-            .checked_mul(1u32 << backoff.exp.min(16))
-            .unwrap_or(shared.max_backoff)
-            .min(shared.max_backoff);
-        backoff.until = Instant::now() + wait;
-        backoff.exp = backoff.exp.saturating_add(1);
-        drop(backoff);
+        backend.backoff.lock().expect("backoff poisoned").arm();
         // A dead backend's pooled connections are dead too.
         backend.idle.lock().expect("pool poisoned").clear();
         let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
@@ -795,13 +797,7 @@ fn probe_loop(shared: &RouterShared, interval: Duration) {
                         record_failure(shared, i);
                     } else {
                         // Still down: double the backoff and re-arm.
-                        let mut backoff = backend.backoff.lock().expect("backoff poisoned");
-                        let wait = BACKOFF_BASE
-                            .checked_mul(1u32 << backoff.exp.min(16))
-                            .unwrap_or(shared.max_backoff)
-                            .min(shared.max_backoff);
-                        backoff.until = Instant::now() + wait;
-                        backoff.exp = backoff.exp.saturating_add(1);
+                        backend.backoff.lock().expect("backoff poisoned").arm();
                     }
                 }
             }

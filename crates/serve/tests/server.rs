@@ -7,6 +7,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use unet_obs::json::Value;
+use unet_obs::trace::RequestRecord;
 use unet_obs::{MetricsRegistry, TraceAnalyzer};
 use unet_serve::client::Client;
 use unet_serve::loadgen::{self, LoadgenConfig};
@@ -38,6 +39,18 @@ fn rendered(trace: &RequestTrace) -> String {
     let mut out = Vec::new();
     trace.write_to(&mut out).expect("writing to a Vec");
     String::from_utf8(out).expect("UTF-8 JSONL")
+}
+
+/// The `request` records of a drain trace, as the analyzer hands them
+/// back while it validates every line.
+fn request_records(text: &str) -> Vec<RequestRecord> {
+    let mut analyzer = TraceAnalyzer::new();
+    let mut records = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        records.extend(analyzer.feed_line(line, i + 1).expect("valid drain trace"));
+    }
+    analyzer.finish().expect("complete drain trace");
+    records
 }
 
 /// One raw round trip on a fresh connection.
@@ -521,10 +534,10 @@ fn trace_context_threads_through_payload_drain_trace_and_exemplar() {
 
     let report = server.drain();
     // The drain trace carries the request record under the same id...
-    let doc = unet_obs::trace::parse_trace(&rendered(&report.trace)).expect("valid drain trace");
-    let rec = doc
-        .requests_for("00c0ffee00c0ffee")
-        .next()
+    let records = request_records(&rendered(&report.trace));
+    let rec = records
+        .iter()
+        .find(|r| r.trace_id == "00c0ffee00c0ffee")
         .expect("the traced request was sampled (errors+head+slow cover a 1-request run)");
     assert!(rec.ok);
     assert_eq!(rec.kind, "simulate");
@@ -582,12 +595,12 @@ fn zero_head_rate_still_keeps_the_slow_tail() {
         raw(&addr, &simulate_request_line(&sim_req(seed), None));
     }
     let report = server.drain();
-    let doc = unet_obs::trace::parse_trace(&rendered(&report.trace)).expect("valid drain trace");
-    assert!(!doc.requests.is_empty(), "slow tail kept despite 0-permille head rate");
+    let records = request_records(&rendered(&report.trace));
+    assert!(!records.is_empty(), "slow tail kept despite 0-permille head rate");
     assert!(
-        doc.requests.iter().all(|r| r.sampled == unet_obs::trace::SampleReason::Slow),
+        records.iter().all(|r| r.sampled == unet_obs::trace::SampleReason::Slow),
         "every keep is a tail keep: {:?}",
-        doc.requests.iter().map(|r| r.sampled).collect::<Vec<_>>()
+        records.iter().map(|r| r.sampled).collect::<Vec<_>>()
     );
 }
 
@@ -696,10 +709,10 @@ fn admission_depth_is_a_histogram_not_a_sample_series() {
     }
     let report = server.drain();
     let text = rendered(&report.trace);
-    let doc = unet_obs::trace::parse_trace(&text).expect("valid drain trace");
-    assert_eq!(doc.samples_named("serve.queue.depth").count(), 0);
+    let a = unet_obs::analysis::analyze_str(&text).expect("valid drain trace");
+    assert!(!a.series.contains_key("serve.queue.depth"));
     assert!(!text.contains("\"type\":\"sample\""), "no sample lines at all");
-    let depth = doc.histogram("serve.queue.depth").expect("a depth histogram");
+    let depth = a.histograms.get("serve.queue.depth").expect("a depth histogram");
     assert_eq!(depth.count, 2000);
     assert!(text
         .lines()

@@ -9,9 +9,9 @@
 //! unet audit    <n-hint> <host> <T>           full lower-bound audit on a U[G0] guest
 //! unet trace    <guest> <host> <T> [opts]     instrumented run → JSONL trace
 //! unet trace    --quick [opts]                same, with stock quick-smoke parameters
-//! unet report   <trace-file>                  human-readable trace summary
+//! unet report   <trace-file>                  the trace report, same bytes as `analyze`
 //! unet report   --markdown <BENCH.json>       markdown tables from a bench artifact
-//! unet analyze  <trace-file> [opts]           streaming congestion/critical-path analysis
+//! unet analyze  <trace-file> [opts]           the streaming trace report (congestion, critical path, ...)
 //! unet metrics  <trace-file | g h T>          Prometheus-style metrics exposition
 //! unet faults   <guest> <host> <T> [opts]     degraded run under crash-stop faults
 //! unet bench    run|diff|list [opts]          experiment registry + regression gate
@@ -266,7 +266,7 @@ fn route_cmd(args: &[String]) -> Result<(), String> {
 /// JSONL trace: simulator phase spans, routing metrics, the pebble-checker
 /// custody stats, and the slowdown/inefficiency summary.
 fn trace_cmd(args: &[String]) -> Result<(), String> {
-    use universal_networks::obs::trace::{export, RunMeta, RunSummary};
+    use universal_networks::obs::trace::{RunMeta, RunSummary};
     use universal_networks::obs::InMemoryRecorder;
     use universal_networks::pebble::check_recorded;
 
@@ -320,28 +320,46 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
         inefficiency: run.inefficiency(),
         wall_ms,
     };
-    let text = export(&rec, &meta, Some(&summary));
-    match flag(args, "--out") {
-        Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "trace written to {path} ({} lines, T' = {}, s = {:.2}, k = {:.2})",
-                text.lines().count(),
-                summary.host_steps,
-                summary.slowdown,
-                summary.inefficiency
-            );
-        }
-        None => print!("{text}"),
+    let out = flag(args, "--out");
+    let lines = write_run_trace(out.as_deref(), &rec, &meta, &[], &summary)?;
+    if let Some(path) = out {
+        eprintln!(
+            "trace written to {path} ({lines} lines, T' = {}, s = {:.2}, k = {:.2})",
+            summary.host_steps, summary.slowdown, summary.inefficiency
+        );
     }
     Ok(())
+}
+
+/// Stream a recorded run's JSONL trace through `trace::write_full` to
+/// `path` (stdout when `None`), one line at a time; returns the number of
+/// lines written.
+fn write_run_trace(
+    path: Option<&str>,
+    rec: &universal_networks::obs::InMemoryRecorder,
+    meta: &universal_networks::obs::trace::RunMeta,
+    faults: &[universal_networks::obs::trace::FaultRecord],
+    summary: &universal_networks::obs::trace::RunSummary,
+) -> Result<u64, String> {
+    use std::io::Write;
+    use universal_networks::obs::trace::{write_full, RequestRecord};
+    let name = path.unwrap_or("stdout");
+    let err = |e: std::io::Error| format!("writing {name}: {e}");
+    let mut out: std::io::BufWriter<Box<dyn Write>> = std::io::BufWriter::new(match path {
+        Some(path) => Box::new(std::fs::File::create(path).map_err(err)?),
+        None => Box::new(std::io::stdout().lock()),
+    });
+    let requests = std::iter::empty::<RequestRecord>();
+    let lines = write_full(&mut out, rec, meta, faults, requests, Some(summary)).map_err(err)?;
+    out.flush().map_err(err)?;
+    Ok(lines)
 }
 
 /// Run a degraded simulation under seeded crash-stop faults, certify it,
 /// verify bit-for-bit reproduction, and print (or trace) the fault story.
 fn faults_cmd(args: &[String]) -> Result<(), String> {
     use universal_networks::faults::{DegradedSimulator, DegradedTuning, FaultPlan};
-    use universal_networks::obs::trace::{export_with_faults, RunMeta, RunSummary};
+    use universal_networks::obs::trace::{RunMeta, RunSummary};
     use universal_networks::obs::InMemoryRecorder;
     use universal_networks::routing::ShortestPath;
 
@@ -405,18 +423,16 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
             inefficiency: run.surviving_inefficiency(),
             wall_ms,
         };
-        let text = export_with_faults(&rec, &meta, &run.fault_log, Some(&summary));
-        std::fs::write(&path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("trace with fault timeline written to {path} ({} lines)", text.lines().count());
+        let lines = write_run_trace(Some(&path), &rec, &meta, &run.fault_log, &summary)?;
+        println!("trace with fault timeline written to {path} ({lines} lines)");
     }
     Ok(())
 }
 
-/// Parse, validate, and summarize a JSONL trace written by `unet trace`,
-/// or — with `--markdown` — render a `BENCH.json` artifact as the markdown
-/// tables EXPERIMENTS.md embeds.
+/// Summarize a JSONL trace written by `unet trace` — the same report as
+/// `unet analyze` — or, with `--markdown`, render a `BENCH.json` artifact
+/// as the markdown tables EXPERIMENTS.md embeds.
 fn report_cmd(args: &[String]) -> Result<(), String> {
-    use universal_networks::obs::{report, trace::parse_trace};
     if has_flag(args, "--markdown") {
         let path = args
             .iter()
@@ -428,11 +444,7 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
         print!("{}", universal_networks::bench::report_md::render(&doc));
         return Ok(());
     }
-    let path = args.first().ok_or("missing trace file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = parse_trace(&text)?;
-    print!("{}", report::render(&doc));
-    Ok(())
+    analyze_cmd(args)
 }
 
 /// `{path}: line N: {err}` — the one line-number formatting every
@@ -442,18 +454,24 @@ fn trace_line_err(path: &str, lno: usize, err: impl std::fmt::Display) -> String
     format!("{path}: line {lno}: {err}")
 }
 
-/// Stream a JSONL trace file through the bounded-memory analyzer. The
-/// trace is read line by line — a multi-million-event trace is never
-/// materialized in memory — and malformed or truncated input is a hard
-/// error naming the offending line via [`trace_line_err`].
-fn analyze_file(path: &str) -> Result<universal_networks::obs::analysis::Analysis, String> {
+/// Stream a JSONL trace file through the bounded-memory analyzer, handing
+/// each `request` record to `on_request`. The trace is read line by line —
+/// a multi-million-event trace is never materialized in memory — and
+/// malformed or truncated input is a hard error naming the offending line
+/// via [`trace_line_err`].
+fn analyze_file(
+    path: &str,
+    mut on_request: impl FnMut(universal_networks::obs::trace::RequestRecord),
+) -> Result<universal_networks::obs::analysis::Analysis, String> {
     use std::io::{BufRead, BufReader};
     use universal_networks::obs::analysis::TraceAnalyzer;
     let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut analyzer = TraceAnalyzer::new();
     for (i, line) in BufReader::new(file).lines().enumerate() {
         let line = line.map_err(|e| trace_line_err(path, i + 1, e))?;
-        analyzer.feed_line(&line, i + 1).map_err(|e| format!("{path}: {e}"))?;
+        if let Some(r) = analyzer.feed_line(&line, i + 1).map_err(|e| format!("{path}: {e}"))? {
+            on_request(r);
+        }
     }
     analyzer.finish().map_err(|e| format!("{path}: {e}"))
 }
@@ -467,7 +485,7 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
     let pos = positionals(args, &["--top"]);
     let path = pos.first().ok_or("missing trace file")?;
     let top: usize = flag(args, "--top").map_or(Ok(5), |s| s.parse().map_err(|_| "bad --top"))?;
-    let analysis = analyze_file(path)?;
+    let analysis = analyze_file(path, drop)?;
     print!("{}", render(&analysis, top, has_flag(args, "--markdown")));
     Ok(())
 }
@@ -482,7 +500,7 @@ fn metrics_cmd(args: &[String]) -> Result<(), String> {
 
     let pos = positionals(args, &["--seed"]);
     let reg = match pos.as_slice() {
-        [path] => MetricsRegistry::from_analysis(&analyze_file(path)?),
+        [path] => MetricsRegistry::from_analysis(&analyze_file(path, drop)?),
         [guest_spec, host_spec, steps] => {
             let steps: u32 = steps.parse().map_err(|_| "bad steps")?;
             let seed: u64 =
@@ -771,7 +789,6 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
             .map_or(Ok(defaults.probe_interval_ms), |s| s.parse().map_err(|_| "bad --probe-ms"))?,
         eject_after: flag(args, "--eject-after")
             .map_or(Ok(defaults.eject_after), |s| s.parse().map_err(|_| "bad --eject-after"))?,
-        max_backoff_ms: defaults.max_backoff_ms,
         head_sample_permille: flag(args, "--sample-permille")
             .map_or(Ok(defaults.head_sample_permille), |s| {
                 s.parse().map_err(|_| "bad --sample-permille")
@@ -970,7 +987,6 @@ fn request_cmd(args: &[String]) -> Result<(), String> {
 /// scaled bars (`--markdown` for GFM tables, `--trace ID` to filter).
 fn trace_requests_cmd(args: &[String]) -> Result<(), String> {
     use universal_networks::obs::report::render_waterfalls;
-    use universal_networks::obs::trace::parse_trace;
 
     let paths = positionals(args, &["--trace"]);
     if paths.is_empty() {
@@ -979,9 +995,9 @@ fn trace_requests_cmd(args: &[String]) -> Result<(), String> {
     let only = flag_values(args, "--trace");
     let mut sources = Vec::new();
     for path in paths {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let doc = parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-        sources.push((path.clone(), doc));
+        let mut records = Vec::new();
+        let analysis = analyze_file(path, |r| records.push(r))?;
+        sources.push((path.clone(), analysis.meta.command, records));
     }
     print!("{}", render_waterfalls(&sources, &only, has_flag(args, "--markdown")));
     Ok(())

@@ -195,6 +195,30 @@ fn trace_quick_analyze_metrics_pipeline() {
     assert!(ok4, "stderr: {stderr4}");
     assert!(stdout4.contains("# TYPE unet_"), "{stdout4}");
     assert!(stdout4.contains("unet_sim_cache_hits"), "{stdout4}");
+
+    // `report` is the same report as `analyze`, byte for byte.
+    let (ok5, stdout5, stderr5) = unet(&["report", trace_s]);
+    assert!(ok5, "stderr: {stderr5}");
+    assert_eq!(stdout5, stdout2, "report and analyze print the same bytes");
+
+    // A degraded run's trace reports its fault timeline next to the phase
+    // totals, gauges and histograms.
+    let faulty = dir.join("faulty.jsonl");
+    let faulty_s = faulty.to_str().unwrap();
+    let (ok6, stdout6, stderr6) =
+        unet(&["faults", "ring:24", "torus:3x3", "4", "--rate", "0.2", "--out", faulty_s]);
+    assert!(ok6, "stderr: {stderr6}");
+    let lines = std::fs::read_to_string(&faulty).unwrap().lines().count();
+    assert!(stdout6.contains(&format!("({lines} lines)")), "{stdout6}");
+    let (ok7, stdout7, stderr7) = unet(&["report", faulty_s]);
+    assert!(ok7, "stderr: {stderr7}");
+    for section in
+        ["=== Fault timeline ===", "=== Phases ===", "=== Gauges ===", "=== Histograms ==="]
+    {
+        assert!(stdout7.contains(section), "missing {section:?} in:\n{stdout7}");
+    }
+    assert!(stdout7.contains("inject  crash"), "{stdout7}");
+    assert!(stdout7.contains("sim.comm"), "{stdout7}");
 }
 
 #[test]
@@ -215,7 +239,7 @@ fn analyze_and_report_fail_on_malformed_lines_with_line_numbers() {
     std::fs::write(&bad, &truncated[..cut]).unwrap();
     let bad_lineno = format!("line {}", truncated.lines().count());
 
-    for cmd in ["analyze", "report"] {
+    for cmd in ["analyze", "report", "trace-requests"] {
         let (ok, _, stderr) = unet(&[cmd, bad_s]);
         assert!(!ok, "{cmd} must exit nonzero on a truncated trace");
         assert!(stderr.contains(&bad_lineno), "{cmd} must name the bad line: {stderr}");

@@ -1,9 +1,11 @@
 //! Cross-crate observability: record a full simulation + certification run
-//! into an `InMemoryRecorder`, export it as a JSONL trace, parse it back,
-//! and check that every recorded signal survives the round trip.
+//! into an `InMemoryRecorder`, export it as a JSONL trace, read it back
+//! through the streaming analyzer, and check that every recorded signal
+//! survives the round trip.
 
 use universal_networks::core::prelude::*;
-use universal_networks::obs::trace::{export, parse_trace, RunMeta, RunSummary};
+use universal_networks::obs::analysis::analyze_str;
+use universal_networks::obs::trace::{export, RunMeta, RunSummary};
 use universal_networks::obs::InMemoryRecorder;
 use universal_networks::pebble::check_recorded;
 use universal_networks::topology::generators::{ring, torus};
@@ -53,7 +55,7 @@ fn recorded_run_round_trips_through_jsonl() {
             .unwrap_or_else(|e| panic!("invalid JSONL line {line:?}: {e}"));
     }
 
-    let doc = parse_trace(&text).expect("trace parses with balanced spans");
+    let doc = analyze_str(&text).expect("trace parses with balanced spans");
 
     // Meta and summary survive verbatim.
     assert_eq!(doc.meta.guest, "ring:24");
@@ -74,7 +76,7 @@ fn recorded_run_round_trips_through_jsonl() {
 
     // Histograms survive exactly: one routing-problem-size sample per
     // guest step, and the in-memory copy matches the parsed one.
-    let parsed = doc.histogram("sim.routing_problem_size").expect("hist recorded");
+    let parsed = &doc.histograms["sim.routing_problem_size"];
     let live = rec.histogram_data("sim.routing_problem_size").unwrap();
     assert_eq!(parsed.count, steps as u64);
     assert_eq!(parsed.count, live.count);
@@ -84,11 +86,9 @@ fn recorded_run_round_trips_through_jsonl() {
 
     // Span phases survive with sane nesting totals: the checker ran once,
     // the comm phase once per guest step.
-    let totals = doc.span_totals();
-    let find = |name: &str| totals.iter().find(|(n, ..)| n == name).map(|(_, ns, c)| (*ns, *c));
-    let (_, comm_count) = find("sim.comm").expect("sim.comm span");
+    let (_, comm_count) = doc.span_totals["sim.comm"];
     assert_eq!(comm_count, steps as u64);
-    let (check_ns, check_count) = find("pebble.check").expect("pebble.check span");
+    let (check_ns, check_count) = doc.span_totals["pebble.check"];
     assert_eq!(check_count, 1);
     assert!(check_ns > 0);
 }
