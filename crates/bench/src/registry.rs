@@ -1170,9 +1170,8 @@ struct E22Sizes {
 
 fn e22_sizes(quick: bool) -> E22Sizes {
     // Step counts are chosen so the simulate span dwarfs the fixed
-    // per-request residue the spans cannot cover (the wire, syscalls, and
-    // the client's own parse) — the 95% accounting gate needs service
-    // time, not load.
+    // per-request residue the spans cannot cover (the wire and the
+    // wakeups) — the 95% accounting gate needs service time, not load.
     if quick {
         E22Sizes { guest_n: 96, dim: 3, steps: 256, requests: 4 }
     } else {
@@ -1191,8 +1190,9 @@ fn e22() -> Experiment {
         id: "E22",
         title: "Request tracing: stage spans account for end-to-end latency",
         claim: "Engineering claim on unet-serve/3 tracing: the per-request stage spans \
-                the server returns (accept, queue_wait, singleflight_wait, plan_build, \
-                simulate) account for at least 95% of the client-measured \
+                the server returns (accept, admit, queue_wait, singleflight_wait, \
+                plan_build, simulate) and the client's own spans (client.write, \
+                client.parse) account for at least 95% of the client-measured \
                 end-to-end latency on every offered-load point, queue_wait becomes the \
                 dominant stage once the closed-loop load crosses the one-permit \
                 capacity, and the tail sampler keeps at least one request record \
@@ -1282,9 +1282,10 @@ fn e22() -> Experiment {
         },
         shapes: || {
             vec![
-                // The accounting claim: the server-side stage spans explain
-                // (almost) all of the latency the client observed — the
-                // wire, syscalls, and client parse are the only residue.
+                // The accounting claim: the server's stage spans and the
+                // client's write and parse spans explain (almost) all of
+                // the latency the client observed — the wire, the wakeups
+                // and the server's `serialize` are the only residue.
                 Shape::AtLeastColumn { y: "span_coverage", floor: "coverage_floor" },
                 // Past the knee the request's life is the queue: queue_wait
                 // is the dominant stage on the over-capacity row (the floor

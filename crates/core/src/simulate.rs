@@ -511,6 +511,64 @@ mod tests {
         assert_eq!(rec.counter_value("sim.cache.misses"), 1);
     }
 
+    /// The server and `unet simulate` record through a `SummaryRecorder`:
+    /// on a cold run it must see the same counters, histograms and spans as
+    /// an `InMemoryRecorder` (only the sample series are gone), and the run
+    /// itself must not change.
+    #[test]
+    fn summary_recorder_matches_in_memory_recorder_on_a_cold_run() {
+        use crate::cache::SharedPlanCache;
+        use crate::sim::CachePolicy;
+        use unet_obs::{InMemoryRecorder, Recorder, SummaryRecorder};
+        let guest = random_regular(32, 4, &mut seeded_rng(5));
+        let host = torus(2, 3);
+        let comp = GuestComputation::random(guest.clone(), 8);
+        let router = presets::bfs();
+        fn cold<R: Recorder>(
+            comp: &GuestComputation,
+            host: &Graph,
+            router: &dyn Router,
+            rec: &mut R,
+        ) -> SimulationRun {
+            Simulation::builder()
+                .guest(comp)
+                .host(host)
+                .embedding(Embedding::block(32, 6))
+                .router(router)
+                .steps(6)
+                .seed(3)
+                .cache_policy(CachePolicy::Enabled)
+                .shared_cache(&SharedPlanCache::new())
+                .recorder(rec)
+                .run()
+                .expect("valid configuration")
+        }
+        let mut full = InMemoryRecorder::new();
+        let mut summary = SummaryRecorder::new();
+        let a = cold(&comp, &host, &router, &mut full);
+        let b = cold(&comp, &host, &router, &mut summary);
+        assert_eq!(a.protocol, b.protocol);
+        assert_eq!(a.final_states, b.final_states);
+        assert_eq!(b.final_states, comp.run_final(6));
+        assert!(full.sample_data("sim.edge_util").is_some());
+        assert_eq!(summary.samples().count(), 0);
+        assert_eq!(summary.counters().collect::<Vec<_>>(), full.counters().collect::<Vec<_>>());
+        assert_eq!(summary.counter_value("sim.cache.shared.misses"), 1, "a cold run");
+        let hists = |r: &InMemoryRecorder| -> Vec<(&str, u64, Option<u128>)> {
+            // Timings (`*_us`) differ run to run; their counts may not.
+            r.histograms()
+                .map(|(n, h)| (n, h.count, (!n.ends_with("_us")).then_some(h.sum)))
+                .collect()
+        };
+        assert_eq!(hists(&summary), hists(&full));
+        assert!(summary.histogram_data("sim.plan.build_us").is_some());
+        let spans = |r: &InMemoryRecorder| -> Vec<(&str, u64)> {
+            r.span_totals().map(|(n, _, count)| (n, count)).collect()
+        };
+        assert_eq!(spans(&summary), spans(&full));
+        assert!(summary.open_spans().is_empty());
+    }
+
     /// From gt = 3 the cached path copies the previous block a level
     /// later. Cached, uncached and shared-cache-hit runs must give `==`
     /// protocols and the same engine records, and the checker must take

@@ -11,6 +11,8 @@
 //!   monomorphize to nothing, so uninstrumented callers pay nothing;
 //! * [`InMemoryRecorder`] — aggregates counters/gauges, log-bucketed
 //!   [`Histogram`]s, and a chronological span-event stream;
+//! * [`SummaryRecorder`] — the same aggregates without sample series, for
+//!   callers that never read one (`sample` monomorphizes to nothing);
 //! * [`trace`] — the JSONL trace records and their writer (`unet trace`
 //!   writes a recorded run);
 //! * [`analysis`] — the one trace reader: bounded-memory streaming
@@ -42,6 +44,6 @@ pub mod trace;
 pub use analysis::{Analysis, TraceAnalyzer};
 pub use metrics::MetricsRegistry;
 pub use recorder::{
-    edge_key, unpack_edge_key, Histogram, InMemoryRecorder, NoopRecorder, Recorder,
+    edge_key, unpack_edge_key, Histogram, InMemoryRecorder, NoopRecorder, Recorder, SummaryRecorder,
 };
 pub use tailsample::TailSampler;

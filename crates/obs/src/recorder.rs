@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and its two implementations.
+//! The [`Recorder`] trait and its three implementations.
 //!
 //! Hot paths take a `rec: &mut R` with `R: Recorder + ?Sized` and emit
 //! spans/counters/histograms unconditionally; with the default
@@ -363,6 +363,58 @@ impl Recorder for InMemoryRecorder {
     }
 }
 
+/// An [`InMemoryRecorder`] that keeps no sample series.
+///
+/// Spans, counters, gauges and histograms aggregate exactly as in
+/// [`InMemoryRecorder`], and every accessor is reached through `Deref`.
+/// [`Recorder::sample`] is an empty inline function, so code monomorphized
+/// on this type drops its per-transfer and per-queue sample loops, and no
+/// `(step, key)` map is built: [`InMemoryRecorder::sample_data`] is always
+/// `None`. For callers that read totals but never a congestion series —
+/// the server's per-request runs and `unet simulate`.
+#[derive(Debug, Clone, Default)]
+pub struct SummaryRecorder(InMemoryRecorder);
+
+impl SummaryRecorder {
+    /// Fresh recorder; its epoch (time zero for all span events) is now.
+    pub fn new() -> Self {
+        SummaryRecorder(InMemoryRecorder::new())
+    }
+}
+
+impl std::ops::Deref for SummaryRecorder {
+    type Target = InMemoryRecorder;
+
+    fn deref(&self) -> &InMemoryRecorder {
+        &self.0
+    }
+}
+
+impl Recorder for SummaryRecorder {
+    #[inline]
+    fn span_start(&mut self, name: &'static str) {
+        self.0.span_start(name)
+    }
+    #[inline]
+    fn span_end(&mut self, name: &'static str) {
+        self.0.span_end(name)
+    }
+    #[inline]
+    fn counter(&mut self, name: &'static str, delta: u64) {
+        self.0.counter(name, delta)
+    }
+    #[inline]
+    fn gauge(&mut self, name: &'static str, value: f64) {
+        self.0.gauge(name, value)
+    }
+    #[inline]
+    fn histogram(&mut self, name: &'static str, value: u64) {
+        self.0.histogram(name, value)
+    }
+    #[inline]
+    fn sample(&mut self, _name: &'static str, _step: u64, _key: u64, _value: u64) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,6 +583,34 @@ mod tests {
         assert!(r.sample_data("missing").is_none());
         let names: Vec<_> = r.samples().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["route.edge_util", "route.queue_depth"]);
+    }
+
+    #[test]
+    fn summary_recorder_keeps_everything_but_samples() {
+        let mut full = InMemoryRecorder::new();
+        let mut summary = SummaryRecorder::new();
+        fn drive<R: Recorder>(r: &mut R) {
+            r.span_start("outer");
+            r.counter("ops", 3);
+            r.gauge("load", 0.5);
+            r.histogram("q", 9);
+            r.sample("route.edge_util", 0, edge_key(3, 7), 1);
+            r.span_start("inner");
+            r.span_end("inner");
+            r.span_end("outer");
+        }
+        drive(&mut full);
+        drive(&mut summary);
+        assert!(full.sample_data("route.edge_util").is_some());
+        assert_eq!(summary.samples().count(), 0, "no sample series at all");
+        assert_eq!(summary.counters().collect::<Vec<_>>(), full.counters().collect::<Vec<_>>());
+        assert_eq!(summary.gauges().collect::<Vec<_>>(), full.gauges().collect::<Vec<_>>());
+        assert_eq!(summary.histogram_data("q"), full.histogram_data("q"));
+        let counts = |r: &InMemoryRecorder| -> Vec<(&str, u64)> {
+            r.span_totals().map(|(n, _, c)| (n, c)).collect()
+        };
+        assert_eq!(counts(&summary), counts(&full));
+        assert_eq!(summary.events().len(), full.events().len());
     }
 
     #[test]

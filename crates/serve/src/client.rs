@@ -25,7 +25,7 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::protocol::{
     analyze_request_line, batch_request_line, gen_trace_id, metrics_request_line, parse_response,
@@ -117,6 +117,8 @@ pub struct SimulateResult {
     /// batch member). Includes queueing, the wire, and parsing — what a
     /// caller would see timing the call itself.
     pub e2e_ms: f64,
+    /// The client's own share of [`e2e_ms`](SimulateResult::e2e_ms).
+    pub client: ClientSpans,
     /// The full payload object, for fields this struct does not name.
     pub raw: Value,
 }
@@ -146,6 +148,7 @@ impl SimulateResult {
                 trace_id,
                 stages,
                 e2e_ms: 0.0,
+                client: ClientSpans::default(),
                 raw: v.clone(),
             })
         })();
@@ -153,6 +156,67 @@ impl SimulateResult {
             ClientError::Protocol(format!("incomplete simulate payload: {}", v.to_json()))
         })
     }
+}
+
+/// The client-side spans of one typed round trip, in milliseconds, summed
+/// over its attempts. They are disjoint from each other and from the
+/// server's stage spans, so with those they sum to at most the round
+/// trip's `e2e_ms`; what is left is the wire and the wakeups.
+///
+/// Both are the calling thread's CPU time (wall time where no thread clock
+/// is bound). In wall time a client preempted inside `write` — on loopback
+/// often by the very server thread the write woke — would count the
+/// server's work a second time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ClientSpans {
+    /// `client.write`: format the request line, write it and flush.
+    pub write_ms: f64,
+    /// `client.parse`: parse the response line once it has been read.
+    pub parse_ms: f64,
+}
+
+impl ClientSpans {
+    /// The spans as `(stage, ms)` pairs, the shape of the server's stages.
+    pub fn stages(&self) -> [(&'static str, f64); 2] {
+        [("client.write", self.write_ms), ("client.parse", self.parse_ms)]
+    }
+}
+
+/// Milliseconds since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// CPU time this thread has used, in nanoseconds.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ns() -> u64 {
+    use std::ffi::c_long;
+    #[repr(C)]
+    struct Timespec {
+        sec: c_long,
+        nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `struct timespec`; the C library
+    // std links provides `clock_gettime`, which cannot fail for this clock.
+    unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    ts.sec as u64 * 1_000_000_000 + ts.nsec as u64
+}
+
+/// Wall time since the first call, in nanoseconds (no thread clock here).
+#[cfg(not(target_os = "linux"))]
+fn thread_cpu_ns() -> u64 {
+    static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// Milliseconds of [`thread_cpu_ns`] since `start`.
+fn cpu_ms_since(start: u64) -> f64 {
+    thread_cpu_ns().saturating_sub(start) as f64 / 1e6
 }
 
 /// How many times [`Client`] retries an `overloaded` rejection by default.
@@ -257,23 +321,39 @@ impl Client {
     /// One raw line round trip (no retries, no response typing). The
     /// connection is re-established once if the round trip dies.
     pub fn request_raw(&mut self, line: &str) -> Result<String, ClientError> {
-        match self.round_trip_once(line) {
+        self.raw_call(line, &mut ClientSpans::default())
+    }
+
+    /// [`Client::request_raw`], adding its write time to `spans`.
+    fn raw_call(&mut self, line: &str, spans: &mut ClientSpans) -> Result<String, ClientError> {
+        match self.round_trip_once(line, spans) {
             Ok(resp) => Ok(resp),
             Err(ClientError::Io(_)) => {
                 // One reconnect: the server may have closed an idle
                 // connection between calls.
                 self.conn = None;
-                self.round_trip_once(line)
+                self.round_trip_once(line, spans)
             }
             Err(e) => Err(e),
         }
     }
 
-    fn round_trip_once(&mut self, line: &str) -> Result<String, ClientError> {
+    fn round_trip_once(
+        &mut self,
+        line: &str,
+        spans: &mut ClientSpans,
+    ) -> Result<String, ClientError> {
         self.ensure_conn()?;
         let result = (|| {
             let (stream, reader) = self.conn.as_mut().expect("ensured above");
-            let written = writeln!(stream, "{line}").and_then(|()| stream.flush());
+            // One write for the line and its newline: with nodelay on, a
+            // split write is a second packet.
+            let write_started = thread_cpu_ns();
+            let mut framed = Vec::with_capacity(line.len() + 1);
+            framed.extend_from_slice(line.as_bytes());
+            framed.push(b'\n');
+            let written = stream.write_all(&framed).and_then(|()| stream.flush());
+            spans.write_ms += cpu_ms_since(write_started);
             // A tier with no free connection slot answers `overloaded`
             // before reading the request, then closes; the request can
             // then hit a reset connection whose answer is still readable.
@@ -309,11 +389,21 @@ impl Client {
     /// points; this one serves callers that build request lines
     /// themselves.
     pub fn request_typed_line(&mut self, line: &str) -> Result<Value, ClientError> {
+        self.typed_call(line).map(|(v, _)| v)
+    }
+
+    /// [`Client::request_typed_line`] with the call's client-side spans
+    /// (the line is already formatted, so `write_ms` is write and flush).
+    fn typed_call(&mut self, line: &str) -> Result<(Value, ClientSpans), ClientError> {
+        let mut spans = ClientSpans::default();
         let mut attempts_left = self.retries;
         loop {
-            let raw = self.request_raw(line)?;
-            match parse_response(&raw).map_err(ClientError::Protocol)? {
-                Response::Result(v) => return Ok(v),
+            let raw = self.raw_call(line, &mut spans)?;
+            let parse_started = thread_cpu_ns();
+            let parsed = parse_response(&raw);
+            spans.parse_ms += cpu_ms_since(parse_started);
+            match parsed.map_err(ClientError::Protocol)? {
+                Response::Result(v) => return Ok((v, spans)),
                 Response::Error { code, message, .. } => {
                     return Err(ClientError::Server(ServerError { code, message }))
                 }
@@ -339,11 +429,16 @@ impl Client {
     /// payload.
     pub fn simulate(&mut self, spec: &SimulateReq) -> Result<SimulateResult, ClientError> {
         let trace_id = gen_trace_id();
-        let started = std::time::Instant::now();
-        let v = self.request_typed_line(&simulate_request_line(spec, Some(&trace_id)))?;
-        let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
+        let started = Instant::now();
+        let format_started = thread_cpu_ns();
+        let line = simulate_request_line(spec, Some(&trace_id));
+        let format_ms = cpu_ms_since(format_started);
+        let (v, mut spans) = self.typed_call(&line)?;
+        let e2e_ms = ms_since(started);
+        spans.write_ms += format_ms;
         let mut result = SimulateResult::from_value(v)?;
         result.e2e_ms = e2e_ms;
+        result.client = spans;
         result.trace_id.get_or_insert(trace_id);
         Ok(result)
     }
@@ -358,14 +453,13 @@ impl Client {
         deadline_ms: Option<u64>,
     ) -> Result<Vec<Result<SimulateResult, ServerError>>, ClientError> {
         let trace_id = gen_trace_id();
-        let started = std::time::Instant::now();
-        let v = self.request_typed_line(&batch_request_line(
-            specs,
-            deadline_ms,
-            None,
-            Some(&trace_id),
-        ))?;
-        let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
+        let started = Instant::now();
+        let format_started = thread_cpu_ns();
+        let line = batch_request_line(specs, deadline_ms, None, Some(&trace_id));
+        let format_ms = cpu_ms_since(format_started);
+        let (v, mut spans) = self.typed_call(&line)?;
+        let e2e_ms = ms_since(started);
+        spans.write_ms += format_ms;
         let items = v
             .get("items")
             .and_then(Value::as_arr)
@@ -375,6 +469,7 @@ impl Client {
             .map(|item| match item.get("ok").and_then(Value::as_bool) {
                 Some(true) => SimulateResult::from_value(item.clone()).map(|mut r| {
                     r.e2e_ms = e2e_ms;
+                    r.client = spans;
                     r.trace_id.get_or_insert_with(|| trace_id.clone());
                     Ok(r)
                 }),

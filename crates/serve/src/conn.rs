@@ -14,6 +14,8 @@
 //!   the tier's [`Tier::handle`], writes the answer, and records it: the
 //!   completed counter, `serve.request.latency_ms`, the slowest request as
 //!   the latency exemplar, and a stage record offered to the tail sampler.
+//!   A line is read up to [`MAX_LINE_BYTES`]; a longer one gets one typed
+//!   `bad-request` and the connection is closed.
 //! * **Drain** — [`Front::stop`] flags shutdown, then wakes the blocked
 //!   acceptor by dialing its own address; the acceptor re-checks the flag
 //!   after every accept and drops that connection unanswered. The stop
@@ -38,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use crate::protocol::overloaded_line;
+use crate::protocol::{error_line, mint_trace_id, overloaded_line};
 use unet_obs::tailsample::Offer;
 use unet_obs::trace::{write_full, RunMeta};
 use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler};
@@ -481,6 +483,11 @@ fn admit<T: Tier>(tier: &Arc<T>, mut stream: TcpStream) {
 /// clients.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
 
+/// The longest request line either tier reads, in bytes (newline
+/// excluded): 1.5 MiB. A longer line is answered with one `bad-request`
+/// before the rest of it is buffered, and its connection is closed.
+pub const MAX_LINE_BYTES: usize = 3 << 19;
+
 fn serve_connection(tier: &impl Tier, stream: TcpStream) {
     let front = tier.front();
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
@@ -489,50 +496,88 @@ fn serve_connection(tier: &impl Tier, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         match read_line_patient(&mut reader, &mut line, &front.shutdown) {
             LineRead::Line => {
-                let trimmed = line.trim();
+                // Bytes that are not UTF-8 reach the tier as U+FFFD, so
+                // they get the tier's typed answer like any bad input.
+                let text = String::from_utf8_lossy(&line);
+                let trimmed = text.trim();
                 if !trimmed.is_empty() {
                     let started = Instant::now();
-                    let (response, mut info) = tier.handle(trimmed);
-                    let write_started = Instant::now();
-                    let write_ok =
-                        writeln!(writer, "{response}").and_then(|_| writer.flush()).is_ok();
-                    info.stages.push(("serialize", write_started.elapsed().as_secs_f64() * 1e3));
-                    let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
-                    front.record(info, e2e_ms);
-                    if !write_ok {
+                    let (response, info) = tier.handle(trimmed);
+                    if !answer(front, &mut writer, response, info, started) {
                         return;
                     }
                 }
+                drop(text);
                 line.clear();
+            }
+            LineRead::TooLong => {
+                let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                let info = ReqInfo {
+                    trace_id: mint_trace_id(),
+                    kind: "unparsed",
+                    ok: false,
+                    stages: vec![],
+                };
+                let response = error_line("bad-request", &message, None);
+                answer(front, &mut writer, response, info, Instant::now());
+                return;
             }
             LineRead::Closed => return,
         }
     }
 }
 
+/// Write `response` and its newline (the `serialize` span) and record the
+/// request that started at `started`; false when the write failed.
+fn answer(
+    front: &Front,
+    writer: &mut TcpStream,
+    mut response: String,
+    mut info: ReqInfo,
+    started: Instant,
+) -> bool {
+    let write_started = Instant::now();
+    // One write: with nodelay on, a separate newline is a second segment,
+    // and the client's read wakes once for each.
+    response.push('\n');
+    let write_ok = writer.write_all(response.as_bytes()).and_then(|_| writer.flush()).is_ok();
+    info.stages.push(("serialize", write_started.elapsed().as_secs_f64() * 1e3));
+    front.record(info, started.elapsed().as_secs_f64() * 1e3);
+    write_ok
+}
+
 enum LineRead {
     Line,
+    /// [`MAX_LINE_BYTES`] read and still no newline.
+    TooLong,
     Closed,
 }
 
-/// Read one line, treating read timeouts as "check shutdown, keep waiting".
-/// A timeout mid-line keeps the partial data in `buf`, so slow writers are
-/// never corrupted; an EOF (or a drain while idle) closes the connection.
+/// Read one line of at most [`MAX_LINE_BYTES`], treating read timeouts as
+/// "check shutdown, keep waiting". A timeout mid-line keeps the partial
+/// data in `buf`, so slow writers are never corrupted; an EOF (or a drain
+/// while idle) closes the connection.
 fn read_line_patient<R: Read>(
     reader: &mut BufReader<R>,
-    buf: &mut String,
+    buf: &mut Vec<u8>,
     shutdown: &AtomicBool,
 ) -> LineRead {
     loop {
-        match reader.read_line(buf) {
+        // At most one byte past the cap, so an over-long line is refused
+        // without buffering the rest of it.
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', buf) {
             Ok(0) => return LineRead::Closed,
             Ok(_) => {
-                if buf.ends_with('\n') {
+                if buf.ends_with(b"\n") {
                     return LineRead::Line;
+                }
+                if buf.len() > MAX_LINE_BYTES {
+                    return LineRead::TooLong;
                 }
                 // EOF after a partial line: serve it, next read sees EOF.
                 return if buf.is_empty() { LineRead::Closed } else { LineRead::Line };

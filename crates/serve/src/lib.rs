@@ -14,7 +14,8 @@
 //! * `conn` — the connection front both tiers share: the blocking
 //!   acceptor (the drain wakes it), `queue_cap` connection slots (beyond them a typed
 //!   `overloaded` rejection with a `retry_after_ms` hint, never unbounded
-//!   buffering), one thread per connection, and the graceful drain;
+//!   buffering), one thread per connection reading lines of at most
+//!   [`MAX_LINE_BYTES`], and the graceful drain;
 //! * [`server`] — the simulation handler behind that front; each
 //!   simulation runs on its connection's thread under one of `workers`
 //!   permits. A batch's items are grouped by
@@ -23,7 +24,7 @@
 //!   shared [`SharedPlanCache`](unet_core::SharedPlanCache)) while
 //!   batchmates and racing misses reuse it; per-request deadlines ride the
 //!   engine's phase-boundary cancellation; every request records stage
-//!   spans (`accept` → `queue_wait` → … → `serialize`) into a tail-sampled
+//!   spans (`accept` → `admit` → `queue_wait` → … → `serialize`) into a tail-sampled
 //!   trace that [`Server::drain`] hands back alongside the metrics, as a
 //!   [`RequestTrace`] rendered only on request;
 //! * [`loadgen`] — a deterministic closed-loop load generator for capacity
@@ -67,7 +68,8 @@ pub mod router;
 pub mod server;
 pub mod signal;
 
-pub use client::{Client, ClientError, ServerError, SimulateResult};
+pub use client::{Client, ClientError, ClientSpans, ServerError, SimulateResult};
+pub use conn::MAX_LINE_BYTES;
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{Request, Response, PROTOCOL};
 pub use ring::Ring;

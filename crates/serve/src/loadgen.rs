@@ -86,9 +86,11 @@ pub struct LoadgenReport {
     /// ([`SimulateResult::e2e_ms`](crate::client::SimulateResult::e2e_ms)),
     /// not a second stopwatch around the socket.
     pub latencies_ms: Vec<f64>,
-    /// Server-reported stage-span totals in milliseconds, summed across
-    /// every successful plain-`simulate` round trip, in first-seen stage
-    /// order. Empty when driving a pre-`/3` server or a batched loop.
+    /// Stage-span totals in milliseconds, summed across every successful
+    /// plain-`simulate` round trip, in first-seen stage order: the
+    /// server-reported stages and the client's own `client.write` and
+    /// `client.parse` ([`ClientSpans`](crate::client::ClientSpans)). Empty
+    /// for a batched loop.
     pub stage_totals_ms: Vec<(String, f64)>,
 }
 
@@ -125,11 +127,12 @@ impl LoadgenReport {
         self.stage_totals_ms.iter().find(|(s, _)| s == stage).map_or(0.0, |(_, ms)| *ms)
     }
 
-    /// Fraction of the summed client-measured latency that the server's
-    /// stage spans account for (`None` without latency samples). The
-    /// E22 span-accounting gate: close to 1.0 means the waterfall
-    /// explains the latency a caller actually saw; the remainder is the
-    /// wire and client-side overhead.
+    /// Fraction of the summed client-measured latency that the stage
+    /// spans (server and client) account for (`None` without latency
+    /// samples). The E22 span-accounting gate: close to 1.0 means the
+    /// waterfall explains the latency a caller actually saw; the remainder
+    /// is the wire, the wakeups and the server's `serialize`, which is
+    /// timed after the answer has left.
     pub fn span_coverage(&self) -> Option<f64> {
         let e2e: f64 = self.latencies_ms.iter().sum();
         if e2e <= 0.0 {
@@ -163,19 +166,20 @@ struct ClientTally {
 }
 
 impl ClientTally {
-    fn add_stages(&mut self, stages: &[(String, f64)]) {
+    fn add_stages<'a>(&mut self, stages: impl IntoIterator<Item = (&'a str, f64)>) {
         for (stage, ms) in stages {
             match self.stage_totals_ms.iter_mut().find(|(s, _)| s == stage) {
                 Some(slot) => slot.1 += ms,
-                None => self.stage_totals_ms.push((stage.clone(), *ms)),
+                None => self.stage_totals_ms.push((stage.to_string(), ms)),
             }
         }
     }
 }
 
 /// One client's closed loop, on the typed [`Client`]: latency samples are
-/// the client's own `e2e_ms` (no second stopwatch here) and the
-/// server-reported stage spans accumulate into the tally.
+/// the client's own `e2e_ms` (no second stopwatch here), and the
+/// server-reported stage spans and the client's own spans accumulate into
+/// the tally.
 fn run_client(addr: &str, spec: &SimulateReq, batch: usize, requests: usize) -> ClientTally {
     let mut tally = ClientTally::default();
     let mut client: Option<Client> = None;
@@ -195,7 +199,8 @@ fn run_client(addr: &str, spec: &SimulateReq, batch: usize, requests: usize) -> 
                 Ok(res) => {
                     tally.completed += 1;
                     tally.latencies_ms.push(res.e2e_ms);
-                    tally.add_stages(&res.stages);
+                    let server = res.stages.iter().map(|(s, ms)| (s.as_str(), *ms));
+                    tally.add_stages(server.chain(res.client.stages()));
                 }
                 Err(ClientError::Server(_)) => tally.errors += 1,
                 // The server answers overloaded before reading and drops
@@ -416,9 +421,10 @@ mod tests {
 
     #[test]
     fn stage_totals_accumulate_and_expose_coverage() {
+        use crate::client::ClientSpans;
         let mut tally = ClientTally::default();
-        tally.add_stages(&[("queue_wait".into(), 6.0), ("simulate".into(), 2.0)]);
-        tally.add_stages(&[("queue_wait".into(), 4.0), ("serialize".into(), 0.5)]);
+        tally.add_stages([("queue_wait", 6.0), ("simulate", 2.0)]);
+        tally.add_stages([("queue_wait", 4.0), ("serialize", 0.5)]);
         assert_eq!(
             tally.stage_totals_ms,
             vec![
@@ -426,6 +432,13 @@ mod tests {
                 ("simulate".to_string(), 2.0),
                 ("serialize".to_string(), 0.5)
             ]
+        );
+        let mut client = ClientTally::default();
+        client.add_stages(ClientSpans { write_ms: 0.25, parse_ms: 0.5 }.stages());
+        client.add_stages(ClientSpans { write_ms: 0.25, parse_ms: 0.0 }.stages());
+        assert_eq!(
+            client.stage_totals_ms,
+            vec![("client.write".to_string(), 0.5), ("client.parse".to_string(), 0.5)]
         );
         let report = LoadgenReport {
             sent: 2,

@@ -27,8 +27,9 @@
 //!   has closed. No admitted request is dropped.
 //! * **Request tracing** — every request gets a trace id at first ingress
 //!   (propagated from the client's trace context, else minted here) and a
-//!   stage-span breakdown: `accept` (parse and admission), `queue_wait`,
-//!   `singleflight_wait`, `plan_build`, `simulate`, `serialize`. Responses
+//!   stage-span breakdown: `accept` (request parse), `admit` (spec parse,
+//!   guest init and fingerprint), `queue_wait`, `singleflight_wait`,
+//!   `plan_build`, `simulate`, `serialize`. Responses
 //!   carry `trace_id` and `stages` inline; a
 //!   [`TailSampler`](unet_obs::TailSampler) keeps every errored request, a
 //!   deterministic head sample, and the slowest tail as `request` records
@@ -54,7 +55,7 @@ use unet_core::{
 };
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
-use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TraceAnalyzer};
+use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, SummaryRecorder, TraceAnalyzer};
 use unet_topology::par::{default_threads, par_map};
 use unet_topology::Graph;
 
@@ -285,11 +286,9 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
     let mut stages = vec![("accept", accept_ms)];
     let (response, ok) = match req {
         Request::Simulate(req) => {
-            // `accept` covers admission too: spec parsing, topology and
-            // computation construction, and fingerprinting.
             let admit_started = Instant::now();
             let built = build_job(shared, &req, req.deadline_ms);
-            stages[0].1 += admit_started.elapsed().as_secs_f64() * 1e3;
+            stages.push(("admit", admit_started.elapsed().as_secs_f64() * 1e3));
             let outcome = match built {
                 Ok(job) => execute_job(shared, &job),
                 Err(e) => JobOutcome { payload: Err(e), stages: Vec::new() },
@@ -327,8 +326,9 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
     (response, ReqInfo { trace_id, kind, ok, stages })
 }
 
-/// Parse one spec into a runnable [`Job`]. Parse failures surface as the
-/// item's own typed error, never touching its batchmates.
+/// Parse one spec into a runnable [`Job`] (the request's `admit` stage).
+/// Parse failures surface as the item's own typed error, never touching
+/// its batchmates.
 fn build_job(
     shared: &Shared,
     req: &SimulateReq,
@@ -360,14 +360,16 @@ fn build_job(
 /// Serve one `batch` request: run every parseable item through
 /// [`run_jobs`], then answer with the positionally-aligned outcomes.
 /// Returns the response line, whether every item succeeded, and the
-/// batch's stage spans (per-stage *maximum* across members — the members
-/// run in parallel, so the max approximates the critical path without
-/// over-counting the request's wall clock).
+/// batch's stage spans: `admit` for building every item, then the
+/// per-stage *maximum* across members — the members run in parallel, so
+/// the max approximates the critical path without over-counting the
+/// request's wall clock.
 fn handle_batch(
     shared: &Shared,
     batch: BatchReq,
     trace_id: &str,
 ) -> (String, bool, Vec<(&'static str, f64)>) {
+    let admit_started = Instant::now();
     let mut jobs = Vec::new();
     // Per item: `Ok` ran as the next job, `Err` is the item's own error.
     let mut slots = Vec::with_capacity(batch.items.len());
@@ -378,9 +380,15 @@ fn handle_batch(
                 .map(|job| jobs.push(job)),
         });
     }
+    // Every item waits for its permit from here, so no `queue_wait`
+    // overlaps the batch's `admit`.
+    let admitted_at = Instant::now();
+    for job in &mut jobs {
+        job.admitted_at = admitted_at;
+    }
+    let mut stage_max = vec![("admit", (admitted_at - admit_started).as_secs_f64() * 1e3)];
     let mut outcomes = run_jobs(shared, &jobs).into_iter();
     let mut all_ok = true;
-    let mut stage_max: Vec<(&'static str, f64)> = Vec::new();
     let items: Vec<Value> = slots
         .into_iter()
         .map(|slot| {
@@ -486,9 +494,14 @@ fn simulate_outcome(shared: &Shared, job: &Job) -> (Payload, Vec<(&'static str, 
 /// The engine work of [`simulate_outcome`]: the payload plus the plan
 /// acquire and build times in milliseconds. The payload's `wall_ms` is
 /// run plus verify, measured from `started`.
+///
+/// The run records into a [`SummaryRecorder`]: only its counters and the
+/// `sim.plan.*` histogram sums are read here, so it builds no per-transfer
+/// congestion series (about 45% of a cold request's plan build and
+/// simulate time, measured on perfbench's `shard-cold`).
 fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, f64) {
     let router = unet_core::routers::presets::bfs();
-    let mut local = InMemoryRecorder::new();
+    let mut local = SummaryRecorder::new();
     let run = Simulation::builder()
         .guest(&job.comp)
         .host(&job.host)

@@ -16,7 +16,7 @@ use unet_serve::protocol::{
     simulate_request_line, Response, SimulateReq,
 };
 use unet_serve::router::{Router, ShardConfig};
-use unet_serve::{ClientError, RequestTrace, ServeConfig, Server};
+use unet_serve::{ClientError, RequestTrace, ServeConfig, Server, MAX_LINE_BYTES};
 
 fn sim_req(seed: u64) -> SimulateReq {
     SimulateReq {
@@ -770,6 +770,127 @@ fn trace_ids_outside_the_minted_form_get_one_typed_error_each() {
             }
             other => panic!("expected a result, got {other:?}"),
         }
+    }
+    router.drain();
+    server.drain();
+}
+
+/// The per-request engine run records into a summary recorder, which keeps
+/// no sample series: a cold request must still report its `plan_build`
+/// stage, and the engine and routing counters must still reach the
+/// exposition.
+#[test]
+fn a_cold_request_still_reports_plan_build_and_engine_counters() {
+    let server = start(1, 8);
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let result = client.simulate(&sim_req(11)).expect("simulate");
+    assert!(!result.shared_cache_hit, "the first request builds the plan");
+    let mut stages: Vec<&str> = result.stages.iter().map(|(s, _)| s.as_str()).collect();
+    // `singleflight_wait` shows only when acquiring the build lease took
+    // a measurable time.
+    stages.retain(|&s| s != "singleflight_wait");
+    assert_eq!(stages, ["accept", "admit", "queue_wait", "plan_build", "simulate"]);
+    let expo = client.metrics().expect("metrics");
+    for series in ["unet_route_steps ", "unet_sim_guest_steps 3", "unet_sim_cache_misses "] {
+        assert!(expo.contains(series), "{series:?} in the exposition:\n{expo}");
+    }
+    drop(client);
+    server.drain();
+}
+
+/// The server's stages and the client's `client.write` / `client.parse`
+/// spans are disjoint, so per request they never sum past the
+/// client-measured `e2e_ms`.
+#[test]
+fn server_and_client_spans_never_sum_past_e2e() {
+    let server = start(1, 8);
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    for seed in [1, 1, 2, 2, 3] {
+        let r = client.simulate(&sim_req(seed)).expect("simulate");
+        assert!(r.client.write_ms > 0.0 && r.client.parse_ms > 0.0, "{:?}", r.client);
+        let server_ms: f64 = r.stages.iter().map(|(_, ms)| ms).sum();
+        let client_ms: f64 = r.client.stages().iter().map(|(_, ms)| ms).sum();
+        assert!(
+            server_ms + client_ms <= r.e2e_ms,
+            "seed {seed}: {server_ms} ms server + {client_ms} ms client > {} ms e2e ({:?})",
+            r.e2e_ms,
+            r.stages
+        );
+    }
+    drop(client);
+    server.drain();
+}
+
+/// A request line past `MAX_LINE_BYTES` gets exactly one `bad-request` and
+/// its connection is closed, before the rest of it is buffered; a valid
+/// request on a new connection is answered afterwards — by a server and by
+/// a router in front of it.
+#[test]
+fn an_over_long_request_line_gets_one_bad_request_and_the_tier_keeps_serving() {
+    let server = start(1, 8);
+    let router = Router::start(ShardConfig {
+        workers: 1,
+        backends: vec![server.addr().to_string()],
+        ..ShardConfig::default()
+    })
+    .expect("bind");
+    let long = 2 << 20;
+    assert!(long > MAX_LINE_BYTES);
+    let mut line = vec![b'x'; long];
+    line.push(b'\n');
+    for addr in [server.addr().to_string(), router.addr().to_string()] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        // The tier stops reading at the cap, so the tail of the write can
+        // meet a closed connection.
+        let writer = std::thread::spawn(move || {
+            let _ = stream.write_all(&line);
+            line
+        });
+        let got: Vec<String> = reader.lines().map_while(Result::ok).collect();
+        line = writer.join().expect("writer thread");
+        assert_eq!(got.len(), 1, "exactly one answer from {addr}: {got:?}");
+        match parse_response(&got[0]).expect("typed") {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, "bad-request");
+                assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message}");
+            }
+            other => panic!("expected bad-request, got {other:?}"),
+        }
+        let ok = raw(&addr, &simulate_request_line(&sim_req(5), None));
+        assert!(matches!(parse_response(&ok), Ok(Response::Result(_))), "{addr}: {ok}");
+    }
+    router.drain();
+    server.drain();
+}
+
+/// Bytes that are not UTF-8 get the tier's typed answer like any other
+/// malformed line, and the connection keeps serving.
+#[test]
+fn a_request_line_that_is_not_utf8_gets_a_typed_answer() {
+    let server = start(1, 8);
+    let router = Router::start(ShardConfig {
+        workers: 1,
+        backends: vec![server.addr().to_string()],
+        ..ShardConfig::default()
+    })
+    .expect("bind");
+    for addr in [server.addr().to_string(), router.addr().to_string()] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        stream.write_all(b"{\"proto\":\"unet-serve/3\",\xff\xfe}\n").expect("send");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("a typed answer, not a hangup");
+        match parse_response(resp.trim()).expect("typed") {
+            Response::Error { code, .. } => assert_eq!(code, "bad-request", "{addr}"),
+            other => panic!("expected bad-request from {addr}, got {other:?}"),
+        }
+        writeln!(stream, "{}", simulate_request_line(&sim_req(5), None)).expect("send");
+        resp.clear();
+        reader.read_line(&mut resp).expect("the connection kept serving");
+        assert!(matches!(parse_response(resp.trim()), Ok(Response::Result(_))), "{addr}: {resp}");
     }
     router.drain();
     server.drain();

@@ -9,7 +9,7 @@
 //! unet audit    <n-hint> <host> <T>           full lower-bound audit on a U[G0] guest
 //! unet trace    <guest> <host> <T> [opts]     instrumented run → JSONL trace
 //! unet trace    --quick [opts]                same, with stock quick-smoke parameters
-//! unet report   <trace-file>                  the trace report, same bytes as `analyze`
+//! unet report   <trace-file> [--markdown]     the trace report, same bytes as `analyze`
 //! unet report   --markdown <BENCH.json>       markdown tables from a bench artifact
 //! unet analyze  <trace-file> [opts]           the streaming trace report (congestion, critical path, ...)
 //! unet metrics  <trace-file | g h T>          Prometheus-style metrics exposition
@@ -60,7 +60,7 @@ const USAGE: &str = "usage:
   unet audit    <n-hint> <host-spec> <steps>
   unet trace    <guest-spec> <host-spec> <steps> [--seed S] [--out FILE]
   unet trace    --quick [--seed S] [--out FILE]
-  unet report   <trace-file>
+  unet report   <trace-file> [--markdown] [--top K]
   unet report   --markdown <BENCH.json>
   unet analyze  <trace-file> [--markdown] [--top K]
   unet metrics  <trace-file>
@@ -167,7 +167,7 @@ fn topo(spec: &str) -> Result<(), String> {
 }
 
 fn simulate(args: &[String]) -> Result<(), String> {
-    use universal_networks::obs::InMemoryRecorder;
+    use universal_networks::obs::SummaryRecorder;
     use universal_networks::topology::par::default_threads;
 
     let guest_spec = args.first().ok_or("missing guest spec")?;
@@ -183,7 +183,9 @@ fn simulate(args: &[String]) -> Result<(), String> {
     let (n, m) = (guest.n(), host.n());
     let comp = GuestComputation::random(guest.clone(), seed);
     let router: SelectorRouter<universal_networks::routing::ShortestPath> = presets::bfs();
-    let mut rec = InMemoryRecorder::new();
+    // Only the cache counters are printed: a summary recorder builds no
+    // per-transfer congestion series (`unet trace` keeps those).
+    let mut rec = SummaryRecorder::new();
     let run = Simulation::builder()
         .guest(&comp)
         .host(&host)
@@ -430,21 +432,39 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// Summarize a JSONL trace written by `unet trace` — the same report as
-/// `unet analyze` — or, with `--markdown`, render a `BENCH.json` artifact
-/// as the markdown tables EXPERIMENTS.md embeds.
+/// `unet analyze`, `--markdown` included — or, when the file is a
+/// `BENCH.json` artifact and `--markdown` is given, render the markdown
+/// tables EXPERIMENTS.md embeds.
 fn report_cmd(args: &[String]) -> Result<(), String> {
+    use universal_networks::bench::{report_md, schema::BenchDoc};
     if has_flag(args, "--markdown") {
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .ok_or("missing BENCH.json path after --markdown")?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let doc = universal_networks::bench::schema::BenchDoc::parse(&text)
-            .map_err(|e| format!("{path}: {e}"))?;
-        print!("{}", universal_networks::bench::report_md::render(&doc));
-        return Ok(());
+        if let Some(path) = positionals(args, &["--top"]).first() {
+            // An artifact is one JSON document on one line (`bench run
+            // --out` writes it so); a trace's first line is its `meta`
+            // record. Only that line is read, so a trace of any size
+            // still streams through the analyzer.
+            if let Some(doc) = first_line(path)?.and_then(|l| BenchDoc::parse(&l).ok()) {
+                print!("{}", report_md::render(&doc));
+                return Ok(());
+            }
+        }
     }
     analyze_cmd(args)
+}
+
+/// The first line of the file at `path` (`None` when the file is empty).
+fn first_line(path: &str) -> Result<Option<String>, String> {
+    use std::io::BufRead;
+    let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let mut line = String::new();
+    match std::io::BufReader::new(file).read_line(&mut line) {
+        Ok(0) => Ok(None),
+        Ok(_) => Ok(Some(line)),
+        // Not UTF-8: neither an artifact nor a trace; let the analyzer
+        // name the line.
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => Ok(None),
+        Err(e) => Err(format!("reading {path}: {e}")),
+    }
 }
 
 /// `{path}: line N: {err}` — the one line-number formatting every

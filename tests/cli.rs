@@ -221,6 +221,34 @@ fn trace_quick_analyze_metrics_pipeline() {
     assert!(stdout7.contains("sim.comm"), "{stdout7}");
 }
 
+/// `report --markdown` renders a `BENCH.json` artifact as tables and any
+/// other file as the markdown trace report, the bytes `analyze --markdown`
+/// prints (it used to parse every file as an artifact and fail on a trace
+/// with `trailing content at byte …`).
+#[test]
+fn report_markdown_renders_a_trace_or_a_bench_artifact() {
+    let dir = std::env::temp_dir().join("unet-cli-report-markdown");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("quick.jsonl");
+    let trace_s = trace.to_str().unwrap();
+    let (ok, _, stderr) = unet(&["trace", "--quick", "--out", trace_s]);
+    assert!(ok, "stderr: {stderr}");
+    let (ok, analyzed, _) = unet(&["analyze", trace_s, "--markdown"]);
+    assert!(ok);
+    for args in [["report", trace_s, "--markdown"], ["report", "--markdown", trace_s]] {
+        let (ok, reported, stderr) = unet(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(reported, analyzed, "{args:?} prints what analyze --markdown prints");
+    }
+    assert!(analyzed.contains("## Congestion"), "{analyzed}");
+
+    let bench = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH.json");
+    let (ok, tables, stderr) = unet(&["report", "--markdown", bench.to_str().unwrap()]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(tables.starts_with("<!-- generated by `unet report --markdown`"), "{tables}");
+    assert!(tables.contains("### E1 — "), "{tables}");
+}
+
 #[test]
 fn analyze_and_report_fail_on_malformed_lines_with_line_numbers() {
     let dir = std::env::temp_dir().join("unet-cli-analyze-bad");
