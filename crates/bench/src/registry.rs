@@ -124,7 +124,7 @@ pub struct Experiment {
 pub fn registry() -> Vec<Experiment> {
     let mut all = vec![e1(), e2()];
     all.extend(crate::paper::experiments());
-    all.extend([e16(), e17(), e18(), e19(), e20(), e21(), e22()]);
+    all.extend([e16(), e17(), e18(), e19(), e21(), e22()]);
     all
 }
 
@@ -773,7 +773,6 @@ fn e19() -> Experiment {
                 addr: server.addr().to_string(),
                 clients: p.u64("clients") as usize,
                 requests_per_client: p.u64("requests_per_client") as usize,
-                batch: 1,
                 guest: format!("ring:{}", p.u64("guest_n")),
                 host: format!("butterfly:{}", p.u64("dim")),
                 steps: p.u64("guest_steps") as u32,
@@ -825,149 +824,6 @@ fn e19() -> Experiment {
                 // Zero dropped in-flight requests across the drain: the
                 // server answered every request the clients sent.
                 Shape::AtLeastColumn { y: "completed", floor: "requests" },
-            ]
-        },
-    }
-}
-
-// --- E20: batched execution, offered load x batch size ------------------
-
-struct E20Sizes {
-    guest_n: usize,
-    dim: usize,
-    steps: u32,
-    items_per_client: u64,
-}
-
-fn e20_sizes(quick: bool) -> E20Sizes {
-    if quick {
-        E20Sizes { guest_n: 96, dim: 3, steps: 4, items_per_client: 8 }
-    } else {
-        E20Sizes { guest_n: 192, dim: 4, steps: 4, items_per_client: 16 }
-    }
-}
-
-/// `(label, clients, batch)` at a fixed four permits. Each client issues
-/// the same number of simulate *items*; the batch size only changes how
-/// many ride one round trip, so `c1-b4` vs `c1-b1` isolates the win from
-/// batched execution at equal workers and equal offered load.
-const E20_CONFIGS: [(&str, u64, u64); 4] =
-    [("c1-b1", 1, 1), ("c1-b4", 1, 4), ("c4-b1", 4, 1), ("c4-b4", 4, 4)];
-
-/// Simulation permits shared by every E20 row.
-const E20_WORKERS: usize = 4;
-
-fn e20() -> Experiment {
-    Experiment {
-        id: "E20",
-        title: "Serving layer: batched execution across offered load x batch size",
-        claim: "Engineering claim on unet-serve/3: grouping simulate items into batch \
-                requests lets the server run them concurrently under its simulation \
-                permits, so at equal \
-                workers and equal offered load, batch >= 4 beats batch = 1 on wall time \
-                per item; cold batches coalesce their route-plan build through the \
-                single-flight cache (batchmates counted as followers), p99 round-trip \
-                latency stays under the request deadline, and no item is lost",
-        grid_keys: &["config"],
-        meta: |quick| {
-            let s = e20_sizes(quick);
-            vec![
-                ("guest".into(), Value::Str(format!("ring:{}", s.guest_n))),
-                ("host".into(), Value::Str(format!("butterfly:{}", s.dim))),
-                ("guest_steps".into(), Value::UInt(s.steps as u64)),
-                ("items_per_client".into(), Value::UInt(s.items_per_client)),
-                ("workers".into(), Value::UInt(E20_WORKERS as u64)),
-                ("protocol".into(), Value::Str(unet_serve::PROTOCOL.into())),
-            ]
-        },
-        grid: |quick| {
-            let s = e20_sizes(quick);
-            E20_CONFIGS
-                .iter()
-                .map(|&(label, clients, batch)| {
-                    GridPoint::new(vec![
-                        ("config", Value::Str(label.into())),
-                        ("clients", Value::UInt(clients)),
-                        ("batch", Value::UInt(batch)),
-                        ("guest_n", Value::UInt(s.guest_n as u64)),
-                        ("dim", Value::UInt(s.dim as u64)),
-                        ("guest_steps", Value::UInt(s.steps as u64)),
-                        ("items_per_client", Value::UInt(s.items_per_client)),
-                        // One seed everywhere: one fingerprint, one plan
-                        // compile, coalesced by the single-flight layer.
-                        ("seed", Value::UInt(0xE20)),
-                    ])
-                })
-                .collect()
-        },
-        run: |p| {
-            let batch = p.u64("batch") as usize;
-            let clients = p.u64("clients") as usize;
-            let items = p.u64("items_per_client") * p.u64("clients");
-            let deadline_ms = ServeConfig::default().default_deadline_ms;
-            let server = Server::start(ServeConfig {
-                workers: E20_WORKERS,
-                queue_cap: 64,
-                ..ServeConfig::default()
-            })
-            .expect("bind 127.0.0.1:0");
-            // No warm-up: the cold first batch is part of the claim — its
-            // plan build must coalesce, not multiply.
-            let report = loadgen::run(&LoadgenConfig {
-                addr: server.addr().to_string(),
-                clients,
-                requests_per_client: (p.u64("items_per_client") as usize) / batch,
-                batch,
-                guest: format!("ring:{}", p.u64("guest_n")),
-                host: format!("butterfly:{}", p.u64("dim")),
-                steps: p.u64("guest_steps") as u32,
-                seed: p.u64("seed"),
-                deadline_ms: None,
-                warmup: false,
-                shards: 1,
-            })
-            .expect("loadgen against a live server");
-            let drained = server.drain();
-            assert_eq!(report.sent as u64, items, "grid arithmetic covers every item");
-            assert_eq!(report.errors, 0, "no error responses at this load");
-            // Every cold batchmate must have ridden the leader's build.
-            let followers_floor = if batch > 1 { batch as u64 - 1 } else { 0 };
-            obj(vec![
-                ("config", Value::Str(p.str("config").into())),
-                ("workers", Value::UInt(E20_WORKERS as u64)),
-                ("clients", Value::UInt(clients as u64)),
-                ("batch", Value::UInt(batch as u64)),
-                ("items", Value::UInt(items)),
-                ("completed", Value::UInt(report.completed as u64)),
-                ("ms_per_item", Value::Float(report.wall_ms / items.max(1) as f64)),
-                ("p99_ms", Value::Float(report.percentile_ms(99.0).unwrap_or(0.0))),
-                ("p99_cap_ms", Value::Float(deadline_ms as f64)),
-                ("throughput_rps", Value::Float(report.throughput_rps())),
-                ("singleflight_followers", Value::UInt(drained.stats.singleflight_followers)),
-                ("followers_floor", Value::UInt(followers_floor)),
-                ("wall_ms", Value::Float(report.wall_ms)),
-            ])
-        },
-        shapes: || {
-            vec![
-                // The tentpole claim: at equal workers and equal offered
-                // load, batched execution beats one-at-a-time round trips
-                // (loose factor, skipped below the timing-noise floor).
-                Shape::SpeedupOrdering {
-                    key: "config",
-                    fast: "c1-b4",
-                    slow: "c1-b1",
-                    wall: "ms_per_item",
-                    factor: 1.75,
-                    min_wall_ms: 2.0,
-                },
-                // Round-trip p99 stays under the request deadline.
-                Shape::AtLeastColumn { y: "p99_cap_ms", floor: "p99_ms" },
-                // Cold batchmates coalesce: each batch's plan build is
-                // shared, counted via the single-flight follower counter.
-                Shape::AtLeastColumn { y: "singleflight_followers", floor: "followers_floor" },
-                // No item lost: every spec sent came back answered.
-                Shape::AtLeastColumn { y: "completed", floor: "items" },
             ]
         },
     }
@@ -1054,7 +910,7 @@ fn e21() -> Experiment {
             let deadline_ms = ServeConfig::default().default_deadline_ms;
             // One worker per backend: the shard count is the only
             // parallelism in the row. Everything runs in-process on
-            // ephemeral ports, like E19/E20.
+            // ephemeral ports, like E19.
             let backends: Vec<Server> = (0..shards)
                 .map(|_| {
                     Server::start(ServeConfig {
@@ -1075,7 +931,6 @@ fn e21() -> Experiment {
                 addr: router.addr().to_string(),
                 clients,
                 requests_per_client: requests as usize,
-                batch: 1,
                 guest: format!("ring:{}", p.u64("guest_n")),
                 host: format!("butterfly:{}", p.u64("dim")),
                 steps: p.u64("guest_steps") as u32,
@@ -1242,7 +1097,6 @@ fn e22() -> Experiment {
                 addr: server.addr().to_string(),
                 clients,
                 requests_per_client: p.u64("requests_per_client") as usize,
-                batch: 1,
                 guest: format!("ring:{}", p.u64("guest_n")),
                 host: format!("butterfly:{}", p.u64("dim")),
                 steps: p.u64("guest_steps") as u32,
@@ -1348,8 +1202,8 @@ mod tests {
             ids,
             [
                 "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12a", "E12b",
-                "E12c", "E12d", "E12e", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20",
-                "E21", "E22"
+                "E12c", "E12d", "E12e", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E21",
+                "E22"
             ]
         );
         for exp in &reg {
@@ -1437,16 +1291,6 @@ mod tests {
             let ratio = col(&row, "hit_ratio").as_f64().unwrap();
             assert!(ratio > 0.9, "repeated workload must hit: {}", row.to_json());
         }
-    }
-
-    #[test]
-    fn e20_batches_coalesce_and_lose_no_item() {
-        // The wall-time ordering shape may be skipped under the noise
-        // floor, but the follower and completeness claims are exact.
-        let rows = quick_rows("E20");
-        let b4 = config_row(&rows, "c1-b4");
-        let followers = col(b4, "singleflight_followers").as_u64().unwrap();
-        assert!(followers >= 3, "a cold batch of 4 must ride one plan build: {}", b4.to_json());
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! from (or publish to) a shared cache emit `sim.cache.shared.hits` /
 //! `sim.cache.shared.misses`, and the cache itself keeps process totals —
 //! including [`singleflight_followers`](SharedPlanCache::singleflight_followers),
-//! the number of runs that reused an in-flight (or same-micro-batch) build
-//! instead of compiling — for the server's `metrics` endpoint.
+//! the number of runs that waited on another run's build lease — for the
+//! server's `metrics` endpoint.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +47,6 @@ use crate::cancel::CancelToken;
 use crate::embedding::Embedding;
 use crate::error::SimError;
 use crate::simulate::CachedComm;
-use rand::Rng;
-use unet_topology::util::seeded_rng;
 use unet_topology::Graph;
 
 struct CacheState {
@@ -62,9 +60,12 @@ struct CacheState {
 /// Construct one per process (or per server), then hand it to any number of
 /// concurrent [`Simulation::builder`](crate::Simulation::builder) runs via
 /// [`shared_cache`](crate::SimulationBuilder::shared_cache). Entries are
-/// never evicted: the key space is the set of distinct workloads a process
-/// serves, which is bounded in practice and tiny in memory (one
-/// [`RoutePlan`](unet_routing::plan::RoutePlan) skeleton per workload).
+/// never evicted, so the cache grows by one
+/// [`RoutePlan`](unet_routing::plan::RoutePlan) skeleton per distinct
+/// workload it sees. Under traffic that repeats a few workloads that is
+/// small; under fresh-seed traffic every request adds a plan that is never
+/// hit again (perfbench's `shard-cold` reaches about 38 MB). A byte-bounded,
+/// evicting cache is an open item in ROADMAP.md.
 pub struct SharedPlanCache {
     state: Mutex<CacheState>,
     ready: Condvar,
@@ -165,15 +166,6 @@ impl SharedPlanCache {
         self.len() == 0
     }
 
-    /// Is a plan for this workload fingerprint already published?
-    ///
-    /// A pure peek: no counters move. Schedulers use this to decide whether
-    /// a micro-batch is cold (its members will coalesce onto one build)
-    /// before dispatching it.
-    pub fn contains(&self, key: u64) -> bool {
-        self.state.lock().expect("plan cache poisoned").entries.contains_key(&key)
-    }
-
     /// Process-total lookups that found a plan.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -184,23 +176,9 @@ impl SharedPlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Process-total runs that reused another request's plan build instead
-    /// of compiling: followers that blocked on an in-flight build lease,
-    /// plus coalesced micro-batch members accounted via
-    /// [`note_singleflight_followers`](Self::note_singleflight_followers).
+    /// Process-total runs that waited on another run's build lease.
     pub fn singleflight_followers(&self) -> u64 {
         self.followers.load(Ordering::Relaxed)
-    }
-
-    /// Credit `n` coalesced runs to the single-flight counter.
-    ///
-    /// For schedulers that dispatch same-fingerprint micro-batches
-    /// leader-first: the followers then resolve as plain hits (the plan is
-    /// already published when they run), so the slot never sees them wait —
-    /// this keeps the counter meaning "runs that avoided a plan build by
-    /// riding someone else's", however the coalescing happened.
-    pub fn note_singleflight_followers(&self, n: u64) {
-        self.followers.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Fraction of lookups served from the cache (`None` before the first
@@ -281,26 +259,6 @@ impl SharedPlanCache {
     }
 }
 
-/// The workload fingerprint a [`Simulation::builder`](crate::Simulation)
-/// run with [`seed`](crate::SimulationBuilder::seed)`(seed)` uses as its
-/// [`SharedPlanCache`] key.
-///
-/// The builder derives one per-run *route seed* from the run seed and
-/// fingerprints `(guest, host, embedding, router name, route seed)`; this
-/// function performs the identical derivation, so schedulers can group
-/// requests that will share a plan **before** running them (the `unet-serve`
-/// batching layer keys its micro-batches on this).
-pub fn workload_fingerprint(
-    guest: &Graph,
-    host: &Graph,
-    embedding: &Embedding,
-    router_name: &str,
-    seed: u64,
-) -> u64 {
-    let route_seed: u64 = seeded_rng(seed).gen();
-    plan_fingerprint(guest, host, embedding, router_name, route_seed)
-}
-
 /// FNV-1a over every input the compiled communication plan depends on.
 pub(crate) fn plan_fingerprint(
     guest: &Graph,
@@ -376,33 +334,16 @@ mod tests {
     }
 
     #[test]
-    fn workload_fingerprint_matches_builder_derivation() {
-        use rand::Rng;
-        let guest = ring(8);
-        let host = torus(2, 2);
-        let emb = Embedding::block(8, 4);
-        let route_seed: u64 = seeded_rng(42).gen();
-        assert_eq!(
-            workload_fingerprint(&guest, &host, &emb, "bfs", 42),
-            plan_fingerprint(&guest, &host, &emb, "bfs", route_seed),
-        );
-        assert_ne!(
-            workload_fingerprint(&guest, &host, &emb, "bfs", 42),
-            workload_fingerprint(&guest, &host, &emb, "bfs", 43),
-        );
-    }
-
-    #[test]
     fn first_acquire_leads_then_followers_hit() {
         let cache = SharedPlanCache::new();
         let lead = match cache.acquire(9, None).expect("no cancel") {
             Acquire::Lead(g) => g,
             Acquire::Hit(_) => panic!("cold cache cannot hit"),
         };
-        assert!(!cache.contains(9), "lease does not publish");
+        assert!(cache.is_empty(), "lease does not publish");
         let mut lead = lead;
         lead.publish(CachedComm::default());
-        assert!(cache.contains(9));
+        assert_eq!(cache.len(), 1);
         match cache.acquire(9, None).expect("no cancel") {
             Acquire::Hit(_) => {}
             Acquire::Lead(_) => panic!("published key cannot lead"),

@@ -63,7 +63,7 @@ pub mod spec;
 pub mod treesim;
 pub mod verify;
 
-pub use cache::{workload_fingerprint, SharedPlanCache};
+pub use cache::SharedPlanCache;
 pub use cancel::CancelToken;
 pub use embedding::Embedding;
 pub use error::SimError;

@@ -333,7 +333,7 @@ mod tests {
         let stages = [("accept", 0.25), ("queue_wait", 1.5), ("simulate", 10.0)];
         s.offer(Offer {
             trace_id: 0x00c0_ffee,
-            kind: "batch",
+            kind: "analyze",
             ok: true,
             e2e_ms: 12.5,
             stages: &stages,
@@ -347,7 +347,7 @@ mod tests {
         });
         let out: Vec<_> = s.records().collect();
         assert_eq!(out[0].trace_id, "0000000000c0ffee");
-        assert_eq!(out[0].kind, "batch");
+        assert_eq!(out[0].kind, "analyze");
         assert_eq!(out[0].e2e_ms, 12.5);
         let spans: Vec<_> = out[0].stages.iter().map(|s| (s.stage.as_str(), s.ms)).collect();
         assert_eq!(spans, stages);

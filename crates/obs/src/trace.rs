@@ -198,7 +198,7 @@ pub struct RequestRecord {
     /// identical on every tier the request crossed.
     pub trace_id: String,
     /// Request kind as seen by the recording tier, e.g. `"simulate"`,
-    /// `"batch"`, or the router's `"forward"`.
+    /// `"metrics"`, or the router's `"forward"`.
     pub kind: String,
     /// Did the request produce a `result` response?
     pub ok: bool,

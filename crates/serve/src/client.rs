@@ -17,8 +17,8 @@
 //! };
 //! let one = client.simulate(&spec).expect("simulate");
 //! assert!(one.verified && one.slowdown >= 1.0);
-//! let many = client.simulate_batch(&[spec.clone(), spec], None).expect("batch");
-//! assert!(many.iter().all(|item| item.is_ok()));
+//! let again = client.simulate(&spec).expect("simulate");
+//! assert!(again.shared_cache_hit);
 //! drop(client);
 //! server.drain();
 //! ```
@@ -28,7 +28,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    analyze_request_line, batch_request_line, gen_trace_id, metrics_request_line, parse_response,
+    analyze_request_line, gen_trace_id, metrics_request_line, parse_response,
     simulate_request_line, Response, SimulateReq,
 };
 use unet_obs::json::Value;
@@ -87,7 +87,7 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// The typed payload of one successful `simulate` (or batch member).
+/// The typed payload of one successful `simulate`.
 #[derive(Debug, Clone)]
 pub struct SimulateResult {
     /// Measured slowdown (host steps per guest step).
@@ -113,9 +113,8 @@ pub struct SimulateResult {
     /// milliseconds, in the server's span order.
     pub stages: Vec<(String, f64)>,
     /// Client-measured end-to-end latency of the round trip that carried
-    /// this result, in milliseconds (the whole batch's round trip for a
-    /// batch member). Includes queueing, the wire, and parsing — what a
-    /// caller would see timing the call itself.
+    /// this result, in milliseconds. Includes queueing, the wire, and
+    /// parsing — what a caller would see timing the call itself.
     pub e2e_ms: f64,
     /// The client's own share of [`e2e_ms`](SimulateResult::e2e_ms).
     pub client: ClientSpans,
@@ -441,48 +440,6 @@ impl Client {
         result.client = spans;
         result.trace_id.get_or_insert(trace_id);
         Ok(result)
-    }
-
-    /// Run a batch of simulations under one deadline. The outer `Result`
-    /// is the round trip; the inner per-item results isolate failures
-    /// (one bad spec fails only its own slot).
-    #[allow(clippy::type_complexity)]
-    pub fn simulate_batch(
-        &mut self,
-        specs: &[SimulateReq],
-        deadline_ms: Option<u64>,
-    ) -> Result<Vec<Result<SimulateResult, ServerError>>, ClientError> {
-        let trace_id = gen_trace_id();
-        let started = Instant::now();
-        let format_started = thread_cpu_ns();
-        let line = batch_request_line(specs, deadline_ms, None, Some(&trace_id));
-        let format_ms = cpu_ms_since(format_started);
-        let (v, mut spans) = self.typed_call(&line)?;
-        let e2e_ms = ms_since(started);
-        spans.write_ms += format_ms;
-        let items = v
-            .get("items")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| ClientError::Protocol("batch result without `items`".into()))?;
-        items
-            .iter()
-            .map(|item| match item.get("ok").and_then(Value::as_bool) {
-                Some(true) => SimulateResult::from_value(item.clone()).map(|mut r| {
-                    r.e2e_ms = e2e_ms;
-                    r.client = spans;
-                    r.trace_id.get_or_insert_with(|| trace_id.clone());
-                    Ok(r)
-                }),
-                Some(false) => Ok(Err(ServerError {
-                    code: item.get("code").and_then(Value::as_str).unwrap_or("unknown").to_string(),
-                    message: item.get("message").and_then(Value::as_str).unwrap_or("").to_string(),
-                })),
-                None => Err(ClientError::Protocol(format!(
-                    "batch item without `ok`: {}",
-                    item.to_json()
-                ))),
-            })
-            .collect()
     }
 
     /// Aggregate trace lines with the server's streaming analyzer and

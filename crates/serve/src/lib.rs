@@ -8,7 +8,7 @@
 //!
 //! * [`protocol`] — the versioned newline-delimited JSON wire format
 //!   (`unet-serve/3`):
-//!   `simulate` / `batch` / `analyze` / `metrics` requests, `result` /
+//!   `simulate` / `analyze` / `metrics` requests, `result` /
 //!   `error` / `overloaded` responses, and a per-request `trace` context
 //!   that threads one `trace_id` from client through router to backend;
 //! * `conn` — the connection front both tiers share: the blocking
@@ -18,25 +18,25 @@
 //!   [`MAX_LINE_BYTES`], and the graceful drain;
 //! * [`server`] — the simulation handler behind that front; each
 //!   simulation runs on its connection's thread under one of `workers`
-//!   permits. A batch's items are grouped by
-//!   [`workload_fingerprint`](unet_core::workload_fingerprint); a cold
-//!   fingerprint builds its route plan exactly once (single-flight, on the
-//!   shared [`SharedPlanCache`](unet_core::SharedPlanCache)) while
-//!   batchmates and racing misses reuse it; per-request deadlines ride the
+//!   permits. A cold workload builds its route plan exactly once: the
+//!   first request takes the shared
+//!   [`SharedPlanCache`](unet_core::SharedPlanCache)'s build lease and
+//!   racing requests for the same workload wait on it; per-request
+//!   deadlines ride the
 //!   engine's phase-boundary cancellation; every request records stage
 //!   spans (`accept` → `admit` → `queue_wait` → … → `serialize`) into a tail-sampled
 //!   trace that [`Server::drain`] hands back alongside the metrics, as a
 //!   [`RequestTrace`] rendered only on request;
 //! * [`loadgen`] — a deterministic closed-loop load generator for capacity
-//!   experiments (E19/E20) and CI smoke tests;
+//!   experiments (E19, E21, E22) and CI smoke tests;
 //! * [`client`] — the typed [`Client`] behind
 //!   `unet request`;
 //! * [`ring`] — the consistent-hash ring that maps request keys to
 //!   shards (and gives the failover order when one dies);
 //! * [`router`] — the sharding front-end behind `unet shard`:
 //!   spec-affine forwarding to N backend servers, per-backend
-//!   health with ejection and backoff reinstatement, batch
-//!   split/re-merge, and `shard`-labelled aggregated metrics;
+//!   health with ejection and backoff reinstatement, and
+//!   `shard`-labelled aggregated metrics;
 //! * [`signal`] — SIGTERM/SIGINT-to-flag plumbing for graceful drain.
 //!
 //! ```

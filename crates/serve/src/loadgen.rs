@@ -1,19 +1,19 @@
 //! Deterministic closed-loop load generator.
 //!
 //! `clients` concurrent connections each issue `requests_per_client`
-//! identical round trips back-to-back (closed loop: the next request
-//! leaves only after the previous response arrives). Each round trip
-//! carries `batch` simulate specs — 1 sends a plain `simulate` request,
-//! more sends one `batch` request — so offered load in *items* is
-//! `clients × requests_per_client × batch`. The item count and workload
-//! are fully deterministic — only wall-clock latency varies — which is
-//! what the E19/E20 offered-load sweeps need: saturation throughput
-//! ordered by worker count and batch size, with the shared route-plan
-//! cache absorbing every repeat of the workload.
+//! identical `simulate` round trips back-to-back (closed loop: the next
+//! request leaves only after the previous response arrives), so offered
+//! load is `clients × requests_per_client` simulations. The item count
+//! and workload are fully deterministic — only wall-clock latency varies —
+//! which is what the E19 offered-load sweep needs: saturation throughput
+//! ordered by worker count, with the shared route-plan cache absorbing
+//! every repeat of the workload.
 //!
 //! An optional warm-up request is issued before the clients start so the
 //! one unavoidable shared-cache miss happens deterministically up front
-//! (`hit_ratio = R·C / (R·C + 1)` on a repeated workload with `batch = 1`).
+//! (`hit_ratio = R·C / (R·C + 1)` on a repeated workload). Without it,
+//! cold clients racing on one workload still build its plan once: the
+//! first takes the shared cache's build lease and the rest wait on it.
 //!
 //! When driving a `unet shard` router, set [`LoadgenConfig::shards`] to
 //! the ring size: the generator derives one seed per shard — the smallest
@@ -42,9 +42,6 @@ pub struct LoadgenConfig {
     pub clients: usize,
     /// Round trips each client issues.
     pub requests_per_client: usize,
-    /// Simulate specs per round trip (1 = plain `simulate` requests,
-    /// ≥ 2 = `batch` requests).
-    pub batch: usize,
     /// Guest graph spec.
     pub guest: String,
     /// Host graph spec.
@@ -69,28 +66,26 @@ pub struct LoadgenConfig {
 /// What a load-generator run measured.
 #[derive(Debug, Clone)]
 pub struct LoadgenReport {
-    /// Simulate items issued (including the warm-up when enabled).
+    /// Simulate requests issued (including the warm-up when enabled).
     pub sent: usize,
-    /// Items answered successfully.
+    /// Requests answered successfully.
     pub completed: usize,
-    /// Items rejected with `overloaded`.
+    /// Requests rejected with `overloaded`.
     pub rejected: usize,
-    /// Items answered with `error` (or a failed batch slot) or lost to
-    /// I/O failures.
+    /// Requests answered with `error` or lost to I/O failures.
     pub errors: usize,
     /// Wall time of the measured (post-warm-up) phase in milliseconds.
     pub wall_ms: f64,
     /// Per-round-trip latencies in milliseconds, sorted ascending
-    /// (warm-up excluded). A batch round trip is one sample. These are
+    /// (warm-up excluded). These are
     /// the typed client's own end-to-end measurements
     /// ([`SimulateResult::e2e_ms`](crate::client::SimulateResult::e2e_ms)),
     /// not a second stopwatch around the socket.
     pub latencies_ms: Vec<f64>,
     /// Stage-span totals in milliseconds, summed across every successful
-    /// plain-`simulate` round trip, in first-seen stage order: the
-    /// server-reported stages and the client's own `client.write` and
-    /// `client.parse` ([`ClientSpans`](crate::client::ClientSpans)). Empty
-    /// for a batched loop.
+    /// round trip, in first-seen stage order: the server-reported stages
+    /// and the client's own `client.write` and `client.parse`
+    /// ([`ClientSpans`](crate::client::ClientSpans)).
     pub stage_totals_ms: Vec<(String, f64)>,
 }
 
@@ -113,7 +108,7 @@ impl LoadgenReport {
         Some(self.latencies_ms[idx.min(self.latencies_ms.len() - 1)])
     }
 
-    /// Completed items per second over the measured phase.
+    /// Completed requests per second over the measured phase.
     pub fn throughput_rps(&self) -> f64 {
         if self.wall_ms <= 0.0 {
             0.0
@@ -180,7 +175,7 @@ impl ClientTally {
 /// the client's own `e2e_ms` (no second stopwatch here), and the
 /// server-reported stage spans and the client's own spans accumulate into
 /// the tally.
-fn run_client(addr: &str, spec: &SimulateReq, batch: usize, requests: usize) -> ClientTally {
+fn run_client(addr: &str, spec: &SimulateReq, requests: usize) -> ClientTally {
     let mut tally = ClientTally::default();
     let mut client: Option<Client> = None;
     for _ in 0..requests {
@@ -188,59 +183,29 @@ fn run_client(addr: &str, spec: &SimulateReq, batch: usize, requests: usize) -> 
             match Client::connect(addr) {
                 Ok(c) => client = Some(c),
                 Err(_) => {
-                    tally.errors += batch;
+                    tally.errors += 1;
                     continue;
                 }
             }
         }
         let conn = client.as_mut().expect("connected above");
-        if batch == 1 {
-            match conn.simulate(spec) {
-                Ok(res) => {
-                    tally.completed += 1;
-                    tally.latencies_ms.push(res.e2e_ms);
-                    let server = res.stages.iter().map(|(s, ms)| (s.as_str(), *ms));
-                    tally.add_stages(server.chain(res.client.stages()));
-                }
-                Err(ClientError::Server(_)) => tally.errors += 1,
-                // The server answers overloaded before reading and drops
-                // the connection; reconnect and keep going.
-                Err(ClientError::Overloaded { .. }) => {
-                    tally.rejected += 1;
-                    client = None;
-                }
-                Err(_) => {
-                    tally.errors += 1;
-                    client = None; // reconnect and keep going
-                }
+        match conn.simulate(spec) {
+            Ok(res) => {
+                tally.completed += 1;
+                tally.latencies_ms.push(res.e2e_ms);
+                let server = res.stages.iter().map(|(s, ms)| (s.as_str(), *ms));
+                tally.add_stages(server.chain(res.client.stages()));
             }
-        } else {
-            match conn.simulate_batch(&vec![spec.clone(); batch], spec.deadline_ms) {
-                Ok(items) => {
-                    let mut e2e = None;
-                    for item in items {
-                        match item {
-                            Ok(res) => {
-                                tally.completed += 1;
-                                e2e = Some(res.e2e_ms);
-                            }
-                            Err(_) => tally.errors += 1,
-                        }
-                    }
-                    // One sample per batch round trip with a completion.
-                    if let Some(e2e_ms) = e2e {
-                        tally.latencies_ms.push(e2e_ms);
-                    }
-                }
-                Err(ClientError::Server(_)) => tally.errors += batch,
-                Err(ClientError::Overloaded { .. }) => {
-                    tally.rejected += batch;
-                    client = None;
-                }
-                Err(_) => {
-                    tally.errors += batch;
-                    client = None;
-                }
+            Err(ClientError::Server(_)) => tally.errors += 1,
+            // The server answers overloaded before reading and drops
+            // the connection; reconnect and keep going.
+            Err(ClientError::Overloaded { .. }) => {
+                tally.rejected += 1;
+                client = None;
+            }
+            Err(_) => {
+                tally.errors += 1;
+                client = None; // reconnect and keep going
             }
         }
     }
@@ -287,7 +252,6 @@ fn seeds_for_shards(cfg: &LoadgenConfig, shards: usize) -> Vec<u64> {
 
 /// Run the closed loop and aggregate every client's tally.
 pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
-    let batch = cfg.batch.max(1);
     let seeds = seeds_for_shards(cfg, cfg.shards.max(1));
     let specs: Vec<SimulateReq> = seeds.iter().map(|&seed| spec_for_seed(cfg, seed)).collect();
     let mut sent = 0usize;
@@ -315,14 +279,14 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
             .map(|i| {
                 let addr = &cfg.addr;
                 let spec = &specs[i % specs.len()];
-                s.spawn(move |_| run_client(addr, spec, batch, cfg.requests_per_client))
+                s.spawn(move |_| run_client(addr, spec, cfg.requests_per_client))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client panicked")).collect()
     })
     .expect("loadgen scope");
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    sent += cfg.clients * cfg.requests_per_client * batch;
+    sent += cfg.clients * cfg.requests_per_client;
     let mut report = LoadgenReport {
         sent,
         completed: warm_completed,
@@ -394,7 +358,6 @@ mod tests {
             addr: String::new(),
             clients: 8,
             requests_per_client: 4,
-            batch: 1,
             guest: "ring:12".into(),
             host: "torus:2x2".into(),
             steps: 2,

@@ -1,26 +1,23 @@
 //! The `unet-serve/3` wire protocol.
 //!
 //! Newline-delimited JSON over TCP, one request and one response per line,
-//! versioned by a mandatory `proto` field. Four request kinds:
+//! versioned by a mandatory `proto` field. Three request kinds:
 //!
 //! ```text
 //! {"proto":"unet-serve/3","kind":"simulate","guest":"ring:24","host":"torus:3x3",
 //!  "steps":3,"seed":7,"deadline_ms":5000,"id":1,"trace":{"id":"00000000c0ffee42"}}
-//! {"proto":"unet-serve/3","kind":"batch","items":[{"guest":"ring:24",
-//!  "host":"torus:3x3","steps":3,"seed":7}, ...],"deadline_ms":5000,"id":2}
-//! {"proto":"unet-serve/3","kind":"analyze","trace_lines":["<jsonl line>", ...],"id":3}
-//! {"proto":"unet-serve/3","kind":"metrics","id":4}
+//! {"proto":"unet-serve/3","kind":"analyze","trace_lines":["<jsonl line>", ...],"id":2}
+//! {"proto":"unet-serve/3","kind":"metrics","id":3}
 //! ```
+//!
+//! One `simulate` line is one simulation; any other kind (the retired
+//! `batch` included) is a `bad-request`.
 //!
 //! and three response kinds:
 //!
 //! * `result` — the request succeeded; carries `req` (the request kind),
 //!   the echoed `id` if one was sent, and kind-specific payload fields
-//!   (`slowdown`, `exposition`, …). A `batch` result carries an `items`
-//!   array with one entry per submitted spec, **positionally aligned**:
-//!   `{"ok":true, ...payload}` for members that ran, `{"ok":false,
-//!   "code":..,"message":..}` for members that failed — one bad spec never
-//!   poisons its batchmates;
+//!   (`slowdown`, `exposition`, …);
 //! * `error` — carries a machine-readable `code` (`bad-request`,
 //!   `bad-spec`, `bad-trace`, `deadline-exceeded`, `sim-error`,
 //!   `verify-failed`, `unsupported-protocol`) and a human `message`;
@@ -131,26 +128,11 @@ pub struct SimulateReq {
     pub id: Option<u64>,
 }
 
-/// A `batch` request: many simulate specs under one deadline, answered by
-/// one positionally-aligned result line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchReq {
-    /// Per-item parse outcome: `Ok` specs run, `Err` items become
-    /// positional `{"ok":false,...}` entries without touching the rest.
-    pub items: Vec<Result<SimulateReq, String>>,
-    /// One deadline for the whole batch (server default when absent).
-    pub deadline_ms: Option<u64>,
-    /// Client correlation id, echoed in the response.
-    pub id: Option<u64>,
-}
-
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Run and certify one simulation.
     Simulate(SimulateReq),
-    /// Run many simulations under one deadline.
-    Batch(BatchReq),
     /// Aggregate trace lines with the streaming analyzer.
     Analyze {
         /// JSONL trace lines (the `unet trace` format).
@@ -170,7 +152,6 @@ impl Request {
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Simulate(_) => "simulate",
-            Request::Batch(_) => "batch",
             Request::Analyze { .. } => "analyze",
             Request::Metrics { .. } => "metrics",
         }
@@ -180,7 +161,6 @@ impl Request {
     pub fn id(&self) -> Option<u64> {
         match self {
             Request::Simulate(r) => r.id,
-            Request::Batch(b) => b.id,
             Request::Analyze { id, .. } | Request::Metrics { id } => *id,
         }
     }
@@ -241,27 +221,6 @@ pub fn parse_request(line: &str) -> Result<(Option<u64>, Request), ParseError> {
         Some("simulate") => {
             Request::Simulate(parse_simulate_fields(&v, id).map_err(ParseError::Malformed)?)
         }
-        Some("batch") => {
-            let arr = v
-                .get("items")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| ParseError::Malformed("batch needs an `items` array".into()))?;
-            if arr.is_empty() {
-                return Err(ParseError::Malformed("batch `items` must be non-empty".into()));
-            }
-            let items = arr
-                .iter()
-                .map(|item| {
-                    let item_id = item.get("id").and_then(Value::as_u64);
-                    parse_simulate_fields(item, item_id)
-                })
-                .collect();
-            Request::Batch(BatchReq {
-                items,
-                deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
-                id,
-            })
-        }
         Some("analyze") => {
             let arr = v.get("trace_lines").and_then(Value::as_arr).ok_or_else(|| {
                 ParseError::Malformed("analyze needs a `trace_lines` array of JSONL lines".into())
@@ -315,23 +274,6 @@ pub fn error_line(code: &str, message: &str, id: Option<u64>) -> String {
     Value::Obj(fields).to_json()
 }
 
-/// One entry of a batch `result`'s `items` array: the member ran and its
-/// payload follows, or it failed with a typed code and message.
-pub fn batch_item_value(outcome: Result<Vec<(String, Value)>, (String, String)>) -> Value {
-    match outcome {
-        Ok(payload) => {
-            let mut fields = vec![("ok".to_string(), Value::Bool(true))];
-            fields.extend(payload);
-            Value::Obj(fields)
-        }
-        Err((code, message)) => Value::Obj(vec![
-            ("ok".to_string(), Value::Bool(false)),
-            ("code".to_string(), Value::Str(code)),
-            ("message".to_string(), Value::Str(message)),
-        ]),
-    }
-}
-
 /// Build the typed backpressure rejection the acceptor sends when every
 /// connection slot is taken (emitted before any request line is read).
 pub fn overloaded_line(queue_cap: usize, retry_after_ms: u64) -> String {
@@ -374,29 +316,6 @@ fn request_envelope(kind: &str, trace_id: Option<&str>) -> Vec<(String, Value)> 
 pub fn simulate_request_line(req: &SimulateReq, trace_id: Option<&str>) -> String {
     let mut fields = request_envelope("simulate", trace_id);
     fields.extend(simulate_fields(req));
-    Value::Obj(fields).to_json()
-}
-
-/// Build a `batch` request line: every spec's fields are inlined as one
-/// `items` entry; `deadline_ms`, `id`, and the trace context live on the
-/// envelope.
-pub fn batch_request_line(
-    items: &[SimulateReq],
-    deadline_ms: Option<u64>,
-    id: Option<u64>,
-    trace_id: Option<&str>,
-) -> String {
-    let mut fields = request_envelope("batch", trace_id);
-    fields.push((
-        "items".to_string(),
-        Value::Arr(items.iter().map(|r| Value::Obj(simulate_fields(r))).collect()),
-    ));
-    if let Some(d) = deadline_ms {
-        fields.push(("deadline_ms".to_string(), Value::UInt(d)));
-    }
-    if let Some(id) = id {
-        fields.push(("id".to_string(), Value::UInt(id)));
-    }
     Value::Obj(fields).to_json()
 }
 
@@ -534,55 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_round_trips_and_isolates_bad_items() {
-        let good = SimulateReq {
-            guest: "ring:24".into(),
-            host: "torus:3x3".into(),
-            steps: 3,
-            seed: 7,
-            deadline_ms: None,
-            id: None,
-        };
-        let line = batch_request_line(&[good.clone(), good.clone()], Some(5000), Some(9), None);
-        match parse_request(&line).unwrap() {
-            (None, Request::Batch(b)) => {
-                assert_eq!(b.items, vec![Ok(good.clone()), Ok(good)]);
-                assert_eq!(b.deadline_ms, Some(5000));
-                assert_eq!(b.id, Some(9));
-            }
-            other => panic!("expected batch, got {other:?}"),
-        }
-        // A missing field in one item keeps its batchmates parseable.
-        let mixed = format!(
-            "{{\"proto\":{PROTOCOL:?},\"kind\":\"batch\",\"items\":[\
-             {{\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":2}},\
-             {{\"guest\":\"ring:8\",\"host\":\"torus:2x2\"}}]}}"
-        );
-        match parse_request(&mixed).unwrap() {
-            (_, Request::Batch(b)) => {
-                assert!(b.items[0].is_ok());
-                assert!(b.items[1].as_ref().unwrap_err().contains("steps"));
-            }
-            other => panic!("expected batch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_needs_v2_and_items() {
-        // `/1` never had `batch`, and `/1` itself is no longer spoken.
-        let v1 = "{\"proto\":\"unet-serve/1\",\"kind\":\"batch\",\"items\":[\
-                  {\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":2}]}";
-        match parse_request(v1) {
-            Err(e @ ParseError::UnsupportedProto(_)) => {
-                assert_eq!(e.code(), "unsupported-protocol")
-            }
-            other => panic!("expected unsupported protocol, got {other:?}"),
-        }
-        let empty = format!("{{\"proto\":{PROTOCOL:?},\"kind\":\"batch\",\"items\":[]}}");
-        assert!(matches!(parse_request(&empty), Err(ParseError::Malformed(_))));
-    }
-
-    #[test]
     fn analyze_and_metrics_round_trip() {
         let trace = vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
         let line = analyze_request_line(&trace, Some(9), None);
@@ -647,12 +517,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_items_serialize_both_outcomes() {
-        let ok = batch_item_value(Ok(vec![("slowdown".into(), Value::Float(2.0))]));
-        assert_eq!(ok.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(ok.get("slowdown").and_then(Value::as_f64), Some(2.0));
-        let err = batch_item_value(Err(("bad-spec".into(), "nope".into())));
-        assert_eq!(err.get("ok").and_then(Value::as_bool), Some(false));
-        assert_eq!(err.get("code").and_then(Value::as_str), Some("bad-spec"));
+    fn batch_is_an_unknown_kind() {
+        let line = format!(
+            "{{\"proto\":{PROTOCOL:?},\"kind\":\"batch\",\"items\":[\
+             {{\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":2}}]}}"
+        );
+        match parse_request(&line) {
+            Err(e @ ParseError::Malformed(_)) => {
+                assert_eq!(e.code(), "bad-request");
+                assert!(e.to_string().contains("unknown request kind \"batch\""), "{e}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 }

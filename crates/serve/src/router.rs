@@ -6,18 +6,14 @@
 //! arbitrary request streams across a fixed pool of backend processes with
 //! bounded tail latency. The design constraints, front to back:
 //!
-//! * **Spec affinity** — every `simulate` request (and every member of a
-//!   `batch`) is keyed by [`simulate_fingerprint`], a hash of its guest
+//! * **Spec affinity** — every `simulate` request is keyed by
+//!   [`simulate_fingerprint`], a hash of its guest
 //!   spec, host spec and seed as written, and the [`Ring`]
 //!   consistent-hashes that key to a home shard. Repeats of a workload
 //!   always land on the shard that already compiled its route plan, so
-//!   cache hit ratios and single-flight coalescing survive the scale-out
+//!   cache hit ratios and build-lease coalescing survive the scale-out
 //!   unchanged. The router parses no spec and runs no generator; a bad
 //!   spec gets its typed `bad-spec` from the backend it lands on.
-//! * **Batch splitting** — a `batch` request is split into one sub-batch
-//!   per home shard, the sub-batches are forwarded concurrently, and the
-//!   positionally aligned results are re-merged into one response in the
-//!   original item order.
 //! * **Health and failover** — a prober thread issues periodic `metrics`
 //!   probes; [`ShardConfig::eject_after`] consecutive failures eject a
 //!   backend, and ejected backends are re-probed under exponential backoff
@@ -93,9 +89,8 @@ use crate::conn::{
     start_acceptor, Acceptor, Front, Permits, ReqInfo, RequestTrace, Tier, IDLE_POLL, SHARD_NAMES,
 };
 use crate::protocol::{
-    analyze_request_line, batch_item_value, batch_request_line, error_line, metrics_request_line,
-    mint_trace_id, parse_request, parse_response, result_line, simulate_request_line, Request,
-    Response, SimulateReq,
+    analyze_request_line, error_line, metrics_request_line, mint_trace_id, parse_request,
+    parse_response, result_line, simulate_request_line, Request, Response, SimulateReq,
 };
 use crate::ring::{fnv1a, Ring};
 use unet_obs::json::Value;
@@ -555,9 +550,6 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
             stages.push(("queue_wait", wait_started.elapsed().as_secs_f64() * 1e3));
             let (response, kind) = match req {
                 Request::Metrics { id } => (handle_metrics(shared, id), "metrics"),
-                Request::Batch(batch) => {
-                    (handle_batch(shared, batch, &trace_hex, &mut stages), "batch")
-                }
                 Request::Simulate(req) => {
                     let fwd = simulate_request_line(&req, Some(&trace_hex));
                     let key = Some(spec_key(&req));
@@ -574,99 +566,6 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
     };
     let ok = matches!(parse_response(&response), Ok(Response::Result(_)));
     (response, ReqInfo { trace_id, kind, ok, stages })
-}
-
-/// Serve one `batch` by splitting it into per-home-shard sub-batches,
-/// forwarding them concurrently, and re-merging the positionally aligned
-/// results into the original item order. Sub-batches run in parallel, so
-/// the batch's forward/retry/failover spans are the per-stage **max**
-/// across sub-batches — the critical path, not the sum.
-fn handle_batch(
-    shared: &RouterShared,
-    batch: crate::protocol::BatchReq,
-    trace_id: &str,
-    stages: &mut Vec<(&'static str, f64)>,
-) -> String {
-    let mut slots: Vec<Option<Value>> = vec![None; batch.items.len()];
-    // shard -> (original positions, specs), in deterministic shard order.
-    let mut groups: BTreeMap<usize, (Vec<usize>, Vec<SimulateReq>)> = BTreeMap::new();
-    for (idx, item) in batch.items.iter().enumerate() {
-        match item {
-            Err(msg) => {
-                // Same positional error a single server emits for an
-                // unparseable batch member.
-                slots[idx] = Some(batch_item_value(Err(("bad-request".to_string(), msg.clone()))));
-            }
-            Ok(spec) => {
-                let shard = shared.ring.shard_of(spec_key(spec));
-                let entry = groups.entry(shard).or_default();
-                entry.0.push(idx);
-                entry.1.push(spec.clone());
-            }
-        }
-    }
-    let deadline_ms = batch.deadline_ms;
-    // (original item indices, raw sub-batch response, forward-side spans).
-    type SubBatch = (Vec<usize>, String, Vec<(&'static str, f64)>);
-    let forwarded: Vec<SubBatch> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = groups
-            .into_values()
-            .map(|(idxs, specs)| {
-                s.spawn(move |_| {
-                    // Sub-batches always carry the router's trace_id so
-                    // every backend's spans merge under one waterfall.
-                    let sub_line = batch_request_line(&specs, deadline_ms, None, Some(trace_id));
-                    let key = Some(spec_key(&specs[0]));
-                    let mut spans = Vec::new();
-                    let resp = forward_with_failover(shared, key, &sub_line, None, &mut spans);
-                    (idxs, resp, spans)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sub-batch forwarder panicked")).collect()
-    })
-    .expect("batch forward scope");
-    for (_, _, spans) in &forwarded {
-        for &(stage, ms) in spans {
-            match stages.iter_mut().find(|(s, _)| *s == stage) {
-                Some(slot) => slot.1 = slot.1.max(ms),
-                None => stages.push((stage, ms)),
-            }
-        }
-    }
-    for (idxs, resp, _) in forwarded {
-        let items: Vec<Value> = match parse_response(&resp) {
-            Ok(Response::Result(v)) => {
-                v.get("items").and_then(Value::as_arr).map(<[Value]>::to_vec).unwrap_or_default()
-            }
-            Ok(Response::Error { code, message, .. }) => {
-                vec![batch_item_value(Err((code, message))); idxs.len()]
-            }
-            Ok(Response::Overloaded { queue_cap, retry_after_ms }) => {
-                let msg = format!(
-                    "every shard is overloaded (queue cap {queue_cap}, retry after {} ms)",
-                    retry_after_ms.unwrap_or(0)
-                );
-                vec![batch_item_value(Err(("overloaded".to_string(), msg))); idxs.len()]
-            }
-            Err(e) => vec![batch_item_value(Err(("unavailable".to_string(), e))); idxs.len()],
-        };
-        for (slot, item) in idxs.into_iter().zip(items) {
-            slots[slot] = Some(item);
-        }
-    }
-    let items: Vec<Value> = slots
-        .into_iter()
-        .map(|s| {
-            s.unwrap_or_else(|| {
-                batch_item_value(Err((
-                    "unavailable".to_string(),
-                    "shard returned a short batch".to_string(),
-                )))
-            })
-        })
-        .collect();
-    result_line("batch", batch.id, vec![("items".to_string(), Value::Arr(items))])
 }
 
 /// Serve `metrics` by fanning out to every healthy backend and merging

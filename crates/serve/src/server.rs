@@ -9,15 +9,10 @@
 //!   simulation runs on its connection's thread after taking one of
 //!   `workers` permits (the wait is the `queue_wait` span), so `workers`
 //!   bounds the engine work in flight however many connections are open.
-//! * **Batches** — a `batch` runs its items side by side on scoped threads
-//!   of its own connection, each item under its own permit. Items are
-//!   grouped by [`workload_fingerprint`]; on a cold fingerprint the
-//!   group's first item runs alone, building and publishing the route plan
-//!   exactly once, and its `g − 1` batchmates are counted as single-flight
-//!   followers before they run with the plan warm. Cold requests racing on
-//!   different connections block on the [`SharedPlanCache`] build lease
-//!   instead of recomputing. Group sizes land in the `serve.batch.size`
-//!   log₂ histogram.
+//! * **Plan coalescing** — cold requests for one workload racing on
+//!   different connections block on the [`SharedPlanCache`] build lease:
+//!   the first builds and publishes the route plan, the rest wait for it
+//!   (their `singleflight_wait` span) instead of recomputing.
 //! * **Deadlines** — each simulation runs under a
 //!   [`CancelToken::with_deadline`]; the engine checks it at phase
 //!   boundaries (and while waiting on a build lease), and
@@ -27,8 +22,8 @@
 //!   has closed. No admitted request is dropped.
 //! * **Request tracing** — every request gets a trace id at first ingress
 //!   (propagated from the client's trace context, else minted here) and a
-//!   stage-span breakdown: `accept` (request parse), `admit` (spec parse,
-//!   guest init and fingerprint), `queue_wait`, `singleflight_wait`,
+//!   stage-span breakdown: `accept` (request parse), `admit` (spec parse
+//!   and guest init), `queue_wait`, `singleflight_wait`,
 //!   `plan_build`, `simulate`, `serialize`. Responses
 //!   carry `trace_id` and `stages` inline; a
 //!   [`TailSampler`](unet_obs::TailSampler) keeps every errored request, a
@@ -43,20 +38,15 @@ use std::time::{Duration, Instant};
 pub use crate::conn::RequestTrace;
 use crate::conn::{start_acceptor, Acceptor, Front, Permits, ReqInfo, Tier, SERVE_NAMES};
 use crate::protocol::{
-    batch_item_value, error_line, mint_trace_id, parse_request, result_line, BatchReq, Request,
-    SimulateReq,
+    error_line, mint_trace_id, parse_request, result_line, Request, SimulateReq,
 };
 use unet_core::cancel::CancelToken;
-use unet_core::routers::Router as _;
 use unet_core::spec::parse_graph;
-use unet_core::{
-    workload_fingerprint, CachePolicy, Embedding, GuestComputation, SharedPlanCache, SimError,
-    Simulation,
-};
+use unet_core::{CachePolicy, Embedding, GuestComputation, SharedPlanCache, SimError, Simulation};
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
 use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, SummaryRecorder, TraceAnalyzer};
-use unet_topology::par::{default_threads, par_map};
+use unet_topology::par::default_threads;
 use unet_topology::Graph;
 
 /// Server configuration (all fields have serviceable defaults).
@@ -103,8 +93,7 @@ pub struct ServerStats {
     pub shared_hits: u64,
     /// Shared route-plan cache misses.
     pub shared_misses: u64,
-    /// Plan builds spared by single-flight coalescing (batchmates that
-    /// reused their group leader's plan plus build-lease waiters).
+    /// Runs that waited on another run's build lease.
     pub singleflight_followers: u64,
 }
 
@@ -133,7 +122,7 @@ pub struct DrainReport {
     pub trace: RequestTrace,
 }
 
-/// A simulate unit of work: parsed inputs and the grouping fingerprint.
+/// A simulate unit of work: the parsed inputs of one request.
 struct Job {
     comp: GuestComputation,
     host: Graph,
@@ -141,22 +130,12 @@ struct Job {
     host_spec: String,
     steps: u32,
     seed: u64,
-    fingerprint: u64,
     deadline_ms: u64,
     token: CancelToken,
-    /// When the job was admitted — the start of its `queue_wait` span.
-    admitted_at: Instant,
 }
 
 /// A job's outcome: result payload fields, or a typed `(code, message)`.
 type Payload = Result<Vec<(String, Value)>, (String, String)>;
-
-/// A job's wire payload plus its measured stage spans (`queue_wait`,
-/// `singleflight_wait`, `plan_build`, `simulate`) in milliseconds.
-struct JobOutcome {
-    payload: Payload,
-    stages: Vec<(&'static str, f64)>,
-}
 
 struct Shared {
     front: Front,
@@ -287,14 +266,9 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
     let (response, ok) = match req {
         Request::Simulate(req) => {
             let admit_started = Instant::now();
-            let built = build_job(shared, &req, req.deadline_ms);
+            let built = build_job(shared, &req);
             stages.push(("admit", admit_started.elapsed().as_secs_f64() * 1e3));
-            let outcome = match built {
-                Ok(job) => execute_job(shared, &job),
-                Err(e) => JobOutcome { payload: Err(e), stages: Vec::new() },
-            };
-            stages.extend(outcome.stages);
-            match outcome.payload {
+            match built.and_then(|job| execute_job(shared, &job, &mut stages)) {
                 Ok(mut payload) => {
                     payload.push(("trace_id".to_string(), Value::Str(trace_hex)));
                     payload.push(("stages".to_string(), stages_value(&stages)));
@@ -302,11 +276,6 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
                 }
                 Err((code, message)) => (error_line(&code, &message, req.id), false),
             }
-        }
-        Request::Batch(batch) => {
-            let (line, ok, batch_stages) = handle_batch(shared, batch, &trace_hex);
-            stages.extend(batch_stages);
-            (line, ok)
         }
         Request::Analyze { trace, id } => handle_analyze(&trace, id),
         Request::Metrics { id } => {
@@ -327,22 +296,14 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
 }
 
 /// Parse one spec into a runnable [`Job`] (the request's `admit` stage).
-/// Parse failures surface as the item's own typed error, never touching
-/// its batchmates.
-fn build_job(
-    shared: &Shared,
-    req: &SimulateReq,
-    deadline_override: Option<u64>,
-) -> Result<Job, (String, String)> {
+/// A spec that does not parse is the request's typed `bad-spec`.
+fn build_job(shared: &Shared, req: &SimulateReq) -> Result<Job, (String, String)> {
     let guest =
         parse_graph(&req.guest).map_err(|e| ("bad-spec".to_string(), format!("guest: {e}")))?;
     let host =
         parse_graph(&req.host).map_err(|e| ("bad-spec".to_string(), format!("host: {e}")))?;
     let comp = GuestComputation::random(guest, req.seed);
-    let embedding = Embedding::block(comp.n(), host.n());
-    let router = unet_core::routers::presets::bfs();
-    let fingerprint = workload_fingerprint(&comp.graph, &host, &embedding, router.name(), req.seed);
-    let deadline_ms = deadline_override.unwrap_or(shared.default_deadline_ms);
+    let deadline_ms = req.deadline_ms.unwrap_or(shared.default_deadline_ms);
     Ok(Job {
         comp,
         host,
@@ -350,117 +311,21 @@ fn build_job(
         host_spec: req.host.clone(),
         steps: req.steps,
         seed: req.seed,
-        fingerprint,
         deadline_ms,
         token: CancelToken::with_deadline(Duration::from_millis(deadline_ms)),
-        admitted_at: Instant::now(),
     })
 }
 
-/// Serve one `batch` request: run every parseable item through
-/// [`run_jobs`], then answer with the positionally-aligned outcomes.
-/// Returns the response line, whether every item succeeded, and the
-/// batch's stage spans: `admit` for building every item, then the
-/// per-stage *maximum* across members — the members run in parallel, so
-/// the max approximates the critical path without over-counting the
-/// request's wall clock.
-fn handle_batch(
-    shared: &Shared,
-    batch: BatchReq,
-    trace_id: &str,
-) -> (String, bool, Vec<(&'static str, f64)>) {
-    let admit_started = Instant::now();
-    let mut jobs = Vec::new();
-    // Per item: `Ok` ran as the next job, `Err` is the item's own error.
-    let mut slots = Vec::with_capacity(batch.items.len());
-    for item in &batch.items {
-        slots.push(match item {
-            Err(msg) => Err(("bad-request".to_string(), msg.clone())),
-            Ok(spec) => build_job(shared, spec, spec.deadline_ms.or(batch.deadline_ms))
-                .map(|job| jobs.push(job)),
-        });
-    }
-    // Every item waits for its permit from here, so no `queue_wait`
-    // overlaps the batch's `admit`.
+/// Run one job under a simulation permit, appending its `queue_wait`
+/// (admission to permit) and the engine-side spans measured by
+/// [`simulate_outcome`] to `stages`.
+fn execute_job(shared: &Shared, job: &Job, stages: &mut Vec<(&'static str, f64)>) -> Payload {
     let admitted_at = Instant::now();
-    for job in &mut jobs {
-        job.admitted_at = admitted_at;
-    }
-    let mut stage_max = vec![("admit", (admitted_at - admit_started).as_secs_f64() * 1e3)];
-    let mut outcomes = run_jobs(shared, &jobs).into_iter();
-    let mut all_ok = true;
-    let items: Vec<Value> = slots
-        .into_iter()
-        .map(|slot| {
-            let payload = slot.and_then(|()| {
-                let out = outcomes.next().expect("one outcome per job");
-                for (stage, ms) in out.stages {
-                    match stage_max.iter_mut().find(|(s, _)| *s == stage) {
-                        Some((_, acc)) => *acc = acc.max(ms),
-                        None => stage_max.push((stage, ms)),
-                    }
-                }
-                out.payload.map(|mut payload| {
-                    payload.push(("trace_id".to_string(), Value::Str(trace_id.to_string())));
-                    payload
-                })
-            });
-            all_ok &= payload.is_ok();
-            batch_item_value(payload)
-        })
-        .collect();
-    let line = result_line("batch", batch.id, vec![("items".to_string(), Value::Arr(items))]);
-    (line, all_ok, stage_max)
-}
-
-/// Run a batch's jobs on the calling connection and return their outcomes
-/// in input order. Same-fingerprint jobs form one group; groups run side
-/// by side on scoped threads (inline when there is just one).
-fn run_jobs(shared: &Shared, jobs: &[Job]) -> Vec<JobOutcome> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match groups.iter_mut().find(|g| jobs[g[0]].fingerprint == job.fingerprint) {
-            Some(group) => group.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    let mut outcomes: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
-    let ran = par_map(&groups, shared.sims.cap, |group| run_group(shared, jobs, group));
-    for (group, outs) in groups.iter().zip(ran) {
-        for (&i, out) in group.iter().zip(outs) {
-            outcomes[i] = Some(out);
-        }
-    }
-    outcomes.into_iter().map(|o| o.expect("every job ran")).collect()
-}
-
-/// Run one same-fingerprint group, outcomes in group order. On a cold
-/// fingerprint the first job runs alone — building and publishing the
-/// plan exactly once — and its batchmates, spared that build, are counted
-/// as single-flight followers before they run with the plan warm.
-fn run_group(shared: &Shared, jobs: &[Job], group: &[usize]) -> Vec<JobOutcome> {
-    let size = group.len() as u64;
-    shared.front.recorder.lock().expect("recorder poisoned").histogram("serve.batch.size", size);
-    let run = |&i: &usize| execute_job(shared, &jobs[i]);
-    let (leader, rest) = group.split_first().expect("groups are non-empty");
-    if shared.cache.contains(jobs[*leader].fingerprint) {
-        return par_map(group, shared.sims.cap, run);
-    }
-    shared.cache.note_singleflight_followers(rest.len() as u64);
-    let mut outs = vec![run(leader)];
-    outs.extend(par_map(rest, shared.sims.cap, run));
-    outs
-}
-
-/// Run one job under a simulation permit: `queue_wait` (admission to
-/// permit), then the engine-side spans measured by [`simulate_outcome`].
-fn execute_job(shared: &Shared, job: &Job) -> JobOutcome {
     let _permit = shared.sims.acquire();
-    let queue_wait_ms = job.admitted_at.elapsed().as_secs_f64() * 1e3;
+    stages.push(("queue_wait", admitted_at.elapsed().as_secs_f64() * 1e3));
     let (payload, engine_stages) = simulate_outcome(shared, job);
-    let mut stages = vec![("queue_wait", queue_wait_ms)];
     stages.extend(engine_stages);
-    JobOutcome { payload, stages }
+    payload
 }
 
 /// Run and verify one job, returning its payload and engine-side spans.

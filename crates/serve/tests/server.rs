@@ -1,6 +1,6 @@
 //! End-to-end tests of the serving layer: admission control, deadlines,
-//! graceful drain, shared-cache behaviour, batching, and the metrics
-//! round trip.
+//! graceful drain, shared-cache behaviour, build-lease coalescing, and the
+//! metrics round trip.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,8 +12,8 @@ use unet_obs::{MetricsRegistry, TraceAnalyzer};
 use unet_serve::client::Client;
 use unet_serve::loadgen::{self, LoadgenConfig};
 use unet_serve::protocol::{
-    analyze_request_line, batch_request_line, metrics_request_line, parse_response,
-    simulate_request_line, Response, SimulateReq,
+    analyze_request_line, metrics_request_line, parse_response, simulate_request_line, Response,
+    SimulateReq, PROTOCOL,
 };
 use unet_serve::router::{Router, ShardConfig};
 use unet_serve::{ClientError, RequestTrace, ServeConfig, Server, MAX_LINE_BYTES};
@@ -125,6 +125,32 @@ fn bad_specs_and_bad_requests_get_typed_errors() {
         Response::Error { code, .. } => assert_eq!(code, "bad-request"),
         other => panic!("expected error, got {other:?}"),
     }
+    // `batch` is no request kind: one `bad-request`, from a server and from
+    // a router over it, and the same connection then runs a simulation.
+    let router = Router::start(ShardConfig {
+        workers: 1,
+        backends: vec![addr.clone()],
+        ..ShardConfig::default()
+    })
+    .expect("bind router");
+    let batch = format!(
+        "{{\"proto\":{PROTOCOL:?},\"kind\":\"batch\",\"items\":[\
+         {{\"guest\":\"ring:24\",\"host\":\"torus:3x3\",\"steps\":3,\"seed\":7}}]}}"
+    );
+    let lines = [batch, simulate_request_line(&sim_req(7), None)];
+    for target in [addr, router.addr().to_string()] {
+        let got = answers(&target, &lines);
+        assert_eq!(got.len(), 2, "one answer per line from {target}: {got:?}");
+        match parse_response(&got[0]).expect("typed") {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, "bad-request", "{target}");
+                assert!(message.contains("unknown request kind \"batch\""), "{message}");
+            }
+            other => panic!("expected bad-request from {target}, got {other:?}"),
+        }
+        assert!(matches!(parse_response(&got[1]), Ok(Response::Result(_))), "{target}: {got:?}");
+    }
+    router.drain();
     server.drain();
 }
 
@@ -201,7 +227,6 @@ fn repeated_workload_hits_shared_cache_and_drains_clean() {
         addr,
         clients: 2,
         requests_per_client: 8,
-        batch: 1,
         guest: "ring:24".into(),
         host: "torus:3x3".into(),
         steps: 3,
@@ -227,15 +252,18 @@ fn repeated_workload_hits_shared_cache_and_drains_clean() {
     assert!(drained.stats.hit_ratio().unwrap() > 0.9, "route-plan cache hit ratio > 0.9");
 }
 
+/// Cold clients racing on one workload build its route plan once: the
+/// first to reach the shared cache takes the build lease and counts the
+/// only miss, and every other run hits — having waited on the lease or
+/// arrived after the plan was published. That holds however the clients
+/// interleave.
 #[test]
-fn batched_workload_coalesces_the_plan_build() {
+fn racing_cold_clients_build_the_plan_once() {
     let server = start(4, 32);
-    let addr = server.addr().to_string();
     let report = loadgen::run(&LoadgenConfig {
-        addr: addr.clone(),
-        clients: 1,
-        requests_per_client: 2,
-        batch: 6,
+        addr: server.addr().to_string(),
+        clients: 4,
+        requests_per_client: 3,
         guest: "ring:24".into(),
         host: "torus:3x3".into(),
         steps: 3,
@@ -245,47 +273,13 @@ fn batched_workload_coalesces_the_plan_build() {
         shards: 1,
     })
     .expect("loadgen run");
-    assert_eq!(report.sent, 12, "2 round trips x 6 items");
+    assert_eq!(report.sent, 12, "4 clients x 3 requests");
     assert_eq!(report.completed, 12);
     assert_eq!(report.errors, 0);
     let drained = server.drain();
-    // One cold batch: one plan build, five spared followers; the second
-    // batch is all warm hits.
     assert_eq!(drained.stats.shared_misses, 1, "plan built exactly once");
-    assert_eq!(drained.stats.shared_hits, 11);
-    assert!(
-        drained.stats.singleflight_followers >= 5,
-        "cold batchmates counted as followers, got {}",
-        drained.stats.singleflight_followers
-    );
+    assert_eq!(drained.stats.shared_hits, report.sent as u64 - 1);
     assert!(drained.exposition.contains("unet_serve_planbuild_singleflight_followers"));
-    assert!(drained.exposition.contains("unet_serve_batch_size"));
-}
-
-#[test]
-fn mixed_fingerprint_batch_isolates_errors_per_item() {
-    let server = start(2, 8);
-    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
-    let mut bad = sim_req(0);
-    bad.host = "nonsense:1".into();
-    let mut other_fp = sim_req(0);
-    other_fp.guest = "ring:12".into();
-    other_fp.host = "torus:2x2".into();
-    let items =
-        client.simulate_batch(&[sim_req(0), bad, other_fp], None).expect("batch round trip");
-    assert_eq!(items.len(), 3);
-    assert!(items[0].is_ok(), "good item unaffected: {:?}", items[0]);
-    match &items[1] {
-        Err(e) => {
-            assert_eq!(e.code, "bad-spec");
-            assert!(e.message.contains("unknown graph family"));
-        }
-        other => panic!("bad item should fail alone, got {other:?}"),
-    }
-    assert!(items[2].is_ok(), "different fingerprint unaffected: {:?}", items[2]);
-    drop(client);
-    let drained = server.drain();
-    assert_eq!(drained.stats.shared_misses, 2, "two fingerprints, two builds");
 }
 
 #[test]
@@ -326,7 +320,7 @@ fn unknown_protocol_version_gets_typed_error_not_hangup() {
         assert!(matches!(parse_response(resp.trim()), Ok(Response::Result(_))));
     }
     // The retired /1 and /2 versions are unknown versions too: a typed
-    // error naming the one version spoken, batch or not.
+    // error naming the one version spoken, whatever the kind.
     for old in [
         "{\"proto\":\"unet-serve/1\",\"kind\":\"simulate\",\"guest\":\"ring:24\",\
          \"host\":\"torus:3x3\",\"steps\":3,\"seed\":7,\"id\":41}",
@@ -433,33 +427,6 @@ fn responses_survive_a_drain_started_after_send() {
     let mut response = String::new();
     BufReader::new(stream).read_line(&mut response).expect("response readable after drain");
     assert!(matches!(parse_response(response.trim()), Ok(Response::Result(_))));
-}
-
-#[test]
-fn batch_responses_survive_a_drain_started_after_send() {
-    use std::io::{BufRead, BufReader, Write};
-    let server = start(2, 8);
-    let addr = server.addr().to_string();
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let line = batch_request_line(&[sim_req(5), sim_req(5), sim_req(6)], None, Some(77), None);
-    writeln!(stream, "{line}").expect("send");
-    stream.flush().expect("flush");
-    while server.stats().admitted == 0 {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let report = server.drain();
-    assert_eq!(report.stats.completed, 1, "the batch line answered during drain");
-    let mut response = String::new();
-    BufReader::new(stream).read_line(&mut response).expect("response readable after drain");
-    match parse_response(response.trim()).expect("valid") {
-        Response::Result(v) => {
-            assert_eq!(v.get("id").and_then(Value::as_u64), Some(77));
-            let items = v.get("items").and_then(Value::as_arr).expect("items");
-            assert_eq!(items.len(), 3);
-            assert!(items.iter().all(|i| i.get("ok") == Some(&Value::Bool(true))));
-        }
-        other => panic!("expected batch result, got {other:?}"),
-    }
 }
 
 #[test]

@@ -77,8 +77,6 @@ const USAGE: &str = "usage:
                 [--trace-out FILE] [--backend-trace-dir DIR]
   unet request  <addr> simulate <guest-spec> <host-spec> <steps>
                 [--seed S] [--deadline-ms MS] [--retries N] [--raw]
-  unet request  <addr> batch <guest,host,steps[,seed]>...
-                [--deadline-ms MS] [--retries N] [--raw]
   unet request  <addr> analyze <trace-file> [--raw]
   unet request  <addr> metrics [--raw]
   unet trace-requests <trace-file>... [--trace ID]... [--markdown]";
@@ -868,28 +866,6 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse one `guest,host,steps[,seed]` batch-item spec.
-fn parse_batch_item(
-    spec: &str,
-    deadline_ms: Option<u64>,
-) -> Result<universal_networks::serve::protocol::SimulateReq, String> {
-    use universal_networks::serve::protocol::SimulateReq;
-    let parts: Vec<&str> = spec.split(',').collect();
-    match parts.as_slice() {
-        [guest, host, steps] | [guest, host, steps, _] => Ok(SimulateReq {
-            guest: guest.to_string(),
-            host: host.to_string(),
-            steps: steps.parse().map_err(|_| format!("bad steps in batch item {spec:?}"))?,
-            seed: parts
-                .get(3)
-                .map_or(Ok(0), |s| s.parse().map_err(|_| format!("bad seed in {spec:?}")))?,
-            deadline_ms,
-            id: None,
-        }),
-        _ => Err(format!("bad batch item {spec:?} (want guest,host,steps[,seed])")),
-    }
-}
-
 /// Typed client for a running `unet serve`: build a `unet-serve/3` request
 /// line, send it over a [`Client`](universal_networks::serve::Client)
 /// connection, render the response. `--raw` prints the raw JSON response
@@ -900,15 +876,15 @@ fn parse_batch_item(
 fn request_cmd(args: &[String]) -> Result<(), String> {
     use universal_networks::obs::json::Value;
     use universal_networks::serve::protocol::{
-        analyze_request_line, batch_request_line, gen_trace_id, metrics_request_line,
-        parse_response, simulate_request_line, SimulateReq,
+        analyze_request_line, gen_trace_id, metrics_request_line, parse_response,
+        simulate_request_line, SimulateReq,
     };
     use universal_networks::serve::{Client, ClientError, Response};
 
     let pos = positionals(args, &["--seed", "--deadline-ms", "--retries"]);
     let (addr, kind) = match pos.as_slice() {
         [addr, kind, ..] => (addr.as_str(), kind.as_str()),
-        _ => return Err("usage: unet request <addr> simulate|batch|analyze|metrics [args]".into()),
+        _ => return Err("usage: unet request <addr> simulate|analyze|metrics [args]".into()),
     };
     let deadline_ms = flag(args, "--deadline-ms")
         .map(|s| s.parse::<u64>().map_err(|_| "bad --deadline-ms"))
@@ -934,11 +910,6 @@ fn request_cmd(args: &[String]) -> Result<(), String> {
                 },
                 Some(&trace_id),
             )
-        }
-        ("batch", items) if !items.is_empty() => {
-            let specs: Vec<SimulateReq> =
-                items.iter().map(|s| parse_batch_item(s, None)).collect::<Result<_, String>>()?;
-            batch_request_line(&specs, deadline_ms, None, Some(&trace_id))
         }
         ("analyze", [path]) => {
             // Reuse the canonical `{path}: line N` formatting on read

@@ -338,11 +338,15 @@ fn serve_request_round_trip_and_graceful_drain() {
         unet(&["request", &addr, "simulate", "ring:24", "torus:3x3", "3", "--seed", "5"]);
     assert!(ok, "stderr: {stderr1}");
     assert!(stdout1.contains("\"verified\":true"), "{stdout1}");
-    // A batch ride: two items, one round trip, per-item payloads.
-    let (okb, stdoutb, stderrb) =
-        unet(&["request", &addr, "batch", "ring:24,torus:3x3,3,5", "ring:12,torus:2x2,2"]);
-    assert!(okb, "stderr: {stderrb}");
-    assert_eq!(stdoutb.matches("\"ok\":true").count(), 2, "{stdoutb}");
+    // The same workload again reuses the route plan the first one built.
+    let (okr, stdoutr, stderrr) =
+        unet(&["request", &addr, "simulate", "ring:24", "torus:3x3", "3", "--seed", "5"]);
+    assert!(okr, "stderr: {stderrr}");
+    assert!(stdoutr.contains("\"shared_cache_hit\":true"), "{stdoutr}");
+    // `batch` is no request kind: the CLI refuses it before connecting.
+    let (okb, _, stderrb) = unet(&["request", &addr, "batch", "ring:24,torus:3x3,3,5"]);
+    assert!(!okb);
+    assert!(stderrb.contains("\"batch\""), "{stderrb}");
     let (ok2, stdout2, _) = unet(&["request", &addr, "metrics"]);
     assert!(ok2);
     assert!(stdout2.contains("# TYPE unet_serve_conns_admitted counter"), "{stdout2}");

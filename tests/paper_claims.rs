@@ -96,8 +96,11 @@ fn bench_list_names_every_experiment() {
         .expect("binary runs");
     assert!(out.status.success());
     let listed = String::from_utf8_lossy(&out.stdout);
-    let engine = ["E16", "E17", "E18", "E19", "E20", "E21", "E22"];
+    let engine = ["E16", "E17", "E18", "E19", "E21", "E22"];
     for id in ["E1", "E2"].iter().chain(&PAPER_IDS).chain(&engine) {
         assert!(listed.contains(&format!("{id}: ")), "{id} missing from `bench list`");
     }
+    // E20 (batched execution) was removed with the `batch` request kind;
+    // the later ids keep their numbers.
+    assert!(!listed.contains("E20: "), "E20 is retired");
 }

@@ -3,8 +3,8 @@
 //! backends produce the same stats — bit-for-bit, wall time aside — as
 //! sending them to one plain server, *including* the shared-cache hit
 //! pattern (fingerprint affinity means the first occurrence of each
-//! fingerprint is the one plan build, exactly as on a single server), for
-//! both per-request and batch (split/re-merge) traffic. A backend killed
+//! fingerprint is the one plan build, exactly as on a single server). A
+//! backend killed
 //! between a client's requests must cost nothing observable either: the
 //! ring fails the dead shard's keys over to its successor, every request
 //! is answered, and the simulation outputs stay bit-for-bit identical
@@ -71,41 +71,31 @@ fn sim_stats(r: &SimulateResult) -> (u64, u64, u64, f64, f64, bool) {
 
 type Outcome = Result<SimulateResult, (String, String)>;
 
-fn drive(addr: &str, specs: &[SimulateReq], batched: bool) -> Vec<Outcome> {
+/// Send `specs` one at a time on one connection, answers in order.
+fn drive(addr: &str, specs: &[SimulateReq]) -> Vec<Outcome> {
     let mut client = Client::connect(addr).expect("connect");
-    let out = if batched {
-        client
-            .simulate_batch(specs, None)
-            .expect("batch round trip")
-            .into_iter()
-            .map(|item| item.map_err(|e| (e.code, e.message)))
-            .collect()
-    } else {
-        specs
-            .iter()
-            .map(|s| match client.simulate(s) {
-                Ok(r) => Ok(r),
-                Err(ClientError::Server(e)) => Err((e.code, e.message)),
-                Err(e) => panic!("transport failed: {e}"),
-            })
-            .collect()
-    };
-    drop(client);
-    out
+    specs
+        .iter()
+        .map(|s| match client.simulate(s) {
+            Ok(r) => Ok(r),
+            Err(ClientError::Server(e)) => Err((e.code, e.message)),
+            Err(e) => panic!("transport failed: {e}"),
+        })
+        .collect()
 }
 
 /// Reference execution: one plain server, no router.
-fn run_single(specs: &[SimulateReq], batched: bool) -> Vec<Outcome> {
+fn run_single(specs: &[SimulateReq]) -> Vec<Outcome> {
     let server = backend();
-    let out = drive(&server.addr().to_string(), specs, batched);
+    let out = drive(&server.addr().to_string(), specs);
     server.drain();
     out
 }
 
 /// The same specs through a router over `shards` backends.
-fn run_sharded(specs: &[SimulateReq], shards: usize, batched: bool) -> Vec<Outcome> {
+fn run_sharded(specs: &[SimulateReq], shards: usize) -> Vec<Outcome> {
     let (backends, router) = deployment(shards, 100);
-    let out = drive(&router.addr().to_string(), specs, batched);
+    let out = drive(&router.addr().to_string(), specs);
     let report = router.drain();
     assert_eq!(report.stats.failovers, 0, "healthy backends never fail over");
     for b in backends {
@@ -114,16 +104,18 @@ fn run_sharded(specs: &[SimulateReq], shards: usize, batched: bool) -> Vec<Outco
     out
 }
 
-fn assert_equivalent(specs: &[SimulateReq], shards: usize, batched: bool) {
-    let single = run_single(specs, batched);
-    let sharded = run_sharded(specs, shards, batched);
+/// Run `specs` on one server and through `shards` backends, assert every
+/// answer matches in order, and hand back the sharded answers.
+fn assert_equivalent(specs: &[SimulateReq], shards: usize) -> Vec<Outcome> {
+    let single = run_single(specs);
+    let sharded = run_sharded(specs, shards);
     assert_eq!(single.len(), sharded.len());
     for (i, (s, r)) in single.iter().zip(&sharded).enumerate() {
         match (s, r) {
             (Ok(sr), Ok(rr)) => assert_eq!(
                 stats(sr),
                 stats(rr),
-                "item {i} ({} on {}, {shards} shards, batched={batched}): \
+                "item {i} ({} on {}, {shards} shards): \
                  sharded stats diverge from single-backend",
                 specs[i].guest,
                 specs[i].host
@@ -134,6 +126,7 @@ fn assert_equivalent(specs: &[SimulateReq], shards: usize, batched: bool) {
             _ => panic!("item {i}: one side succeeded, the other failed: {s:?} vs {r:?}"),
         }
     }
+    sharded
 }
 
 proptest! {
@@ -146,24 +139,22 @@ proptest! {
     fn sharded_equals_single_backend(
         items in prop::collection::vec((0usize..3, 0usize..2, 1u32..4, 0u64..3), 1..5),
         shards in 1usize..4,
-        batched in any::<bool>(),
     ) {
         let specs: Vec<SimulateReq> =
             items.iter().map(|&(g, h, t, s)| spec(g, h, t, s)).collect();
-        assert_equivalent(&specs, shards, batched);
+        assert_equivalent(&specs, shards);
     }
 }
 
 #[test]
-fn batch_split_reassembles_in_request_order_with_errors_isolated() {
-    // A batch that must split across shards, with a bad spec and repeated
-    // fingerprints mixed in: the re-merged response keeps slots positional
-    // and the hit pattern matches the single-server run exactly.
+fn specs_sent_one_at_a_time_through_the_router_answer_like_one_server() {
+    // Specs that spread across shards, with a bad spec and a repeated
+    // fingerprint mixed in: every answer equals the single-server answer in
+    // order, the bad spec alone fails, and the hit pattern matches.
     let mut bad = spec(0, 0, 2, 1);
     bad.guest = "blah:9".into();
     let specs = vec![spec(0, 0, 2, 7), bad, spec(1, 1, 2, 7), spec(0, 0, 2, 7), spec(2, 1, 3, 0)];
-    assert_equivalent(&specs, 3, true);
-    let sharded = run_sharded(&specs, 3, true);
+    let sharded = assert_equivalent(&specs, 3);
     assert_eq!(sharded[1].as_ref().err().map(|e| e.0.as_str()), Some("bad-spec"));
     let hits: Vec<bool> = [0usize, 2, 3, 4]
         .iter()
