@@ -944,8 +944,9 @@ fn e21() -> Experiment {
             let backend_drains: Vec<_> = backends.into_iter().map(Server::drain).collect();
             assert_eq!(report.completed, report.sent, "closed loop loses no request");
             assert_eq!(report.errors, 0, "no error responses at this load");
-            // Per-shard simulate executions, counted by the one signal the
-            // prober's metrics probes cannot inflate: plan-cache touches.
+            // Per-shard simulate executions, counted by plan-cache touches:
+            // only simulations make them, while `completed` also counts
+            // the metrics requests a router fans out.
             let executed: Vec<u64> = backend_drains
                 .iter()
                 .map(|d| d.stats.shared_hits + d.stats.shared_misses)

@@ -540,15 +540,22 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "does not match"))]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not match")]
     fn mismatched_span_end_caught_in_debug() {
         let mut r = InMemoryRecorder::new();
         r.span_start("a");
         r.span_end("b");
-        // In release builds the mismatch is tolerated (debug_assert);
-        // force the should_panic expectation to hold there too.
-        #[cfg(not(debug_assertions))]
-        panic!("does not match");
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn mismatched_span_end_tolerated_in_release() {
+        let mut r = InMemoryRecorder::new();
+        r.span_start("a");
+        r.span_end("b");
+        assert_eq!(r.depth(), 0, "the mismatched end still closes the open span");
+        assert_eq!(r.events().len(), 2);
     }
 
     #[test]

@@ -28,8 +28,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    analyze_request_line, gen_trace_id, metrics_request_line, parse_response,
-    simulate_request_line, Response, SimulateReq,
+    gen_trace_id, metrics_request_line, parse_response, simulate_request_line, Response,
+    SimulateReq,
 };
 use unet_obs::json::Value;
 
@@ -440,17 +440,6 @@ impl Client {
         result.client = spans;
         result.trace_id.get_or_insert(trace_id);
         Ok(result)
-    }
-
-    /// Aggregate trace lines with the server's streaming analyzer and
-    /// return the metrics exposition it produced.
-    pub fn analyze(&mut self, trace: &[String]) -> Result<String, ClientError> {
-        let v =
-            self.request_typed_line(&analyze_request_line(trace, None, Some(&gen_trace_id())))?;
-        v.get("exposition")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Protocol("analyze result without `exposition`".into()))
     }
 
     /// Fetch the server's live Prometheus exposition.

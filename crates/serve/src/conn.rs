@@ -481,7 +481,7 @@ fn admit<T: Tier>(tier: &Arc<T>, mut stream: TcpStream) {
 /// How long a connection thread waits on an idle connection before
 /// re-checking the shutdown flag. Bounds drain latency for open-but-quiet
 /// clients.
-pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
+const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// The longest request line either tier reads, in bytes (newline
 /// excluded): 1.5 MiB. A longer line is answered with one `bad-request`

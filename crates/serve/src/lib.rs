@@ -8,7 +8,7 @@
 //!
 //! * [`protocol`] — the versioned newline-delimited JSON wire format
 //!   (`unet-serve/3`):
-//!   `simulate` / `analyze` / `metrics` requests, `result` /
+//!   `simulate` / `metrics` requests, `result` /
 //!   `error` / `overloaded` responses, and a per-request `trace` context
 //!   that threads one `trace_id` from client through router to backend;
 //! * `conn` — the connection front both tiers share: the blocking
@@ -35,7 +35,8 @@
 //!   shards (and gives the failover order when one dies);
 //! * [`router`] — the sharding front-end behind `unet shard`:
 //!   spec-affine forwarding to N backend servers, per-backend
-//!   health with ejection and backoff reinstatement, and
+//!   health learnt from the forwards themselves (a failed forward
+//!   ejects, the first forward after a backoff reinstates), and
 //!   `shard`-labelled aggregated metrics;
 //! * [`signal`] — SIGTERM/SIGINT-to-flag plumbing for graceful drain.
 //!

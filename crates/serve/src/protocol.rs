@@ -1,17 +1,16 @@
 //! The `unet-serve/3` wire protocol.
 //!
 //! Newline-delimited JSON over TCP, one request and one response per line,
-//! versioned by a mandatory `proto` field. Three request kinds:
+//! versioned by a mandatory `proto` field. Two request kinds:
 //!
 //! ```text
 //! {"proto":"unet-serve/3","kind":"simulate","guest":"ring:24","host":"torus:3x3",
 //!  "steps":3,"seed":7,"deadline_ms":5000,"id":1,"trace":{"id":"00000000c0ffee42"}}
-//! {"proto":"unet-serve/3","kind":"analyze","trace_lines":["<jsonl line>", ...],"id":2}
-//! {"proto":"unet-serve/3","kind":"metrics","id":3}
+//! {"proto":"unet-serve/3","kind":"metrics","id":2}
 //! ```
 //!
 //! One `simulate` line is one simulation; any other kind (the retired
-//! `batch` included) is a `bad-request`.
+//! `batch` and `analyze` included) is a `bad-request`.
 //!
 //! and three response kinds:
 //!
@@ -19,7 +18,7 @@
 //!   the echoed `id` if one was sent, and kind-specific payload fields
 //!   (`slowdown`, `exposition`, …);
 //! * `error` — carries a machine-readable `code` (`bad-request`,
-//!   `bad-spec`, `bad-trace`, `deadline-exceeded`, `sim-error`,
+//!   `bad-spec`, `deadline-exceeded`, `sim-error`,
 //!   `verify-failed`, `unsupported-protocol`) and a human `message`;
 //! * `overloaded` — admission was refused (every connection slot of a
 //!   server, or the router's admission queue, was taken); the connection
@@ -133,13 +132,6 @@ pub struct SimulateReq {
 pub enum Request {
     /// Run and certify one simulation.
     Simulate(SimulateReq),
-    /// Aggregate trace lines with the streaming analyzer.
-    Analyze {
-        /// JSONL trace lines (the `unet trace` format).
-        trace: Vec<String>,
-        /// Client correlation id.
-        id: Option<u64>,
-    },
     /// Return the server's live metrics exposition.
     Metrics {
         /// Client correlation id.
@@ -152,7 +144,6 @@ impl Request {
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Simulate(_) => "simulate",
-            Request::Analyze { .. } => "analyze",
             Request::Metrics { .. } => "metrics",
         }
     }
@@ -161,7 +152,7 @@ impl Request {
     pub fn id(&self) -> Option<u64> {
         match self {
             Request::Simulate(r) => r.id,
-            Request::Analyze { id, .. } | Request::Metrics { id } => *id,
+            Request::Metrics { id } => *id,
         }
     }
 }
@@ -220,22 +211,6 @@ pub fn parse_request(line: &str) -> Result<(Option<u64>, Request), ParseError> {
     let req = match v.get("kind").and_then(Value::as_str) {
         Some("simulate") => {
             Request::Simulate(parse_simulate_fields(&v, id).map_err(ParseError::Malformed)?)
-        }
-        Some("analyze") => {
-            let arr = v.get("trace_lines").and_then(Value::as_arr).ok_or_else(|| {
-                ParseError::Malformed("analyze needs a `trace_lines` array of JSONL lines".into())
-            })?;
-            let trace = arr
-                .iter()
-                .map(|l| {
-                    l.as_str().map(str::to_string).ok_or_else(|| {
-                        ParseError::Malformed(
-                            "analyze `trace_lines` entries must all be strings".into(),
-                        )
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Request::Analyze { trace, id }
         }
         Some("metrics") => Request::Metrics { id },
         Some(other) => {
@@ -316,19 +291,6 @@ fn request_envelope(kind: &str, trace_id: Option<&str>) -> Vec<(String, Value)> 
 pub fn simulate_request_line(req: &SimulateReq, trace_id: Option<&str>) -> String {
     let mut fields = request_envelope("simulate", trace_id);
     fields.extend(simulate_fields(req));
-    Value::Obj(fields).to_json()
-}
-
-/// Build an `analyze` request line.
-pub fn analyze_request_line(trace: &[String], id: Option<u64>, trace_id: Option<&str>) -> String {
-    let mut fields = request_envelope("analyze", trace_id);
-    fields.push((
-        "trace_lines".to_string(),
-        Value::Arr(trace.iter().map(|l| Value::Str(l.clone())).collect()),
-    ));
-    if let Some(id) = id {
-        fields.push(("id".to_string(), Value::UInt(id)));
-    }
     Value::Obj(fields).to_json()
 }
 
@@ -453,10 +415,9 @@ mod tests {
     }
 
     #[test]
-    fn analyze_and_metrics_round_trip() {
-        let trace = vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
-        let line = analyze_request_line(&trace, Some(9), None);
-        assert_eq!(parse_request(&line).unwrap(), (None, Request::Analyze { trace, id: Some(9) }));
+    fn metrics_round_trips() {
+        let line = metrics_request_line(Some(9), None);
+        assert_eq!(parse_request(&line).unwrap(), (None, Request::Metrics { id: Some(9) }));
         let line = metrics_request_line(None, None);
         assert_eq!(parse_request(&line).unwrap(), (None, Request::Metrics { id: None }));
     }
@@ -518,16 +479,22 @@ mod tests {
 
     #[test]
     fn batch_is_an_unknown_kind() {
-        let line = format!(
+        let batch = format!(
             "{{\"proto\":{PROTOCOL:?},\"kind\":\"batch\",\"items\":[\
              {{\"guest\":\"ring:8\",\"host\":\"torus:2x2\",\"steps\":2}}]}}"
         );
-        match parse_request(&line) {
-            Err(e @ ParseError::Malformed(_)) => {
-                assert_eq!(e.code(), "bad-request");
-                assert!(e.to_string().contains("unknown request kind \"batch\""), "{e}");
+        let analyze = format!("{{\"proto\":{PROTOCOL:?},\"kind\":\"analyze\",\"trace_lines\":[]}}");
+        for (kind, line) in [("batch", batch), ("analyze", analyze)] {
+            match parse_request(&line) {
+                Err(e @ ParseError::Malformed(_)) => {
+                    assert_eq!(e.code(), "bad-request");
+                    assert!(
+                        e.to_string().contains(&format!("unknown request kind {kind:?}")),
+                        "{e}"
+                    );
+                }
+                other => panic!("expected Malformed, got {other:?}"),
             }
-            other => panic!("expected Malformed, got {other:?}"),
         }
     }
 }

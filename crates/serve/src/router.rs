@@ -14,10 +14,12 @@
 //!   cache hit ratios and build-lease coalescing survive the scale-out
 //!   unchanged. The router parses no spec and runs no generator; a bad
 //!   spec gets its typed `bad-spec` from the backend it lands on.
-//! * **Health and failover** — a prober thread issues periodic `metrics`
-//!   probes; [`ShardConfig::eject_after`] consecutive failures eject a
-//!   backend, and ejected backends are re-probed under exponential backoff
-//!   until they answer again. A request whose backend dies mid-flight (or
+//! * **Health and failover** — the forwards themselves are the health
+//!   checks; no thread probes in the background. A backend's first failed
+//!   forward ejects it (its [`Client`] has already dialed three times and
+//!   reconnected once). Once an ejected backend's backoff has run out, the
+//!   next forward or `metrics` fan-out that reaches it tries it again, and
+//!   an answer reinstates it. A request whose backend dies mid-flight (or
 //!   answers `overloaded`) retries on the next shard in ring order, so a
 //!   dead shard's keys spill onto its ring successor and nowhere else.
 //! * **Connection front** — the acceptor, `queue_cap` connection slots,
@@ -26,8 +28,9 @@
 //!   (the wait is its `queue_wait` span), so an idle persistent connection
 //!   holds nothing but its slot.
 //! * **Aggregated metrics** — a `metrics` request fans out to every healthy
-//!   backend and merges the expositions under a `shard` label (the
-//!   router's own counters appear as `shard="router"`).
+//!   backend (and to an ejected one whose backoff has run out) and merges
+//!   the expositions under a `shard` label (the router's own counters
+//!   appear as `shard="router"`).
 //!
 //! # Operating a sharded deployment
 //!
@@ -79,18 +82,17 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
 use crate::conn::{
-    start_acceptor, Acceptor, Front, Permits, ReqInfo, RequestTrace, Tier, IDLE_POLL, SHARD_NAMES,
+    start_acceptor, Acceptor, Front, Permits, ReqInfo, RequestTrace, Tier, SHARD_NAMES,
 };
 use crate::protocol::{
-    analyze_request_line, error_line, metrics_request_line, mint_trace_id, parse_request,
-    parse_response, result_line, simulate_request_line, Request, Response, SimulateReq,
+    error_line, metrics_request_line, mint_trace_id, parse_request, parse_response, result_line,
+    simulate_request_line, Request, Response, SimulateReq,
 };
 use crate::ring::{fnv1a, Ring};
 use unet_obs::json::Value;
@@ -112,11 +114,6 @@ pub struct ShardConfig {
     /// Backend shard addresses, in ring order. Position in this vector is
     /// the shard's identity (the `shard` metrics label and ring index).
     pub backends: Vec<String>,
-    /// How often the prober issues `metrics` probes (default 100 ms).
-    pub probe_interval_ms: u64,
-    /// Consecutive failures (probes or forwards) before a backend is
-    /// ejected from rotation (default 3).
-    pub eject_after: u32,
     /// Head-sampling rate for the router's per-request stage records, in
     /// permille (default [`DEFAULT_HEAD_PERMILLE`]). The same trace id
     /// hashes to the same coin on router and backends, so a head-sampled
@@ -131,8 +128,6 @@ impl Default for ShardConfig {
             workers: default_threads(),
             queue_cap: 64,
             backends: Vec::new(),
-            probe_interval_ms: 100,
-            eject_after: 3,
             head_sample_permille: DEFAULT_HEAD_PERMILLE,
         }
     }
@@ -152,9 +147,9 @@ pub struct RouterStats {
     /// `overloaded` rejections from one shard absorbed by a healthier
     /// ring successor.
     pub overloads_absorbed: u64,
-    /// Backends ejected after consecutive failures.
+    /// Backends ejected by a failed forward.
     pub ejected: u64,
-    /// Ejected backends reinstated after a successful re-probe.
+    /// Ejected backends reinstated by an answer once their backoff ran out.
     pub reinstated: u64,
     /// Configured backend count.
     pub backends: u64,
@@ -179,7 +174,7 @@ pub struct RouterDrainReport {
     pub trace: RequestTrace,
 }
 
-/// Reinstatement backoff starts here and doubles per failed re-probe...
+/// Reinstatement backoff starts here and doubles per failed retry...
 const BACKOFF_BASE: Duration = Duration::from_millis(100);
 /// ...up to this cap.
 const MAX_BACKOFF: Duration = Duration::from_millis(5_000);
@@ -188,12 +183,12 @@ const MAX_BACKOFF: Duration = Duration::from_millis(5_000);
 struct Backoff {
     /// Doublings applied so far.
     exp: u32,
-    /// Earliest instant the prober may re-probe.
+    /// Earliest instant a forward may try the backend again.
     until: Instant,
 }
 
 impl Backoff {
-    /// Hold re-probes off for the next doubling step (capped at
+    /// Hold retries off for the next doubling step (capped at
     /// [`MAX_BACKOFF`]), then advance the step.
     fn arm(&mut self) {
         let wait = BACKOFF_BASE
@@ -213,8 +208,25 @@ struct Backend {
     /// every forward a connect and a backend connection thread.
     idle: Mutex<Vec<Client>>,
     healthy: AtomicBool,
-    consecutive_failures: AtomicU32,
     backoff: Mutex<Backoff>,
+}
+
+impl Backend {
+    /// Whether a forward that reaches this backend tries it: always while
+    /// it is healthy, and once per backoff period while it is ejected. The
+    /// forward that finds the backoff run out re-arms it, doubled, before
+    /// it dials, so concurrent forwards do not all try a dead backend.
+    fn admits_forward(&self) -> bool {
+        if self.healthy.load(Ordering::SeqCst) {
+            return true;
+        }
+        let mut backoff = self.backoff.lock().expect("backoff poisoned");
+        if Instant::now() < backoff.until {
+            return false;
+        }
+        backoff.arm();
+        true
+    }
 }
 
 struct RouterShared {
@@ -223,7 +235,6 @@ struct RouterShared {
     ring: Ring,
     /// One permit per client request being forwarded (`workers` of them).
     forwards: Arc<Permits>,
-    eject_after: u32,
 }
 
 impl Tier for RouterShared {
@@ -242,12 +253,11 @@ pub struct Router {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
     acceptor: Option<Acceptor>,
-    prober: Option<JoinHandle<()>>,
 }
 
 impl Router {
-    /// Bind, spawn the acceptor and the health prober, and return
-    /// immediately. Fails if `cfg.backends` is empty.
+    /// Bind, spawn the acceptor, and return immediately. Fails if
+    /// `cfg.backends` is empty.
     pub fn start(cfg: ShardConfig) -> std::io::Result<Router> {
         if cfg.backends.is_empty() {
             return Err(std::io::Error::new(
@@ -266,7 +276,6 @@ impl Router {
                 addr: addr.clone(),
                 idle: Mutex::new(Vec::new()),
                 healthy: AtomicBool::new(true),
-                consecutive_failures: AtomicU32::new(0),
                 backoff: Mutex::new(Backoff { exp: 0, until: now }),
             })
             .collect();
@@ -275,19 +284,13 @@ impl Router {
             ring: Ring::new(backends.len()),
             backends,
             forwards: Permits::new(workers),
-            eject_after: cfg.eject_after.max(1),
         });
         {
             let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
             rec.gauge("shard.backends", shared.backends.len() as f64);
         }
         let acceptor = start_acceptor(listener, &shared)?;
-        let prober = {
-            let shared = Arc::clone(&shared);
-            let interval = Duration::from_millis(cfg.probe_interval_ms.max(1));
-            std::thread::spawn(move || probe_loop(&shared, interval))
-        };
-        Ok(Router { addr, shared, acceptor: Some(acceptor), prober: Some(prober) })
+        Ok(Router { addr, shared, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolve port 0 through this).
@@ -306,7 +309,7 @@ impl Router {
     /// backends are left running — draining them is their owner's call
     /// (the `unet shard` CLI drains the shards it spawned itself).
     pub fn drain(mut self) -> RouterDrainReport {
-        self.stop_threads();
+        self.shared.front.stop(&mut self.acceptor);
         let shared = &self.shared;
         let ((stats, exposition), trace) = shared.front.drain_trace(|rec| {
             (
@@ -319,22 +322,13 @@ impl Router {
         });
         RouterDrainReport { stats, exposition, trace }
     }
-
-    /// The connection front first (it answers in-flight requests), the
-    /// prober last.
-    fn stop_threads(&mut self) {
-        self.shared.front.stop(&mut self.acceptor);
-        if let Some(h) = self.prober.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for Router {
     fn drop(&mut self) {
         // Not drained: still stop the threads so tests that merely start a
-        // router cannot leak a spinning acceptor or prober.
-        self.stop_threads();
+        // router cannot leak a spinning acceptor.
+        self.shared.front.stop(&mut self.acceptor);
     }
 }
 
@@ -390,30 +384,37 @@ enum ForwardOutcome {
 }
 
 /// One round trip to backend `i` on an idle connection (dialing when none
-/// is idle): forward the line and classify. An `overloaded` answer closes
-/// the backend side and a transport error burns the connection, so only
-/// a connection that answered is checked back in.
+/// is idle): forward the line, classify, and update the backend's health.
+/// An `overloaded` answer closes the backend side and a transport error
+/// burns the connection, so only a connection that answered is checked
+/// back in.
 fn try_forward(shared: &RouterShared, i: usize, line: &str) -> Result<ForwardOutcome, ()> {
     let backend = &shared.backends[i];
     let idle = backend.idle.lock().expect("pool poisoned").pop();
-    let mut client = match idle {
-        Some(client) => client,
-        None => Client::connect(&backend.addr).map_err(|_| ())?,
+    let answered = idle
+        .map_or_else(|| Client::connect(&backend.addr), Ok)
+        .and_then(|mut client| client.request_raw(line).map(|resp| (client, resp)));
+    let Ok((client, resp)) = answered else {
+        record_failure(shared, i);
+        return Err(());
     };
-    let resp = client.request_raw(line).map_err(|_| ())?;
+    // Saturation is not sickness: an overloaded shard is alive and
+    // explicitly shedding, so its health stays as it was.
     if matches!(parse_response(&resp), Ok(Response::Overloaded { .. })) {
         return Ok(ForwardOutcome::Overloaded(resp));
     }
     backend.idle.lock().expect("pool poisoned").push(client);
+    record_success(shared, i);
     Ok(ForwardOutcome::Response(resp))
 }
 
-/// Note a failed probe or forward; ejects the backend after
-/// `eject_after` consecutive failures and arms the reinstatement backoff.
+/// Note a failed forward. The first one ejects a healthy backend (its
+/// [`Client`] already retried the dial) and arms the reinstatement
+/// backoff; a failed retry of an ejected backend changes nothing, since
+/// its backoff was re-armed before the dial.
 fn record_failure(shared: &RouterShared, i: usize) {
     let backend = &shared.backends[i];
-    let failures = backend.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
-    if failures >= shared.eject_after && backend.healthy.swap(false, Ordering::SeqCst) {
+    if backend.healthy.swap(false, Ordering::SeqCst) {
         backend.backoff.lock().expect("backoff poisoned").arm();
         // A dead backend's pooled connections are dead too.
         backend.idle.lock().expect("pool poisoned").clear();
@@ -422,12 +423,9 @@ fn record_failure(shared: &RouterShared, i: usize) {
     }
 }
 
-/// Note a successful probe or forward; resets the failure streak and
-/// reinstates the backend if it was ejected (a live answer is better
-/// evidence than any probe).
+/// Note an answered forward; reinstates the backend if it was ejected.
 fn record_success(shared: &RouterShared, i: usize) {
     let backend = &shared.backends[i];
-    backend.consecutive_failures.store(0, Ordering::SeqCst);
     if !backend.healthy.swap(true, Ordering::SeqCst) {
         backend.backoff.lock().expect("backoff poisoned").exp = 0;
         let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
@@ -435,25 +433,23 @@ fn record_success(shared: &RouterShared, i: usize) {
     }
 }
 
-/// Forward `line` along the failover order of `key` (ring
-/// successor order; plain index order for unkeyed requests), skipping
-/// ejected backends on the first pass and trying them anyway if nothing
-/// healthy remains. Bounded: every backend is attempted at most once.
+/// Forward `line` along the failover order of `key` (ring successor
+/// order). The first pass skips the backends that do not
+/// [admit the forward](Backend::admits_forward); the second tries them
+/// anyway if nothing in the first pass answered. Bounded: every backend
+/// is attempted at most once.
 ///
 /// Attempt wall time lands in `spans`: the first attempt is the
 /// `forward` span; later attempts are `retry` when the previous shard
 /// shed the request (overload) and `failover` when it was unreachable.
 fn forward_with_failover(
     shared: &RouterShared,
-    key: Option<u64>,
+    key: u64,
     line: &str,
     id: Option<u64>,
     spans: &mut Vec<(&'static str, f64)>,
 ) -> String {
-    let order = match key {
-        Some(key) => shared.ring.successors(key),
-        None => (0..shared.backends.len()).collect(),
-    };
+    let order = shared.ring.successors(key);
     {
         let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
         rec.counter("shard.requests.forwarded", 1);
@@ -463,15 +459,17 @@ fn forward_with_failover(
     let (mut forward_ms, mut retry_ms, mut failover_ms) = (0.0f64, 0.0f64, 0.0f64);
     let mut next_is_retry = false;
     let mut response: Option<String> = None;
+    let mut tried = vec![false; shared.backends.len()];
     'order: for pass in 0..2 {
         for &i in &order {
-            let healthy = shared.backends[i].healthy.load(Ordering::SeqCst);
             // Pass 0 trusts the health view; pass 1 is the last resort
-            // when every shard is ejected — try them anyway rather than
-            // failing a request on stale health data.
-            if (pass == 0) != healthy {
+            // when nothing in pass 0 answered — it tries the ejected
+            // shards pass 0 skipped rather than failing a request on
+            // stale health data.
+            if tried[i] || (pass == 0 && !shared.backends[i].admits_forward()) {
                 continue;
             }
+            tried[i] = true;
             attempts += 1;
             let attempt_started = Instant::now();
             let outcome = try_forward(shared, i, line);
@@ -485,7 +483,6 @@ fn forward_with_failover(
             }
             match outcome {
                 Ok(ForwardOutcome::Response(resp)) => {
-                    record_success(shared, i);
                     if attempts > 1 {
                         let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
                         rec.counter("shard.failovers", 1);
@@ -497,16 +494,12 @@ fn forward_with_failover(
                     break 'order;
                 }
                 Ok(ForwardOutcome::Overloaded(resp)) => {
-                    // Saturation is not sickness: an overloaded shard is
-                    // alive and explicitly shedding, so it keeps its
-                    // health but loses this request to a ring successor.
+                    // The shard keeps its health but loses this request
+                    // to a ring successor.
                     last_overloaded = Some(resp);
                     next_is_retry = true;
                 }
-                Err(()) => {
-                    record_failure(shared, i);
-                    next_is_retry = false;
-                }
+                Err(()) => next_is_retry = false,
             }
         }
     }
@@ -531,9 +524,9 @@ fn forward_with_failover(
 }
 
 /// Dispatch one client line. A parsed request first takes a forward
-/// permit (its `queue_wait` span). `simulate` and `analyze` are forwarded
-/// under the request's trace id (the client's, else one minted here), so
-/// the backend records its stage spans under the id the router samples.
+/// permit (its `queue_wait` span). A `simulate` is forwarded under the
+/// request's trace id (the client's, else one minted here), so the
+/// backend records its stage spans under the id the router samples.
 /// A line that does not parse gets the same typed error a single server
 /// would answer, without a forward.
 fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
@@ -552,12 +545,8 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
                 Request::Metrics { id } => (handle_metrics(shared, id), "metrics"),
                 Request::Simulate(req) => {
                     let fwd = simulate_request_line(&req, Some(&trace_hex));
-                    let key = Some(spec_key(&req));
+                    let key = spec_key(&req);
                     (forward_with_failover(shared, key, &fwd, req.id, &mut stages), "simulate")
-                }
-                Request::Analyze { trace, id } => {
-                    let fwd = analyze_request_line(&trace, id, Some(&trace_hex));
-                    (forward_with_failover(shared, None, &fwd, id, &mut stages), "analyze")
                 }
             };
             (response, trace_id, kind)
@@ -568,17 +557,18 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
     (response, ReqInfo { trace_id, kind, ok, stages })
 }
 
-/// Serve `metrics` by fanning out to every healthy backend and merging
-/// the expositions under a `shard` label; the router's own registry rides
+/// Serve `metrics` by fanning out to every backend that
+/// [admits the forward](Backend::admits_forward) and merging the
+/// expositions under a `shard` label; the router's own registry rides
 /// along as `shard="router"`.
 fn handle_metrics(shared: &RouterShared, id: Option<u64>) -> String {
     let mut sections: Vec<(String, String)> = Vec::new();
-    let probe = metrics_request_line(None, None);
+    let line = metrics_request_line(None, None);
     for (i, backend) in shared.backends.iter().enumerate() {
-        if !backend.healthy.load(Ordering::SeqCst) {
+        if !backend.admits_forward() {
             continue;
         }
-        if let Ok(ForwardOutcome::Response(resp)) = try_forward(shared, i, &probe) {
+        if let Ok(ForwardOutcome::Response(resp)) = try_forward(shared, i, &line) {
             if let Ok(Response::Result(v)) = parse_response(&resp) {
                 if let Some(expo) = v.get("exposition").and_then(Value::as_str) {
                     sections.push((i.to_string(), expo.to_string()));
@@ -660,48 +650,6 @@ pub fn merge_expositions(sections: &[(String, String)]) -> String {
         }
     }
     out
-}
-
-/// The health prober: periodic `metrics` probes keep the failure streaks
-/// honest, and ejected backends are re-probed once their backoff expires.
-fn probe_loop(shared: &RouterShared, interval: Duration) {
-    let probe = metrics_request_line(None, None);
-    while !shared.front.shutdown.load(Ordering::SeqCst) {
-        // Sleep in short slices so drain is never blocked on a probe gap.
-        let mut slept = Duration::ZERO;
-        while slept < interval && !shared.front.shutdown.load(Ordering::SeqCst) {
-            let slice = IDLE_POLL.min(interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-        if shared.front.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        for (i, backend) in shared.backends.iter().enumerate() {
-            let healthy = backend.healthy.load(Ordering::SeqCst);
-            if !healthy {
-                let due = backend.backoff.lock().expect("backoff poisoned").until;
-                if Instant::now() < due {
-                    continue;
-                }
-            }
-            match try_forward(shared, i, &probe) {
-                Ok(ForwardOutcome::Response(_)) => record_success(shared, i),
-                // An overloaded admission queue is load, not death.
-                Ok(ForwardOutcome::Overloaded(_)) => {
-                    backend.consecutive_failures.store(0, Ordering::SeqCst);
-                }
-                Err(()) => {
-                    if healthy {
-                        record_failure(shared, i);
-                    } else {
-                        // Still down: double the backoff and re-arm.
-                        backend.backoff.lock().expect("backoff poisoned").arm();
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use unet_core::spec::parse_graph;
 use unet_core::{CachePolicy, Embedding, GuestComputation, SharedPlanCache, SimError, Simulation};
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
-use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, SummaryRecorder, TraceAnalyzer};
+use unet_obs::{InMemoryRecorder, Recorder, SummaryRecorder};
 use unet_topology::par::default_threads;
 use unet_topology::Graph;
 
@@ -277,7 +277,6 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
                 Err((code, message)) => (error_line(&code, &message, req.id), false),
             }
         }
-        Request::Analyze { trace, id } => handle_analyze(&trace, id),
         Request::Metrics { id } => {
             let rec = shared.front.recorder.lock().expect("recorder poisoned");
             let exposition = exposition_of(shared, &rec);
@@ -420,29 +419,6 @@ fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, 
         ]),
     };
     (payload, acquire_ms, build_ms)
-}
-
-fn handle_analyze(trace: &[String], id: Option<u64>) -> (String, bool) {
-    let mut analyzer = TraceAnalyzer::new();
-    for (i, line) in trace.iter().enumerate() {
-        if let Err(e) = analyzer.feed_line(line, i + 1) {
-            return (error_line("bad-trace", &e, id), false);
-        }
-    }
-    let analysis = match analyzer.finish() {
-        Ok(a) => a,
-        Err(e) => return (error_line("bad-trace", &e, id), false),
-    };
-    let exposition = MetricsRegistry::from_analysis(&analysis).expose();
-    let line = result_line(
-        "analyze",
-        id,
-        vec![
-            ("lines".to_string(), Value::UInt(trace.len() as u64)),
-            ("exposition".to_string(), Value::Str(exposition)),
-        ],
-    );
-    (line, true)
 }
 
 #[cfg(test)]

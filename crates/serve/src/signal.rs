@@ -55,13 +55,3 @@ pub fn install_sigint_flag() -> &'static AtomicBool {
     }
     &INT
 }
-
-/// Has SIGTERM been received since [`install_sigterm_flag`]?
-pub fn sigterm_received() -> bool {
-    TERM.load(Ordering::SeqCst)
-}
-
-/// Has SIGINT been received since [`install_sigint_flag`]?
-pub fn sigint_received() -> bool {
-    INT.load(Ordering::SeqCst)
-}

@@ -12,8 +12,7 @@ use unet_obs::{MetricsRegistry, TraceAnalyzer};
 use unet_serve::client::Client;
 use unet_serve::loadgen::{self, LoadgenConfig};
 use unet_serve::protocol::{
-    analyze_request_line, metrics_request_line, parse_response, simulate_request_line, Response,
-    SimulateReq, PROTOCOL,
+    metrics_request_line, parse_response, simulate_request_line, Response, SimulateReq, PROTOCOL,
 };
 use unet_serve::router::{Router, ShardConfig};
 use unet_serve::{ClientError, RequestTrace, ServeConfig, Server, MAX_LINE_BYTES};
@@ -125,8 +124,10 @@ fn bad_specs_and_bad_requests_get_typed_errors() {
         Response::Error { code, .. } => assert_eq!(code, "bad-request"),
         other => panic!("expected error, got {other:?}"),
     }
-    // `batch` is no request kind: one `bad-request`, from a server and from
-    // a router over it, and the same connection then runs a simulation.
+    // The retired `batch` and `analyze` kinds and a line nested past the
+    // JSON parser's depth cap each get one `bad-request`, from a server and
+    // from a router over it, and the same connection then runs a
+    // simulation.
     let router = Router::start(ShardConfig {
         workers: 1,
         backends: vec![addr.clone()],
@@ -137,18 +138,29 @@ fn bad_specs_and_bad_requests_get_typed_errors() {
         "{{\"proto\":{PROTOCOL:?},\"kind\":\"batch\",\"items\":[\
          {{\"guest\":\"ring:24\",\"host\":\"torus:3x3\",\"steps\":3,\"seed\":7}}]}}"
     );
-    let lines = [batch, simulate_request_line(&sim_req(7), None)];
+    let analyze =
+        format!("{{\"proto\":{PROTOCOL:?},\"kind\":\"analyze\",\"trace_lines\":[\"{{}}\"]}}");
+    let bad_lines = [
+        (batch, "unknown request kind \"batch\""),
+        (analyze, "unknown request kind \"analyze\""),
+        ("[".repeat(5_000), "nesting deeper than 64 levels"),
+    ];
     for target in [addr, router.addr().to_string()] {
-        let got = answers(&target, &lines);
-        assert_eq!(got.len(), 2, "one answer per line from {target}: {got:?}");
-        match parse_response(&got[0]).expect("typed") {
-            Response::Error { code, message, .. } => {
-                assert_eq!(code, "bad-request", "{target}");
-                assert!(message.contains("unknown request kind \"batch\""), "{message}");
+        for (bad, why) in &bad_lines {
+            let got = answers(&target, &[bad.clone(), simulate_request_line(&sim_req(7), None)]);
+            assert_eq!(got.len(), 2, "one answer per line from {target}: {got:?}");
+            match parse_response(&got[0]).expect("typed") {
+                Response::Error { code, message, .. } => {
+                    assert_eq!(code, "bad-request", "{target}");
+                    assert!(message.contains(why), "{message}");
+                }
+                other => panic!("expected bad-request from {target}, got {other:?}"),
             }
-            other => panic!("expected bad-request from {target}, got {other:?}"),
+            assert!(
+                matches!(parse_response(&got[1]), Ok(Response::Result(_))),
+                "{target}: {got:?}"
+            );
         }
-        assert!(matches!(parse_response(&got[1]), Ok(Response::Result(_))), "{target}: {got:?}");
     }
     router.drain();
     server.drain();
@@ -430,7 +442,7 @@ fn responses_survive_a_drain_started_after_send() {
 }
 
 #[test]
-fn metrics_and_analyze_requests_expose_prometheus_text() {
+fn metrics_requests_expose_prometheus_text() {
     let server = start(2, 8);
     let addr = server.addr().to_string();
     raw(&addr, &simulate_request_line(&sim_req(2), None));
@@ -444,41 +456,6 @@ fn metrics_and_analyze_requests_expose_prometheus_text() {
     assert!(exposition.contains("unet_serve_cache_shared_misses 1"));
     assert!(exposition.contains("unet_serve_planbuild_singleflight_followers"));
 
-    // analyze: round-trip a trace through the wire protocol.
-    let trace: Vec<String> = {
-        use unet_obs::trace::{export, RunMeta};
-        use unet_obs::{InMemoryRecorder, Recorder};
-        let mut rec = InMemoryRecorder::new();
-        rec.counter("sim.cache.hits", 4);
-        let meta = RunMeta {
-            command: "t".into(),
-            guest: "g".into(),
-            host: "h".into(),
-            n: 1,
-            m: 1,
-            guest_steps: 1,
-        };
-        export(&rec, &meta, None).lines().map(str::to_string).collect()
-    };
-    let resp = raw(&addr, &analyze_request_line(&trace, None, None));
-    match parse_response(&resp).expect("valid") {
-        Response::Result(v) => {
-            assert_eq!(v.get("lines").and_then(Value::as_u64), Some(trace.len() as u64));
-            let expo = v.get("exposition").and_then(Value::as_str).unwrap();
-            assert!(expo.contains("unet_sim_cache_hits 4"));
-        }
-        other => panic!("expected result, got {other:?}"),
-    }
-    // Malformed trace lines surface as typed bad-trace errors.
-    let resp = raw(&addr, &analyze_request_line(&["not json".to_string()], Some(3), None));
-    match parse_response(&resp).expect("valid") {
-        Response::Error { code, message, id } => {
-            assert_eq!(code, "bad-trace");
-            assert!(message.contains("line 1"));
-            assert_eq!(id, Some(3));
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
     server.drain();
 }
 

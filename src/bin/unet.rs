@@ -16,7 +16,7 @@
 //! unet faults   <guest> <host> <T> [opts]     degraded run under crash-stop faults
 //! unet bench    run|diff|list [opts]          experiment registry + regression gate
 //! unet serve    [opts]                        long-running simulation server (unet-serve/3)
-//! unet shard    [opts]                        fingerprint-affine router over N backend servers
+//! unet shard    [opts]                        spec-affine router over N backend servers
 //! unet request  <addr> <kind> [args]          typed client for a running server
 //! unet trace-requests <trace-file>...         per-request waterfalls, merged by trace_id
 //! ```
@@ -72,12 +72,10 @@ const USAGE: &str = "usage:
   unet serve    [--addr A] [--workers N] [--queue N] [--deadline-ms MS]
                 [--sample-permille P] [--trace-out FILE]
   unet shard    (--shards N | --backend ADDR ...) [--addr A] [--workers N]
-                [--queue N] [--backend-workers N] [--probe-ms MS]
-                [--eject-after N] [--sample-permille P]
+                [--queue N] [--backend-workers N] [--sample-permille P]
                 [--trace-out FILE] [--backend-trace-dir DIR]
   unet request  <addr> simulate <guest-spec> <host-spec> <steps>
                 [--seed S] [--deadline-ms MS] [--retries N] [--raw]
-  unet request  <addr> analyze <trace-file> [--raw]
   unet request  <addr> metrics [--raw]
   unet trace-requests <trace-file>... [--trace ID]... [--markdown]";
 
@@ -465,18 +463,11 @@ fn first_line(path: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// `{path}: line N: {err}` — the one line-number formatting every
-/// malformed-JSONL exit path shares (`analyze`, `metrics`, and the
-/// `request analyze` file reader).
-fn trace_line_err(path: &str, lno: usize, err: impl std::fmt::Display) -> String {
-    format!("{path}: line {lno}: {err}")
-}
-
 /// Stream a JSONL trace file through the bounded-memory analyzer, handing
 /// each `request` record to `on_request`. The trace is read line by line —
 /// a multi-million-event trace is never materialized in memory — and
 /// malformed or truncated input is a hard error naming the offending line
-/// via [`trace_line_err`].
+/// (`{path}: line N: {err}`).
 fn analyze_file(
     path: &str,
     mut on_request: impl FnMut(universal_networks::obs::trace::RequestRecord),
@@ -486,7 +477,7 @@ fn analyze_file(
     let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut analyzer = TraceAnalyzer::new();
     for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| trace_line_err(path, i + 1, e))?;
+        let line = line.map_err(|e| format!("{path}: line {}: {e}", i + 1))?;
         if let Some(r) = analyzer.feed_line(&line, i + 1).map_err(|e| format!("{path}: {e}"))? {
             on_request(r);
         }
@@ -630,6 +621,24 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Block until stdin reaches EOF (pipe closed, ctrl-d) or one of `flags`
+/// is set, polling every 50 ms; whatever arrives on stdin before EOF is
+/// ignored. `unet serve` and `unet shard` drain once this returns.
+fn wait_for_drain(flags: &[&std::sync::atomic::AtomicBool]) {
+    use std::io::Read;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    static STDIN_CLOSED: AtomicBool = AtomicBool::new(false);
+    std::thread::spawn(|| {
+        let mut sink = [0u8; 4096];
+        let mut stdin = std::io::stdin();
+        while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+        STDIN_CLOSED.store(true, Ordering::SeqCst);
+    });
+    while !STDIN_CLOSED.load(Ordering::SeqCst) && !flags.iter().any(|f| f.load(Ordering::SeqCst)) {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+}
+
 /// Run the long-running simulation server (`unet-serve/3`). Prints the
 /// bound address on stdout and then blocks; SIGTERM or stdin reaching EOF
 /// triggers a graceful drain — stop accepting, answer everything in
@@ -638,8 +647,6 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
 /// streams the tail-sampled per-request trace to FILE (`unet
 /// trace-requests` reads it back).
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
     use universal_networks::serve::{signal, ServeConfig, Server};
 
     let defaults = ServeConfig::default();
@@ -665,23 +672,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         std::io::stdout().flush().ok();
     }
 
-    let term = signal::install_sigterm_flag();
-    let stdin_closed = Arc::new(AtomicBool::new(false));
-    {
-        let stdin_closed = Arc::clone(&stdin_closed);
-        std::thread::spawn(move || {
-            // Block until stdin reaches EOF (pipe closed, ctrl-d); any
-            // content arriving before that is ignored.
-            use std::io::Read;
-            let mut sink = [0u8; 4096];
-            let mut stdin = std::io::stdin();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            stdin_closed.store(true, Ordering::SeqCst);
-        });
-    }
-    while !term.load(Ordering::SeqCst) && !stdin_closed.load(Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    // Ctrl-C keeps its abrupt default here (see `serve::signal`).
+    wait_for_drain(&[signal::install_sigterm_flag()]);
 
     let report = server.drain();
     eprintln!(
@@ -722,8 +714,6 @@ fn write_request_trace(
 fn shard_cmd(args: &[String]) -> Result<(), String> {
     use std::io::{BufRead, BufReader, Write};
     use std::process::{Child, Command, Stdio};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
     use universal_networks::serve::router::{Router, ShardConfig};
     use universal_networks::serve::signal;
 
@@ -803,10 +793,6 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         queue_cap: flag(args, "--queue")
             .map_or(Ok(defaults.queue_cap), |s| s.parse().map_err(|_| "bad --queue"))?,
         backends,
-        probe_interval_ms: flag(args, "--probe-ms")
-            .map_or(Ok(defaults.probe_interval_ms), |s| s.parse().map_err(|_| "bad --probe-ms"))?,
-        eject_after: flag(args, "--eject-after")
-            .map_or(Ok(defaults.eject_after), |s| s.parse().map_err(|_| "bad --eject-after"))?,
         head_sample_permille: flag(args, "--sample-permille")
             .map_or(Ok(defaults.head_sample_permille), |s| {
                 s.parse().map_err(|_| "bad --sample-permille")
@@ -816,25 +802,7 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
     println!("unet-shard listening on {} ({} backends)", router.addr(), router.stats().backends);
     std::io::stdout().flush().ok();
 
-    let term = signal::install_sigterm_flag();
-    let int = signal::install_sigint_flag();
-    let stdin_closed = Arc::new(AtomicBool::new(false));
-    {
-        let stdin_closed = Arc::clone(&stdin_closed);
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 4096];
-            let mut stdin = std::io::stdin();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            stdin_closed.store(true, Ordering::SeqCst);
-        });
-    }
-    while !term.load(Ordering::SeqCst)
-        && !int.load(Ordering::SeqCst)
-        && !stdin_closed.load(Ordering::SeqCst)
-    {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    wait_for_drain(&[signal::install_sigterm_flag(), signal::install_sigint_flag()]);
 
     let report = router.drain();
     eprintln!(
@@ -876,15 +844,14 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
 fn request_cmd(args: &[String]) -> Result<(), String> {
     use universal_networks::obs::json::Value;
     use universal_networks::serve::protocol::{
-        analyze_request_line, gen_trace_id, metrics_request_line, parse_response,
-        simulate_request_line, SimulateReq,
+        gen_trace_id, metrics_request_line, parse_response, simulate_request_line, SimulateReq,
     };
     use universal_networks::serve::{Client, ClientError, Response};
 
     let pos = positionals(args, &["--seed", "--deadline-ms", "--retries"]);
     let (addr, kind) = match pos.as_slice() {
         [addr, kind, ..] => (addr.as_str(), kind.as_str()),
-        _ => return Err("usage: unet request <addr> simulate|analyze|metrics [args]".into()),
+        _ => return Err("usage: unet request <addr> simulate|metrics [args]".into()),
     };
     let deadline_ms = flag(args, "--deadline-ms")
         .map(|s| s.parse::<u64>().map_err(|_| "bad --deadline-ms"))
@@ -910,18 +877,6 @@ fn request_cmd(args: &[String]) -> Result<(), String> {
                 },
                 Some(&trace_id),
             )
-        }
-        ("analyze", [path]) => {
-            // Reuse the canonical `{path}: line N` formatting on read
-            // errors so a broken trace file fails the same way here as in
-            // `unet analyze`.
-            use std::io::{BufRead, BufReader};
-            let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let mut lines = Vec::new();
-            for (i, line) in BufReader::new(file).lines().enumerate() {
-                lines.push(line.map_err(|e| trace_line_err(path, i + 1, e))?);
-            }
-            analyze_request_line(&lines, None, Some(&trace_id))
         }
         ("metrics", []) => metrics_request_line(None, Some(&trace_id)),
         _ => return Err(format!("bad arguments for request kind {kind:?} (see usage)")),
@@ -954,8 +909,8 @@ fn request_cmd(args: &[String]) -> Result<(), String> {
     }
     match parsed {
         Response::Result(v) => {
-            // Exposition-bearing results (metrics, analyze) print the
-            // Prometheus text; simulate results print the JSON payload.
+            // A metrics result prints its Prometheus text; a simulate
+            // result prints the JSON payload.
             if let Some(expo) = v.get("exposition").and_then(Value::as_str) {
                 print!("{expo}");
             } else {

@@ -62,7 +62,6 @@ fn healthy_shard_absorbs_requests_rejected_by_an_overloaded_one() {
     let router = Router::start(ShardConfig {
         backends: backends.iter().map(|b| b.addr().to_string()).collect(),
         workers: 2,
-        probe_interval_ms: 60_000,
         ..ShardConfig::default()
     })
     .expect("bind router");
@@ -92,7 +91,6 @@ fn all_shards_overloaded_propagates_a_capped_hint() {
     let router = Router::start(ShardConfig {
         backends: vec![backend.addr().to_string()],
         workers: 2,
-        probe_interval_ms: 60_000,
         ..ShardConfig::default()
     })
     .expect("bind router");

@@ -9,7 +9,11 @@
 //! ring fails the dead shard's keys over to its successor, every request
 //! is answered, and the simulation outputs stay bit-for-bit identical
 //! (only the hit flag may recool, since the surviving shard compiles the
-//! migrated plan once).
+//! migrated plan once). The forwards are the router's only health
+//! checks: a failed one ejects its backend, and the first forward to reach
+//! it after the backoff brings it back.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 use universal_networks::serve::client::Client;
@@ -38,12 +42,11 @@ fn backend() -> Server {
 }
 
 /// N backends plus a router in front of them.
-fn deployment(shards: usize, probe_interval_ms: u64) -> (Vec<Server>, Router) {
+fn deployment(shards: usize) -> (Vec<Server>, Router) {
     let backends: Vec<Server> = (0..shards).map(|_| backend()).collect();
     let router = Router::start(ShardConfig {
         backends: backends.iter().map(|b| b.addr().to_string()).collect(),
         workers: 2,
-        probe_interval_ms,
         ..ShardConfig::default()
     })
     .expect("bind router on 127.0.0.1:0");
@@ -94,7 +97,7 @@ fn run_single(specs: &[SimulateReq]) -> Vec<Outcome> {
 
 /// The same specs through a router over `shards` backends.
 fn run_sharded(specs: &[SimulateReq], shards: usize) -> Vec<Outcome> {
-    let (backends, router) = deployment(shards, 100);
+    let (backends, router) = deployment(shards);
     let out = drive(&router.addr().to_string(), specs);
     let report = router.drain();
     assert_eq!(report.stats.failovers, 0, "healthy backends never fail over");
@@ -165,10 +168,8 @@ fn specs_sent_one_at_a_time_through_the_router_answer_like_one_server() {
 
 #[test]
 fn killed_backend_fails_over_with_zero_lost_requests() {
-    // A probe interval far beyond the test's lifetime: failure detection
-    // must come from the request path itself, not the background prober.
     let shards = 2;
-    let (mut backends, router) = deployment(shards, 60_000);
+    let (mut backends, router) = deployment(shards);
     let addr = router.addr().to_string();
     let probe = spec(0, 0, 2, 7);
     let home = Ring::new(shards).shard_of(simulate_fingerprint(&probe).expect("fingerprint"));
@@ -201,4 +202,48 @@ fn killed_backend_fails_over_with_zero_lost_requests() {
     for b in backends {
         b.drain();
     }
+}
+
+#[test]
+fn a_failed_forward_ejects_and_the_first_forward_after_the_backoff_reinstates() {
+    let shards = 2;
+    let (mut backends, router) = deployment(shards);
+    let req = spec(0, 0, 2, 7);
+    let home = Ring::new(shards).shard_of(simulate_fingerprint(&req).expect("fingerprint"));
+    let mut client = Client::connect(&router.addr().to_string()).expect("connect");
+    client.simulate(&req).expect("served by the home shard");
+
+    // Drain the home shard: the next request's forward fails, ejects it,
+    // and the ring successor answers.
+    let home_addr = backends[home].addr();
+    backends.remove(home).drain();
+    client.simulate(&req).expect("absorbed by the ring successor");
+    // The successor built the migrated plan. (Its cache counters move
+    // before it answers; its `completed` counter only after.)
+    assert_eq!(backends[0].stats().shared_misses, 1, "the ring successor answered");
+    let stats = router.stats();
+    assert_eq!((stats.failovers, stats.ejected, stats.healthy), (1, 1, 1), "{stats:?}");
+
+    // A backend restarted on the drained address is retried by the first
+    // request that reaches it once the 100 ms backoff has run out.
+    let restarted = Server::start(ServeConfig {
+        addr: home_addr.to_string(),
+        workers: 2,
+        queue_cap: 32,
+        ..ServeConfig::default()
+    })
+    .expect("rebind the drained address");
+    std::thread::sleep(Duration::from_millis(300));
+    client.simulate(&req).expect("answered by the restarted backend");
+    let stats = router.stats();
+    assert_eq!(
+        (stats.reinstated, stats.healthy, stats.ejected, stats.failovers),
+        (1, 2, 1, 1),
+        "{stats:?}"
+    );
+
+    drop(client);
+    router.drain();
+    assert_eq!(restarted.drain().stats.completed, 1, "the restarted backend answered");
+    assert_eq!(backends.remove(0).drain().stats.completed, 1, "the successor answered once");
 }
