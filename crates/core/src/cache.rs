@@ -1,22 +1,23 @@
 //! Process-wide sharing of step-invariant route plans.
 //!
-//! The per-run [`PlanCache`](unet_routing::plan::PlanCache) already makes
-//! guest steps `3..=T` replay the plan computed at step 2 — but every *run*
-//! still pays that first compilation, even when a long-lived process (the
-//! `unet-serve` worker pool) simulates the same guest/host pair thousands of
-//! times. A [`SharedPlanCache`] closes that gap: it memoizes the compiled
-//! communication-phase skeleton across runs, keyed by everything the plan
-//! can depend on and nothing it cannot.
+//! Within one run the engine builds the plan at guest step 2, replays it
+//! there, and emits steps `3..=T` as level-shifted copies of the step
+//! before — but every *run* still pays that first build, even when a
+//! long-lived process (the `unet-serve` worker pool) simulates the same
+//! guest/host pair thousands of times. A [`SharedPlanCache`] closes that
+//! gap: it memoizes the built communication-phase skeleton across runs,
+//! keyed by everything the plan can depend on and nothing it cannot.
+//! Entries are shared as `Arc`s, so a hit copies no plan rounds.
 //!
 //! The key is a fingerprint of `(guest adjacency, host adjacency, embedding,
 //! router name, route seed)`. Guest *states* and the step count are
 //! deliberately excluded: the induced routing problem is a function of the
 //! embedding and the guest's edges only (payloads are rebuilt every step),
-//! which is exactly the invariant the per-run cache already relies on. The
-//! route seed is part of the key because a randomized router's schedule is a
-//! function of its per-phase seed — two runs share a plan only when they
-//! would have compiled identical plans anyway, keeping the bit-for-bit
-//! guarantee of `Simulation::builder` intact.
+//! which is exactly the invariant the engine's per-run plan already relies
+//! on. The route seed is part of the key because a randomized router's
+//! schedule is a function of its per-phase seed — two runs share a plan
+//! only when they would have compiled identical plans anyway, keeping the
+//! bit-for-bit guarantee of `Simulation::builder` intact.
 //!
 //! # Single-flight compilation
 //!
@@ -40,7 +41,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::cancel::CancelToken;
@@ -50,7 +51,7 @@ use crate::simulate::CachedComm;
 use unet_topology::Graph;
 
 struct CacheState {
-    entries: HashMap<u64, CachedComm>,
+    entries: HashMap<u64, Arc<CachedComm>>,
     /// Keys currently held by a build lease (a leader is compiling them).
     building: HashSet<u64>,
 }
@@ -107,7 +108,7 @@ const FOLLOWER_POLL: Duration = Duration::from_millis(5);
 pub(crate) enum Acquire<'a> {
     /// The plan was cached (possibly published by a leader the caller
     /// waited on); counted as a hit.
-    Hit(CachedComm),
+    Hit(Arc<CachedComm>),
     /// The caller is the build leader for this key; counted as a miss.
     /// Publish through the guard, or drop it to pass leadership on.
     Lead(LeadGuard<'a>),
@@ -127,7 +128,7 @@ impl LeadGuard<'_> {
     /// writer wins — concurrent compilations of the same workload produce
     /// identical plans (the key covers every input), so keeping the
     /// incumbent is safe.
-    pub(crate) fn publish(&mut self, plan: CachedComm) {
+    pub(crate) fn publish(&mut self, plan: Arc<CachedComm>) {
         let mut st = self.cache.state.lock().expect("plan cache poisoned");
         st.entries.entry(self.key).or_insert(plan);
         st.building.remove(&self.key);
@@ -207,7 +208,7 @@ impl SharedPlanCache {
         let mut waited = false;
         loop {
             if let Some(entry) = st.entries.get(&key) {
-                let entry = entry.clone();
+                let entry = Arc::clone(entry);
                 drop(st);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if waited {
@@ -229,33 +230,6 @@ impl SharedPlanCache {
                 self.ready.wait_timeout(st, FOLLOWER_POLL).expect("plan cache poisoned");
             st = guard;
         }
-    }
-
-    /// Clone out the plan for `key`, counting a hit or miss. Bypasses the
-    /// single-flight slot (no lease is taken) — kept for callers that only
-    /// ever read.
-    #[cfg(test)]
-    pub(crate) fn get(&self, key: u64) -> Option<CachedComm> {
-        let got = self.state.lock().expect("plan cache poisoned").entries.get(&key).cloned();
-        match got {
-            Some(c) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(c)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Publish a plan without holding a lease (first writer wins).
-    #[cfg(test)]
-    pub(crate) fn insert_if_absent(&self, key: u64, plan: CachedComm) {
-        let mut st = self.state.lock().expect("plan cache poisoned");
-        st.entries.entry(key).or_insert(plan);
-        drop(st);
-        self.ready.notify_all();
     }
 }
 
@@ -325,9 +299,11 @@ mod tests {
         let cache = SharedPlanCache::new();
         assert!(cache.is_empty());
         assert_eq!(cache.hit_ratio(), None);
-        assert!(cache.get(1).is_none());
-        cache.insert_if_absent(1, CachedComm::default());
-        assert!(cache.get(1).is_some());
+        match cache.acquire(1, None).expect("no cancel") {
+            Acquire::Lead(mut lead) => lead.publish(Arc::default()),
+            Acquire::Hit(_) => panic!("cold cache cannot hit"),
+        }
+        assert!(matches!(cache.acquire(1, None), Ok(Acquire::Hit(_))));
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.hit_ratio(), Some(0.5));
@@ -342,7 +318,7 @@ mod tests {
         };
         assert!(cache.is_empty(), "lease does not publish");
         let mut lead = lead;
-        lead.publish(CachedComm::default());
+        lead.publish(Arc::default());
         assert_eq!(cache.len(), 1);
         match cache.acquire(9, None).expect("no cancel") {
             Acquire::Hit(_) => {}
@@ -370,7 +346,6 @@ mod tests {
 
     #[test]
     fn follower_blocks_until_publish_and_is_counted() {
-        use std::sync::Arc;
         let cache = Arc::new(SharedPlanCache::new());
         let mut lead = match cache.acquire(3, None).expect("acquire") {
             Acquire::Lead(g) => g,
@@ -382,7 +357,7 @@ mod tests {
         };
         // Give the follower time to block on the lease.
         std::thread::sleep(Duration::from_millis(20));
-        lead.publish(CachedComm::default());
+        lead.publish(Arc::default());
         assert!(follower.join().expect("follower thread"), "follower resolves to a hit");
         assert_eq!(cache.singleflight_followers(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -390,7 +365,6 @@ mod tests {
 
     #[test]
     fn waiting_follower_honors_its_own_cancel_token() {
-        use std::sync::Arc;
         use std::time::Duration;
         let cache = Arc::new(SharedPlanCache::new());
         let _lead = match cache.acquire(1, None).expect("acquire") {

@@ -38,9 +38,10 @@ use crate::embedding::Embedding;
 use crate::error::SimError;
 use crate::guest::{transition, GuestComputation};
 use crate::routers::Router;
+use std::sync::Arc;
 use unet_obs::{edge_key, Recorder};
 use unet_pebble::protocol::{Op, Pebble, Protocol, ProtocolBuilder};
-use unet_routing::plan::{extract_plan, PlanCache, RoutePlan};
+use unet_routing::plan::{extract_plan, RoutePlan};
 use unet_routing::problem::RoutingProblem;
 use unet_topology::par::par_chunks;
 use unet_topology::util::{seeded_rng, FxHashSet};
@@ -92,11 +93,11 @@ pub(crate) struct EngineConfig<'e> {
 }
 
 /// The step-invariant skeleton of one communication phase: payload sources
-/// (guest per packet), problem size, and the replayable transfer rounds.
+/// (guest per packet, so also the problem size) and the replayable
+/// transfer rounds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CachedComm {
     guests: Vec<Node>,
-    pair_count: usize,
     plan: RoutePlan,
 }
 
@@ -187,24 +188,24 @@ pub(crate) fn run_engine<REC: Recorder>(
     let mut builder = ProtocolBuilder::new(n, steps, m);
     let mut comm_steps = 0usize;
     let mut compute_steps = 0usize;
-    // The core engine never changes topology mid-run, so the cache epoch is
-    // constant; degraded-mode simulators key their caches on the live
-    // `FaultyView::epoch` instead.
-    let mut cache: PlanCache<CachedComm> = PlanCache::new();
+    // The plan held across guest steps (with `cfg.cache`): a static
+    // embedding induces the same routing problem at every `gt > 1`.
+    let mut held: Option<Arc<CachedComm>> = None;
+    let (mut hits, mut misses) = (0u64, 0u64);
 
-    // Cross-run sharing: pre-seed the per-run cache from the process-wide
-    // one when the workload fingerprint matches. A miss takes the
-    // single-flight build lease: concurrent runs of the same workload block
-    // on this run's compile instead of duplicating it, and get woken the
-    // moment `publish` fires below (right after the gt = 2 compile, not at
-    // the end of the run). If this run errors or is cancelled before
-    // compiling, dropping the lease promotes a blocked follower to leader.
+    // Cross-run sharing: start from the process-wide plan when the
+    // workload fingerprint matches. A miss takes the single-flight build
+    // lease: concurrent runs of the same workload block on this run's
+    // build instead of duplicating it, and get woken the moment `publish`
+    // fires below (in the gt = 2 step, not at the end of the run). If
+    // this run errors or is cancelled before building, dropping
+    // the lease promotes a blocked follower to leader.
     let mut lease: Option<LeadGuard<'_>> = None;
     if cfg.cache {
         if let Some(shared) = cfg.shared {
             let key = plan_fingerprint(&comp.graph, host, embedding, router.name(), cfg.route_seed);
             // Time the acquire: an instant hit or a fresh lease is ~0, a
-            // single-flight follower blocked on another run's compile shows
+            // single-flight follower blocked on another run's build shows
             // its real wait here (`singleflight_wait` in request spans).
             let acquire_started = std::time::Instant::now();
             let acquired = shared.acquire(key, cfg.cancel)?;
@@ -212,7 +213,7 @@ pub(crate) fn run_engine<REC: Recorder>(
             match acquired {
                 Acquire::Hit(entry) => {
                     rec.counter("sim.cache.shared.hits", 1);
-                    cache.store(0, entry);
+                    held = Some(entry);
                 }
                 Acquire::Lead(guard) => {
                     rec.counter("sim.cache.shared.misses", 1);
@@ -224,9 +225,9 @@ pub(crate) fn run_engine<REC: Recorder>(
 
     let mut prev_states: Vec<u64> = comp.init.clone();
     // Global communication-round index across the whole run: the time
-    // axis of the `sim.edge_util` congestion series. Cached phases replay
-    // the same plan over fresh rounds, so they are sampled too — the
-    // telemetry reflects actual edge traffic, not just route() calls.
+    // axis of the `sim.edge_util` congestion series. Every phase is
+    // sampled, replayed or copied, so the telemetry reflects actual edge
+    // traffic, not just route() calls.
     let mut comm_round = 0u64;
 
     // Host steps where the previous guest step's block and its computation
@@ -237,7 +238,7 @@ pub(crate) fn run_engine<REC: Recorder>(
 
     for gt in 1..=steps {
         let start = comm_steps + compute_steps;
-        let mut copied = false;
+        let copied = cfg.cache && gt > 2;
         // Cooperative cancellation is checked at phase boundaries only:
         // phases are the engine's units of progress, and a branch inside
         // the routing/compute loops would tax uncancellable runs too.
@@ -250,67 +251,52 @@ pub(crate) fn run_engine<REC: Recorder>(
         // first guest step needs no communication at all.
         rec.span_start("sim.comm");
         if gt > 1 {
-            let hit = cfg.cache && cache.lookup(0, |_| true).is_some();
-            if hit {
-                let c = cache.peek().expect("hit implies entry");
-                rec.histogram("sim.routing_problem_size", c.pair_count as u64);
-                for round in &c.plan.rounds {
-                    for &(from, to, _) in round {
-                        rec.sample("sim.edge_util", comm_round, edge_key(from, to), 1);
-                    }
-                    comm_round += 1;
+            let comm = match held.take() {
+                Some(comm) => {
+                    hits += 1;
+                    comm
                 }
-                if gt > 2 {
-                    if gt == 3 {
-                        builder.reserve_copies(prev.0..start, (steps - 2) as usize);
+                None => {
+                    if cfg.cache {
+                        misses += 1;
                     }
-                    builder.repeat_later(prev.0..prev.1);
-                    comm_steps += prev.1 - prev.0;
-                    copied = true;
-                } else {
-                    let payloads: Vec<Pebble> =
-                        c.guests.iter().map(|&u| Pebble::new(u, gt - 1)).collect();
-                    comm_steps += replay_plan(&mut builder, &c.plan, &payloads);
+                    Arc::new(build_comm(comp, f, router, host, cfg, rec))
                 }
+            };
+            rec.histogram("sim.routing_problem_size", comm.guests.len() as u64);
+            for round in &comm.plan.rounds {
+                for &(from, to, _) in round {
+                    rec.sample("sim.edge_util", comm_round, edge_key(from, to), 1);
+                }
+                comm_round += 1;
+            }
+            if copied {
+                if gt == 3 {
+                    builder.reserve_copies(prev.0..start, (steps - 2) as usize);
+                }
+                builder.repeat_later(prev.0..prev.1);
+                comm_steps += prev.1 - prev.0;
             } else {
-                let build_started = std::time::Instant::now();
-                let (pairs, guests) = induced_pairs(comp, f, cfg.threads);
-                rec.histogram("sim.routing_problem_size", pairs.len() as u64);
-                let pair_count = pairs.len();
-                let plan = if pairs.is_empty() {
-                    RoutePlan::default()
-                } else {
-                    let prob = RoutingProblem::new(m, pairs);
-                    let out = router.route_recorded(
-                        host,
-                        &prob,
-                        &mut seeded_rng(cfg.route_seed),
-                        &mut *rec,
-                    );
-                    extract_plan(&out.transfers)
-                };
-                // Pair extraction through route + plan extraction is the
-                // plan build (`plan_build` in request spans).
-                rec.histogram("sim.plan.build_us", build_started.elapsed().as_micros() as u64);
                 let payloads: Vec<Pebble> =
-                    guests.iter().map(|&u| Pebble::new(u, gt - 1)).collect();
-                for round in &plan.rounds {
-                    for &(from, to, _) in round {
-                        rec.sample("sim.edge_util", comm_round, edge_key(from, to), 1);
+                    comm.guests.iter().map(|&u| Pebble::new(u, gt - 1)).collect();
+                comm_steps += replay_plan(&mut builder, &comm.plan, &payloads);
+            }
+            if cfg.cache {
+                // A run holding the build lease publishes an exact-size copy
+                // (`Vec::clone`) and keeps that; single-flight followers wake
+                // here. The published plan lives as long as the shared cache.
+                // Kept as built, its rounds' spare capacity took perfbench
+                // `shard-cold` from 37 to 47 MB peak RSS; copied before this
+                // step's replay instead of after it, its warm-up plan builds
+                // stalled twice as often (`setup_s` +21%; 2-vCPU VM).
+                held = Some(match lease.take() {
+                    Some(mut guard) => {
+                        let kept = Arc::new((*comm).clone());
+                        guard.publish(Arc::clone(&kept));
+                        kept
                     }
-                    comm_round += 1;
-                }
-                comm_steps += replay_plan(&mut builder, &plan, &payloads);
-                if cfg.cache {
-                    let entry = CachedComm { guests, pair_count, plan };
-                    // Publish to the shared cache the moment the plan
-                    // exists: single-flight followers wake here and replay
-                    // it while this run is still simulating.
-                    if let Some(mut guard) = lease.take() {
-                        guard.publish(entry.clone());
-                    }
-                    cache.store(0, entry);
-                }
+                    None => comm,
+                });
             }
         } else {
             rec.histogram("sim.routing_problem_size", 0);
@@ -347,8 +333,8 @@ pub(crate) fn run_engine<REC: Recorder>(
     rec.counter("sim.guest_steps", steps as u64);
     rec.counter("sim.comm_steps", comm_steps as u64);
     rec.counter("sim.compute_steps", compute_steps as u64);
-    rec.counter("sim.cache.hits", cache.hits());
-    rec.counter("sim.cache.misses", cache.misses());
+    rec.counter("sim.cache.hits", hits);
+    rec.counter("sim.cache.misses", misses);
     rec.gauge("sim.load", load as f64);
     rec.gauge("sim.par.threads", cfg.threads as f64);
 
@@ -358,6 +344,31 @@ pub(crate) fn run_engine<REC: Recorder>(
         comm_steps,
         compute_steps,
     })
+}
+
+/// Build one communication phase's plan: the induced pairs, routed on
+/// `host` under the run's fixed route seed, decomposed into replayable
+/// rounds. Records the build time as `sim.plan.build_us` (`plan_build` in
+/// request spans).
+fn build_comm<REC: Recorder>(
+    comp: &GuestComputation,
+    f: &[Node],
+    router: &dyn Router,
+    host: &Graph,
+    cfg: &EngineConfig<'_>,
+    rec: &mut REC,
+) -> CachedComm {
+    let build_started = std::time::Instant::now();
+    let (pairs, guests) = induced_pairs(comp, f, cfg.threads);
+    let plan = if pairs.is_empty() {
+        RoutePlan::default()
+    } else {
+        let prob = RoutingProblem::new(host.n(), pairs);
+        let out = router.route_recorded(host, &prob, &mut seeded_rng(cfg.route_seed), &mut *rec);
+        extract_plan(&out.transfers)
+    };
+    rec.histogram("sim.plan.build_us", build_started.elapsed().as_micros() as u64);
+    CachedComm { guests, plan }
 }
 
 /// Replay an extracted [`RoutePlan`] into pebble protocol steps with the
@@ -628,6 +639,64 @@ mod tests {
             unet_pebble::check_recorded(&guest, &host, &cached.protocol, &mut check_rec)
                 .expect("protocol must verify");
             assert!(check_rec.counter_value("pebble.check.shifted_steps") > 0, "T = {steps}");
+        }
+    }
+
+    /// The edges of the one plan path: T ∈ {1, 2, 3, 5} × {cold cached,
+    /// shared-cache hit, uncached}. T = 1 never routes, T = 2 replays even
+    /// on a shared hit, T = 3 makes the first copy. Every run must equal
+    /// the uncached reference and keep the counter values
+    /// `(hits, misses, shared hits, shared misses)`.
+    #[test]
+    fn plan_path_edges_match_the_uncached_run_and_count_as_before() {
+        use crate::cache::SharedPlanCache;
+        use crate::sim::CachePolicy;
+        use unet_obs::InMemoryRecorder;
+        let guest = random_regular(32, 4, &mut seeded_rng(17));
+        let host = torus(2, 3);
+        let comp = GuestComputation::random(guest.clone(), 6);
+        let router = presets::bfs();
+        let run = |steps: u32, policy: CachePolicy, shared: &SharedPlanCache| {
+            let mut rec = InMemoryRecorder::new();
+            let run = Simulation::builder()
+                .guest(&comp)
+                .host(&host)
+                .embedding(Embedding::block(32, 6))
+                .router(&router)
+                .steps(steps)
+                .seed(5)
+                .cache_policy(policy)
+                .shared_cache(shared)
+                .recorder(&mut rec)
+                .run()
+                .expect("valid configuration");
+            let names = [
+                "sim.cache.hits",
+                "sim.cache.misses",
+                "sim.cache.shared.hits",
+                "sim.cache.shared.misses",
+            ];
+            let counters = names.map(|name| rec.counter_value(name));
+            (run, counters)
+        };
+        // A T = 2 run publishes the plan every warm run below hits.
+        let warm_cache = SharedPlanCache::new();
+        run(2, CachePolicy::Enabled, &warm_cache);
+        for steps in [1u32, 2, 3, 5] {
+            let (reference, uncached) = run(steps, CachePolicy::Disabled, &warm_cache);
+            assert_eq!(uncached, [0, 0, 0, 0], "uncached, T = {steps}");
+            assert_eq!(reference.final_states, comp.run_final(steps));
+            let t = u64::from(steps);
+            let routed = u64::from(steps > 1);
+            for (name, shared, expected) in [
+                ("cold", &SharedPlanCache::new(), [t.saturating_sub(2), routed, 0, 1]),
+                ("warm", &warm_cache, [t - 1, 0, 1, 0]),
+            ] {
+                let (got, counters) = run(steps, CachePolicy::Enabled, shared);
+                assert_eq!(got.protocol, reference.protocol, "{name}, T = {steps}");
+                assert_eq!(got.final_states, reference.final_states, "{name}, T = {steps}");
+                assert_eq!(counters, expected, "{name}, T = {steps}");
+            }
         }
     }
 

@@ -36,7 +36,7 @@ use unet_obs::trace::{FaultOp, FaultRecord};
 use unet_obs::Recorder;
 use unet_pebble::protocol::{Op, Pebble, ProtocolBuilder};
 use unet_routing::packet::{Discipline, PathSelector, ShortestPath};
-use unet_routing::plan::{extract_plan, PlanCache, RoutePlan};
+use unet_routing::plan::{extract_plan, RoutePlan};
 use unet_topology::par::default_threads;
 use unet_topology::util::{seeded_rng, FxHashSet};
 use unet_topology::{Graph, Node};
@@ -118,9 +118,9 @@ impl Default for DegradedTuning {
     }
 }
 
-/// One cached communication phase: the pair set it is valid for, the
+/// One routed communication phase: the pair set it is valid for, the
 /// replayable rounds (over routed-packet indices), and the bookkeeping the
-/// routing pass would have produced.
+/// routing pass produced.
 struct CachedDegradedComm {
     pairs: Vec<(Node, Node)>,
     plan: RoutePlan,
@@ -192,7 +192,9 @@ impl<S: PathSelector> DegradedSimulator<S> {
         let mut st = Stats::default();
         let mut fault_log: Vec<FaultRecord> = Vec::new();
         let mut dead_at: Vec<(Node, u32)> = Vec::new();
-        let mut cache: PlanCache<CachedDegradedComm> = PlanCache::new();
+        // The route plan held across guest steps, tagged with its epoch.
+        let mut held_plan: Option<(u64, CachedDegradedComm)> = None;
+        let (mut hits, mut misses) = (0u64, 0u64);
 
         let mut prev_states: Vec<u64> = comp.init.clone();
 
@@ -247,32 +249,20 @@ impl<S: PathSelector> DegradedSimulator<S> {
                 }
                 rec.histogram("sim.routing_problem_size", pairs.len() as u64);
                 if !pairs.is_empty() {
-                    // The cached schedule is valid only if no fault fired
+                    // The held schedule is valid only if no fault fired
                     // since it was computed (same view epoch) AND the
                     // induced problem is literally the same pairs — holder
                     // custody drifts as pebbles ship, so the epoch alone is
                     // not sufficient in degraded mode.
                     let epoch = view.epoch();
-                    let hit = tuning.cache && cache.lookup(epoch, |c| c.pairs == pairs).is_some();
-                    if hit {
-                        let c = cache.peek().expect("hit implies entry");
-                        st.delivered += c.delivered;
-                        st.retried += c.retried;
-                        let routed_payloads: Vec<Pebble> =
-                            c.routed.iter().map(|&i| payloads[i]).collect();
-                        let emitted = replay_plan(&mut builder, &c.plan, &routed_payloads);
-                        st.comm_steps += emitted;
-                        st.total_steps += emitted as u32;
-                        for round in &c.plan.rounds {
-                            for &(_, to, pid) in round {
-                                held[to as usize].insert(routed_payloads[pid as usize].key());
-                            }
-                        }
-                        for &i in &c.dropped_pairs {
-                            st.dropped += 1;
-                            replay.push((pairs[i].1, payloads[i]));
-                        }
+                    let valid =
+                        matches!(&held_plan, Some((e, c)) if *e == epoch && c.pairs == pairs);
+                    if tuning.cache && valid {
+                        hits += 1;
                     } else {
+                        if tuning.cache {
+                            misses += 1;
+                        }
                         let fo = route_faulty_recorded(
                             &view,
                             &pairs,
@@ -281,47 +271,40 @@ impl<S: PathSelector> DegradedSimulator<S> {
                             &mut seeded_rng(route_seed),
                             &mut *rec,
                         );
-                        st.delivered += fo.delivered;
-                        st.retried += fo.retried;
-                        let mut plan = RoutePlan::default();
-                        if let Some(out) = &fo.outcome {
-                            let routed_payloads: Vec<Pebble> =
-                                fo.routed.iter().map(|&i| payloads[i]).collect();
-                            plan = extract_plan(&out.transfers);
-                            let emitted = replay_plan(&mut builder, &plan, &routed_payloads);
-                            st.comm_steps += emitted;
-                            st.total_steps += emitted as u32;
-                            // Note: self-transfers (dropped from the plan)
-                            // never reach a node that doesn't already hold
-                            // the pebble — the source holds it and every
-                            // later stop was reached by a real hop — so
-                            // inserting along plan rounds matches the
-                            // historical per-transfer insertion exactly.
-                            for t in &out.transfers {
-                                held[t.to as usize]
-                                    .insert(routed_payloads[t.packet_id as usize].key());
-                            }
+                        let plan = fo.outcome.as_ref().map(|out| extract_plan(&out.transfers));
+                        let comm = CachedDegradedComm {
+                            pairs,
+                            plan: plan.unwrap_or_default(),
+                            routed: fo.routed,
+                            delivered: fo.delivered,
+                            retried: fo.retried,
+                            dropped_pairs: fo.dropped_pairs,
+                        };
+                        held_plan = Some((epoch, comm));
+                    }
+                    let (_, c) = held_plan.as_ref().expect("held or just built");
+                    st.delivered += c.delivered;
+                    st.retried += c.retried;
+                    let routed_payloads: Vec<Pebble> =
+                        c.routed.iter().map(|&i| payloads[i]).collect();
+                    let emitted = replay_plan(&mut builder, &c.plan, &routed_payloads);
+                    st.comm_steps += emitted;
+                    st.total_steps += emitted as u32;
+                    // Self-transfers (dropped from the plan) never reach a
+                    // node that doesn't already hold the pebble — the source
+                    // holds it and every later stop was reached by a real
+                    // hop — so custody moves along the plan rounds.
+                    for round in &c.plan.rounds {
+                        for &(_, to, pid) in round {
+                            held[to as usize].insert(routed_payloads[pid as usize].key());
                         }
-                        // A planned source can still fail to route (defensive —
-                        // planning and routing see the same static view, so this
-                        // is unreachable today): regenerate instead.
-                        for &i in &fo.dropped_pairs {
-                            st.dropped += 1;
-                            replay.push((pairs[i].1, payloads[i]));
-                        }
-                        if tuning.cache {
-                            cache.store(
-                                epoch,
-                                CachedDegradedComm {
-                                    pairs: pairs.clone(),
-                                    plan,
-                                    routed: fo.routed.clone(),
-                                    delivered: fo.delivered,
-                                    retried: fo.retried,
-                                    dropped_pairs: fo.dropped_pairs.clone(),
-                                },
-                            );
-                        }
+                    }
+                    // A planned source can still fail to route (defensive —
+                    // planning and routing see the same static view, so this
+                    // is unreachable today): regenerate instead.
+                    for &i in &c.dropped_pairs {
+                        st.dropped += 1;
+                        replay.push((c.pairs[i].1, payloads[i]));
                     }
                 }
                 for (h, p) in replay {
@@ -358,8 +341,8 @@ impl<S: PathSelector> DegradedSimulator<S> {
         rec.counter("sim.guest_steps", steps as u64);
         rec.counter("sim.comm_steps", st.comm_steps as u64);
         rec.counter("sim.compute_steps", st.compute_steps as u64);
-        rec.counter("sim.cache.hits", cache.hits());
-        rec.counter("sim.cache.misses", cache.misses());
+        rec.counter("sim.cache.hits", hits);
+        rec.counter("sim.cache.misses", misses);
         rec.gauge("sim.par.threads", threads as f64);
         rec.counter("faults.remapped", st.remapped);
         rec.counter("faults.replayed", st.replayed);

@@ -83,10 +83,10 @@ impl<'g> FaultyView<'g> {
 
     /// Topology epoch: bumped once per applied fault or repair, starting at
     /// 0. Two calls observing the same epoch are guaranteed to see the same
-    /// live topology, which is exactly the invalidation key the route-plan
-    /// caches (`unet_routing::plan::PlanCache`) need: cache a schedule
-    /// tagged with the epoch it was computed under, and any fault or repair
-    /// firing in between forces a reroute.
+    /// live topology, which is exactly the invalidation key the degraded
+    /// simulator's held route plan needs: it keeps a schedule tagged with
+    /// the epoch it was computed under, and any fault or repair firing in
+    /// between forces a reroute.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -46,5 +46,5 @@ pub mod sortnet;
 pub use packet::{
     route, Discipline, Outcome, Packet, PathSelector, RouteError, ShortestPath, Transfer,
 };
-pub use plan::{extract_plan, PlanCache, RoutePlan};
+pub use plan::{extract_plan, RoutePlan};
 pub use problem::RoutingProblem;

@@ -11,12 +11,9 @@
 //! decomposition (at most 3 pebble steps per engine step — the Vizing/Shannon
 //! bound the engine has always relied on). Replaying a plan with a fresh
 //! payload table is then a tight loop over precomputed triples, skipping path
-//! selection, queueing, and matching entirely.
-//!
-//! [`PlanCache`] stores one plan keyed by a fault **epoch** (see
-//! `unet_faults::FaultyView::epoch`): any topology change bumps the epoch and
-//! invalidates the cached schedule, so degraded runs always reroute around
-//! fresh faults. Fault-free runs use a constant epoch and hit every step.
+//! selection, queueing, and matching entirely. The engines that replay a plan
+//! decide themselves how long it stays valid: the healthy engine for the
+//! whole run, the degraded one until the fault epoch or the pair set moves.
 
 use crate::packet::Transfer;
 use unet_topology::util::FxHashSet;
@@ -93,66 +90,6 @@ pub fn extract_plan(transfers: &[Transfer]) -> RoutePlan {
     RoutePlan { rounds }
 }
 
-/// A one-slot route-plan cache keyed by fault epoch.
-///
-/// Holds an arbitrary cached value `T` (a [`RoutePlan`] plus whatever
-/// metadata the caller needs to replay it) tagged with the epoch it was
-/// computed under. A lookup at a different epoch misses and evicts; the
-/// caller may impose *additional* validity checks (e.g. degraded mode
-/// verifies the pair set still matches, since holder drift can change the
-/// induced problem even between faults). Hit/miss totals feed the
-/// `sim.cache.*` counters.
-#[derive(Debug, Default)]
-pub struct PlanCache<T> {
-    entry: Option<(u64, T)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<T> PlanCache<T> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PlanCache { entry: None, hits: 0, misses: 0 }
-    }
-
-    /// Look up the cached value for `epoch`, applying the caller's extra
-    /// validity predicate. Counts a hit or a miss; a stale-epoch or
-    /// predicate-rejected entry is evicted so the slot is free for `store`.
-    pub fn lookup<F: FnOnce(&T) -> bool>(&mut self, epoch: u64, valid: F) -> Option<&T> {
-        let ok = matches!(&self.entry, Some((e, v)) if *e == epoch && valid(v));
-        if ok {
-            self.hits += 1;
-            self.entry.as_ref().map(|(_, v)| v)
-        } else {
-            self.misses += 1;
-            self.entry = None;
-            None
-        }
-    }
-
-    /// The cached value, without counting a hit or checking validity.
-    /// Pair with [`PlanCache::lookup`]: check validity (which counts) first,
-    /// then `peek` to borrow the entry without holding a `&mut` borrow.
-    pub fn peek(&self) -> Option<&T> {
-        self.entry.as_ref().map(|(_, v)| v)
-    }
-
-    /// Store a freshly computed value for `epoch`, replacing any entry.
-    pub fn store(&mut self, epoch: u64, value: T) {
-        self.entry = Some((epoch, value));
-    }
-
-    /// Lookups that returned the cached value.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing valid (including the initial cold miss).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,31 +145,5 @@ mod tests {
         let plan = extract_plan(&transfers);
         assert!(plan.rounds.len() <= 3);
         assert_eq!(plan.transfer_count(), 3);
-    }
-
-    #[test]
-    fn cache_hits_and_epoch_invalidation() {
-        let mut cache: PlanCache<u32> = PlanCache::new();
-        assert!(cache.lookup(0, |_| true).is_none()); // cold miss
-        cache.store(0, 7);
-        assert_eq!(cache.lookup(0, |_| true), Some(&7));
-        assert_eq!(cache.lookup(0, |_| true), Some(&7));
-        // Epoch bump evicts.
-        assert!(cache.lookup(1, |_| true).is_none());
-        assert!(cache.lookup(1, |_| true).is_none(), "evicted, still cold");
-        cache.store(1, 9);
-        assert_eq!(cache.lookup(1, |_| true), Some(&9));
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 3);
-    }
-
-    #[test]
-    fn cache_predicate_rejection_counts_as_miss() {
-        let mut cache: PlanCache<u32> = PlanCache::new();
-        cache.store(0, 7);
-        assert!(cache.lookup(0, |&v| v == 8).is_none());
-        assert_eq!(cache.misses(), 1);
-        // The rejected entry was evicted.
-        assert!(cache.lookup(0, |_| true).is_none());
     }
 }

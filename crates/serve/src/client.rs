@@ -391,31 +391,52 @@ impl Client {
         self.typed_call(line).map(|(v, _)| v)
     }
 
+    /// Send a pre-built request `line`, retrying `overloaded` rejections
+    /// per the configured budget (at most `retries + 1` attempts), and
+    /// return the last raw answer line untyped.
+    pub fn request_raw_retrying(&mut self, line: &str) -> Result<String, ClientError> {
+        self.call(line, &mut ClientSpans::default()).map(|(raw, _)| raw)
+    }
+
+    /// The one send path of the retrying methods: the last raw answer and
+    /// its parse, adding write and parse time to `spans`.
+    fn call(
+        &mut self,
+        line: &str,
+        spans: &mut ClientSpans,
+    ) -> Result<(String, Result<Response, String>), ClientError> {
+        let mut attempts_left = self.retries;
+        loop {
+            let raw = self.raw_call(line, spans)?;
+            let parse_started = thread_cpu_ns();
+            let parsed = parse_response(&raw);
+            spans.parse_ms += cpu_ms_since(parse_started);
+            if let Ok(Response::Overloaded { retry_after_ms, .. }) = parsed {
+                // The server answered before reading our request and
+                // will close; reconnect either way.
+                self.conn = None;
+                if attempts_left > 0 {
+                    attempts_left -= 1;
+                    std::thread::sleep(retry_sleep(retry_after_ms));
+                    continue;
+                }
+            }
+            return Ok((raw, parsed));
+        }
+    }
+
     /// [`Client::request_typed_line`] with the call's client-side spans
     /// (the line is already formatted, so `write_ms` is write and flush).
     fn typed_call(&mut self, line: &str) -> Result<(Value, ClientSpans), ClientError> {
         let mut spans = ClientSpans::default();
-        let mut attempts_left = self.retries;
-        loop {
-            let raw = self.raw_call(line, &mut spans)?;
-            let parse_started = thread_cpu_ns();
-            let parsed = parse_response(&raw);
-            spans.parse_ms += cpu_ms_since(parse_started);
-            match parsed.map_err(ClientError::Protocol)? {
-                Response::Result(v) => return Ok((v, spans)),
-                Response::Error { code, message, .. } => {
-                    return Err(ClientError::Server(ServerError { code, message }))
-                }
-                Response::Overloaded { queue_cap, retry_after_ms } => {
-                    // The server answered before reading our request and
-                    // will close; reconnect either way.
-                    self.conn = None;
-                    if attempts_left == 0 {
-                        return Err(ClientError::Overloaded { queue_cap, retry_after_ms });
-                    }
-                    attempts_left -= 1;
-                    std::thread::sleep(retry_sleep(retry_after_ms));
-                }
+        let (_, parsed) = self.call(line, &mut spans)?;
+        match parsed.map_err(ClientError::Protocol)? {
+            Response::Result(v) => Ok((v, spans)),
+            Response::Error { code, message, .. } => {
+                Err(ClientError::Server(ServerError { code, message }))
+            }
+            Response::Overloaded { queue_cap, retry_after_ms } => {
+                Err(ClientError::Overloaded { queue_cap, retry_after_ms })
             }
         }
     }

@@ -11,9 +11,10 @@
 //!   queued is retried at once, and anything else (in practice a resource
 //!   limit such as `EMFILE`) is counted and waited out.
 //! * **One thread per connection** — reads request lines, hands each to
-//!   the tier's [`Tier::handle`], writes the answer, and records it: the
-//!   completed counter, `serve.request.latency_ms`, the slowest request as
-//!   the latency exemplar, and a stage record offered to the tail sampler.
+//!   the tier's [`Tier::handle`], counts the answer as completed, writes
+//!   it, and records it: `serve.request.latency_ms`, the slowest request
+//!   as the latency exemplar, and a stage record offered to the tail
+//!   sampler.
 //!   A line is read up to [`MAX_LINE_BYTES`]; a longer one gets one typed
 //!   `bad-request` and the connection is closed.
 //! * **Drain** — [`Front::stop`] flags shutdown, then wakes the blocked
@@ -293,12 +294,17 @@ impl Front {
         (out, trace)
     }
 
-    /// Record one answered request: counters, latency, exemplar, and the
-    /// stage record offered to the tail sampler.
+    /// Count one produced answer. Called before the answer is written, so
+    /// a client that has read its answer sees it in the stats.
+    fn complete(&self) {
+        self.recorder.lock().expect("recorder poisoned").counter(self.names.completed, 1);
+    }
+
+    /// Record one written answer: latency, exemplar, and the stage record
+    /// offered to the tail sampler.
     fn record(&self, info: ReqInfo, e2e_ms: f64) {
         {
             let mut rec = self.recorder.lock().expect("recorder poisoned");
-            rec.counter(self.names.completed, 1);
             // One latency histogram name on both tiers, so the retry
             // hint has the same shape everywhere.
             rec.histogram("serve.request.latency_ms", e2e_ms as u64);
@@ -531,8 +537,9 @@ fn serve_connection(tier: &impl Tier, stream: TcpStream) {
     }
 }
 
-/// Write `response` and its newline (the `serialize` span) and record the
-/// request that started at `started`; false when the write failed.
+/// Count the answer, write `response` and its newline (the `serialize`
+/// span), and record the request that started at `started`; false when
+/// the write failed.
 fn answer(
     front: &Front,
     writer: &mut TcpStream,
@@ -540,6 +547,7 @@ fn answer(
     mut info: ReqInfo,
     started: Instant,
 ) -> bool {
+    front.complete();
     let write_started = Instant::now();
     // One write: with nodelay on, a separate newline is a second segment,
     // and the client's read wakes once for each.

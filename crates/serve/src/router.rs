@@ -138,8 +138,9 @@ impl Default for ShardConfig {
 pub struct RouterStats {
     /// Requests forwarded to a backend (first attempts, not retries).
     pub forwarded: u64,
-    /// Requests answered to clients (any response kind except the
-    /// router's own `overloaded` admission rejection).
+    /// Answers produced for clients (any response kind except the
+    /// router's own `overloaded` admission rejection), counted before the
+    /// answer is written.
     pub completed: u64,
     /// Forwards that had to retry on a ring successor (backend dead or
     /// overloaded mid-request).
@@ -376,8 +377,9 @@ pub(crate) fn spec_key(req: &SimulateReq) -> u64 {
 
 /// Outcome of one forward attempt to one backend.
 enum ForwardOutcome {
-    /// The backend answered (any kind except `overloaded`).
-    Response(String),
+    /// The backend answered (any kind except `overloaded`), with the
+    /// payload when the answer is a `result`.
+    Answered(String, Option<Value>),
     /// The backend rejected the connection with `overloaded`; the raw
     /// line is kept so it can pass through if every shard is saturated.
     Overloaded(String),
@@ -398,14 +400,16 @@ fn try_forward(shared: &RouterShared, i: usize, line: &str) -> Result<ForwardOut
         record_failure(shared, i);
         return Err(());
     };
-    // Saturation is not sickness: an overloaded shard is alive and
-    // explicitly shedding, so its health stays as it was.
-    if matches!(parse_response(&resp), Ok(Response::Overloaded { .. })) {
-        return Ok(ForwardOutcome::Overloaded(resp));
-    }
+    let result = match parse_response(&resp) {
+        // Saturation is not sickness: an overloaded shard is alive and
+        // explicitly shedding, so its health stays as it was.
+        Ok(Response::Overloaded { .. }) => return Ok(ForwardOutcome::Overloaded(resp)),
+        Ok(Response::Result(v)) => Some(v),
+        _ => None,
+    };
     backend.idle.lock().expect("pool poisoned").push(client);
     record_success(shared, i);
-    Ok(ForwardOutcome::Response(resp))
+    Ok(ForwardOutcome::Answered(resp, result))
 }
 
 /// Note a failed forward. The first one ejects a healthy backend (its
@@ -442,13 +446,14 @@ fn record_success(shared: &RouterShared, i: usize) {
 /// Attempt wall time lands in `spans`: the first attempt is the
 /// `forward` span; later attempts are `retry` when the previous shard
 /// shed the request (overload) and `failover` when it was unreachable.
+/// Returns the answer and whether it is a `result`.
 fn forward_with_failover(
     shared: &RouterShared,
     key: u64,
     line: &str,
     id: Option<u64>,
     spans: &mut Vec<(&'static str, f64)>,
-) -> String {
+) -> (String, bool) {
     let order = shared.ring.successors(key);
     {
         let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
@@ -458,7 +463,7 @@ fn forward_with_failover(
     let mut attempts = 0u64;
     let (mut forward_ms, mut retry_ms, mut failover_ms) = (0.0f64, 0.0f64, 0.0f64);
     let mut next_is_retry = false;
-    let mut response: Option<String> = None;
+    let mut response: Option<(String, bool)> = None;
     let mut tried = vec![false; shared.backends.len()];
     'order: for pass in 0..2 {
         for &i in &order {
@@ -482,7 +487,7 @@ fn forward_with_failover(
                 failover_ms += attempt_ms;
             }
             match outcome {
-                Ok(ForwardOutcome::Response(resp)) => {
+                Ok(ForwardOutcome::Answered(resp, result)) => {
                     if attempts > 1 {
                         let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
                         rec.counter("shard.failovers", 1);
@@ -490,7 +495,7 @@ fn forward_with_failover(
                             rec.counter("shard.overloads.absorbed", 1);
                         }
                     }
-                    response = Some(resp);
+                    response = Some((resp, result.is_some()));
                     break 'order;
                 }
                 Ok(ForwardOutcome::Overloaded(resp)) => {
@@ -512,15 +517,16 @@ fn forward_with_failover(
     if failover_ms > 0.0 {
         spans.push(("failover", failover_ms));
     }
-    if let Some(resp) = response {
-        return resp;
+    if let Some(answer) = response {
+        return answer;
     }
     if let Some(resp) = last_overloaded {
         // Every shard is saturated: pass the typed backpressure through
         // so the client's `retry_after_ms` loop takes over.
-        return resp;
+        return (resp, false);
     }
-    error_line("unavailable", "no backend shard answered (all ejected or unreachable)", id)
+    let message = "no backend shard answered (all ejected or unreachable)";
+    (error_line("unavailable", message, id), false)
 }
 
 /// Dispatch one client line. A parsed request first takes a forward
@@ -534,26 +540,28 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
     let parsed = parse_request(line);
     let accept_ms = parse_started.elapsed().as_secs_f64() * 1e3;
     let mut stages = vec![("accept", accept_ms)];
-    let (response, trace_id, kind) = match parsed {
+    let (response, ok, trace_id, kind) = match parsed {
         Ok((wire_trace, req)) => {
             let trace_id = wire_trace.unwrap_or_else(mint_trace_id);
             let trace_hex = format!("{trace_id:016x}");
             let wait_started = Instant::now();
             let _permit = shared.forwards.acquire();
             stages.push(("queue_wait", wait_started.elapsed().as_secs_f64() * 1e3));
-            let (response, kind) = match req {
-                Request::Metrics { id } => (handle_metrics(shared, id), "metrics"),
+            let ((response, ok), kind) = match req {
+                Request::Metrics { id } => ((handle_metrics(shared, id), true), "metrics"),
                 Request::Simulate(req) => {
                     let fwd = simulate_request_line(&req, Some(&trace_hex));
                     let key = spec_key(&req);
                     (forward_with_failover(shared, key, &fwd, req.id, &mut stages), "simulate")
                 }
             };
-            (response, trace_id, kind)
+            (response, ok, trace_id, kind)
         }
-        Err(e) => (error_line(e.code(), &e.to_string(), None), mint_trace_id(), "unparsed"),
+        Err(e) => {
+            let response = error_line(e.code(), &e.to_string(), None);
+            (response, false, mint_trace_id(), "unparsed")
+        }
     };
-    let ok = matches!(parse_response(&response), Ok(Response::Result(_)));
     (response, ReqInfo { trace_id, kind, ok, stages })
 }
 
@@ -568,11 +576,9 @@ fn handle_metrics(shared: &RouterShared, id: Option<u64>) -> String {
         if !backend.admits_forward() {
             continue;
         }
-        if let Ok(ForwardOutcome::Response(resp)) = try_forward(shared, i, &line) {
-            if let Ok(Response::Result(v)) = parse_response(&resp) {
-                if let Some(expo) = v.get("exposition").and_then(Value::as_str) {
-                    sections.push((i.to_string(), expo.to_string()));
-                }
+        if let Ok(ForwardOutcome::Answered(_, Some(v))) = try_forward(shared, i, &line) {
+            if let Some(expo) = v.get("exposition").and_then(Value::as_str) {
+                sections.push((i.to_string(), expo.to_string()));
             }
         }
     }

@@ -87,7 +87,8 @@ pub struct ServerStats {
     pub admitted: u64,
     /// Connections rejected with `overloaded`.
     pub rejected: u64,
-    /// Requests answered (any response kind except `overloaded`).
+    /// Answers produced (any response kind except `overloaded`), counted
+    /// before the answer is written.
     pub completed: u64,
     /// Shared route-plan cache hits (process totals).
     pub shared_hits: u64,

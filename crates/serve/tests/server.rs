@@ -79,6 +79,19 @@ fn simulate_request_round_trips_and_verifies() {
 }
 
 #[test]
+fn completed_counts_every_answer_a_client_has_read() {
+    let server = start(1, 8);
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let line = simulate_request_line(&sim_req(7), None);
+    for i in 1..=20 {
+        client.request_raw(&line).expect("round trip");
+        assert_eq!(server.stats().completed, i, "read after round trip {i}");
+    }
+    drop(client);
+    server.drain();
+}
+
+#[test]
 fn typed_client_returns_typed_results_and_errors() {
     let server = start(2, 8);
     let mut client = Client::connect(&server.addr().to_string())

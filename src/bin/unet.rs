@@ -840,13 +840,15 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
 /// line verbatim and always exits 0 — even for `overloaded` — so scripts
 /// can branch on `\"kind\"` themselves; without it, error and overloaded
 /// responses map to a non-zero exit. `--retries N` re-sends after an
-/// `overloaded` rejection, sleeping the server's `retry_after_ms` hint.
+/// `overloaded` rejection, sleeping the server's `retry_after_ms` hint:
+/// at most N + 1 attempts, with or without `--raw`, which prints the last
+/// answer.
 fn request_cmd(args: &[String]) -> Result<(), String> {
     use universal_networks::obs::json::Value;
     use universal_networks::serve::protocol::{
         gen_trace_id, metrics_request_line, parse_response, simulate_request_line, SimulateReq,
     };
-    use universal_networks::serve::{Client, ClientError, Response};
+    use universal_networks::serve::{Client, Response};
 
     let pos = positionals(args, &["--seed", "--deadline-ms", "--retries"]);
     let (addr, kind) = match pos.as_slice() {
@@ -885,29 +887,12 @@ fn request_cmd(args: &[String]) -> Result<(), String> {
         Ok(c) => c.retries(retries),
         Err(e) => return Err(format!("{addr}: {e}")),
     };
-    let resp = client.request_raw(&line).map_err(|e| format!("{addr}: {e}"))?;
+    let resp = client.request_raw_retrying(&line).map_err(|e| format!("{addr}: {e}"))?;
     if has_flag(args, "--raw") {
         println!("{resp}");
         return Ok(());
     }
-    // Overloaded retries only make sense once we interpret the response;
-    // re-send through the typed path when a budget was given.
-    let mut parsed = parse_response(&resp).map_err(|e| format!("{addr}: bad response: {e}"))?;
-    if retries > 0 {
-        if let Response::Overloaded { .. } = parsed {
-            parsed = match client.request_typed_line(&line) {
-                Ok(v) => Response::Result(v),
-                Err(ClientError::Server(e)) => {
-                    Response::Error { code: e.code, message: e.message, id: None }
-                }
-                Err(ClientError::Overloaded { queue_cap, retry_after_ms }) => {
-                    Response::Overloaded { queue_cap, retry_after_ms }
-                }
-                Err(e) => return Err(format!("{addr}: {e}")),
-            };
-        }
-    }
-    match parsed {
+    match parse_response(&resp).map_err(|e| format!("{addr}: bad response: {e}"))? {
         Response::Result(v) => {
             // A metrics result prints its Prometheus text; a simulate
             // result prints the JSON payload.

@@ -396,6 +396,52 @@ fn request_raw_surfaces_typed_overloaded_with_exit_zero() {
     assert!(server.wait().expect("server exits").success());
 }
 
+/// Connections a fresh `unet serve --queue 0` rejected while one `unet
+/// request` ran with `args`, read from its drain line on stderr.
+fn rejected_connections(args: &[&str]) -> u64 {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut server = Command::new(env!("CARGO_BIN_EXE_unet"))
+        .args(["serve", "--workers", "1", "--queue", "0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server starts");
+    let mut stdout = BufReader::new(server.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("banner");
+    let addr = banner.trim().rsplit(' ').next().unwrap().to_string();
+    let mut request = vec!["request", &addr, "metrics"];
+    request.extend_from_slice(args);
+    let (ok, stdout_req, _) = unet(&request);
+    assert_eq!(ok, args.contains(&"--raw"), "{args:?}");
+    drop(server.stdin.take());
+    let out = server.wait_with_output().expect("server exits");
+    assert!(out.status.success(), "drain must exit 0");
+    if args.contains(&"--raw") {
+        assert!(stdout_req.contains("\"kind\":\"overloaded\""), "{stdout_req}");
+    }
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let drained = stderr.lines().find(|l| l.starts_with("drained: ")).expect("drain line");
+    let rejected = drained.split(", ").find_map(|part| part.strip_suffix(" rejected"));
+    rejected.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("{drained}"))
+}
+
+#[test]
+fn request_retries_make_one_more_attempt_per_retry_with_or_without_raw() {
+    for mode in [&[][..], &["--raw"][..]] {
+        let attempts = |retries: &str| {
+            let mut args = vec!["--retries", retries];
+            args.extend_from_slice(mode);
+            rejected_connections(&args)
+        };
+        let (none, one) = (attempts("0"), attempts("1"));
+        assert_eq!(one, none + 1, "{mode:?}: --retries 0 dialed {none}, --retries 1 {one}");
+    }
+}
+
 #[test]
 fn bad_usage_fails_with_usage_text() {
     let (ok, _, stderr) = unet(&["frobnicate"]);
