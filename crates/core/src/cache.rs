@@ -65,8 +65,9 @@ struct CacheState {
 /// [`RoutePlan`](unet_routing::plan::RoutePlan) skeleton per distinct
 /// workload it sees. Under traffic that repeats a few workloads that is
 /// small; under fresh-seed traffic every request adds a plan that is never
-/// hit again (perfbench's `shard-cold` reaches about 38 MB). A byte-bounded,
-/// evicting cache is an open item in ROADMAP.md.
+/// hit again (perfbench's `shard-cold`, which restarts its tier every 400
+/// requests, peaks at about 32 MB). A byte-bounded, evicting cache is an
+/// open item in ROADMAP.md.
 pub struct SharedPlanCache {
     state: Mutex<CacheState>,
     ready: Condvar,

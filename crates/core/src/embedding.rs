@@ -117,19 +117,24 @@ impl Embedding {
     /// host edge. Together with dilation this lower-bounds the cost of
     /// *any* embedding-based simulation (each guest step must move one
     /// message per guest edge through the congested link).
+    ///
+    /// The paths come from one [`bfs_paths`](unet_routing::packet::bfs_paths)
+    /// call (one BFS per distinct source host), and are the ones a BFS per
+    /// guest edge would find.
     pub fn edge_congestion(
         &self,
         guest: &unet_topology::Graph,
         host: &unet_topology::Graph,
     ) -> usize {
         use unet_topology::util::FxHashMap;
+        let pairs: Vec<(Node, Node)> = guest
+            .edges()
+            .map(|(u, v)| (self.f[u as usize], self.f[v as usize]))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        let paths = unet_routing::packet::bfs_paths(host, &pairs).expect("host must be connected");
         let mut per_edge: FxHashMap<(Node, Node), usize> = FxHashMap::default();
-        for (u, v) in guest.edges() {
-            let (a, b) = (self.f[u as usize], self.f[v as usize]);
-            if a == b {
-                continue;
-            }
-            let path = unet_routing::packet::bfs_path(host, a, b).expect("host must be connected");
+        for path in &paths {
             for w in path.windows(2) {
                 let key = if w[0] < w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
                 *per_edge.entry(key).or_insert(0) += 1;
@@ -208,6 +213,43 @@ mod tests {
         let id = Embedding::block(16, 16);
         assert_eq!(id.dilation(&t, &t), 1);
         assert_eq!(id.edge_congestion(&t, &t), 1);
+    }
+
+    /// The batched BFS gives the congestion a BFS per guest edge gives.
+    #[test]
+    fn edge_congestion_equals_the_per_edge_loop() {
+        use unet_routing::{PathSelector, ShortestPath};
+        use unet_topology::generators::{butterfly, random_regular, torus};
+        use unet_topology::util::FxHashMap;
+        fn per_edge_loop(
+            e: &Embedding,
+            guest: &unet_topology::Graph,
+            host: &unet_topology::Graph,
+        ) -> usize {
+            let mut per_edge: FxHashMap<(Node, Node), usize> = FxHashMap::default();
+            for (u, v) in guest.edges() {
+                let (a, b) = (e.f[u as usize], e.f[v as usize]);
+                if a == b {
+                    continue;
+                }
+                let path = ShortestPath.path(host, a, b, &mut seeded_rng(0)).expect("connected");
+                for w in path.windows(2) {
+                    *per_edge.entry((w[0].min(w[1]), w[0].max(w[1]))).or_insert(0) += 1;
+                }
+            }
+            per_edge.values().copied().max().unwrap_or(0)
+        }
+        for seed in 0..12u64 {
+            let mut rng = seeded_rng(seed);
+            let guest = random_regular(64, 4, &mut rng);
+            for host in [torus(3, 4), butterfly(3)] {
+                for e in [Embedding::random(64, host.n(), &mut rng), Embedding::block(64, host.n())]
+                {
+                    let got = e.edge_congestion(&guest, &host);
+                    assert_eq!(got, per_edge_loop(&e, &guest, &host), "seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -264,7 +264,7 @@ pub(crate) fn run_engine<REC: Recorder>(
                 }
             };
             rec.histogram("sim.routing_problem_size", comm.guests.len() as u64);
-            for round in &comm.plan.rounds {
+            for round in comm.plan.rounds() {
                 for &(from, to, _) in round {
                     rec.sample("sim.edge_util", comm_round, edge_key(from, to), 1);
                 }
@@ -282,21 +282,13 @@ pub(crate) fn run_engine<REC: Recorder>(
                 comm_steps += replay_plan(&mut builder, &comm.plan, &payloads);
             }
             if cfg.cache {
-                // A run holding the build lease publishes an exact-size copy
-                // (`Vec::clone`) and keeps that; single-flight followers wake
-                // here. The published plan lives as long as the shared cache.
-                // Kept as built, its rounds' spare capacity took perfbench
-                // `shard-cold` from 37 to 47 MB peak RSS; copied before this
-                // step's replay instead of after it, its warm-up plan builds
-                // stalled twice as often (`setup_s` +21%; 2-vCPU VM).
-                held = Some(match lease.take() {
-                    Some(mut guard) => {
-                        let kept = Arc::new((*comm).clone());
-                        guard.publish(Arc::clone(&kept));
-                        kept
-                    }
-                    None => comm,
-                });
+                // A run holding the build lease publishes the plan it built
+                // (already exactly sized) and keeps it; single-flight
+                // followers wake here.
+                if let Some(mut guard) = lease.take() {
+                    guard.publish(Arc::clone(&comm));
+                }
+                held = Some(comm);
             }
         } else {
             rec.histogram("sim.routing_problem_size", 0);
@@ -373,15 +365,15 @@ fn build_comm<REC: Recorder>(
 
 /// Replay an extracted [`RoutePlan`] into pebble protocol steps with the
 /// given payload table (`payloads[packet_id]`). Returns the number of pebble
-/// steps emitted (`plan.rounds.len()`).
+/// steps emitted ([`RoutePlan::pebble_steps`]).
 pub fn replay_plan(builder: &mut ProtocolBuilder, plan: &RoutePlan, payloads: &[Pebble]) -> usize {
-    for round in &plan.rounds {
+    for round in plan.rounds() {
         for &(from, to, pid) in round {
             builder.transfer(from, to, payloads[pid as usize]);
         }
         builder.end_step();
     }
-    plan.rounds.len()
+    plan.pebble_steps()
 }
 
 #[cfg(test)]

@@ -294,7 +294,7 @@ impl<S: PathSelector> DegradedSimulator<S> {
                     // node that doesn't already hold the pebble — the source
                     // holds it and every later stop was reached by a real
                     // hop — so custody moves along the plan rounds.
-                    for round in &c.plan.rounds {
+                    for round in c.plan.rounds() {
                         for &(_, to, pid) in round {
                             held[to as usize].insert(routed_payloads[pid as usize].key());
                         }

@@ -34,6 +34,16 @@ pub trait Recorder {
     /// Record one sample into the named log-bucketed histogram.
     fn histogram(&mut self, name: &'static str, value: u64);
 
+    /// Record `n` samples of `value` at once: the same histogram as `n`
+    /// [`Recorder::histogram`] calls, so `n = 0` records nothing (and
+    /// creates no histogram). Hot loops that see few distinct values
+    /// count them locally and flush one call per value.
+    fn histogram_n(&mut self, name: &'static str, value: u64, n: u64) {
+        for _ in 0..n {
+            self.histogram(name, value);
+        }
+    }
+
     /// Record a keyed time-series sample: at time index `step`, add
     /// `value` to the cell identified by `key` under `name`.
     ///
@@ -79,6 +89,10 @@ impl Recorder for &mut dyn Recorder {
         (**self).histogram(name, value)
     }
     #[inline]
+    fn histogram_n(&mut self, name: &'static str, value: u64, n: u64) {
+        (**self).histogram_n(name, value, n)
+    }
+    #[inline]
     fn sample(&mut self, name: &'static str, step: u64, key: u64, value: u64) {
         (**self).sample(name, step, key, value)
     }
@@ -102,6 +116,8 @@ impl Recorder for NoopRecorder {
     fn gauge(&mut self, _name: &'static str, _value: f64) {}
     #[inline(always)]
     fn histogram(&mut self, _name: &'static str, _value: u64) {}
+    #[inline(always)]
+    fn histogram_n(&mut self, _name: &'static str, _value: u64, _n: u64) {}
     #[inline(always)]
     fn sample(&mut self, _name: &'static str, _step: u64, _key: u64, _value: u64) {}
 }
@@ -163,6 +179,20 @@ impl Histogram {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.buckets[Self::bucket_index(value)] += 1;
+    }
+
+    /// Record `n` samples of `value`: equal to `n` calls of
+    /// [`Histogram::record`] (so `n = 0` changes nothing).
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
+        self.sum += value as u128 * n as u128;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.buckets[Self::bucket_index(value)] += n;
     }
 
     /// Mean sample, `None` when empty.
@@ -358,6 +388,12 @@ impl Recorder for InMemoryRecorder {
         self.histograms.entry(name).or_default().record(value);
     }
 
+    fn histogram_n(&mut self, name: &'static str, value: u64, n: u64) {
+        if n > 0 {
+            self.histograms.entry(name).or_default().record_n(value, n);
+        }
+    }
+
     fn sample(&mut self, name: &'static str, step: u64, key: u64, value: u64) {
         *self.samples.entry(name).or_default().entry((step, key)).or_insert(0) += value;
     }
@@ -410,6 +446,10 @@ impl Recorder for SummaryRecorder {
     #[inline]
     fn histogram(&mut self, name: &'static str, value: u64) {
         self.0.histogram(name, value)
+    }
+    #[inline]
+    fn histogram_n(&mut self, name: &'static str, value: u64, n: u64) {
+        self.0.histogram_n(name, value, n)
     }
     #[inline]
     fn sample(&mut self, _name: &'static str, _step: u64, _key: u64, _value: u64) {}
@@ -507,6 +547,54 @@ mod tests {
         assert_eq!(a.min, 5);
         assert_eq!(a.max, 100);
         assert_eq!(a.sum, 105);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        for (value, n) in [(0u64, 1u64), (1, 3), (7, 10), (1 << 40, 5), (u64::MAX, 4)] {
+            let mut once = Histogram::default();
+            once.record(3);
+            let mut looped = once.clone();
+            once.record_n(value, n);
+            for _ in 0..n {
+                looped.record(value);
+            }
+            assert_eq!(once, looped, "record_n({value}, {n})");
+        }
+        let mut h = Histogram::default();
+        h.record_n(9, 0);
+        assert_eq!(h, Histogram::default(), "n = 0 changes nothing");
+    }
+
+    #[test]
+    fn histogram_n_creates_nothing_for_zero_and_forwards() {
+        let mut direct = InMemoryRecorder::new();
+        direct.histogram_n("h", 4, 0);
+        assert!(direct.histogram_data("h").is_none(), "n = 0 creates no entry");
+        direct.histogram_n("h", 4, 3);
+        let mut looped = InMemoryRecorder::new();
+        for _ in 0..3 {
+            looped.histogram("h", 4);
+        }
+        assert_eq!(direct.histogram_data("h"), looped.histogram_data("h"));
+
+        // `SummaryRecorder` forwards the call, and so does `&mut dyn
+        // Recorder` (the recorder routing sees behind the `Router` trait),
+        // so a zero count creates no entry behind either.
+        fn flush<R: Recorder>(mut rec: R) {
+            rec.histogram_n("h", 4, 0);
+            rec.histogram_n("h", 4, 3);
+        }
+        let mut summary = SummaryRecorder::new();
+        flush(&mut summary as &mut dyn Recorder);
+        assert_eq!(summary.histogram_data("h"), looped.histogram_data("h"));
+        let mut summary = SummaryRecorder::new();
+        summary.histogram_n("h", 4, 0);
+        summary.histogram_n("h", 4, 3);
+        assert_eq!(summary.histogram_data("h"), looped.histogram_data("h"));
+        let mut inner = InMemoryRecorder::new();
+        (&mut inner as &mut dyn Recorder).histogram_n("empty", 1, 0);
+        assert!(inner.histograms().next().is_none());
     }
 
     #[test]

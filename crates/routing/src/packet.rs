@@ -9,6 +9,7 @@
 //! greedy, randomized (Valiant), and offline (Beneš/Waksman) strategies.
 
 use rand::Rng;
+use std::collections::BinaryHeap;
 use unet_obs::{edge_key, NoopRecorder, Recorder};
 use unet_topology::{Graph, Node};
 
@@ -64,6 +65,20 @@ pub trait PathSelector {
         dst: Node,
         rng: &mut R,
     ) -> Result<Vec<Node>, RouteError>;
+
+    /// One [`PathSelector::path`] per pair, in input order, failing with
+    /// the first pair (in input order) that cannot be connected. The
+    /// default calls `path` pair by pair, so a randomized selector draws
+    /// from `rng` in pair order; a selector that can share work between
+    /// pairs overrides it with the same result.
+    fn paths<R: Rng>(
+        &self,
+        g: &Graph,
+        pairs: &[(Node, Node)],
+        rng: &mut R,
+    ) -> Result<Vec<Vec<Node>>, RouteError> {
+        pairs.iter().map(|&(src, dst)| self.path(g, src, dst, rng)).collect()
+    }
 }
 
 /// Shortest-path (BFS) selector — works on any host; reports
@@ -79,38 +94,98 @@ impl PathSelector for ShortestPath {
         dst: Node,
         _rng: &mut R,
     ) -> Result<Vec<Node>, RouteError> {
-        bfs_path(g, src, dst).ok_or(RouteError::Unreachable { src, dst })
+        let mut paths = bfs_paths(g, &[(src, dst)])?;
+        Ok(paths.pop().expect("one path per pair"))
+    }
+
+    fn paths<R: Rng>(
+        &self,
+        g: &Graph,
+        pairs: &[(Node, Node)],
+        _rng: &mut R,
+    ) -> Result<Vec<Vec<Node>>, RouteError> {
+        bfs_paths(g, pairs)
     }
 }
 
-/// BFS path between two nodes, if any.
-pub fn bfs_path(g: &Graph, src: Node, dst: Node) -> Option<Vec<Node>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut prev = vec![u32::MAX; g.n()];
-    let mut queue = std::collections::VecDeque::new();
-    prev[src as usize] = src;
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        for &w in g.neighbors(v) {
-            if prev[w as usize] == u32::MAX {
-                prev[w as usize] = v;
-                if w == dst {
-                    let mut path = vec![dst];
-                    let mut cur = dst;
-                    while cur != src {
-                        cur = prev[cur as usize];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(w);
+/// BFS paths for `(src, dst)` pairs, in input order.
+///
+/// One BFS per distinct source, stopped once the last of that source's
+/// destinations is discovered; every BFS reuses the same parent array. A
+/// parent is fixed when its node is first discovered, so each path is the
+/// one a BFS from `src` that stops at `dst` finds: shortest, and ties
+/// broken the same way. A self pair gets `[src]`. Fails with
+/// [`RouteError::Unreachable`] for the first pair, in input order, that no
+/// path connects.
+pub fn bfs_paths(g: &Graph, pairs: &[(Node, Node)]) -> Result<Vec<Vec<Node>>, RouteError> {
+    const UNSEEN: Node = Node::MAX;
+    let n = g.n();
+    let mut by_source: Vec<u32> = (0..pairs.len() as u32).collect();
+    by_source.sort_unstable_by_key(|&i| pairs[i as usize].0);
+    let mut prev = vec![UNSEEN; n];
+    let mut dist = vec![0u32; n];
+    // wanted[v] == s: v is a destination of the BFS from s (sources are
+    // distinct across groups, so the array never needs clearing).
+    let mut wanted = vec![UNSEEN; n];
+    // Every discovered node, in discovery order: the BFS queue, and the
+    // list of `prev` entries to reset before the next source.
+    let mut order: Vec<Node> = Vec::with_capacity(n);
+    let mut paths: Vec<Vec<Node>> = vec![Vec::new(); pairs.len()];
+    let mut first_unreachable = usize::MAX;
+    for group in by_source.chunk_by(|&a, &b| pairs[a as usize].0 == pairs[b as usize].0) {
+        let src = pairs[group[0] as usize].0;
+        let mut left = 0usize;
+        for &i in group {
+            let dst = pairs[i as usize].1;
+            if dst != src && wanted[dst as usize] != src {
+                wanted[dst as usize] = src;
+                left += 1;
             }
         }
+        prev[src as usize] = src;
+        dist[src as usize] = 0;
+        order.push(src);
+        let mut head = 0;
+        while left > 0 && head < order.len() {
+            let v = order[head];
+            head += 1;
+            for &w in g.neighbors(v) {
+                if prev[w as usize] == UNSEEN {
+                    prev[w as usize] = v;
+                    dist[w as usize] = dist[v as usize] + 1;
+                    order.push(w);
+                    if wanted[w as usize] == src {
+                        left -= 1;
+                        if left == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        for &i in group {
+            let dst = pairs[i as usize].1;
+            if prev[dst as usize] == UNSEEN {
+                first_unreachable = first_unreachable.min(i as usize);
+                continue;
+            }
+            let mut path = vec![dst; dist[dst as usize] as usize + 1];
+            let mut cur = dst;
+            for slot in path.iter_mut().rev().skip(1) {
+                cur = prev[cur as usize];
+                *slot = cur;
+            }
+            paths[i as usize] = path;
+        }
+        for &v in &order {
+            prev[v as usize] = UNSEEN;
+        }
+        order.clear();
     }
-    None
+    match pairs.get(first_unreachable) {
+        Some(&(src, dst)) => Err(RouteError::Unreachable { src, dst }),
+        None => Ok(paths),
+    }
 }
 
 /// Queue discipline: which waiting packet a node offers first.
@@ -121,6 +196,21 @@ pub enum Discipline {
     FarthestFirst,
     /// First come, first served (by packet id as a proxy for arrival).
     Fifo,
+}
+
+impl Discipline {
+    /// The key a node's queue orders packet `id` by, `remaining` hops from
+    /// its destination: the largest key is offered first. FarthestFirst
+    /// offers the most remaining hops, then the lowest id; Fifo the lowest
+    /// id. The id sits in the low 32 bits as `u32::MAX − id`.
+    #[inline]
+    fn offer_key(self, id: u32, remaining: usize) -> u64 {
+        let id_key = u64::from(u32::MAX - id);
+        match self {
+            Discipline::FarthestFirst => (remaining as u64) << 32 | id_key,
+            Discipline::Fifo => id_key,
+        }
+    }
 }
 
 /// One recorded transfer: at `step`, `from` sent packet `packet_id` to `to`.
@@ -137,7 +227,7 @@ pub struct Transfer {
 }
 
 /// Result of a routing run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outcome {
     /// Number of synchronous steps until the last delivery.
     pub steps: u32,
@@ -194,9 +284,20 @@ pub fn route(
 /// * histogram `route.packets_in_flight` — undelivered packets, one sample
 ///   per round;
 /// * histogram `route.queue_occupancy` — length of each non-empty queue,
-///   sampled every round;
+///   sampled every round (counted locally, flushed once per distinct
+///   length through [`Recorder::histogram_n`]);
 /// * histogram `route.hops` — per delivered packet, `path.len() − 1`;
 /// * counters `route.steps`, `route.transfers`, `route.packets`.
+///
+/// Each node's queue is a max-heap of [`Discipline`] offer keys. A waiting
+/// packet's key never changes, so the heap top is the packet the node
+/// offers. Each round, every non-empty node offers its top packet to the
+/// packet's next hop, and each receiver takes the offer with the most
+/// remaining hops, then the lowest packet id. Winners move in ascending
+/// receiver order (the order [`crate::plan::extract_plan`] decomposes);
+/// every sender pops before any receiver pushes, since a node may do both
+/// in one round. A lazy segment (`w[0] == w[1]`) is an offer to the node
+/// itself.
 pub fn route_recorded<REC: Recorder + ?Sized>(
     g: &Graph,
     packets: &[Packet],
@@ -220,116 +321,165 @@ pub fn route_recorded<REC: Recorder + ?Sized>(
             );
         }
     }
+    assert!(packets.len() <= u32::MAX as usize, "packet ids must fit in u32");
     // progress[i]: index into packets[i].path of the current position.
-    let mut progress: Vec<usize> = packets.iter().map(|_| 0usize).collect();
+    let mut progress = vec![0usize; packets.len()];
     let mut delivered_at = vec![u32::MAX; packets.len()];
-    // queue[v]: packet ids currently stored at v and not yet delivered.
-    let mut queue: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let remaining = |i: usize, progress: &[usize]| packets[i].path.len() - 1 - progress[i];
+    // queue[v]: offer keys of the packets stored at v and not yet delivered.
+    let mut queue: Vec<BinaryHeap<u64>> = vec![BinaryHeap::new(); n];
+    // The nodes whose queue is non-empty (`listed[v]` ⇔ v is in `active`).
+    let mut active: Vec<Node> = Vec::new();
+    let mut listed = vec![false; n];
     let mut undelivered = 0usize;
     for (i, p) in packets.iter().enumerate() {
         if p.path.len() == 1 {
             delivered_at[i] = 0;
         } else {
-            queue[p.src as usize].push(i as u32);
+            let v = p.src as usize;
+            queue[v].push(discipline.offer_key(i as u32, p.path.len() - 1));
+            if !listed[v] {
+                listed[v] = true;
+                active.push(p.src);
+            }
             undelivered += 1;
         }
     }
     let mut transfers = Vec::new();
-    let mut max_queue = queue.iter().map(|q| q.len()).max().unwrap_or(0);
-    let remaining =
-        |i: u32, progress: &[usize]| packets[i as usize].path.len() - 1 - progress[i as usize];
+    let mut max_queue = queue.iter().map(BinaryHeap::len).max().unwrap_or(0);
+    // best_at_receiver[to] = (remaining, from, packet): the best offer to
+    // `to` this round. `offered` is the set of `to`s holding one (a
+    // bitset, so it lists them in ascending order), `receivers` that list.
+    let mut best_at_receiver: Vec<Option<(usize, Node, u32)>> = vec![None; n];
+    let mut offered: Vec<u64> = vec![0; n.div_ceil(64)];
+    let mut receivers: Vec<Node> = Vec::new();
+    // occupancy[len]: rounds × queues that entered a round holding `len`.
+    let mut occupancy: Vec<u64> = Vec::new();
 
     rec.span_start("route");
     let mut step = 0u32;
     while undelivered > 0 {
         if step >= max_steps {
+            flush_counts(rec, "route.queue_occupancy", &occupancy);
             rec.span_end("route");
             return None;
         }
         rec.histogram("route.packets_in_flight", undelivered as u64);
-        // Queue telemetry covers the state *entering* this round, so the
+        // Phase 1: each non-empty node offers its top packet. Queue
+        // telemetry covers the state *entering* this round, so the
         // initial backlog is sampled too and the histogram max agrees
         // exactly with the Outcome's `max_queue`.
-        for (v, q) in queue.iter().enumerate() {
-            if !q.is_empty() {
-                rec.histogram("route.queue_occupancy", q.len() as u64);
-                rec.sample("route.queue_depth", step as u64, v as u64, q.len() as u64);
-            }
-        }
-        // Phase 1: each non-empty node proposes its best packet.
-        // proposals[to] = (priority, from, packet)
-        let mut best_at_receiver: Vec<Option<(usize, Node, u32)>> = vec![None; n];
-        for (v, qv) in queue.iter().enumerate() {
-            if qv.is_empty() {
-                continue;
-            }
-            // Pick the packet to offer.
-            let &pid = match discipline {
-                Discipline::FarthestFirst => qv
-                    .iter()
-                    .max_by_key(|&&i| (remaining(i, &progress), std::cmp::Reverse(i)))
-                    .unwrap(),
-                Discipline::Fifo => qv.iter().min().unwrap(),
-            };
-            let next = packets[pid as usize].path[progress[pid as usize] + 1];
-            let prio = remaining(pid, &progress);
+        for &v in &active {
+            let qv = &queue[v as usize];
+            let len = qv.len();
+            tally(&mut occupancy, len);
+            rec.sample("route.queue_depth", step as u64, v as u64, len as u64);
+            let pid = u32::MAX - *qv.peek().expect("active queues are non-empty") as u32;
+            let i = pid as usize;
+            let next = packets[i].path[progress[i] + 1];
+            let prio = remaining(i, &progress);
             let slot = &mut best_at_receiver[next as usize];
-            let better = match slot {
-                None => true,
-                Some((p, _, old_pid)) => prio > *p || (prio == *p && pid < *old_pid),
-            };
-            if better {
-                *slot = Some((prio, v as Node, pid));
-            }
-        }
-        // Phase 2: winners move.
-        let mut moved_any = false;
-        for to in 0..n {
-            if let Some((_, from, pid)) = best_at_receiver[to] {
-                let q = &mut queue[from as usize];
-                let pos = q.iter().position(|&x| x == pid).unwrap();
-                q.swap_remove(pos);
-                progress[pid as usize] += 1;
-                transfers.push(Transfer { step, from, to: to as Node, packet_id: pid });
-                rec.sample("route.edge_util", step as u64, edge_key(from, to as Node), 1);
-                moved_any = true;
-                if progress[pid as usize] + 1 == packets[pid as usize].path.len() {
-                    delivered_at[pid as usize] = step + 1;
-                    undelivered -= 1;
-                } else {
-                    queue[to].push(pid);
+            match slot {
+                None => {
+                    offered[next as usize / 64] |= 1 << (next % 64);
+                    *slot = Some((prio, v, pid));
+                }
+                Some((p, _, old_pid)) => {
+                    if prio > *p || (prio == *p && pid < *old_pid) {
+                        *slot = Some((prio, v, pid));
+                    }
                 }
             }
         }
-        debug_assert!(moved_any, "engine must make progress every step");
-        max_queue = max_queue.max(queue.iter().map(|q| q.len()).max().unwrap_or(0));
+        // Phase 2: winners move, in receiver order. A winner is its
+        // sender's heap top; pop them all before pushing any.
+        for (w, word) in offered.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                receivers.push((w * 64) as Node + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        debug_assert!(!receivers.is_empty(), "engine must make progress every step");
+        for &to in &receivers {
+            let (_, from, _) = best_at_receiver[to as usize].expect("receivers hold an offer");
+            queue[from as usize].pop();
+        }
+        for &to in &receivers {
+            let (_, from, pid) = best_at_receiver[to as usize].take().expect("offer");
+            let i = pid as usize;
+            progress[i] += 1;
+            transfers.push(Transfer { step, from, to, packet_id: pid });
+            rec.sample("route.edge_util", step as u64, edge_key(from, to), 1);
+            let left = remaining(i, &progress);
+            if left == 0 {
+                delivered_at[i] = step + 1;
+                undelivered -= 1;
+            } else {
+                let q = &mut queue[to as usize];
+                q.push(discipline.offer_key(pid, left));
+                max_queue = max_queue.max(q.len());
+                if !listed[to as usize] {
+                    listed[to as usize] = true;
+                    active.push(to);
+                }
+            }
+        }
+        receivers.clear();
+        active.retain(|&v| {
+            let keep = !queue[v as usize].is_empty();
+            listed[v as usize] = keep;
+            keep
+        });
         step += 1;
     }
+    flush_counts(rec, "route.queue_occupancy", &occupancy);
     rec.span_end("route");
+    let mut hops: Vec<u64> = Vec::new();
     for p in packets {
-        rec.histogram("route.hops", (p.path.len() - 1) as u64);
+        tally(&mut hops, p.path.len() - 1);
     }
+    flush_counts(rec, "route.hops", &hops);
     rec.counter("route.steps", step as u64);
     rec.counter("route.transfers", transfers.len() as u64);
     rec.counter("route.packets", packets.len() as u64);
     Some(Outcome { steps: step, delivered_at, transfers, max_queue })
 }
 
-/// Build packets from `(src, dst)` pairs using a path selector. Fails with
-/// the selector's [`RouteError`] on the first pair it cannot connect.
+/// Count one more sample of `value` in `counts` (indexed by value).
+fn tally(counts: &mut Vec<u64>, value: usize) {
+    if counts.len() <= value {
+        counts.resize(value + 1, 0);
+    }
+    counts[value] += 1;
+}
+
+/// Record `counts[value]` samples of each `value` into histogram `name`,
+/// one [`Recorder::histogram_n`] call per value seen.
+fn flush_counts<REC: Recorder + ?Sized>(rec: &mut REC, name: &'static str, counts: &[u64]) {
+    for (value, &k) in counts.iter().enumerate() {
+        if k > 0 {
+            rec.histogram_n(name, value as u64, k);
+        }
+    }
+}
+
+/// Build packets from `(src, dst)` pairs using a path selector (through
+/// [`PathSelector::paths`]). Fails with the selector's [`RouteError`] on
+/// the first pair it cannot connect.
 pub fn make_packets<S: PathSelector, R: Rng>(
     g: &Graph,
     pairs: &[(Node, Node)],
     selector: &S,
     rng: &mut R,
 ) -> Result<Vec<Packet>, RouteError> {
-    pairs
+    let paths = selector.paths(g, pairs, rng)?;
+    Ok(pairs
         .iter()
+        .zip(paths)
         .enumerate()
-        .map(|(i, &(src, dst))| {
-            Ok(Packet { id: i as u32, src, dst, path: selector.path(g, src, dst, rng)? })
-        })
-        .collect()
+        .map(|(i, (&(src, dst), path))| Packet { id: i as u32, src, dst, path })
+        .collect())
 }
 
 /// Convenience: route `(src, dst)` pairs with BFS paths and default
@@ -358,24 +508,206 @@ fn step_limit_for_lengths(lens: impl Iterator<Item = usize>) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use unet_obs::InMemoryRecorder;
     use unet_topology::generators::{mesh, path, ring, torus};
+    use unet_topology::GraphBuilder;
+
+    /// Reference for [`bfs_paths`]: the per-pair BFS `ShortestPath` ran
+    /// before, a fresh search from `src` that stops when `dst` is found.
+    fn bfs_path(g: &Graph, src: Node, dst: Node) -> Option<Vec<Node>> {
+        if src == dst {
+            return Some(vec![src]);
+        }
+        let mut prev = vec![u32::MAX; g.n()];
+        let mut queue = std::collections::VecDeque::new();
+        prev[src as usize] = src;
+        queue.push_back(src);
+        while let Some(v) = queue.pop_front() {
+            for &w in g.neighbors(v) {
+                if prev[w as usize] == u32::MAX {
+                    prev[w as usize] = v;
+                    if w == dst {
+                        let mut path = vec![dst];
+                        let mut cur = dst;
+                        while cur != src {
+                            cur = prev[cur as usize];
+                            path.push(cur);
+                        }
+                        path.reverse();
+                        return Some(path);
+                    }
+                    queue.push_back(w);
+                }
+            }
+        }
+        None
+    }
+
+    /// Reference for [`route_recorded`]: the engine before heap-ordered
+    /// queues. Every round it scans all `n` queues, picks each offer by a
+    /// linear scan, finds the winner in its queue by position and records
+    /// one histogram sample per non-empty queue.
+    fn route_recorded_reference<REC: Recorder + ?Sized>(
+        g: &Graph,
+        packets: &[Packet],
+        discipline: Discipline,
+        max_steps: u32,
+        rec: &mut REC,
+    ) -> Option<Outcome> {
+        let n = g.n();
+        let mut progress: Vec<usize> = packets.iter().map(|_| 0usize).collect();
+        let mut delivered_at = vec![u32::MAX; packets.len()];
+        let mut queue: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut undelivered = 0usize;
+        for (i, p) in packets.iter().enumerate() {
+            if p.path.len() == 1 {
+                delivered_at[i] = 0;
+            } else {
+                queue[p.src as usize].push(i as u32);
+                undelivered += 1;
+            }
+        }
+        let mut transfers = Vec::new();
+        let mut max_queue = queue.iter().map(|q| q.len()).max().unwrap_or(0);
+        let remaining =
+            |i: u32, progress: &[usize]| packets[i as usize].path.len() - 1 - progress[i as usize];
+
+        rec.span_start("route");
+        let mut step = 0u32;
+        while undelivered > 0 {
+            if step >= max_steps {
+                rec.span_end("route");
+                return None;
+            }
+            rec.histogram("route.packets_in_flight", undelivered as u64);
+            for (v, q) in queue.iter().enumerate() {
+                if !q.is_empty() {
+                    rec.histogram("route.queue_occupancy", q.len() as u64);
+                    rec.sample("route.queue_depth", step as u64, v as u64, q.len() as u64);
+                }
+            }
+            let mut best_at_receiver: Vec<Option<(usize, Node, u32)>> = vec![None; n];
+            for (v, qv) in queue.iter().enumerate() {
+                if qv.is_empty() {
+                    continue;
+                }
+                let &pid = match discipline {
+                    Discipline::FarthestFirst => qv
+                        .iter()
+                        .max_by_key(|&&i| (remaining(i, &progress), std::cmp::Reverse(i)))
+                        .unwrap(),
+                    Discipline::Fifo => qv.iter().min().unwrap(),
+                };
+                let next = packets[pid as usize].path[progress[pid as usize] + 1];
+                let prio = remaining(pid, &progress);
+                let slot = &mut best_at_receiver[next as usize];
+                let better = match slot {
+                    None => true,
+                    Some((p, _, old_pid)) => prio > *p || (prio == *p && pid < *old_pid),
+                };
+                if better {
+                    *slot = Some((prio, v as Node, pid));
+                }
+            }
+            for to in 0..n {
+                if let Some((_, from, pid)) = best_at_receiver[to] {
+                    let q = &mut queue[from as usize];
+                    let pos = q.iter().position(|&x| x == pid).unwrap();
+                    q.swap_remove(pos);
+                    progress[pid as usize] += 1;
+                    transfers.push(Transfer { step, from, to: to as Node, packet_id: pid });
+                    rec.sample("route.edge_util", step as u64, edge_key(from, to as Node), 1);
+                    if progress[pid as usize] + 1 == packets[pid as usize].path.len() {
+                        delivered_at[pid as usize] = step + 1;
+                        undelivered -= 1;
+                    } else {
+                        queue[to].push(pid);
+                    }
+                }
+            }
+            max_queue = max_queue.max(queue.iter().map(|q| q.len()).max().unwrap_or(0));
+            step += 1;
+        }
+        rec.span_end("route");
+        for p in packets {
+            rec.histogram("route.hops", (p.path.len() - 1) as u64);
+        }
+        rec.counter("route.steps", step as u64);
+        rec.counter("route.transfers", transfers.len() as u64);
+        rec.counter("route.packets", packets.len() as u64);
+        Some(Outcome { steps: step, delivered_at, transfers, max_queue })
+    }
+
+    /// A random graph on `n` nodes with `edges` random edges, optionally
+    /// threaded by a ring so it is connected.
+    fn random_graph(rng: &mut impl Rng, n: usize, edges: usize, connected: bool) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        if connected && n > 1 {
+            for v in 0..n {
+                let w = (v + 1) % n;
+                if v != w {
+                    b.add_edge(v as Node, w as Node);
+                }
+            }
+        }
+        for _ in 0..edges {
+            let (u, v) = (rng.gen_range(0..n) as Node, rng.gen_range(0..n) as Node);
+            if u != v {
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
+    }
+
+    /// Every counter, histogram, sample series and span count a recorder
+    /// holds (span durations are timings and may differ).
+    #[allow(clippy::type_complexity)]
+    fn records(
+        rec: &InMemoryRecorder,
+    ) -> (
+        Vec<(&'static str, u64)>,
+        Vec<(&'static str, unet_obs::Histogram)>,
+        Vec<(&'static str, std::collections::BTreeMap<(u64, u64), u64>)>,
+        Vec<(&'static str, u64)>,
+    ) {
+        (
+            rec.counters().collect(),
+            rec.histograms().map(|(k, h)| (k, h.clone())).collect(),
+            rec.samples().map(|(k, m)| (k, m.clone())).collect(),
+            rec.span_totals().map(|(k, _, count)| (k, count)).collect(),
+        )
+    }
 
     #[test]
     fn bfs_path_endpoints_and_length() {
         let g = mesh(4, 4);
-        let p = bfs_path(&g, 0, 15).unwrap();
+        let paths = bfs_paths(&g, &[(0, 15), (3, 3), (0, 15)]).unwrap();
+        let p = &paths[0];
         assert_eq!(p[0], 0);
         assert_eq!(*p.last().unwrap(), 15);
         assert_eq!(p.len(), 7); // distance 6
-        assert_eq!(bfs_path(&g, 3, 3).unwrap(), vec![3]);
+        assert_eq!(Some(p.clone()), bfs_path(&g, 0, 15));
+        assert_eq!(paths[1], vec![3]);
+        assert_eq!(paths[2], paths[0], "a repeated pair gets the same path");
     }
 
     #[test]
     fn bfs_path_disconnected_none() {
-        let mut b = unet_topology::GraphBuilder::new(4);
+        let mut b = GraphBuilder::new(4);
         b.add_edge(0, 1);
         let g = b.build();
         assert!(bfs_path(&g, 0, 3).is_none());
+        // The first unreachable pair in input order is the error, even
+        // when a lower source fails later in the list.
+        assert_eq!(
+            bfs_paths(&g, &[(0, 1), (2, 3), (0, 3)]),
+            Err(RouteError::Unreachable { src: 2, dst: 3 })
+        );
+        assert_eq!(
+            ShortestPath.path(&g, 1, 3, &mut unet_topology::util::seeded_rng(0)),
+            Err(RouteError::Unreachable { src: 1, dst: 3 })
+        );
     }
 
     #[test]
@@ -546,5 +878,110 @@ mod tests {
         // it must still deliver.
         let out = out.expect("delivers");
         assert!(out.delivered_at[0] != u32::MAX);
+    }
+
+    #[test]
+    fn self_pairs_record_no_queue_occupancy() {
+        // Queues that are never non-empty leave no empty histogram behind.
+        let g = path(3);
+        let mut rec = InMemoryRecorder::new();
+        let mut rng = unet_topology::util::seeded_rng(0);
+        let packets = make_packets(&g, &[(0, 0), (2, 2), (1, 1)], &ShortestPath, &mut rng).unwrap();
+        let out = route_recorded(&g, &packets, Discipline::FarthestFirst, 10, &mut rec).unwrap();
+        assert_eq!(out.steps, 0);
+        assert!(rec.histogram_data("route.queue_occupancy").is_none());
+        assert!(rec.histogram_data("route.packets_in_flight").is_none());
+        assert_eq!(rec.histogram_data("route.hops").map(|h| (h.count, h.max)), Some((3, 0)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `bfs_paths` returns per-pair `bfs_path`'s paths, in input order,
+        /// on random graphs that may be disconnected, with self pairs and
+        /// repeated pairs; on failure it names the same first pair.
+        #[test]
+        fn bfs_paths_equal_per_pair_bfs(
+            seed in any::<u64>(),
+            n in 1usize..20,
+            edges in 0usize..40,
+            connected in any::<bool>(),
+            count in 0usize..40,
+        ) {
+            let mut rng = unet_topology::util::seeded_rng(seed);
+            let g = random_graph(&mut rng, n, edges, connected);
+            let mut pairs: Vec<(Node, Node)> = Vec::new();
+            for _ in 0..count {
+                let pair = match rng.gen_range(0..4) {
+                    0 if !pairs.is_empty() => pairs[rng.gen_range(0..pairs.len())],
+                    1 => {
+                        let v = rng.gen_range(0..n) as Node;
+                        (v, v)
+                    }
+                    _ => (rng.gen_range(0..n) as Node, rng.gen_range(0..n) as Node),
+                };
+                pairs.push(pair);
+            }
+            let reference: Result<Vec<Vec<Node>>, RouteError> = pairs
+                .iter()
+                .map(|&(src, dst)| bfs_path(&g, src, dst).ok_or(RouteError::Unreachable { src, dst }))
+                .collect();
+            prop_assert_eq!(bfs_paths(&g, &pairs), reference.clone());
+            let mut rng = unet_topology::util::seeded_rng(0);
+            prop_assert_eq!(ShortestPath.paths(&g, &pairs, &mut rng), reference);
+        }
+
+        /// The heap-ordered engine equals the scanning reference under both
+        /// disciplines, with lazy (`w[0] == w[1]`) segments, and on the
+        /// step-limit failure path: the same `Outcome` and the same
+        /// counters, histograms, sample series and span counts.
+        #[test]
+        fn heap_engine_equals_reference(
+            seed in any::<u64>(),
+            n in 2usize..24,
+            edges in 0usize..30,
+            count in 0usize..60,
+            fifo in any::<bool>(),
+            lazy in 0u32..3,
+            limit in 0u32..4,
+        ) {
+            let mut rng = unet_topology::util::seeded_rng(seed);
+            let g = random_graph(&mut rng, n, edges, true);
+            let pairs: Vec<(Node, Node)> = (0..count)
+                .map(|_| (rng.gen_range(0..n) as Node, rng.gen_range(0..n) as Node))
+                .collect();
+            let mut packets = make_packets(&g, &pairs, &ShortestPath, &mut rng).unwrap();
+            for p in &mut packets {
+                // Stay put on some hops: a lazy segment repeats a node.
+                for _ in 0..lazy {
+                    let at = rng.gen_range(0..p.path.len());
+                    p.path.insert(at, p.path[at]);
+                }
+            }
+            let discipline = if fifo { Discipline::Fifo } else { Discipline::FarthestFirst };
+            let generous = generous_step_limit(&packets);
+            let steps = route(&g, &packets, discipline, generous).expect("generous limit").steps;
+            // Generous, exactly enough, one short (fails) or anything up to
+            // enough (usually fails).
+            let max_steps = match limit {
+                0 => generous,
+                1 => steps,
+                2 => steps.saturating_sub(1),
+                _ => rng.gen_range(0..=steps),
+            };
+            let mut heap_rec = InMemoryRecorder::new();
+            let mut scan_rec = InMemoryRecorder::new();
+            let heap = route_recorded(&g, &packets, discipline, max_steps, &mut heap_rec);
+            let scan = route_recorded_reference(&g, &packets, discipline, max_steps, &mut scan_rec);
+            prop_assert_eq!(&heap, &scan);
+            prop_assert_eq!(records(&heap_rec), records(&scan_rec));
+            prop_assert!(heap_rec.open_spans().is_empty());
+            // Behind the `dyn Recorder` boundary the router crosses, too.
+            let mut dyn_rec = InMemoryRecorder::new();
+            let via_dyn =
+                route_recorded(&g, &packets, discipline, max_steps, &mut (&mut dyn_rec as &mut dyn Recorder));
+            prop_assert_eq!(&via_dyn, &scan);
+            prop_assert_eq!(records(&dyn_rec), records(&scan_rec));
+        }
     }
 }

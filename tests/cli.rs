@@ -221,6 +221,33 @@ fn trace_quick_analyze_metrics_pipeline() {
     assert!(stdout7.contains("sim.comm"), "{stdout7}");
 }
 
+/// The routing engine counts queue occupancies and hop counts locally and
+/// flushes one histogram call per distinct value; the trace must still
+/// carry the histograms one call per sample wrote, byte for byte.
+#[test]
+fn trace_pins_the_routing_histograms() {
+    let dir = std::env::temp_dir().join("unet-cli-route-hists");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("ring24.jsonl");
+    let trace_s = trace.to_str().unwrap();
+    let (ok, _, stderr) =
+        unet(&["trace", "ring:24", "torus:3x3", "4", "--seed", "7", "--out", trace_s]);
+    assert!(ok, "stderr: {stderr}");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let hist = |name: &str| {
+        let key = format!("{{\"type\":\"hist\",\"name\":\"{name}\",");
+        text.lines().find(|l| l.starts_with(&key)).unwrap_or_else(|| panic!("no {name} line"))
+    };
+    assert_eq!(
+        hist("route.queue_occupancy"),
+        r#"{"type":"hist","name":"route.queue_occupancy","count":36,"sum":61,"min":1,"max":3,"buckets":[[1,13],[2,23]]}"#
+    );
+    assert_eq!(
+        hist("route.hops"),
+        r#"{"type":"hist","name":"route.hops","count":18,"sum":24,"min":1,"max":2,"buckets":[[1,12],[2,6]]}"#
+    );
+}
+
 /// `report --markdown` renders a `BENCH.json` artifact as tables and any
 /// other file as the markdown trace report, the bytes `analyze --markdown`
 /// prints (it used to parse every file as an artifact and fail on a trace
