@@ -159,7 +159,7 @@ mod tests {
         let p = &run.protocol;
         let mut b = unet_pebble::ProtocolBuilder::new(p.guest_n, p.guest_t, p.host_m);
         for tau in 0..p.host_steps() - 1 {
-            for &(q, op) in p.step(tau) {
+            for (q, op) in p.step(tau) {
                 b.set_op(q, op);
             }
             b.end_step();

@@ -6,7 +6,7 @@
 //! `Q_S(i, t)` of *representatives* and `Q'_S(i, t)` of *generators* that the
 //! paper's entire lower-bound analysis (Section 3.2–3.3) is phrased in.
 
-use crate::protocol::{Op, Pebble, Protocol};
+use crate::protocol::{OpRecord, Pebble, Protocol, GENERATE, RECV, SEND};
 use unet_obs::{NoopRecorder, Recorder};
 use unet_topology::util::FxHashMap;
 use unet_topology::{Graph, Node};
@@ -85,6 +85,20 @@ pub enum CheckError {
     MissingFinalPebble {
         /// Guest node whose final configuration is missing.
         node: Node,
+    },
+    /// The protocol's guest size `n` differs from the guest graph's.
+    GuestSizeMismatch {
+        /// `n` in the protocol.
+        protocol: usize,
+        /// Nodes of the guest graph.
+        graph: usize,
+    },
+    /// The protocol's host size `m` differs from the host graph's.
+    HostSizeMismatch {
+        /// `m` in the protocol.
+        protocol: usize,
+        /// Nodes of the host graph.
+        graph: usize,
     },
 }
 
@@ -398,24 +412,128 @@ impl Custody {
     }
 }
 
-/// Group `(pebble index, payload)` records by pebble with a stable
-/// counting sort: `emit(slot, payload)` places each payload so that every
-/// pebble's payloads are contiguous and in log order. Returns the
-/// per-pebble offsets into the slots (length `pebbles + 1`).
-fn csr<P: Copy>(pebbles: usize, log: &[(usize, P)], mut emit: impl FnMut(usize, P)) -> Vec<usize> {
-    let mut offsets = vec![0usize; pebbles + 1];
-    for &(idx, _) in log {
-        offsets[idx + 1] += 1;
+/// The columns a [`group`] fills, one custody record per slot.
+trait Columns {
+    /// One slot's record.
+    type Record: Copy;
+    /// `len` zeroed slots.
+    fn with_len(len: usize) -> Self;
+    /// Store `record` in slot `at`.
+    fn set(&mut self, at: usize, record: Self::Record);
+    /// Copy the `len` slots at `src` to `dst ≥ src + len`, each record
+    /// `steps` host steps later.
+    fn copy_later(&mut self, src: usize, dst: usize, len: usize, steps: u32);
+}
+
+/// Generator hosts.
+impl Columns for Vec<Node> {
+    type Record = Node;
+
+    fn with_len(len: usize) -> Self {
+        vec![0; len]
     }
-    for i in 0..pebbles {
-        offsets[i + 1] += offsets[i];
+
+    #[inline]
+    fn set(&mut self, at: usize, q: Node) {
+        self[at] = q;
     }
-    let mut cursor = offsets[..pebbles].to_vec();
-    for &(idx, payload) in log {
-        emit(cursor[idx], payload);
-        cursor[idx] += 1;
+
+    fn copy_later(&mut self, src: usize, dst: usize, len: usize, _: u32) {
+        self.copy_within(src..src + len, dst);
     }
-    offsets
+}
+
+/// Holders: each holder's host and, parallel to it, the 1-based host step
+/// of its first acquisition.
+struct Holders {
+    hosts: Vec<Node>,
+    steps: Vec<u32>,
+}
+
+impl Columns for Holders {
+    type Record = (Node, u32);
+
+    fn with_len(len: usize) -> Self {
+        Holders { hosts: vec![0; len], steps: vec![0; len] }
+    }
+
+    #[inline]
+    fn set(&mut self, at: usize, (q, step): (Node, u32)) {
+        self.hosts[at] = q;
+        self.steps[at] = step;
+    }
+
+    fn copy_later(&mut self, src: usize, dst: usize, len: usize, steps: u32) {
+        self.hosts.copy_within(src..src + len, dst);
+        let (done, rest) = self.steps.split_at_mut(dst);
+        for (to, &from) in rest[..len].iter_mut().zip(&done[src..src + len]) {
+            *to = from + steps;
+        }
+    }
+}
+
+/// How a periodic trace's levels `4..=T` follow from level 3 (see
+/// [`group`]).
+#[derive(Clone, Copy)]
+struct LevelCopy<'a> {
+    /// Host steps per level: [`Period::period`].
+    period: u32,
+    /// Per guest node, how many of level 3's records level `T` keeps (its
+    /// generation part); `None` keeps them all.
+    last: Option<&'a [usize]>,
+}
+
+/// Group log records by pebble in the trace's node-major layout (pebble
+/// `(i, t)`, `t ≥ 1`, at `i·T + t − 1`) with a stable counting sort, so
+/// every pebble's records stay in log order. Returns the per-pebble
+/// offsets (length `n·T + 1`) and the records.
+///
+/// Without a [`LevelCopy`] the log holds every level. With one it holds
+/// levels 1..=3 only, and each node's later levels are filled from its
+/// level-3 group, which is contiguous: level `ℓ < T` is that group with
+/// every record `(ℓ − 3)·P` steps later, level `T` its first `last[i]`
+/// records moved the same way.
+fn group<C: Columns>(
+    n: usize,
+    t_max: u32,
+    log: &[(Pebble, C::Record)],
+    copy: Option<LevelCopy<'_>>,
+) -> (Vec<usize>, C) {
+    let t = t_max as usize;
+    let idx = |p: Pebble| p.node as usize * t + (p.t as usize - 1);
+    // Counts at `idx + 1`, then prefix sums.
+    let mut offsets = vec![0usize; n * t + 1];
+    for &(p, _) in log {
+        offsets[idx(p) + 1] += 1;
+    }
+    if let Some(c) = copy {
+        for (i, lens) in offsets[1..].chunks_exact_mut(t).enumerate() {
+            let level3 = lens[2];
+            lens[3..t - 1].fill(level3);
+            lens[t - 1] = c.last.map_or(level3, |last| last[i]);
+        }
+    }
+    for k in 0..n * t {
+        offsets[k + 1] += offsets[k];
+    }
+    let mut columns = C::with_len(offsets[n * t]);
+    let mut cursor = offsets[..n * t].to_vec();
+    for &(p, r) in log {
+        let at = &mut cursor[idx(p)];
+        columns.set(*at, r);
+        *at += 1;
+    }
+    if let Some(c) = copy {
+        for i in 0..n {
+            let level3 = offsets[i * t + 2];
+            for l in 4..=t {
+                let steps = (l as u32 - 3) * c.period;
+                let (from, to) = (offsets[i * t + l - 1], offsets[i * t + l]);
+                columns.copy_later(level3, from, to - from, steps);
+            }
+        }
+    }
+    (offsets, columns)
 }
 
 /// Where a protocol repeats itself (see [`periodic_form`]): block `B1`
@@ -435,7 +553,7 @@ struct Period {
 /// * (c) in `B2` every `Send` carries a level-1 pebble and every
 ///   `Generate` makes a level-2 pebble;
 /// * (d) from step `|B1| + P` on, every step equals the step `P` earlier
-///   with each pebble one level later ([`Op::later`]).
+///   with each pebble one level later ([`Protocol::repeats_later`]).
 ///
 /// Then only `B_j`'s generations and `B_{j+1}`'s receipts acquire level-`j`
 /// pebbles, and every rule in `B_k` reads only level-`(k−1)` custody and
@@ -447,18 +565,17 @@ fn periodic_form(proto: &Protocol) -> Option<Period> {
     if t < 4 {
         return None;
     }
-    let b1 = proto
-        .steps()
-        .take_while(|ops| ops.iter().all(|(_, op)| matches!(op, Op::Generate(p) if p.t == 1)))
+    let b1 = (0..proto.host_steps())
+        .take_while(|&s| proto.records(s).iter().all(|r| r.kind() == GENERATE && r.pebble().t == 1))
         .count();
     let rest = proto.host_steps() - b1;
     let period = rest / (t - 1);
     if period == 0 || !rest.is_multiple_of(t - 1) {
         return None;
     }
-    let b2_ok = (b1..b1 + period).flat_map(|s| proto.step(s)).all(|(_, op)| match op {
-        Op::Generate(p) => p.t == 2,
-        Op::Send { pebble, .. } => pebble.t == 1,
+    let b2_ok = (b1..b1 + period).flat_map(|s| proto.records(s)).all(|r| match r.kind() {
+        GENERATE => r.pebble().t == 2,
+        SEND => r.pebble().t == 1,
         _ => true,
     });
     (b2_ok && proto.repeats_later(b1 + period, period)).then_some(Period { b1, period })
@@ -473,8 +590,8 @@ impl Period {
 }
 
 /// Replay `proto` under every rule, except that with a [`Period`] only
-/// `B1·B2·B3` are replayed and `B4..BT`'s custody records are `B3`'s,
-/// shifted (see [`periodic_form`] for why that is exact).
+/// `B1·B2·B3` are replayed and the custody of levels 4..T is level 3's,
+/// shifted (see [`periodic_form`] for why that is exact, and [`group`]).
 fn replay(
     guest: &Graph,
     host: &Graph,
@@ -484,11 +601,13 @@ fn replay(
     let n = proto.guest_n;
     let t_max = proto.guest_t;
     let m = proto.host_m;
-    assert_eq!(guest.n(), n, "guest graph size mismatch");
-    assert_eq!(host.n(), m, "host graph size mismatch");
+    if guest.n() != n {
+        return Err(CheckError::GuestSizeMismatch { protocol: n, graph: guest.n() });
+    }
+    if host.n() != m {
+        return Err(CheckError::HostSizeMismatch { protocol: m, graph: host.n() });
+    }
 
-    let pebbles = n * t_max as usize;
-    let idx = |p: Pebble| (p.node as usize) * t_max as usize + (p.t as usize - 1);
     let mut custody = Custody::new(n, t_max, m);
     // Holding test with "strictly before this step" semantics: effects are
     // applied only after every op of the step has been validated.
@@ -498,31 +617,35 @@ fn replay(
         }
         p.t == 0 || custody.holds(q, p)
     };
-    // (pebble index, (host, step)) per first acquisition, and
-    // (pebble index, host) per generation, in replay order.
-    let mut acquired: Vec<(usize, (Node, u32))> = Vec::new();
-    let mut generated: Vec<(usize, Node)> = Vec::new();
-    // The current step's ops by host, to pair sends with receives.
-    let mut row = vec![Op::Idle; m];
+    // (pebble, (host, step)) per first acquisition, and (pebble, host) per
+    // generation, in replay order.
+    let mut acquired: Vec<(Pebble, (Node, u32))> = Vec::new();
+    let mut generated: Vec<(Pebble, Node)> = Vec::new();
+    // The current step's records by host (all-zero when idle), to pair
+    // sends with receives. The replay reads records, not decoded `Op`s:
+    // one dispatch on the kind per op and phase.
+    let mut row = vec![OpRecord::default(); m];
     // With a period: the first step of B3, the steps replayed, and where
-    // B3's records start in the two logs.
+    // B3's acquisitions start in their log.
     let b3 = form.map(|f| f.b1 + f.period);
     let replayed = form.map_or(proto.host_steps(), |f| f.b1 + 2 * f.period);
-    let mut b3_logs = (0, 0);
+    let mut b3_log = 0;
 
-    for (step0, ops) in proto.steps().take(replayed).enumerate() {
+    for step0 in 0..replayed {
         let step = step0 as u32 + 1; // 1-based host time
         if Some(step0) == b3 {
-            b3_logs = (acquired.len(), generated.len());
+            b3_log = acquired.len();
         }
-        for &(q, op) in ops {
-            row[q as usize] = op;
+        let records = proto.records(step0);
+        for &r in records {
+            row[r.host() as usize] = r;
         }
         // Phase 1: validate every op against the *pre-step* state.
-        for &(q, op) in ops {
-            match op {
-                Op::Idle => {}
-                Op::Generate(p) => {
+        for &r in records {
+            let q = r.host();
+            match r.kind() {
+                GENERATE => {
+                    let p = r.pebble();
                     if p.t == 0 || p.t > t_max || p.node as usize >= n {
                         return Err(CheckError::GenerateOutOfRange {
                             step: step0,
@@ -551,7 +674,8 @@ fn replay(
                         }
                     }
                 }
-                Op::Send { pebble, to } => {
+                SEND => {
+                    let (pebble, to) = (r.pebble(), r.partner());
                     if !host.has_edge(q, to) {
                         return Err(CheckError::SendToNonNeighbor { step: step0, host: q, to });
                     }
@@ -562,79 +686,84 @@ fn replay(
                             pebble,
                         });
                     }
-                    if !matches!(row[to as usize], Op::Recv { from } if from == q) {
+                    let back = row[to as usize];
+                    if back.kind() != RECV || back.partner() != q {
                         return Err(CheckError::UnmatchedSend { step: step0, host: q, to });
                     }
                 }
-                Op::Recv { from } => {
+                _ => {
+                    // RECV: a protocol stores no idle op.
+                    let from = r.partner();
                     if !host.has_edge(q, from) {
                         return Err(CheckError::RecvFromNonNeighbor { step: step0, host: q, from });
                     }
-                    if !matches!(row[from as usize], Op::Send { to, .. } if to == q) {
+                    let sender = row[from as usize];
+                    if sender.kind() != SEND || sender.partner() != q {
                         return Err(CheckError::UnmatchedRecv { step: step0, host: q, from });
                     }
                 }
             }
         }
         // Phase 2: apply effects (pebbles become available *after* the step).
-        for &(q, op) in ops {
-            let got = match op {
-                Op::Generate(p) => {
-                    generated.push((idx(p), q));
-                    p
+        for &r in records {
+            let q = r.host();
+            let got = match r.kind() {
+                GENERATE => {
+                    generated.push((r.pebble(), q));
+                    r.pebble()
                 }
-                Op::Recv { from } => match row[from as usize] {
-                    Op::Send { pebble, .. } if pebble.t > 0 => pebble,
+                // Phase 1 paired the receive with its send; initial
+                // pebbles are held already.
+                RECV => match row[r.partner() as usize].pebble() {
+                    p if p.t > 0 => p,
                     _ => continue,
                 },
                 _ => continue,
             };
             if custody.acquire(q, got) {
-                acquired.push((idx(got), (q, step)));
+                acquired.push((got, (q, step)));
             }
         }
-        for &(q, _) in ops {
-            row[q as usize] = Op::Idle;
+        for &r in records {
+            row[r.host() as usize] = OpRecord::default();
         }
     }
 
-    // B4..BT: B3's records, block j after B3 shifted by j levels (pebble
-    // index + j) and j·P steps, appended in block order as a replay would.
+    // Final-pebble condition (vacuous for T = 0: the finals are initial),
+    // decided from the log before any per-pebble array is allocated. Under
+    // a period, B_T's generations are B3's, three levels up.
+    let final_level = if form.is_some() { 3 } else { t_max };
+    let mut has_final = vec![t_max == 0; n];
+    for &(p, _) in &generated {
+        if p.t == final_level {
+            has_final[p.node as usize] = true;
+        }
+    }
+    if let Some(node) = has_final.iter().position(|&done| !done) {
+        return Err(CheckError::MissingFinalPebble { node: node as Node });
+    }
+
+    // Under a period B3 acquired level 3 by generation and level 2 by
+    // receipt; B4's receipts, level 3's second part, are B3's a level and
+    // `P` steps later. Level T keeps each node's generation part.
+    let mut last = Vec::new();
     if let Some(f) = form {
-        let blocks = t_max as usize - 3;
-        let (acq, gen) = (acquired.len() - b3_logs.0, generated.len() - b3_logs.1);
-        acquired.reserve(blocks * acq);
-        generated.reserve(blocks * gen);
-        for j in 1..=blocks {
-            let steps = (j * f.period) as u32;
-            acquired.extend_from_within(b3_logs.0..b3_logs.0 + acq);
-            let at = acquired.len() - acq;
-            for (idx, (_, step)) in &mut acquired[at..] {
-                *idx += j;
-                *step += steps;
-            }
-            generated.extend_from_within(b3_logs.1..b3_logs.1 + gen);
-            let at = generated.len() - gen;
-            for (idx, _) in &mut generated[at..] {
-                *idx += j;
+        last = vec![0; n];
+        let b3_records = acquired.len() - b3_log;
+        acquired.reserve(b3_records);
+        for k in b3_log..b3_log + b3_records {
+            let (p, (q, step)) = acquired[k];
+            if p.t == 2 {
+                acquired.push((Pebble::new(p.node, 3), (q, step + f.period as u32)));
+            } else {
+                last[p.node as usize] += 1;
             }
         }
     }
-
-    let mut generator_hosts = vec![0; generated.len()];
-    let generator_offsets = csr(pebbles, &generated, |at, q| generator_hosts[at] = q);
-    // Final-pebble condition (vacuous for T = 0: the finals are initial).
-    for i in (0..n as Node).filter(|_| t_max > 0) {
-        let last = idx(Pebble::new(i, t_max));
-        if generator_offsets[last] == generator_offsets[last + 1] {
-            return Err(CheckError::MissingFinalPebble { node: i });
-        }
-    }
-    let (mut holder_hosts, mut holder_steps) = (vec![0; acquired.len()], vec![0; acquired.len()]);
-    let holder_offsets = csr(pebbles, &acquired, |at, (q, step)| {
-        holder_hosts[at] = q;
-        holder_steps[at] = step;
-    });
+    let copy = |last| form.map(|f| LevelCopy { period: f.period as u32, last });
+    let (generator_offsets, generator_hosts) = group(n, t_max, &generated, copy(None));
+    let (holder_offsets, Holders { hosts: holder_hosts, steps: holder_steps }) =
+        group(n, t_max, &acquired, copy(Some(&last)));
     Ok(Trace {
         guest_n: n,
         guest_t: t_max,
@@ -651,7 +780,8 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ProtocolBuilder;
+    use crate::protocol::{Op, ProtocolBuilder};
+    use proptest::prelude::*;
     use unet_topology::generators::{complete, ring};
 
     /// Smallest interesting scenario: guest = 3-ring, host = K2.
@@ -1055,6 +1185,164 @@ mod tests {
         let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
         assert_eq!(got.as_ref().map(|t| t.generated_by(2, 6).to_vec()), Ok(vec![1, 1]));
         assert_eq!((got, shifted), (full, 0));
+    }
+
+    #[test]
+    fn size_mismatch_is_an_error() {
+        let (guest, host, proto) = tiny_valid_protocol();
+        assert_eq!(
+            check(&ring(4), &host, &proto).unwrap_err(),
+            CheckError::GuestSizeMismatch { protocol: 3, graph: 4 }
+        );
+        assert_eq!(
+            check(&guest, &complete(5), &proto).unwrap_err(),
+            CheckError::HostSizeMismatch { protocol: 2, graph: 5 }
+        );
+        // Host 4 of a 5-host protocol is past the 2-host graph's nodes.
+        let text = "unetproto 1\nn 3 t 1 m 5\nstep\ng 4 0 1\n";
+        let proto = crate::io::from_text(text).expect("parses");
+        assert_eq!(
+            check(&guest, &complete(2), &proto).unwrap_err(),
+            CheckError::HostSizeMismatch { protocol: 5, graph: 2 }
+        );
+    }
+
+    #[test]
+    fn missing_finals_are_found_before_the_trace_is_sized() {
+        // A trace of n·T pebbles would take 3·(2^32 − 1) offsets; the
+        // missing final pebble is reported from the log instead.
+        let mut b = ProtocolBuilder::new(3, u32::MAX, 2);
+        b.set_op(0, Op::Generate(Pebble::new(0, 1)));
+        let proto = b.finish();
+        assert_eq!(
+            check(&ring(3), &complete(2), &proto).unwrap_err(),
+            CheckError::MissingFinalPebble { node: 0 }
+        );
+    }
+
+    /// A random valid protocol in periodic form, built the way the engine
+    /// builds one: guest `n` nodes with random edges, host `complete(m)`,
+    /// every guest generated by one or more random hosts (some twice).
+    /// `B1` generates level 1; `B2` moves level-1 pebbles to every host
+    /// that needs them, with random redundant copies and relays, then
+    /// generates level 2; `B3..BT` are `repeat_later` copies of the block
+    /// before.
+    fn random_periodic(seed: u64, n: usize, m: usize, t_max: u32) -> (Graph, Graph, Protocol) {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = unet_topology::util::seeded_rng(seed);
+        let mut g = unet_topology::GraphBuilder::new(n);
+        for u in 0..n as Node {
+            for v in u + 1..n as Node {
+                if rng.gen_bool(0.4) {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        let guest = g.build();
+        let mut gens: Vec<(Node, Node)> = Vec::new();
+        for u in 0..n as Node {
+            gens.push((rng.gen_range(0..m as Node), u));
+            while rng.gen_bool(0.3) {
+                gens.push((rng.gen_range(0..m as Node), u));
+            }
+        }
+        // Lay `gens` out at `level`, each host at most once per step;
+        // returns the steps taken.
+        let generate = |b: &mut ProtocolBuilder, rng: &mut rand::rngs::StdRng, level| {
+            let mut left = gens.clone();
+            left.shuffle(rng);
+            let mut steps = 0;
+            while !left.is_empty() {
+                left.retain(|&(q, u)| {
+                    if !b.is_free(q) {
+                        return true;
+                    }
+                    b.set_op(q, Op::Generate(Pebble::new(u, level)));
+                    false
+                });
+                b.end_step();
+                steps += 1;
+            }
+            steps
+        };
+        let mut b = ProtocolBuilder::new(n, t_max, m);
+        let b1 = generate(&mut b, &mut rng, 1);
+        // held[q][u]: host q holds (u, 1) before the current step.
+        let mut held = vec![vec![false; n]; m];
+        for &(q, u) in &gens {
+            held[q as usize][u as usize] = true;
+        }
+        let mut wanted: Vec<(Node, Node)> = Vec::new();
+        for &(q, u) in &gens {
+            for &v in guest.neighbors(u) {
+                if !held[q as usize][v as usize] {
+                    wanted.push((q, v));
+                }
+            }
+        }
+        let mut period = 0;
+        loop {
+            wanted.retain(|&(q, v)| !held[q as usize][v as usize]);
+            wanted.shuffle(&mut rng);
+            // Wanted deliveries, then now and then a redundant copy.
+            let mut moves = wanted.clone();
+            while rng.gen_bool(0.3) {
+                moves.push((rng.gen_range(0..m as Node), rng.gen_range(0..n as Node)));
+            }
+            if moves.is_empty() {
+                break;
+            }
+            let mut got = Vec::new();
+            for (to, v) in moves {
+                let senders: Vec<Node> = (0..m as Node)
+                    .filter(|&s| s != to && held[s as usize][v as usize] && b.is_free(s))
+                    .collect();
+                if let (Some(&from), true) = (senders.choose(&mut rng), b.is_free(to)) {
+                    b.transfer(from, to, Pebble::new(v, 1));
+                    got.push((to, v));
+                }
+            }
+            // An empty step would extend B1.
+            if got.is_empty() {
+                continue;
+            }
+            b.end_step();
+            period += 1;
+            for (to, v) in got {
+                held[to as usize][v as usize] = true;
+            }
+        }
+        period += generate(&mut b, &mut rng, 2);
+        for k in 0..t_max as usize - 2 {
+            let at = b1 + k * period;
+            b.repeat_later(at..at + period);
+        }
+        (guest, complete(m), b.finish())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On valid periodic protocols the trace with levels 4..T copied
+        /// from level 3 equals the full replay's, array for array.
+        #[test]
+        fn level_copied_trace_equals_full_replay(
+            seed in 0u64..1 << 40,
+            n in 2usize..7,
+            m in 2usize..5,
+            t_max in 4u32..9,
+        ) {
+            let (guest, host, proto) = random_periodic(seed, n, m, t_max);
+            let form = periodic_form(&proto);
+            prop_assert!(form.is_some(), "not periodic: {:?}", proto);
+            let full = replay(&guest, &host, &proto, None);
+            prop_assert!(full.is_ok(), "invalid: {:?}", full);
+            prop_assert_eq!(replay(&guest, &host, &proto, form), full.clone());
+            let (got, full, shifted) = verdicts(&guest, &host, &proto);
+            prop_assert_eq!(got, full);
+            prop_assert_eq!(shifted, (t_max as u64 - 3) * form.unwrap().period as u64);
+        }
     }
 
     #[test]

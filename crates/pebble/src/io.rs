@@ -21,6 +21,7 @@
 
 use crate::protocol::{Op, Pebble, Protocol, ProtocolBuilder};
 use std::fmt::Write as _;
+use std::num::{IntErrorKind, ParseIntError};
 
 /// Serialize to the text format.
 pub fn to_text(proto: &Protocol) -> String {
@@ -29,7 +30,7 @@ pub fn to_text(proto: &Protocol) -> String {
     let _ = writeln!(out, "n {} t {} m {}", proto.guest_n, proto.guest_t, proto.host_m);
     for row in proto.steps() {
         let _ = writeln!(out, "step");
-        for &(q, op) in row {
+        for (q, op) in row {
             match op {
                 Op::Idle => {}
                 Op::Generate(p) => {
@@ -68,6 +69,17 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError { line, message: message.into() }
 }
 
+/// Parse one number of type `T`; a number too large for `T` is an error,
+/// never truncated.
+fn number<T: std::str::FromStr<Err = ParseIntError>>(s: &str, ln: usize) -> Result<T, ParseError> {
+    s.parse().map_err(|e: ParseIntError| match e.kind() {
+        IntErrorKind::PosOverflow => {
+            err(ln, format!("number {s} out of range for {}", std::any::type_name::<T>()))
+        }
+        _ => err(ln, format!("bad number {s:?}")),
+    })
+}
+
 fn set_op(builder: &mut ProtocolBuilder, q: usize, op: Op, ln: usize) -> Result<(), ParseError> {
     let m = builder.host_m();
     if q >= m {
@@ -89,15 +101,15 @@ pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
     }
     let (ln, dims) = lines.next().ok_or_else(|| err(ln, "missing dimensions"))?;
     let parts: Vec<&str> = dims.split_whitespace().collect();
-    let parse_num = |s: &str, ln: usize| -> Result<usize, ParseError> {
-        s.parse().map_err(|_| err(ln, format!("bad number {s:?}")))
-    };
     if parts.len() != 6 || parts[0] != "n" || parts[2] != "t" || parts[4] != "m" {
         return Err(err(ln, format!("bad dimension line {dims:?}")));
     }
-    let n = parse_num(parts[1], ln)?;
-    let t = parse_num(parts[3], ln)? as u32;
-    let m = parse_num(parts[5], ln)?;
+    let n: usize = number(parts[1], ln)?;
+    let t: u32 = number(parts[3], ln)?;
+    let m: usize = number(parts[5], ln)?;
+    if m > Protocol::MAX_HOSTS {
+        return Err(err(ln, format!("m {m} exceeds the {} host limit", Protocol::MAX_HOSTS)));
+    }
     let mut builder = ProtocolBuilder::new(n, t, m);
     let mut in_step = false;
     for (ln, line) in lines {
@@ -116,28 +128,24 @@ pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
         if !in_step {
             return Err(err(ln, "operation before first `step`"));
         }
-        let mut next_num = |what: &str| -> Result<usize, ParseError> {
-            it.next()
-                .ok_or_else(|| err(ln, format!("missing {what}")))
-                .and_then(|s| parse_num(s, ln))
-        };
+        let mut next = |what: &str| it.next().ok_or_else(|| err(ln, format!("missing {what}")));
         match tag {
             "g" => {
-                let q = next_num("host")?;
-                let node = next_num("node")? as u32;
-                let pt = next_num("t")? as u32;
+                let q = number(next("host")?, ln)?;
+                let node = number(next("node")?, ln)?;
+                let pt = number(next("t")?, ln)?;
                 set_op(&mut builder, q, Op::Generate(Pebble::new(node, pt)), ln)?;
             }
             "s" => {
-                let q = next_num("host")?;
-                let to = next_num("to")? as u32;
-                let node = next_num("node")? as u32;
-                let pt = next_num("t")? as u32;
+                let q = number(next("host")?, ln)?;
+                let to = number(next("to")?, ln)?;
+                let node = number(next("node")?, ln)?;
+                let pt = number(next("t")?, ln)?;
                 set_op(&mut builder, q, Op::Send { pebble: Pebble::new(node, pt), to }, ln)?;
             }
             "r" => {
-                let q = next_num("host")?;
-                let from = next_num("from")? as u32;
+                let q = number(next("host")?, ln)?;
+                let from = number(next("from")?, ln)?;
                 set_op(&mut builder, q, Op::Recv { from }, ln)?;
             }
             other => return Err(err(ln, format!("unknown tag {other:?}"))),
@@ -218,6 +226,36 @@ mod tests {
     fn unknown_tag_rejected() {
         let e = from_text("unetproto 1\nn 1 t 1 m 1\nstep\nx 0\n").unwrap_err();
         assert!(e.message.contains("unknown tag"));
+    }
+
+    #[test]
+    fn numbers_past_u32_rejected_not_truncated() {
+        // 4294967296 = 2^32 used to be read as 0, 4294967297 as 1.
+        let e = from_text("unetproto 1\nn 3 t 1 m 2\nstep\ng 0 4294967296 1\n").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert_eq!(e.message, "number 4294967296 out of range for u32");
+        let e = from_text("unetproto 1\nn 3 t 4294967297 m 2\nstep\ng 0 0 1\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(e.message, "number 4294967297 out of range for u32");
+        for line in ["s 0 4294967297 0 1", "s 0 1 0 4294967296", "r 1 4294967296"] {
+            let e = from_text(&format!("unetproto 1\nn 3 t 1 m 2\nstep\n{line}\n")).unwrap_err();
+            assert_eq!(e.line, 4, "{line}");
+            assert!(e.message.contains("out of range for u32"), "{line}: {}", e.message);
+        }
+        // The largest u32 values still parse.
+        let p = from_text("unetproto 1\nn 3 t 4294967295 m 2\nstep\ng 1 4294967295 4294967295\n")
+            .expect("u32::MAX fits");
+        assert_eq!(p.op(0, 1), Op::Generate(Pebble::new(u32::MAX, u32::MAX)));
+        let e = from_text("unetproto 1\nn x t 1 m 2\n").unwrap_err();
+        assert_eq!(e.message, "bad number \"x\"");
+    }
+
+    #[test]
+    fn host_count_past_the_record_limit_rejected() {
+        let text = format!("unetproto 1\nn 1 t 1 m {}\n", Protocol::MAX_HOSTS + 1);
+        let e = from_text(&text).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("host limit"), "{}", e.message);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod protocol;
 pub mod replay;
 
 pub use check::{check, check_recorded, CheckError, RepresentativeSet, Trace};
-pub use protocol::{Op, Pebble, Protocol, ProtocolBuilder};
+pub use protocol::{Op, Pebble, Protocol, ProtocolBuilder, Step, StepIter};
 
 /// Helpers shared by tests across this crate (not part of the public API).
 #[doc(hidden)]

@@ -44,7 +44,7 @@ pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
     {
         let mut have: FxHashSet<Node> = FxHashSet::default();
         for (si, row) in proto.steps().enumerate() {
-            for &(q, op) in row {
+            for (q, op) in row {
                 if let Op::Generate(p) = op {
                     if p.t == t_final && have.insert(p.node) {
                         designated.insert((si, q));
@@ -69,7 +69,7 @@ pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
         // the new demands to apply afterwards (same-step effects must not
         // satisfy same-step requirements).
         let mut new_demands: Vec<(usize, u64)> = Vec::new();
-        for (k, &(q, op)) in row.iter().enumerate() {
+        for (k, (q, op)) in row.iter().enumerate() {
             match op {
                 Op::Generate(p) => {
                     let wanted =
@@ -90,7 +90,7 @@ pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
                     if wanted {
                         useful[base + k] = true;
                         // The paired recv.
-                        if let Ok(r) = row.binary_search_by_key(&to, |&(h, _)| h) {
+                        if let Some(r) = row.position(to) {
                             useful[base + r] = true;
                         }
                         new_demands.push((q as usize, pebble.key()));
@@ -118,7 +118,7 @@ pub fn prune(guest: &Graph, proto: &Protocol) -> (Protocol, PruneStats) {
     for row in proto.steps() {
         let keep = &useful[base..base + row.len()];
         base += row.len();
-        for (&(q, op), _) in row.iter().zip(keep).filter(|(_, &k)| k) {
+        for ((q, op), _) in row.iter().zip(keep).filter(|(_, &k)| k) {
             out.set_op(q, op);
         }
         if keep.contains(&true) {

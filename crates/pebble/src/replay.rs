@@ -80,7 +80,7 @@ impl Iterator for Replay<'_> {
         let row = self.proto.step(self.step);
         let mut generated = Vec::new();
         let mut transferred = Vec::new();
-        for &(q, op) in row {
+        for (q, op) in row {
             match op {
                 Op::Idle | Op::Recv { .. } => {}
                 Op::Generate(p) => generated.push((q, p)),

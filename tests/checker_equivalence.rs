@@ -3,7 +3,8 @@
 //! protocols, unmutated or with one op replaced, both must return the same
 //! verdict: the same `CheckError` (variant and fields), or on acceptance
 //! the same custody record for every pebble. The second property puts the
-//! replaced op in the guest-step blocks the checker's shift scan covers.
+//! replaced op in the guest-step blocks the checker's shift scan covers;
+//! the third changes one field of one op there.
 
 use proptest::prelude::*;
 use universal_networks::core::prelude::*;
@@ -173,6 +174,26 @@ fn same_custody(trace: &Trace, want: &RefTrace, proto: &Protocol) -> Result<(), 
     Ok(())
 }
 
+/// The checker's and the reference's verdicts on `proto`, which must agree.
+fn same_verdict(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<(), TestCaseError> {
+    match (check(guest, host, proto), reference_check(guest, host, proto)) {
+        (Err(got), Err(want)) => prop_assert_eq!(got, want),
+        (Ok(trace), Ok(want)) => {
+            if let Err(diff) = same_custody(&trace, &want, proto) {
+                return Err(TestCaseError::fail(diff));
+            }
+        }
+        (got, want) => {
+            return Err(TestCaseError::fail(format!(
+                "verdicts differ: checker {:?}, reference {:?}",
+                got.err(),
+                want.err()
+            )));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -218,44 +239,30 @@ proptest! {
             3 => Op::Recv { from: b % (m as u32 + 1) },
             _ => valid.op(row, q),
         };
-        let mut proto = Protocol::new(valid.guest_n, valid.guest_t, valid.host_m);
-        for s in 0..valid.host_steps() {
-            let mut dense: Vec<Op> = (0..m as Node).map(|h| valid.op(s, h)).collect();
-            if s == row {
-                dense[q as usize] = replacement;
-            }
-            proto.push_step(&dense);
-        }
+        let mut dense = dense_row(&valid, row);
+        dense[q as usize] = replacement;
+        let proto = with_row(&valid, row, &dense);
 
-        match (check(&guest, &host, &proto), reference_check(&guest, &host, &proto)) {
-            (Err(got), Err(want)) => prop_assert_eq!(got, want),
-            (Ok(trace), Ok(want)) => {
-                if let Err(diff) = same_custody(&trace, &want, &proto) {
-                    return Err(TestCaseError::fail(diff));
-                }
-            }
-            (got, want) => {
-                return Err(TestCaseError::fail(format!(
-                    "verdicts differ: checker {:?}, reference {:?}",
-                    got.err(),
-                    want.err()
-                )));
-            }
-        }
+        same_verdict(&guest, &host, &proto)?;
     }
 }
 
-/// `valid` with host `q`'s op at step `row` replaced.
-fn with_op(valid: &Protocol, row: usize, q: Node, op: Op) -> Protocol {
+/// `valid` with step `row` replaced by the dense row `ops`.
+fn with_row(valid: &Protocol, row: usize, ops: &[Op]) -> Protocol {
     let mut proto = Protocol::new(valid.guest_n, valid.guest_t, valid.host_m);
     for s in 0..valid.host_steps() {
-        let mut dense: Vec<Op> = (0..valid.host_m as Node).map(|h| valid.op(s, h)).collect();
         if s == row {
-            dense[q as usize] = op;
+            proto.push_step(ops);
+        } else {
+            proto.push_step(&dense_row(valid, s));
         }
-        proto.push_step(&dense);
     }
     proto
+}
+
+/// Step `s` of `proto` as one op per host.
+fn dense_row(proto: &Protocol, s: usize) -> Vec<Op> {
+    (0..proto.host_m as Node).map(|h| proto.op(s, h)).collect()
 }
 
 proptest! {
@@ -305,7 +312,9 @@ proptest! {
             3 => Op::Recv { from: b % (m as u32 + 1) },
             _ => valid.op(row, q),
         };
-        let proto = with_op(&valid, row, q, replacement);
+        let mut dense = dense_row(&valid, row);
+        dense[q as usize] = replacement;
+        let proto = with_row(&valid, row, &dense);
 
         let mut rec = InMemoryRecorder::new();
         let got = check_recorded(&guest, &host, &proto, &mut rec);
@@ -316,20 +325,86 @@ proptest! {
                 (steps as u64 - 3) * period as u64
             );
         }
-        match (got, reference_check(&guest, &host, &proto)) {
-            (Err(got), Err(want)) => prop_assert_eq!(got, want),
-            (Ok(trace), Ok(want)) => {
-                if let Err(diff) = same_custody(&trace, &want, &proto) {
-                    return Err(TestCaseError::fail(diff));
-                }
+        same_verdict(&guest, &host, &proto)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Engine-built protocols with T ∈ 4..=8 and one field of one busy op
+    /// in guest-step block 4 or later changed: its level up or down by
+    /// one, its guest node, its partner, its host (swapped with the next
+    /// host's op), or a Send turned into a Recv from its destination and
+    /// back. Such a protocol is no longer an exact shifted copy, and the
+    /// checker's `Result` must equal the reference's.
+    #[test]
+    fn late_block_field_mutations_match_reference(
+        seed in 0u64..1000,
+        guest_scale in 2usize..4,   // n = 16·scale
+        host_side in 2usize..4,     // m = side²
+        steps in 4u32..=8,
+        mutation in (0usize..10_000, 0usize..1000, 0u8..6),
+    ) {
+        let n = 16 * guest_scale;
+        let mut rng = seeded_rng(seed);
+        let guest = random_regular(n, 4, &mut rng);
+        let host = torus(host_side, host_side);
+        let m = host.n();
+        let comp = GuestComputation::random(guest.clone(), seed ^ 0x55);
+        let router = presets::bfs();
+        let run = Simulation::builder()
+            .guest(&comp)
+            .host(&host)
+            .embedding(Embedding::block(n, m))
+            .router(&router)
+            .steps(steps)
+            .run_with_rng(&mut rng)
+            .expect("configuration is valid");
+
+        let valid = run.protocol;
+        let b1 = run.compute_steps / steps as usize;
+        let period = (valid.host_steps() - b1) / (steps as usize - 1);
+        let late = b1 + 2 * period;
+        let (pos, pick, field) = mutation;
+        let row = late + pos % (valid.host_steps() - late);
+        let busy: Vec<(Node, Op)> = valid.step(row).iter().collect();
+        prop_assume!(!busy.is_empty());
+        let (q, op) = busy[pick % busy.len()];
+        let level = |p: Pebble, t: u32| Pebble::new(p.node, t);
+        let other = |p: Pebble| Pebble::new((p.node + 1) % n as u32, p.t);
+        let mut dense = dense_row(&valid, row);
+        match (field, op) {
+            (0 | 1, Op::Generate(p)) => {
+                let t = if field == 0 { p.t + 1 } else { p.t.wrapping_sub(1) };
+                dense[q as usize] = Op::Generate(level(p, t));
             }
-            (got, want) => {
-                return Err(TestCaseError::fail(format!(
-                    "verdicts differ: checker {:?}, reference {:?}",
-                    got.err(),
-                    want.err()
-                )));
+            (0 | 1, Op::Send { pebble, to }) => {
+                let t = if field == 0 { pebble.t + 1 } else { pebble.t.wrapping_sub(1) };
+                dense[q as usize] = Op::Send { pebble: level(pebble, t), to };
             }
+            (2, Op::Generate(p)) => dense[q as usize] = Op::Generate(other(p)),
+            (2, Op::Send { pebble, to }) => {
+                dense[q as usize] = Op::Send { pebble: other(pebble), to };
+            }
+            (3, Op::Send { pebble, to }) => {
+                dense[q as usize] = Op::Send { pebble, to: (to + 1) % m as Node };
+            }
+            (3, Op::Recv { from }) => dense[q as usize] = Op::Recv { from: (from + 1) % m as Node },
+            (4, _) => dense.swap(q as usize, (q as usize + 1) % m),
+            (5, Op::Send { to, .. }) => dense[q as usize] = Op::Recv { from: to },
+            (5, Op::Recv { from }) => {
+                let pebble = match dense[from as usize] {
+                    Op::Send { pebble, .. } => pebble,
+                    _ => Pebble::new(0, steps - 1),
+                };
+                dense[q as usize] = Op::Send { pebble, to: from };
+            }
+            // The field does not apply to the op's kind.
+            _ => prop_assume!(false),
         }
+        let proto = with_row(&valid, row, &dense);
+        prop_assume!(proto != valid);
+        same_verdict(&guest, &host, &proto)?;
     }
 }

@@ -37,7 +37,46 @@ fn simulate_save_check_roundtrip() {
     // Checking against the wrong guest must fail.
     let (ok3, _, stderr3) = unet(&["check", "ring:16", "torus:2x2", proto_s]);
     assert!(!ok3);
-    let _ = stderr3;
+    assert!(stderr3.contains("GuestSizeMismatch { protocol: 32, graph: 16 }"), "{stderr3}");
+}
+
+#[test]
+fn check_rejects_malformed_files_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("unet-cli-malformed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Each body is a valid ring:3 run on complete:2 had its numbers been
+    // cut to 32 bits (2^32 + 1 → 1, 2^32 → 0); the first file's host count
+    // does not match the host graph.
+    let cases = [
+        (
+            "sizes",
+            "n 3 t 1 m 5\nstep\ng 0 0 1\nstep\ng 0 1 1\nstep\ng 0 2 1\n",
+            "INVALID protocol: HostSizeMismatch { protocol: 5, graph: 2 }",
+        ),
+        (
+            "level",
+            "n 3 t 4294967297 m 2\nstep\ng 0 0 1\nstep\ng 0 1 1\nstep\ng 0 2 1\n",
+            "line 2: number 4294967297 out of range for u32",
+        ),
+        (
+            "node",
+            "n 3 t 1 m 2\nstep\ng 0 4294967296 1\nstep\ng 0 1 1\nstep\ng 0 2 1\n",
+            "line 4: number 4294967296 out of range for u32",
+        ),
+    ];
+    for (name, body, want) in cases {
+        let path = dir.join(format!("{name}.proto"));
+        std::fs::write(&path, format!("unetproto 1\n{body}")).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_unet"))
+            .args(["check", "ring:3", "complete:2", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(want), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -237,7 +237,7 @@ fn protocol_mutations_are_caught() {
             b.end_step();
         }
         for row in p.steps() {
-            for &(q, op) in row {
+            for (q, op) in row {
                 b.set_op(q, edit(op));
             }
             b.end_step();
