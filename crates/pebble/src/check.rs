@@ -8,7 +8,6 @@
 
 use crate::protocol::{OpRecord, Pebble, Protocol, GENERATE, RECV, SEND};
 use unet_obs::{NoopRecorder, Recorder};
-use unet_topology::util::FxHashMap;
 use unet_topology::{Graph, Node};
 
 /// Why a protocol is invalid, with enough context to pinpoint the violation.
@@ -99,6 +98,16 @@ pub enum CheckError {
         protocol: usize,
         /// Nodes of the host graph.
         graph: usize,
+    },
+    /// The replay's custody would take more than 2^34 bits: one bit per
+    /// (level, host, guest), rounded up to whole 64 × 64 tiles.
+    CustodyTooLarge {
+        /// Hosts `m`.
+        hosts: usize,
+        /// Guests `n`.
+        guests: usize,
+        /// Guest levels the replay can reach.
+        levels: u32,
     },
 }
 
@@ -315,6 +324,12 @@ impl RepresentativeSet<'_> {
 /// (see `periodic_form` in the source for the conditions and the argument).
 /// Verdict and trace are the full replay's; any other protocol is replayed
 /// in full.
+///
+/// Memory: custody is one bitset of `m·n·L` bits, `L` the levels the
+/// replay can reach (3 under a period, else `min(T, T')`, at least 1). It
+/// reserves `m·n·L/8` bytes of zeroed address space and pages in only the
+/// 64 × 64 tiles in use. Past 2^34 bits the check returns
+/// [`CheckError::CustodyTooLarge`] before allocating anything.
 pub fn check(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, CheckError> {
     check_recorded(guest, host, proto, &mut NoopRecorder)
 }
@@ -367,47 +382,81 @@ pub fn check_recorded<REC: Recorder + ?Sized>(
     result
 }
 
-/// Custody during the replay: which `(host, pebble)` pairs with `t ≥ 1`
-/// have been acquired so far. One `u64` level mask per host, guest node and
-/// block of 64 guest levels, so the map holds at most one entry per
-/// acquisition and usually far fewer.
+/// Most custody bits a replay may take: 2^34 (2 GiB of address space).
+const MAX_CUSTODY_BITS: u64 = 1 << 34;
+
+/// Custody during the replay: which `(host, pebble)` pairs have been
+/// acquired so far. Every host holds every level-0 pebble from the start.
+trait Holdings: Sized {
+    /// Empty custody for `m` hosts, `n` guests and levels `1..=levels`,
+    /// `levels ≥ 1`.
+    fn new(n: usize, m: usize, levels: u32) -> Result<Self, CheckError>;
+    /// Whether `q` holds the pebble `p` with `p.node < n`, `p.t ≤ levels`.
+    fn holds(&self, q: Node, p: Pebble) -> bool;
+    /// Record that `q` holds such a pebble `p`; `true` on the first
+    /// acquisition, so never for a level-0 pebble.
+    fn acquire(&mut self, q: Node, p: Pebble) -> bool;
+}
+
+/// Custody as one zeroed bitset, sized once per replay: a bit per (level
+/// `t ∈ 1..=L`, host `q`, guest `i`), stored in 64-host × 64-guest tiles.
+/// Host `q`'s row of a tile is one word, so word
+/// `(((t − 1)·⌈m/64⌉ + q/64)·⌈n/64⌉ + i/64)·64 + q % 64` holds bit `i % 64`.
+///
+/// Memory: the bitset reserves `m·n·L/8` bytes (rounded up to whole
+/// tiles) of zeroed address space, and the allocator maps pages in only
+/// where tiles are written or read, so a run whose hosts hold pebbles of
+/// nearby guests touches only the tiles near the diagonal. Past
+/// [`MAX_CUSTODY_BITS`] the replay refuses with
+/// [`CheckError::CustodyTooLarge`] before allocating anything.
 struct Custody {
-    masks: FxHashMap<u64, u64>,
-    n: u64,
-    words: u64,
+    bits: Vec<u64>,
+    /// Tiles per level along the hosts, `⌈m/64⌉`, and the guests, `⌈n/64⌉`.
+    host_tiles: usize,
+    guest_tiles: usize,
 }
 
 impl Custody {
-    fn new(n: usize, t_max: u32, m: usize) -> Self {
-        let words = u64::from(t_max / 64 + 1);
-        assert!(
-            (m as u64).checked_mul(n as u64).and_then(|x| x.checked_mul(words)).is_some(),
-            "custody keys of an {m}-host, {n}-guest, T = {t_max} protocol overflow u64"
-        );
-        Custody { masks: FxHashMap::default(), n: n as u64, words }
-    }
-
-    /// Map key and bit of a pebble already known to be in range.
+    /// Word and bit of a pebble already known to be in range. A level-0
+    /// pebble has no bit: it gets its level-1 word and an empty mask, with
+    /// no branch, so the replay need not tell a receive's level-0 pebble
+    /// from others.
     #[inline]
-    fn slot(&self, q: Node, p: Pebble) -> (u64, u64) {
-        let key = (u64::from(q) * self.n + u64::from(p.node)) * self.words + u64::from(p.t / 64);
-        (key, 1 << (p.t % 64))
+    fn slot(&self, q: Node, p: Pebble) -> (usize, u64) {
+        let (q, i) = (q as usize, p.node as usize);
+        let level = p.t.saturating_sub(1) as usize;
+        let tile = (level * self.host_tiles + q / 64) * self.guest_tiles + i / 64;
+        (tile * 64 + q % 64, u64::from(p.t > 0) << (i % 64))
     }
 
-    /// Whether `q` holds the in-range pebble `p` with `p.t ≥ 1`.
+    /// Tiles with any bit set.
+    #[cfg(test)]
+    fn tiles_in_use(&self) -> usize {
+        self.bits.chunks_exact(64).filter(|tile| tile.iter().any(|&w| w != 0)).count()
+    }
+}
+
+impl Holdings for Custody {
+    fn new(n: usize, m: usize, levels: u32) -> Result<Self, CheckError> {
+        let (host_tiles, guest_tiles) = (m.div_ceil(64), n.div_ceil(64));
+        let bits = host_tiles as u128 * guest_tiles as u128 * u128::from(levels) * 64 * 64;
+        if bits > u128::from(MAX_CUSTODY_BITS) {
+            return Err(CheckError::CustodyTooLarge { hosts: m, guests: n, levels });
+        }
+        Ok(Custody { bits: vec![0; bits as usize / 64], host_tiles, guest_tiles })
+    }
+
     #[inline]
     fn holds(&self, q: Node, p: Pebble) -> bool {
-        let (key, bit) = self.slot(q, p);
-        self.masks.get(&key).is_some_and(|&mask| mask & bit != 0)
+        let (word, bit) = self.slot(q, p);
+        self.bits[word] & bit == bit
     }
 
-    /// Record that `q` holds `p`; `true` on the first acquisition.
     #[inline]
     fn acquire(&mut self, q: Node, p: Pebble) -> bool {
-        let (key, bit) = self.slot(q, p);
-        let mask = self.masks.entry(key).or_insert(0);
-        let fresh = *mask & bit == 0;
-        *mask |= bit;
+        let (word, bit) = self.slot(q, p);
+        let fresh = self.bits[word] & bit != bit;
+        self.bits[word] |= bit;
         fresh
     }
 }
@@ -589,6 +638,26 @@ impl Period {
     }
 }
 
+/// Whether a protocol of `guest_n` guests and `host_m` hosts fits the
+/// graphs: [`CheckError::GuestSizeMismatch`] or
+/// [`CheckError::HostSizeMismatch`] when it does not. [`check`] tests this
+/// first; a caller that reads a protocol's header before its body can test
+/// it before the body is parsed.
+pub fn check_sizes(
+    guest: &Graph,
+    host: &Graph,
+    guest_n: usize,
+    host_m: usize,
+) -> Result<(), CheckError> {
+    if guest.n() != guest_n {
+        return Err(CheckError::GuestSizeMismatch { protocol: guest_n, graph: guest.n() });
+    }
+    if host.n() != host_m {
+        return Err(CheckError::HostSizeMismatch { protocol: host_m, graph: host.n() });
+    }
+    Ok(())
+}
+
 /// Replay `proto` under every rule, except that with a [`Period`] only
 /// `B1·B2·B3` are replayed and the custody of levels 4..T is level 3's,
 /// shifted (see [`periodic_form`] for why that is exact, and [`group`]).
@@ -598,37 +667,48 @@ fn replay(
     proto: &Protocol,
     form: Option<Period>,
 ) -> Result<Trace, CheckError> {
+    replay_with::<Custody>(guest, host, proto, form)
+}
+
+/// [`replay`] with custody kept in `H`.
+fn replay_with<H: Holdings>(
+    guest: &Graph,
+    host: &Graph,
+    proto: &Protocol,
+    form: Option<Period>,
+) -> Result<Trace, CheckError> {
     let n = proto.guest_n;
     let t_max = proto.guest_t;
     let m = proto.host_m;
-    if guest.n() != n {
-        return Err(CheckError::GuestSizeMismatch { protocol: n, graph: guest.n() });
-    }
-    if host.n() != m {
-        return Err(CheckError::HostSizeMismatch { protocol: m, graph: host.n() });
-    }
-
-    let mut custody = Custody::new(n, t_max, m);
+    check_sizes(guest, host, n, m)?;
+    // With a period: the first step of B3, and the steps replayed.
+    let b3 = form.map(|f| f.b1 + f.period);
+    let replayed = form.map_or(proto.host_steps(), |f| f.b1 + 2 * f.period);
+    // A level-`t` pebble is first held after host step `t`, so the replay
+    // can reach no level past its step count; under a period B1·B2·B3
+    // reach level 3. Custody keeps level 1 also for T = 0, where level-0
+    // pebbles read its words.
+    let levels = match form {
+        Some(_) => 3,
+        None => t_max.min(u32::try_from(replayed).unwrap_or(u32::MAX)),
+    };
+    let mut custody = H::new(n, m, levels.max(1))?;
     // Holding test with "strictly before this step" semantics: effects are
     // applied only after every op of the step has been validated.
-    let held_before = |custody: &Custody, q: Node, p: Pebble| -> bool {
-        if p.node as usize >= n || p.t > t_max {
-            return false;
-        }
-        p.t == 0 || custody.holds(q, p)
+    let held_before = |custody: &H, q: Node, p: Pebble| -> bool {
+        (p.node as usize) < n && p.t <= levels && custody.holds(q, p)
     };
     // (pebble, (host, step)) per first acquisition, and (pebble, host) per
     // generation, in replay order.
     let mut acquired: Vec<(Pebble, (Node, u32))> = Vec::new();
     let mut generated: Vec<(Pebble, Node)> = Vec::new();
     // The current step's records by host (all-zero when idle), to pair
-    // sends with receives. The replay reads records, not decoded `Op`s:
-    // one dispatch on the kind per op and phase.
+    // sends with receives. The replay reads records, not decoded `Op`s.
+    // Sends and receives interleave with no pattern a branch predictor
+    // could learn, so they pass both phases without a branch on which of
+    // the two they are.
     let mut row = vec![OpRecord::default(); m];
-    // With a period: the first step of B3, the steps replayed, and where
-    // B3's acquisitions start in their log.
-    let b3 = form.map(|f| f.b1 + f.period);
-    let replayed = form.map_or(proto.host_steps(), |f| f.b1 + 2 * f.period);
+    // Where B3's acquisitions start in their log.
     let mut b3_log = 0;
 
     for step0 in 0..replayed {
@@ -643,6 +723,22 @@ fn replay(
         // Phase 1: validate every op against the *pre-step* state.
         for &r in records {
             let q = r.host();
+            if r.kind() != GENERATE {
+                // One test that a valid send or receive passes: its partner
+                // is a host neighbour whose op is the opposite kind naming
+                // `q`, and its pebble is held (a receive's record carries
+                // the level-0 pebble (0, 0)). An op that fails it goes on
+                // to the rule-by-rule test below, which names the rule.
+                let partner = r.partner();
+                let back = row.get(partner as usize).copied().unwrap_or_default();
+                if host.has_edge(q, partner)
+                    & held_before(&custody, q, r.pebble())
+                    & (back.partner() == q)
+                    & (back.kind() == SEND ^ RECV ^ r.kind())
+                {
+                    continue;
+                }
+            }
             match r.kind() {
                 GENERATE => {
                     let p = r.pebble();
@@ -707,22 +803,19 @@ fn replay(
         // Phase 2: apply effects (pebbles become available *after* the step).
         for &r in records {
             let q = r.host();
-            let got = match r.kind() {
-                GENERATE => {
-                    generated.push((r.pebble(), q));
-                    r.pebble()
-                }
-                // Phase 1 paired the receive with its send; initial
-                // pebbles are held already.
-                RECV => match row[r.partner() as usize].pebble() {
-                    p if p.t > 0 => p,
-                    _ => continue,
-                },
-                _ => continue,
+            let got = if r.kind() == GENERATE {
+                generated.push((r.pebble(), q));
+                r.pebble()
+            } else {
+                // Phase 1 paired each send with its receive: a receive gets
+                // its sender's pebble, and a send its receive's (0, 0),
+                // which every host holds already.
+                row[r.partner() as usize].pebble()
             };
-            if custody.acquire(q, got) {
-                acquired.push((got, (q, step)));
-            }
+            let fresh = custody.acquire(q, got);
+            // Logged, and dropped again unless fresh.
+            acquired.push((got, (q, step)));
+            acquired.truncate(acquired.len() - usize::from(!fresh));
         }
         for &r in records {
             row[r.host() as usize] = OpRecord::default();
@@ -1220,8 +1313,9 @@ mod tests {
         );
     }
 
-    /// A random valid protocol in periodic form, built the way the engine
-    /// builds one: guest `n` nodes with random edges, host `complete(m)`,
+    /// A random valid protocol, in periodic form when `t_max ≥ 4`, built
+    /// the way the engine builds one: guest `n` nodes with random edges
+    /// (each with chance 0.4, or 3/n past 7 nodes), host `complete(m)`,
     /// every guest generated by one or more random hosts (some twice).
     /// `B1` generates level 1; `B2` moves level-1 pebbles to every host
     /// that needs them, with random redundant copies and relays, then
@@ -1234,7 +1328,7 @@ mod tests {
         let mut g = unet_topology::GraphBuilder::new(n);
         for u in 0..n as Node {
             for v in u + 1..n as Node {
-                if rng.gen_bool(0.4) {
+                if rng.gen_bool((3.0 / n as f64).min(0.4)) {
                     g.add_edge(u, v);
                 }
             }
@@ -1268,6 +1362,9 @@ mod tests {
         };
         let mut b = ProtocolBuilder::new(n, t_max, m);
         let b1 = generate(&mut b, &mut rng, 1);
+        if t_max == 1 {
+            return (guest, complete(m), b.finish());
+        }
         // held[q][u]: host q holds (u, 1) before the current step.
         let mut held = vec![vec![false; n]; m];
         for &(q, u) in &gens {
@@ -1342,6 +1439,169 @@ mod tests {
             let (got, full, shifted) = verdicts(&guest, &host, &proto);
             prop_assert_eq!(got, full);
             prop_assert_eq!(shifted, (t_max as u64 - 3) * form.unwrap().period as u64);
+        }
+    }
+
+    /// The hash-map custody the bitset replaced, kept as its reference:
+    /// one `u64` level mask per host, guest node and block of 64 guest
+    /// levels, at most one entry per acquisition.
+    struct HashCustody {
+        masks: unet_topology::util::FxHashMap<u64, u64>,
+        n: u64,
+        words: u64,
+    }
+
+    impl HashCustody {
+        fn slot(&self, q: Node, p: Pebble) -> (u64, u64) {
+            let key =
+                (u64::from(q) * self.n + u64::from(p.node)) * self.words + u64::from(p.t / 64);
+            (key, 1 << (p.t % 64))
+        }
+    }
+
+    impl Holdings for HashCustody {
+        fn new(n: usize, _: usize, levels: u32) -> Result<Self, CheckError> {
+            let words = u64::from(levels / 64 + 1);
+            Ok(HashCustody { masks: Default::default(), n: n as u64, words })
+        }
+
+        fn holds(&self, q: Node, p: Pebble) -> bool {
+            let (key, bit) = self.slot(q, p);
+            p.t == 0 || self.masks.get(&key).is_some_and(|&mask| mask & bit != 0)
+        }
+
+        fn acquire(&mut self, q: Node, p: Pebble) -> bool {
+            if p.t == 0 {
+                return false;
+            }
+            let (key, bit) = self.slot(q, p);
+            let mask = self.masks.entry(key).or_insert(0);
+            let fresh = *mask & bit == 0;
+            *mask |= bit;
+            fresh
+        }
+    }
+
+    #[test]
+    fn custody_past_the_ceiling_is_refused() {
+        // 2^17 hosts × 2^17 guests × 2 levels is 2^35 bits, twice the
+        // ceiling: refused by `Custody::new` before its bitset is made.
+        let big = ring(1 << 17);
+        let mut b = ProtocolBuilder::new(1 << 17, 2, 1 << 17);
+        b.end_step();
+        b.end_step();
+        let want = CheckError::CustodyTooLarge { hosts: 1 << 17, guests: 1 << 17, levels: 2 };
+        assert_eq!(check(&big, &big, &b.finish()).unwrap_err(), want);
+        assert_eq!(Custody::new(1 << 17, 1 << 17, 2).err(), Some(want));
+    }
+
+    #[test]
+    fn level_zero_transfers_need_no_custody_levels() {
+        // T = 0: no level can be acquired, yet initial pebbles move.
+        let mut b = ProtocolBuilder::new(3, 0, 2);
+        b.transfer(0, 1, Pebble::new(2, 0));
+        b.end_step();
+        b.transfer(1, 0, Pebble::new(0, 0));
+        let proto = b.finish();
+        let got = check(&ring(3), &complete(2), &proto);
+        assert_eq!(got.as_ref().map(Trace::total_weight), Ok(0));
+        assert_eq!(got, replay_with::<HashCustody>(&ring(3), &complete(2), &proto, None));
+    }
+
+    #[test]
+    fn diagonal_custody_touches_only_diagonal_tiles() {
+        // Host q holds guest q's pebble: one tile per 64 hosts, of the
+        // 256 × 256 a level.
+        let n = 1 << 14;
+        let mut custody = Custody::new(n, n, 1).expect("2^28 bits fit");
+        for q in 0..n as Node {
+            assert!(custody.acquire(q, Pebble::new(q, 1)));
+        }
+        assert_eq!(custody.tiles_in_use(), n / 64);
+        assert!(custody.holds(n as Node - 1, Pebble::new(n as Node - 1, 1)));
+        assert!(!custody.holds(0, Pebble::new(1, 1)));
+    }
+
+    /// `proto` with one field of its `pos`-th op (mod the op count)
+    /// changed: `field` 0 and 1 move the level up and down, 2 the node, 3
+    /// the partner, 4 swaps Send and Recv, 5 moves the op to the next host.
+    fn mutated(proto: &Protocol, pos: usize, field: u8) -> Protocol {
+        let m = proto.host_m;
+        let mut rows: Vec<Vec<Op>> = (0..proto.host_steps())
+            .map(|s| (0..m as Node).map(|q| proto.op(s, q)).collect())
+            .collect();
+        let busy: Vec<(usize, usize)> = (0..rows.len())
+            .flat_map(|s| (0..m).map(move |q| (s, q)))
+            .filter(|&(s, q)| rows[s][q] != Op::Idle)
+            .collect();
+        let (s, q) = busy[pos % busy.len()];
+        let bump = |p: Pebble, d: u32| Pebble::new(p.node, p.t.wrapping_add(d));
+        let op = rows[s][q];
+        rows[s][q] = match (field, op) {
+            (0, Op::Generate(p)) => Op::Generate(bump(p, 1)),
+            (1, Op::Generate(p)) => Op::Generate(bump(p, u32::MAX)),
+            (2, Op::Generate(p)) => Op::Generate(Pebble::new(p.node ^ 1, p.t)),
+            (0, Op::Send { pebble, to }) => Op::Send { pebble: bump(pebble, 1), to },
+            (1, Op::Send { pebble, to }) => Op::Send { pebble: bump(pebble, u32::MAX), to },
+            (2, Op::Send { pebble, to }) => {
+                Op::Send { pebble: Pebble::new(pebble.node ^ 1, pebble.t), to }
+            }
+            (3, Op::Send { pebble, to }) => Op::Send { pebble, to: to ^ 1 },
+            (3, Op::Recv { from }) => Op::Recv { from: from ^ 1 },
+            (4, Op::Send { pebble, .. }) => Op::Recv { from: pebble.node % m as Node },
+            (4, Op::Recv { from }) => Op::Send { pebble: Pebble::new(0, 1), to: from },
+            _ => op,
+        };
+        if field == 5 {
+            rows[s].swap(q, (q + 1) % m);
+        }
+        protocol(proto.guest_n, proto.guest_t, m, &rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random protocols, periodic or with a ragged tail, valid or
+        /// with one op field changed, the bitset custody gives the hash-map
+        /// reference's verdict and trace, with and without the shift scan.
+        /// Wide runs span two or three tiles of hosts and of guests.
+        #[test]
+        fn tiled_custody_equals_hash_map_reference(
+            seed in 0u64..1 << 40,
+            n in 2usize..7,
+            m in 2usize..5,
+            wide in any::<bool>(),
+            t_max in 1u32..9,
+            ragged in any::<bool>(),
+            mutation in (0usize..100_000, 0u8..6),
+        ) {
+            let (n, m) = if wide { (n * 29, m * 33) } else { (n, m) };
+            let (guest, host, mut proto) = random_periodic(seed, n, m, t_max);
+            if ragged {
+                // The last step again, generations only: a valid redundant
+                // regeneration that no period covers.
+                let last = proto.host_steps() - 1;
+                let again: Vec<Op> = (0..m as Node)
+                    .map(|q| match proto.op(last, q) {
+                        op @ Op::Generate(_) => op,
+                        _ => Op::Idle,
+                    })
+                    .collect();
+                proto.push_step(&again);
+            }
+            prop_assert!(check(&guest, &host, &proto).is_ok(), "invalid: {:?}", proto);
+            prop_assert_eq!(periodic_form(&proto).is_some(), t_max >= 4 && !ragged);
+            let (pos, field) = mutation;
+            for proto in [proto.clone(), mutated(&proto, pos, field)] {
+                let reference = replay_with::<HashCustody>(&guest, &host, &proto, None);
+                let form = periodic_form(&proto);
+                prop_assert_eq!(replay(&guest, &host, &proto, None), reference.clone());
+                prop_assert_eq!(
+                    replay_with::<HashCustody>(&guest, &host, &proto, form),
+                    reference.clone()
+                );
+                prop_assert_eq!(check(&guest, &host, &proto), reference);
+            }
         }
     }
 

@@ -92,9 +92,21 @@ fn set_op(builder: &mut ProtocolBuilder, q: usize, op: Op, ln: usize) -> Result<
     Ok(())
 }
 
-/// Parse the text format back into a [`Protocol`].
-pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
+/// The sizes `(n, t, m)` a protocol file declares, read from its first two
+/// lines only. [`from_text`] sizes its scratch by `m`, so a caller that
+/// holds the graphs can test the header against them first (see
+/// [`check_sizes`](crate::check::check_sizes)).
+pub fn read_header(text: &str) -> Result<(usize, u32, usize), ParseError> {
+    header(&mut numbered_lines(text))
+}
+
+fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()))
+}
+
+fn header<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+) -> Result<(usize, u32, usize), ParseError> {
     let (ln, header) = lines.next().ok_or_else(|| err(0, "empty input"))?;
     if header != "unetproto 1" {
         return Err(err(ln, format!("bad header {header:?}")));
@@ -110,6 +122,13 @@ pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
     if m > Protocol::MAX_HOSTS {
         return Err(err(ln, format!("m {m} exceeds the {} host limit", Protocol::MAX_HOSTS)));
     }
+    Ok((n, t, m))
+}
+
+/// Parse the text format back into a [`Protocol`].
+pub fn from_text(text: &str) -> Result<Protocol, ParseError> {
+    let mut lines = numbered_lines(text);
+    let (n, t, m) = header(&mut lines)?;
     let mut builder = ProtocolBuilder::new(n, t, m);
     let mut in_step = false;
     for (ln, line) in lines {
@@ -248,6 +267,13 @@ mod tests {
         assert_eq!(p.op(0, 1), Op::Generate(Pebble::new(u32::MAX, u32::MAX)));
         let e = from_text("unetproto 1\nn x t 1 m 2\n").unwrap_err();
         assert_eq!(e.message, "bad number \"x\"");
+    }
+
+    #[test]
+    fn header_is_read_without_the_body() {
+        let text = "unetproto 1\nn 3 t 2 m 4000000\nstep\nx\n";
+        assert_eq!(read_header(text), Ok((3, 2, 4_000_000)));
+        assert_eq!(read_header("unetproto 1\n").unwrap_err().message, "missing dimensions");
     }
 
     #[test]

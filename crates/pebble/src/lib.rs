@@ -48,7 +48,6 @@ pub mod fragment;
 pub mod io;
 pub mod optimize;
 pub mod protocol;
-pub mod replay;
 
 pub use check::{check, check_recorded, CheckError, RepresentativeSet, Trace};
 pub use protocol::{Op, Pebble, Protocol, ProtocolBuilder, Step, StepIter};

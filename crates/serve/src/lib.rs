@@ -17,8 +17,8 @@
 //!   buffering), one thread per connection reading lines of at most
 //!   [`MAX_LINE_BYTES`], and the graceful drain;
 //! * [`server`] — the simulation handler behind that front; each
-//!   simulation runs on its connection's thread under one of `workers`
-//!   permits. A cold workload builds its route plan exactly once: the
+//!   simulation runs on one of `workers` long-lived engine threads, in
+//!   arrival order. A cold workload builds its route plan exactly once: the
 //!   first request takes the shared
 //!   [`SharedPlanCache`](unet_core::SharedPlanCache)'s build lease and
 //!   racing requests for the same workload wait on it; per-request

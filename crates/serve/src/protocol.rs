@@ -19,7 +19,8 @@
 //!   (`slowdown`, `exposition`, …);
 //! * `error` — carries a machine-readable `code` (`bad-request`,
 //!   `bad-spec`, `deadline-exceeded`, `sim-error`,
-//!   `verify-failed`, `unsupported-protocol`) and a human `message`;
+//!   `verify-failed`, `unsupported-protocol`, `internal`) and a human
+//!   `message`;
 //! * `overloaded` — admission was refused (every connection slot of a
 //!   server, or the router's admission queue, was taken); the connection
 //!   is rejected *before* any request is read (explicit backpressure,

@@ -5,10 +5,16 @@
 //! * **Connection front** — the acceptor, connection slots (`queue_cap`
 //!   open connections; beyond that a typed `overloaded`), one thread per
 //!   connection and the drain live in the crate's `conn` module, shared
-//!   with the shard router; this module supplies the request handler. A
-//!   simulation runs on its connection's thread after taking one of
-//!   `workers` permits (the wait is the `queue_wait` span), so `workers`
-//!   bounds the engine work in flight however many connections are open.
+//!   with the shard router; this module supplies the request handler.
+//! * **Engine threads** — [`Server::start`] starts `workers` long-lived
+//!   `unet-engine` threads that take simulations from one FIFO queue, so
+//!   `workers` bounds the engine work in flight however many connections
+//!   are open, and simulations start in arrival order (the wait is the
+//!   `queue_wait` span). A connection thread only parses and does I/O. A
+//!   run that panics is caught on its engine thread and answered with a
+//!   typed `internal` error (counted in `serve.engine.panics`); the engine
+//!   thread and the connection keep serving. [`Server::drain`] joins the
+//!   engine threads.
 //! * **Plan coalescing** — cold requests for one workload racing on
 //!   different connections block on the [`SharedPlanCache`] build lease:
 //!   the first builds and publishes the route plan, the rest wait for it
@@ -32,11 +38,14 @@
 //!   latency histogram's `max` gauge as an exemplar.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub use crate::conn::RequestTrace;
-use crate::conn::{start_acceptor, Acceptor, Front, Permits, ReqInfo, Tier, SERVE_NAMES};
+use crate::conn::{start_acceptor, Acceptor, Front, ReqInfo, Tier, SERVE_NAMES};
 use crate::protocol::{
     error_line, mint_trace_id, parse_request, result_line, Request, SimulateReq,
 };
@@ -54,7 +63,7 @@ use unet_topology::Graph;
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (the default).
     pub addr: String,
-    /// Simulation permits: how many simulations run at once across all
+    /// Engine threads: how many simulations run at once across all
     /// connections (default: [`default_threads`]).
     pub workers: usize,
     /// Open-connection bound; 0 rejects every connection (default 64).
@@ -140,10 +149,64 @@ type Payload = Result<Vec<(String, Value)>, (String, String)>;
 
 struct Shared {
     front: Front,
-    cache: SharedPlanCache,
-    /// One permit per running simulation (`workers` of them).
-    sims: Arc<Permits>,
+    cache: Arc<SharedPlanCache>,
+    engines: Engines,
     default_deadline_ms: u64,
+}
+
+/// Work for an engine thread.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// Long-lived engine threads fed from one FIFO queue. A task owns what it
+/// reads, so the threads hold nothing of the server between tasks and no
+/// reference keeps [`Shared`] alive.
+struct Engines {
+    /// The queue's sending end; `None` once stopped.
+    queue: Mutex<Option<Sender<Task>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Engines {
+    /// Start `workers` engine threads.
+    fn start(workers: usize) -> std::io::Result<Engines> {
+        let (queue, tasks) = mpsc::channel::<Task>();
+        let tasks = Arc::new(Mutex::new(tasks));
+        let threads = (0..workers)
+            .map(|_| {
+                let tasks = Arc::clone(&tasks);
+                std::thread::Builder::new().name("unet-engine".into()).spawn(move || loop {
+                    // The lock is held only while waiting, so the next idle
+                    // thread takes the oldest task.
+                    let Ok(task) = tasks.lock().expect("engine queue poisoned").recv() else {
+                        return;
+                    };
+                    task();
+                })
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+        Ok(Engines { queue: Mutex::new(Some(queue)), threads: Mutex::new(threads) })
+    }
+
+    /// Run `f` on the next free engine thread and wait for its value;
+    /// `None` when `f` panicked (the thread catches the panic and goes on
+    /// serving) or the engines are stopped.
+    fn run<R: Send + 'static>(&self, f: impl FnOnce() -> R + Send + 'static) -> Option<R> {
+        let (reply, answer) = mpsc::sync_channel(1);
+        let task: Task = Box::new(move || {
+            let _ = reply.send(catch_unwind(AssertUnwindSafe(f)).ok());
+        });
+        self.queue.lock().expect("engine queue poisoned").as_ref()?.send(task).ok()?;
+        answer.recv().ok().flatten()
+    }
+
+    /// Close the queue, let the threads finish what is queued, and join
+    /// them.
+    fn stop(&self) {
+        self.queue.lock().expect("engine queue poisoned").take();
+        for thread in std::mem::take(&mut *self.threads.lock().expect("engines poisoned")) {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Tier for Shared {
@@ -165,15 +228,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, spawn the acceptor, and return immediately.
+    /// Bind, start the engine threads and the acceptor, and return
+    /// immediately.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             front: Front::new(&SERVE_NAMES, cfg.queue_cap, workers, cfg.head_sample_permille),
-            cache: SharedPlanCache::new(),
-            sims: Permits::new(workers),
+            cache: Arc::new(SharedPlanCache::new()),
+            engines: Engines::start(workers)?,
             default_deadline_ms: cfg.default_deadline_ms,
         });
         let acceptor = start_acceptor(listener, &shared)?;
@@ -192,10 +256,11 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting, answer everything admitted or in
-    /// flight, wait for every connection to close, and return the final
-    /// metrics.
+    /// flight, wait for every connection to close, join the engine
+    /// threads, and return the final metrics.
     pub fn drain(mut self) -> DrainReport {
         self.shared.front.stop(&mut self.acceptor);
+        self.shared.engines.stop();
         let shared = &self.shared;
         let ((stats, exposition), trace) = shared
             .front
@@ -207,8 +272,9 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         // Not drained: still stop the threads so tests that merely start a
-        // server cannot leak a spinning acceptor.
+        // server cannot leak a spinning acceptor or idle engine threads.
         self.shared.front.stop(&mut self.acceptor);
+        self.shared.engines.stop();
     }
 }
 
@@ -269,7 +335,7 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
             let admit_started = Instant::now();
             let built = build_job(shared, &req);
             stages.push(("admit", admit_started.elapsed().as_secs_f64() * 1e3));
-            match built.and_then(|job| execute_job(shared, &job, &mut stages)) {
+            match built.and_then(|job| execute_job(shared, job, &mut stages)) {
                 Ok(mut payload) => {
                     payload.push(("trace_id".to_string(), Value::Str(trace_hex)));
                     payload.push(("stages".to_string(), stages_value(&stages)));
@@ -316,55 +382,67 @@ fn build_job(shared: &Shared, req: &SimulateReq) -> Result<Job, (String, String)
     })
 }
 
-/// Run one job under a simulation permit, appending its `queue_wait`
-/// (admission to permit) and the engine-side spans measured by
-/// [`simulate_outcome`] to `stages`.
-fn execute_job(shared: &Shared, job: &Job, stages: &mut Vec<(&'static str, f64)>) -> Payload {
-    let admitted_at = Instant::now();
-    let _permit = shared.sims.acquire();
-    stages.push(("queue_wait", admitted_at.elapsed().as_secs_f64() * 1e3));
-    let (payload, engine_stages) = simulate_outcome(shared, job);
-    stages.extend(engine_stages);
-    payload
-}
-
-/// Run and verify one job, returning its payload and engine-side spans.
-/// Disjoint spans: the plan acquire (single-flight wait) and the plan
-/// build are carved out of the wall clock so a stage sum never
-/// double-counts, and `simulate` is the rest — closed once the result is
-/// back on the calling thread, with the run's protocol and recorder freed.
+/// Run one job on an engine thread, appending its `queue_wait` (admission
+/// to the start of its run) and the engine-side spans to `stages`.
 ///
-/// The engine runs on a scoped thread of its own, so the connection
-/// thread only parses and does I/O. A thread that just ran a simulation is
-/// last in line for a busy core: had the connection thread run it, its
-/// next request would sit unread until a core freed up (about 3 ms median
-/// in E22 on two cores, outside every span).
-fn simulate_outcome(shared: &Shared, job: &Job) -> (Payload, Vec<(&'static str, f64)>) {
-    let started = Instant::now();
-    let (payload, acquire_ms, build_ms) =
-        std::thread::scope(|s| s.spawn(|| run_verified(shared, job, started)).join())
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-    let total_ms = started.elapsed().as_secs_f64() * 1e3;
-    let mut stages: Vec<(&'static str, f64)> = Vec::new();
-    if acquire_ms > 0.0 {
-        stages.push(("singleflight_wait", acquire_ms));
+/// Disjoint spans: the plan acquire (single-flight wait) and the plan
+/// build are carved out of the engine's wall clock so a stage sum never
+/// double-counts, and `simulate` is the rest — closed once the result is
+/// back on the connection thread, with the run's protocol and recorder
+/// freed on the engine thread.
+///
+/// The engine runs on an engine thread, so the connection thread only
+/// parses and does I/O. A thread that just ran a simulation is last in
+/// line for a busy core: had the connection thread run it, its next
+/// request would sit unread until a core freed up (about 3 ms median in
+/// E22 on two cores, outside every span).
+fn execute_job(shared: &Shared, job: Job, stages: &mut Vec<(&'static str, f64)>) -> Payload {
+    let admitted_at = Instant::now();
+    let cache = Arc::clone(&shared.cache);
+    let Some(run) = shared.engines.run(move || run_verified(&cache, job)) else {
+        let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
+        rec.counter("serve.engine.panics", 1);
+        return Err(("internal".to_string(), "the simulation panicked".to_string()));
+    };
+    let total_ms = run.started.elapsed().as_secs_f64() * 1e3;
+    stages.push(("queue_wait", run.started.duration_since(admitted_at).as_secs_f64() * 1e3));
+    if run.acquire_ms > 0.0 {
+        stages.push(("singleflight_wait", run.acquire_ms));
     }
-    if build_ms > 0.0 {
-        stages.push(("plan_build", build_ms));
+    if run.build_ms > 0.0 {
+        stages.push(("plan_build", run.build_ms));
     }
-    stages.push(("simulate", (total_ms - acquire_ms - build_ms).max(0.0)));
-    (payload, stages)
+    stages.push(("simulate", (total_ms - run.acquire_ms - run.build_ms).max(0.0)));
+    // Fold the request's engine counters into the server-level registry
+    // (recorder counters accumulate, so sim.* become process totals).
+    let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
+    for (name, v) in run.counters {
+        rec.counter(name, v);
+    }
+    run.payload
 }
 
-/// The engine work of [`simulate_outcome`]: the payload plus the plan
-/// acquire and build times in milliseconds. The payload's `wall_ms` is
-/// run plus verify, measured from `started`.
+/// What [`run_verified`] hands back to the connection thread.
+struct EngineRun {
+    payload: Payload,
+    /// When the engine thread took the job.
+    started: Instant,
+    /// Plan acquire and build times in milliseconds.
+    acquire_ms: f64,
+    build_ms: f64,
+    /// The run's engine counters.
+    counters: Vec<(&'static str, u64)>,
+}
+
+/// Run and verify one job on an engine thread. The payload's `wall_ms` is
+/// run plus verify.
 ///
 /// The run records into a [`SummaryRecorder`]: only its counters and the
 /// `sim.plan.*` histogram sums are read here, so it builds no per-transfer
 /// congestion series (about 45% of a cold request's plan build and
 /// simulate time, measured on perfbench's `shard-cold`).
-fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, f64) {
+fn run_verified(cache: &SharedPlanCache, job: Job) -> EngineRun {
+    let started = Instant::now();
     let router = unet_core::routers::presets::bfs();
     let mut local = SummaryRecorder::new();
     let run = Simulation::builder()
@@ -376,7 +454,7 @@ fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, 
         .seed(job.seed)
         .threads(1)
         .cache_policy(CachePolicy::Enabled)
-        .shared_cache(&shared.cache)
+        .shared_cache(cache)
         .cancel_token(job.token.clone())
         .recorder(&mut local)
         .run();
@@ -390,14 +468,6 @@ fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, 
     let acquire_ms =
         local.histogram_data("sim.plan.acquire_us").map_or(0.0, |h| h.sum as f64 / 1e3);
     let build_ms = local.histogram_data("sim.plan.build_us").map_or(0.0, |h| h.sum as f64 / 1e3);
-    // Fold the request's engine counters into the server-level registry
-    // (recorder counters accumulate, so sim.* become process totals).
-    {
-        let mut rec = shared.front.recorder.lock().expect("recorder poisoned");
-        for (name, v) in local.counters() {
-            rec.counter(name, v);
-        }
-    }
     let payload = match (run, verify_err) {
         (Err(SimError::Cancelled), _) => Err((
             "deadline-exceeded".to_string(),
@@ -406,8 +476,8 @@ fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, 
         (Err(e), _) => Err(("sim-error".to_string(), e.to_string())),
         (Ok(_), Some(e)) => Err(("verify-failed".to_string(), e.to_string())),
         (Ok(run), None) => Ok(vec![
-            ("guest".to_string(), Value::Str(job.guest_spec.clone())),
-            ("host".to_string(), Value::Str(job.host_spec.clone())),
+            ("guest".to_string(), Value::Str(job.guest_spec)),
+            ("host".to_string(), Value::Str(job.host_spec)),
             ("steps".to_string(), Value::UInt(job.steps as u64)),
             ("host_steps".to_string(), Value::UInt(run.protocol.host_steps() as u64)),
             ("comm_steps".to_string(), Value::UInt(run.comm_steps as u64)),
@@ -419,13 +489,27 @@ fn run_verified(shared: &Shared, job: &Job, started: Instant) -> (Payload, f64, 
             ("wall_ms".to_string(), Value::Float(wall_ms)),
         ]),
     };
-    (payload, acquire_ms, build_ms)
+    EngineRun { payload, started, acquire_ms, build_ms, counters: local.counters().collect() }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Engines;
     use crate::conn::{retry_after_hint, RETRY_AFTER_FLOOR_MS};
     use unet_obs::{InMemoryRecorder, Recorder};
+
+    #[test]
+    fn an_engine_thread_survives_a_panicking_task() {
+        let engines = Engines::start(1).expect("spawn");
+        let first = std::thread::current().id();
+        let engine = engines.run(|| std::thread::current().id()).expect("runs");
+        assert_ne!(engine, first, "tasks run off the caller's thread");
+        assert_eq!(engines.run(|| -> u32 { panic!("the run dies") }), None);
+        // The same long-lived thread takes the next task.
+        assert_eq!(engines.run(|| (std::thread::current().id(), 6 * 7)), Some((engine, 42)));
+        engines.stop();
+        assert_eq!(engines.run(|| 1), None, "a stopped pool runs nothing");
+    }
 
     /// Regression: before any request latency lands, the hint used to be
     /// the 100 ms floor *multiplied by the drain rounds* — the very first

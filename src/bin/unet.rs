@@ -24,6 +24,7 @@
 //! Graph specs: `torus:8x8`, `butterfly:4`, `random:256x4:7`, … (see
 //! `universal_networks::spec`).
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use universal_networks::core::prelude::*;
 use universal_networks::core::routers::SelectorRouter;
@@ -36,6 +37,22 @@ use universal_networks::topology::generators::random_supergraph;
 use universal_networks::topology::spectral::certify_expander;
 use universal_networks::topology::util::seeded_rng;
 use universal_networks::topology::Graph;
+
+/// `println!` for a command's output: a failed write (a reader such as
+/// `head` closed the pipe) ends the command with `writing stdout: …`
+/// instead of a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(|e| format!("writing stdout: {e}"))?
+    };
+}
+
+/// `print!` with the error handling of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(|e| format!("writing stdout: {e}"))?
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -141,21 +158,21 @@ fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> 
 
 fn topo(spec: &str) -> Result<(), String> {
     let g = parse_graph(spec)?;
-    println!("spec:       {spec}");
-    println!("nodes:      {}", g.n());
-    println!("edges:      {}", g.num_edges());
-    println!("degree:     {}..{}", g.min_degree(), g.max_degree());
-    println!("regular:    {:?}", g.is_regular());
-    println!("connected:  {}", is_connected(&g));
+    outln!("spec:       {spec}");
+    outln!("nodes:      {}", g.n());
+    outln!("edges:      {}", g.num_edges());
+    outln!("degree:     {}..{}", g.min_degree(), g.max_degree());
+    outln!("regular:    {:?}", g.is_regular());
+    outln!("connected:  {}", is_connected(&g));
     if g.n() <= 4096 && is_connected(&g) {
-        println!("diameter:   {}", diameter_exact(&g));
+        outln!("diameter:   {}", diameter_exact(&g));
     }
     if let Some(d) = g.is_regular() {
         if d >= 3 && g.n() >= 8 {
             let mut rng = seeded_rng(1);
             match certify_expander(&g, 0.5, 400, &mut rng) {
-                Some((a, b, gm)) => println!("expander:   certified (α={a}, β={b:.3}, γ={gm:.4})"),
-                None => println!("expander:   not certified at α=0.5"),
+                Some((a, b, gm)) => outln!("expander:   certified (α={a}, β={b:.3}, γ={gm:.4})"),
+                None => outln!("expander:   not certified at α=0.5"),
             }
         }
     }
@@ -195,29 +212,29 @@ fn simulate(args: &[String]) -> Result<(), String> {
         .run()
         .map_err(|e| e.to_string())?;
     let v = run.verify(&comp, &host, steps).map_err(|e| e.to_string())?;
-    println!("guest {guest_spec} (n={n})  →  host {host_spec} (m={m}),  T = {steps}");
-    println!("host steps T' = {}", v.metrics.host_steps);
-    println!(
+    outln!("guest {guest_spec} (n={n})  →  host {host_spec} (m={m}),  T = {steps}");
+    outln!("host steps T' = {}", v.metrics.host_steps);
+    outln!(
         "slowdown  s  = {:.2}   (load bound {:.2})",
         v.metrics.slowdown,
         bounds::load_bound(n, m)
     );
-    println!(
+    outln!(
         "inefficy  k  = {:.2}   (Thm 3.1 floor Ω(log m) ~ {:.2})",
         v.metrics.inefficiency,
         (m as f64).log2()
     );
-    println!(
+    outln!(
         "route-plan cache: {} hits / {} misses   ({} threads)",
         rec.counter_value("sim.cache.hits"),
         rec.counter_value("sim.cache.misses"),
         threads
     );
-    println!("protocol certified; states match direct execution bit-for-bit");
+    outln!("protocol certified; states match direct execution bit-for-bit");
     if let Some(path) = flag(args, "--save") {
         std::fs::write(&path, pebble::io::to_text(&run.protocol))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("protocol saved to {path}");
+        outln!("protocol saved to {path}");
     }
     Ok(())
 }
@@ -227,10 +244,15 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
     let host = parse_graph(args.get(1).ok_or("missing host spec")?)?;
     let path = args.get(2).ok_or("missing protocol file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    // The header's sizes are tested before the body is parsed: the parser
+    // sizes its scratch by `m`.
+    let (n, _, m) = pebble::io::read_header(&text).map_err(|e| e.to_string())?;
+    let invalid = |e| format!("INVALID protocol: {e}");
+    pebble::check::check_sizes(&guest, &host, n, m).map_err(invalid)?;
     let proto = pebble::io::from_text(&text).map_err(|e| e.to_string())?;
     match pebble::check(&guest, &host, &proto) {
         Ok(trace) => {
-            println!(
+            outln!(
                 "OK: valid protocol ({} steps, {} busy ops, slowdown {:.2}, inefficiency {:.2})",
                 trace.host_steps,
                 proto.busy_ops(),
@@ -239,7 +261,7 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        Err(e) => Err(format!("INVALID protocol: {e}")),
+        Err(e) => Err(invalid(e)),
     }
 }
 
@@ -250,7 +272,7 @@ fn route_cmd(args: &[String]) -> Result<(), String> {
         flag(args, "--trials").map_or(Ok(5), |s| s.parse().map_err(|_| "bad trials"))?;
     let mut rng = seeded_rng(7);
     let stats = measure_route_time_bfs(&host, h, trials, &mut rng);
-    println!(
+    outln!(
         "route_M({h}) over {trials} random problems on m = {}: max {} steps, mean {:.1}, max queue {}",
         host.n(),
         stats.max_steps,
@@ -389,21 +411,25 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
     }
     let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
 
-    println!("guest {guest_spec} (n={n})  →  host {host_spec} (m={m}),  T = {steps}");
-    println!("fault plan: crash-stop rate {rate} at boundary {at} ({} events)", sim.plan.len());
-    println!("surviving  m' = {} / {m}", run.m_surviving);
-    println!("host steps T' = {}", run.run.protocol.host_steps());
-    println!("slowdown   s  = {:.2}", run.run.slowdown());
-    println!(
+    outln!("guest {guest_spec} (n={n})  →  host {host_spec} (m={m}),  T = {steps}");
+    outln!("fault plan: crash-stop rate {rate} at boundary {at} ({} events)", sim.plan.len());
+    outln!("surviving  m' = {} / {m}", run.m_surviving);
+    outln!("host steps T' = {}", run.run.protocol.host_steps());
+    outln!("slowdown   s  = {:.2}", run.run.slowdown());
+    outln!(
         "inefficy   k' = {:.2} on m'   (Thm 3.1 floor Ω(log m') ~ {:.2})",
         run.surviving_inefficiency(),
         (run.m_surviving as f64).log2()
     );
-    println!(
+    outln!(
         "routing: delivered {}, dropped {}, retried {};  remapped {}, replayed {}",
-        run.delivered, run.dropped, run.retried, run.remapped, run.replayed
+        run.delivered,
+        run.dropped,
+        run.retried,
+        run.remapped,
+        run.replayed
     );
-    println!("protocol certified; states match direct execution bit-for-bit");
+    outln!("protocol certified; states match direct execution bit-for-bit");
     if let Some(path) = flag(args, "--out") {
         let meta = RunMeta {
             command: "faults".into(),
@@ -422,7 +448,7 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
             wall_ms,
         };
         let lines = write_run_trace(Some(&path), &rec, &meta, &run.fault_log, &summary)?;
-        println!("trace with fault timeline written to {path} ({lines} lines)");
+        outln!("trace with fault timeline written to {path} ({lines} lines)");
     }
     Ok(())
 }
@@ -440,7 +466,7 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
             // record. Only that line is read, so a trace of any size
             // still streams through the analyzer.
             if let Some(doc) = first_line(path)?.and_then(|l| BenchDoc::parse(&l).ok()) {
-                print!("{}", report_md::render(&doc));
+                out!("{}", report_md::render(&doc));
                 return Ok(());
             }
         }
@@ -495,7 +521,7 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
     let path = pos.first().ok_or("missing trace file")?;
     let top: usize = flag(args, "--top").map_or(Ok(5), |s| s.parse().map_err(|_| "bad --top"))?;
     let analysis = analyze_file(path, drop)?;
-    print!("{}", render(&analysis, top, has_flag(args, "--markdown")));
+    out!("{}", render(&analysis, top, has_flag(args, "--markdown")));
     Ok(())
 }
 
@@ -534,7 +560,7 @@ fn metrics_cmd(args: &[String]) -> Result<(), String> {
         }
         _ => return Err("expected a trace file or <guest-spec> <host-spec> <steps>".into()),
     };
-    print!("{}", reg.expose());
+    out!("{}", reg.expose());
     Ok(())
 }
 
@@ -556,10 +582,10 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
     match sub.as_str() {
         "list" => {
             for exp in registry() {
-                println!("{}: {}", exp.id, exp.title);
-                println!("    claim: {}", exp.claim);
+                outln!("{}: {}", exp.id, exp.title);
+                outln!("    claim: {}", exp.claim);
                 for shape in (exp.shapes)() {
-                    println!("    shape: {}", shape.describe());
+                    outln!("    shape: {}", shape.describe());
                 }
             }
             Ok(())
@@ -569,18 +595,18 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
             let out = flag(args, "--out").unwrap_or_else(|| "BENCH.json".into());
             let (doc, progress) = run_to_file(&out, &opts, has_flag(args, "--resume"))?;
             for line in &progress {
-                println!("{line}");
+                outln!("{line}");
             }
-            println!("wrote {out} ({} experiments)", doc.experiments.len());
+            outln!("wrote {out} ({} experiments)", doc.experiments.len());
             let mut bent = Vec::new();
             for o in check_shapes(&doc) {
                 match o.violation {
-                    None => println!("  ok    {} {}", o.exp, o.shape),
+                    None => outln!("  ok    {} {}", o.exp, o.shape),
                     Some(v) => bent.push(format!("  FAIL  {} {v}", o.exp)),
                 }
             }
             for line in &bent {
-                println!("{line}");
+                outln!("{line}");
             }
             if bent.is_empty() {
                 Ok(())
@@ -608,10 +634,10 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
             let opts = SweepOptions { quick: !has_flag(args, "--full"), filter, threads };
             let report = diff(&text, &opts)?;
             for line in &report.lines {
-                println!("{line}");
+                outln!("{line}");
             }
             if report.passed() {
-                println!("bench diff: all claim shapes hold");
+                outln!("bench diff: all claim shapes hold");
                 Ok(())
             } else {
                 Err(format!("bench diff: {} shape check(s) failed", report.failures))
@@ -666,7 +692,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             })?,
     };
     let server = Server::start(cfg).map_err(|e| format!("bind: {e}"))?;
-    println!("unet-serve/3 listening on {}", server.addr());
+    outln!("unet-serve/3 listening on {}", server.addr());
     {
         use std::io::Write;
         std::io::stdout().flush().ok();
@@ -686,7 +712,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag(args, "--trace-out") {
         write_request_trace(&path, &report.trace)?;
     }
-    print!("{}", report.exposition);
+    out!("{}", report.exposition);
     Ok(())
 }
 
@@ -799,7 +825,7 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
             })?,
     };
     let router = Router::start(cfg).map_err(|e| format!("bind: {e}"))?;
-    println!("unet-shard listening on {} ({} backends)", router.addr(), router.stats().backends);
+    outln!("unet-shard listening on {} ({} backends)", router.addr(), router.stats().backends);
     std::io::stdout().flush().ok();
 
     wait_for_drain(&[signal::install_sigterm_flag(), signal::install_sigint_flag()]);
@@ -830,7 +856,7 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag(args, "--trace-out") {
         write_request_trace(&path, &report.trace)?;
     }
-    print!("{}", report.exposition);
+    out!("{}", report.exposition);
     Ok(())
 }
 
@@ -889,7 +915,7 @@ fn request_cmd(args: &[String]) -> Result<(), String> {
     };
     let resp = client.request_raw_retrying(&line).map_err(|e| format!("{addr}: {e}"))?;
     if has_flag(args, "--raw") {
-        println!("{resp}");
+        outln!("{resp}");
         return Ok(());
     }
     match parse_response(&resp).map_err(|e| format!("{addr}: bad response: {e}"))? {
@@ -897,9 +923,9 @@ fn request_cmd(args: &[String]) -> Result<(), String> {
             // A metrics result prints its Prometheus text; a simulate
             // result prints the JSON payload.
             if let Some(expo) = v.get("exposition").and_then(Value::as_str) {
-                print!("{expo}");
+                out!("{expo}");
             } else {
-                println!("{}", v.to_json());
+                outln!("{}", v.to_json());
             }
             Ok(())
         }
@@ -930,7 +956,7 @@ fn trace_requests_cmd(args: &[String]) -> Result<(), String> {
         let analysis = analyze_file(path, |r| records.push(r))?;
         sources.push((path.clone(), analysis.meta.command, records));
     }
-    print!("{}", render_waterfalls(&sources, &only, has_flag(args, "--markdown")));
+    out!("{}", render_waterfalls(&sources, &only, has_flag(args, "--markdown")));
     Ok(())
 }
 
@@ -940,14 +966,24 @@ fn tradeoff(args: &[String]) -> Result<(), String> {
         flag(args, "--gamma").map_or(Ok(0.125), |s| s.parse().map_err(|_| "bad gamma"))?;
     let max_exp = (n as f64).log2() as u32;
     let ms: Vec<u64> = (3..=max_exp).map(|e| 1u64 << e).collect();
-    println!(
+    outln!(
         "{:>8} {:>9} {:>9} {:>9} {:>9} {:>12}",
-        "m", "k_ideal", "k_shape", "s_shape", "s_upper", "m*s"
+        "m",
+        "k_ideal",
+        "k_shape",
+        "s_shape",
+        "s_upper",
+        "m*s"
     );
     for row in lowerbound::tradeoff_table(n, &ms, gamma, 4) {
-        println!(
+        outln!(
             "{:>8} {:>9.2} {:>9.2} {:>9.1} {:>9.1} {:>12.0}",
-            row.m, row.k_ideal, row.k_shape, row.s_shape, row.s_upper, row.ms_product
+            row.m,
+            row.k_ideal,
+            row.k_shape,
+            row.s_shape,
+            row.s_upper,
+            row.ms_product
         );
     }
     Ok(())
@@ -961,7 +997,7 @@ fn audit(args: &[String]) -> Result<(), String> {
     let (g0, n) = lowerbound::build_g0_for_host(n_hint, host.n(), &mut rng);
     let c = (g0.graph.max_degree() + 2).div_ceil(2) * 2; // even c ≥ deg(G0)
     let guest = random_supergraph(&g0.graph, c.max(12), &mut rng);
-    println!(
+    outln!(
         "G0: n = {n}, a = {}, blocks = {}, certified (α, β, γ) = ({:.2}, {:.3}, {:.4})",
         g0.a,
         g0.h(),
@@ -970,7 +1006,7 @@ fn audit(args: &[String]) -> Result<(), String> {
         g0.gamma
     );
     let steps = if steps < g0.min_steps() {
-        println!(
+        outln!(
             "note: raising T from {steps} to {} (the analysis needs T > tree depth; \
              the paper's T ≥ 2√(log m))",
             g0.min_steps()
@@ -990,24 +1026,29 @@ fn audit(args: &[String]) -> Result<(), String> {
         0.05,
         &mut seeded_rng(4),
     );
-    println!(
+    outln!(
         "metrics: T' = {}, s = {:.1}, k = {:.2}",
-        report.metrics.host_steps, report.metrics.slowdown, report.metrics.inefficiency
+        report.metrics.host_steps,
+        report.metrics.slowdown,
+        report.metrics.inefficiency
     );
-    println!(
+    outln!(
         "averaging: |Z_S| = {} (ok: {}), bounds hold: {}",
         report.averaging.z_s.len(),
         report.averaging.z_s_large_enough,
         report.averaging.all_bounds_hold()
     );
-    println!(
+    outln!(
         "wavefront: monotone {}, expansion {}, min gap {:?}",
-        report.wavefront.monotone, report.wavefront.expansion_ok, report.wavefront.min_gap
+        report.wavefront.monotone,
+        report.wavefront.expansion_ok,
+        report.wavefront.min_gap
     );
-    println!(
+    outln!(
         "fragments: structural {}, small-D fraction {:.3}",
-        report.fragments_structurally_valid, report.small_d_fraction
+        report.fragments_structurally_valid,
+        report.small_d_fraction
     );
-    println!("AUDIT {}", if report.passed() { "PASSED" } else { "FAILED" });
+    outln!("AUDIT {}", if report.passed() { "PASSED" } else { "FAILED" });
     report.passed().then_some(()).ok_or_else(|| "audit failed".into())
 }

@@ -80,6 +80,61 @@ fn check_rejects_malformed_files_without_panicking() {
 }
 
 #[test]
+fn check_tests_the_header_against_the_graphs_before_the_body() {
+    let dir = std::env::temp_dir().join(format!("unet-cli-header-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // `m 4000000` would size the parser's scratch row at 64 MB. The second
+    // body does not parse: the header's mismatch is still what is reported.
+    let want = "INVALID protocol: HostSizeMismatch { protocol: 4000000, graph: 2 }";
+    for (name, body) in [("valid", "g 0 0 1\nstep\ng 0 1 1\nstep\ng 0 2 1"), ("broken", "x 0")] {
+        let path = dir.join(format!("{name}.proto"));
+        std::fs::write(&path, format!("unetproto 1\nn 3 t 1 m 4000000\nstep\n{body}\n")).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_unet"))
+            .args(["check", "ring:3", "complete:2", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(want), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("unet-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (proto, trace) = (dir.join("run.proto"), dir.join("run.jsonl"));
+    let (proto, trace) = (proto.to_str().unwrap(), trace.to_str().unwrap());
+    let (ok, _, stderr) = unet(&["simulate", "ring:24", "torus:3x3", "3", "--save", proto]);
+    assert!(ok, "{stderr}");
+    let (ok, _, stderr) = unet(&["trace", "ring:24", "torus:3x3", "3", "--out", trace]);
+    assert!(ok, "{stderr}");
+    for args in [
+        &["simulate", "random:256x4:3", "butterfly:4", "3"][..],
+        &["check", "ring:24", "torus:3x3", proto],
+        &["report", trace],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_unet"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // Close the reading end before the command has printed anything.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("writing stdout: Broken pipe"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_spec_is_an_error_not_a_panic() {
     // `random:5x3` trips a generator assert (n·d must be even).
     let out = Command::new(env!("CARGO_BIN_EXE_unet"))
