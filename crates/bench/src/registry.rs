@@ -141,12 +141,43 @@ pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
 /// `protocol_hash` / `states_hash` columns (bit-for-bit equality across
 /// rows without embedding whole protocols in the artifact).
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.fold(bytes);
+    h.0
+}
+
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// [`fnv1a`] as a byte sink: everything written is folded into the hash.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn fold(&mut self, bytes: impl IntoIterator<Item = u8>) {
+        for b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
     }
-    h
+}
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.fold(buf.iter().copied());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// [`fnv1a`] of a protocol's text format, streamed: the text is never
+/// held in memory.
+pub fn protocol_hash(proto: &unet_pebble::Protocol) -> u64 {
+    let mut h = Fnv1a(FNV_OFFSET);
+    unet_pebble::io::write_text(proto, &mut h).expect("hashing cannot fail");
+    h.0
 }
 
 // --- E1: Theorem 2.1 upper bound on butterfly hosts --------------------
@@ -528,7 +559,7 @@ fn e17() -> Experiment {
             let trace = unet_pebble::check(&guest, &host, &run.protocol)
                 .unwrap_or_else(|e| panic!("E17 {} failed to certify: {e}", p.str("config")));
             assert_eq!(run.final_states, comp.run_final(steps), "states bit-for-bit");
-            let protocol_hash = fnv1a(unet_pebble::io::to_text(&run.protocol).bytes());
+            let protocol_hash = protocol_hash(&run.protocol);
             let states_hash = fnv1a(run.final_states.iter().flat_map(|s| s.to_le_bytes()));
             obj(vec![
                 ("config", Value::Str(p.str("config").into())),
@@ -1333,6 +1364,20 @@ mod tests {
     fn fnv1a_is_stable_and_sensitive() {
         assert_eq!(fnv1a([]), 0xcbf29ce484222325);
         assert_ne!(fnv1a(*b"protocol"), fnv1a(*b"protocoL"));
+    }
+
+    #[test]
+    fn streamed_protocol_hash_equals_hash_of_text() {
+        use unet_pebble::{Op, Pebble, ProtocolBuilder};
+        let mut b = ProtocolBuilder::new(3, 2, 2);
+        b.set_op(0, Op::Generate(Pebble::new(2, 1)));
+        b.end_step();
+        b.transfer(0, 1, Pebble::new(2, 1));
+        b.end_step();
+        b.repeat_later(0..2);
+        let proto = b.finish();
+        let text = unet_pebble::io::to_text(&proto);
+        assert_eq!(protocol_hash(&proto), fnv1a(text.bytes()));
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   the router's matching decomposition ([`unet_routing::plan::RoutePlan`])
 //!   are computed once and replayed with fresh pebble payloads each step.
 //!   From `gt = 3` on, a cached step's host steps are the previous step's
-//!   with every pebble one level later, so they are emitted as a bulk copy
-//!   ([`ProtocolBuilder::repeat_later`]); the uncached path replays the
-//!   plan every step and is the reference the copies must equal.
+//!   with every pebble one level later, so they are emitted as copies
+//!   ([`ProtocolBuilder::repeat_later`]): `gt = 3` is stored, and from
+//!   `gt = 4` on the protocol holds them as its level-shifted tail without
+//!   storing them. The uncached path replays the plan every step and is
+//!   the reference the copies must equal.
 //! * **Parallel phases** — pair extraction shards by guest range and the
 //!   host-side state computation shards by node range, both on
 //!   [`unet_topology::par`] with order-preserving merges.
@@ -271,9 +273,6 @@ pub(crate) fn run_engine<REC: Recorder>(
                 comm_round += 1;
             }
             if copied {
-                if gt == 3 {
-                    builder.reserve_copies(prev.0..start, (steps - 2) as usize);
-                }
                 builder.repeat_later(prev.0..prev.1);
                 comm_steps += prev.1 - prev.0;
             } else {
@@ -573,9 +572,10 @@ mod tests {
     }
 
     /// From gt = 3 the cached path copies the previous block a level
-    /// later. Cached, uncached and shared-cache-hit runs must give `==`
-    /// protocols and the same engine records, and the checker must take
-    /// the copied blocks by its shift scan.
+    /// later, and from gt = 4 the copies are the protocol's tail. Cached,
+    /// uncached and shared-cache-hit runs must give `==` protocols with
+    /// byte-identical text and the same engine records, and the checker
+    /// must take the copied blocks by its shift scan.
     #[test]
     fn copied_blocks_equal_replayed_blocks() {
         use crate::cache::SharedPlanCache;
@@ -610,6 +610,9 @@ mod tests {
             assert_eq!(warm_rec.counter_value("sim.cache.shared.hits"), 1, "T = {steps}");
             assert_eq!(cached.protocol, uncached.protocol, "T = {steps}");
             assert_eq!(warm.protocol, uncached.protocol, "T = {steps}");
+            let text = unet_pebble::io::to_text(&uncached.protocol);
+            assert_eq!(unet_pebble::io::to_text(&cached.protocol), text, "T = {steps}");
+            assert_eq!(unet_pebble::io::to_text(&warm.protocol), text, "T = {steps}");
             assert_eq!(cached.final_states, uncached.final_states);
             for r in [&rec, &warm_rec] {
                 assert!(r.open_spans().is_empty());

@@ -126,7 +126,12 @@ impl std::error::Error for CheckError {}
 /// * [`Trace::generators`]`(i, t)` = `Q'_S(i, t)`
 ///   (hosts in `Q_S(i,t)` that generate `(P_i, t+1)`),
 /// * [`Trace::weight`]`(i, t)` = `q_{i,t} = |Q_S(i, t)|` (Definition 3.11).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A periodic protocol's trace stores levels 1..=3 only: level `ℓ ≥ 4`
+/// is read as level 3 with every step `(ℓ − 3)·P` later, and level `T`
+/// as the first `last[i]` of those records (see [`check`]). `==` compares
+/// the custody as read, however it is stored.
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// Guest size `n`.
     pub guest_n: usize,
@@ -136,9 +141,17 @@ pub struct Trace {
     pub host_m: usize,
     /// Host steps `T'`.
     pub host_steps: usize,
-    /// Custody in CSR form: the holders of pebble `idx(i, t)`, `t ≥ 1`,
-    /// are `holder_hosts[holder_offsets[idx]..holder_offsets[idx + 1]]`,
-    /// in order of first acquisition.
+    /// Levels stored: `T`, or 3 under a period.
+    levels: u32,
+    /// Host steps per level under a period, else 0.
+    period: u32,
+    /// Under a period, per guest node, how many of its level-3 holders
+    /// level `T` keeps (its generation part); else empty.
+    last: Vec<usize>,
+    /// Custody in CSR form: the holders of stored pebble `(i, t)`, `t ≥ 1`,
+    /// at `k = i·levels + t − 1`, are
+    /// `holder_hosts[holder_offsets[k]..holder_offsets[k + 1]]`, in order
+    /// of first acquisition.
     holder_offsets: Vec<usize>,
     holder_hosts: Vec<Node>,
     /// Host step of each holder's *first* acquisition, parallel to
@@ -152,16 +165,27 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// The stored slot pebble `(i, t)`, `t ≥ 1`, is read from, and how
+    /// many host steps later.
     #[inline]
-    fn idx(&self, i: Node, t: u32) -> usize {
+    fn slot(&self, i: Node, t: u32) -> (usize, u32) {
         debug_assert!(t >= 1 && t <= self.guest_t && (i as usize) < self.guest_n);
-        (i as usize) * self.guest_t as usize + (t as usize - 1)
+        let stored = t.min(self.levels);
+        (i as usize * self.levels as usize + (stored as usize - 1), (t - stored) * self.period)
     }
 
+    /// Where `(i, t)`'s holders are stored, and how many host steps later
+    /// they are read.
     #[inline]
-    fn holder_range(&self, i: Node, t: u32) -> std::ops::Range<usize> {
-        let idx = self.idx(i, t);
-        self.holder_offsets[idx]..self.holder_offsets[idx + 1]
+    fn holder_range(&self, i: Node, t: u32) -> (std::ops::Range<usize>, u32) {
+        let (k, shift) = self.slot(i, t);
+        let start = self.holder_offsets[k];
+        let end = if t > self.levels && t == self.guest_t {
+            start + self.last[i as usize]
+        } else {
+            self.holder_offsets[k + 1]
+        };
+        (start..end, shift)
     }
 
     /// The representatives `Q_S(i, t)`: hosts holding `(P_i, t)` at the end
@@ -170,7 +194,7 @@ impl Trace {
         if t == 0 {
             RepresentativeSet::All(self.host_m)
         } else {
-            RepresentativeSet::Listed(&self.holder_hosts[self.holder_range(i, t)])
+            RepresentativeSet::Listed(&self.holder_hosts[self.holder_range(i, t).0])
         }
     }
 
@@ -192,8 +216,8 @@ impl Trace {
 
     /// Hosts that executed `Generate((P_i, t))`, `t ≥ 1`.
     pub fn generated_by(&self, i: Node, t: u32) -> &[Node] {
-        let idx = self.idx(i, t);
-        &self.generator_hosts[self.generator_offsets[idx]..self.generator_offsets[idx + 1]]
+        let (k, _) = self.slot(i, t);
+        &self.generator_hosts[self.generator_offsets[k]..self.generator_offsets[k + 1]]
     }
 
     /// The holders of `(P_i, t)`, `t ≥ 1`, as `(host, step)` pairs in order
@@ -208,11 +232,11 @@ impl Trace {
             self.guest_n,
             self.guest_t
         );
-        let range = self.holder_range(i, t);
+        let (range, shift) = self.holder_range(i, t);
         self.holder_hosts[range.clone()]
             .iter()
             .copied()
-            .zip(self.holder_steps[range].iter().copied())
+            .zip(self.holder_steps[range].iter().map(move |&step| step + shift))
     }
 
     /// Host step (1-based) at which host `q` first acquired `(P_i, t)`;
@@ -242,7 +266,14 @@ impl Trace {
     /// Total pebble-copy count `Σ_{i,t≥1} q_{i,t}` — the quantity the paper
     /// bounds by `m·T' = n·k·T` in Lemma 3.12.
     pub fn total_weight(&self) -> usize {
-        self.holder_hosts.len()
+        let derived = if self.levels < self.guest_t {
+            // Levels 4..T−1 repeat level 3; level T keeps `last`.
+            let middle = (self.guest_t - self.levels - 1) as usize;
+            middle * self.level_weight(self.levels) + self.last.iter().sum::<usize>()
+        } else {
+            0
+        };
+        self.holder_hosts.len() + derived
     }
 
     /// Sum of weights at a fixed guest time `t` (the `Σ_i q_{i,t}` that
@@ -261,7 +292,42 @@ impl Trace {
             })
             .collect()
     }
+
+    /// `q_{i,t}` of every pebble type `(i, t)`, `t ≥ 1`, node-major: each
+    /// node's stored levels, then its derived ones.
+    fn weights(&self) -> impl Iterator<Item = usize> + '_ {
+        let l = self.levels as usize;
+        self.holder_offsets.windows(2).enumerate().flat_map(move |(k, w)| {
+            // A node's last stored level is followed by its derived ones:
+            // level 3 again up to level T − 1, then level T's `last`.
+            let derived = if (k + 1) % l == 0 { (self.guest_t - self.levels) as usize } else { 0 };
+            let last = (derived > 0).then(|| self.last[k / l]);
+            std::iter::repeat_n(w[1] - w[0], derived.max(1)).chain(last)
+        })
+    }
+
+    /// Every pebble type `(i, t)`, `t ≥ 1`, node-major.
+    fn pebbles(&self) -> impl Iterator<Item = (Node, u32)> {
+        let t_max = self.guest_t;
+        (0..self.guest_n as Node).flat_map(move |i| (1..=t_max).map(move |t| (i, t)))
+    }
 }
+
+/// Traces are equal when they have the same sizes and every pebble type
+/// has the same holders, acquisition steps and generators, stored or
+/// derived.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        (self.guest_n, self.guest_t, self.host_m, self.host_steps)
+            == (other.guest_n, other.guest_t, other.host_m, other.host_steps)
+            && self.pebbles().all(|(i, t)| {
+                self.generated_by(i, t) == other.generated_by(i, t)
+                    && self.acquisitions(i, t).eq(other.acquisitions(i, t))
+            })
+    }
+}
+
+impl Eq for Trace {}
 
 /// A view of `Q_S(i, t)` that avoids materializing the all-hosts set for the
 /// initial pebbles.
@@ -322,8 +388,10 @@ impl RepresentativeSet<'_> {
 /// Theorem 2.1 engine emits it, is decided by replaying its first three
 /// guest-step blocks and scanning the rest for exact level-shifted copies
 /// (see `periodic_form` in the source for the conditions and the argument).
-/// Verdict and trace are the full replay's; any other protocol is replayed
-/// in full.
+/// Tail steps of a protocol that stores its period once pass the scan by
+/// construction. Verdict and trace are the full replay's; the trace stores
+/// levels 1..=3 and reads every later level from level 3. Any other
+/// protocol is replayed in full, tail steps included.
 ///
 /// Memory: custody is one bitset of `m·n·L` bits, `L` the levels the
 /// replay can reach (3 under a period, else `min(T, T')`, at least 1). It
@@ -375,8 +443,8 @@ pub fn check_recorded<REC: Recorder + ?Sized>(
         for t in 1..=trace.guest_t {
             rec.histogram("pebble.level_weight", trace.level_weight(t) as u64);
         }
-        for w in trace.holder_offsets.windows(2) {
-            rec.histogram("pebble.holders_per_pebble", (w[1] - w[0]) as u64);
+        for weight in trace.weights() {
+            rec.histogram("pebble.holders_per_pebble", weight as u64);
         }
     }
     result
@@ -469,9 +537,6 @@ trait Columns {
     fn with_len(len: usize) -> Self;
     /// Store `record` in slot `at`.
     fn set(&mut self, at: usize, record: Self::Record);
-    /// Copy the `len` slots at `src` to `dst ≥ src + len`, each record
-    /// `steps` host steps later.
-    fn copy_later(&mut self, src: usize, dst: usize, len: usize, steps: u32);
 }
 
 /// Generator hosts.
@@ -485,10 +550,6 @@ impl Columns for Vec<Node> {
     #[inline]
     fn set(&mut self, at: usize, q: Node) {
         self[at] = q;
-    }
-
-    fn copy_later(&mut self, src: usize, dst: usize, len: usize, _: u32) {
-        self.copy_within(src..src + len, dst);
     }
 }
 
@@ -511,76 +572,29 @@ impl Columns for Holders {
         self.hosts[at] = q;
         self.steps[at] = step;
     }
-
-    fn copy_later(&mut self, src: usize, dst: usize, len: usize, steps: u32) {
-        self.hosts.copy_within(src..src + len, dst);
-        let (done, rest) = self.steps.split_at_mut(dst);
-        for (to, &from) in rest[..len].iter_mut().zip(&done[src..src + len]) {
-            *to = from + steps;
-        }
-    }
 }
 
-/// How a periodic trace's levels `4..=T` follow from level 3 (see
-/// [`group`]).
-#[derive(Clone, Copy)]
-struct LevelCopy<'a> {
-    /// Host steps per level: [`Period::period`].
-    period: u32,
-    /// Per guest node, how many of level 3's records level `T` keeps (its
-    /// generation part); `None` keeps them all.
-    last: Option<&'a [usize]>,
-}
-
-/// Group log records by pebble in the trace's node-major layout (pebble
-/// `(i, t)`, `t ≥ 1`, at `i·T + t − 1`) with a stable counting sort, so
-/// every pebble's records stay in log order. Returns the per-pebble
-/// offsets (length `n·T + 1`) and the records.
-///
-/// Without a [`LevelCopy`] the log holds every level. With one it holds
-/// levels 1..=3 only, and each node's later levels are filled from its
-/// level-3 group, which is contiguous: level `ℓ < T` is that group with
-/// every record `(ℓ − 3)·P` steps later, level `T` its first `last[i]`
-/// records moved the same way.
-fn group<C: Columns>(
-    n: usize,
-    t_max: u32,
-    log: &[(Pebble, C::Record)],
-    copy: Option<LevelCopy<'_>>,
-) -> (Vec<usize>, C) {
-    let t = t_max as usize;
-    let idx = |p: Pebble| p.node as usize * t + (p.t as usize - 1);
+/// Group log records of levels `1..=levels` by pebble in the trace's
+/// node-major layout (pebble `(i, t)` at `i·levels + t − 1`) with a stable
+/// counting sort, so every pebble's records stay in log order. Returns the
+/// per-pebble offsets (length `n·levels + 1`) and the records.
+fn group<C: Columns>(n: usize, levels: u32, log: &[(Pebble, C::Record)]) -> (Vec<usize>, C) {
+    let l = levels as usize;
+    let idx = |p: Pebble| p.node as usize * l + (p.t as usize - 1);
     // Counts at `idx + 1`, then prefix sums.
-    let mut offsets = vec![0usize; n * t + 1];
+    let mut offsets = vec![0usize; n * l + 1];
     for &(p, _) in log {
         offsets[idx(p) + 1] += 1;
     }
-    if let Some(c) = copy {
-        for (i, lens) in offsets[1..].chunks_exact_mut(t).enumerate() {
-            let level3 = lens[2];
-            lens[3..t - 1].fill(level3);
-            lens[t - 1] = c.last.map_or(level3, |last| last[i]);
-        }
-    }
-    for k in 0..n * t {
+    for k in 0..n * l {
         offsets[k + 1] += offsets[k];
     }
-    let mut columns = C::with_len(offsets[n * t]);
-    let mut cursor = offsets[..n * t].to_vec();
+    let mut columns = C::with_len(offsets[n * l]);
+    let mut cursor = offsets[..n * l].to_vec();
     for &(p, r) in log {
         let at = &mut cursor[idx(p)];
         columns.set(*at, r);
         *at += 1;
-    }
-    if let Some(c) = copy {
-        for i in 0..n {
-            let level3 = offsets[i * t + 2];
-            for l in 4..=t {
-                let steps = (l as u32 - 3) * c.period;
-                let (from, to) = (offsets[i * t + l - 1], offsets[i * t + l]);
-                columns.copy_later(level3, from, to - from, steps);
-            }
-        }
     }
     (offsets, columns)
 }
@@ -602,7 +616,8 @@ struct Period {
 /// * (c) in `B2` every `Send` carries a level-1 pebble and every
 ///   `Generate` makes a level-2 pebble;
 /// * (d) from step `|B1| + P` on, every step equals the step `P` earlier
-///   with each pebble one level later ([`Protocol::repeats_later`]).
+///   with each pebble one level later ([`Protocol::repeats_later`], which
+///   reads only stored steps when the protocol's tail has period `P`).
 ///
 /// Then only `B_j`'s generations and `B_{j+1}`'s receipts acquire level-`j`
 /// pebbles, and every rule in `B_k` reads only level-`(k−1)` custody and
@@ -615,14 +630,14 @@ fn periodic_form(proto: &Protocol) -> Option<Period> {
         return None;
     }
     let b1 = (0..proto.host_steps())
-        .take_while(|&s| proto.records(s).iter().all(|r| r.kind() == GENERATE && r.pebble().t == 1))
+        .take_while(|&s| proto.step(s).records().all(|r| r.kind() == GENERATE && r.pebble().t == 1))
         .count();
     let rest = proto.host_steps() - b1;
     let period = rest / (t - 1);
     if period == 0 || !rest.is_multiple_of(t - 1) {
         return None;
     }
-    let b2_ok = (b1..b1 + period).flat_map(|s| proto.records(s)).all(|r| match r.kind() {
+    let b2_ok = (b1..b1 + period).flat_map(|s| proto.step(s).records()).all(|r| match r.kind() {
         GENERATE => r.pebble().t == 2,
         SEND => r.pebble().t == 1,
         _ => true,
@@ -660,7 +675,8 @@ pub fn check_sizes(
 
 /// Replay `proto` under every rule, except that with a [`Period`] only
 /// `B1·B2·B3` are replayed and the custody of levels 4..T is level 3's,
-/// shifted (see [`periodic_form`] for why that is exact, and [`group`]).
+/// shifted, read so by [`Trace`] (see [`periodic_form`] for why that is
+/// exact).
 fn replay(
     guest: &Graph,
     host: &Graph,
@@ -668,6 +684,18 @@ fn replay(
     form: Option<Period>,
 ) -> Result<Trace, CheckError> {
     replay_with::<Custody>(guest, host, proto, form)
+}
+
+/// The `Generate` and the `Recv` records of host steps `steps`.
+fn kinds(proto: &Protocol, steps: std::ops::Range<usize>) -> (usize, usize) {
+    let mut count = (0, 0);
+    for s in steps {
+        for r in proto.step(s).stored().0 {
+            count.0 += usize::from(r.kind() == GENERATE);
+            count.1 += usize::from(r.kind() == RECV);
+        }
+    }
+    count
 }
 
 /// [`replay`] with custody kept in `H`.
@@ -699,15 +727,29 @@ fn replay_with<H: Holdings>(
         (p.node as usize) < n && p.t <= levels && custody.holds(q, p)
     };
     // (pebble, (host, step)) per first acquisition, and (pebble, host) per
-    // generation, in replay order.
-    let mut acquired: Vec<(Pebble, (Node, u32))> = Vec::new();
-    let mut generated: Vec<(Pebble, Node)> = Vec::new();
+    // generation, in replay order. Only generations and receipts acquire,
+    // each at most once, and under a period B4's receipts copy at most one
+    // per B3 receipt, half of the replayed ones (B1 has none, B3 repeats
+    // B2). So the replayed records bound both logs, which are sized once.
+    let (generations, receipts) = match form {
+        None => {
+            let (generations, _, receipts, _) = proto.op_histogram();
+            (generations, receipts)
+        }
+        Some(_) => kinds(proto, 0..replayed),
+    };
+    let b3_receipts = if form.is_some() { receipts / 2 } else { 0 };
+    let mut acquired: Vec<(Pebble, (Node, u32))> =
+        Vec::with_capacity(generations + receipts + b3_receipts);
+    let mut generated: Vec<(Pebble, Node)> = Vec::with_capacity(generations);
     // The current step's records by host (all-zero when idle), to pair
     // sends with receives. The replay reads records, not decoded `Op`s.
     // Sends and receives interleave with no pattern a branch predictor
     // could learn, so they pass both phases without a branch on which of
     // the two they are.
     let mut row = vec![OpRecord::default(); m];
+    // A tail step's records as read, one level up per period.
+    let mut lifted: Vec<OpRecord> = Vec::new();
     // Where B3's acquisitions start in their log.
     let mut b3_log = 0;
 
@@ -716,7 +758,14 @@ fn replay_with<H: Holdings>(
         if Some(step0) == b3 {
             b3_log = acquired.len();
         }
-        let records = proto.records(step0);
+        let records = match proto.step(step0).stored() {
+            (stored, 0) => stored,
+            (stored, shift) => {
+                lifted.clear();
+                lifted.extend(stored.iter().map(|r| r.later_by(shift)));
+                &lifted
+            }
+        };
         for &r in records {
             row[r.host() as usize] = r;
         }
@@ -838,13 +887,12 @@ fn replay_with<H: Holdings>(
 
     // Under a period B3 acquired level 3 by generation and level 2 by
     // receipt; B4's receipts, level 3's second part, are B3's a level and
-    // `P` steps later. Level T keeps each node's generation part.
+    // `P` steps later. Level T keeps each node's generation part, and
+    // levels 4..T are read from level 3 (see `Trace`).
     let mut last = Vec::new();
     if let Some(f) = form {
         last = vec![0; n];
-        let b3_records = acquired.len() - b3_log;
-        acquired.reserve(b3_records);
-        for k in b3_log..b3_log + b3_records {
+        for k in b3_log..acquired.len() {
             let (p, (q, step)) = acquired[k];
             if p.t == 2 {
                 acquired.push((Pebble::new(p.node, 3), (q, step + f.period as u32)));
@@ -853,15 +901,18 @@ fn replay_with<H: Holdings>(
             }
         }
     }
-    let copy = |last| form.map(|f| LevelCopy { period: f.period as u32, last });
-    let (generator_offsets, generator_hosts) = group(n, t_max, &generated, copy(None));
+    let stored = if form.is_some() { 3 } else { t_max };
+    let (generator_offsets, generator_hosts) = group(n, stored, &generated);
     let (holder_offsets, Holders { hosts: holder_hosts, steps: holder_steps }) =
-        group(n, t_max, &acquired, copy(Some(&last)));
+        group(n, stored, &acquired);
     Ok(Trace {
         guest_n: n,
         guest_t: t_max,
         host_m: m,
         host_steps: proto.host_steps(),
+        levels: stored,
+        period: form.map_or(0, |f| f.period as u32),
+        last,
         holder_offsets,
         holder_hosts,
         holder_steps,
@@ -1320,8 +1371,37 @@ mod tests {
     /// `B1` generates level 1; `B2` moves level-1 pebbles to every host
     /// that needs them, with random redundant copies and relays, then
     /// generates level 2; `B3..BT` are `repeat_later` copies of the block
-    /// before.
+    /// before, so `B4..BT` form the protocol's tail.
     fn random_periodic(seed: u64, n: usize, m: usize, t_max: u32) -> (Graph, Graph, Protocol) {
+        let copies = Copies { tail_blocks: usize::MAX, split: 0, level0_send: false, cut: false };
+        random_blocks(seed, n, m, t_max, copies)
+    }
+
+    /// How [`random_blocks`] lays out `B2` and copies `B3..BT`.
+    #[derive(Debug, Clone, Copy)]
+    struct Copies {
+        /// Blocks at the end left in the protocol's tail; every earlier
+        /// copy is stored (`usize::MAX`: as the builder chooses, `B4..BT`).
+        tail_blocks: usize,
+        /// Copy each block in two `repeat_later` calls split this many
+        /// steps in (mod the period; 0 is one call), as the engine copies a
+        /// communication and a computation phase.
+        split: usize,
+        /// `B2` opens with a redundant transfer of a level-0 pebble, which
+        /// breaks condition (c): the protocol is valid but not periodic.
+        level0_send: bool,
+        /// End after the first of the last block's two calls.
+        cut: bool,
+    }
+
+    /// [`random_periodic`] laid out by `copies`.
+    fn random_blocks(
+        seed: u64,
+        n: usize,
+        m: usize,
+        t_max: u32,
+        copies: Copies,
+    ) -> (Graph, Graph, Protocol) {
         use rand::seq::SliceRandom;
         use rand::Rng;
         let mut rng = unet_topology::util::seeded_rng(seed);
@@ -1379,6 +1459,15 @@ mod tests {
             }
         }
         let mut period = 0;
+        if copies.level0_send {
+            // The generator of (u, t) sends (u, t − 2) in B_t: it generated
+            // that pebble two blocks before, or holds it from the start.
+            let (q, u) = gens[rng.gen_range(0..gens.len())];
+            let to = (q + rng.gen_range(1..m as Node)) % m as Node;
+            b.transfer(q, to, Pebble::new(u, 0));
+            b.end_step();
+            period += 1;
+        }
         loop {
             wanted.retain(|&(q, v)| !held[q as usize][v as usize]);
             wanted.shuffle(&mut rng);
@@ -1411,9 +1500,19 @@ mod tests {
             }
         }
         period += generate(&mut b, &mut rng, 2);
+        let split = copies.split % period;
         for k in 0..t_max as usize - 2 {
             let at = b1 + k * period;
-            b.repeat_later(at..at + period);
+            let last = k + 3 == t_max as usize;
+            if split > 0 {
+                b.repeat_later(at..at + split);
+            }
+            if !(last && copies.cut && split > 0) {
+                b.repeat_later(at + split..at + period);
+            }
+            if t_max as usize - 3 - k >= copies.tail_blocks {
+                b.store_tail();
+            }
         }
         (guest, complete(m), b.finish())
     }
@@ -1439,6 +1538,120 @@ mod tests {
             let (got, full, shifted) = verdicts(&guest, &host, &proto);
             prop_assert_eq!(got, full);
             prop_assert_eq!(shifted, (t_max as u64 - 3) * form.unwrap().period as u64);
+        }
+    }
+
+    /// A recorded check's verdict and every counter and histogram it
+    /// emits.
+    #[allow(clippy::type_complexity)]
+    fn recorded(
+        guest: &Graph,
+        host: &Graph,
+        proto: &Protocol,
+    ) -> (
+        Result<Trace, CheckError>,
+        Vec<(&'static str, u64)>,
+        Vec<(&'static str, unet_obs::Histogram)>,
+    ) {
+        let mut rec = unet_obs::InMemoryRecorder::new();
+        let got = check_recorded(guest, host, proto, &mut rec);
+        let counters = rec.counters().collect();
+        let histograms = rec.histograms().map(|(name, h)| (name, h.clone())).collect();
+        (got, counters, histograms)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A protocol whose last `tail_blocks` blocks are its tail reads
+        /// exactly as the same protocol stored step by step: `==`, text,
+        /// every step and op, the op counts, and the recorded check's
+        /// verdict, `Trace`, counters and histograms. Blocks are copied
+        /// whole or in two calls, and `cut` ends the tail mid-period; runs
+        /// whose `B2` sends a level-0 pebble break condition (c), so the
+        /// full replay reads tail steps; `push_after` appends a step after
+        /// the tail, which stores it.
+        #[test]
+        fn tail_reads_as_its_stored_copy(
+            seed in 0u64..1 << 40,
+            n in 2usize..7,
+            m in 2usize..5,
+            t_max in 1u32..=8,
+            tail_blocks in 0usize..=3,
+            split in 0usize..64,
+            level0_send in any::<bool>(),
+            cut in any::<bool>(),
+            push_after in any::<bool>(),
+        ) {
+            let copies = Copies { tail_blocks, split, level0_send, cut };
+            let (guest, host, mut tail) = random_blocks(seed, n, m, t_max, copies);
+            let stored_copies = Copies { tail_blocks: 0, ..copies };
+            let (_, _, mut stored) = random_blocks(seed, n, m, t_max, stored_copies);
+            // A tail step reads its stored step one or more levels later.
+            let tail_steps =
+                |p: &Protocol| (0..p.host_steps()).filter(|&s| p.step(s).stored().1 > 0).count();
+            let blocks = if t_max >= 4 { tail_blocks.min(t_max as usize - 3) } else { 0 };
+            prop_assert_eq!(tail_steps(&tail) > 0, blocks > 0);
+            prop_assert_eq!(tail_steps(&stored), 0);
+            if push_after {
+                // A redundant regeneration of the last step's pebbles.
+                let last = tail.host_steps() - 1;
+                let again: Vec<Op> = (0..m as Node)
+                    .map(|q| match tail.op(last, q) {
+                        op @ Op::Generate(_) => op,
+                        _ => Op::Idle,
+                    })
+                    .collect();
+                tail.push_step(&again);
+                stored.push_step(&again);
+                prop_assert_eq!(tail_steps(&tail), 0);
+            }
+
+            prop_assert_eq!(&tail, &stored);
+            prop_assert_eq!(&stored, &tail);
+            prop_assert_eq!(crate::io::to_text(&tail), crate::io::to_text(&stored));
+            prop_assert_eq!(tail.host_steps(), stored.host_steps());
+            for s in 0..stored.host_steps() {
+                prop_assert_eq!(tail.step(s), stored.step(s));
+                prop_assert!(tail.step(s).iter().eq(stored.step(s).iter()), "step {}", s);
+                for q in 0..m as Node {
+                    prop_assert_eq!(tail.op(s, q), stored.op(s, q), "step {} host {}", s, q);
+                }
+            }
+            prop_assert_eq!(tail.busy_ops(), stored.busy_ops());
+            prop_assert_eq!(tail.op_histogram(), stored.op_histogram());
+
+            let form = periodic_form(&tail);
+            prop_assert_eq!(form, periodic_form(&stored));
+            if level0_send {
+                prop_assert!(form.is_none());
+            }
+            let (got, counters, histograms) = recorded(&guest, &host, &tail);
+            prop_assert!(cut || got.is_ok(), "invalid: {:?}", got);
+            let (want, want_counters, want_histograms) = recorded(&guest, &host, &stored);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(counters, want_counters);
+            prop_assert_eq!(histograms, want_histograms);
+            let full = replay(&guest, &host, &stored, None);
+            prop_assert_eq!(&got, &full);
+            if let (Ok(got), Ok(full)) = (&got, &full) {
+                prop_assert_eq!(got.total_weight(), full.total_weight());
+                for t in 0..=t_max {
+                    prop_assert_eq!(got.level_weight(t), full.level_weight(t), "level {}", t);
+                }
+                // The histograms as the full replay's accessors give them.
+                let mut want = unet_obs::InMemoryRecorder::new();
+                for t in 1..=t_max {
+                    want.histogram("pebble.level_weight", full.level_weight(t) as u64);
+                }
+                for (i, t) in full.pebbles() {
+                    want.histogram("pebble.holders_per_pebble", full.weight(i, t) as u64);
+                }
+                for name in ["pebble.level_weight", "pebble.holders_per_pebble"] {
+                    let got = histograms.iter().find(|(n, _)| *n == name).map(|(_, h)| h);
+                    prop_assert_eq!(got, want.histogram_data(name), "{}", name);
+                }
+            }
         }
     }
 

@@ -20,32 +20,36 @@
 //! dependencies; round-trips exactly.
 
 use crate::protocol::{Op, Pebble, Protocol, ProtocolBuilder};
-use std::fmt::Write as _;
+use std::io::Write;
 use std::num::{IntErrorKind, ParseIntError};
 
 /// Serialize to the text format.
 pub fn to_text(proto: &Protocol) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "unetproto 1");
-    let _ = writeln!(out, "n {} t {} m {}", proto.guest_n, proto.guest_t, proto.host_m);
+    let mut out = Vec::new();
+    write_text(proto, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the text format is ASCII")
+}
+
+/// Stream the text format of [`to_text`] into `out`, line by line, so a
+/// large protocol is written or hashed without holding its text. Wrap a
+/// file in a `BufWriter`: every line is a few small writes.
+pub fn write_text(proto: &Protocol, mut out: impl Write) -> std::io::Result<()> {
+    writeln!(out, "unetproto 1")?;
+    writeln!(out, "n {} t {} m {}", proto.guest_n, proto.guest_t, proto.host_m)?;
     for row in proto.steps() {
-        let _ = writeln!(out, "step");
+        writeln!(out, "step")?;
         for (q, op) in row {
             match op {
                 Op::Idle => {}
-                Op::Generate(p) => {
-                    let _ = writeln!(out, "g {q} {} {}", p.node, p.t);
-                }
+                Op::Generate(p) => writeln!(out, "g {q} {} {}", p.node, p.t)?,
                 Op::Send { pebble, to } => {
-                    let _ = writeln!(out, "s {q} {to} {} {}", pebble.node, pebble.t);
+                    writeln!(out, "s {q} {to} {} {}", pebble.node, pebble.t)?
                 }
-                Op::Recv { from } => {
-                    let _ = writeln!(out, "r {q} {from}");
-                }
+                Op::Recv { from } => writeln!(out, "r {q} {from}")?,
             }
         }
     }
-    out
+    Ok(())
 }
 
 /// Parse errors with line context.

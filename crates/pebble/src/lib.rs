@@ -15,7 +15,6 @@
 //!   (Definition 3.11, Lemma 3.15);
 //! * [`fragment`] — fragments `(B, B', D)` and the multiplicity bound
 //!   (Definition 3.2, Lemma 3.3);
-//! * [`depgraph`] — the dependency graph `Γ_G` (Definition 3.7);
 //! * [`deptree`] — constructive, machine-verified dependency trees
 //!   (Lemma 3.10, Figure 1).
 //!
@@ -42,7 +41,6 @@
 
 pub mod analysis;
 pub mod check;
-pub mod depgraph;
 pub mod deptree;
 pub mod fragment;
 pub mod io;

@@ -145,11 +145,18 @@ impl OpRecord {
 
     /// The same op one guest level later: the pebble it generates or sends,
     /// `(P_i, t)`, becomes `(P_i, t + 1)` (wrapping); hosts, partners and
-    /// guest nodes stay. No branch: the kind's [`PEBBLE`] bit is the step.
+    /// guest nodes stay.
     #[inline]
     fn later(self) -> OpRecord {
+        self.later_by(1)
+    }
+
+    /// The same op `levels` guest levels later (wrapping). No branch: the
+    /// kind's [`PEBBLE`] bit, 0 or 1, scales the step.
+    #[inline]
+    pub(crate) fn later_by(self, levels: u32) -> OpRecord {
         let [w, partner, node, t] = self.0;
-        OpRecord([w, partner, node, t.wrapping_add(w & PEBBLE)])
+        OpRecord([w, partner, node, t.wrapping_add((w & PEBBLE) * levels)])
     }
 
     /// Or into `diff` the bits in which `self` differs from
@@ -170,25 +177,32 @@ impl std::fmt::Debug for OpRecord {
 }
 
 /// The non-idle ops of one host step, in ascending host order, decoded as
-/// `(host, op)` on read (see [`Protocol::step`]).
+/// `(host, op)` on read (see [`Protocol::step`]). A step of a protocol's
+/// tail is a stored step read `shift` levels later.
 #[derive(Debug, Clone, Copy)]
-pub struct Step<'a>(&'a [OpRecord]);
+pub struct Step<'a> {
+    records: &'a [OpRecord],
+    shift: u32,
+}
 
 /// Iterator over a [`Step`]'s `(host, op)` pairs.
 #[derive(Debug, Clone)]
-pub struct StepIter<'a>(std::slice::Iter<'a, OpRecord>);
+pub struct StepIter<'a> {
+    records: std::slice::Iter<'a, OpRecord>,
+    shift: u32,
+}
 
 impl Iterator for StepIter<'_> {
     type Item = (Node, Op);
 
     #[inline]
     fn next(&mut self) -> Option<(Node, Op)> {
-        self.0.next().map(OpRecord::decode)
+        self.records.next().map(|r| r.later_by(self.shift).decode())
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        self.records.size_hint()
     }
 }
 
@@ -198,33 +212,61 @@ impl<'a> Step<'a> {
     /// Number of non-idle ops.
     #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.records.len()
     }
 
     /// Whether every host is idle.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.records.is_empty()
     }
 
     /// The `(host, op)` pairs in ascending host order.
     #[inline]
     pub fn iter(&self) -> StepIter<'a> {
-        StepIter(self.0.iter())
+        StepIter { records: self.records.iter(), shift: self.shift }
     }
 
     /// Index of host `q`'s op within the step, if `q` is busy.
     #[inline]
     pub fn position(&self, q: Node) -> Option<usize> {
-        self.0.binary_search_by_key(&q, |r| r.host()).ok()
+        self.records.binary_search_by_key(&q, |r| r.host()).ok()
     }
 
     /// Host `q`'s op (`Idle` when none is stored).
     #[inline]
     pub fn op(&self, q: Node) -> Op {
-        self.position(q).map_or(Op::Idle, |at| self.0[at].op())
+        self.position(q).map_or(Op::Idle, |at| self.records[at].later_by(self.shift).op())
+    }
+
+    /// The stored records and the levels they are read later by.
+    #[inline]
+    pub(crate) fn stored(&self) -> (&'a [OpRecord], u32) {
+        (self.records, self.shift)
+    }
+
+    /// The step's records as read, each `shift` levels later.
+    #[inline]
+    pub(crate) fn records(&self) -> impl ExactSizeIterator<Item = OpRecord> + 'a {
+        let shift = self.shift;
+        self.records.iter().map(move |r| r.later_by(shift))
+    }
+
+    /// Whether this step is `earlier` with every pebble one level later.
+    fn repeats(&self, earlier: &Step<'_>) -> bool {
+        self.len() == earlier.len()
+            && self.records().zip(earlier.records()).all(|(r, r0)| r == r0.later())
     }
 }
+
+/// Two steps are equal when they read the same ops, however they are stored.
+impl PartialEq for Step<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.records().eq(other.records())
+    }
+}
+
+impl Eq for Step<'_> {}
 
 impl<'a> IntoIterator for Step<'a> {
     type Item = (Node, Op);
@@ -241,9 +283,12 @@ impl<'a> IntoIterator for Step<'a> {
 /// Only non-idle operations are stored: one flat list of fully
 /// initialised 16-byte records ordered by step, then by ascending host,
 /// plus the end offset of each step. A host with no entry in a step is
-/// idle. The layout is canonical, so equal protocols compare `==` (bit
-/// for bit) however they were built.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// idle. A protocol that repeats one period of steps level after level
+/// stores the period once: the steps of its *tail* are not stored, each
+/// is the step `period` earlier with every pebble one level later (see
+/// [`ProtocolBuilder::repeat_later`]). Every reader sees the same steps
+/// however they are stored, and `==` compares the steps as read.
+#[derive(Debug, Clone)]
 pub struct Protocol {
     /// Number of guest processors `n`.
     pub guest_n: usize,
@@ -251,13 +296,32 @@ pub struct Protocol {
     pub guest_t: u32,
     /// Number of host processors `m`.
     pub host_m: usize,
-    /// Non-idle ops, grouped by step, ascending host within a step.
+    /// Non-idle ops of the stored steps, grouped by step, ascending host
+    /// within a step.
     ops: Vec<OpRecord>,
-    /// `ends[τ]`: end offset of step `τ` in `ops`; `ends.len() = T'`.
+    /// `ends[τ]`: end offset of stored step `τ` in `ops`.
     ends: Vec<usize>,
     /// Stored ops with the [`PEBBLE`] and with the [`PARTNER`] kind bit,
     /// kept as ops are appended: the op mix without a pass over `ops`.
     kind_bits: [usize; 2],
+    /// The steps after the stored ones.
+    tail: Tail,
+}
+
+/// The steps of a [`Protocol`] after its stored ones. Tail step `j` is
+/// the step `period` earlier, one level later, so it reads stored step
+/// `S − period + j % period` (`S` the stored steps) `j / period + 1`
+/// levels later.
+#[derive(Debug, Clone, Default)]
+struct Tail {
+    /// Host steps per period; 0 while the protocol has no tail.
+    period: usize,
+    /// Tail steps.
+    len: usize,
+    /// `bits[k]`: ops with the [`PEBBLE`] and with the [`PARTNER`] kind bit
+    /// in the first `k` steps of the stored window the tail repeats
+    /// (`period + 1` entries).
+    bits: Vec<[usize; 2]>,
 }
 
 impl Protocol {
@@ -275,16 +339,24 @@ impl Protocol {
             "{host_m} hosts exceed the protocol's {} host limit",
             Self::MAX_HOSTS
         );
-        Protocol { guest_n, guest_t, host_m, ops: Vec::new(), ends: Vec::new(), kind_bits: [0; 2] }
+        Protocol {
+            guest_n,
+            guest_t,
+            host_m,
+            ops: Vec::new(),
+            ends: Vec::new(),
+            kind_bits: [0; 2],
+            tail: Tail::default(),
+        }
     }
 
     /// Host time `T'`.
     #[inline]
     pub fn host_steps(&self) -> usize {
-        self.ends.len()
+        self.ends.len() + self.tail.len
     }
 
-    /// Offset in the op list where host step `τ ≤ T'` starts.
+    /// Offset in the op list where stored step `τ ≤ S` starts.
     #[inline]
     fn start(&self, tau: usize) -> usize {
         if tau == 0 {
@@ -294,10 +366,22 @@ impl Protocol {
         }
     }
 
-    /// The stored records of host step `τ`.
+    /// The stored step that host step `τ` reads, and how many levels
+    /// later it reads it.
+    ///
+    /// # Panics
+    /// Panics if `τ ≥ T'`.
     #[inline]
-    pub(crate) fn records(&self, tau: usize) -> &[OpRecord] {
-        &self.ops[self.start(tau)..self.ends[tau]]
+    fn source(&self, tau: usize) -> (usize, u32) {
+        let stored = self.ends.len();
+        if tau < stored {
+            return (tau, 0);
+        }
+        let j = tau - stored;
+        assert!(j < self.tail.len, "step {tau} is past the protocol's {} steps", self.host_steps());
+        let p = self.tail.period;
+        // Levels wrap like the stored copies' levels would.
+        (stored - p + j % p, (j / p + 1) as u32)
     }
 
     /// The non-idle ops of host step `τ`, in ascending host order.
@@ -306,24 +390,34 @@ impl Protocol {
     /// Panics if `τ ≥ T'`.
     #[inline]
     pub fn step(&self, tau: usize) -> Step<'_> {
-        Step(self.records(tau))
+        let (s, shift) = self.source(tau);
+        Step { records: &self.ops[self.start(s)..self.ends[s]], shift }
     }
 
     /// Whether every step from `from` on equals the step `period` earlier
     /// with each op one level later: the same hosts, op kinds, partners and
-    /// guest nodes, every pebble one level later. One branch-free pass over
-    /// the records, in chunks so that a mismatch stops it early.
+    /// guest nodes, every pebble one level later. Tail steps of this period
+    /// do by construction; the stored steps are compared in one
+    /// branch-free pass over the records, in chunks so that a mismatch
+    /// stops it early.
     ///
     /// # Panics
     /// Panics if `period == 0` or `from < period`.
     pub(crate) fn repeats_later(&self, from: usize, period: usize) -> bool {
         assert!(period > 0 && from >= period, "a period needs one earlier copy");
+        if self.tail.len > 0 && self.tail.period != period {
+            return (from..self.host_steps()).all(|s| self.step(s).repeats(&self.step(s - period)));
+        }
+        let stored = self.ends.len();
+        if from >= stored {
+            return true;
+        }
         // Ops per period. Equal step lengths are equivalent to every
         // window of `period` steps holding exactly this many ops, which
         // also makes the flat op offset between a step and its copy `per`.
         let per = self.start(from) - self.start(from - period);
-        let lengths = (from..self.host_steps())
-            .fold(0, |d, s| d | (self.ends[s] - self.ends[s - period]) ^ per);
+        let lengths =
+            (from..stored).fold(0, |d, s| d | (self.ends[s] - self.ends[s - period]) ^ per);
         let start = self.start(from);
         const CHUNK: usize = 1024;
         lengths == 0
@@ -360,11 +454,13 @@ impl Protocol {
     }
 
     /// Append one host step given densely: `ops[q]` is host `q`'s op.
+    /// After a tail, the tail is stored first.
     ///
     /// # Panics
     /// Panics if `ops.len() != m`.
     pub fn push_step(&mut self, ops: &[Op]) {
         assert_eq!(ops.len(), self.host_m, "step must cover every host processor");
+        self.materialize();
         for (q, &op) in ops.iter().enumerate() {
             let rec = OpRecord::new(q as Node, op);
             if !rec.is_idle() {
@@ -372,6 +468,64 @@ impl Protocol {
             }
         }
         self.ends.push(self.ops.len());
+    }
+
+    /// [`Tail::bits`] of a tail that repeats the last `period` stored
+    /// steps.
+    fn window_bits(&self, period: usize) -> Vec<[usize; 2]> {
+        let first = self.ends.len() - period;
+        let mut bits = Vec::with_capacity(period + 1);
+        let mut acc = [0; 2];
+        bits.push(acc);
+        for s in first..first + period {
+            for r in &self.ops[self.start(s)..self.ends[s]] {
+                acc[0] += (r.0[0] & PEBBLE) as usize;
+                acc[1] += (r.0[0] & PARTNER) as usize >> 1;
+            }
+            bits.push(acc);
+        }
+        bits
+    }
+
+    /// Store the tail's steps and drop the tail. Each period of the tail
+    /// is one block copy of the stored window's first steps, then one
+    /// branch-free pass that adds the period's level shift to each
+    /// record's pebble and counts its kind bits.
+    fn materialize(&mut self) {
+        if self.tail.period == 0 {
+            return;
+        }
+        let Tail { period, len, .. } = std::mem::take(&mut self.tail);
+        let first = self.ends.len() - period;
+        for k in 0..len.div_ceil(period) {
+            let steps = (len - k * period).min(period);
+            let (from, at) = (self.start(first), self.ops.len());
+            self.ops.extend_from_within(from..self.start(first + steps));
+            for rec in &mut self.ops[at..] {
+                let w = rec.0[0];
+                *rec = rec.later_by(k as u32 + 1);
+                self.kind_bits[0] += (w & PEBBLE) as usize;
+                self.kind_bits[1] += (w & PARTNER) as usize >> 1;
+            }
+            for s in first..first + steps {
+                let end = self.ends[s] + (at - from);
+                self.ends.push(end);
+            }
+        }
+    }
+
+    /// The tail's op count and kind bits: whole periods of the window,
+    /// then the first steps of one more.
+    fn tail_counts(&self) -> (usize, [usize; 2]) {
+        let Tail { period, len, ref bits } = self.tail;
+        if len == 0 {
+            return (0, [0; 2]);
+        }
+        let (whole, rest) = (len / period, len % period);
+        let first = self.ends.len() - period;
+        let ops = |steps: usize| self.start(first + steps) - self.start(first);
+        let ([p, q], [p_rest, q_rest]) = (bits[period], bits[rest]);
+        (whole * ops(period) + ops(rest), [whole * p + p_rest, whole * q + q_rest])
     }
 
     /// Slowdown `s = T' / T` as a rational (numerator, denominator) and as
@@ -391,14 +545,16 @@ impl Protocol {
     /// (`Σ q_{i,t} ≤ m·T'`).
     #[inline]
     pub fn busy_ops(&self) -> usize {
-        self.ops.len()
+        self.ops.len() + self.tail_counts().0
     }
 
     /// Count of operations by kind `(generate, send, recv, idle)`; idle is
     /// `m·T' − busy_ops()`. Kept as ops are appended, so this costs no pass.
     pub fn op_histogram(&self) -> (usize, usize, usize, usize) {
         // Generate carries a pebble, Recv names a partner, Send does both.
-        let ([pebble, partner], busy) = (self.kind_bits, self.busy_ops());
+        let (tail_ops, [tail_pebble, tail_partner]) = self.tail_counts();
+        let busy = self.ops.len() + tail_ops;
+        let (pebble, partner) = (self.kind_bits[0] + tail_pebble, self.kind_bits[1] + tail_partner);
         (
             busy - partner,
             pebble + partner - busy,
@@ -407,6 +563,18 @@ impl Protocol {
         )
     }
 }
+
+/// Protocols are equal when they have the same sizes and read the same
+/// ops in every step, whether a step is stored or in the tail.
+impl PartialEq for Protocol {
+    fn eq(&self, other: &Self) -> bool {
+        (self.guest_n, self.guest_t, self.host_m, self.host_steps())
+            == (other.guest_n, other.guest_t, other.host_m, other.host_steps())
+            && self.steps().eq(other.steps())
+    }
+}
+
+impl Eq for Protocol {}
 
 /// Mutable builder used by the simulators: collects the current step's ops
 /// in one `m`-slot scratch row and appends the touched hosts, in ascending
@@ -420,6 +588,9 @@ pub struct ProtocolBuilder {
     /// Hosts given a non-idle op in the current step.
     touched: Vec<Node>,
     dirty: bool,
+    /// The last run of [`ProtocolBuilder::repeat_later`] copies: their
+    /// distance from their source and the steps they cover.
+    copies: (usize, std::ops::Range<usize>),
 }
 
 impl ProtocolBuilder {
@@ -433,6 +604,7 @@ impl ProtocolBuilder {
             current: vec![OpRecord::default(); host_m],
             touched: Vec::new(),
             dirty: false,
+            copies: (0, 0..0),
         }
     }
 
@@ -462,7 +634,9 @@ impl ProtocolBuilder {
     }
 
     /// Close the current host step (even if fully idle) and start a new one.
+    /// After a tail, the tail is stored first.
     pub fn end_step(&mut self) {
+        self.proto.materialize();
         self.touched.sort_unstable();
         for &q in &self.touched {
             self.proto.push(std::mem::take(&mut self.current[q as usize]));
@@ -473,9 +647,13 @@ impl ProtocolBuilder {
     }
 
     /// Append copies of the closed steps `steps`, the same hosts, op kinds
-    /// and partners, with every pebble generated or sent one level later:
-    /// one block copy, then one branch-free pass that adds each record's
-    /// pebble bit to its level and counts its kind bits.
+    /// and partners, with every pebble generated or sent one level later.
+    ///
+    /// A copy whose source steps are themselves the last copies, at the
+    /// same distance, continues a period: its steps go to the protocol's
+    /// tail and cost nothing. Any other copy is stored, step by step, as a
+    /// tail is stored. So an engine that copies each block from the one
+    /// before stores the first copy and no later one.
     ///
     /// # Panics
     /// Panics if the current step holds ops or `steps` reaches past the
@@ -483,28 +661,25 @@ impl ProtocolBuilder {
     pub fn repeat_later(&mut self, steps: std::ops::Range<usize>) {
         assert!(!self.dirty, "close the current step before copying steps");
         let p = &mut self.proto;
-        let (from, to) = (p.start(steps.start), p.start(steps.end));
-        let shift = p.ops.len() - from;
-        p.ops.extend_from_within(from..to);
-        for rec in &mut p.ops[from + shift..] {
-            let w = rec.0[0];
-            *rec = rec.later();
-            p.kind_bits[0] += (w & PEBBLE) as usize;
-            p.kind_bits[1] += (w & PARTNER) as usize >> 1;
+        let len = p.host_steps();
+        assert!(steps.start <= steps.end && steps.end <= len, "copy only closed steps");
+        let distance = len - steps.start;
+        let (last, ref run) = self.copies;
+        let continues = last == distance && run.end == len;
+        // The copy is tail steps of period `distance`, kept when they
+        // continue a period and stored at once otherwise.
+        let keep = continues && run.start <= steps.start;
+        if !(p.tail.len > 0 && p.tail.period == distance) {
+            p.materialize();
+            let bits = if keep { p.window_bits(distance) } else { Vec::new() };
+            p.tail = Tail { period: distance, len: 0, bits };
         }
-        let copied = p.ends.len();
-        p.ends.extend_from_within(steps);
-        for end in &mut p.ends[copied..] {
-            *end += shift;
+        p.tail.len += steps.len();
+        if !keep {
+            p.materialize();
         }
-    }
-
-    /// Reserve room for `copies` more copies of the closed steps `steps`
-    /// (see [`ProtocolBuilder::repeat_later`]).
-    pub fn reserve_copies(&mut self, steps: std::ops::Range<usize>, copies: usize) {
-        let p = &mut self.proto;
-        p.ops.reserve(copies * (p.start(steps.end) - p.start(steps.start)));
-        p.ends.reserve(copies * steps.len());
+        let first = if continues { run.start } else { len };
+        self.copies = (distance, first..len + steps.len());
     }
 
     /// Convenience: schedule a paired send/recv in the current step.
@@ -514,6 +689,12 @@ impl ProtocolBuilder {
     pub fn transfer(&mut self, from: Node, to: Node, pebble: Pebble) {
         self.set_op(from, Op::Send { pebble, to });
         self.set_op(to, Op::Recv { from });
+    }
+
+    /// Store the protocol's tail now; later copies may start a new one.
+    #[cfg(test)]
+    pub(crate) fn store_tail(&mut self) {
+        self.proto.materialize();
     }
 
     /// Finish: flushes a trailing partial step and returns the protocol.
@@ -604,10 +785,18 @@ mod tests {
         }
     }
 
+    /// `p` with its tail stored.
+    fn stored(p: &Protocol) -> Protocol {
+        let mut p = p.clone();
+        p.materialize();
+        p
+    }
+
     /// The enum-compare shift scan that [`Protocol::repeats_later`]
     /// replaced: decode both ops and compare them as enums.
     fn repeats_later_reference(p: &Protocol, from: usize, period: usize) -> bool {
         assert!(period > 0 && from >= period, "a period needs one earlier copy");
+        let p = &stored(p);
         let per = p.start(from) - p.start(from - period);
         (from..p.host_steps()).all(|s| p.ends[s] - p.ends[s - period] == per)
             && p.ops[p.start(from)..]
@@ -674,7 +863,6 @@ mod tests {
             dense.push_step(row);
         }
         let (mut at, p) = (lead.len(), block.len());
-        b.reserve_copies(at..at + p, copies);
         let mut rows = block.to_vec();
         for _ in 0..copies {
             b.repeat_later(at..at + p);
@@ -756,6 +944,86 @@ mod tests {
             }
             let (lead_len, p) = (lead.len(), block.len());
             prop_assert!(built.repeats_later(lead_len + p, p));
+        }
+
+        /// Any mix of built steps and `repeat_later` copies of any closed
+        /// steps, at any distance, whole periods or not, reads as the
+        /// dense rows the copies stand for: `==`, text, ops, op counts, and
+        /// the shift scan's verdict for every `(from, period)`. Copies that
+        /// repeat the last `d` steps, or continue the last copy's distance,
+        /// make tails; any other copy, or a built step, stores them.
+        #[test]
+        fn copies_read_as_dense_rows(
+            lead in rows_strategy(1..4),
+            actions in prop::collection::vec(
+                (0u8..4, 0usize..64, 0usize..64, rows_strategy(1..2)),
+                1..12,
+            ),
+        ) {
+            let m = 4;
+            let mut b = ProtocolBuilder::new(6, 4, m);
+            let mut rows = ops_of(&lead);
+            let build = |b: &mut ProtocolBuilder, row: &[Op]| {
+                for (q, &op) in row.iter().enumerate() {
+                    b.set_op(q as Node, op);
+                }
+                b.end_step();
+            };
+            for row in &rows {
+                build(&mut b, row);
+            }
+            let mut distance = 1;
+            for (kind, x, y, row) in actions {
+                let len = rows.len();
+                let range = match kind {
+                    0 => {
+                        let row = ops_of(&row).remove(0);
+                        build(&mut b, &row);
+                        rows.push(row);
+                        continue;
+                    }
+                    // The last `d` steps.
+                    1 => len - (x % len + 1)..len,
+                    // Part of the period the last copy ran at.
+                    2 if distance <= len => {
+                        len - distance..len - distance + (y % distance + 1)
+                    }
+                    _ => {
+                        let start = x % len;
+                        start..start + y % (len - start + 1)
+                    }
+                };
+                distance = len - range.start;
+                b.repeat_later(range.clone());
+                for k in range {
+                    let later = rows[k].iter().map(|op| op.later()).collect();
+                    rows.push(later);
+                }
+            }
+            let built = b.finish();
+            let mut dense = Protocol::new(6, 4, m);
+            for row in &rows {
+                dense.push_step(row);
+            }
+            prop_assert_eq!(&built, &dense);
+            prop_assert_eq!(to_text(&built), to_text(&dense));
+            prop_assert_eq!(built.busy_ops(), dense.busy_ops());
+            prop_assert_eq!(built.op_histogram(), dense.op_histogram());
+            for (s, row) in rows.iter().enumerate() {
+                for (q, &op) in row.iter().enumerate() {
+                    prop_assert_eq!(built.op(s, q as Node), op, "step {} host {}", s, q);
+                }
+            }
+            let steps = built.host_steps();
+            for period in 1..=steps {
+                for from in period..=steps {
+                    prop_assert_eq!(
+                        built.repeats_later(from, period),
+                        repeats_later_reference(&dense, from, period),
+                        "from {} period {}", from, period
+                    );
+                }
+            }
         }
 
         /// The op mix kept as ops are appended equals a recount over

@@ -232,7 +232,10 @@ fn simulate(args: &[String]) -> Result<(), String> {
     );
     outln!("protocol certified; states match direct execution bit-for-bit");
     if let Some(path) = flag(args, "--save") {
-        std::fs::write(&path, pebble::io::to_text(&run.protocol))
+        let file = std::fs::File::create(&path).map_err(|e| format!("writing {path}: {e}"))?;
+        let mut out = std::io::BufWriter::new(file);
+        pebble::io::write_text(&run.protocol, &mut out)
+            .and_then(|()| out.flush())
             .map_err(|e| format!("writing {path}: {e}"))?;
         outln!("protocol saved to {path}");
     }
