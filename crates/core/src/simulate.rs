@@ -20,10 +20,10 @@
 //!   are computed once and replayed with fresh pebble payloads each step.
 //!   From `gt = 3` on, a cached step's host steps are the previous step's
 //!   with every pebble one level later, so they are emitted as copies
-//!   ([`ProtocolBuilder::repeat_later`]): `gt = 3` is stored, and from
-//!   `gt = 4` on the protocol holds them as its level-shifted tail without
-//!   storing them. The uncached path replays the plan every step and is
-//!   the reference the copies must equal.
+//!   ([`ProtocolBuilder::repeat_later`]): the protocol stores `gt = 1`
+//!   and `gt = 2` and holds every later step as its level-shifted tail,
+//!   `gt = 3` its first block. The uncached path replays the plan every
+//!   step and is the reference the copies must equal.
 //! * **Parallel phases** — pair extraction shards by guest range and the
 //!   host-side state computation shards by node range, both on
 //!   [`unet_topology::par`] with order-preserving merges.
@@ -276,6 +276,9 @@ pub(crate) fn run_engine<REC: Recorder>(
                 builder.repeat_later(prev.0..prev.1);
                 comm_steps += prev.1 - prev.0;
             } else {
+                // The block's records and steps, computation phase included.
+                let plan = &comm.plan;
+                builder.reserve(2 * plan.transfer_count() + n, plan.pebble_steps() + load);
                 let payloads: Vec<Pebble> =
                     comm.guests.iter().map(|&u| Pebble::new(u, gt - 1)).collect();
                 comm_steps += replay_plan(&mut builder, &comm.plan, &payloads);
@@ -366,6 +369,7 @@ fn build_comm<REC: Recorder>(
 /// given payload table (`payloads[packet_id]`). Returns the number of pebble
 /// steps emitted ([`RoutePlan::pebble_steps`]).
 pub fn replay_plan(builder: &mut ProtocolBuilder, plan: &RoutePlan, payloads: &[Pebble]) -> usize {
+    builder.reserve(2 * plan.transfer_count(), plan.pebble_steps());
     for round in plan.rounds() {
         for &(from, to, pid) in round {
             builder.transfer(from, to, payloads[pid as usize]);
@@ -572,7 +576,7 @@ mod tests {
     }
 
     /// From gt = 3 the cached path copies the previous block a level
-    /// later, and from gt = 4 the copies are the protocol's tail. Cached,
+    /// later, and the copies are the protocol's tail. Cached,
     /// uncached and shared-cache-hit runs must give `==` protocols with
     /// byte-identical text and the same engine records, and the checker
     /// must take the copied blocks by its shift scan.
@@ -634,6 +638,50 @@ mod tests {
             unet_pebble::check_recorded(&guest, &host, &cached.protocol, &mut check_rec)
                 .expect("protocol must verify");
             assert!(check_rec.counter_value("pebble.check.shifted_steps") > 0, "T = {steps}");
+        }
+    }
+
+    /// A cached run stores guest steps 1 and 2 and nothing more: cold and
+    /// on a shared-cache hit, `B1` and `B2` are the protocol's stored steps
+    /// and `B3..BT` its tail, and the protocol equals the uncached run's,
+    /// which stores every step, in `==` and text.
+    #[test]
+    fn cached_runs_store_only_the_first_two_blocks() {
+        use crate::cache::SharedPlanCache;
+        use crate::sim::CachePolicy;
+        let guest = random_regular(32, 4, &mut seeded_rng(23));
+        let host = torus(2, 3);
+        let comp = GuestComputation::random(guest.clone(), 7);
+        let router = presets::bfs();
+        for steps in 3..=8u32 {
+            let shared = SharedPlanCache::new();
+            let run = |policy: CachePolicy, shared: Option<&SharedPlanCache>| {
+                let mut b = Simulation::builder()
+                    .guest(&comp)
+                    .host(&host)
+                    .embedding(Embedding::block(32, 6))
+                    .router(&router)
+                    .steps(steps)
+                    .seed(4)
+                    .cache_policy(policy);
+                if let Some(shared) = shared {
+                    b = b.shared_cache(shared);
+                }
+                b.run().expect("valid configuration")
+            };
+            let uncached = run(CachePolicy::Disabled, None);
+            let total = uncached.protocol.host_steps();
+            assert_eq!(uncached.protocol.stored_steps(), total, "T = {steps}");
+            let b1 = uncached.compute_steps / steps as usize;
+            let b2 = (total - b1) / (steps as usize - 1);
+            let text = unet_pebble::io::to_text(&uncached.protocol);
+            let cold = run(CachePolicy::Enabled, Some(&shared));
+            let warm = run(CachePolicy::Enabled, Some(&shared));
+            for (name, got) in [("cold", &cold), ("shared hit", &warm)] {
+                assert_eq!(got.protocol.stored_steps(), b1 + b2, "{name}, T = {steps}");
+                assert_eq!(got.protocol, uncached.protocol, "{name}, T = {steps}");
+                assert_eq!(unet_pebble::io::to_text(&got.protocol), text, "{name}, T = {steps}");
+            }
         }
     }
 

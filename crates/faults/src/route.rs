@@ -61,9 +61,15 @@ pub fn route_faulty(view: &FaultyView, pairs: &[(Node, Node)]) -> FaultyOutcome 
 /// `retried`). With `selector = None`, planning is BFS-only and `retried`
 /// stays 0 (there is no canonical path to die).
 ///
+/// The canonical paths of the pairs whose endpoints are up come from one
+/// [`PathSelector::paths`] call (one BFS per source for [`ShortestPath`]),
+/// drawing from `rng` in pair order. When some pair has no path on the base
+/// graph, `rng` is restored and the paths are asked for pair by pair, so
+/// the draws are the same either way.
+///
 /// Emits the `faults.route` span and `faults.route.delivered` /
 /// `faults.route.dropped` / `faults.route.retried` counters.
-pub fn route_faulty_recorded<S: PathSelector, R: Rng, REC: Recorder + ?Sized>(
+pub fn route_faulty_recorded<S: PathSelector, R: Rng + Clone, REC: Recorder + ?Sized>(
     view: &FaultyView,
     pairs: &[(Node, Node)],
     selector: Option<&S>,
@@ -77,15 +83,30 @@ pub fn route_faulty_recorded<S: PathSelector, R: Rng, REC: Recorder + ?Sized>(
     let mut dropped_pairs: Vec<usize> = Vec::new();
     let mut retried = 0u64;
 
-    for (i, &(src, dst)) in pairs.iter().enumerate() {
-        if !view.is_node_up(src) || !view.is_node_up(dst) {
+    let up = |&(src, dst): &(Node, Node)| view.is_node_up(src) && view.is_node_up(dst);
+    let canonical: Vec<Option<Vec<Node>>> = match selector {
+        None => Vec::new(),
+        Some(s) => {
+            let live: Vec<(Node, Node)> = pairs.iter().copied().filter(up).collect();
+            let before = rng.clone();
+            match s.paths(view.base(), &live, rng) {
+                Ok(paths) => paths.into_iter().map(Some).collect(),
+                Err(_) => {
+                    *rng = before;
+                    live.iter().map(|&(src, dst)| s.path(view.base(), src, dst, rng).ok()).collect()
+                }
+            }
+        }
+    };
+    let mut canonical = canonical.into_iter();
+
+    for (i, pair) in pairs.iter().enumerate() {
+        let (src, dst) = *pair;
+        if !up(pair) {
             dropped_pairs.push(i);
             continue;
         }
-        let canonical: Option<Vec<Node>> = selector.and_then(|s| {
-            s.path(view.base(), src, dst, rng).ok().filter(|p| path_is_live(view, p))
-        });
-        let path = match canonical {
+        let path = match canonical.next().flatten().filter(|p| path_is_live(view, p)) {
             Some(p) => p,
             None => {
                 if selector.is_some() {

@@ -127,9 +127,9 @@ impl std::error::Error for CheckError {}
 ///   (hosts in `Q_S(i,t)` that generate `(P_i, t+1)`),
 /// * [`Trace::weight`]`(i, t)` = `q_{i,t} = |Q_S(i, t)|` (Definition 3.11).
 ///
-/// A periodic protocol's trace stores levels 1..=3 only: level `ℓ ≥ 4`
-/// is read as level 3 with every step `(ℓ − 3)·P` later, and level `T`
-/// as the first `last[i]` of those records (see [`check`]). `==` compares
+/// A periodic protocol's trace stores level 1 only: level `ℓ ≥ 2` is
+/// read as level 1 with every step `(ℓ − 1)·P` later, and level `T` as
+/// the first `last[i]` of those records (see [`check`]). `==` compares
 /// the custody as read, however it is stored.
 #[derive(Debug, Clone)]
 pub struct Trace {
@@ -141,12 +141,12 @@ pub struct Trace {
     pub host_m: usize,
     /// Host steps `T'`.
     pub host_steps: usize,
-    /// Levels stored: `T`, or 3 under a period.
+    /// Levels stored: `T`, or 1 under a period.
     levels: u32,
     /// Host steps per level under a period, else 0.
     period: u32,
-    /// Under a period, per guest node, how many of its level-3 holders
-    /// level `T` keeps (its generation part); else empty.
+    /// Under a period, per guest node, how many of its level-1 holders
+    /// level `T` keeps (its `B1`-generation part); else empty.
     last: Vec<usize>,
     /// Custody in CSR form: the holders of stored pebble `(i, t)`, `t ≥ 1`,
     /// at `k = i·levels + t − 1`, are
@@ -267,7 +267,7 @@ impl Trace {
     /// bounds by `m·T' = n·k·T` in Lemma 3.12.
     pub fn total_weight(&self) -> usize {
         let derived = if self.levels < self.guest_t {
-            // Levels 4..T−1 repeat level 3; level T keeps `last`.
+            // Levels 2..T−1 repeat level 1; level T keeps `last`.
             let middle = (self.guest_t - self.levels - 1) as usize;
             middle * self.level_weight(self.levels) + self.last.iter().sum::<usize>()
         } else {
@@ -299,7 +299,7 @@ impl Trace {
         let l = self.levels as usize;
         self.holder_offsets.windows(2).enumerate().flat_map(move |(k, w)| {
             // A node's last stored level is followed by its derived ones:
-            // level 3 again up to level T − 1, then level T's `last`.
+            // it again up to level T − 1, then level T's `last`.
             let derived = if (k + 1) % l == 0 { (self.guest_t - self.levels) as usize } else { 0 };
             let last = (derived > 0).then(|| self.last[k / l]);
             std::iter::repeat_n(w[1] - w[0], derived.max(1)).chain(last)
@@ -385,16 +385,16 @@ impl RepresentativeSet<'_> {
 /// step, then by ascending host.
 ///
 /// A protocol that repeats one plan period level after level, as the
-/// Theorem 2.1 engine emits it, is decided by replaying its first three
+/// Theorem 2.1 engine emits it, is decided by replaying its first two
 /// guest-step blocks and scanning the rest for exact level-shifted copies
 /// (see `periodic_form` in the source for the conditions and the argument).
 /// Tail steps of a protocol that stores its period once pass the scan by
 /// construction. Verdict and trace are the full replay's; the trace stores
-/// levels 1..=3 and reads every later level from level 3. Any other
-/// protocol is replayed in full, tail steps included.
+/// level 1 and reads every later level from it. Any other protocol is
+/// replayed in full, tail steps included.
 ///
 /// Memory: custody is one bitset of `m·n·L` bits, `L` the levels the
-/// replay can reach (3 under a period, else `min(T, T')`, at least 1). It
+/// replay can reach (1 under a period, else `min(T, T')`, at least 1). It
 /// reserves `m·n·L/8` bytes of zeroed address space and pages in only the
 /// 64 × 64 tiles in use. Past 2^34 bits the check returns
 /// [`CheckError::CustodyTooLarge`] before allocating anything.
@@ -414,8 +414,8 @@ pub fn check(guest: &Graph, host: &Graph, proto: &Protocol) -> Result<Trace, Che
 ///   (Lemma 3.13(2) bounds this by `384·n·k`);
 /// * histogram `pebble.holders_per_pebble` — `q_{i,t}` per pebble type;
 /// * counter `pebble.check.shifted_steps` — host steps accepted by the
-///   shift scan of a periodic protocol instead of replayed, 0 when the
-///   whole protocol was replayed.
+///   shift scan of a periodic protocol instead of replayed, `B3..BT`
+///   (`(T − 2)·P`), or 0 when the whole protocol was replayed.
 ///
 /// The span is closed on rejection too, so a trace containing a failed
 /// check still balances.
@@ -607,26 +607,40 @@ struct Period {
     period: usize,
 }
 
-/// The protocol's periodic form, if it has one. With `T ≥ 4`:
+/// The protocol's periodic form, if it has one. With `T ≥ 3`:
 ///
 /// * (a) `B1` is the leading run of steps whose ops are all
 ///   `Generate((·, 1))`;
 /// * (b) the remaining `T' − |B1|` steps split into `T − 1` blocks
-///   `B2..BT` of equal length `P ≥ 1`;
-/// * (c) in `B2` every `Send` carries a level-1 pebble and every
-///   `Generate` makes a level-2 pebble;
+///   `B2..BT` of equal length `P ≥ |B1|`, `P ≥ 1`;
+/// * (a′) `B2`'s last `|B1|` steps are `B1`'s, record for record and step
+///   for step, with every pebble one level later;
+/// * (c) `B2`'s other steps, its head, hold only `Send`s of level-1
+///   pebbles and `Recv`s;
 /// * (d) from step `|B1| + P` on, every step equals the step `P` earlier
-///   with each pebble one level later ([`Protocol::repeats_later`], which
-///   reads only stored steps when the protocol's tail has period `P`).
+///   with each pebble one level later.
 ///
-/// Then only `B_j`'s generations and `B_{j+1}`'s receipts acquire level-`j`
-/// pebbles, and every rule in `B_k` reads only level-`(k−1)` custody and
-/// the step's own pairing and host adjacency. So for `k ≥ 4`, `B_k`'s
-/// verdict and custody records are `B_{k−1}`'s shifted by one level and
-/// `P` steps, and replaying `B1·B2·B3` decides the whole protocol.
+/// (a′) and (d) say together that every step from `P` on is the step `P`
+/// earlier one level later: one [`Protocol::repeats_later`]`(P, P)`, which
+/// reads only stored steps when the protocol's tail has period `P` (on an
+/// engine protocol, `B2`'s last `|B1|` steps).
+///
+/// Then `B_j` generates level `j` only and sends level `j − 1` only, so
+/// level-`j` pebbles are acquired only by `B_j`'s generations and
+/// `B_{j+1}`'s receipts, and every rule in `B_k` reads only level-`(k−1)`
+/// custody and the step's own pairing and host adjacency. By (a′), `B2`'s
+/// generations are `B1`'s one level and `P` steps later (`B1`'s step `s`
+/// is `B2`'s step `P + s`), and by (d) `B3`'s receipts are `B2`'s one
+/// level and `P` steps later. So level-2 custody before each step of `B3`
+/// is level-1 custody before the matching step of `B2`, one level up, and
+/// the same holds for each later block and level. `B_k`'s verdict and
+/// custody records, `k ≥ 3`, are therefore `B2`'s moved `k − 2` levels
+/// and `(k − 2)·P` steps, and replaying `B1·B2` decides the whole
+/// protocol. `B_T`'s generations are `B1`'s, so the final pebbles are
+/// those `B1` generates.
 fn periodic_form(proto: &Protocol) -> Option<Period> {
     let t = proto.guest_t as usize;
-    if t < 4 {
+    if t < 3 {
         return None;
     }
     let b1 = (0..proto.host_steps())
@@ -634,22 +648,21 @@ fn periodic_form(proto: &Protocol) -> Option<Period> {
         .count();
     let rest = proto.host_steps() - b1;
     let period = rest / (t - 1);
-    if period == 0 || !rest.is_multiple_of(t - 1) {
+    if period == 0 || period < b1 || !rest.is_multiple_of(t - 1) {
         return None;
     }
-    let b2_ok = (b1..b1 + period).flat_map(|s| proto.step(s).records()).all(|r| match r.kind() {
-        GENERATE => r.pebble().t == 2,
+    let head_ok = (b1..period).flat_map(|s| proto.step(s).records()).all(|r| match r.kind() {
         SEND => r.pebble().t == 1,
-        _ => true,
+        kind => kind == RECV,
     });
-    (b2_ok && proto.repeats_later(b1 + period, period)).then_some(Period { b1, period })
+    (head_ok && proto.repeats_later(period, period)).then_some(Period { b1, period })
 }
 
 impl Period {
     /// Host steps accepted by the shift scan instead of replayed:
-    /// `B4..BT`.
+    /// `B3..BT`.
     fn shifted_steps(self, guest_t: u32) -> usize {
-        (guest_t as usize - 3) * self.period
+        (guest_t as usize - 2) * self.period
     }
 }
 
@@ -674,7 +687,7 @@ pub fn check_sizes(
 }
 
 /// Replay `proto` under every rule, except that with a [`Period`] only
-/// `B1·B2·B3` are replayed and the custody of levels 4..T is level 3's,
+/// `B1·B2` are replayed and the custody of levels 2..T is level 1's,
 /// shifted, read so by [`Trace`] (see [`periodic_form`] for why that is
 /// exact).
 fn replay(
@@ -684,18 +697,6 @@ fn replay(
     form: Option<Period>,
 ) -> Result<Trace, CheckError> {
     replay_with::<Custody>(guest, host, proto, form)
-}
-
-/// The `Generate` and the `Recv` records of host steps `steps`.
-fn kinds(proto: &Protocol, steps: std::ops::Range<usize>) -> (usize, usize) {
-    let mut count = (0, 0);
-    for s in steps {
-        for r in proto.step(s).stored().0 {
-            count.0 += usize::from(r.kind() == GENERATE);
-            count.1 += usize::from(r.kind() == RECV);
-        }
-    }
-    count
 }
 
 /// [`replay`] with custody kept in `H`.
@@ -709,15 +710,19 @@ fn replay_with<H: Holdings>(
     let t_max = proto.guest_t;
     let m = proto.host_m;
     check_sizes(guest, host, n, m)?;
-    // With a period: the first step of B3, and the steps replayed.
-    let b3 = form.map(|f| f.b1 + f.period);
-    let replayed = form.map_or(proto.host_steps(), |f| f.b1 + 2 * f.period);
+    // The steps replayed, and the steps whose effects are applied: under a
+    // period, `B2`'s last |B1| steps generate level 2, which is level 1
+    // read later, so their rules are checked and their effects dropped.
+    let (replayed, applied) = match form {
+        Some(f) => (f.b1 + f.period, f.period),
+        None => (proto.host_steps(), proto.host_steps()),
+    };
     // A level-`t` pebble is first held after host step `t`, so the replay
-    // can reach no level past its step count; under a period B1·B2·B3
-    // reach level 3. Custody keeps level 1 also for T = 0, where level-0
+    // can reach no level past its step count; under a period it acquires
+    // level 1 only. Custody keeps level 1 also for T = 0, where level-0
     // pebbles read its words.
     let levels = match form {
-        Some(_) => 3,
+        Some(_) => 1,
         None => t_max.min(u32::try_from(replayed).unwrap_or(u32::MAX)),
     };
     let mut custody = H::new(n, m, levels.max(1))?;
@@ -728,19 +733,24 @@ fn replay_with<H: Holdings>(
     };
     // (pebble, (host, step)) per first acquisition, and (pebble, host) per
     // generation, in replay order. Only generations and receipts acquire,
-    // each at most once, and under a period B4's receipts copy at most one
-    // per B3 receipt, half of the replayed ones (B1 has none, B3 repeats
-    // B2). So the replayed records bound both logs, which are sized once.
+    // each at most once, so both logs are sized once. Under a period the
+    // applied generations are B1's records and the receipts half of B2's
+    // head, which holds sends and receives only.
     let (generations, receipts) = match form {
         None => {
             let (generations, _, receipts, _) = proto.op_histogram();
             (generations, receipts)
         }
-        Some(_) => kinds(proto, 0..replayed),
+        Some(f) => {
+            let ops = |steps: std::ops::Range<usize>| -> usize {
+                steps.map(|s| proto.step(s).len()).sum()
+            };
+            (ops(0..f.b1), ops(f.b1..f.period) / 2)
+        }
     };
-    let b3_receipts = if form.is_some() { receipts / 2 } else { 0 };
-    let mut acquired: Vec<(Pebble, (Node, u32))> =
-        Vec::with_capacity(generations + receipts + b3_receipts);
+    // One slot more: a send's level-0 receipt is pushed before it is
+    // dropped again.
+    let mut acquired: Vec<(Pebble, (Node, u32))> = Vec::with_capacity(generations + receipts + 1);
     let mut generated: Vec<(Pebble, Node)> = Vec::with_capacity(generations);
     // The current step's records by host (all-zero when idle), to pair
     // sends with receives. The replay reads records, not decoded `Op`s.
@@ -750,14 +760,9 @@ fn replay_with<H: Holdings>(
     let mut row = vec![OpRecord::default(); m];
     // A tail step's records as read, one level up per period.
     let mut lifted: Vec<OpRecord> = Vec::new();
-    // Where B3's acquisitions start in their log.
-    let mut b3_log = 0;
 
     for step0 in 0..replayed {
         let step = step0 as u32 + 1; // 1-based host time
-        if Some(step0) == b3 {
-            b3_log = acquired.len();
-        }
         let records = match proto.step(step0).stored() {
             (stored, 0) => stored,
             (stored, shift) => {
@@ -850,7 +855,8 @@ fn replay_with<H: Holdings>(
             }
         }
         // Phase 2: apply effects (pebbles become available *after* the step).
-        for &r in records {
+        let effects = if step0 < applied { records } else { &[] };
+        for &r in effects {
             let q = r.host();
             let got = if r.kind() == GENERATE {
                 generated.push((r.pebble(), q));
@@ -873,11 +879,11 @@ fn replay_with<H: Holdings>(
 
     // Final-pebble condition (vacuous for T = 0: the finals are initial),
     // decided from the log before any per-pebble array is allocated. Under
-    // a period, B_T's generations are B3's, three levels up.
-    let final_level = if form.is_some() { 3 } else { t_max };
+    // a period, B_T's generations are B1's, T − 1 levels up.
+    let stored = if form.is_some() { 1 } else { t_max };
     let mut has_final = vec![t_max == 0; n];
     for &(p, _) in &generated {
-        if p.t == final_level {
+        if p.t == stored {
             has_final[p.node as usize] = true;
         }
     }
@@ -885,23 +891,16 @@ fn replay_with<H: Holdings>(
         return Err(CheckError::MissingFinalPebble { node: node as Node });
     }
 
-    // Under a period B3 acquired level 3 by generation and level 2 by
-    // receipt; B4's receipts, level 3's second part, are B3's a level and
-    // `P` steps later. Level T keeps each node's generation part, and
-    // levels 4..T are read from level 3 (see `Trace`).
+    // Under a period level 1 holds B1's generations, then B2's receipts;
+    // level T keeps each node's generation part, and levels 2..T are read
+    // from level 1 (see `Trace`).
     let mut last = Vec::new();
     if let Some(f) = form {
         last = vec![0; n];
-        for k in b3_log..acquired.len() {
-            let (p, (q, step)) = acquired[k];
-            if p.t == 2 {
-                acquired.push((Pebble::new(p.node, 3), (q, step + f.period as u32)));
-            } else {
-                last[p.node as usize] += 1;
-            }
+        for (p, _) in acquired.iter().take_while(|(_, (_, step))| *step as usize <= f.b1) {
+            last[p.node as usize] += 1;
         }
     }
-    let stored = if form.is_some() { 3 } else { t_max };
     let (generator_offsets, generator_hosts) = group(n, stored, &generated);
     let (holder_offsets, Holders { hosts: holder_hosts, steps: holder_steps }) =
         group(n, stored, &acquired);
@@ -1221,21 +1220,26 @@ mod tests {
     }
 
     #[test]
-    fn periodic_protocol_replays_three_blocks() {
+    fn periodic_protocol_replays_two_blocks() {
         let proto = protocol(3, 6, 2, &triangle(6));
         let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
         assert_eq!(periodic_form(&proto), Some(Period { b1: 2, period: 5 }));
-        assert_eq!(shifted, 3 * 5, "B4..B6 accepted by the scan");
+        assert_eq!(shifted, 4 * 5, "B3..B6 accepted by the scan");
         let trace = got.expect("valid");
         assert_eq!(Ok(trace.clone()), full);
         // Host 1 received (1, 5) in B6's second step: 1-based step 2 + 4·5 + 2.
         assert_eq!(trace.acquisition_step(1, Pebble::new(1, 5)), Some(24));
         assert_eq!(trace.generated_by(2, 6), &[1]);
+        // T = 3 is the shortest periodic run: B3 alone is scanned.
+        let proto = protocol(3, 3, 2, &triangle(3));
+        let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
+        assert!(got.is_ok());
+        assert_eq!((got, shifted), (full, 5));
     }
 
     #[test]
     fn short_runs_replay_in_full() {
-        for t in 1..=3 {
+        for t in 1..=2 {
             let proto = protocol(3, t, 2, &triangle(t));
             let (got, full, shifted) = verdicts(&ring(3), &complete(2), &proto);
             assert!(got.is_ok(), "T = {t}");
@@ -1364,24 +1368,24 @@ mod tests {
         );
     }
 
-    /// A random valid protocol, in periodic form when `t_max ≥ 4`, built
+    /// A random valid protocol, in periodic form when `t_max ≥ 3`, built
     /// the way the engine builds one: guest `n` nodes with random edges
     /// (each with chance 0.4, or 3/n past 7 nodes), host `complete(m)`,
     /// every guest generated by one or more random hosts (some twice).
     /// `B1` generates level 1; `B2` moves level-1 pebbles to every host
     /// that needs them, with random redundant copies and relays, then
-    /// generates level 2; `B3..BT` are `repeat_later` copies of the block
-    /// before, so `B4..BT` form the protocol's tail.
+    /// generates level 2 in `B1`'s layout; `B3..BT` are `repeat_later`
+    /// copies of the block before, which form the protocol's tail.
     fn random_periodic(seed: u64, n: usize, m: usize, t_max: u32) -> (Graph, Graph, Protocol) {
-        let copies = Copies { tail_blocks: usize::MAX, split: 0, level0_send: false, cut: false };
+        let copies = Copies { tail_blocks: usize::MAX, ..Copies::default() };
         random_blocks(seed, n, m, t_max, copies)
     }
 
     /// How [`random_blocks`] lays out `B2` and copies `B3..BT`.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, Default)]
     struct Copies {
         /// Blocks at the end left in the protocol's tail; every earlier
-        /// copy is stored (`usize::MAX`: as the builder chooses, `B4..BT`).
+        /// copy is stored (`usize::MAX`: as the builder chooses, `B3..BT`).
         tail_blocks: usize,
         /// Copy each block in two `repeat_later` calls split this many
         /// steps in (mod the period; 0 is one call), as the engine copies a
@@ -1392,9 +1396,16 @@ mod tests {
         level0_send: bool,
         /// End after the first of the last block's two calls.
         cut: bool,
+        /// Change one op of `B1` but not `B2`'s computation phase, which
+        /// breaks condition (a′): 1 moves a generation to another host
+        /// (swapping with that host's), 2 generates another guest, 3 one
+        /// level up, 4 adds a redundant generation (in a step of its own
+        /// when every host is busy); 0 changes nothing.
+        break_b1: u8,
     }
 
-    /// [`random_periodic`] laid out by `copies`.
+    /// [`random_periodic`] laid out by `copies`. `B2`'s computation phase
+    /// repeats `B1`'s layout a level later, as the engine's does.
     fn random_blocks(
         seed: u64,
         n: usize,
@@ -1421,27 +1432,57 @@ mod tests {
                 gens.push((rng.gen_range(0..m as Node), u));
             }
         }
-        // Lay `gens` out at `level`, each host at most once per step;
-        // returns the steps taken.
-        let generate = |b: &mut ProtocolBuilder, rng: &mut rand::rngs::StdRng, level| {
-            let mut left = gens.clone();
-            left.shuffle(rng);
-            let mut steps = 0;
-            while !left.is_empty() {
-                left.retain(|&(q, u)| {
-                    if !b.is_free(q) {
-                        return true;
-                    }
-                    b.set_op(q, Op::Generate(Pebble::new(u, level)));
-                    false
-                });
+        // One computation phase: `gens` in a random order, laid out as
+        // (host, guest, 0) steps, each host at most once per step.
+        let mut left = gens.clone();
+        left.shuffle(&mut rng);
+        let mut layout: Vec<Vec<(Node, Node, u32)>> = Vec::new();
+        while !left.is_empty() {
+            let mut step: Vec<(Node, Node, u32)> = Vec::new();
+            left.retain(|&(q, u)| {
+                if step.iter().any(|&(h, ..)| h == q) {
+                    return true;
+                }
+                step.push((q, u, 0));
+                false
+            });
+            layout.push(step);
+        }
+        // Emit `layout`, each `(q, u, up)` generating `(u, level + up)`.
+        let generate = |b: &mut ProtocolBuilder, layout: &[Vec<(Node, Node, u32)>], level| {
+            for step in layout {
+                for &(q, u, up) in step {
+                    b.set_op(q, Op::Generate(Pebble::new(u, level + up)));
+                }
                 b.end_step();
-                steps += 1;
             }
-            steps
+            layout.len()
         };
+        let mut first = layout.clone();
+        if copies.break_b1 > 0 {
+            // Drawn apart, so that the rest is laid out as without it.
+            let mut rng = unet_topology::util::seeded_rng(seed ^ 0xb1);
+            let k = rng.gen_range(0..first.len());
+            let j = rng.gen_range(0..first[k].len());
+            let (q, u, _) = first[k][j];
+            let other = (q + rng.gen_range(1..m as Node)) % m as Node;
+            match copies.break_b1 {
+                1 => {
+                    if let Some(at) = first[k].iter().position(|&(h, ..)| h == other) {
+                        first[k][at].0 = q;
+                    }
+                    first[k][j].0 = other;
+                }
+                2 => first[k][j].1 = (u + 1) % n as Node,
+                3 => first[k][j].2 = 1,
+                _ => match (0..m as Node).find(|&h| first[k].iter().all(|&(g, ..)| g != h)) {
+                    Some(free) => first[k].push((free, rng.gen_range(0..n as Node), 0)),
+                    None => first.push(vec![(q, u, 0)]),
+                },
+            }
+        }
         let mut b = ProtocolBuilder::new(n, t_max, m);
-        let b1 = generate(&mut b, &mut rng, 1);
+        let b1 = generate(&mut b, &first, 1);
         if t_max == 1 {
             return (guest, complete(m), b.finish());
         }
@@ -1499,7 +1540,7 @@ mod tests {
                 held[to as usize][v as usize] = true;
             }
         }
-        period += generate(&mut b, &mut rng, 2);
+        period += generate(&mut b, &layout, 2);
         let split = copies.split % period;
         for k in 0..t_max as usize - 2 {
             let at = b1 + k * period;
@@ -1520,14 +1561,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// On valid periodic protocols the trace with levels 4..T copied
-        /// from level 3 equals the full replay's, array for array.
+        /// On valid periodic protocols the trace with levels 2..T copied
+        /// from level 1 equals the full replay's, array for array.
         #[test]
         fn level_copied_trace_equals_full_replay(
             seed in 0u64..1 << 40,
             n in 2usize..7,
             m in 2usize..5,
-            t_max in 4u32..9,
+            t_max in 3u32..9,
         ) {
             let (guest, host, proto) = random_periodic(seed, n, m, t_max);
             let form = periodic_form(&proto);
@@ -1537,7 +1578,7 @@ mod tests {
             prop_assert_eq!(replay(&guest, &host, &proto, form), full.clone());
             let (got, full, shifted) = verdicts(&guest, &host, &proto);
             prop_assert_eq!(got, full);
-            prop_assert_eq!(shifted, (t_max as u64 - 3) * form.unwrap().period as u64);
+            prop_assert_eq!(shifted, (t_max as u64 - 2) * form.unwrap().period as u64);
         }
     }
 
@@ -1583,14 +1624,14 @@ mod tests {
             cut in any::<bool>(),
             push_after in any::<bool>(),
         ) {
-            let copies = Copies { tail_blocks, split, level0_send, cut };
+            let copies = Copies { tail_blocks, split, level0_send, cut, break_b1: 0 };
             let (guest, host, mut tail) = random_blocks(seed, n, m, t_max, copies);
             let stored_copies = Copies { tail_blocks: 0, ..copies };
             let (_, _, mut stored) = random_blocks(seed, n, m, t_max, stored_copies);
             // A tail step reads its stored step one or more levels later.
             let tail_steps =
                 |p: &Protocol| (0..p.host_steps()).filter(|&s| p.step(s).stored().1 > 0).count();
-            let blocks = if t_max >= 4 { tail_blocks.min(t_max as usize - 3) } else { 0 };
+            let blocks = if t_max >= 3 { tail_blocks.min(t_max as usize - 2) } else { 0 };
             prop_assert_eq!(tail_steps(&tail) > 0, blocks > 0);
             prop_assert_eq!(tail_steps(&stored), 0);
             if push_after {
@@ -1652,6 +1693,110 @@ mod tests {
                     prop_assert_eq!(got, want.histogram_data(name), "{}", name);
                 }
             }
+        }
+    }
+
+    /// Every accessor of `got` answers as `want`'s does, for every pebble
+    /// type, level and host.
+    fn same_accessors(got: &Trace, want: &Trace) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.total_weight(), want.total_weight());
+        for t in 0..=want.guest_t {
+            prop_assert_eq!(got.level_weight(t), want.level_weight(t), "level {}", t);
+            for q in 0..want.host_m as Node {
+                prop_assert_eq!(got.guests_on_host(q, t), want.guests_on_host(q, t));
+            }
+            for i in 0..want.guest_n as Node {
+                prop_assert_eq!(got.representatives(i, t), want.representatives(i, t));
+                prop_assert_eq!(got.weight(i, t), want.weight(i, t));
+                if t < want.guest_t {
+                    prop_assert_eq!(got.generators(i, t), want.generators(i, t));
+                    prop_assert_eq!(
+                        got.earliest_generating_hold(i, t),
+                        want.earliest_generating_hold(i, t)
+                    );
+                }
+                if t >= 1 {
+                    prop_assert_eq!(got.generated_by(i, t), want.generated_by(i, t));
+                    prop_assert!(got.acquisitions(i, t).eq(want.acquisitions(i, t)));
+                }
+                for q in 0..want.host_m as Node {
+                    let p = Pebble::new(i, t);
+                    prop_assert_eq!(got.acquisition_step(q, p), want.acquisition_step(q, p));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The two-block check equals the full replay: on random protocols
+        /// with (a′) holding, and with (a′) broken by one `B1` op (its
+        /// host, node or level, or an extra op), blocks copied whole or in
+        /// two calls, the last 0–3 in the tail. Verdict, `Trace` (`==` and
+        /// every accessor) and the recorded counters and histograms are
+        /// the full replay's, and the shift scan takes `B3..BT`,
+        /// `(T − 2)·P` steps, exactly when (a′) holds.
+        #[test]
+        fn two_block_period_equals_full_replay(
+            seed in 0u64..1 << 40,
+            n in 2usize..7,
+            m in 2usize..5,
+            t_max in 1u32..=8,
+            tail_blocks in 0usize..=3,
+            split in 0usize..64,
+            break_b1 in 0u8..5,
+        ) {
+            let copies = Copies { tail_blocks, split, break_b1, ..Copies::default() };
+            let (guest, host, proto) = random_blocks(seed, n, m, t_max, copies);
+            let (_, _, kept) = random_blocks(seed, n, m, t_max, Copies { break_b1: 0, ..copies });
+            let full = replay(&guest, &host, &proto, None);
+            prop_assert!(break_b1 > 0 || full.is_ok(), "invalid: {:?}", full);
+            let (got, counters, histograms) = recorded(&guest, &host, &proto);
+            prop_assert_eq!(&got, &full);
+            if let (Ok(got), Ok(full)) = (&got, &full) {
+                same_accessors(got, full)?;
+            }
+
+            let form = periodic_form(&proto);
+            let shifted = counters
+                .iter()
+                .find(|(name, _)| *name == "pebble.check.shifted_steps")
+                .map(|&(_, v)| v);
+            let want_shifted = match form {
+                Some(f) => (t_max as u64 - 2) * f.period as u64,
+                None => 0,
+            };
+            prop_assert_eq!(shifted, Some(want_shifted));
+            if t_max >= 3 && break_b1 == 0 {
+                prop_assert!(form.is_some(), "not periodic: {:?}", proto);
+            }
+            if proto != kept {
+                prop_assert_eq!(form, None, "(a′) is broken");
+            }
+
+            // The counters and histograms as the full replay gives them.
+            let mut want = unet_obs::InMemoryRecorder::new();
+            want.counter("pebble.check.shifted_steps", want_shifted);
+            let (generate, send, recv, idle) = proto.op_histogram();
+            want.counter("pebble.ops.idle", idle as u64);
+            want.counter("pebble.ops.generate", generate as u64);
+            want.counter("pebble.ops.send", send as u64);
+            want.counter("pebble.ops.recv", recv as u64);
+            if let Ok(full) = &full {
+                want.counter("pebble.acquisitions", full.total_weight() as u64);
+                for t in 1..=t_max {
+                    want.histogram("pebble.level_weight", full.level_weight(t) as u64);
+                }
+                for (i, t) in full.pebbles() {
+                    want.histogram("pebble.holders_per_pebble", full.weight(i, t) as u64);
+                }
+            }
+            prop_assert_eq!(counters, want.counters().collect::<Vec<_>>());
+            let want_histograms: Vec<_> =
+                want.histograms().map(|(name, h)| (name, h.clone())).collect();
+            prop_assert_eq!(histograms, want_histograms);
         }
     }
 
@@ -1803,7 +1948,7 @@ mod tests {
                 proto.push_step(&again);
             }
             prop_assert!(check(&guest, &host, &proto).is_ok(), "invalid: {:?}", proto);
-            prop_assert_eq!(periodic_form(&proto).is_some(), t_max >= 4 && !ragged);
+            prop_assert_eq!(periodic_form(&proto).is_some(), t_max >= 3 && !ragged);
             let (pos, field) = mutation;
             for proto in [proto.clone(), mutated(&proto, pos, field)] {
                 let reference = replay_with::<HashCustody>(&guest, &host, &proto, None);

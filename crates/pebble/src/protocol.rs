@@ -356,6 +356,11 @@ impl Protocol {
         self.ends.len() + self.tail.len
     }
 
+    /// Host steps stored; the other `T' − stored_steps()` are the tail.
+    pub fn stored_steps(&self) -> usize {
+        self.ends.len()
+    }
+
     /// Offset in the op list where stored step `τ ≤ S` starts.
     #[inline]
     fn start(&self, tau: usize) -> usize {
@@ -577,20 +582,22 @@ impl PartialEq for Protocol {
 impl Eq for Protocol {}
 
 /// Mutable builder used by the simulators: collects the current step's ops
-/// in one `m`-slot scratch row and appends the touched hosts, in ascending
-/// order, to the [`Protocol`] at every [`ProtocolBuilder::end_step`].
+/// in one `m`-slot scratch row, marks their hosts in a busy-host bitset,
+/// and appends them, in ascending host order, to the [`Protocol`] at every
+/// [`ProtocolBuilder::end_step`].
 #[derive(Debug)]
 pub struct ProtocolBuilder {
     proto: Protocol,
     /// Records queued for the *current* host step, one slot per host
     /// (all-zero when idle).
     current: Vec<OpRecord>,
-    /// Hosts given a non-idle op in the current step.
-    touched: Vec<Node>,
+    /// Hosts given a non-idle op in the current step: bit `q % 64` of word
+    /// `q / 64`.
+    busy: Vec<u64>,
+    /// The words of `busy` that are not zero, in the order they were first
+    /// set.
+    words: Vec<u32>,
     dirty: bool,
-    /// The last run of [`ProtocolBuilder::repeat_later`] copies: their
-    /// distance from their source and the steps they cover.
-    copies: (usize, std::ops::Range<usize>),
 }
 
 impl ProtocolBuilder {
@@ -602,9 +609,9 @@ impl ProtocolBuilder {
         ProtocolBuilder {
             proto: Protocol::new(guest_n, guest_t, host_m),
             current: vec![OpRecord::default(); host_m],
-            touched: Vec::new(),
+            busy: vec![0; host_m.div_ceil(64)],
+            words: Vec::new(),
             dirty: false,
-            copies: (0, 0..0),
         }
     }
 
@@ -613,18 +620,32 @@ impl ProtocolBuilder {
         self.proto.host_m
     }
 
+    /// Queue host `q`'s record `rec` for the current step, marking `q`
+    /// busy unless `rec` is idle.
+    ///
+    /// # Panics
+    /// Panics if `q` already has a non-idle op this step.
+    #[inline]
+    fn put(&mut self, q: Node, rec: OpRecord) {
+        let slot = &mut self.current[q as usize];
+        assert!(slot.is_idle(), "host {q} already has an op this step: {:?}", slot.op());
+        *slot = rec;
+        if !rec.is_idle() {
+            let (w, bit) = (q as usize / 64, 1u64 << (q % 64));
+            if self.busy[w] == 0 {
+                self.words.push(w as u32);
+            }
+            self.busy[w] |= bit;
+        }
+    }
+
     /// Set host `q`'s op for the current step.
     ///
     /// # Panics
     /// Panics if `q` already has a non-idle op this step (the model allows
     /// one operation per processor per step).
     pub fn set_op(&mut self, q: Node, op: Op) {
-        let slot = &mut self.current[q as usize];
-        assert!(slot.is_idle(), "host {q} already has an op this step: {:?}", slot.op());
-        *slot = OpRecord::new(q, op);
-        if !slot.is_idle() {
-            self.touched.push(q);
-        }
+        self.put(q, OpRecord::new(q, op));
         self.dirty = true;
     }
 
@@ -633,15 +654,31 @@ impl ProtocolBuilder {
         self.current[q as usize].is_idle()
     }
 
+    /// Make room for `records` more non-idle ops over `steps` more steps.
+    pub fn reserve(&mut self, records: usize, steps: usize) {
+        self.proto.ops.reserve(records);
+        self.proto.ends.reserve(steps);
+    }
+
     /// Close the current host step (even if fully idle) and start a new one.
-    /// After a tail, the tail is stored first.
+    /// The step's records are appended by walking the busy-host bitset, word
+    /// by word in ascending order, so no host list is sorted. After a tail,
+    /// the tail is stored first.
     pub fn end_step(&mut self) {
         self.proto.materialize();
-        self.touched.sort_unstable();
-        for &q in &self.touched {
-            self.proto.push(std::mem::take(&mut self.current[q as usize]));
+        // Usually one or two words; sorting them is far cheaper than
+        // sorting the hosts.
+        self.words.sort_unstable();
+        for &w in &self.words {
+            let w = w as usize;
+            let mut bits = std::mem::take(&mut self.busy[w]);
+            while bits != 0 {
+                let q = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.proto.push(std::mem::take(&mut self.current[q]));
+            }
         }
-        self.touched.clear();
+        self.words.clear();
         self.proto.ends.push(self.proto.ops.len());
         self.dirty = false;
     }
@@ -649,11 +686,13 @@ impl ProtocolBuilder {
     /// Append copies of the closed steps `steps`, the same hosts, op kinds
     /// and partners, with every pebble generated or sent one level later.
     ///
-    /// A copy whose source steps are themselves the last copies, at the
-    /// same distance, continues a period: its steps go to the protocol's
-    /// tail and cost nothing. Any other copy is stored, step by step, as a
-    /// tail is stored. So an engine that copies each block from the one
-    /// before stores the first copy and no later one.
+    /// A copy at distance `d` (its first step `d` steps before the end)
+    /// appended at step `len` reads step `len − d` one level later, which
+    /// is exactly a tail step of period `d`. So the copy goes to the
+    /// protocol's tail and costs nothing when the tail has period `d` or
+    /// there is no tail yet; a copy at another distance stores the current
+    /// tail first and starts a new one. An engine that copies each block
+    /// from the one before stores no copy at all.
     ///
     /// # Panics
     /// Panics if the current step holds ops or `steps` reaches past the
@@ -663,23 +702,15 @@ impl ProtocolBuilder {
         let p = &mut self.proto;
         let len = p.host_steps();
         assert!(steps.start <= steps.end && steps.end <= len, "copy only closed steps");
+        if steps.is_empty() {
+            return;
+        }
         let distance = len - steps.start;
-        let (last, ref run) = self.copies;
-        let continues = last == distance && run.end == len;
-        // The copy is tail steps of period `distance`, kept when they
-        // continue a period and stored at once otherwise.
-        let keep = continues && run.start <= steps.start;
-        if !(p.tail.len > 0 && p.tail.period == distance) {
+        if p.tail.period != distance {
             p.materialize();
-            let bits = if keep { p.window_bits(distance) } else { Vec::new() };
-            p.tail = Tail { period: distance, len: 0, bits };
+            p.tail = Tail { period: distance, len: 0, bits: p.window_bits(distance) };
         }
         p.tail.len += steps.len();
-        if !keep {
-            p.materialize();
-        }
-        let first = if continues { run.start } else { len };
-        self.copies = (distance, first..len + steps.len());
     }
 
     /// Convenience: schedule a paired send/recv in the current step.
@@ -687,8 +718,9 @@ impl ProtocolBuilder {
     /// # Panics
     /// Panics if either endpoint is busy.
     pub fn transfer(&mut self, from: Node, to: Node, pebble: Pebble) {
-        self.set_op(from, Op::Send { pebble, to });
-        self.set_op(to, Op::Recv { from });
+        self.put(from, OpRecord::new(from, Op::Send { pebble, to }));
+        self.put(to, OpRecord::new(to, Op::Recv { from }));
+        self.dirty = true;
     }
 
     /// Store the protocol's tail now; later copies may start a new one.
@@ -1052,6 +1084,120 @@ mod tests {
                 prop_assert_eq!(proto.op_histogram(), want);
             }
         }
+    }
+
+    /// The sort-based step builder the busy-host bitset replaced, kept as
+    /// its reference: a step's hosts are listed as they are given ops and
+    /// sorted at [`SortBuilder::end_step`].
+    struct SortBuilder {
+        proto: Protocol,
+        current: Vec<OpRecord>,
+        touched: Vec<Node>,
+    }
+
+    impl SortBuilder {
+        fn new(guest_n: usize, guest_t: u32, host_m: usize) -> Self {
+            let proto = Protocol::new(guest_n, guest_t, host_m);
+            SortBuilder { proto, current: vec![OpRecord::default(); host_m], touched: Vec::new() }
+        }
+
+        fn set_op(&mut self, q: Node, op: Op) {
+            let slot = &mut self.current[q as usize];
+            assert!(slot.is_idle(), "host {q} already has an op this step: {:?}", slot.op());
+            *slot = OpRecord::new(q, op);
+            if !slot.is_idle() {
+                self.touched.push(q);
+            }
+        }
+
+        fn end_step(&mut self) {
+            self.touched.sort_unstable();
+            for &q in &self.touched {
+                self.proto.push(std::mem::take(&mut self.current[q as usize]));
+            }
+            self.touched.clear();
+            self.proto.ends.push(self.proto.ops.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The bitset `end_step` stores every step's records as the sort
+        /// reference does, record for record, for hosts spanning several
+        /// 64-host words and ops given by `set_op` (`Idle` included) and
+        /// `transfer` in any order; a step left open is flushed by
+        /// `finish`.
+        #[test]
+        fn end_step_orders_hosts_like_the_sort(
+            m in 1usize..300,
+            steps in prop::collection::vec(
+                prop::collection::vec((0u8..4, any::<u32>(), any::<u32>(), 0u32..9), 0..48),
+                0..6,
+            ),
+            open in any::<bool>(),
+        ) {
+            let mut b = ProtocolBuilder::new(7, 8, m);
+            let mut reference = SortBuilder::new(7, 8, m);
+            let last = steps.len();
+            for (k, actions) in steps.iter().enumerate() {
+                for &(kind, x, y, t) in actions {
+                    let (q, r) = (x % m as Node, y % m as Node);
+                    let pebble = Pebble::new(y % 7, t);
+                    if !b.is_free(q) {
+                        continue;
+                    }
+                    match kind {
+                        0 => {
+                            b.set_op(q, Op::Generate(pebble));
+                            reference.set_op(q, Op::Generate(pebble));
+                        }
+                        1 => {
+                            b.set_op(q, Op::Idle);
+                            reference.set_op(q, Op::Idle);
+                        }
+                        2 => {
+                            b.set_op(q, Op::Recv { from: r });
+                            reference.set_op(q, Op::Recv { from: r });
+                        }
+                        _ if q != r && b.is_free(r) => {
+                            b.transfer(q, r, pebble);
+                            reference.set_op(q, Op::Send { pebble, to: r });
+                            reference.set_op(r, Op::Recv { from: q });
+                        }
+                        _ => {}
+                    }
+                }
+                if !(open && k + 1 == last) {
+                    b.end_step();
+                    reference.end_step();
+                }
+            }
+            let dirty = b.dirty;
+            let built = b.finish();
+            if dirty {
+                reference.end_step();
+            }
+            let reference = reference.proto;
+            prop_assert_eq!(&built.ends, &reference.ends);
+            prop_assert_eq!(&built.ops, &reference.ops);
+            prop_assert_eq!(built.kind_bits, reference.kind_bits);
+            prop_assert_eq!(to_text(&built), to_text(&reference));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "host 3 already has an op")]
+    fn transfer_rejects_a_busy_host() {
+        let mut b = ProtocolBuilder::new(2, 1, 5);
+        b.set_op(3, Op::Generate(Pebble::new(0, 1)));
+        b.transfer(1, 3, Pebble::new(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "host 2 already has an op")]
+    fn transfer_to_itself_is_rejected() {
+        ProtocolBuilder::new(2, 1, 5).transfer(2, 2, Pebble::new(1, 0));
     }
 
     proptest! {

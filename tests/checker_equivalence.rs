@@ -4,7 +4,9 @@
 //! verdict: the same `CheckError` (variant and fields), or on acceptance
 //! the same custody record for every pebble. The second property puts the
 //! replaced op in the guest-step blocks the checker's shift scan covers;
-//! the third changes one field of one op there.
+//! the third changes one field of one op there, and the fourth one field
+//! of one op in the blocks the periodic form compares, `B1` and `B2`'s
+//! computation phase.
 
 use proptest::prelude::*;
 use universal_networks::core::prelude::*;
@@ -269,7 +271,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Engine-built protocols with T ∈ 4..=8, unmutated or with one op
-    /// replaced in guest-step block 4 or later (block 1 is the first
+    /// replaced in guest-step block 3 or later (block 1 is the first
     /// computation phase, every later block one communication and one
     /// computation phase). The checker's `Result` equals the reference's;
     /// an unmutated protocol is decided partly by the shift scan.
@@ -300,7 +302,7 @@ proptest! {
         let valid = run.protocol;
         let b1 = run.compute_steps / steps as usize;
         let period = (valid.host_steps() - b1) / (steps as usize - 1);
-        let late = b1 + 2 * period;
+        let late = b1 + period;
         let (pos, kind, a, b) = mutation;
         let row = late + pos % (valid.host_steps() - late);
         let q = ((pos / valid.host_steps()) % m) as Node;
@@ -322,7 +324,7 @@ proptest! {
             prop_assert!(got.is_ok());
             prop_assert_eq!(
                 rec.counter_value("pebble.check.shifted_steps"),
-                (steps as u64 - 3) * period as u64
+                (steps as u64 - 2) * period as u64
             );
         }
         same_verdict(&guest, &host, &proto)?;
@@ -333,10 +335,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Engine-built protocols with T ∈ 4..=8 and one field of one busy op
-    /// in guest-step block 4 or later changed: its level up or down by
-    /// one, its guest node, its partner, its host (swapped with the next
-    /// host's op), or a Send turned into a Recv from its destination and
-    /// back. Such a protocol is no longer an exact shifted copy, and the
+    /// in guest-step block 3 or later changed (see [`field_mutated`]).
+    /// Such a protocol is no longer an exact shifted copy, and the
     /// checker's `Result` must equal the reference's.
     #[test]
     fn late_block_field_mutations_match_reference(
@@ -365,46 +365,124 @@ proptest! {
         let valid = run.protocol;
         let b1 = run.compute_steps / steps as usize;
         let period = (valid.host_steps() - b1) / (steps as usize - 1);
-        let late = b1 + 2 * period;
+        let late = b1 + period;
         let (pos, pick, field) = mutation;
         let row = late + pos % (valid.host_steps() - late);
-        let busy: Vec<(Node, Op)> = valid.step(row).iter().collect();
-        prop_assume!(!busy.is_empty());
-        let (q, op) = busy[pick % busy.len()];
-        let level = |p: Pebble, t: u32| Pebble::new(p.node, t);
-        let other = |p: Pebble| Pebble::new((p.node + 1) % n as u32, p.t);
-        let mut dense = dense_row(&valid, row);
-        match (field, op) {
-            (0 | 1, Op::Generate(p)) => {
-                let t = if field == 0 { p.t + 1 } else { p.t.wrapping_sub(1) };
-                dense[q as usize] = Op::Generate(level(p, t));
-            }
-            (0 | 1, Op::Send { pebble, to }) => {
-                let t = if field == 0 { pebble.t + 1 } else { pebble.t.wrapping_sub(1) };
-                dense[q as usize] = Op::Send { pebble: level(pebble, t), to };
-            }
-            (2, Op::Generate(p)) => dense[q as usize] = Op::Generate(other(p)),
-            (2, Op::Send { pebble, to }) => {
-                dense[q as usize] = Op::Send { pebble: other(pebble), to };
-            }
-            (3, Op::Send { pebble, to }) => {
-                dense[q as usize] = Op::Send { pebble, to: (to + 1) % m as Node };
-            }
-            (3, Op::Recv { from }) => dense[q as usize] = Op::Recv { from: (from + 1) % m as Node },
-            (4, _) => dense.swap(q as usize, (q as usize + 1) % m),
-            (5, Op::Send { to, .. }) => dense[q as usize] = Op::Recv { from: to },
-            (5, Op::Recv { from }) => {
-                let pebble = match dense[from as usize] {
-                    Op::Send { pebble, .. } => pebble,
-                    _ => Pebble::new(0, steps - 1),
-                };
-                dense[q as usize] = Op::Send { pebble, to: from };
-            }
-            // The field does not apply to the op's kind.
-            _ => prop_assume!(false),
-        }
+        let dense = field_mutated(&valid, row, pick, field);
+        prop_assume!(dense.is_some());
+        let dense = dense.unwrap();
         let proto = with_row(&valid, row, &dense);
         prop_assume!(proto != valid);
+        same_verdict(&guest, &host, &proto)?;
+    }
+}
+
+/// Step `row` of `valid` as a dense row with one field of its `pick`-th
+/// busy op changed: `field` 0 and 1 move its level up or down by one, 2
+/// changes its guest node, 3 its partner, 4 its host (swapped with the
+/// next host's op), 5 turns a Send into a Recv from its destination and
+/// back, and 6 gives the first idle host a copy of a Generate. `None` when
+/// the step is idle or the field does not apply to the op's kind.
+fn field_mutated(valid: &Protocol, row: usize, pick: usize, field: u8) -> Option<Vec<Op>> {
+    let (n, m, steps) = (valid.guest_n, valid.host_m, valid.guest_t);
+    let busy: Vec<(Node, Op)> = valid.step(row).iter().collect();
+    if busy.is_empty() {
+        return None;
+    }
+    let (q, op) = busy[pick % busy.len()];
+    let level = |p: Pebble, t: u32| Pebble::new(p.node, t);
+    let other = |p: Pebble| Pebble::new((p.node + 1) % n as u32, p.t);
+    let mut dense = dense_row(valid, row);
+    match (field, op) {
+        (0 | 1, Op::Generate(p)) => {
+            let t = if field == 0 { p.t + 1 } else { p.t.wrapping_sub(1) };
+            dense[q as usize] = Op::Generate(level(p, t));
+        }
+        (0 | 1, Op::Send { pebble, to }) => {
+            let t = if field == 0 { pebble.t + 1 } else { pebble.t.wrapping_sub(1) };
+            dense[q as usize] = Op::Send { pebble: level(pebble, t), to };
+        }
+        (2, Op::Generate(p)) => dense[q as usize] = Op::Generate(other(p)),
+        (2, Op::Send { pebble, to }) => {
+            dense[q as usize] = Op::Send { pebble: other(pebble), to };
+        }
+        (3, Op::Send { pebble, to }) => {
+            dense[q as usize] = Op::Send { pebble, to: (to + 1) % m as Node };
+        }
+        (3, Op::Recv { from }) => dense[q as usize] = Op::Recv { from: (from + 1) % m as Node },
+        (4, _) => dense.swap(q as usize, (q as usize + 1) % m),
+        (5, Op::Send { to, .. }) => dense[q as usize] = Op::Recv { from: to },
+        (5, Op::Recv { from }) => {
+            let pebble = match dense[from as usize] {
+                Op::Send { pebble, .. } => pebble,
+                _ => Pebble::new(0, steps - 1),
+            };
+            dense[q as usize] = Op::Send { pebble, to: from };
+        }
+        (6, Op::Generate(p)) => {
+            let idle = dense.iter().position(|op| *op == Op::Idle)?;
+            dense[idle] = Op::Generate(p);
+        }
+        // The field does not apply to the op's kind.
+        _ => return None,
+    }
+    Some(dense)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Engine-built protocols with T ∈ 3..=8 and one field of one op
+    /// changed in `B1` or in `B2`'s computation phase (its last `|B1|`
+    /// steps), which the periodic form requires to be `B1` a level later
+    /// (see [`field_mutated`]). The checker's `Result` must equal the
+    /// reference's, and the unmutated protocol's shift scan takes
+    /// `B3..BT`.
+    #[test]
+    fn early_block_field_mutations_match_reference(
+        seed in 0u64..1000,
+        guest_scale in 2usize..4,   // n = 16·scale
+        host_side in 2usize..4,     // m = side²
+        steps in 3u32..=8,
+        in_b2 in any::<bool>(),
+        mutation in (0usize..10_000, 0usize..1000, 0u8..7),
+    ) {
+        let n = 16 * guest_scale;
+        let mut rng = seeded_rng(seed);
+        let guest = random_regular(n, 4, &mut rng);
+        let host = torus(host_side, host_side);
+        let comp = GuestComputation::random(guest.clone(), seed ^ 0x55);
+        let router = presets::bfs();
+        let run = Simulation::builder()
+            .guest(&comp)
+            .host(&host)
+            .embedding(Embedding::block(n, host.n()))
+            .router(&router)
+            .steps(steps)
+            .run_with_rng(&mut rng)
+            .expect("configuration is valid");
+
+        let valid = run.protocol;
+        let b1 = run.compute_steps / steps as usize;
+        let period = (valid.host_steps() - b1) / (steps as usize - 1);
+        let mut rec = InMemoryRecorder::new();
+        prop_assert!(check_recorded(&guest, &host, &valid, &mut rec).is_ok());
+        prop_assert_eq!(
+            rec.counter_value("pebble.check.shifted_steps"),
+            (steps as u64 - 2) * period as u64
+        );
+
+        let (pos, pick, field) = mutation;
+        // B2's computation phase is B1 moved `period` steps.
+        let block = if in_b2 { period } else { 0 };
+        let row = block + pos % b1;
+        let dense = field_mutated(&valid, row, pick, field);
+        prop_assume!(dense.is_some());
+        let proto = with_row(&valid, row, &dense.unwrap());
+        prop_assume!(proto != valid);
+        let mut rec = InMemoryRecorder::new();
+        check_recorded(&guest, &host, &proto, &mut rec).ok();
+        prop_assert_eq!(rec.counter_value("pebble.check.shifted_steps"), 0);
         same_verdict(&guest, &host, &proto)?;
     }
 }
