@@ -109,11 +109,6 @@ impl ExperimentResult {
             wall_ms_total: v.get("wall_ms_total").and_then(Value::as_f64).unwrap_or(0.0),
         })
     }
-
-    /// Find a meta field by name.
-    pub fn meta_get(&self, key: &str) -> Option<&Value> {
-        self.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
 }
 
 impl BenchDoc {

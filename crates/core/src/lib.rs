@@ -10,7 +10,6 @@
 //! * [`simulate`] — the **Theorem 2.1 engine**: static embedding +
 //!   pluggable `h–h` routing; slowdown `O(route_M(n/m))`, with a
 //!   step-invariant route-plan cache and parallel phases;
-//! * [`galil_paul`] — the sorting-based universal machine of Galil & Paul;
 //! * [`flooding`] — the fully redundant baseline (slowdown `n`);
 //! * [`treesim`] — constant slowdown for short computations on
 //!   `2^{O(T)}·n`-size tree hosts (the Section 1 remark);
@@ -54,7 +53,6 @@ pub mod cancel;
 pub mod embedding;
 pub mod error;
 pub mod flooding;
-pub mod galil_paul;
 pub mod guest;
 pub mod routers;
 pub mod sim;

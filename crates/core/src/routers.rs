@@ -41,7 +41,7 @@ pub trait Router {
     /// Check that this router can operate on `host` **before** any routing
     /// is attempted. The builder front door calls this and converts a
     /// rejection into `SimError::Router`, replacing the panics that
-    /// topology-bound routers (Beneš, Galil–Paul) used to raise mid-run.
+    /// topology-bound routers (Beneš) used to raise mid-run.
     /// The default accepts every host.
     fn validate(&self, host: &Graph) -> Result<(), String> {
         let _ = host;
@@ -171,7 +171,7 @@ impl Router for OfflineBenesRouter {
 /// the experiments.
 pub mod presets {
     use super::*;
-    use unet_routing::butterfly::{GreedyButterfly, GreedyWrappedButterfly, ValiantButterfly};
+    use unet_routing::butterfly::{GreedyButterfly, ValiantButterfly};
     use unet_routing::greedy::DimensionOrder;
     use unet_routing::packet::ShortestPath;
 
@@ -188,11 +188,6 @@ pub mod presets {
     /// Valiant randomized router for a `dim`-dimensional butterfly host.
     pub fn butterfly_valiant(dim: usize) -> SelectorRouter<ValiantButterfly> {
         SelectorRouter::new(ValiantButterfly { dim }, "butterfly-valiant")
-    }
-
-    /// Cyclic bit-fixing router for a wrapped `dim`-dimensional butterfly.
-    pub fn wrapped_butterfly_greedy(dim: usize) -> SelectorRouter<GreedyWrappedButterfly> {
-        SelectorRouter::new(GreedyWrappedButterfly { dim }, "wrapped-butterfly-greedy")
     }
 
     /// Dimension-order router for a `rows × cols` mesh host.

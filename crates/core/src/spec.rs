@@ -33,10 +33,15 @@ use unet_topology::Graph;
 /// Some generators `assert!` their preconditions (`random:5x3` trips "n·d
 /// must be even"). Such a spec is an `Err` carrying the assertion message,
 /// never a panic: a spec off the wire or the command line must not kill
-/// the thread that parses it, nor print a panic report.
+/// the thread that parses it, nor print a panic report. A graph without
+/// nodes (`ring:0`, `mesh:0x0`) is an `Err` too: no network runs on it.
 pub fn parse_graph(spec: &str) -> Result<Graph, String> {
-    quietly(|| build_graph(spec))
-        .unwrap_or_else(|msg| Err(format!("{spec:?} rejected by its generator: {msg}")))
+    let g = quietly(|| build_graph(spec))
+        .unwrap_or_else(|msg| Err(format!("{spec:?} rejected by its generator: {msg}")))?;
+    if g.n() == 0 {
+        return Err(format!("{spec:?} has no nodes"));
+    }
+    Ok(g)
 }
 
 thread_local! {
@@ -203,5 +208,13 @@ mod tests {
         assert!(err.contains("n·d must be even"), "{err}");
         // The guard leaves the thread able to parse again.
         assert_eq!(parse_graph("ring:4").map(|g| g.n()), Ok(4));
+    }
+
+    #[test]
+    fn empty_graphs_are_errors() {
+        for spec in ["ring:0", "path:0", "complete:0", "mesh:0x0", "mesh:0x5", "torus:0x0"] {
+            let err = parse_graph(spec).unwrap_err();
+            assert!(err.ends_with("has no nodes"), "{spec}: {err}");
+        }
     }
 }

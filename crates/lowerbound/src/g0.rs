@@ -100,12 +100,6 @@ impl G0 {
             .expect("every node lies in exactly one block")
     }
 
-    /// Minimum guest degree `c` for `U[G₀]` sampling: `c ≥ deg(G₀)` with an
-    /// even residual. The paper fixes `c = 16`.
-    pub fn paper_c(&self) -> usize {
-        16
-    }
-
     /// Minimum computation length the lower-bound analysis needs:
     /// `T > tree depth` (the paper's `T ≥ ⌈2√(log m)⌉` in our constants).
     pub fn min_steps(&self) -> u32 {

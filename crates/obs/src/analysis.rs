@@ -1,6 +1,6 @@
 //! The one reader of JSONL traces: bounded-memory streaming analysis,
-//! the engine behind `unet report` / `unet analyze`, `unet metrics FILE`,
-//! `unet trace-requests` and the server's `analyze` request.
+//! the engine behind `unet report`, `unet metrics FILE` and
+//! `unet trace-requests`.
 //!
 //! [`TraceAnalyzer`] consumes a trace one line at a time ([`TraceAnalyzer::feed_line`])
 //! and keeps only aggregates, never the event stream itself: memory is
@@ -31,8 +31,8 @@
 //!   counters, gauges and histograms as recorded.
 //!
 //! Malformed input is a hard error with a line number — the analyzer
-//! never skips lines silently, per the CLI contract that `unet analyze`
-//! and `unet report` exit nonzero on truncated traces.
+//! never skips lines silently, per the CLI contract that `unet report`
+//! and `unet trace-requests` exit nonzero on truncated traces.
 
 use std::collections::BTreeMap;
 
@@ -575,7 +575,7 @@ fn fmt_key(series: &str, key: u64) -> String {
 
 /// Render an [`Analysis`] for humans (`markdown = false`) or as a
 /// GitHub-flavored markdown report (`markdown = true`): the output of
-/// `unet report` and `unet analyze`. `top_k` bounds the hot-key tables.
+/// `unet report`. `top_k` bounds the hot-key tables.
 /// Output is deterministic for a fixed trace.
 pub fn render(a: &Analysis, top_k: usize, markdown: bool) -> String {
     let mut out = String::new();
@@ -926,7 +926,7 @@ mod tests {
     fn million_line_trace_streams_bounded() {
         // ≥1M sample events over 1k steps × 64 edges: retained state must
         // scale with (steps + keys), not with the line count. This is the
-        // bounded-memory contract behind `unet analyze` on big traces.
+        // bounded-memory contract behind `unet report` on big traces.
         const STEPS: u64 = 1_000;
         const KEYS: u64 = 64;
         const REPS: u64 = 16; // lines = STEPS * KEYS * REPS ≥ 1M

@@ -16,7 +16,7 @@
 //! * [`trace`] — the JSONL trace records and their writer (`unet trace`
 //!   writes a recorded run);
 //! * [`analysis`] — the one trace reader: bounded-memory streaming
-//!   analysis and the trace report (`unet report` / `unet analyze`):
+//!   analysis and the trace report (`unet report`):
 //!   phase totals, congestion time series, top-k hot edges/nodes,
 //!   queue-depth percentiles, critical path, request stages, fault
 //!   timeline;

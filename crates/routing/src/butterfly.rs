@@ -114,54 +114,6 @@ impl PathSelector for ValiantButterfly {
     }
 }
 
-/// Routing on the **wrapped** butterfly (`dim·2^dim` nodes, 4-regular): walk
-/// the levels cyclically, fixing row bit `ℓ` whenever the walk crosses the
-/// `(ℓ, ℓ+1 mod dim)` stage; at most one full loop (`dim` steps) fixes every
-/// bit, plus up to `dim − 1` further steps to park at the destination level
-/// — paths of length ≤ `2·dim − 1`.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyWrappedButterfly {
-    /// Wrapped-butterfly dimension.
-    pub dim: usize,
-}
-
-impl GreedyWrappedButterfly {
-    /// Deterministic cyclic bit-fixing walk.
-    pub fn walk(&self, src: Node, dst: Node) -> Vec<Node> {
-        let d = self.dim;
-        let (sl, sr) = bf_coords(d, src);
-        let (dl, dr) = bf_coords(d, dst);
-        let mut path = vec![src];
-        let mut level = sl;
-        let mut row = sr;
-        // Keep walking until the row is fixed and the level parked.
-        let mut safety = 0;
-        while row != dr || level != dl {
-            safety += 1;
-            debug_assert!(safety <= 2 * d + 2, "wrapped walk must terminate");
-            let bit = 1usize << level;
-            if (row ^ dr) & bit != 0 {
-                row ^= bit; // cross edge on this stage
-            }
-            level = (level + 1) % d;
-            path.push(bf_index(d, level, row));
-        }
-        path
-    }
-}
-
-impl PathSelector for GreedyWrappedButterfly {
-    fn path<R: Rng>(
-        &self,
-        _g: &Graph,
-        src: Node,
-        dst: Node,
-        _rng: &mut R,
-    ) -> Result<Vec<Node>, RouteError> {
-        Ok(self.walk(src, dst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,38 +188,6 @@ mod tests {
             "valiant makespan {} too large",
             val_out.steps
         );
-    }
-
-    #[test]
-    fn wrapped_walk_valid_and_short() {
-        for dim in [3usize, 4, 6] {
-            let g = bf::wrapped_butterfly(dim);
-            let sel = GreedyWrappedButterfly { dim };
-            let mut rng = seeded_rng(dim as u64);
-            for _ in 0..30 {
-                let src = rng.gen_range(0..g.n() as Node);
-                let dst = rng.gen_range(0..g.n() as Node);
-                let p = sel.walk(src, dst);
-                assert_eq!(p[0], src);
-                assert_eq!(*p.last().unwrap(), dst);
-                assert!(p.len() <= 2 * dim, "dim {dim}: path {} hops", p.len() - 1);
-                for w in p.windows(2) {
-                    assert!(g.has_edge(w[0], w[1]), "hop {w:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wrapped_walk_routes_h_h() {
-        let dim = 4;
-        let g = bf::wrapped_butterfly(dim);
-        let mut rng = seeded_rng(99);
-        let prob = random_h_h(g.n(), 2, &mut rng);
-        let pk = make_packets(&g, &prob.pairs, &GreedyWrappedButterfly { dim }, &mut rng).unwrap();
-        let lim: u32 = pk.iter().map(|p| p.path.len() as u32 + 1).sum::<u32>() + 64;
-        let out = route(&g, &pk, Discipline::FarthestFirst, lim).unwrap();
-        assert!(out.delivered_at.iter().all(|&d| d != u32::MAX));
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //!   permutation routing with stage-congestion 1, pipelined into offline
 //!   `h–h` schedules (the Waksman \[19\] citation of Section 2);
 //! * [`decompose`] — `h–h` relations → permutations by Euler splits;
-//! * [`sortnet`] — Batcher's bitonic network (documented AKS substitute) for
-//!   sorting-based routing à la Galil–Paul;
 //! * [`metrics`] — empirical `route_G(h)` measurement;
 //! * [`plan`] — replayable route plans: the step-invariant matching
 //!   decomposition extracted once and replayed with fresh payloads.
@@ -41,7 +39,6 @@ pub mod metrics;
 pub mod packet;
 pub mod plan;
 pub mod problem;
-pub mod sortnet;
 
 pub use packet::{
     route, Discipline, Outcome, Packet, PathSelector, RouteError, ShortestPath, Transfer,

@@ -368,11 +368,10 @@ fn unknown_protocol_version_gets_typed_error_not_hangup() {
 /// even). It used to kill the thread serving the request, so neither that
 /// request nor the next valid one on a `workers: 1` server was answered.
 /// Now it is a typed `bad-spec` carrying the assertion message — directly
-/// and through a router, which forwards the spec unparsed.
+/// and through a router, which forwards the spec unparsed. A guest without
+/// nodes (`ring:0`) is a `bad-spec` the same way.
 #[test]
 fn generator_panic_is_a_typed_bad_spec_and_the_next_request_answers() {
-    let mut bad = sim_req(1);
-    bad.guest = "random:5x3".into();
     let server = start(1, 8);
     let addr = server.addr().to_string();
     let router =
@@ -381,15 +380,21 @@ fn generator_panic_is_a_typed_bad_spec_and_the_next_request_answers() {
     for target in [addr, router.addr().to_string()] {
         let mut client =
             Client::connect(&target).expect("connect").timeout(Duration::from_secs(10));
-        match client.simulate(&bad) {
-            Err(ClientError::Server(e)) => {
-                assert_eq!(e.code, "bad-spec", "via {target}");
-                assert!(e.message.contains("n·d must be even"), "via {target}: {}", e.message);
+        for (guest, why) in [("random:5x3", "n·d must be even"), ("ring:0", "has no nodes")] {
+            let mut bad = sim_req(1);
+            bad.guest = guest.into();
+            match client.simulate(&bad) {
+                Err(ClientError::Server(e)) => {
+                    assert_eq!(e.code, "bad-spec", "{guest} via {target}");
+                    assert!(e.message.contains(why), "{guest} via {target}: {}", e.message);
+                }
+                other => {
+                    panic!("expected a typed bad-spec for {guest} via {target}, got {other:?}")
+                }
             }
-            other => panic!("expected a typed bad-spec via {target}, got {other:?}"),
+            let next = client.simulate(&sim_req(7)).expect("the next valid request is answered");
+            assert!(next.verified);
         }
-        let next = client.simulate(&sim_req(7)).expect("the next valid request is answered");
-        assert!(next.verified);
     }
     router.drain();
     server.drain();

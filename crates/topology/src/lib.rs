@@ -13,15 +13,13 @@
 //!   cycles, shuffle-exchange, de Bruijn, hypercubes, trees, complete
 //!   networks, random regular graphs and expanders;
 //! * [`analysis`] (BFS/diameter/spreading function), [`spectral`]
-//!   (expander certification via Tanner's bound), [`euler`] (the balanced
-//!   orientation device of Lemma 3.3) and [`enumeration`] (the counting side
-//!   of the lower-bound argument).
+//!   (expander certification via Tanner's bound) and [`enumeration`] (the
+//!   counting side of the lower-bound argument).
 
 #![deny(missing_docs)]
 
 pub mod analysis;
 pub mod enumeration;
-pub mod euler;
 pub mod generators;
 pub mod graph;
 pub mod par;

@@ -9,9 +9,8 @@
 //! unet audit    <n-hint> <host> <T>           full lower-bound audit on a U[G0] guest
 //! unet trace    <guest> <host> <T> [opts]     instrumented run → JSONL trace
 //! unet trace    --quick [opts]                same, with stock quick-smoke parameters
-//! unet report   <trace-file> [--markdown]     the trace report, same bytes as `analyze`
+//! unet report   <trace-file> [opts]           the streaming trace report (congestion, critical path, ...)
 //! unet report   --markdown <BENCH.json>       markdown tables from a bench artifact
-//! unet analyze  <trace-file> [opts]           the streaming trace report (congestion, critical path, ...)
 //! unet metrics  <trace-file | g h T>          Prometheus-style metrics exposition
 //! unet faults   <guest> <host> <T> [opts]     degraded run under crash-stop faults
 //! unet bench    run|diff|list [opts]          experiment registry + regression gate
@@ -79,7 +78,6 @@ const USAGE: &str = "usage:
   unet trace    --quick [--seed S] [--out FILE]
   unet report   <trace-file> [--markdown] [--top K]
   unet report   --markdown <BENCH.json>
-  unet analyze  <trace-file> [--markdown] [--top K]
   unet metrics  <trace-file>
   unet metrics  <guest-spec> <host-spec> <steps> [--seed S]
   unet faults   <guest-spec> <host-spec> <steps> [--rate R] [--at T0] [--seed S] [--out FILE]
@@ -107,7 +105,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "audit" => audit(&args[1..]),
         "trace" => trace_cmd(&args[1..]),
         "report" => report_cmd(&args[1..]),
-        "analyze" => analyze_cmd(&args[1..]),
         "metrics" => metrics_cmd(&args[1..]),
         "faults" => faults_cmd(&args[1..]),
         "bench" => bench_cmd(&args[1..]),
@@ -389,7 +386,13 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
     let guest_spec = args.first().ok_or("missing guest spec")?;
     let host_spec = args.get(1).ok_or("missing host spec")?;
     let steps: u32 = args.get(2).ok_or("missing steps")?.parse().map_err(|_| "bad steps")?;
+    if steps == 0 {
+        return Err("bad steps 0: a degraded run simulates at least one guest step".into());
+    }
     let rate: f64 = flag(args, "--rate").map_or(Ok(0.1), |s| s.parse().map_err(|_| "bad rate"))?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("bad rate {rate}: the crash rate must be in [0, 1]"));
+    }
     let at: u32 = flag(args, "--at").map_or(Ok(2), |s| s.parse().map_err(|_| "bad at"))?;
     let seed: u64 = flag(args, "--seed").map_or(Ok(0), |s| s.parse().map_err(|_| "bad seed"))?;
     let guest = parse_graph(guest_spec)?;
@@ -456,25 +459,32 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Summarize a JSONL trace written by `unet trace` — the same report as
-/// `unet analyze`, `--markdown` included — or, when the file is a
-/// `BENCH.json` artifact and `--markdown` is given, render the markdown
-/// tables EXPERIMENTS.md embeds.
+/// Stream a JSONL trace written by `unet trace` through the bounded-memory
+/// analyzer and print the congestion / critical-path report (human by
+/// default, `--markdown` for GFM) — or, when the file is a `BENCH.json`
+/// artifact and `--markdown` is given, render the markdown tables
+/// EXPERIMENTS.md embeds.
 fn report_cmd(args: &[String]) -> Result<(), String> {
     use universal_networks::bench::{report_md, schema::BenchDoc};
-    if has_flag(args, "--markdown") {
-        if let Some(path) = positionals(args, &["--top"]).first() {
-            // An artifact is one JSON document on one line (`bench run
-            // --out` writes it so); a trace's first line is its `meta`
-            // record. Only that line is read, so a trace of any size
-            // still streams through the analyzer.
-            if let Some(doc) = first_line(path)?.and_then(|l| BenchDoc::parse(&l).ok()) {
-                out!("{}", report_md::render(&doc));
-                return Ok(());
-            }
+    use universal_networks::obs::analysis::render;
+
+    let pos = positionals(args, &["--top"]);
+    let path = pos.first().ok_or("missing trace file")?;
+    let markdown = has_flag(args, "--markdown");
+    // An artifact is one JSON document on one line (`bench run --out`
+    // writes it so); a trace's first line is its `meta` record. Only that
+    // line is read, so a trace of any size still streams through the
+    // analyzer.
+    if markdown {
+        if let Some(doc) = first_line(path)?.and_then(|l| BenchDoc::parse(&l).ok()) {
+            out!("{}", report_md::render(&doc));
+            return Ok(());
         }
     }
-    analyze_cmd(args)
+    let top: usize = flag(args, "--top").map_or(Ok(5), |s| s.parse().map_err(|_| "bad --top"))?;
+    let analysis = analyze_file(path, drop)?;
+    out!("{}", render(&analysis, top, markdown));
+    Ok(())
 }
 
 /// The first line of the file at `path` (`None` when the file is empty).
@@ -512,20 +522,6 @@ fn analyze_file(
         }
     }
     analyzer.finish().map_err(|e| format!("{path}: {e}"))
-}
-
-/// Stream a JSONL trace through the bounded-memory analyzer and print the
-/// congestion / critical-path report (human by default, `--markdown` for
-/// GFM).
-fn analyze_cmd(args: &[String]) -> Result<(), String> {
-    use universal_networks::obs::analysis::render;
-
-    let pos = positionals(args, &["--top"]);
-    let path = pos.first().ok_or("missing trace file")?;
-    let top: usize = flag(args, "--top").map_or(Ok(5), |s| s.parse().map_err(|_| "bad --top"))?;
-    let analysis = analyze_file(path, drop)?;
-    out!("{}", render(&analysis, top, has_flag(args, "--markdown")));
-    Ok(())
 }
 
 /// Print the unified metrics registry in Prometheus text exposition

@@ -13,10 +13,9 @@
 //!   butterflies, CCC, shuffle-exchange, de Bruijn, expanders, …);
 //! * [`pebble`] — the Section 3.1 simulation model: protocols, validity
 //!   checking, traces, fragments, dependency graphs/trees;
-//! * [`routing`] — `h–h` routing: greedy, Valiant, Beneš/Waksman offline,
-//!   sorting networks;
-//! * [`core`] — universal simulations (Theorem 2.1 engine, Galil–Paul,
-//!   flooding, tree hosts) and bound predictions;
+//! * [`routing`] — `h–h` routing: greedy, Valiant, Beneš/Waksman offline;
+//! * [`core`] — universal simulations (Theorem 2.1 engine, flooding, tree
+//!   hosts) and bound predictions;
 //! * [`lowerbound`] — Theorem 3.1 executable: `G₀`, averaging, wavefronts,
 //!   counting, audits;
 //! * [`obs`] — zero-cost instrumentation: recorders, JSONL run traces

@@ -269,18 +269,18 @@ fn trace_quick_analyze_metrics_pipeline() {
 
     // The streaming analyzer surfaces congestion, queue percentiles, and
     // the critical path, deterministically for the fixed default seed.
-    let (ok2, stdout2, stderr2) = unet(&["analyze", trace_s]);
+    let (ok2, stdout2, stderr2) = unet(&["report", trace_s]);
     assert!(ok2, "stderr: {stderr2}");
     for section in ["Summary", "Congestion", "Queue depth", "Critical path"] {
         assert!(stdout2.contains(section), "missing {section:?} in:\n{stdout2}");
     }
     assert!(stdout2.contains("sim.edge_util"), "{stdout2}");
-    let (ok2b, again, _) = unet(&["analyze", trace_s]);
+    let (ok2b, again, _) = unet(&["report", trace_s]);
     assert!(ok2b);
     assert_eq!(stdout2, again, "analysis must be deterministic");
 
     // Markdown mode swaps the section headers.
-    let (ok3, stdout3, _) = unet(&["analyze", trace_s, "--markdown"]);
+    let (ok3, stdout3, _) = unet(&["report", trace_s, "--markdown"]);
     assert!(ok3);
     assert!(stdout3.contains("## Congestion"), "{stdout3}");
 
@@ -289,11 +289,6 @@ fn trace_quick_analyze_metrics_pipeline() {
     assert!(ok4, "stderr: {stderr4}");
     assert!(stdout4.contains("# TYPE unet_"), "{stdout4}");
     assert!(stdout4.contains("unet_sim_cache_hits"), "{stdout4}");
-
-    // `report` is the same report as `analyze`, byte for byte.
-    let (ok5, stdout5, stderr5) = unet(&["report", trace_s]);
-    assert!(ok5, "stderr: {stderr5}");
-    assert_eq!(stdout5, stdout2, "report and analyze print the same bytes");
 
     // A degraded run's trace reports its fault timeline next to the phase
     // totals, gauges and histograms.
@@ -343,9 +338,9 @@ fn trace_pins_the_routing_histograms() {
 }
 
 /// `report --markdown` renders a `BENCH.json` artifact as tables and any
-/// other file as the markdown trace report, the bytes `analyze --markdown`
-/// prints (it used to parse every file as an artifact and fail on a trace
-/// with `trailing content at byte …`).
+/// other file as the markdown trace report, wherever the flag stands (it
+/// used to parse every file as an artifact and fail on a trace with
+/// `trailing content at byte …`).
 #[test]
 fn report_markdown_renders_a_trace_or_a_bench_artifact() {
     let dir = std::env::temp_dir().join("unet-cli-report-markdown");
@@ -354,13 +349,11 @@ fn report_markdown_renders_a_trace_or_a_bench_artifact() {
     let trace_s = trace.to_str().unwrap();
     let (ok, _, stderr) = unet(&["trace", "--quick", "--out", trace_s]);
     assert!(ok, "stderr: {stderr}");
-    let (ok, analyzed, _) = unet(&["analyze", trace_s, "--markdown"]);
-    assert!(ok);
-    for args in [["report", trace_s, "--markdown"], ["report", "--markdown", trace_s]] {
-        let (ok, reported, stderr) = unet(&args);
-        assert!(ok, "{args:?}: {stderr}");
-        assert_eq!(reported, analyzed, "{args:?} prints what analyze --markdown prints");
-    }
+    let (ok, analyzed, stderr) = unet(&["report", trace_s, "--markdown"]);
+    assert!(ok, "stderr: {stderr}");
+    let (ok, reported, stderr) = unet(&["report", "--markdown", trace_s]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(reported, analyzed, "the flag's position does not change the report");
     assert!(analyzed.contains("## Congestion"), "{analyzed}");
 
     let bench = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH.json");
@@ -388,7 +381,7 @@ fn analyze_and_report_fail_on_malformed_lines_with_line_numbers() {
     std::fs::write(&bad, &truncated[..cut]).unwrap();
     let bad_lineno = format!("line {}", truncated.lines().count());
 
-    for cmd in ["analyze", "report", "trace-requests"] {
+    for cmd in ["report", "trace-requests"] {
         let (ok, _, stderr) = unet(&[cmd, bad_s]);
         assert!(!ok, "{cmd} must exit nonzero on a truncated trace");
         assert!(stderr.contains(&bad_lineno), "{cmd} must name the bad line: {stderr}");
@@ -397,6 +390,36 @@ fn analyze_and_report_fail_on_malformed_lines_with_line_numbers() {
     let (ok_m, _, stderr_m) = unet(&["metrics", bad_s]);
     assert!(!ok_m, "metrics must exit nonzero on a truncated trace");
     assert!(stderr_m.contains(&bad_lineno), "{stderr_m}");
+}
+
+/// Arguments no run can use — a graph without nodes, a crash rate outside
+/// [0, 1], a degraded run of zero steps, the retired `analyze` — exit 1
+/// with one `error:` line and never reach a panic.
+#[test]
+fn unusable_arguments_exit_1_without_panicking() {
+    for args in [
+        &["topo", "ring:0"][..],
+        &["topo", "mesh:0x0"],
+        &["topo", "complete:0"],
+        &["simulate", "ring:0", "ring:4", "2"],
+        &["faults", "ring:8", "ring:4", "3", "--rate", "2"],
+        &["faults", "ring:8", "ring:4", "3", "--rate", "-1"],
+        &["faults", "ring:8", "ring:4", "3", "--rate", "NaN"],
+        &["faults", "ring:8", "ring:4", "0"],
+        &["analyze", "trace.jsonl"],
+    ] {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_unet")).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+        assert_eq!(stderr.matches("error:").count(), 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let (_, _, stderr) = unet(&["analyze", "trace.jsonl"]);
+    assert!(stderr.contains("unknown subcommand \"analyze\""), "{stderr}");
+    let (_, _, stderr) = unet(&["topo", "ring:0"]);
+    assert!(stderr.starts_with("error: \"ring:0\" has no nodes"), "{stderr}");
 }
 
 #[test]

@@ -6,8 +6,6 @@ use universal_networks::pebble::check;
 use universal_networks::routing::decompose::{decompose_into_permutations, verify_decomposition};
 use universal_networks::routing::packet::route_simple;
 use universal_networks::routing::problem::RoutingProblem;
-use universal_networks::routing::sortnet::{apply_stages, bitonic_stages};
-use universal_networks::topology::euler::eulerian_orientation;
 use universal_networks::topology::generators::*;
 use universal_networks::topology::util::seeded_rng;
 use universal_networks::topology::Node;
@@ -100,30 +98,6 @@ proptest! {
         perm.shuffle(&mut rng);
         let paths = universal_networks::routing::benes::waksman_paths(&perm);
         prop_assert!(universal_networks::routing::benes::verify_waksman(&perm, &paths).is_ok());
-    }
-
-    /// Bitonic network sorts arbitrary u64 arrays (beyond the 0-1 principle
-    /// exhaustion in unit tests).
-    #[test]
-    fn bitonic_sorts_anything(values in prop::collection::vec(any::<u64>(), 64..=64)) {
-        let stages = bitonic_stages(6);
-        let mut v = values.clone();
-        apply_stages(&stages, &mut v);
-        prop_assert!(v.windows(2).all(|w| w[0] <= w[1]));
-        let mut expect = values;
-        expect.sort_unstable();
-        prop_assert_eq!(v, expect);
-    }
-
-    /// Eulerian orientation of any random even-regular graph is balanced.
-    #[test]
-    fn euler_orientation_balanced(seed in 0u64..1000, half_d in 1usize..4, n in 8usize..24) {
-        let d = 2 * half_d;
-        prop_assume!(d < n);
-        let mut rng = seeded_rng(seed);
-        let g = random_regular(n, d, &mut rng);
-        let o = eulerian_orientation(&g);
-        prop_assert!(o.is_balanced_for(&g));
     }
 
     /// Random regular generator: always simple, always regular.
