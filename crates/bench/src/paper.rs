@@ -31,7 +31,7 @@ use unet_routing::butterfly::{GreedyButterfly, ValiantButterfly};
 use unet_routing::greedy::DimensionOrder;
 use unet_routing::metrics::measure_route_time;
 use unet_routing::packet::ShortestPath;
-use unet_routing::packet::{make_packets, route, route_recorded, Discipline, Outcome, Packet};
+use unet_routing::packet::{make_packets, route, route_recorded, Discipline, Outcome, Paths};
 use unet_routing::problem::{guest_induced, random_h_h};
 use unet_topology::analysis::spreading_function;
 use unet_topology::generators::{
@@ -565,7 +565,7 @@ fn e12a() -> Experiment {
             let mut r = seeded_rng(0xE12A + h as u64);
             let prob = random_h_h(64, h, &mut r);
             let pk = make_packets(&g, &prob.pairs, &ShortestPath, &mut r).expect("connected");
-            let lim: u32 = pk.iter().map(|p| p.path.len() as u32 + 1).sum::<u32>() + 64;
+            let lim: u32 = pk.iter().map(|p| p.len() as u32 + 1).sum::<u32>() + 64;
             let steps = |d| route(&g, &pk, d, lim).expect("within the limit").steps;
             obj(vec![
                 ("h", uint(h)),
@@ -793,7 +793,7 @@ fn e14() -> Experiment {
 /// monomorphization instead of linking a second copy of identical code.
 fn route_uninstrumented(
     g: &Graph,
-    packets: &[Packet],
+    packets: &Paths,
     discipline: Discipline,
     max_steps: u32,
 ) -> Option<Outcome> {

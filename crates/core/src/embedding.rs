@@ -134,7 +134,7 @@ impl Embedding {
             .collect();
         let paths = unet_routing::packet::bfs_paths(host, &pairs).expect("host must be connected");
         let mut per_edge: FxHashMap<(Node, Node), usize> = FxHashMap::default();
-        for path in &paths {
+        for path in paths.iter() {
             for w in path.windows(2) {
                 let key = if w[0] < w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
                 *per_edge.entry(key).or_insert(0) += 1;

@@ -46,7 +46,7 @@ use unet_pebble::protocol::{Op, Pebble, Protocol, ProtocolBuilder};
 use unet_routing::plan::{extract_plan, RoutePlan};
 use unet_routing::problem::RoutingProblem;
 use unet_topology::par::par_chunks;
-use unet_topology::util::{seeded_rng, FxHashSet};
+use unet_topology::util::seeded_rng;
 use unet_topology::{Graph, Node};
 
 /// Result of a universal simulation run.
@@ -106,24 +106,27 @@ pub(crate) struct CachedComm {
 /// Build the induced `h–h` routing problem: one packet per
 /// `(guest u, remote host of a neighbour of u)`, in ascending guest order.
 ///
-/// Sharded by guest range. The dedup key `(u, fv)` involves only the shard's
-/// own `u`, so shard-local `seen` sets plus an in-order concatenation yield
-/// exactly the sequential pair list.
+/// Sharded by guest range. A pair is new when `(u, fv)` is, and `u` is the
+/// guest being scanned, so a shard-local stamp per host (`stamp[fv] == u`:
+/// `u` already sends to `fv`) plus an in-order concatenation yield exactly
+/// the sequential pair list. `m` is the host's size.
 fn induced_pairs(
     comp: &GuestComputation,
     f: &[Node],
+    m: usize,
     threads: usize,
 ) -> (Vec<(Node, Node)>, Vec<Node>) {
     let n = comp.n();
     let found: Vec<((Node, Node), Node)> = par_chunks(n, threads, |range| {
-        let mut seen: FxHashSet<(Node, Node)> = FxHashSet::default();
+        let mut stamp = vec![Node::MAX; m];
         let mut out = Vec::new();
         for u in range {
             let u = u as Node;
             let fu = f[u as usize];
             for &v in comp.graph.neighbors(u) {
                 let fv = f[v as usize];
-                if fu != fv && seen.insert((u, fv)) {
+                if fu != fv && stamp[fv as usize] != u {
+                    stamp[fv as usize] = u;
                     out.push(((fu, fv), u));
                 }
             }
@@ -353,7 +356,7 @@ fn build_comm<REC: Recorder>(
     rec: &mut REC,
 ) -> CachedComm {
     let build_started = std::time::Instant::now();
-    let (pairs, guests) = induced_pairs(comp, f, cfg.threads);
+    let (pairs, guests) = induced_pairs(comp, f, host.n(), cfg.threads);
     let plan = if pairs.is_empty() {
         RoutePlan::default()
     } else {
@@ -461,6 +464,44 @@ mod tests {
         let run = run(&comp, &host, Embedding::block(9, 9), &router, 2, 4);
         check(&guest, &host, &run.protocol).expect("verify");
         assert_eq!(run.final_states, comp.run_final(2));
+    }
+
+    /// The stamp dedupe gives the pairs and guests a hash set of
+    /// `(u, fv)` keys gives, for any shard count, on random guests and
+    /// embeddings (block and random) of several loads.
+    #[test]
+    fn induced_pairs_equal_a_hash_set_dedupe() {
+        use unet_topology::util::FxHashSet;
+        for seed in 0..12u64 {
+            let n = 8 + 8 * seed as usize;
+            let guest = random_regular(n, 4, &mut seeded_rng(seed));
+            let comp = GuestComputation::random(guest, seed);
+            for m in [1, 3, 8, n] {
+                let embeddings =
+                    [Embedding::block(n, m), Embedding::random(n, m, &mut seeded_rng(seed))];
+                for embedding in embeddings {
+                    let f = &embedding.f;
+                    let mut seen: FxHashSet<(Node, Node)> = FxHashSet::default();
+                    let (mut pairs, mut guests) = (Vec::new(), Vec::new());
+                    for u in 0..n as Node {
+                        for &v in comp.graph.neighbors(u) {
+                            let (fu, fv) = (f[u as usize], f[v as usize]);
+                            if fu != fv && seen.insert((u, fv)) {
+                                pairs.push((fu, fv));
+                                guests.push(u);
+                            }
+                        }
+                    }
+                    for threads in 1..=4 {
+                        assert_eq!(
+                            induced_pairs(&comp, f, m, threads),
+                            (pairs.clone(), guests.clone()),
+                            "seed {seed}, m {m}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

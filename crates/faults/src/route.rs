@@ -16,7 +16,7 @@ use crate::view::FaultyView;
 use rand::Rng;
 use unet_obs::{NoopRecorder, Recorder};
 use unet_routing::packet::{
-    generous_step_limit, route_recorded, Discipline, Outcome, Packet, PathSelector, ShortestPath,
+    generous_step_limit, route_recorded, Discipline, Outcome, PathSelector, Paths, ShortestPath,
 };
 use unet_topology::Node;
 
@@ -78,27 +78,28 @@ pub fn route_faulty_recorded<S: PathSelector, R: Rng + Clone, REC: Recorder + ?S
     rec: &mut REC,
 ) -> FaultyOutcome {
     rec.span_start("faults.route");
-    let mut packets: Vec<Packet> = Vec::new();
+    let mut paths = Paths::default();
     let mut routed: Vec<usize> = Vec::new();
     let mut dropped_pairs: Vec<usize> = Vec::new();
     let mut retried = 0u64;
 
     let up = |&(src, dst): &(Node, Node)| view.is_node_up(src) && view.is_node_up(dst);
-    let canonical: Vec<Option<Vec<Node>>> = match selector {
-        None => Vec::new(),
+    // The canonical walk of each pair whose endpoints are up, in order; an
+    // empty walk where the selector found none.
+    let canonical: Paths = match selector {
+        None => Paths::default(),
         Some(s) => {
             let live: Vec<(Node, Node)> = pairs.iter().copied().filter(up).collect();
             let before = rng.clone();
-            match s.paths(view.base(), &live, rng) {
-                Ok(paths) => paths.into_iter().map(Some).collect(),
-                Err(_) => {
-                    *rng = before;
-                    live.iter().map(|&(src, dst)| s.path(view.base(), src, dst, rng).ok()).collect()
-                }
-            }
+            s.paths(view.base(), &live, rng).unwrap_or_else(|_| {
+                *rng = before;
+                live.iter()
+                    .map(|&(src, dst)| s.path(view.base(), src, dst, rng).unwrap_or_default())
+                    .collect()
+            })
         }
     };
-    let mut canonical = canonical.into_iter();
+    let mut canonical = canonical.iter();
 
     for (i, pair) in pairs.iter().enumerate() {
         let (src, dst) = *pair;
@@ -106,14 +107,14 @@ pub fn route_faulty_recorded<S: PathSelector, R: Rng + Clone, REC: Recorder + ?S
             dropped_pairs.push(i);
             continue;
         }
-        let path = match canonical.next().flatten().filter(|p| path_is_live(view, p)) {
-            Some(p) => p,
+        match canonical.next().filter(|p| !p.is_empty() && path_is_live(view, p)) {
+            Some(p) => paths.push(p),
             None => {
                 if selector.is_some() {
                     retried += 1;
                 }
                 match view.bfs_path(src, dst) {
-                    Some(p) => p,
+                    Some(p) => paths.push(&p),
                     None => {
                         if selector.is_some() {
                             retried -= 1; // never even started: dropped, not retried
@@ -123,18 +124,17 @@ pub fn route_faulty_recorded<S: PathSelector, R: Rng + Clone, REC: Recorder + ?S
                     }
                 }
             }
-        };
-        packets.push(Packet { id: packets.len() as u32, src, dst, path });
+        }
         routed.push(i);
     }
 
-    let outcome = if packets.is_empty() {
+    let outcome = if paths.is_empty() {
         None
     } else {
         // Paths use only live edges (⊆ base edges), so the base graph
         // validates them and the engine needs no fault awareness.
         Some(
-            route_recorded(view.base(), &packets, discipline, generous_step_limit(&packets), rec)
+            route_recorded(view.base(), &paths, discipline, generous_step_limit(&paths), rec)
                 .expect("generous limit"),
         )
     };

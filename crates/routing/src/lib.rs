@@ -5,7 +5,9 @@
 //! This crate provides everything behind `route_M(h)`:
 //!
 //! * [`packet`] — a synchronous store-and-forward engine enforcing the
-//!   paper's one-send/one-receive-per-step port model;
+//!   paper's one-send/one-receive-per-step port model, over walks kept in
+//!   one [`packet::Paths`] arena and queues that are bitsets over visits
+//!   ranked once per run;
 //! * [`problem`] — `h–h` routing problems and classic adversarial patterns;
 //! * [`greedy`] — dimension-order routing on meshes/tori;
 //! * [`butterfly`] — greedy bit-fixing and Valiant's randomized routing;
@@ -41,7 +43,7 @@ pub mod plan;
 pub mod problem;
 
 pub use packet::{
-    route, Discipline, Outcome, Packet, PathSelector, RouteError, ShortestPath, Transfer,
+    route, Discipline, Outcome, PathSelector, Paths, RouteError, ShortestPath, Transfer,
 };
 pub use plan::{extract_plan, RoutePlan};
 pub use problem::RoutingProblem;

@@ -168,9 +168,9 @@ mod tests {
         let mut rng = seeded_rng(77);
         let prob = crate::problem::random_h_h(g.n(), 4, &mut rng);
         let pk = make_packets(&g, &prob.pairs, &GreedyButterfly { dim }, &mut rng).unwrap();
-        let paths: Vec<_> = pk.iter().map(|p| p.path.clone()).collect();
+        let paths: Vec<_> = pk.iter().map(<[_]>::to_vec).collect();
         let (edge_c, _) = path_congestion(&paths);
-        let lim: u32 = pk.iter().map(|p| p.path.len() as u32 + 1).sum::<u32>() + 64;
+        let lim: u32 = pk.iter().map(|p| p.len() as u32 + 1).sum::<u32>() + 64;
         let out = route(&g, &pk, Discipline::FarthestFirst, lim).unwrap();
         assert!(
             out.steps as usize >= edge_c,

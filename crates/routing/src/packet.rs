@@ -9,22 +9,101 @@
 //! greedy, randomized (Valiant), and offline (Beneš/Waksman) strategies.
 
 use rand::Rng;
-use std::collections::BinaryHeap;
 use unet_obs::{edge_key, NoopRecorder, Recorder};
 use unet_topology::{Graph, Node};
 
-/// One packet of an `h–h` routing problem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
-    /// Index into the problem's packet list.
-    pub id: u32,
-    /// Origin node.
-    pub src: Node,
-    /// Destination node.
-    pub dst: Node,
-    /// The full path this packet will follow (`path[0] = src`, last = dst).
-    pub path: Vec<Node>,
+/// The walks of a routing problem, stored back to back in one arena.
+///
+/// Packet `i` of a run follows walk `i` (`paths[i]`): it starts at the
+/// walk's first node and is delivered at its last. Consecutive entries of a
+/// walk are neighbours or, for a lazy segment, the same node.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Paths {
+    /// Every walk's nodes, walk after walk.
+    nodes: Vec<Node>,
+    /// `ends[i]`: one past walk `i`'s last entry in `nodes`.
+    ends: Vec<usize>,
 }
+
+impl Paths {
+    /// No walks, with room for `paths` walks of `nodes` entries in all.
+    fn with_capacity(paths: usize, nodes: usize) -> Self {
+        Paths { nodes: Vec::with_capacity(nodes), ends: Vec::with_capacity(paths) }
+    }
+
+    /// Number of walks.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no walks.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Append `path` as the next walk.
+    pub fn push(&mut self, path: &[Node]) {
+        self.nodes.extend_from_slice(path);
+        self.ends.push(self.nodes.len());
+    }
+
+    /// Where walk `i` starts in the arena.
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1]
+        }
+    }
+
+    /// The walks in order.
+    pub fn iter(&self) -> PathsIter<'_> {
+        PathsIter { nodes: &self.nodes, ends: self.ends.iter(), start: 0 }
+    }
+}
+
+impl std::ops::Index<usize> for Paths {
+    type Output = [Node];
+
+    fn index(&self, i: usize) -> &[Node] {
+        &self.nodes[self.start(i)..self.ends[i]]
+    }
+}
+
+impl<P: AsRef<[Node]>> FromIterator<P> for Paths {
+    fn from_iter<I: IntoIterator<Item = P>>(iter: I) -> Self {
+        let mut paths = Paths::default();
+        for path in iter {
+            paths.push(path.as_ref());
+        }
+        paths
+    }
+}
+
+/// Iterator over the walks of a [`Paths`], in order.
+#[derive(Debug, Clone)]
+pub struct PathsIter<'a> {
+    nodes: &'a [Node],
+    ends: std::slice::Iter<'a, usize>,
+    start: usize,
+}
+
+impl<'a> Iterator for PathsIter<'a> {
+    type Item = &'a [Node];
+
+    fn next(&mut self) -> Option<&'a [Node]> {
+        let end = *self.ends.next()?;
+        let path = &self.nodes[self.start..end];
+        self.start = end;
+        Some(path)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for PathsIter<'_> {}
 
 /// Typed routing failure. Routing never panics on bad topology: a host that
 /// cannot connect a packet's endpoints (disconnected generator input, or a
@@ -76,7 +155,7 @@ pub trait PathSelector {
         g: &Graph,
         pairs: &[(Node, Node)],
         rng: &mut R,
-    ) -> Result<Vec<Vec<Node>>, RouteError> {
+    ) -> Result<Paths, RouteError> {
         pairs.iter().map(|&(src, dst)| self.path(g, src, dst, rng)).collect()
     }
 }
@@ -94,8 +173,7 @@ impl PathSelector for ShortestPath {
         dst: Node,
         _rng: &mut R,
     ) -> Result<Vec<Node>, RouteError> {
-        let mut paths = bfs_paths(g, &[(src, dst)])?;
-        Ok(paths.pop().expect("one path per pair"))
+        Ok(bfs_paths(g, &[(src, dst)])?[0].to_vec())
     }
 
     fn paths<R: Rng>(
@@ -103,7 +181,7 @@ impl PathSelector for ShortestPath {
         g: &Graph,
         pairs: &[(Node, Node)],
         _rng: &mut R,
-    ) -> Result<Vec<Vec<Node>>, RouteError> {
+    ) -> Result<Paths, RouteError> {
         bfs_paths(g, pairs)
     }
 }
@@ -117,7 +195,7 @@ impl PathSelector for ShortestPath {
 /// broken the same way. A self pair gets `[src]`. Fails with
 /// [`RouteError::Unreachable`] for the first pair, in input order, that no
 /// path connects.
-pub fn bfs_paths(g: &Graph, pairs: &[(Node, Node)]) -> Result<Vec<Vec<Node>>, RouteError> {
+pub fn bfs_paths(g: &Graph, pairs: &[(Node, Node)]) -> Result<Paths, RouteError> {
     const UNSEEN: Node = Node::MAX;
     let n = g.n();
     let mut by_source: Vec<u32> = (0..pairs.len() as u32).collect();
@@ -130,7 +208,9 @@ pub fn bfs_paths(g: &Graph, pairs: &[(Node, Node)]) -> Result<Vec<Vec<Node>>, Ro
     // Every discovered node, in discovery order: the BFS queue, and the
     // list of `prev` entries to reset before the next source.
     let mut order: Vec<Node> = Vec::with_capacity(n);
-    let mut paths: Vec<Vec<Node>> = vec![Vec::new(); pairs.len()];
+    // The paths in source order, back to back; pair i's is found[span[i]].
+    let mut found: Vec<Node> = Vec::new();
+    let mut span = vec![0..0; pairs.len()];
     let mut first_unreachable = usize::MAX;
     for group in by_source.chunk_by(|&a, &b| pairs[a as usize].0 == pairs[b as usize].0) {
         let src = pairs[group[0] as usize].0;
@@ -169,23 +249,28 @@ pub fn bfs_paths(g: &Graph, pairs: &[(Node, Node)]) -> Result<Vec<Vec<Node>>, Ro
                 first_unreachable = first_unreachable.min(i as usize);
                 continue;
             }
-            let mut path = vec![dst; dist[dst as usize] as usize + 1];
+            let lo = found.len();
+            found.resize(lo + dist[dst as usize] as usize + 1, dst);
             let mut cur = dst;
-            for slot in path.iter_mut().rev().skip(1) {
+            for slot in found[lo..].iter_mut().rev().skip(1) {
                 cur = prev[cur as usize];
                 *slot = cur;
             }
-            paths[i as usize] = path;
+            span[i as usize] = lo..found.len();
         }
         for &v in &order {
             prev[v as usize] = UNSEEN;
         }
         order.clear();
     }
-    match pairs.get(first_unreachable) {
-        Some(&(src, dst)) => Err(RouteError::Unreachable { src, dst }),
-        None => Ok(paths),
+    if let Some(&(src, dst)) = pairs.get(first_unreachable) {
+        return Err(RouteError::Unreachable { src, dst });
     }
+    let mut paths = Paths::with_capacity(pairs.len(), found.len());
+    for s in span {
+        paths.push(&found[s]);
+    }
+    Ok(paths)
 }
 
 /// Queue discipline: which waiting packet a node offers first.
@@ -196,21 +281,6 @@ pub enum Discipline {
     FarthestFirst,
     /// First come, first served (by packet id as a proxy for arrival).
     Fifo,
-}
-
-impl Discipline {
-    /// The key a node's queue orders packet `id` by, `remaining` hops from
-    /// its destination: the largest key is offered first. FarthestFirst
-    /// offers the most remaining hops, then the lowest id; Fifo the lowest
-    /// id. The id sits in the low 32 bits as `u32::MAX − id`.
-    #[inline]
-    fn offer_key(self, id: u32, remaining: usize) -> u64 {
-        let id_key = u64::from(u32::MAX - id);
-        match self {
-            Discipline::FarthestFirst => (remaining as u64) << 32 | id_key,
-            Discipline::Fifo => id_key,
-        }
-    }
 }
 
 /// One recorded transfer: at `step`, `from` sent packet `packet_id` to `to`.
@@ -258,21 +328,17 @@ impl Outcome {
     }
 }
 
-/// Route `packets` (with pre-selected paths) on `g` under the
-/// one-send/one-receive-per-node-per-step discipline. Returns `None` if the
-/// step limit is exceeded (which, for finite paths, can only happen when the
-/// limit is too small — the engine guarantees progress every step).
+/// Route the packets of `paths` (packet `i` follows `paths[i]`) on `g`
+/// under the one-send/one-receive-per-node-per-step discipline. Returns
+/// `None` if the step limit is exceeded (which, for finite paths, can only
+/// happen when the limit is too small — the engine guarantees progress
+/// every step).
 ///
 /// Uninstrumented entry point; identical to
 /// [`route_recorded`] with a [`NoopRecorder`] (same monomorphization, so
 /// instrumentation costs nothing here).
-pub fn route(
-    g: &Graph,
-    packets: &[Packet],
-    discipline: Discipline,
-    max_steps: u32,
-) -> Option<Outcome> {
-    route_recorded(g, packets, discipline, max_steps, &mut NoopRecorder)
+pub fn route(g: &Graph, paths: &Paths, discipline: Discipline, max_steps: u32) -> Option<Outcome> {
+    route_recorded(g, paths, discipline, max_steps, &mut NoopRecorder)
 }
 
 /// [`route`] with instrumentation. Emits, per synchronous round, the number
@@ -289,68 +355,61 @@ pub fn route(
 /// * histogram `route.hops` — per delivered packet, `path.len() − 1`;
 /// * counters `route.steps`, `route.transfers`, `route.packets`.
 ///
-/// Each node's queue is a max-heap of [`Discipline`] offer keys. A waiting
-/// packet's key never changes, so the heap top is the packet the node
-/// offers. Each round, every non-empty node offers its top packet to the
-/// packet's next hop, and each receiver takes the offer with the most
-/// remaining hops, then the lowest packet id. Winners move in ascending
-/// receiver order (the order [`crate::plan::extract_plan`] decomposes);
-/// every sender pops before any receiver pushes, since a node may do both
-/// in one round. A lazy segment (`w[0] == w[1]`) is an offer to the node
-/// itself.
+/// A *visit* is a packet waiting at one position of its walk; its offer
+/// key never changes. Under [`Discipline::FarthestFirst`] a node offers
+/// the most remaining hops, then the lowest id; under [`Discipline::Fifo`]
+/// the lowest id. The run ranks every visit once, by node and then by key:
+/// a counting pass sizes each node's block of ranks, and one pass over the
+/// visits, worst key first, hands each node's ranks out from its last
+/// down. A node's queue is a bitset over its ranks; it offers its lowest
+/// set bit, cached (with the visit's claim and next node) until the queue
+/// changes.
+///
+/// Each round, every non-empty node (found in a bitset of busy nodes)
+/// offers its packet to the packet's next node, and each receiver takes
+/// the offer with the most remaining hops, then the lowest packet id,
+/// whatever the discipline. Winners move in ascending receiver order (the
+/// order [`crate::plan::extract_plan`] decomposes). Every sender pops
+/// before any receiver pushes, since a node may do both in one round, so a
+/// pop always removes its node's lowest rank and the next offer is the
+/// next set bit after it. A lazy segment (`w[0] == w[1]`) is an offer to
+/// the node itself; it, like a walk that revisits a node, gives a separate
+/// visit.
 pub fn route_recorded<REC: Recorder + ?Sized>(
     g: &Graph,
-    packets: &[Packet],
+    paths: &Paths,
     discipline: Discipline,
     max_steps: u32,
     rec: &mut REC,
 ) -> Option<Outcome> {
     let n = g.n();
-    // Validate paths.
-    for p in packets {
-        assert!(!p.path.is_empty(), "packet {} has empty path", p.id);
-        assert_eq!(p.path[0], p.src);
-        assert_eq!(*p.path.last().unwrap(), p.dst);
-        for w in p.path.windows(2) {
+    for (id, path) in paths.iter().enumerate() {
+        assert!(!path.is_empty(), "packet {id} has empty path");
+        for w in path.windows(2) {
             assert!(
                 w[0] == w[1] || g.has_edge(w[0], w[1]),
-                "packet {} path uses non-edge ({}, {})",
-                p.id,
+                "packet {id} path uses non-edge ({}, {})",
                 w[0],
                 w[1]
             );
         }
     }
-    assert!(packets.len() <= u32::MAX as usize, "packet ids must fit in u32");
-    // progress[i]: index into packets[i].path of the current position.
-    let mut progress = vec![0usize; packets.len()];
-    let mut delivered_at = vec![u32::MAX; packets.len()];
-    let remaining = |i: usize, progress: &[usize]| packets[i].path.len() - 1 - progress[i];
-    // queue[v]: offer keys of the packets stored at v and not yet delivered.
-    let mut queue: Vec<BinaryHeap<u64>> = vec![BinaryHeap::new(); n];
-    // The nodes whose queue is non-empty (`listed[v]` ⇔ v is in `active`).
-    let mut active: Vec<Node> = Vec::new();
-    let mut listed = vec![false; n];
+    let mut queues = Queues::new(n, paths, discipline);
+    let mut delivered_at = vec![u32::MAX; paths.len()];
     let mut undelivered = 0usize;
-    for (i, p) in packets.iter().enumerate() {
-        if p.path.len() == 1 {
+    for (i, path) in paths.iter().enumerate() {
+        if path.len() == 1 {
             delivered_at[i] = 0;
         } else {
-            let v = p.src as usize;
-            queue[v].push(discipline.offer_key(i as u32, p.path.len() - 1));
-            if !listed[v] {
-                listed[v] = true;
-                active.push(p.src);
-            }
             undelivered += 1;
         }
     }
-    let mut transfers = Vec::new();
-    let mut max_queue = queue.iter().map(BinaryHeap::len).max().unwrap_or(0);
-    // best_at_receiver[to] = (remaining, from, packet): the best offer to
-    // `to` this round. `offered` is the set of `to`s holding one (a
-    // bitset, so it lists them in ascending order), `receivers` that list.
-    let mut best_at_receiver: Vec<Option<(usize, Node, u32)>> = vec![None; n];
+    let mut transfers = Vec::with_capacity(queues.ranked.len());
+    let mut max_queue = queues.heads.iter().map(|h| h.len as usize).max().unwrap_or(0);
+    // best[to]: the best offer to `to` this round. `offered` is the set of
+    // `to`s holding one (a bitset, so it lists them in ascending order),
+    // `receivers` that list.
+    let mut best: Vec<Offer> = vec![Offer::default(); n];
     let mut offered: Vec<u64> = vec![0; n.div_ceil(64)];
     let mut receivers: Vec<Node> = Vec::new();
     // occupancy[len]: rounds × queues that entered a round holding `len`.
@@ -365,85 +424,240 @@ pub fn route_recorded<REC: Recorder + ?Sized>(
             return None;
         }
         rec.histogram("route.packets_in_flight", undelivered as u64);
-        // Phase 1: each non-empty node offers its top packet. Queue
-        // telemetry covers the state *entering* this round, so the
-        // initial backlog is sampled too and the histogram max agrees
-        // exactly with the Outcome's `max_queue`.
-        for &v in &active {
-            let qv = &queue[v as usize];
-            let len = qv.len();
-            tally(&mut occupancy, len);
-            rec.sample("route.queue_depth", step as u64, v as u64, len as u64);
-            let pid = u32::MAX - *qv.peek().expect("active queues are non-empty") as u32;
-            let i = pid as usize;
-            let next = packets[i].path[progress[i] + 1];
-            let prio = remaining(i, &progress);
-            let slot = &mut best_at_receiver[next as usize];
-            match slot {
-                None => {
-                    offered[next as usize / 64] |= 1 << (next % 64);
-                    *slot = Some((prio, v, pid));
-                }
-                Some((p, _, old_pid)) => {
-                    if prio > *p || (prio == *p && pid < *old_pid) {
-                        *slot = Some((prio, v, pid));
-                    }
+        // Phase 1: each non-empty node offers its head. Queue telemetry
+        // covers the state *entering* this round, so the initial backlog
+        // is sampled too and the histogram max agrees exactly with the
+        // Outcome's `max_queue`.
+        for (w, &word) in queues.busy.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = (w * 64) as Node + bits.trailing_zeros();
+                bits &= bits - 1;
+                let head = queues.heads[v as usize];
+                tally(&mut occupancy, head.len as usize);
+                rec.sample("route.queue_depth", step as u64, v as u64, u64::from(head.len));
+                let to = head.visit.next as usize;
+                let bit = 1u64 << (to % 64);
+                if offered[to / 64] & bit == 0 {
+                    offered[to / 64] |= bit;
+                    best[to] = Offer { visit: head.visit, from: v };
+                } else if head.visit.claim > best[to].visit.claim {
+                    best[to] = Offer { visit: head.visit, from: v };
                 }
             }
         }
         // Phase 2: winners move, in receiver order. A winner is its
-        // sender's heap top; pop them all before pushing any.
+        // sender's head; pop them all before pushing any.
         for (w, word) in offered.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                receivers.push((w * 64) as Node + bits.trailing_zeros());
+                let to = (w * 64) as Node + bits.trailing_zeros();
+                receivers.push(to);
+                queues.pop(best[to as usize].from);
                 bits &= bits - 1;
             }
         }
         debug_assert!(!receivers.is_empty(), "engine must make progress every step");
         for &to in &receivers {
-            let (_, from, _) = best_at_receiver[to as usize].expect("receivers hold an offer");
-            queue[from as usize].pop();
-        }
-        for &to in &receivers {
-            let (_, from, pid) = best_at_receiver[to as usize].take().expect("offer");
-            let i = pid as usize;
-            progress[i] += 1;
+            let Offer { visit, from } = best[to as usize];
+            let pid = u32::MAX - visit.claim as u32;
             transfers.push(Transfer { step, from, to, packet_id: pid });
             rec.sample("route.edge_util", step as u64, edge_key(from, to), 1);
-            let left = remaining(i, &progress);
-            if left == 0 {
-                delivered_at[i] = step + 1;
+            if visit.claim >> 32 == 1 {
+                delivered_at[pid as usize] = step + 1;
                 undelivered -= 1;
             } else {
-                let q = &mut queue[to as usize];
-                q.push(discipline.offer_key(pid, left));
-                max_queue = max_queue.max(q.len());
-                if !listed[to as usize] {
-                    listed[to as usize] = true;
-                    active.push(to);
-                }
+                max_queue = max_queue.max(queues.push(to, queues.advance(visit)));
             }
         }
         receivers.clear();
-        active.retain(|&v| {
-            let keep = !queue[v as usize].is_empty();
-            listed[v as usize] = keep;
-            keep
-        });
         step += 1;
     }
     flush_counts(rec, "route.queue_occupancy", &occupancy);
     rec.span_end("route");
     let mut hops: Vec<u64> = Vec::new();
-    for p in packets {
-        tally(&mut hops, p.path.len() - 1);
+    for path in paths.iter() {
+        tally(&mut hops, path.len() - 1);
     }
     flush_counts(rec, "route.hops", &hops);
     rec.counter("route.steps", step as u64);
     rec.counter("route.transfers", transfers.len() as u64);
-    rec.counter("route.packets", packets.len() as u64);
+    rec.counter("route.packets", paths.len() as u64);
     Some(Outcome { steps: step, delivered_at, transfers, max_queue })
+}
+
+/// A packet waiting at one position of its walk.
+#[derive(Debug, Clone, Copy, Default)]
+struct Visit {
+    /// What receivers compare, the larger winning: remaining hops in the
+    /// high 32 bits, `u32::MAX − packet id` in the low.
+    claim: u64,
+    /// The position's index in the [`Paths`] arena.
+    at: u32,
+    /// The walk's next node, where the packet is offered.
+    next: Node,
+}
+
+/// A node's queue length and the visit it offers, its lowest queued rank
+/// (while `len` is non-zero).
+#[derive(Debug, Clone, Copy, Default)]
+struct Head {
+    visit: Visit,
+    rank: u32,
+    len: u32,
+}
+
+/// The best offer to a receiver in a round: the sender's head visit.
+#[derive(Debug, Clone, Copy, Default)]
+struct Offer {
+    visit: Visit,
+    from: Node,
+}
+
+/// The engine's queues, over visits ranked by node and then by offer key.
+struct Queues<'a> {
+    /// The walks' nodes (the [`Paths`] arena).
+    nodes: &'a [Node],
+    /// Per arena index: the rank of the visit there (a walk's last index
+    /// holds none).
+    rank_of: Vec<u32>,
+    /// Per rank: the visit.
+    ranked: Vec<Visit>,
+    /// Bit `r` set: the visit ranked `r` is queued at its node.
+    queued: Vec<u64>,
+    /// Bit `v` set: node `v`'s queue is non-empty.
+    busy: Vec<u64>,
+    /// Per node: its queue's head.
+    heads: Vec<Head>,
+}
+
+impl<'a> Queues<'a> {
+    /// Rank every visit of `paths` on an `n`-node host, and queue each
+    /// packet whose walk has a hop at its first node.
+    ///
+    /// Visits are the arena indices that do not end their walk; arena
+    /// order is packet id, then position along the walk. Ranks go out from
+    /// the worst key to the best, each node's from its last down, so a
+    /// node's visits hold consecutive ranks, best first.
+    fn new(n: usize, paths: &'a Paths, discipline: Discipline) -> Self {
+        let nodes = &paths.nodes[..];
+        assert!(nodes.len() <= u32::MAX as usize, "walks must fit u32 indices");
+        let walks = move || (0..paths.len()).map(move |i| (i, paths.start(i), paths.ends[i]));
+        // below[v]: one past `v`'s last rank, counted down as ranks go out.
+        let mut below = vec![0u32; n];
+        for (_, lo, hi) in walks() {
+            for &v in &nodes[lo..hi - 1] {
+                below[v as usize] += 1;
+            }
+        }
+        let mut count = 0;
+        for slot in &mut below {
+            count += *slot;
+            *slot = count;
+        }
+        let mut rank_of = vec![0u32; nodes.len()];
+        let mut ranked = vec![Visit::default(); count as usize];
+        let claim_of =
+            |id: usize, left: usize| (left as u64) << 32 | u64::from(u32::MAX - id as u32);
+        let mut rank = |at: usize, claim: u64| {
+            let v = nodes[at] as usize;
+            below[v] -= 1;
+            rank_of[at] = below[v];
+            ranked[below[v] as usize] = Visit { claim, at: at as u32, next: nodes[at + 1] };
+        };
+        match discipline {
+            // Worst first: the highest id, then the last position.
+            Discipline::Fifo => {
+                for (id, lo, hi) in walks().rev() {
+                    for at in (lo..hi - 1).rev() {
+                        rank(at, claim_of(id, hi - 1 - at));
+                    }
+                }
+            }
+            // Worst first: the fewest hops to go, then the highest id.
+            // `live` holds, highest id first, each walk with visits left
+            // to rank: the index of its next (one hop more to go), the
+            // walk's first index and its id.
+            Discipline::FarthestFirst => {
+                let mut live: Vec<(u32, u32, u32)> = walks()
+                    .rev()
+                    .filter(|&(_, lo, hi)| hi - lo > 1)
+                    .map(|(id, lo, hi)| (hi as u32 - 2, lo as u32, id as u32))
+                    .collect();
+                let mut left = 1;
+                while !live.is_empty() {
+                    let mut kept = 0;
+                    for i in 0..live.len() {
+                        let (at, lo, id) = live[i];
+                        rank(at as usize, claim_of(id as usize, left));
+                        if at > lo {
+                            live[kept] = (at - 1, lo, id);
+                            kept += 1;
+                        }
+                    }
+                    live.truncate(kept);
+                    left += 1;
+                }
+            }
+        }
+        let mut queues = Queues {
+            nodes,
+            rank_of,
+            queued: vec![0; ranked.len().div_ceil(64)],
+            ranked,
+            busy: vec![0; n.div_ceil(64)],
+            heads: vec![Head::default(); n],
+        };
+        for (id, lo, hi) in walks() {
+            if hi - lo > 1 {
+                let claim = claim_of(id, hi - 1 - lo);
+                queues.push(nodes[lo], Visit { claim, at: lo as u32, next: nodes[lo + 1] });
+            }
+        }
+        queues
+    }
+
+    /// Queue `visit` at its node `v`; returns `v`'s new length.
+    fn push(&mut self, v: Node, visit: Visit) -> usize {
+        let rank = self.rank_of[visit.at as usize];
+        self.queued[rank as usize / 64] |= 1 << (rank % 64);
+        self.busy[v as usize / 64] |= 1 << (v % 64);
+        let head = &mut self.heads[v as usize];
+        if head.len == 0 || rank < head.rank {
+            (head.visit, head.rank) = (visit, rank);
+        }
+        head.len += 1;
+        head.len as usize
+    }
+
+    /// The visit after `visit` along its walk, when `visit` is not its
+    /// walk's last hop.
+    fn advance(&self, visit: Visit) -> Visit {
+        let at = visit.at + 1;
+        Visit { claim: visit.claim - (1 << 32), at, next: self.nodes[at as usize + 1] }
+    }
+
+    /// Remove `v`'s head, its lowest rank. Every rank `v` still holds is
+    /// above it, and the ranks in between are `v`'s too, so the next head
+    /// is the next set bit.
+    fn pop(&mut self, v: Node) {
+        let head = &mut self.heads[v as usize];
+        let rank = head.rank as usize;
+        let mut w = rank / 64;
+        self.queued[w] &= !(1 << (rank % 64));
+        head.len -= 1;
+        if head.len == 0 {
+            self.busy[v as usize / 64] &= !(1 << (v % 64));
+        } else {
+            let mut word = self.queued[w] & (!0u64 << (rank % 64));
+            while word == 0 {
+                w += 1;
+                word = self.queued[w];
+            }
+            head.rank = (w * 64) as u32 + word.trailing_zeros();
+            head.visit = self.ranked[head.rank as usize];
+        }
+    }
 }
 
 /// Count one more sample of `value` in `counts` (indexed by value).
@@ -464,22 +678,16 @@ fn flush_counts<REC: Recorder + ?Sized>(rec: &mut REC, name: &'static str, count
     }
 }
 
-/// Build packets from `(src, dst)` pairs using a path selector (through
-/// [`PathSelector::paths`]). Fails with the selector's [`RouteError`] on
-/// the first pair it cannot connect.
+/// The walks for `(src, dst)` pairs from a path selector (through
+/// [`PathSelector::paths`]): packet `i` routes pair `i`. Fails with the
+/// selector's [`RouteError`] on the first pair it cannot connect.
 pub fn make_packets<S: PathSelector, R: Rng>(
     g: &Graph,
     pairs: &[(Node, Node)],
     selector: &S,
     rng: &mut R,
-) -> Result<Vec<Packet>, RouteError> {
-    let paths = selector.paths(g, pairs, rng)?;
-    Ok(pairs
-        .iter()
-        .zip(paths)
-        .enumerate()
-        .map(|(i, (&(src, dst), path))| Packet { id: i as u32, src, dst, path })
-        .collect())
+) -> Result<Paths, RouteError> {
+    selector.paths(g, pairs, rng)
 }
 
 /// Convenience: route `(src, dst)` pairs with BFS paths and default
@@ -487,17 +695,16 @@ pub fn make_packets<S: PathSelector, R: Rng>(
 /// panics only on step-limit overflow (limit = generous bound, so never for
 /// valid inputs).
 pub fn route_simple(g: &Graph, pairs: &[(Node, Node)]) -> Result<Outcome, RouteError> {
-    let mut rng = unet_topology::util::seeded_rng(0);
-    let packets = make_packets(g, pairs, &ShortestPath, &mut rng)?;
-    Ok(route(g, &packets, Discipline::FarthestFirst, generous_step_limit(&packets))
+    let paths = bfs_paths(g, pairs)?;
+    Ok(route(g, &paths, Discipline::FarthestFirst, generous_step_limit(&paths))
         .expect("generous limit"))
 }
 
 /// A step limit no valid run can exceed: sum of path lengths (each step
 /// moves ≥ 1 packet forward) plus slack. Accumulated in u64 and saturated
 /// so huge problem sets can't wrap u32 into a spuriously small limit.
-pub fn generous_step_limit(packets: &[Packet]) -> u32 {
-    step_limit_for_lengths(packets.iter().map(|p| p.path.len()))
+pub fn generous_step_limit(paths: &Paths) -> u32 {
+    step_limit_for_lengths(paths.iter().map(<[Node]>::len))
 }
 
 fn step_limit_for_lengths(lens: impl Iterator<Item = usize>) -> u32 {
@@ -544,34 +751,34 @@ mod tests {
         None
     }
 
-    /// Reference for [`route_recorded`]: the engine before heap-ordered
-    /// queues. Every round it scans all `n` queues, picks each offer by a
-    /// linear scan, finds the winner in its queue by position and records
-    /// one histogram sample per non-empty queue.
+    /// Reference for [`route_recorded`]: the engine before ranked queues.
+    /// Every round it scans all `n` queues, picks each offer by a linear
+    /// scan, finds the winner in its queue by position and records one
+    /// histogram sample per non-empty queue.
     fn route_recorded_reference<REC: Recorder + ?Sized>(
         g: &Graph,
-        packets: &[Packet],
+        paths: &Paths,
         discipline: Discipline,
         max_steps: u32,
         rec: &mut REC,
     ) -> Option<Outcome> {
         let n = g.n();
-        let mut progress: Vec<usize> = packets.iter().map(|_| 0usize).collect();
-        let mut delivered_at = vec![u32::MAX; packets.len()];
+        let mut progress = vec![0usize; paths.len()];
+        let mut delivered_at = vec![u32::MAX; paths.len()];
         let mut queue: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut undelivered = 0usize;
-        for (i, p) in packets.iter().enumerate() {
-            if p.path.len() == 1 {
+        for (i, path) in paths.iter().enumerate() {
+            if path.len() == 1 {
                 delivered_at[i] = 0;
             } else {
-                queue[p.src as usize].push(i as u32);
+                queue[path[0] as usize].push(i as u32);
                 undelivered += 1;
             }
         }
         let mut transfers = Vec::new();
         let mut max_queue = queue.iter().map(|q| q.len()).max().unwrap_or(0);
         let remaining =
-            |i: u32, progress: &[usize]| packets[i as usize].path.len() - 1 - progress[i as usize];
+            |i: u32, progress: &[usize]| paths[i as usize].len() - 1 - progress[i as usize];
 
         rec.span_start("route");
         let mut step = 0u32;
@@ -599,7 +806,7 @@ mod tests {
                         .unwrap(),
                     Discipline::Fifo => qv.iter().min().unwrap(),
                 };
-                let next = packets[pid as usize].path[progress[pid as usize] + 1];
+                let next = paths[pid as usize][progress[pid as usize] + 1];
                 let prio = remaining(pid, &progress);
                 let slot = &mut best_at_receiver[next as usize];
                 let better = match slot {
@@ -618,7 +825,7 @@ mod tests {
                     progress[pid as usize] += 1;
                     transfers.push(Transfer { step, from, to: to as Node, packet_id: pid });
                     rec.sample("route.edge_util", step as u64, edge_key(from, to as Node), 1);
-                    if progress[pid as usize] + 1 == packets[pid as usize].path.len() {
+                    if progress[pid as usize] + 1 == paths[pid as usize].len() {
                         delivered_at[pid as usize] = step + 1;
                         undelivered -= 1;
                     } else {
@@ -630,12 +837,12 @@ mod tests {
             step += 1;
         }
         rec.span_end("route");
-        for p in packets {
-            rec.histogram("route.hops", (p.path.len() - 1) as u64);
+        for path in paths.iter() {
+            rec.histogram("route.hops", (path.len() - 1) as u64);
         }
         rec.counter("route.steps", step as u64);
         rec.counter("route.transfers", transfers.len() as u64);
-        rec.counter("route.packets", packets.len() as u64);
+        rec.counter("route.packets", paths.len() as u64);
         Some(Outcome { steps: step, delivered_at, transfers, max_queue })
     }
 
@@ -660,23 +867,57 @@ mod tests {
         b.build()
     }
 
-    /// Every counter, histogram, sample series and span count a recorder
-    /// holds (span durations are timings and may differ).
+    /// Everything a recorder holds but timings: counters, gauges,
+    /// histograms, sample series, span counts, the span events' order and
+    /// the spans still open.
     #[allow(clippy::type_complexity)]
     fn records(
         rec: &InMemoryRecorder,
     ) -> (
         Vec<(&'static str, u64)>,
+        Vec<(&'static str, u64)>,
         Vec<(&'static str, unet_obs::Histogram)>,
         Vec<(&'static str, std::collections::BTreeMap<(u64, u64), u64>)>,
         Vec<(&'static str, u64)>,
+        Vec<(bool, &'static str)>,
+        Vec<&'static str>,
     ) {
+        use unet_obs::recorder::SpanEvent;
         (
             rec.counters().collect(),
+            rec.gauges().map(|(k, v)| (k, v.to_bits())).collect(),
             rec.histograms().map(|(k, h)| (k, h.clone())).collect(),
             rec.samples().map(|(k, m)| (k, m.clone())).collect(),
             rec.span_totals().map(|(k, _, count)| (k, count)).collect(),
+            rec.events()
+                .iter()
+                .map(|e| match *e {
+                    SpanEvent::Start { name, .. } => (true, name),
+                    SpanEvent::End { name, .. } => (false, name),
+                })
+                .collect(),
+            rec.open_spans().to_vec(),
         )
+    }
+
+    /// A random walk of `len` entries from `src`: each step moves to a
+    /// random neighbour or, with probability `lazy_pct`%, stays put. Walks
+    /// revisit nodes freely.
+    fn random_walk(
+        rng: &mut impl Rng,
+        g: &Graph,
+        src: Node,
+        len: usize,
+        lazy_pct: u32,
+    ) -> Vec<Node> {
+        let mut walk = vec![src];
+        while walk.len() < len {
+            let v = *walk.last().unwrap();
+            let nb = g.neighbors(v);
+            let stay = nb.is_empty() || rng.gen_range(0..100u32) < lazy_pct;
+            walk.push(if stay { v } else { nb[rng.gen_range(0..nb.len())] });
+        }
+        walk
     }
 
     #[test]
@@ -687,8 +928,8 @@ mod tests {
         assert_eq!(p[0], 0);
         assert_eq!(*p.last().unwrap(), 15);
         assert_eq!(p.len(), 7); // distance 6
-        assert_eq!(Some(p.clone()), bfs_path(&g, 0, 15));
-        assert_eq!(paths[1], vec![3]);
+        assert_eq!(Some(p.to_vec()), bfs_path(&g, 0, 15));
+        assert_eq!(paths[1], [3]);
         assert_eq!(paths[2], paths[0], "a repeated pair gets the same path");
     }
 
@@ -812,8 +1053,7 @@ mod tests {
     #[should_panic(expected = "non-edge")]
     fn invalid_path_rejected() {
         let g = path(4); // 0-1-2-3
-        let pkt = Packet { id: 0, src: 0, dst: 3, path: vec![0, 3] };
-        route(&g, &[pkt], Discipline::Fifo, 10);
+        route(&g, &Paths::from_iter([[0, 3]]), Discipline::Fifo, 10);
     }
 
     #[test]
@@ -870,8 +1110,7 @@ mod tests {
     fn lazy_path_segments_allowed() {
         // Paths may contain stationary repeats (used by offline schedules).
         let g = path(3);
-        let pkt = Packet { id: 0, src: 0, dst: 2, path: vec![0, 0, 1, 2] };
-        let out = route(&g, &[pkt], Discipline::Fifo, 10);
+        let out = route(&g, &Paths::from_iter([[0, 0, 1, 2]]), Discipline::Fifo, 10);
         // A stationary "hop" is a send-to-self, which the engine treats as a
         // real transfer to the same node — disallowed by has_edge, so the
         // path validation accepts (w[0] == w[1]) but the move is to itself…
@@ -899,7 +1138,8 @@ mod tests {
 
         /// `bfs_paths` returns per-pair `bfs_path`'s paths, in input order,
         /// on random graphs that may be disconnected, with self pairs and
-        /// repeated pairs; on failure it names the same first pair.
+        /// repeated pairs; on failure it names the same first pair. The
+        /// arena reads back the same walks by index and by iteration.
         #[test]
         fn bfs_paths_equal_per_pair_bfs(
             seed in any::<u64>(),
@@ -926,41 +1166,71 @@ mod tests {
                 .iter()
                 .map(|&(src, dst)| bfs_path(&g, src, dst).ok_or(RouteError::Unreachable { src, dst }))
                 .collect();
-            prop_assert_eq!(bfs_paths(&g, &pairs), reference.clone());
+            let arena = bfs_paths(&g, &pairs);
+            match (&arena, &reference) {
+                (Ok(arena), Ok(reference)) => {
+                    prop_assert_eq!(arena.len(), reference.len());
+                    prop_assert_eq!(arena.iter().len(), reference.len());
+                    for (i, (walk, path)) in arena.iter().zip(reference).enumerate() {
+                        prop_assert_eq!(walk, &path[..]);
+                        prop_assert_eq!(&arena[i], &path[..]);
+                    }
+                }
+                (Err(e), Err(r)) => prop_assert_eq!(e, r),
+                _ => prop_assert!(false, "{:?} against {:?}", arena, reference),
+            }
+            let reference: Result<Paths, RouteError> = reference.map(Paths::from_iter);
+            prop_assert_eq!(&arena, &reference);
             let mut rng = unet_topology::util::seeded_rng(0);
             prop_assert_eq!(ShortestPath.paths(&g, &pairs, &mut rng), reference);
         }
 
-        /// The heap-ordered engine equals the scanning reference under both
-        /// disciplines, with lazy (`w[0] == w[1]`) segments, and on the
-        /// step-limit failure path: the same `Outcome` and the same
-        /// counters, histograms, sample series and span counts.
+        /// The ranked engine equals the scanning reference under both
+        /// disciplines, on BFS walks with lazy (`w[0] == w[1]`) segments
+        /// put in and on random walks that revisit nodes and stay put,
+        /// one-node walks among both, and on the step-limit failure path:
+        /// the same `Outcome` and everything the recorder holds.
         #[test]
-        fn heap_engine_equals_reference(
+        fn rank_engine_equals_reference(
             seed in any::<u64>(),
             n in 2usize..24,
             edges in 0usize..30,
             count in 0usize..60,
             fifo in any::<bool>(),
+            walks in any::<bool>(),
             lazy in 0u32..3,
             limit in 0u32..4,
         ) {
             let mut rng = unet_topology::util::seeded_rng(seed);
             let g = random_graph(&mut rng, n, edges, true);
-            let pairs: Vec<(Node, Node)> = (0..count)
-                .map(|_| (rng.gen_range(0..n) as Node, rng.gen_range(0..n) as Node))
-                .collect();
-            let mut packets = make_packets(&g, &pairs, &ShortestPath, &mut rng).unwrap();
-            for p in &mut packets {
-                // Stay put on some hops: a lazy segment repeats a node.
-                for _ in 0..lazy {
-                    let at = rng.gen_range(0..p.path.len());
-                    p.path.insert(at, p.path[at]);
-                }
-            }
+            let paths: Paths = if walks {
+                (0..count)
+                    .map(|_| {
+                        let src = rng.gen_range(0..n) as Node;
+                        let len = rng.gen_range(1..=12);
+                        random_walk(&mut rng, &g, src, len, 20 * lazy)
+                    })
+                    .collect()
+            } else {
+                let pairs: Vec<(Node, Node)> = (0..count)
+                    .map(|_| (rng.gen_range(0..n) as Node, rng.gen_range(0..n) as Node))
+                    .collect();
+                let bfs = make_packets(&g, &pairs, &ShortestPath, &mut rng).unwrap();
+                bfs.iter()
+                    .map(|path| {
+                        // Stay put on some hops: a lazy segment repeats a node.
+                        let mut path = path.to_vec();
+                        for _ in 0..lazy {
+                            let at = rng.gen_range(0..path.len());
+                            path.insert(at, path[at]);
+                        }
+                        path
+                    })
+                    .collect()
+            };
             let discipline = if fifo { Discipline::Fifo } else { Discipline::FarthestFirst };
-            let generous = generous_step_limit(&packets);
-            let steps = route(&g, &packets, discipline, generous).expect("generous limit").steps;
+            let generous = generous_step_limit(&paths);
+            let steps = route(&g, &paths, discipline, generous).expect("generous limit").steps;
             // Generous, exactly enough, one short (fails) or anything up to
             // enough (usually fails).
             let max_steps = match limit {
@@ -969,17 +1239,17 @@ mod tests {
                 2 => steps.saturating_sub(1),
                 _ => rng.gen_range(0..=steps),
             };
-            let mut heap_rec = InMemoryRecorder::new();
+            let mut rec = InMemoryRecorder::new();
             let mut scan_rec = InMemoryRecorder::new();
-            let heap = route_recorded(&g, &packets, discipline, max_steps, &mut heap_rec);
-            let scan = route_recorded_reference(&g, &packets, discipline, max_steps, &mut scan_rec);
-            prop_assert_eq!(&heap, &scan);
-            prop_assert_eq!(records(&heap_rec), records(&scan_rec));
-            prop_assert!(heap_rec.open_spans().is_empty());
+            let ranked = route_recorded(&g, &paths, discipline, max_steps, &mut rec);
+            let scan = route_recorded_reference(&g, &paths, discipline, max_steps, &mut scan_rec);
+            prop_assert_eq!(&ranked, &scan);
+            prop_assert_eq!(records(&rec), records(&scan_rec));
+            prop_assert!(rec.open_spans().is_empty());
             // Behind the `dyn Recorder` boundary the router crosses, too.
             let mut dyn_rec = InMemoryRecorder::new();
             let via_dyn =
-                route_recorded(&g, &packets, discipline, max_steps, &mut (&mut dyn_rec as &mut dyn Recorder));
+                route_recorded(&g, &paths, discipline, max_steps, &mut (&mut dyn_rec as &mut dyn Recorder));
             prop_assert_eq!(&via_dyn, &scan);
             prop_assert_eq!(records(&dyn_rec), records(&scan_rec));
         }

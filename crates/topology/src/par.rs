@@ -102,7 +102,10 @@ pub fn default_threads() -> usize {
             Err(_) => {
                 static WARNED: std::sync::Once = std::sync::Once::new();
                 WARNED.call_once(|| {
-                    eprintln!(
+                    use std::io::Write;
+                    // A closed stderr must not turn the warning into a panic.
+                    let _ = writeln!(
+                        std::io::stderr(),
                         "warning: ignoring unparsable UNET_THREADS={raw:?}; \
                          falling back to the default thread count"
                     );

@@ -53,14 +53,22 @@ macro_rules! out {
     };
 }
 
+/// `eprintln!` for every stderr line: a failed write (a reader closed the
+/// pipe) is ignored, so an error still ends with exit 1, not a panic.
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            errln!("error: {e}");
+            errln!();
+            errln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -343,9 +351,11 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
     let out = flag(args, "--out");
     let lines = write_run_trace(out.as_deref(), &rec, &meta, &[], &summary)?;
     if let Some(path) = out {
-        eprintln!(
+        errln!(
             "trace written to {path} ({lines} lines, T' = {}, s = {:.2}, k = {:.2})",
-            summary.host_steps, summary.slowdown, summary.inefficiency
+            summary.host_steps,
+            summary.slowdown,
+            summary.inefficiency
         );
     }
     Ok(())
@@ -701,7 +711,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     wait_for_drain(&[signal::install_sigterm_flag()]);
 
     let report = server.drain();
-    eprintln!(
+    errln!(
         "drained: {} conns admitted, {} rejected, {} requests completed, cache hit ratio {}",
         report.stats.admitted,
         report.stats.rejected,
@@ -725,7 +735,7 @@ fn write_request_trace(
     let mut out = std::io::BufWriter::new(std::fs::File::create(path).map_err(err)?);
     let lines = trace.write_to(&mut out).map_err(err)?;
     out.flush().map_err(err)?;
-    eprintln!("request trace written to {path} ({lines} lines)");
+    errln!("request trace written to {path} ({lines} lines)");
     Ok(())
 }
 
@@ -830,7 +840,7 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
     wait_for_drain(&[signal::install_sigterm_flag(), signal::install_sigint_flag()]);
 
     let report = router.drain();
-    eprintln!(
+    errln!(
         "drained: {} forwarded, {} completed, {} failovers, {} overloads absorbed, \
          {}/{} backends healthy",
         report.stats.forwarded,
@@ -848,8 +858,8 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
     }
     for (i, mut child) in children.into_iter().enumerate() {
         match child.wait() {
-            Ok(status) => eprintln!("backend {i} exited: {status}"),
-            Err(e) => eprintln!("backend {i} wait failed: {e}"),
+            Ok(status) => errln!("backend {i} exited: {status}"),
+            Err(e) => errln!("backend {i} wait failed: {e}"),
         }
     }
     if let Some(path) = flag(args, "--trace-out") {

@@ -134,6 +134,29 @@ fn closed_stdout_is_an_error_not_a_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An error whose stderr reader has gone (`unet topo ring:0 2>&1 | …`
+/// with the reader closed) still exits 1: the `error:` line and the usage
+/// text are dropped, never a panic.
+#[test]
+fn closed_stderr_is_still_exit_1_not_a_panic() {
+    use std::process::Stdio;
+    for args in [&["topo", "ring:0"][..], &["simulate", "ring:0", "ring:4", "2"], &["analyze", "x"]]
+    {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_unet"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // Close the reading end before the command has printed anything.
+        drop(child.stderr.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stdout}");
+        assert!(!stdout.contains("panicked"), "{args:?}: {stdout}");
+    }
+}
+
 #[test]
 fn bad_spec_is_an_error_not_a_panic() {
     // `random:5x3` trips a generator assert (n·d must be even).
